@@ -40,7 +40,7 @@ module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
 module Engine = Smrp_sim.Engine
 module Metrics = Smrp_obs.Metrics
-module Trace = Smrp_obs.Trace
+module Flight = Smrp_obs.Flight
 module Profile = Smrp_obs.Profile
 module J = Bench_support.Bench_json
 
@@ -95,11 +95,12 @@ let figures () =
    member measurements), independent of SMRP_BENCH_SCENARIOS: small enough
    for CI, deterministic enough that its rendering digest and merged
    metrics totals are exact across machines (the default [`Unit] link
-   metric makes every observed value an integer, so even the histogram sum
-   is schedule-independent).  The parallel leg runs with the whole
-   instrumentation stack live — sharded metrics, sharded trace rings,
-   pool/GC profiling — and must agree with the uninstrumented sequential
-   leg exactly; this is the property the regression gate pins. *)
+   metric makes every observed value an integer, so even the sketch sums
+   are schedule-independent).  The parallel leg runs with the whole
+   instrumentation stack live — sharded metrics, per-domain flight rings
+   for the spans, pool/GC profiling — and must agree with the
+   uninstrumented sequential leg exactly; this is the property the
+   regression gate pins. *)
 
 type workload_result = {
   digest : string;
@@ -109,8 +110,8 @@ type workload_result = {
 
 let workload () =
   section "Regression-gate workload (fixed scale, deterministic)";
-  let run ?jobs ~metrics ?profile ?trace () =
-    Pool.with_instrumentation ?profile ?trace (fun () ->
+  let run ?jobs ~metrics ?profile ?flight () =
+    Pool.with_instrumentation ?profile ?flight (fun () ->
         Figures.Fig9.render
           (Figures.Fig9.run ?jobs ~metrics ~seed:9
              ~values:[ 0.15; 0.2; 0.25; 0.3 ]
@@ -120,10 +121,10 @@ let workload () =
   let seq = run ~jobs:1 ~metrics:m_seq () in
   let m_par = Metrics.create () in
   let profile = Profile.create () in
-  let sink = Trace.sharded_ring ~capacity:65536 in
+  let flight = Flight.create ~capacity:65536 () in
   (* Four explicit domains, not the pool default: the gate must exercise
      multi-domain merge and stitching even on single-core runners. *)
-  let par = run ~jobs:4 ~metrics:m_par ~profile ~trace:(Trace.create sink) () in
+  let par = run ~jobs:4 ~metrics:m_par ~profile ~flight () in
   let renders_equal = String.equal seq par in
   let snapshots_equal = Metrics.snapshot m_seq = Metrics.snapshot m_par in
   if not (renders_equal && snapshots_equal) then begin
@@ -138,22 +139,21 @@ let workload () =
   Printf.printf "merged metrics (%d shard(s)):\n%s\n" (Metrics.shard_count m_par)
     (Metrics.render m_par);
   Printf.printf "pool/GC profile:\n%s\n" (Profile.render profile);
-  let events = Trace.stitched_contents sink in
   let oc = open_out "BENCH_TRACE.jsonl" in
-  List.iter
-    (fun e ->
-      output_string oc (Trace.to_json e);
+  let events = ref 0 in
+  Smrp_obs.Causal.to_chrome
+    (fun line ->
+      incr events;
+      output_string oc line;
       output_char oc '\n')
-    events;
+    (Flight.snapshot flight);
   close_out oc;
-  Printf.printf "wrote BENCH_TRACE.jsonl (%d stitched events)\n" (List.length events);
+  Printf.printf "wrote BENCH_TRACE.jsonl (%d stitched events)\n" !events;
   let wl_metrics =
     List.concat_map
       (fun (name, v) ->
         match v with
         | Metrics.Counter_value n -> [ (name, float_of_int n) ]
-        | Metrics.Histogram_value { count; sum; _ } ->
-            [ (name ^ ".count", float_of_int count); (name ^ ".sum", sum) ]
         | Metrics.Sketch_value s ->
             [ (name ^ ".count", float_of_int s.Smrp_obs.Sketch.s_count); (name ^ ".sum", s.Smrp_obs.Sketch.s_sum) ]
         | Metrics.Gauge_value _ | Metrics.Series_value _ -> [])
@@ -203,28 +203,15 @@ let report () =
 
 let traced_latency () =
   (* The same restoration-latency scenario with the observability layer
-     live: a ring-buffer trace sink plus per-side metric registries.  The
-     figures above run with tracing off (the no-op sink path). *)
-  let module Trace = Smrp_obs.Trace in
-  section "Restoration latency, traced variant (ring-buffer sink + metrics)";
-  let rng = Rng.create 25 in
-  let rec attempt n =
-    if n = 0 then print_string "no recoverable scenario found\n"
-    else begin
-      let s = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF in
-      let config =
-        { Latency.default with Latency.scenario = { Latency.default.Latency.scenario with Scenario.seed = s } }
-      in
-      let sink = Trace.ring ~capacity:262144 in
-      match Latency.run ~trace_sink:sink ~with_metrics:true config with
-      | Some r ->
-          print_string (Latency.render [ r ]);
-          Printf.printf "trace events captured (ring, capacity 262144): %d\n"
-            (List.length (Trace.ring_contents sink))
-      | None -> attempt (n - 1)
-    end
-  in
-  attempt 50
+     live: a flight recorder per side plus per-side metric registries. *)
+  section "Restoration latency, traced variant (per-side flight recorders + metrics)";
+  match Latency.run_one ~flight:true ~with_metrics:true ~seed:25 Latency.default with
+  | Some r ->
+      print_string (Latency.render [ r ]);
+      let events = ref 0 in
+      Latency.to_chrome r (fun _ -> incr events);
+      Printf.printf "trace events projected from the flight records: %d\n" !events
+  | None -> print_string "no recoverable scenario found\n"
 
 let extensions () =
   section "Restoration latency (packet-level; the paper's 1 motivation, [25])";

@@ -131,25 +131,6 @@ let scenario_cmd =
     Term.(const run $ seed_arg 1 $ n $ group $ alpha $ d_thresh)
 
 let latency_cmd =
-  let module Trace = Smrp_obs.Trace in
-  (* One observed scenario: retry derived seeds (as [run_many] does) until a
-     draw has a recoverable victim. *)
-  let run_one ?trace_sink ~with_metrics seed =
-    let rng = Smrp_rng.Rng.create seed in
-    let rec attempt n =
-      if n = 0 then None
-      else begin
-        let s = Int64.to_int (Smrp_rng.Rng.bits64 rng) land 0x3FFFFFFF in
-        let config =
-          { Latency.default with Latency.scenario = { Latency.default.Latency.scenario with Scenario.seed = s } }
-        in
-        match Latency.run ?trace_sink ~with_metrics config with
-        | Some r -> Some r
-        | None -> attempt (n - 1)
-      end
-    in
-    attempt 50
-  in
   let run seed runs trace metrics openmetrics =
     if trace = None && not metrics && not openmetrics then
       print_string (Latency.render (Latency.run_many ~seed ~runs Latency.default))
@@ -161,9 +142,19 @@ let latency_cmd =
           exit 1
       in
       let oc = Option.map open_trace trace in
-      let trace_sink = Option.map Trace.channel oc in
-      (match run_one ?trace_sink ~with_metrics:metrics seed with
+      (match Latency.run_one ~flight:(oc <> None) ~with_metrics:metrics ~seed Latency.default with
       | Some r ->
+          Option.iter
+            (fun oc ->
+              Latency.to_chrome r (fun line ->
+                  output_string oc line;
+                  output_char oc '\n');
+              let dropped (s : Latency.side_result) =
+                Option.fold ~none:0 ~some:Flight.dropped s.Latency.flight
+              in
+              let n = dropped r.Latency.smrp + dropped r.Latency.pim in
+              if n > 0 then Printf.eprintf "latency: the trace lost its %d oldest flight records\n%!" n)
+            oc;
           if openmetrics then begin
             let emit label (side : Latency.side_result) =
               Printf.printf "# side: %s\n%s" label
@@ -212,7 +203,6 @@ let latency_cmd =
 
 let profile_cmd =
   let module Metrics = Smrp_obs.Metrics in
-  let module Trace = Smrp_obs.Trace in
   let module Profile = Smrp_obs.Profile in
   let module Pool = Smrp_experiments.Pool in
   let module Dijkstra = Smrp_graph.Dijkstra in
@@ -220,11 +210,10 @@ let profile_cmd =
   let run seed scenarios jobs trace_file =
     let prof = Profile.create () in
     let metrics = Metrics.create () in
-    let sink = Trace.sharded_ring ~capacity:262144 in
-    let tracer = Trace.create sink in
+    let flight = Option.map (fun _ -> Flight.create ~capacity:262144 ()) trace_file in
     let rows =
       Profile.phase prof "fig9.sweep" (fun () ->
-          Pool.with_instrumentation ~profile:prof ~trace:tracer (fun () ->
+          Pool.with_instrumentation ~profile:prof ?flight (fun () ->
               Figures.Fig9.run ?jobs ~metrics ~seed ~scenarios ~degree_ten_row:false ()))
     in
     let rendered = Profile.phase prof "fig9.render" (fun () -> Figures.Fig9.render rows) in
@@ -242,7 +231,7 @@ let profile_cmd =
                   ~capacity:(Smrp_graph.Graph.node_count sc.Scenario.graph)
                   ()
               in
-              if Trace.enabled tracer then Dijkstra.set_trace ws tracer;
+              Option.iter (fun fl -> Dijkstra.set_flight ws (Flight.recorder fl)) flight;
               Reshape.stabilize ~ws ~metrics tree)
             (List.init 5 (fun i -> seed + 900 + i)))
     in
@@ -254,26 +243,27 @@ let profile_cmd =
     Printf.printf "\n-- metrics (merged across %d shard(s)) --\n%s"
       (Metrics.shard_count metrics) (Metrics.render metrics);
     Printf.printf "\n-- phases and pool workers --\n%s" (Profile.render prof);
-    match trace_file with
-    | None -> ()
-    | Some file ->
+    match (trace_file, flight) with
+    | Some file, Some fl ->
         let oc =
           try open_out file
           with Sys_error msg ->
             Printf.eprintf "profile: cannot open trace file: %s\n%!" msg;
             exit 1
         in
-        let events = Trace.stitched_contents sink in
-        List.iter
-          (fun e ->
-            output_string oc (Trace.to_json e);
+        let events = ref 0 in
+        Causal.to_chrome
+          (fun line ->
+            incr events;
+            output_string oc line;
             output_char oc '\n')
-          events;
+          (Flight.snapshot fl);
         close_out oc;
         Printf.printf
-          "\ntrace written to %s (%d events, Chrome trace_event JSONL; tids are domain ids; \
-           load in Perfetto or chrome://tracing)\n"
-          file (List.length events)
+          "\ntrace written to %s (%d events, %d records dropped, Chrome trace_event JSONL; tids \
+           are domain ids; load in Perfetto or chrome://tracing)\n"
+          file !events (Flight.dropped fl)
+    | _ -> ()
   in
   let jobs =
     Arg.(
@@ -618,8 +608,8 @@ let inspect_cmd =
                 exit 2)
           codes
       in
-      (* b packs (src lsl 31) lor dst for net records. *)
-      let src b = b lsr 31 and dst b = b land ((1 lsl 31) - 1) in
+      (* b packs src and dst for net records. *)
+      let src = Flight.hi and dst = Flight.lo in
       let is_net c = c >= Flight.net_send && c <= Flight.net_drop_loss in
       let touches_member m (r : Flight.decoded) =
         if is_net r.Flight.d_code then src r.Flight.d_b = m || dst r.Flight.d_b = m

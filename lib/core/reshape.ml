@@ -276,16 +276,16 @@ let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
     | None ->
         Smrp_graph.Dijkstra.workspace ~capacity:(Smrp_graph.Graph.node_count (Tree.graph t)) ()
   in
-  (* Instrumentation rides the workspace tracer (like candidate_search) and
-     an optional registry; both off (the default) costs one branch per
+  (* Instrumentation rides the workspace recorder (like candidate_search)
+     and an optional registry; both off (the default) costs one branch per
      round.  Round and sweep wall times go to sketches so the profile can
      report p50/p99 across many stabilize calls. *)
   let module M = Smrp_obs.Metrics in
-  let module Trace = Smrp_obs.Trace in
-  let tr = Dijkstra.workspace_trace ws in
-  let tracing = Trace.enabled tr in
-  let observing = tracing || Option.is_some metrics in
-  let clock = Dijkstra.workspace_clock ws in
+  let module Flight = Smrp_obs.Flight in
+  let fl = Dijkstra.workspace_flight ws in
+  let observing = Flight.enabled fl || Option.is_some metrics in
+  let clock () = if observing then Flight.now () else 0 in
+  let seconds t0 = float_of_int (Flight.now () - t0) /. Flight.ticks_per_second in
   let inst =
     Option.map
       (fun m ->
@@ -296,7 +296,7 @@ let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
           M.sketch m "reshape.stabilize_s" ))
       metrics
   in
-  let tid = (Domain.self () :> int) in
+  let t_start = clock () in
   let g = Tree.graph t in
   let n = Smrp_graph.Graph.node_count g in
   let sc = make_scratch n in
@@ -321,25 +321,18 @@ let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
       sc.spf.(v) <- (match Dijkstra.distance res v with Some d -> d | None -> infinity)
     done
   end;
-  let t_start = if observing then clock () else 0.0 in
   let finish stats =
-    if observing then begin
-      let dur = clock () -. t_start in
-      Option.iter
-        (fun (_, _, _, _, sweep_q) -> Smrp_obs.Sketch.observe sweep_q dur)
-        inst;
-      if tracing then
-        Trace.complete tr ~ts:t_start ~dur ~cat:"reshape" ~tid
-          ~args:
-            [ ("rounds", Trace.Int stats.rounds); ("switches", Trace.Int stats.switches) ]
-          "reshape.stabilize"
-    end;
+    Option.iter
+      (fun (_, _, _, _, sweep_q) -> Smrp_obs.Sketch.observe sweep_q (seconds t_start))
+      inst;
+    Flight.span fl ~code:Flight.span_reshape_stabilize ~start:t_start
+      ~b:(Flight.pack stats.rounds stats.switches);
     stats
   in
   let rec run rounds switches =
     if rounds = max_rounds then finish { switches; rounds }
     else begin
-      let r0 = if observing then clock () else 0.0 in
+      let r0 = clock () in
       (* Deepest-first order: re-homing a subtree does not invalidate the
          pending decisions of shallower nodes as often.  Depths come from one
          DFS over child lists; the packed key (depth descending, id
@@ -387,25 +380,15 @@ let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
           end)
         order;
       let round_switches = !round_switches in
-      if observing then begin
-        let dur = clock () -. r0 in
-        Option.iter
-          (fun (rounds_c, scans_c, switches_c, round_q, _) ->
-            M.Counter.incr rounds_c;
-            M.Counter.add scans_c !round_scans;
-            M.Counter.add switches_c round_switches;
-            Smrp_obs.Sketch.observe round_q dur)
-          inst;
-        if tracing then
-          Trace.complete tr ~ts:r0 ~dur ~cat:"reshape" ~tid
-            ~args:
-              [
-                ("round", Trace.Int rounds);
-                ("scans", Trace.Int !round_scans);
-                ("switches", Trace.Int round_switches);
-              ]
-            "reshape.round"
-      end;
+      Option.iter
+        (fun (rounds_c, scans_c, switches_c, round_q, _) ->
+          M.Counter.incr rounds_c;
+          M.Counter.add scans_c !round_scans;
+          M.Counter.add switches_c round_switches;
+          Smrp_obs.Sketch.observe round_q (seconds r0))
+        inst;
+      Flight.span fl ~code:Flight.span_reshape_round ~start:r0
+        ~b:(Flight.pack !round_scans round_switches);
       if round_switches = 0 then finish { switches; rounds = rounds + 1 }
       else run (rounds + 1) (switches + round_switches)
     end

@@ -37,10 +37,10 @@ val stabilize :
     Instrumentation is off the hot path unless enabled: with [?metrics],
     counters [reshape.rounds] / [reshape.scans] / [reshape.switches] and
     wall-time sketches [reshape.round_s] / [reshape.stabilize_s] are
-    recorded; with a tracer attached to [ws]
-    ({!Smrp_graph.Dijkstra.set_trace}), one "reshape.round" span per round
-    and one "reshape.stabilize" span per sweep are emitted (cat
-    ["reshape"]), nesting the inner candidate-search and Dijkstra spans. *)
+    recorded; with a flight recorder installed on [ws]
+    ({!Smrp_graph.Dijkstra.set_flight}), one "reshape.round" span record
+    per round and one "reshape.stabilize" span record per sweep are
+    written, enclosing the inner candidate-search and Dijkstra spans. *)
 
 (** Condition-I bookkeeping: remembers [SHR^old] per node, as received after
     the last reshaping round. *)

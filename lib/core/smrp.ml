@@ -21,16 +21,12 @@ let candidate_search ?exclude ?failure ?ws t ~joiner =
   let excluded v = match exclude with None -> false | Some f -> f v in
   let admissible v = alive v && not (excluded v) in
   let absorb v = Tree.is_on_tree t v && admissible v in
-  (* Spans ride the workspace tracer (see Dijkstra.set_trace): the search
+  (* Spans ride the workspace recorder (see Dijkstra.set_flight): the search
      span nests the inner "dijkstra.run" span in the rendered trace. *)
-  let tracing =
-    match ws with
-    | Some ws -> Smrp_obs.Trace.enabled (Dijkstra.workspace_trace ws)
-    | None -> false
+  let flight =
+    match ws with Some ws -> Dijkstra.workspace_flight ws | None -> Smrp_obs.Flight.null
   in
-  let t0 =
-    if tracing then Dijkstra.workspace_clock (Option.get ws) () else 0.0
-  in
+  let start = Smrp_obs.Flight.span_start flight in
   let result =
     (* Only pass per-edge/per-node filters when something actually filters:
        the unconstrained search takes Dijkstra's absorb-only fast path. *)
@@ -40,15 +36,7 @@ let candidate_search ?exclude ?failure ?ws t ~joiner =
         let edge_alive e = match failure with None -> true | Some f -> Failure.edge_ok g f e in
         Dijkstra.run ~node_ok:admissible ~edge_ok:edge_alive ~absorb ?workspace:ws g ~source:joiner
   in
-  if tracing then begin
-    let ws = Option.get ws in
-    Smrp_obs.Trace.complete (Dijkstra.workspace_trace ws) ~ts:t0
-      ~dur:(Dijkstra.workspace_clock ws () -. t0)
-      ~cat:"smrp"
-      ~tid:(Domain.self () :> int)
-      ~args:[ ("joiner", Smrp_obs.Trace.Int joiner) ]
-      "smrp.candidate_search"
-  end;
+  Smrp_obs.Flight.span flight ~code:Smrp_obs.Flight.span_candidate_search ~start ~b:joiner;
   (result, admissible)
 
 let candidates ?exclude ?failure ?ws t ~joiner =

@@ -466,8 +466,8 @@ let float_param ~what ~default = function
   | None -> default
   | Some s -> (
       match float_of_string_opt s with
-      | Some v when v > 0.0 -> v
-      | _ -> failwith (Printf.sprintf "%s: expected a positive number, got %S" what s))
+      | Some v when v > 0.0 && Float.is_finite v -> v
+      | _ -> failwith (Printf.sprintf "%s: expected a positive finite number, got %S" what s))
 
 let topo_of_token t =
   let base, param = split_token t in
@@ -570,11 +570,19 @@ let spec_of_matrix ?(base = default) s =
               |> List.filter (fun v -> not (String.equal v ""))
             in
             if values = [] then failwith (Printf.sprintf "axis %S: no values" axis);
+            (* A token naming one of the base's own cells keeps the base's
+               value, so each label means one cell. *)
+            let cells of_token base_cells =
+              List.map
+                (fun t ->
+                  match List.assoc_opt t base_cells with Some v -> (t, v) | None -> of_token t)
+                values
+            in
             (match axis with
-            | "topo" -> spec := { !spec with topologies = List.map topo_of_token values }
-            | "churn" -> spec := { !spec with churns = List.map churn_of_token values }
-            | "fail" -> spec := { !spec with failures = List.map fail_of_token values }
-            | "proto" -> spec := { !spec with protocols = List.map proto_of_token values }
+            | "topo" -> spec := { !spec with topologies = cells topo_of_token base.topologies }
+            | "churn" -> spec := { !spec with churns = cells churn_of_token base.churns }
+            | "fail" -> spec := { !spec with failures = cells fail_of_token base.failures }
+            | "proto" -> spec := { !spec with protocols = cells proto_of_token base.protocols }
             | "figs" -> spec := { !spec with figures = List.map fig_of_token values }
             | "instances" ->
                 spec :=

@@ -78,7 +78,9 @@ val spec_of_matrix : ?base:spec -> string -> (spec, string) result
     (static\[:K\], flash, diurnal, heavy), [fail] (indep\[:K\],
     correlated, regional, cascade, adversarial\[:B\]), [proto] (spf,
     smrp:D, query:D, protected:D), and scalar clauses [instances=N],
-    [horizon=T], [figs=7,8,9,10]. *)
+    [horizon=T], [figs=7,8,9,10].  A token equal to one of [base]'s labels
+    on that axis (e.g. [indep], [smrp0.3]) names [base]'s own cell.
+    Numbers must be positive and finite. *)
 
 val run : ?jobs:int -> spec -> Smrp_obs.Report.t
 (** Run every cell (fanned out over {!Pool.map}) and the figure cells, and

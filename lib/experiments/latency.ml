@@ -7,8 +7,8 @@ module Protocol = Smrp_sim.Protocol
 module Stats = Smrp_metrics.Stats
 module Table = Smrp_metrics.Table
 module Waxman = Smrp_topology.Waxman
-module Obs = Smrp_obs.Obs
-module Trace = Smrp_obs.Trace
+module Metrics = Smrp_obs.Metrics
+module Flight = Smrp_obs.Flight
 module Timeline = Smrp_obs.Timeline
 
 type config = {
@@ -36,12 +36,19 @@ type side_result = {
   control_messages : int;
   episodes : Timeline.episode list;
   metrics : string option;
+  flight : Flight.t option;
 }
 
 type result = { seed : int; smrp : side_result; pim : side_result }
 
-let run_side ?obs config ~graph ~source ~members ~victim strategy =
-  let engine = Engine.create ?obs () in
+(* The default run (seed 25) writes 461,147 SMRP and 433,670 PIM records,
+   about half of them engine schedule/fire records: 2^19 per side holds
+   either whole run. *)
+let flight_capacity = 1 lsl 19
+
+let run_side ?metrics ~flight config ~graph ~source ~members ~victim strategy =
+  let flight = if flight then Some (Flight.create ~capacity:flight_capacity ()) else None in
+  let engine = Engine.create ?metrics ?flight:(Option.map Flight.recorder flight) () in
   let proto_config =
     {
       Protocol.default_config with
@@ -75,10 +82,11 @@ let run_side ?obs config ~graph ~source ~members ~victim strategy =
     mean_restoration = (match restorations with [] -> 0.0 | _ -> Stats.mean restorations);
     control_messages = Protocol.control_messages proto - before;
     episodes = Protocol.timeline proto;
-    metrics = Option.map (fun o -> Smrp_obs.Metrics.render (Obs.metrics o)) obs;
+    metrics = Option.map Metrics.render metrics;
+    flight;
   }
 
-let run ?trace_sink ?(with_metrics = false) ?smrp_metrics ?pim_metrics config =
+let run ?(flight = false) ?(with_metrics = false) ?smrp_metrics ?pim_metrics config =
   let sc = config.scenario in
   let rng = Rng.create sc.Scenario.seed in
   let topo_rng = Rng.split rng in
@@ -115,38 +123,54 @@ let run ?trace_sink ?(with_metrics = false) ?smrp_metrics ?pim_metrics config =
   | [] -> None (* every worst-case link is a bridge: nothing to measure *)
   | candidates ->
       let victim = List.nth candidates (Rng.int member_rng (List.length candidates)) in
-      (* One observability context per side: distinct trace pids let both
-         simulations share a single trace file, and separate registries keep
-         the metric streams comparable. *)
-      let side name pid strategy metrics =
-        let obs =
-          if trace_sink = None && (not with_metrics) && Option.is_none metrics then None
-          else begin
-            let o = Obs.create ?sink:trace_sink ~pid ?metrics () in
-            let tr = Obs.trace o in
-            if Trace.enabled tr then Trace.process_name tr name;
-            Some o
-          end
-        in
-        run_side ?obs config ~graph ~source ~members ~victim strategy
+      (* One registry and one recorder per side keep the two streams
+         apart. *)
+      let side strategy metrics =
+        let metrics = if with_metrics && metrics = None then Some (Metrics.create ()) else metrics in
+        run_side ?metrics ~flight config ~graph ~source ~members ~victim strategy
       in
       Some
         {
           seed = sc.Scenario.seed;
-          smrp = side "SMRP (local)" 1 Protocol.Local smrp_metrics;
-          pim = side "PIM (global)" 2 Protocol.Global pim_metrics;
+          smrp = side Protocol.Local smrp_metrics;
+          pim = side Protocol.Global pim_metrics;
         }
+
+(* SMRP as pid 1, PIM as pid 2, so both sides share one trace file. *)
+let to_chrome r emit =
+  List.iter
+    (fun (pid, process, side) ->
+      Option.iter
+        (fun fl ->
+          Smrp_obs.Causal.to_chrome ~pid ~process ~msg_label:Protocol.msg_label emit
+            (Flight.snapshot fl))
+        side.flight)
+    [ (1, "SMRP (local)", r.smrp); (2, "PIM (global)", r.pim) ]
+
+(* Run [config] at the next seed drawn from [rng]. *)
+let run_next ?flight ?with_metrics rng config =
+  let s = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF in
+  run ?flight ?with_metrics { config with scenario = { config.scenario with Scenario.seed = s } }
+
+let run_one ?flight ?with_metrics ~seed config =
+  let rng = Rng.create seed in
+  let rec attempt n =
+    if n = 0 then None
+    else
+      match run_next ?flight ?with_metrics rng config with
+      | Some r -> Some r
+      | None -> attempt (n - 1)
+  in
+  attempt 50
 
 let run_many ?(seed = 25) ?(runs = 10) config =
   let rng = Rng.create seed in
   let rec collect acc remaining attempts =
     if remaining = 0 || attempts = 0 then List.rev acc
-    else begin
-      let s = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF in
-      match run { config with scenario = { config.scenario with Scenario.seed = s } } with
+    else
+      match run_next rng config with
       | Some r -> collect (r :: acc) (remaining - 1) (attempts - 1)
       | None -> collect acc remaining (attempts - 1)
-    end
   in
   collect [] runs (5 * runs)
 

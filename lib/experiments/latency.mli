@@ -30,13 +30,17 @@ type side_result = {
           installation / first-data decomposition of [mean_restoration]. *)
   metrics : string option;
       (** Rendered metrics registry, when the run was started
-          [~with_metrics:true]. *)
+          [~with_metrics:true] or given this side's registry. *)
+  flight : Smrp_obs.Flight.t option;
+      (** The side's own flight recorder, when the run was started
+          [~flight:true]: 2{^19} records, enough to hold the default
+          scenario's whole run. *)
 }
 
 type result = { seed : int; smrp : side_result; pim : side_result }
 
 val run :
-  ?trace_sink:Smrp_obs.Trace.sink ->
+  ?flight:bool ->
   ?with_metrics:bool ->
   ?smrp_metrics:Smrp_obs.Metrics.t ->
   ?pim_metrics:Smrp_obs.Metrics.t ->
@@ -45,16 +49,27 @@ val run :
 (** [None] when every member's worst-case link is a graph bridge (recovery
     impossible); {!run_many} skips such draws.
 
-    [trace_sink] turns on simulation-clock tracing for both sides into the
-    one sink — SMRP as trace pid 1, PIM as pid 2 (process names included),
-    in Chrome [trace_event] form.  [with_metrics] (default false) collects
-    engine/net/protocol metrics per side into {!side_result.metrics}.
+    [flight] (default false) records each side into its own
+    {!Smrp_obs.Flight.t} ({!side_result.flight}) instead of the global
+    ring.  [with_metrics] (default false) collects engine/net/protocol
+    metrics per side into {!side_result.metrics}.
     [smrp_metrics] / [pim_metrics] supply external registries for the
     respective side (e.g. a report collector's per-variant registries) —
     the side then records its counters, recovery-latency sketches
     ([recovery.total.q] and friends) and sim-time series
     ([net.frame_drops], [proto.members_disrupted]) into the given
     registry. *)
+
+val to_chrome : result -> (string -> unit) -> unit
+(** Both sides' flight records as Chrome [trace_event] JSONL
+    ({!Smrp_obs.Causal.to_chrome}), keyed on the simulation clock: SMRP as
+    pid 1, PIM as pid 2, frames named by message kind.  Emits nothing for a
+    side run without [~flight:true]. *)
+
+val run_one : ?flight:bool -> ?with_metrics:bool -> seed:int -> config -> result option
+(** One {!run} at the first seed drawn from [seed] (the draws {!run_many}
+    makes) that has a recoverable victim, within 50 draws — the scenario
+    [smrp latency --trace] and [--metrics] observe. *)
 
 val run_many : ?seed:int -> ?runs:int -> config -> result list
 

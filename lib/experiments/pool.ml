@@ -13,14 +13,14 @@
 
    Observability: an optional [Smrp_obs.Profile.t] records one utilisation
    entry per worker domain (tasks claimed, busy vs. idle wall time), and an
-   optional [Smrp_obs.Trace.t] — over a {!Smrp_obs.Trace.sharded_ring} sink
-   when parallel — gets one "pool.task" complete span per claimed task plus
-   one "pool.worker" span per worker, tids being domain ids.  Neither hook
-   affects results; with both absent the per-task cost is two [None]
-   checks. *)
+   optional [Smrp_obs.Flight.t] gets one "pool.task" span record per
+   claimed task plus one "pool.worker" span record per worker, each in its
+   worker domain's own ring.  Neither hook affects results; with both
+   absent the per-task cost is one [None] check and a disabled-recorder
+   branch. *)
 
 module Profile = Smrp_obs.Profile
-module Trace = Smrp_obs.Trace
+module Flight = Smrp_obs.Flight
 
 let default_jobs () =
   match Sys.getenv_opt "SMRP_BENCH_JOBS" with
@@ -37,81 +37,77 @@ let default_jobs () =
    hooks.  Installed and read by the orchestrating domain only (the ref
    holds an immutable pair, so a racy read from a nested call would still
    be memory-safe — it is simply unsupported). *)
-let ambient : (Profile.t option * Trace.t option) ref = ref (None, None)
+let ambient : (Profile.t option * Flight.t option) ref = ref (None, None)
 
-let with_instrumentation ?profile ?trace f =
+let with_instrumentation ?profile ?flight f =
   let old = !ambient in
-  ambient := (profile, trace);
+  ambient := (profile, flight);
   Fun.protect ~finally:(fun () -> ambient := old) f
 
 (* Worker domains may consult this too: the install happens before
    [Domain.spawn] and the restore after the joins, so the spawn edge makes
    the installed value visible to every worker. *)
-let ambient_trace () = snd !ambient
+let ambient_flight () = snd !ambient
 
-let task_span trace i f =
-  match trace with
-  | Some tr when Trace.enabled tr ->
-      let t0 = Trace.wall_clock () in
-      let v = f () in
-      Trace.complete tr ~ts:t0
-        ~dur:(Trace.wall_clock () -. t0)
-        ~cat:"pool"
-        ~tid:(Domain.self () :> int)
-        ~args:[ ("index", Trace.Int i) ]
-        "pool.task";
-      v
-  | _ -> f ()
-
-let map ?jobs ?profile ?trace f xs =
-  let profile, trace =
-    let amb_p, amb_t = !ambient in
+let map ?jobs ?profile ?flight f xs =
+  let profile, flight =
+    let amb_p, amb_f = !ambient in
     ( (match profile with Some _ -> profile | None -> amb_p),
-      match trace with Some _ -> trace | None -> amb_t )
+      match flight with Some _ -> flight | None -> amb_f )
   in
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let tasks = Array.of_list xs in
   let n = Array.length tasks in
   let jobs = max 1 (min jobs n) in
-  let instrumented = profile <> None || (match trace with Some tr -> Trace.enabled tr | None -> false) in
-  if jobs <= 1 && not instrumented then List.map f xs
+  if jobs <= 1 && profile = None && flight = None then List.map f xs
   else begin
     let results = Array.make n None in
-    let error = Atomic.make None in
+    (* The lowest failing index so far, and each failure's exception: the
+       one re-raised is the lowest, as [List.map] would raise it. *)
+    let failed = Atomic.make n in
+    let errors = Array.make n None in
+    let rec fail i =
+      let cur = Atomic.get failed in
+      if i < cur && not (Atomic.compare_and_set failed cur i) then fail i
+    in
     let next = Atomic.make 0 in
     let worker () =
       let wh = Option.map Profile.worker_start profile in
-      let w0 = match trace with Some tr when Trace.enabled tr -> Trace.wall_clock () | _ -> 0.0 in
+      let recorder = match flight with Some fl -> Flight.recorder fl | None -> Flight.null in
+      let w0 = Flight.span_start recorder in
       let run_task i =
-        let body () = task_span trace i (fun () -> f tasks.(i)) in
+        let body () =
+          let start = Flight.span_start recorder in
+          let v = f tasks.(i) in
+          Flight.span recorder ~code:Flight.span_pool_task ~start ~b:i;
+          v
+        in
         match wh with Some h -> Profile.worker_task h body | None -> body ()
       in
-      let rec loop () =
+      let rec loop ran =
         let i = Atomic.fetch_and_add next 1 in
-        if i < n && Atomic.get error = None then begin
+        if i >= n then ran
+        else if i > Atomic.get failed then loop ran (* a lower index already failed *)
+        else begin
           (match run_task i with
           | v -> results.(i) <- Some v
-          | exception e -> ignore (Atomic.compare_and_set error None (Some e)));
-          loop ()
+          | exception e ->
+              errors.(i) <- Some e;
+              fail i);
+          loop (ran + 1)
         end
       in
-      loop ();
-      (match trace with
-      | Some tr when Trace.enabled tr ->
-          Trace.complete tr ~ts:w0
-            ~dur:(Trace.wall_clock () -. w0)
-            ~cat:"pool"
-            ~tid:(Domain.self () :> int)
-            "pool.worker"
-      | _ -> ());
+      let ran = loop 0 in
+      Flight.span recorder ~code:Flight.span_pool_worker ~start:w0 ~b:ran;
       Option.iter Profile.worker_stop wh
     in
     let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join domains;
-    (match Atomic.get error with Some e -> raise e | None -> ());
+    let k = Atomic.get failed in
+    if k < n then raise (Option.get errors.(k));
     Array.to_list (Array.map (function Some v -> v | None -> assert false) results)
   end
 
-let mapi ?jobs ?profile ?trace f xs =
-  map ?jobs ?profile ?trace (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)
+let mapi ?jobs ?profile ?flight f xs =
+  map ?jobs ?profile ?flight (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)

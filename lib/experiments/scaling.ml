@@ -7,7 +7,7 @@ module Transit_stub = Smrp_topology.Transit_stub
 module Tree = Smrp_core.Tree
 module Protect = Smrp_core.Protect
 
-let now = Smrp_obs.Trace.wall_clock
+let now = Unix.gettimeofday
 
 type row = {
   model : string;

@@ -105,18 +105,17 @@ let pick_group rng ~n ~group_size =
    lock once per scenario (not per event), then mutate the calling domain's
    shard; a registry shared across a [Pool.map] fan-out therefore merges to
    the same totals as a sequential run.  All counted quantities are
-   integers, and the recovery-distance histogram sums hop counts, so under
+   integers, and the recovery-distance sketch sums hop counts, so under
    the default [`Unit] link metric even its float [sum] is exact. *)
 let record m t =
   Metrics.Counter.incr (Metrics.counter m "scenario.runs");
   Metrics.Counter.add (Metrics.counter m "scenario.members") (List.length t.members);
   let recovered = Metrics.counter m "scenario.recovered"
-  and isolated = Metrics.counter m "scenario.isolated"
-  and rd_hist = Metrics.histogram m ~base:2.0 ~lowest:1.0 ~count:8 "scenario.rd_local_smrp" in
-  (* Quantile sketches alongside the coarse histogram: recovery distances
-     per strategy/tree and per-member tree delays.  Under the default
-     [`Unit] link metric every observation is an integer hop count, so the
-     sketch sums merge exactly across domains. *)
+  and isolated = Metrics.counter m "scenario.isolated" in
+  (* Quantile sketches: recovery distances per strategy/tree and per-member
+     tree delays.  Under the default [`Unit] link metric every observation
+     is an integer hop count, so the sketch sums merge exactly across
+     domains. *)
   let rd_smrp_q = Metrics.sketch m "scenario.rd_local_smrp.q"
   and rd_spf_q = Metrics.sketch m "scenario.rd_global_spf.q"
   and delay_smrp_q = Metrics.sketch m "scenario.delay_smrp.q"
@@ -126,7 +125,6 @@ let record m t =
       (match o.rd_local_smrp with
       | Some rd ->
           Metrics.Counter.incr recovered;
-          Metrics.Histogram.observe rd_hist rd;
           Smrp_obs.Sketch.observe rd_smrp_q rd
       | None -> Metrics.Counter.incr isolated);
       Option.iter (Smrp_obs.Sketch.observe rd_spf_q) o.rd_global_spf;
@@ -145,15 +143,15 @@ let run ?metrics config =
   in
   let graph = topo.Waxman.graph in
   let source, members = pick_group member_rng ~n:config.n ~group_size:config.group_size in
-  (* When run under [Pool.with_instrumentation ~trace], the scenario's
-     Dijkstra workspace carries the tracer so every search inside it (tree
-     builds, candidate searches, recovery detours) lands in the same
-     stitched stream as the pool spans.  Untraced runs keep the bare
-     workspace: [set_trace] is never called, the hot path stays a branch. *)
+  (* When run under [Pool.with_instrumentation ~flight], the scenario's
+     Dijkstra workspace carries this domain's recorder so every search
+     inside it (tree builds, candidate searches, recovery detours) lands in
+     the same record stream as the pool spans.  Otherwise the workspace
+     keeps the null recorder and the hot path stays a branch. *)
   let ws = Dijkstra.workspace ~capacity:(Graph.node_count graph) () in
-  (match Pool.ambient_trace () with
-  | Some tr when Smrp_obs.Trace.enabled tr -> Dijkstra.set_trace ws tr
-  | _ -> ());
+  Option.iter
+    (fun fl -> Dijkstra.set_flight ws (Smrp_obs.Flight.recorder fl))
+    (Pool.ambient_flight ());
   let spf_tree, smrp_tree, outcomes =
     evaluate ~ws graph ~source ~members ~d_thresh:config.d_thresh
   in

@@ -16,8 +16,7 @@ type workspace = {
   mutable settled : int array; (* epoch stamp: node popped and relaxed *)
   mutable epoch : int;
   heap : Int_heap.t;
-  mutable trace : Smrp_obs.Trace.t;
-  mutable clock : unit -> float;
+  mutable flight : Smrp_obs.Flight.recorder;
 }
 
 let workspace ?(capacity = 0) () =
@@ -30,22 +29,16 @@ let workspace ?(capacity = 0) () =
     settled = Array.make capacity 0;
     epoch = 0;
     heap = Int_heap.create ~capacity:(max 16 capacity) ();
-    trace = Smrp_obs.Trace.null;
-    clock = Smrp_obs.Trace.wall_clock;
+    flight = Smrp_obs.Flight.null;
   }
 
-(* A workspace doubles as the carrier for hot-path tracing: spans ride the
-   workspace because it is domain-private by contract, so emitting through
-   it is exactly as domain-safe as the search itself.  With the default
-   null tracer the cost per run is one [enabled] branch. *)
-let set_trace ws ?clock tr =
-  ws.trace <- tr;
-  (match clock with Some c -> ws.clock <- c | None -> ());
-  ()
+(* A workspace doubles as the carrier for span records: it is
+   domain-private by contract, so recording through it is exactly as
+   domain-safe as the search itself.  With the default null recorder the
+   cost per run is one [enabled] branch. *)
+let set_flight ws r = ws.flight <- r
 
-let workspace_trace ws = ws.trace
-
-let workspace_clock ws = ws.clock
+let workspace_flight ws = ws.flight
 
 (* Grow the arrays without clearing: stamps of fresh cells are 0, below any
    live epoch, so they read as untouched. *)
@@ -83,10 +76,8 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
   | Some ok when not (ok source) -> invalid_arg "Dijkstra.run: source is filtered out"
   | _ -> ());
   let offsets, nbr, eids, delays = Graph.csr g in
-  let reused = ws <> None in
   let ws = match ws with Some ws -> ws | None -> workspace ~capacity:n () in
-  let tracing = Smrp_obs.Trace.enabled ws.trace in
-  let t0 = if tracing then ws.clock () else 0.0 in
+  let start = Smrp_obs.Flight.span_start ws.flight in
   reserve ws n;
   ws.epoch <- ws.epoch + 1;
   let epoch = ws.epoch in
@@ -268,18 +259,8 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
           end
         end
       done);
-  if tracing then
-    Smrp_obs.Trace.complete ws.trace ~ts:t0
-      ~dur:(ws.clock () -. t0)
-      ~cat:"graph"
-      ~tid:(Domain.self () :> int)
-      ~args:
-        [
-          ("source", Smrp_obs.Trace.Int source);
-          ("n", Smrp_obs.Trace.Int n);
-          ("ws_reused", Smrp_obs.Trace.Int (if reused then 1 else 0));
-        ]
-      "dijkstra.run";
+  Smrp_obs.Flight.span ws.flight ~code:Smrp_obs.Flight.span_dijkstra ~start
+    ~b:(Smrp_obs.Flight.pack source n);
   { graph = g; src = source; ws; epoch }
 
 (* The pre-CSR list-and-boxed-heap implementation, verbatim apart from
@@ -329,8 +310,7 @@ let run_reference ?(node_ok = always) ?(edge_ok = always) ?(absorb = never) g ~s
       settled = Array.map (fun s -> if s then 1 else 0) settled;
       epoch = 1;
       heap = Int_heap.create ~capacity:1 ();
-      trace = Smrp_obs.Trace.null;
-      clock = Smrp_obs.Trace.wall_clock;
+      flight = Smrp_obs.Flight.null;
     }
   in
   { graph = g; src = source; ws; epoch = 1 }

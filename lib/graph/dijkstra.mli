@@ -22,19 +22,15 @@ val workspace : ?capacity:int -> unit -> workspace
 (** [workspace ~capacity:n ()] pre-sizes for graphs of up to [n] nodes; it
     grows on demand if a larger graph is searched. *)
 
-val set_trace : workspace -> ?clock:(unit -> float) -> Smrp_obs.Trace.t -> unit
-(** Attach a tracer to the workspace: every subsequent {!run} borrowing it
-    emits one "dijkstra.run" complete span (cat ["graph"], tid = domain id,
-    args: source, node count, whether the workspace was reused).  [clock]
-    supplies span timestamps in seconds and defaults to
-    {!Smrp_obs.Trace.wall_clock}.  The span rides the workspace because a
-    workspace is domain-private by contract — pair a shared tracer with a
-    {!Smrp_obs.Trace.sharded_ring} sink when several workers trace at once.
-    With the default {!Smrp_obs.Trace.null} tracer a run pays one branch. *)
+val set_flight : workspace -> Smrp_obs.Flight.recorder -> unit
+(** Install a flight recorder on the workspace: every subsequent {!run}
+    borrowing it writes one [Flight.span_dijkstra] span record (b = source
+    and node count, packed).  The recorder rides the workspace because a
+    workspace is domain-private by contract — install the calling domain's
+    recorder.  With the default {!Smrp_obs.Flight.null} a run pays one
+    branch. *)
 
-val workspace_trace : workspace -> Smrp_obs.Trace.t
-
-val workspace_clock : workspace -> unit -> float
+val workspace_flight : workspace -> Smrp_obs.Flight.recorder
 
 type result
 

@@ -1,6 +1,6 @@
 (* Causal recovery-episode analyzer.
 
-   Two halves:
+   Three parts:
 
    - [tracker]: live milestone bookkeeping for one protocol run (failure →
      detected → signalled → installed → first data), moved here from
@@ -13,7 +13,10 @@
      failure-rooted causal chains. Unlike the live tracker it supports
      multiple failure roots (a member restored under root N can open a new
      episode under root N+1) and folds `lib/check` violation records into
-     the episode stream, attributing each to a recovery phase. *)
+     the episode stream, attributing each to a recovery phase.
+
+   - [to_chrome]: the one Chrome trace_event export, a projection of a
+     decoded record stream plus its stitched episodes. *)
 
 type episode = {
   member : int;
@@ -198,13 +201,6 @@ type analysis = {
   a_span : (int * int) option; (* min/max tick seen *)
 }
 
-let order (a : Flight.decoded) (b : Flight.decoded) =
-  let c = compare a.Flight.d_tick b.Flight.d_tick in
-  if c <> 0 then c
-  else
-    let c = compare a.Flight.d_domain b.Flight.d_domain in
-    if c <> 0 then c else compare a.Flight.d_seq b.Flight.d_seq
-
 (* Chain under construction during stitching. *)
 type chain = {
   ch_member : int;
@@ -228,7 +224,7 @@ let freeze_chain ch =
   }
 
 let of_records ?(dropped = 0) records =
-  let records = List.sort order records in
+  let records = List.sort Flight.order records in
   let seconds tick = float_of_int tick /. ticks_per_second in
   let root = ref None in
   let open_chains : (int, chain) Hashtbl.t = Hashtbl.create 8 in
@@ -410,18 +406,106 @@ let to_openmetrics a =
   pr "# EOF\n";
   Buffer.contents buf
 
-(* -- Feeding the sketch machinery ---------------------------------------- *)
+(* -- Chrome trace_event projection ---------------------------------------- *)
 
-let observe_into m a =
-  let q_total = Metrics.sketch m "causal.total.q" in
-  let sketches =
-    List.map (fun p -> (p, Metrics.sketch m ("causal.phase." ^ phase_name p ^ ".q"))) phases
+(* Names of a record's [b] operand; two names split a packed word. *)
+let b_names =
+  [
+    (Flight.proto_signal, [ "hops" ]);
+    (Flight.proto_installed, [ "merge" ]);
+    (Flight.proto_reshape, [ "old_parent" ]);
+    (Flight.span_dijkstra, [ "source"; "n" ]);
+    (Flight.span_candidate_search, [ "joiner" ]);
+    (Flight.span_reshape_round, [ "scans"; "switches" ]);
+    (Flight.span_reshape_stabilize, [ "rounds"; "switches" ]);
+    (Flight.span_pool_task, [ "index" ]);
+    (Flight.span_pool_worker, [ "tasks" ]);
+  ]
+
+(* Sim and span ticks share one scale, 10 per Chrome microsecond, so every
+   timestamp prints exactly.  Engine records (half the ring, no names) are
+   left out. *)
+let to_chrome ?(pid = 0) ?process ?(msg_label = fun _ -> "frame") emit records =
+  let buf = Buffer.create 160 in
+  let ev ~ph ~tick ?dur ?(tid = 0) ?(args = []) ?cat name =
+    let cat = match cat with Some c -> c | None -> List.hd (String.split_on_char '.' name) in
+    Buffer.clear buf;
+    Printf.bprintf buf "{\"ph\":\"%s\",\"ts\":%d.%d" ph (tick / 10) (tick mod 10);
+    Option.iter (fun d -> Printf.bprintf buf ",\"dur\":%d.%d" (d / 10) (d mod 10)) dur;
+    Printf.bprintf buf ",\"name\":%S,\"cat\":%S,\"pid\":%d,\"tid\":%d" name cat pid tid;
+    if args <> [] then
+      Printf.bprintf buf ",\"args\":{%s}"
+        (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) args));
+    Buffer.add_char buf '}';
+    emit (Buffer.contents buf)
   in
+  Option.iter
+    (Printf.ksprintf emit
+       "{\"ph\":\"M\",\"ts\":0,\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%S}}"
+       pid)
+    process;
+  (* Each episode is one "recovery" span on its member's track, from
+     detection to first data (left open when data never came back). *)
+  let tick_of s = int_of_float (Float.round (s *. ticks_per_second)) in
   List.iter
     (fun e ->
-      List.iter
-        (fun (p, d) ->
-          match d with Some d -> Sketch.observe (List.assoc p sketches) d | None -> ())
-        (phase_durations e);
-      match total e with Some d -> Sketch.observe q_total d | None -> ())
-    a.a_episodes
+      match (e.detected_at, e.first_data_at) with
+      | Some d, Some f ->
+          ev ~ph:"X" ~tick:(tick_of d) ~dur:(tick_of f - tick_of d) ~tid:e.member "recovery"
+      | Some d, None -> ev ~ph:"B" ~tick:(tick_of d) ~tid:e.member "recovery"
+      | None, _ -> ())
+    (of_records records).a_episodes;
+  (* A frame is one span from send to delivery on its sender's track;
+     frames on a directed link arrive in send order. *)
+  let in_flight = Hashtbl.create 64 in
+  let sent b =
+    match Hashtbl.find_opt in_flight b with
+    | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
+    | _ -> None
+  in
+  let rec go = function
+    | [] -> ()
+    | (r : Flight.decoded) :: rest ->
+        let tick = r.Flight.d_tick and c = r.Flight.d_code and a = r.Flight.d_a and b = r.Flight.d_b in
+        let net ?dur ~tick name =
+          ev ~ph:(if dur = None then "i" else "X") ~tick ?dur ~tid:(Flight.hi b)
+            ~args:[ ("dst", Flight.lo b) ] ~cat:"net" name
+        in
+        let drop prefix = net ~tick (prefix ^ msg_label a) in
+        let args =
+          match List.assoc_opt c b_names with
+          | Some [ x; y ] -> [ (x, Flight.hi b); (y, Flight.lo b) ]
+          | Some [ x ] -> [ (x, b) ]
+          | _ -> []
+        in
+        let name = Flight.code_name c in
+        (match rest with
+        | l :: rest'
+          when c = Flight.net_send && l.Flight.d_code = Flight.net_drop_loss && l.Flight.d_b = b ->
+            (* Bernoulli loss is recorded right after its send. *)
+            drop "drop.loss:";
+            go rest'
+        | _ ->
+            if c = Flight.net_send then begin
+              if not (Hashtbl.mem in_flight b) then Hashtbl.add in_flight b (Queue.create ());
+              Queue.push tick (Hashtbl.find in_flight b)
+            end
+            else if c = Flight.net_deliver then begin
+              let start = Option.value ~default:tick (sent b) in
+              net ~dur:(tick - start) ~tick:start (msg_label a)
+            end
+            else if c = Flight.net_drop_flight then begin
+              ignore (sent b);
+              drop "drop.in_flight:"
+            end
+            else if c = Flight.net_drop_send then drop "drop.down:"
+            else if c = Flight.net_drop_loss then drop "drop.loss:"
+            else if c = Flight.proto_failure then ev ~ph:"i" ~tick ~args:[ ("link", a) ] name
+            else if c > Flight.proto_failure && c < Flight.exec_event then
+              ev ~ph:"i" ~tick ~tid:a ~args name
+            else if c >= Flight.span_dijkstra then
+              ev ~ph:"X" ~tick ~dur:a ~tid:r.Flight.d_domain ~args name
+            else if c >= Flight.exec_event then ev ~ph:"i" ~tick ~args:[ ("a", a); ("b", b) ] name;
+            go rest)
+  in
+  go records

@@ -2,8 +2,9 @@
 
     Owns the recovery-episode record and the live milestone tracker
     (formerly [Timeline.recorder] — {!Timeline} is now a projection of
-    these episodes), plus a post-mortem stitcher that rebuilds
-    failure-rooted causal chains from decoded {!Flight} records. *)
+    these episodes), a post-mortem stitcher that rebuilds failure-rooted
+    causal chains from decoded {!Flight} records, and the Chrome trace
+    export of those records. *)
 
 type episode = {
   member : int;
@@ -95,6 +96,20 @@ val openmetrics_of_episodes : episode list -> string
 val to_openmetrics : analysis -> string
 (** OpenMetrics-style text exposition (ends with [# EOF]). *)
 
-val observe_into : Metrics.t -> analysis -> unit
-(** Feed per-phase and total recovery durations into [causal.*.q]
-    sketches on [m]. *)
+val to_chrome :
+  ?pid:int ->
+  ?process:string ->
+  ?msg_label:(int -> string) ->
+  (string -> unit) ->
+  Flight.decoded list ->
+  unit
+(** Chrome [trace_event] JSONL projection of a record stream, one event
+    object per [emit] call (no newline); a [process] name adds a metadata
+    event for [pid] (default 0).  A delivered frame is a complete span from
+    send to delivery on the sender's track, named by [msg_label] of its
+    packed message (default ["frame"]); drops are ["drop.down:"],
+    ["drop.in_flight:"] or ["drop.loss:"] instants.  Each stitched episode
+    is one ["recovery"] span on the member's track, from detection to first
+    data (a begin alone if data never resumed).  Protocol and exec records
+    are instants and span records complete spans on their domain's track,
+    named by {!Flight.code_name}; engine records are left out. *)

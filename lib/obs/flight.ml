@@ -9,16 +9,17 @@
 
    Ticks are the engine's scaled-int timestamps (Engine.ticks_per_second =
    1e7); 54 bits of tick cover ~57 years of simulated time, so the masking
-   wrap is documented rather than defended against. The hot path is a mask,
-   three unsafe stores and a sequence bump — no allocation, one predictable
-   branch (`mask >= 0`, false only for the [null] recorder).
+   wrap is documented rather than defended against.  Span records use the
+   same scale on the host's wall clock, counted from process start ([now])
+   so they stay far below the mask.  The hot path is a mask, three unsafe
+   stores and a sequence bump — no allocation, one predictable branch
+   (`mask >= 0`, false only for the [null] recorder).
 
-   Rings are sharded per domain with the same CAS-list idiom as
-   Trace.Sharded: a writer only ever touches its own ring, [snapshot] merges
-   all rings into one (tick, domain, seq)-ordered stream. Snapshotting while
-   other domains are still writing is racy in the same benign way as the
-   trace ring — intended use is post-mortem (crash dumps) or quiesced
-   (end of run). *)
+   Rings are sharded per domain: the ring list is immutable and grows by
+   CAS, a writer only ever touches its own ring, and [snapshot] merges all
+   rings into one (tick, domain, seq)-ordered stream.  Snapshotting while
+   other domains are still writing is racy but memory-safe — intended use
+   is post-mortem (crash dumps) or quiesced (end of run). *)
 
 type buffer = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -79,6 +80,24 @@ let[@inline] record r ~tick ~code ~a ~b =
     r.seq <- r.seq + 1
   end
 
+let[@inline] enabled r = r.mask >= 0
+
+(* Wall-clock origin for span ticks: epoch seconds at 1e7 ticks/s would
+   pass the 54-bit tick field in early 2027. *)
+let origin = Unix.gettimeofday ()
+
+let now () = int_of_float ((Unix.gettimeofday () -. origin) *. ticks_per_second)
+
+let span_start r = if enabled r then now () else 0
+
+(* [max 0]: the wall clock is not monotonic. *)
+let span r ~code ~start ~b =
+  if enabled r then record r ~tick:start ~code ~a:(max 0 (now () - start)) ~b
+
+let pack hi lo = (hi lsl 31) lor lo
+let hi b = b lsr 31
+let lo b = b land ((1 lsl 31) - 1)
+
 let reset t = List.iter (fun r -> r.seq <- 0) (Atomic.get t.rings)
 
 let dropped t =
@@ -104,6 +123,12 @@ let proto_first_data = 24
 let proto_reshape = 25
 let exec_event = 30
 let exec_violation = 31
+let span_dijkstra = 40
+let span_candidate_search = 41
+let span_reshape_round = 42
+let span_reshape_stabilize = 43
+let span_pool_task = 44
+let span_pool_worker = 45
 
 let code_table =
   [
@@ -123,6 +148,12 @@ let code_table =
     (proto_reshape, "proto.reshape");
     (exec_event, "exec.event");
     (exec_violation, "exec.violation");
+    (span_dijkstra, "dijkstra.run");
+    (span_candidate_search, "smrp.candidate_search");
+    (span_reshape_round, "reshape.round");
+    (span_reshape_stabilize, "reshape.stabilize");
+    (span_pool_task, "pool.task");
+    (span_pool_worker, "pool.worker");
   ]
 
 let code_name c =
@@ -212,7 +243,10 @@ let read_dump path =
       | _ -> raise (Bad_dump (Printf.sprintf "%s: not a flight dump (header %S)" path header)));
       let dropped =
         match String.split_on_char ' ' (try input_line ic with End_of_file -> "") with
-        | [ "dropped"; n ] -> ( match int_of_string_opt n with Some n -> n | None -> 0)
+        | [ "dropped"; n ] -> (
+            match int_of_string_opt n with
+            | Some n when n >= 0 -> n
+            | _ -> raise (Bad_dump (Printf.sprintf "%s: bad dropped count %S" path n)))
         | _ -> raise (Bad_dump (Printf.sprintf "%s: missing dropped header" path))
       in
       let records = ref [] in
@@ -220,8 +254,9 @@ let read_dump path =
          while true do
            let line = input_line ic in
            if String.trim line <> "" then
-             match List.filter_map int_of_string_opt (String.split_on_char ' ' line) with
-             | [ d_domain; d_seq; d_tick; d_code; d_a; d_b ] ->
+             match List.map int_of_string_opt (String.split_on_char ' ' line) with
+             | [ Some d_domain; Some d_seq; Some d_tick; Some d_code; Some d_a; Some d_b ]
+               when d_seq >= 0 && d_tick >= 0 && d_tick <= tick_mask && d_code land 0xff = d_code ->
                  records := { d_tick; d_code; d_a; d_b; d_domain; d_seq } :: !records
              | _ -> raise (Bad_dump (Printf.sprintf "%s: malformed record %S" path line))
          done

@@ -12,17 +12,16 @@
    - counters add;
    - gauges keep the value with the greatest user-supplied timestamp
      (ties broken towards the larger value), and the max of the maxima;
-   - histograms require identical bucket bounds and add bucket-wise
-     (count and sum add too).
+   - sketches and series require identical layouts and add bucket-wise.
 
    Exactness: counter and bucket totals are integers, so parallel and
    sequential runs of the same work merge to identical snapshots whatever
-   the scheduling.  Histogram [sum] is a float accumulation — it is exact
-   (hence schedule-independent) when the observed values are integers
-   (e.g. hop counts), and subject to the usual non-associativity of float
-   addition otherwise.  Snapshots taken while other domains are still
-   mutating instruments are safe (word-sized reads cannot tear) but only
-   quiescent snapshots — e.g. after [Pool.map] has joined its workers — are
+   the scheduling.  Sketch sums are float accumulations — exact (hence
+   schedule-independent) when the observed values are integers (e.g. hop
+   counts), and subject to the usual non-associativity of float addition
+   otherwise.  Snapshots taken while other domains are still mutating
+   instruments are safe (word-sized reads cannot tear) but only quiescent
+   snapshots — e.g. after [Pool.map] has joined its workers — are
    guaranteed exact. *)
 
 module Counter = struct
@@ -57,51 +56,9 @@ module Gauge = struct
   let max_value g = g.max
 end
 
-module Histogram = struct
-  type t = {
-    bounds : float array; (* strictly increasing upper bounds *)
-    counts : int array; (* length = Array.length bounds + 1 (overflow) *)
-    mutable count : int;
-    mutable sum : float;
-  }
-
-  let make ~base ~lowest ~n =
-    if base <= 1.0 then invalid_arg "Metrics.histogram: base must exceed 1";
-    if lowest <= 0.0 then invalid_arg "Metrics.histogram: lowest must be positive";
-    if n < 1 then invalid_arg "Metrics.histogram: need at least one bucket";
-    let bounds = Array.make n lowest in
-    for i = 1 to n - 1 do
-      bounds.(i) <- bounds.(i - 1) *. base
-    done;
-    { bounds; counts = Array.make (n + 1) 0; count = 0; sum = 0.0 }
-
-  (* First bucket whose bound covers [v]; linear scan keeps the edge test
-     identical to the bound construction (no log rounding). *)
-  let index h v =
-    let n = Array.length h.bounds in
-    let rec find i = if i = n || v <= h.bounds.(i) then i else find (i + 1) in
-    find 0
-
-  let observe h v =
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    let i = index h v in
-    h.counts.(i) <- h.counts.(i) + 1
-
-  let count h = h.count
-
-  let sum h = h.sum
-
-  let buckets h =
-    let n = Array.length h.bounds in
-    List.init (n + 1) (fun i ->
-        ((if i = n then infinity else h.bounds.(i)), h.counts.(i)))
-end
-
 type instrument =
   | C of Counter.t
   | G of Gauge.t
-  | H of Histogram.t
   | S of Sketch.t
   | Ts of Series.t
 
@@ -131,7 +88,6 @@ let shard_count t = with_lock t (fun () -> List.length t.shards)
 let kind = function
   | C _ -> "counter"
   | G _ -> "gauge"
-  | H _ -> "histogram"
   | S _ -> "sketch"
   | Ts _ -> "series"
 
@@ -163,11 +119,6 @@ let gauge t name =
   | G g -> g
   | _ -> assert false
 
-let histogram t ?(base = 10.0) ?(lowest = 1e-3) ?(count = 8) name =
-  match register t name (fun () -> H (Histogram.make ~base ~lowest ~n:count)) "histogram" with
-  | H h -> h
-  | _ -> assert false
-
 let sketch t ?base ?lowest ?count name =
   match register t name (fun () -> S (Sketch.create ?base ?lowest ?count ())) "sketch" with
   | S s -> s
@@ -186,28 +137,18 @@ let series t ?kind ?interval ?capacity name =
 type minst =
   | MC of int
   | MG of { last : float; last_ts : float; max : float }
-  | MH of { bounds : float array; counts : int array; count : int; sum : float }
   | MS of Sketch.t (* private copy, mutated only by the merge fold *)
   | MT of Series.t (* likewise *)
 
 let minst_of_instrument = function
   | C c -> MC c.Counter.n
   | G g -> MG { last = g.Gauge.last; last_ts = g.Gauge.last_ts; max = g.Gauge.max }
-  | H h ->
-      MH
-        {
-          bounds = Array.copy h.Histogram.bounds;
-          counts = Array.copy h.Histogram.counts;
-          count = h.Histogram.count;
-          sum = h.Histogram.sum;
-        }
   | S s -> MS (Sketch.copy s)
   | Ts s -> MT (Series.copy s)
 
 let minst_kind = function
   | MC _ -> "counter"
   | MG _ -> "gauge"
-  | MH _ -> "histogram"
   | MS _ -> "sketch"
   | MT _ -> "series"
 
@@ -221,17 +162,6 @@ let merge_minst name a b =
         else (Float.max x.last y.last, x.last_ts)
       in
       MG { last; last_ts; max = Float.max x.max y.max }
-  | MH x, MH y ->
-      if x.bounds <> y.bounds then
-        invalid_arg
-          (Printf.sprintf "Metrics: histogram %S bucket bounds differ across shards" name);
-      MH
-        {
-          bounds = x.bounds;
-          counts = Array.map2 ( + ) x.counts y.counts;
-          count = x.count + y.count;
-          sum = x.sum +. y.sum;
-        }
   | MS x, MS y ->
       if not (Sketch.compatible x y) then
         invalid_arg
@@ -272,30 +202,21 @@ let merged t =
 type value =
   | Counter_value of int
   | Gauge_value of { last : float; max : float }
-  | Histogram_value of { count : int; sum : float; buckets : (float * int) list }
   | Sketch_value of Sketch.summary
   | Series_value of Series.view
 
 let value_of_minst = function
   | MC n -> Counter_value n
   | MG { last; max; _ } -> Gauge_value { last; max }
-  | MH { bounds; counts; count; sum } ->
-      let n = Array.length bounds in
-      Histogram_value
-        {
-          count;
-          sum;
-          buckets = List.init (n + 1) (fun i -> ((if i = n then infinity else bounds.(i)), counts.(i)));
-        }
   | MS s -> Sketch_value (Sketch.summarize s)
   | MT s -> Series_value (Series.view s)
 
 let snapshot t = List.map (fun (name, m) -> (name, value_of_minst m)) (merged t)
 
 (* Fold [src]'s merged totals into [into]'s calling-domain shard.  Missing
-   instruments are created (histograms with [src]'s exact bounds); existing
-   ones must agree on kind and bounds.  Calling this twice with the same
-   [src] double-counts — it is an accumulation, not a union. *)
+   instruments are created (sketches and series with [src]'s layout);
+   existing ones must agree on kind and layout.  Calling this twice with
+   the same [src] double-counts — it is an accumulation, not a union. *)
 let merge_into ~into src =
   let entries = merged src in
   List.iter
@@ -313,29 +234,6 @@ let merge_into ~into src =
             g.Gauge.last_ts <- last_ts
           end;
           if max > g.Gauge.max then g.Gauge.max <- max
-      | MH { bounds; counts; count; sum } ->
-          let h =
-            match
-              register into name
-                (fun () ->
-                  H
-                    {
-                      Histogram.bounds = Array.copy bounds;
-                      counts = Array.make (Array.length bounds + 1) 0;
-                      count = 0;
-                      sum = 0.0;
-                    })
-                "histogram"
-            with
-            | H h -> h
-            | _ -> assert false
-          in
-          if h.Histogram.bounds <> bounds then
-            invalid_arg
-              (Printf.sprintf "Metrics: histogram %S bucket bounds differ across registries" name);
-          Array.iteri (fun i c -> h.Histogram.counts.(i) <- h.Histogram.counts.(i) + c) counts;
-          h.Histogram.count <- h.Histogram.count + count;
-          h.Histogram.sum <- h.Histogram.sum +. sum
       | MS src_s ->
           let s =
             match
@@ -383,16 +281,6 @@ let render t =
           Buffer.add_string buf
             (Printf.sprintf "gauge      %-40s %g (max %g)\n" name last
                (if max = neg_infinity then last else max))
-      | Histogram_value { count; sum; buckets } ->
-          Buffer.add_string buf
-            (Printf.sprintf "histogram  %-40s count=%d sum=%g\n" name count sum);
-          List.iter
-            (fun (bound, n) ->
-              if n > 0 then
-                Buffer.add_string buf
-                  (if bound = infinity then Printf.sprintf "             le +inf : %d\n" n
-                   else Printf.sprintf "             le %-6g: %d\n" bound n))
-            buckets
       | Sketch_value s ->
           if s.Sketch.s_count = 0 then
             Buffer.add_string buf (Printf.sprintf "sketch     %-40s count=0\n" name)

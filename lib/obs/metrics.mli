@@ -1,21 +1,21 @@
-(** Domain-sharded metrics registry: named counters, gauges, histograms,
-    quantile {!Sketch}es and sim-time {!Series}
-    with a deterministic merged snapshot/render order (sorted by name), so
-    two identical seeded simulation runs produce byte-identical metric
-    dumps — whether they ran on one domain or many.
+(** Domain-sharded metrics registry: named counters, gauges, quantile
+    {!Sketch}es and sim-time {!Series} with a deterministic merged
+    snapshot/render order (sorted by name), so two identical seeded
+    simulation runs produce byte-identical metric dumps — whether they ran
+    on one domain or many.
 
     {b Sharding model.}  Each domain that touches a registry gets a private
     shard; an instrument handle returned by {!counter} / {!gauge} /
-    {!histogram} belongs to the calling domain's shard and must only be
-    mutated by that domain.  The mutation hot path is therefore a plain
+    {!sketch} / {!series} belongs to the calling domain's shard and must
+    only be mutated by that domain.  The mutation hot path is therefore a plain
     unsynchronized increment; registration and {!snapshot} take the
     registry mutex.  {!snapshot} merges all shards: counters add, gauges
     keep the value with the greatest {!Gauge.set} timestamp (ties towards
-    the larger value) and the max of maxima, histograms (identical bucket
-    bounds required) add bucket-wise.
+    the larger value) and the max of maxima, sketches and series (identical
+    layouts required) add bucket-wise.
 
     Counter and bucket totals are integers, so a parallel run merges to
-    exactly the sequential snapshot; histogram [sum] is additionally exact
+    exactly the sequential snapshot; sketch sums are additionally exact
     when the observed values are integers (hop counts, event counts).
     Snapshots race-free: concurrent increments cannot tear a word-sized
     field, but only quiescent snapshots (taken after workers joined) are
@@ -68,44 +68,15 @@ module Gauge : sig
       first [set]). *)
 end
 
-module Histogram : sig
-  (** Fixed log-scale buckets: bucket [i] (0-based) counts observations
-      [v] with [lowest *. base^(i-1) < v <= lowest *. base^i], bucket 0
-      counts [v <= lowest], and a final overflow bucket counts everything
-      above the largest bound.  Bucket edges are found by repeated
-      multiplication, not [log], so bucketing is deterministic across
-      platforms. *)
-
-  type t
-
-  val observe : t -> float -> unit
-
-  val count : t -> int
-
-  val sum : t -> float
-
-  val buckets : t -> (float * int) list
-  (** [(upper_bound, count)] per bucket, in increasing bound order; the
-      overflow bucket reports [infinity] as its bound.  Counts are
-      per-bucket, not cumulative. *)
-end
-
 val counter : t -> string -> Counter.t
 
 val gauge : t -> string -> Gauge.t
-
-val histogram : t -> ?base:float -> ?lowest:float -> ?count:int -> string -> Histogram.t
-(** Defaults: [base = 10.], [lowest = 1e-3], [count = 8] bounds (plus the
-    overflow bucket) — with the defaults, bounds 1e-3 .. 1e4.  [base > 1],
-    [lowest > 0], [count >= 1].  Registering the same name with different
-    bucket parameters in different domains is detected at merge time
-    ([Invalid_argument]). *)
 
 val sketch : t -> ?base:float -> ?lowest:float -> ?count:int -> string -> Sketch.t
 (** A {!Sketch.t} instrument (dense log buckets for quantile estimates);
     defaults as {!Sketch.create}.  Sketches merge across shards by
     bucket-wise addition; layout mismatches (base/lowest/bucket count)
-    raise [Invalid_argument] at merge time, like histogram bounds. *)
+    raise [Invalid_argument] at merge time. *)
 
 val series : t -> ?kind:Series.kind -> ?interval:float -> ?capacity:int -> string -> Series.t
 (** A {!Series.t} instrument (fixed-interval sim-time ring); defaults as
@@ -117,22 +88,19 @@ val series : t -> ?kind:Series.kind -> ?interval:float -> ?capacity:int -> strin
 type value =
   | Counter_value of int
   | Gauge_value of { last : float; max : float }
-  | Histogram_value of { count : int; sum : float; buckets : (float * int) list }
   | Sketch_value of Sketch.summary
   | Series_value of Series.view
 
 val snapshot : t -> (string * value) list
 (** All instruments merged across shards, sorted by name.  Raises
-    [Invalid_argument] on cross-shard kind clashes or histogram bound
-    mismatches. *)
+    [Invalid_argument] on cross-shard kind clashes or layout mismatches. *)
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] folds [src]'s merged totals into [into]'s
-    calling-domain shard, creating missing instruments (histograms keep
-    [src]'s exact bounds).  This is an accumulation — calling it twice with
+    calling-domain shard, creating missing instruments (sketches and series
+    keep [src]'s layout).  This is an accumulation — calling it twice with
     the same [src] double-counts.  Raises [Invalid_argument] on kind or
-    bucket-bound mismatches. *)
+    layout mismatches. *)
 
 val render : t -> string
-(** Human-readable dump of {!snapshot}, one instrument per line (histograms
-    add one indented line per non-empty bucket). *)
+(** Human-readable dump of {!snapshot}, one instrument per line. *)

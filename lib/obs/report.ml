@@ -53,15 +53,12 @@ let of_metrics ~name ?(attrs = []) m =
           if Float.is_finite last then values := (mname, last) :: !values;
           if Float.is_finite max && max <> last then
             values := (mname ^ ".max", max) :: !values
-      | Metrics.Histogram_value { count; sum; _ } ->
-          counts := (mname ^ ".count", count) :: !counts;
-          if Float.is_finite sum then values := (mname ^ ".sum", sum) :: !values
       | Metrics.Sketch_value s ->
           if s.Sketch.s_count > 0 then dists := (mname, dist_of_summary s) :: !dists
       | Metrics.Series_value view -> series := (mname, view) :: !series)
     (Metrics.snapshot m);
-  (* Snapshot order is sorted by name; suffixed entries (name.max, .count,
-     .sum) can land out of order, so re-sort each projection. *)
+  (* Snapshot order is sorted by name; suffixed entries (name.max) can land
+     out of order, so re-sort each projection. *)
   let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) (List.rev l) in
   {
     v_name = name;

@@ -31,10 +31,9 @@ type dist = {
 type variant = {
   v_name : string;
   v_attrs : (string * string) list;  (** Free-form labels (d_thresh, jobs…). *)
-  v_counts : (string * int) list;  (** Counters, plus histogram [.count]s. *)
+  v_counts : (string * int) list;  (** Counters. *)
   v_values : (string * float) list;
-      (** Gauges (last and finite [.max]) and histogram [.sum]s; always
-          finite. *)
+      (** Gauges (last and finite [.max]); always finite. *)
   v_dists : (string * dist) list;  (** Non-empty sketches. *)
   v_series : (string * Series.view) list;
 }
@@ -43,9 +42,8 @@ type t = { r_title : string; r_meta : (string * string) list; r_variants : varia
 
 val of_metrics : name:string -> ?attrs:(string * string) list -> Metrics.t -> variant
 (** Snapshot [m] and project it into a variant: counters to [v_counts];
-    gauges to [v_values] (non-finite values skipped); histograms to
-    [v_counts] as [name.count] and [v_values] as [name.sum]; non-empty
-    sketches to [v_dists]; series to [v_series]. *)
+    gauges to [v_values] (non-finite values skipped); non-empty sketches
+    to [v_dists]; series to [v_series]. *)
 
 val make : title:string -> ?meta:(string * string) list -> variant list -> t
 

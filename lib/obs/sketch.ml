@@ -1,7 +1,7 @@
 (* Mergeable log-bucket quantile sketch.  See the interface for the merge
    and error-bound contract.  Bucket edges are built by repeated
-   multiplication and searched linearly, exactly as Metrics.Histogram does,
-   so bucketing never depends on platform [log]/[exp] rounding. *)
+   multiplication and searched linearly, so bucketing never depends on
+   platform [log]/[exp] rounding. *)
 
 type t = {
   base : float;

@@ -1,15 +1,13 @@
-(** Mergeable log-bucket quantile sketch: fixed geometric buckets (the same
-    repeated-multiplication edge construction as {!Metrics.Histogram}, so
-    bucketing is deterministic across platforms), integer bucket counts, and
-    rank-based quantile estimates with a known relative error bound.
+(** Mergeable log-bucket quantile sketch: fixed geometric buckets (edges
+    built by repeated multiplication, so bucketing is deterministic across
+    platforms), integer bucket counts, and rank-based quantile estimates
+    with a known relative error bound.
 
-    The sketch is the distributional counterpart of a histogram: where the
-    histogram's handful of decade buckets answer "roughly where does the
-    mass sit", a sketch's denser buckets answer p50/p90/p99/p999 with a
-    bounded relative error of [(base - 1) / (base + 1)] (each estimate is
-    the harmonic midpoint [2*lo*hi / (lo+hi)] of its bucket — the point
-    with the smallest worst-case relative error over it — clamped to the
-    observed [min]/[max]).
+    Its dense buckets answer p50/p90/p99/p999 with a bounded relative error
+    of [(base - 1) / (base + 1)] (each estimate is the harmonic midpoint
+    [2*lo*hi / (lo+hi)] of its bucket — the point with the smallest
+    worst-case relative error over it — clamped to the observed
+    [min]/[max]).
 
     {b Merge semantics} mirror the sharded-registry counter rules exactly:
     two sketches with identical layout (same [base], [lowest], bucket

@@ -60,7 +60,7 @@ type t = {
   mutable sr_free : int;
   mutable n_fired : int;
   mutable fp : int;
-  obs : Smrp_obs.Obs.t option;
+  metrics : Metrics.t option;
   meters : meters option;
   flight : Flight.recorder; (* always-on ring; Flight.null to disable *)
 }
@@ -74,14 +74,13 @@ let dummy_handler _ _ = ()
 
 let free_chain n off = Array.init n (fun i -> if i = n - 1 then -1 else off + i + 1)
 
-let create ?obs ?flight ?(impl = Wheel) () =
+let create ?metrics ?flight ?(impl = Wheel) () =
   let flight =
     match flight with Some f -> f | None -> Flight.recorder Flight.global
   in
   let meters =
     Option.map
-      (fun o ->
-        let m = Smrp_obs.Obs.metrics o in
+      (fun m ->
         {
           scheduled = Metrics.counter m "engine.events_scheduled";
           fired = Metrics.counter m "engine.events_fired";
@@ -89,7 +88,7 @@ let create ?obs ?flight ?(impl = Wheel) () =
           cancelled_pending = Metrics.counter m "engine.events_cancelled_pending";
           depth = Metrics.gauge m "engine.queue_depth";
         })
-      obs
+      metrics
   in
   let cap = 64 in
   {
@@ -116,12 +115,12 @@ let create ?obs ?flight ?(impl = Wheel) () =
     sr_free = 0;
     n_fired = 0;
     fp = 0;
-    obs;
+    metrics;
     meters;
     flight;
   }
 
-let obs t = t.obs
+let metrics t = t.metrics
 let flight t = t.flight
 let now t = t.clock
 let pending t = t.live

@@ -39,22 +39,22 @@ val tick_of_time : float -> int
 val time_of_tick : int -> float
 
 val create :
-  ?obs:Smrp_obs.Obs.t -> ?flight:Smrp_obs.Flight.recorder -> ?impl:impl -> unit -> t
-(** With [obs], the engine maintains [engine.events_scheduled] /
+  ?metrics:Smrp_obs.Metrics.t -> ?flight:Smrp_obs.Flight.recorder -> ?impl:impl -> unit -> t
+(** With [metrics], the engine maintains [engine.events_scheduled] /
     [engine.events_fired] / [engine.events_cancelled] (popped after
     cancellation) / [engine.events_cancelled_pending] (cancelled, not yet
-    popped) counters and an [engine.queue_depth] gauge in the context's
-    metrics registry.  The depth gauge counts {e live} events only —
-    lazy-deleted entries still in the queue do not inflate it.
+    popped) counters and an [engine.queue_depth] gauge in that registry.
+    The depth gauge counts {e live} events only — lazy-deleted entries
+    still in the queue do not inflate it.
 
     [flight] is the always-on flight recorder ring: every schedule, fire
     and cancel writes one packed record. Defaults to the calling domain's
     ring in [Flight.global]; pass [Flight.null] to disable recording. *)
 
-val obs : t -> Smrp_obs.Obs.t option
-(** The context given at creation: layers built over the engine ([Net],
-    [Protocol]) inherit it by default, so one [create ~obs] instruments the
-    whole simulation. *)
+val metrics : t -> Smrp_obs.Metrics.t option
+(** The registry given at creation: layers built over the engine ([Net],
+    [Protocol]) inherit it by default, so one [create ~metrics] instruments
+    the whole simulation. *)
 
 val flight : t -> Smrp_obs.Flight.recorder
 (** The flight-recorder ring given at creation; [Net] and [Protocol]

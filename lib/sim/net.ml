@@ -1,6 +1,5 @@
 module Graph = Smrp_graph.Graph
 module Metrics = Smrp_obs.Metrics
-module Trace = Smrp_obs.Trace
 module Flight = Smrp_obs.Flight
 
 type meters = {
@@ -29,17 +28,14 @@ type 'msg t = {
   mutable frames_lost : int;
   mutable dropped_send_failure : int; (* rejected at send: link/endpoint down *)
   mutable dropped_in_flight : int; (* link/endpoint died during propagation *)
-  msg_label : ('msg -> string) option;
   msg_int : 'msg -> int; (* packed wire form for flight records; 0 if opaque *)
   flight : Flight.recorder; (* the engine's ring *)
-  trace : Trace.t;
   meters : meters option;
   (* frame pool (free list threaded through fr_next) *)
   mutable fr_src : int array;
   mutable fr_dst : int array;
   mutable fr_eid : int array;
   mutable fr_next : int array;
-  mutable fr_sent : float array;
   mutable fr_msg : 'msg array; (* length 0 until the first send *)
   mutable fr_free : int;
   mutable deliver_code : int;
@@ -56,8 +52,6 @@ let graph t = t.graph
 let link_up t eid = not t.link_down.(eid)
 
 let node_up t v = not t.node_down.(v)
-
-let label t msg = match t.msg_label with Some f -> f msg | None -> "frame"
 
 let meter t f = match t.meters with Some m -> Metrics.Counter.incr (f m) | None -> ()
 
@@ -76,8 +70,7 @@ let[@inline] drop t msg = match t.on_drop with Some f -> f msg | None -> ()
 let[@inline] flight_record t ~code ~src ~dst msg =
   Flight.record t.flight
     ~tick:(Engine.tick_of_time (Engine.now t.engine))
-    ~code ~a:(t.msg_int msg)
-    ~b:((src lsl 31) lor dst)
+    ~code ~a:(t.msg_int msg) ~b:(Flight.pack src dst)
 
 let grow_frames t =
   let cap = Array.length t.fr_src in
@@ -86,7 +79,6 @@ let grow_frames t =
   t.fr_dst <- ext t.fr_dst;
   t.fr_eid <- ext t.fr_eid;
   t.fr_next <- Array.append t.fr_next (free_chain cap cap);
-  t.fr_sent <- Array.append t.fr_sent (Array.make cap 0.0);
   t.fr_msg <- Array.append t.fr_msg (Array.make cap t.fr_msg.(0));
   t.fr_free <- cap
 
@@ -105,7 +97,6 @@ let deliver t slot =
   let src = t.fr_src.(slot) in
   let dst = t.fr_dst.(slot) in
   let eid = t.fr_eid.(slot) in
-  let sent_at = t.fr_sent.(slot) in
   let msg = t.fr_msg.(slot) in
   release_frame t slot;
   (* The wire may have gone down while the frame was in flight. *)
@@ -113,12 +104,6 @@ let deliver t slot =
     t.frames_delivered <- t.frames_delivered + 1;
     flight_record t ~code:Flight.net_deliver ~src ~dst msg;
     meter t (fun m -> m.m_delivered);
-    if Trace.enabled t.trace then
-      Trace.complete t.trace ~ts:sent_at
-        ~dur:(Engine.now t.engine -. sent_at)
-        ~cat:"net" ~tid:src
-        ~args:[ ("dst", Trace.Int dst) ]
-        (label t msg);
     t.handler t ~at:dst ~from:src ~eid msg
   end
   else begin
@@ -126,19 +111,14 @@ let deliver t slot =
     flight_record t ~code:Flight.net_drop_flight ~src ~dst msg;
     meter t (fun m -> m.m_dropped_flight);
     meter_drop t;
-    if Trace.enabled t.trace then
-      Trace.instant t.trace ~ts:(Engine.now t.engine) ~cat:"net" ~tid:src
-        ~args:[ ("dst", Trace.Int dst) ]
-        ("drop.in_flight:" ^ label t msg);
     drop t msg
   end
 
-let create ?obs ?msg_label ?msg_int ?on_drop engine graph ~handler =
-  let obs = match obs with Some _ as o -> o | None -> Engine.obs engine in
+let create ?metrics ?msg_int ?on_drop engine graph ~handler =
+  let metrics = match metrics with Some _ as m -> m | None -> Engine.metrics engine in
   let meters =
     Option.map
-      (fun o ->
-        let m = Smrp_obs.Obs.metrics o in
+      (fun m ->
         {
           m_sent = Metrics.counter m "net.frames_sent";
           m_delivered = Metrics.counter m "net.frames_delivered";
@@ -147,7 +127,7 @@ let create ?obs ?msg_label ?msg_int ?on_drop engine graph ~handler =
           m_dropped_flight = Metrics.counter m "net.frames_dropped_failure_in_flight";
           m_drop_series = Metrics.series m ~kind:Smrp_obs.Series.Sum "net.frame_drops";
         })
-      obs
+      metrics
   in
   let t =
     {
@@ -163,16 +143,13 @@ let create ?obs ?msg_label ?msg_int ?on_drop engine graph ~handler =
       frames_lost = 0;
       dropped_send_failure = 0;
       dropped_in_flight = 0;
-      msg_label;
       msg_int = (match msg_int with Some f -> f | None -> fun _ -> 0);
       flight = Engine.flight engine;
-      trace = (match obs with Some o -> Smrp_obs.Obs.trace o | None -> Trace.null);
       meters;
       fr_src = Array.make frame_cap0 0;
       fr_dst = Array.make frame_cap0 0;
       fr_eid = Array.make frame_cap0 0;
       fr_next = free_chain frame_cap0 0;
-      fr_sent = Array.make frame_cap0 0.0;
       fr_msg = [||];
       fr_free = 0;
       deliver_code = 0;
@@ -191,10 +168,6 @@ let send t ~src ~dst msg =
         flight_record t ~code:Flight.net_drop_send ~src ~dst msg;
         meter t (fun m -> m.m_dropped_send);
         meter_drop t;
-        if Trace.enabled t.trace then
-          Trace.instant t.trace ~ts:(Engine.now t.engine) ~cat:"net" ~tid:src
-            ~args:[ ("dst", Trace.Int dst) ]
-            ("drop.down:" ^ label t msg);
         drop t msg;
         false
       end
@@ -209,10 +182,6 @@ let send t ~src ~dst msg =
               flight_record t ~code:Flight.net_drop_loss ~src ~dst msg;
               meter t (fun m -> m.m_lost);
               meter_drop t;
-              if Trace.enabled t.trace then
-                Trace.instant t.trace ~ts:(Engine.now t.engine) ~cat:"net" ~tid:src
-                  ~args:[ ("dst", Trace.Int dst) ]
-                  ("drop.loss:" ^ label t msg);
               drop t msg;
               true
           | _ -> false
@@ -222,7 +191,6 @@ let send t ~src ~dst msg =
           t.fr_src.(slot) <- src;
           t.fr_dst.(slot) <- dst;
           t.fr_eid.(slot) <- eid;
-          t.fr_sent.(slot) <- Engine.now t.engine;
           t.fr_msg.(slot) <- msg;
           Engine.schedule_code t.engine ~delay:e.Graph.delay ~code:t.deliver_code ~a:slot ~b:0
         end;

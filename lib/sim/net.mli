@@ -8,8 +8,7 @@
 type 'msg t
 
 val create :
-  ?obs:Smrp_obs.Obs.t ->
-  ?msg_label:('msg -> string) ->
+  ?metrics:Smrp_obs.Metrics.t ->
   ?msg_int:('msg -> int) ->
   ?on_drop:('msg -> unit) ->
   Engine.t ->
@@ -22,18 +21,16 @@ val create :
 
     [msg_int] gives the packed wire form of a message for flight-recorder
     records (sends, deliveries and every drop cause are recorded into the
-    engine's ring with operands [(msg_int msg, (src lsl 31) lor dst)]);
+    engine's ring with operands [(msg_int msg, Flight.pack src dst)]);
     opaque messages record 0.
 
     [on_drop] is called with the message of every frame that will never be
     delivered — rejected at send time, Bernoulli-lost, or killed in flight
     — so layers that index side payloads by message can reclaim them.
 
-    [obs] defaults to the engine's context ({!Engine.obs}); when present the
-    net maintains [net.frames_*] counters and, when its trace sink is live,
-    emits one trace event per frame (a complete span over the propagation
-    delay on delivery, an instant on any drop), named by [msg_label]
-    (default ["frame"]) and placed on the sending node's track. *)
+    [metrics] defaults to the engine's registry ({!Engine.metrics}); when
+    present the net maintains [net.frames_*] counters and a
+    [net.frame_drops] series. *)
 
 val engine : 'msg t -> Engine.t
 

@@ -6,7 +6,6 @@ module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
 module Reshape = Smrp_core.Reshape
 module Metrics = Smrp_obs.Metrics
-module Trace = Smrp_obs.Trace
 module Timeline = Smrp_obs.Timeline
 module Causal = Smrp_obs.Causal
 module Flight = Smrp_obs.Flight
@@ -78,7 +77,7 @@ type member_report = {
 }
 
 (* Pre-resolved instruments (message counters by type, recovery-phase
-   histograms) so the hot send path pays one increment when metrics are on. *)
+   sketches) so the hot send path pays one increment when metrics are on. *)
 type meters = {
   p_hello : Metrics.Counter.t;
   p_query : Metrics.Counter.t;
@@ -86,10 +85,8 @@ type meters = {
   p_refresh : Metrics.Counter.t;
   p_prune : Metrics.Counter.t;
   p_data : Metrics.Counter.t;
-  h_phase : (Timeline.phase * Metrics.Histogram.t) list;
-  h_total : Metrics.Histogram.t;
-  (* Quantile sketches beside the decade histograms: per-episode recovery
-     latency (detection -> first data) and its per-phase breakdown. *)
+  (* Per-episode recovery latency (detection -> first data) and its
+     per-phase breakdown. *)
   q_phase : (Timeline.phase * Smrp_obs.Sketch.t) list;
   q_total : Smrp_obs.Sketch.t;
   s_disrupted : Smrp_obs.Series.t; (* members currently disrupted, over sim time *)
@@ -164,7 +161,6 @@ type t = {
   mutable r_free : int;
   causal : Causal.tracker;
   flight : Flight.recorder; (* the engine's ring; milestone records *)
-  trace : Trace.t;
   meters : meters option;
 }
 
@@ -174,7 +170,7 @@ let tree t = t.tree
 
 let free_chain n off = Array.init n (fun i -> if i = n - 1 then -1 else off + i + 1)
 
-let msg_label m =
+let msg_label (m : msg) =
   match m land 7 with
   | 0 -> "hello"
   | 1 -> "refresh"
@@ -385,22 +381,12 @@ let handle_data t ~at ~from seq =
             (fun (phase, dur) ->
               match dur with
               | Some d ->
-                  Option.iter (fun h -> Metrics.Histogram.observe h d)
-                    (List.assoc_opt phase m.h_phase);
                   Option.iter (fun q -> Smrp_obs.Sketch.observe q d)
                     (List.assoc_opt phase m.q_phase)
               | None -> ())
             (Timeline.phase_durations ep);
-          Option.iter
-            (fun d ->
-              Metrics.Histogram.observe m.h_total d;
-              Smrp_obs.Sketch.observe m.q_total d)
-            (Timeline.total ep)
-      | _ -> ());
-      if Trace.enabled t.trace then begin
-        Trace.instant t.trace ~ts:now ~cat:"recovery" ~tid:at "first_data";
-        Trace.end_span t.trace ~ts:now ~tid:at "recovery"
-      end
+          Option.iter (Smrp_obs.Sketch.observe m.q_total) (Timeline.total ep)
+      | _ -> ())
     end
   end;
   (* Forward fresh packets only: duplicates (transient double attachment)
@@ -423,11 +409,7 @@ let handle_join t ~at ~from slot =
     free_join t slot;
     Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_installed
       ~a:requester ~b:at;
-    Causal.note_installed t.causal ~member:requester ~ts:now;
-    if Trace.enabled t.trace then
-      Trace.instant t.trace ~ts:now ~cat:"proto" ~tid:requester
-        ~args:[ ("merge", Trace.Int at) ]
-        "join.installed"
+    Causal.note_installed t.causal ~member:requester ~ts:now
   end
   else begin
     (* Forward when we have no upstream — or when our upstream is stale (no
@@ -515,18 +497,11 @@ let handle t ~at ~from ~eid m =
   | 5 -> handle_query t ~at (m asr 3)
   | _ -> handle_resp t ~at (m asr 3)
 
-let create ?(config = default_config) ?obs engine graph ~source =
-  let obs = match obs with Some _ as o -> o | None -> Engine.obs engine in
+let create ?(config = default_config) ?metrics engine graph ~source =
+  let metrics = match metrics with Some _ as m -> m | None -> Engine.metrics engine in
   let meters =
     Option.map
-      (fun o ->
-        let m = Smrp_obs.Obs.metrics o in
-        let phase_histogram p =
-          (* 1 ms .. 100 s in decades comfortably spans the default periods
-             (data 0.1 s, hello 1 s, OSPF reconvergence 5 s). *)
-          (p, Metrics.histogram m ~base:10.0 ~lowest:1e-3 ~count:6
-                ("recovery.phase." ^ String.map (function ' ' -> '_' | c -> c) (Timeline.phase_name p)))
-        in
+      (fun m ->
         {
           p_hello = Metrics.counter m "proto.sent.hello";
           p_query = Metrics.counter m "proto.sent.query";
@@ -534,8 +509,6 @@ let create ?(config = default_config) ?obs engine graph ~source =
           p_refresh = Metrics.counter m "proto.sent.refresh";
           p_prune = Metrics.counter m "proto.sent.prune";
           p_data = Metrics.counter m "proto.sent.data";
-          h_phase = List.map phase_histogram Timeline.phases;
-          h_total = Metrics.histogram m ~base:10.0 ~lowest:1e-3 ~count:6 "recovery.total";
           q_phase =
             List.map
               (fun p ->
@@ -548,7 +521,7 @@ let create ?(config = default_config) ?obs engine graph ~source =
           q_total = Metrics.sketch m "recovery.total.q";
           s_disrupted = Metrics.series m ~kind:Smrp_obs.Series.Last "proto.members_disrupted";
         })
-      obs
+      metrics
   in
   let n = Graph.node_count graph in
   let pool0 = 16 in
@@ -605,12 +578,11 @@ let create ?(config = default_config) ?obs engine graph ~source =
       r_free = 0;
       causal = Causal.create ();
       flight = Engine.flight engine;
-      trace = (match obs with Some o -> Smrp_obs.Obs.trace o | None -> Trace.null);
       meters;
     }
   in
   let net =
-    Net.create ?obs ~msg_label ~msg_int:(fun m -> m) ~on_drop:(reclaim t) engine graph
+    Net.create ?metrics ~msg_int:(fun m -> m) ~on_drop:(reclaim t) engine graph
       ~handler:(fun _ ~at ~from ~eid m -> handle t ~at ~from ~eid m)
   in
   t.net <- Some net;
@@ -657,10 +629,6 @@ let signal_join t ~requester ~attach_nodes =
       Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_signal
         ~a:requester ~b:(List.length rest + 1);
       Causal.note_signalled t.causal ~member:requester ~ts:now;
-      if Trace.enabled t.trace then
-        Trace.instant t.trace ~ts:now ~cat:"proto" ~tid:requester
-          ~args:[ ("hops", Trace.Int (List.length rest + 1)) ]
-          "join.signal";
       send t ~src:requester ~dst:next (msg_join (join_slot_of_list t ~requester rest))
 
 (* Full-knowledge path selection (§3.2.2): min-SHR for SMRP, unicast
@@ -720,10 +688,6 @@ let finalize_query_join t m =
   if t.n_member.(m) && t.at_len.(m) = 0 && not (Tree.is_on_tree t.tree m) then begin
     let responses = t.n_responses.(m) in
     t.n_responses.(m) <- [];
-    if Trace.enabled t.trace then
-      Trace.instant t.trace ~ts:(Engine.now t.engine) ~cat:"proto" ~tid:m
-        ~args:[ ("responses", Trace.Int (List.length responses)) ]
-        "query.finalize";
     let graftable c =
       (* The merge node must still be on-tree and the interior still off-tree
          (another join may have raced us during the query round trip). *)
@@ -792,8 +756,6 @@ let reshape_node t r =
       Flight.record t.flight
         ~tick:(Engine.tick_of_time (Engine.now t.engine))
         ~code:Flight.proto_reshape ~a:r ~b:old_parent;
-      if Trace.enabled t.trace then
-        Trace.instant t.trace ~ts:(Engine.now t.engine) ~cat:"proto" ~tid:r "reshape.switch";
       match Tree.path_to_source t.tree r with
       | _ :: (next :: _ as rest) ->
           t.n_parent.(r) <- next;
@@ -856,17 +818,6 @@ let declare_disrupted t m =
     Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_detected ~a:m
       ~b:0;
     Causal.note_detected t.causal ~member:m ~ts:now;
-    if Trace.enabled t.trace then
-      if first then begin
-        Trace.begin_span t.trace ~ts:now ~cat:"recovery" ~tid:m
-          ~args:
-            [
-              ("strategy", Trace.Str (match t.config.strategy with Local -> "local" | Global -> "global"));
-            ]
-          "recovery";
-        Trace.instant t.trace ~ts:now ~cat:"recovery" ~tid:m "detected"
-      end
-      else Trace.instant t.trace ~ts:now ~cat:"recovery" ~tid:m "recovery.retry";
     match t.config.strategy with
     | Local -> recover_member t m
     | Global ->
@@ -971,10 +922,6 @@ let inject_link_failure t eid =
   Flight.record t.flight ~tick:(Engine.tick_of_time t.failure_time) ~code:Flight.proto_failure
     ~a:eid ~b:0;
   Causal.note_failure t.causal ~ts:t.failure_time;
-  if Trace.enabled t.trace then
-    Trace.instant t.trace ~ts:t.failure_time ~cat:"recovery"
-      ~args:[ ("link", Trace.Int eid) ]
-      "failure";
   (* Control-plane view: keep only the structure that still receives data;
      disconnected members re-enter through their recoveries. *)
   t.tree <- Recovery.surviving_tree t.tree (Failure.Link eid)

@@ -70,15 +70,20 @@ type member_report = {
 
 type t
 
+val msg_label : int -> string
+(** The kind of a packed message as the flight recorder stores it (a net
+    record's [a] operand): hello, refresh, prune, data, join_req, query or
+    query_resp. *)
+
 val create :
-  ?config:config -> ?obs:Smrp_obs.Obs.t -> Engine.t -> Smrp_graph.Graph.t -> source:int -> t
-(** [obs] defaults to the engine's context ({!Engine.obs}) and is passed on
-    to the {!Net} the protocol creates.  When present, the protocol keeps
-    per-type [proto.sent.*] counters and [recovery.phase.*] histograms in
-    the metrics registry, and — when the trace sink is live — emits
-    recovery spans (one per disrupted member, on the member's track) plus
-    instants for the failure, detection, detour signalling, merge-node
-    installation, first data, query finalisation and reshape switches. *)
+  ?config:config -> ?metrics:Smrp_obs.Metrics.t -> Engine.t -> Smrp_graph.Graph.t -> source:int -> t
+(** [metrics] defaults to the engine's registry ({!Engine.metrics}) and is
+    passed on to the {!Net} the protocol creates.  When present, the
+    protocol keeps per-type [proto.sent.*] counters, [recovery.phase.*.q]
+    and [recovery.total.q] sketches and a [proto.members_disrupted]
+    series there.  Failure, detection, detour signalling, merge-node
+    installation, first data and reshape switches are always written to
+    the engine's flight recorder. *)
 
 val net : t -> msg Net.t
 

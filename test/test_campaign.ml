@@ -282,6 +282,36 @@ let matrix_parser () =
   bad "instances=0";
   bad "figs=11"
 
+let matrix_labels_name_base_cells () =
+  (* Every label of a base spec's axis, written as a bare token, names the
+     base's own cell — [fail=indep] is 6 events under [default], 4 under
+     [quick], not the grammar's stock [indep]. *)
+  List.iter
+    (fun (base_name, base) ->
+      let axis name cells get =
+        List.iter
+          (fun (label, value) ->
+            match Campaign.spec_of_matrix ~base (name ^ "=" ^ label) with
+            | Error msg -> Alcotest.failf "%s: %s=%s rejected: %s" base_name name label msg
+            | Ok spec ->
+                check (Printf.sprintf "%s: %s=%s is the base cell" base_name name label) true
+                  (get spec = [ (label, value) ]))
+          cells
+      in
+      axis "topo" base.Campaign.topologies (fun s -> s.Campaign.topologies);
+      axis "churn" base.Campaign.churns (fun s -> s.Campaign.churns);
+      axis "fail" base.Campaign.failures (fun s -> s.Campaign.failures);
+      axis "proto" base.Campaign.protocols (fun s -> s.Campaign.protocols))
+    [ ("default", Campaign.default); ("quick", Campaign.quick) ];
+  let rejected s =
+    match Campaign.spec_of_matrix s with
+    | Ok _ -> Alcotest.failf "accepted %S" s
+    | Error _ -> ()
+  in
+  rejected "horizon=inf";
+  rejected "proto=smrp:nan";
+  rejected "proto=query:inf"
+
 (* -- The pinned quick campaign ------------------------------------------- *)
 
 (* One quick run shared across the pinning assertions (it is the expensive
@@ -435,6 +465,7 @@ let () =
         [
           Alcotest.test_case "cells dedup and seeding" `Quick cells_dedup_and_seed;
           Alcotest.test_case "spec_of_matrix" `Quick matrix_parser;
+          Alcotest.test_case "labels name the base's cells" `Quick matrix_labels_name_base_cells;
         ] );
       ( "quick campaign",
         [

@@ -9,7 +9,8 @@ module Stats = Smrp_metrics.Stats
 module Tree = Smrp_core.Tree
 module Pool = Smrp_experiments.Pool
 module Metrics = Smrp_obs.Metrics
-module Trace = Smrp_obs.Trace
+module Flight = Smrp_obs.Flight
+module Causal = Smrp_obs.Causal
 module Profile = Smrp_obs.Profile
 
 let check = Alcotest.(check bool)
@@ -85,46 +86,78 @@ let fig9_parallel_identical_snapshot () =
   | Some (Metrics.Counter_value n) -> check_int "members counted" 360 n
   | _ -> Alcotest.fail "scenario.members missing"
 
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
+  at 0
+
 let pool_profile_and_trace_hooks () =
-  (* Pool.map with instrumentation live: worker task totals must equal the
-     input size, every task span must appear in the stitched trace exactly
-     once, and the mapped result must be unaffected. *)
+  (* Pool.map on four domains with instrumentation live: worker task
+     totals must equal the input size, every task span must appear in the
+     Chrome projection exactly once, each worker's span on its own domain
+     track, and the mapped result must be unaffected. *)
   let profile = Profile.create () in
-  let sink = Trace.sharded_ring ~capacity:4096 in
-  let tracer = Trace.create sink in
+  let flight = Flight.create ~capacity:4096 () in
   let xs = List.init 23 Fun.id in
   let ys =
-    Pool.with_instrumentation ~profile ~trace:tracer (fun () ->
-        Pool.map ~jobs:3 (fun x -> x * x) xs)
+    Pool.with_instrumentation ~profile ~flight (fun () -> Pool.map ~jobs:4 (fun x -> x * x) xs)
   in
   check "results unaffected" true (ys = List.map (fun x -> x * x) xs);
   let workers = Profile.workers profile in
-  check_int "one record per worker domain" 3 (List.length workers);
+  check_int "one record per worker domain" 4 (List.length workers);
   check_int "worker task totals cover the input" 23
     (List.fold_left (fun acc (w : Profile.worker) -> acc + w.Profile.tasks) 0 workers);
   List.iter
     (fun (w : Profile.worker) ->
       check "busy within lifetime" true (w.Profile.busy_s <= w.Profile.wall_s +. 1e-6))
     workers;
-  let events = Trace.stitched_contents sink in
-  let tasks = List.filter (fun e -> e.Trace.name = "pool.task") events in
-  check_int "one span per task" 23 (List.length tasks);
-  let indices =
-    List.sort compare
-      (List.filter_map
-         (fun e ->
-           match List.assoc_opt "index" e.Trace.args with
-           | Some (Trace.Int i) -> Some i
-           | _ -> None)
-         tasks)
-  in
-  check "every index traced once" true (indices = xs);
-  check_int "one worker span per domain" 3
-    (List.length (List.filter (fun e -> e.Trace.name = "pool.worker") events));
+  let records = Flight.snapshot flight in
+  let spans code = List.filter (fun (r : Flight.decoded) -> r.Flight.d_code = code) records in
+  let field get code = List.map get (spans code) in
+  let indices = List.sort compare (field (fun r -> r.Flight.d_b) Flight.span_pool_task) in
+  check "every index recorded once" true (indices = xs);
+  let worker_spans = spans Flight.span_pool_worker in
+  check_int "one worker span per domain" 4
+    (List.length (List.sort_uniq compare (field (fun r -> r.Flight.d_domain) Flight.span_pool_worker)));
+  check_int "worker spans count the tasks" 23
+    (List.fold_left (fun acc (r : Flight.decoded) -> acc + r.Flight.d_b) 0 worker_spans);
+  let lines = ref [] in
+  Causal.to_chrome (fun l -> lines := l :: !lines) records;
+  let named name = List.filter (contains ~affix:(Printf.sprintf "\"name\":\"%s\"" name)) !lines in
+  check_int "one task span per index" 23 (List.length (named "pool.task"));
+  List.iter
+    (fun i ->
+      check_int (Printf.sprintf "index %d projected once" i) 1
+        (List.length (List.filter (contains ~affix:(Printf.sprintf "\"index\":%d}" i)) (named "pool.task"))))
+    xs;
+  check_int "one worker span per domain track" 4 (List.length (named "pool.worker"));
+  check "spans are complete events" true
+    (List.for_all (contains ~affix:"\"ph\":\"X\"") (named "pool.task" @ named "pool.worker"));
   (* The ambient hooks are restored on exit: an uninstrumented map records
      nothing new. *)
   ignore (Pool.map ~jobs:2 Fun.id [ 1; 2; 3 ]);
-  check_int "ambient hooks restored" 3 (List.length (Profile.workers profile))
+  check_int "ambient hooks restored" 4 (List.length (Profile.workers profile));
+  check_int "no new records" (List.length records) (List.length (Flight.snapshot flight))
+
+exception Bad of int
+
+let pool_raises_lowest_failure () =
+  (* Index 0 fails late, index 1 at once: every job count must raise what
+     List.map raises, the lowest failing index. *)
+  let f i =
+    if i = 0 then begin
+      Unix.sleepf 0.05;
+      raise (Bad 0)
+    end
+    else if i = 1 then raise (Bad 1)
+    else i
+  in
+  List.iter
+    (fun jobs ->
+      match Pool.map ~jobs f [ 0; 1; 2; 3 ] with
+      | _ -> Alcotest.failf "jobs=%d: no exception" jobs
+      | exception Bad k -> check_int (Printf.sprintf "jobs=%d raises Bad 0" jobs) 0 k)
+    [ 1; 2; 4 ]
 
 let latency_smoke () =
   let cfg = { Latency.default with Latency.settle_time = 40.0; run_time = 30.0 } in
@@ -185,6 +218,8 @@ let () =
           Alcotest.test_case "fig9 seq/par identical snapshot" `Quick
             fig9_parallel_identical_snapshot;
           Alcotest.test_case "pool profile and trace hooks" `Quick pool_profile_and_trace_hooks;
+          Alcotest.test_case "pool raises the lowest failing index" `Quick
+            pool_raises_lowest_failure;
         ] );
       ( "extensions",
         [

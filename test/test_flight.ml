@@ -89,10 +89,30 @@ let test_code_names () =
       Flight.ev_fire; Flight.ev_schedule; Flight.ev_cancel; Flight.net_send; Flight.net_deliver;
       Flight.net_drop_send; Flight.net_drop_flight; Flight.net_drop_loss; Flight.proto_failure;
       Flight.proto_detected; Flight.proto_signal; Flight.proto_installed; Flight.proto_first_data;
-      Flight.proto_reshape; Flight.exec_event; Flight.exec_violation;
+      Flight.proto_reshape; Flight.exec_event; Flight.exec_violation; Flight.span_dijkstra;
+      Flight.span_candidate_search; Flight.span_reshape_round; Flight.span_reshape_stabilize;
+      Flight.span_pool_task; Flight.span_pool_worker;
     ];
   check "numeric names accepted" true (Flight.code_of_name "42" = Some 42);
   check "unknown names rejected" true (Flight.code_of_name "no.such.code" = None)
+
+let test_span_ticks () =
+  (* Span ticks count from process start, far below the 54-bit tick
+     field (epoch-based ticks would pass it in 2027). *)
+  let day = int_of_float (86_400.0 *. Flight.ticks_per_second) in
+  let t = Flight.create ~capacity:8 () in
+  let r = Flight.recorder t in
+  let start = Flight.span_start r in
+  check "start is process-relative" true (start >= 0 && start < day);
+  Flight.span r ~code:Flight.span_pool_task ~start ~b:(Flight.pack 5 9);
+  (match Flight.snapshot t with
+  | [ s ] ->
+      check_int "tick is the start" start s.Flight.d_tick;
+      check "a is a duration" true (s.Flight.d_a >= 0 && s.Flight.d_a < day);
+      check_int "packed hi" 5 (Flight.hi s.Flight.d_b);
+      check_int "packed lo" 9 (Flight.lo s.Flight.d_b)
+  | l -> Alcotest.failf "expected one span record, got %d" (List.length l));
+  check_int "disabled recorder reads no clock" 0 (Flight.span_start Flight.null)
 
 (* -- Dumps --------------------------------------------------------------- *)
 
@@ -121,6 +141,65 @@ let test_dump_roundtrip () =
         (match Flight.read_dump bad with
         | _ -> false
         | exception Flight.Bad_dump _ -> true))
+
+(* Read [text] back as a dump file. *)
+let read_text text =
+  let path = Filename.temp_file "smrp-flight" ".flight" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      Flight.read_dump path)
+
+let header = Printf.sprintf "smrp-flight-dump 1 %g\n" Flight.ticks_per_second
+
+let test_dump_rejects_bad_tokens () =
+  let rejected what text =
+    match read_text text with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Flight.Bad_dump _ -> ()
+  in
+  check_int "valid dump parses" 1 (List.length (fst (read_text (header ^ "dropped 0\n0 0 5 10 1 2\n"))));
+  rejected "non-integer dropped count" (header ^ "dropped abc\n");
+  rejected "negative dropped count" (header ^ "dropped -1\n");
+  rejected "record with a bad token" (header ^ "dropped 0\n0 0 5 10 x 1 2\n");
+  rejected "short record" (header ^ "dropped 0\n0 0 5 10 1\n");
+  rejected "code past 255" (header ^ "dropped 0\n0 0 5 256 1 2\n");
+  rejected "negative tick" (header ^ "dropped 0\n0 0 -5 10 1 2\n")
+
+(* A valid dump's text: header, dropped line, a few records. *)
+let valid_dump =
+  header ^ "dropped 3\n"
+  ^ String.concat ""
+      (List.map
+         (fun (d, s, t, c, a, b) -> Printf.sprintf "%d %d %d %d %d %d\n" d s t c a b)
+         [ (0, 0, 10, 20, 3, 0); (0, 1, 15, 21, 7, 0); (1, 0, 15, 10, 42, Flight.pack 4 7) ])
+
+let parses_or_bad_dump text =
+  match read_text text with
+  | _ -> true
+  | exception Flight.Bad_dump _ -> true
+
+let replacement_tokens =
+  [ ""; "x"; "-1"; "1.5"; "nan"; "0x1f"; "99999999999999999999"; "256"; "dropped"; "\000"; "  " ]
+
+let prop_random_bytes =
+  QCheck.Test.make ~name:"random bytes parse or raise Bad_dump" ~count:300
+    QCheck.(string_of_size Gen.(0 -- 200))
+    (fun bytes -> parses_or_bad_dump bytes && parses_or_bad_dump (header ^ bytes))
+
+let prop_token_mutations =
+  QCheck.Test.make ~name:"single-token mutations parse or raise Bad_dump" ~count:300
+    QCheck.(pair small_nat (pair (oneofl replacement_tokens) small_string))
+    (fun (k, (token, noise)) ->
+      let tokens = String.split_on_char ' ' valid_dump in
+      let k = k mod List.length tokens in
+      let mutate t = List.mapi (fun i x -> if i = k then t else x) tokens |> String.concat " " in
+      parses_or_bad_dump (mutate token) && parses_or_bad_dump (mutate noise))
+
+let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
 
 (* -- Causal stitching ---------------------------------------------------- *)
 
@@ -194,8 +273,16 @@ let () =
           Alcotest.test_case "per-domain rings merge tick-ordered" `Quick test_domain_merge;
           Alcotest.test_case "encode/decode round-trip at operand extremes" `Quick test_roundtrip;
           Alcotest.test_case "code names round-trip" `Quick test_code_names;
+          Alcotest.test_case "span ticks count from process start" `Quick test_span_ticks;
         ] );
-      ("dump", [ Alcotest.test_case "write/read round-trip and Bad_dump" `Quick test_dump_roundtrip ]);
+      ( "dump",
+        [
+          Alcotest.test_case "write/read round-trip and Bad_dump" `Quick test_dump_roundtrip;
+          Alcotest.test_case "bad counts and tokens raise Bad_dump" `Quick
+            test_dump_rejects_bad_tokens;
+          qcheck_case prop_random_bytes;
+          qcheck_case prop_token_mutations;
+        ] );
       ( "causal",
         [
           Alcotest.test_case "two-failure stream stitches two episodes" `Quick

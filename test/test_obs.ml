@@ -1,16 +1,20 @@
-(* Observability layer: metrics registry, tracer/sinks, recovery timelines,
-   and their integration with the simulator. *)
+(* Observability layer: metrics registry, the Chrome trace projection of
+   flight records, recovery timelines, and their integration with the
+   simulator. *)
 
 module Metrics = Smrp_obs.Metrics
-module Trace = Smrp_obs.Trace
+module Sketch = Smrp_obs.Sketch
+module Flight = Smrp_obs.Flight
 module Timeline = Smrp_obs.Timeline
 module Causal = Smrp_obs.Causal
-module Obs = Smrp_obs.Obs
 module Engine = Smrp_sim.Engine
 module Net = Smrp_sim.Net
 module Protocol = Smrp_sim.Protocol
 module Graph = Smrp_graph.Graph
 module Fixtures = Smrp_topology.Fixtures
+module Dijkstra = Smrp_graph.Dijkstra
+module Latency = Smrp_experiments.Latency
+module J = Bench_support.Bench_json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -41,43 +45,11 @@ let counter_and_gauge () =
   Alcotest.check_raises "kind clash" (Invalid_argument "Metrics: \"c\" already registered as a counter")
     (fun () -> ignore (Metrics.gauge m "c"))
 
-let bucket_of h v =
-  Metrics.Histogram.observe h v;
-  let rec first_nonzero i = function
-    | (_, 0) :: rest -> first_nonzero (i + 1) rest
-    | (bound, _) :: _ -> (i, bound)
-    | [] -> Alcotest.fail "no bucket incremented"
-  in
-  first_nonzero 0 (Metrics.Histogram.buckets h)
-
-let histogram_bucketing () =
-  let m = Metrics.create () in
-  (* Bounds: 1e-3, 1e-2, 1e-1, 1, 10 (+ overflow). *)
-  let fresh name = Metrics.histogram m ~base:10.0 ~lowest:1e-3 ~count:5 name in
-  (* Zero and negatives land in the lowest bucket. *)
-  check_int "zero -> bucket 0" 0 (fst (bucket_of (fresh "h0") 0.0));
-  check_int "negative -> bucket 0" 0 (fst (bucket_of (fresh "h1") (-3.0)));
-  (* Exact bound values stay in their bucket (upper bounds are inclusive). *)
-  check_int "v = lowest -> bucket 0" 0 (fst (bucket_of (fresh "h2") 1e-3));
-  check_int "v = 1.0 -> bucket 3" 3 (fst (bucket_of (fresh "h3") 1.0));
-  (* Just above a bound rolls over. *)
-  check_int "just above lowest" 1 (fst (bucket_of (fresh "h4") 1.0000001e-3));
-  (* Beyond the last bound -> overflow bucket with an infinite bound. *)
-  let i, bound = bucket_of (fresh "h5") 1e9 in
-  check_int "overflow index" 5 i;
-  check "overflow bound" true (bound = infinity);
-  (* count/sum accumulate over all observations. *)
-  let h = fresh "h6" in
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 2.0; 2.5 ];
-  check_int "count" 3 (Metrics.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 5.0 (Metrics.Histogram.sum h);
-  check_int "bucket list length" 6 (List.length (Metrics.Histogram.buckets h))
-
 let snapshot_sorted_and_rendered () =
   let m = Metrics.create () in
   ignore (Metrics.counter m "zz");
   ignore (Metrics.gauge m "aa");
-  ignore (Metrics.histogram m "mm");
+  ignore (Metrics.sketch m "mm");
   (match List.map fst (Metrics.snapshot m) with
   | [ "aa"; "mm"; "zz" ] -> ()
   | names -> Alcotest.failf "unsorted snapshot: %s" (String.concat "," names));
@@ -108,10 +80,10 @@ let sharded_hammer_exact_totals () =
   let m =
     on_four_domains (fun m k ->
         let c = Metrics.counter m "hammer.count" in
-        let h = Metrics.histogram m ~base:2.0 ~lowest:1.0 ~count:4 "hammer.hist" in
+        let q = Metrics.sketch m ~base:2.0 ~lowest:1.0 ~count:4 "hammer.q" in
         for i = 1 to per_domain do
           Metrics.Counter.incr c;
-          Metrics.Histogram.observe h (float_of_int (1 + ((i + k) mod 3)))
+          Sketch.observe q (float_of_int (1 + ((i + k) mod 3)))
         done;
         Metrics.Gauge.set (Metrics.gauge m "hammer.gauge") ~ts:(float_of_int k)
           (float_of_int (10 * k)))
@@ -120,16 +92,16 @@ let sharded_hammer_exact_totals () =
   (match find_value m "hammer.count" with
   | Metrics.Counter_value n -> check_int "counter total" (4 * per_domain) n
   | _ -> Alcotest.fail "hammer.count is not a counter");
-  (match find_value m "hammer.hist" with
-  | Metrics.Histogram_value { count; sum; buckets } ->
-      check_int "histogram count" (4 * per_domain) count;
+  (match find_value m "hammer.q" with
+  | Metrics.Sketch_value s ->
+      check_int "sketch count" (4 * per_domain) s.Sketch.s_count;
       (* Each domain observes 1, 2 and 3 in a rotation over [per_domain]
          observations; summed over the 4 offsets the multiset is exactly
          balanced, so the total is 4 * per_domain * 2. *)
-      Alcotest.(check (float 0.0)) "histogram sum exact" (float_of_int (8 * per_domain)) sum;
+      Alcotest.(check (float 0.0)) "sketch sum exact" (float_of_int (8 * per_domain)) s.Sketch.s_sum;
       check_int "bucket mass conserved" (4 * per_domain)
-        (List.fold_left (fun acc (_, n) -> acc + n) 0 buckets)
-  | _ -> Alcotest.fail "hammer.hist is not a histogram");
+        (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Sketch.s_buckets)
+  | _ -> Alcotest.fail "hammer.q is not a sketch");
   match find_value m "hammer.gauge" with
   | Metrics.Gauge_value { last; max } ->
       Alcotest.(check (float 0.0)) "last writer by timestamp" 30.0 last;
@@ -163,18 +135,6 @@ let gauge_merge_semantics () =
       Alcotest.(check (float 0.0)) "max" 9.0 max
   | _ -> Alcotest.fail "g.unstamped is not a gauge"
 
-let histogram_merge_bounds_mismatch_rejected () =
-  let m =
-    on_four_domains (fun m k ->
-        (* Same name, different bucket bases in different shards: legal to
-           register (shards are independent), illegal to merge. *)
-        let base = if k mod 2 = 0 then 2.0 else 10.0 in
-        Metrics.Histogram.observe (Metrics.histogram m ~base ~lowest:1.0 ~count:4 "h.clash") 5.0)
-  in
-  Alcotest.check_raises "merge rejects differing bounds"
-    (Invalid_argument "Metrics: histogram \"h.clash\" bucket bounds differ across shards")
-    (fun () -> ignore (Metrics.snapshot m))
-
 let kind_clash_across_domains_rejected () =
   let m =
     on_four_domains (fun m k ->
@@ -185,46 +145,24 @@ let kind_clash_across_domains_rejected () =
     (Invalid_argument "Metrics: \"x\" registered as a counter in one domain and a gauge in another")
     (fun () -> ignore (Metrics.snapshot m))
 
-let histogram_merge_preserves_overflow () =
-  (* Bounds: 1, 2, 4, 8 (+ overflow).  Two domains fill disjoint parts of
-     the range including the overflow bucket; the merged histogram must
-     keep every bucket count, the total count and the exact sum. *)
-  let m =
-    on_four_domains (fun m k ->
-        let h = Metrics.histogram m ~base:2.0 ~lowest:1.0 ~count:4 "h.over" in
-        if k = 0 then List.iter (Metrics.Histogram.observe h) [ 1.0; 3.0; 100.0 ]
-        else if k = 1 then List.iter (Metrics.Histogram.observe h) [ 2.0; 1000.0; 9.0 ])
-  in
-  match find_value m "h.over" with
-  | Metrics.Histogram_value { count; sum; buckets } ->
-      check_int "count adds" 6 count;
-      Alcotest.(check (float 0.0)) "sum adds exactly" 1115.0 sum;
-      (match buckets with
-      | [ (b1, n1); (_, n2); (_, n3); (_, n4); (binf, ninf) ] ->
-          Alcotest.(check (float 0.0)) "first bound" 1.0 b1;
-          check "overflow bound is +inf" true (binf = infinity);
-          Alcotest.(check (list int)) "bucket-wise totals" [ 1; 1; 1; 0 ] [ n1; n2; n3; n4 ];
-          check_int "overflow preserved" 3 ninf
-      | l -> Alcotest.failf "expected 5 buckets, got %d" (List.length l))
-  | _ -> Alcotest.fail "h.over is not a histogram"
-
 let merge_into_accumulates () =
   let src = Metrics.create () in
   Metrics.Counter.add (Metrics.counter src "c") 5;
-  let h = Metrics.histogram src ~base:2.0 ~lowest:1.0 ~count:3 "h" in
-  List.iter (Metrics.Histogram.observe h) [ 1.0; 50.0 ];
+  let q = Metrics.sketch src ~base:2.0 ~lowest:1.0 ~count:3 "q" in
+  List.iter (Sketch.observe q) [ 1.0; 50.0 ];
   Metrics.Gauge.set (Metrics.gauge src "g") ~ts:7.0 3.0;
   let into = Metrics.create () in
   (* An older stamped value in [into] must lose to the newer one in [src]. *)
   Metrics.Gauge.set (Metrics.gauge into "g") ~ts:1.0 42.0;
   Metrics.merge_into ~into src;
-  (* The histogram was created in [into] with src's exact bounds. *)
-  (match find_value into "h" with
-  | Metrics.Histogram_value { count; sum; buckets } ->
-      check_int "count copied" 2 count;
-      Alcotest.(check (float 0.0)) "sum copied" 51.0 sum;
-      check_int "buckets copied" 4 (List.length buckets)
-  | _ -> Alcotest.fail "h is not a histogram");
+  (* The sketch was created in [into] with src's exact layout. *)
+  (match find_value into "q" with
+  | Metrics.Sketch_value s ->
+      check_int "count copied" 2 s.Sketch.s_count;
+      Alcotest.(check (float 0.0)) "sum copied" 51.0 s.Sketch.s_sum;
+      check_int "buckets copied" 4 (List.length s.Sketch.s_buckets);
+      check "overflow bucket kept" true (List.nth s.Sketch.s_buckets 3 = (infinity, 1))
+  | _ -> Alcotest.fail "q is not a sketch");
   (match find_value into "g" with
   | Metrics.Gauge_value { last; max } ->
       Alcotest.(check (float 0.0)) "newer src timestamp wins" 3.0 last;
@@ -237,8 +175,6 @@ let merge_into_accumulates () =
   | _ -> Alcotest.fail "c is not a counter"
 
 (* -- Sketches ------------------------------------------------------------ *)
-
-module Sketch = Smrp_obs.Sketch
 
 let exact_quantile values q =
   (* Rank-based reference on the raw data: value at rank
@@ -429,116 +365,181 @@ let series_layout_mismatch_across_shards_rejected () =
     (Invalid_argument "Metrics: series \"s.clash\" layouts differ across shards") (fun () ->
       ignore (Metrics.snapshot m))
 
-(* -- Trace -------------------------------------------------------------- *)
+(* -- Chrome trace projection --------------------------------------------- *)
+
+(* The projection of a record stream as JSONL, and its events parsed back
+   (every line must be well-formed JSON). *)
+let chrome ?pid ?(msg_label = Protocol.msg_label) records =
+  let buf = Buffer.create 4096 in
+  Causal.to_chrome ?pid ~msg_label
+    (fun line ->
+      Buffer.add_string buf line;
+      Buffer.add_char buf '\n')
+    records;
+  Buffer.contents buf
+
+type event = { ph : string; name : string; ts : float; dur : float; pid : int; tid : int; args : J.t }
+
+let events jsonl =
+  String.split_on_char '\n' jsonl
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun line ->
+         let j = J.parse line in
+         let num k = Option.value ~default:0.0 (Option.bind (J.member k j) J.to_num) in
+         {
+           ph = Option.get (Option.bind (J.member "ph" j) J.to_str);
+           name = Option.get (Option.bind (J.member "name" j) J.to_str);
+           ts = num "ts";
+           dur = num "dur";
+           pid = int_of_float (num "pid");
+           tid = int_of_float (num "tid");
+           args = Option.value ~default:J.Null (J.member "args" j);
+         })
+
+let arg k e = int_of_float (Option.get (Option.bind (J.member k e.args) J.to_num))
+
+let count ?ph name evs =
+  List.length
+    (List.filter (fun e -> e.name = name && match ph with Some p -> e.ph = p | None -> true) evs)
 
 let span_nesting_in_ring () =
-  let sink = Trace.ring ~capacity:100 in
-  let t = Trace.create sink in
-  check "enabled" true (Trace.enabled t);
-  check "null disabled" false (Trace.enabled Trace.null);
-  Trace.begin_span t ~ts:1.0 ~tid:3 "outer";
-  Trace.begin_span t ~ts:2.0 ~tid:3 "inner";
-  Trace.instant t ~ts:2.5 ~tid:3 "tick";
-  Trace.end_span t ~ts:3.0 ~tid:3 "inner";
-  Trace.end_span t ~ts:4.0 ~tid:3 "outer";
-  match Trace.ring_contents sink with
-  | [ a; b; c; d; e ] ->
-      check "outer opens" true (a.Trace.ph = Trace.Begin && a.Trace.name = "outer");
-      check "inner nested" true (b.Trace.ph = Trace.Begin && b.Trace.name = "inner");
-      check "instant inside" true (c.Trace.ph = Trace.Instant && c.Trace.ts = 2.5);
-      check "inner closes first" true (d.Trace.ph = Trace.End && d.Trace.name = "inner");
-      check "outer closes last" true (e.Trace.ph = Trace.End && e.Trace.name = "outer")
-  | evs -> Alcotest.failf "expected 5 events, got %d" (List.length evs)
+  (* Each join's candidate search encloses its Dijkstra run; a reshape
+     sweep encloses its rounds and every run it makes.  In the projection
+     each inner span lies within its enclosing one, on the recording
+     domain's track. *)
+  let g = Fixtures.grid 5 in
+  let recorded f =
+    let fl = Flight.create ~capacity:65536 () in
+    let ws = Dijkstra.workspace () in
+    Dijkstra.set_flight ws (Flight.recorder fl);
+    check "workspace recorder enabled" true (Flight.enabled (Dijkstra.workspace_flight ws));
+    let v = f ws in
+    (v, events (chrome (Flight.snapshot fl)))
+  in
+  check "null recorder disabled" false (Flight.enabled Flight.null);
+  let spans evs name = List.filter (fun e -> e.name = name && e.ph = "X") evs in
+  (* Compare in whole ticks: decimal microseconds do not add exactly. *)
+  let ticks x = int_of_float (Float.round (x *. 10.0)) in
+  let within outer inner =
+    ticks outer.ts <= ticks inner.ts
+    && ticks inner.ts + ticks inner.dur <= ticks outer.ts + ticks outer.dur
+  in
+  let enclosed evs ~outer ~inner =
+    List.for_all (fun i -> List.exists (fun o -> within o i) (spans evs outer)) (spans evs inner)
+  in
+  let members = [ 24; 20; 4; 12 ] in
+  let tree, build = recorded (fun ws -> Smrp_core.Smrp.build ~ws g ~source:0 ~members) in
+  (* An on-tree joiner subscribes in place, without a search. *)
+  check "searches recorded" true (spans build "smrp.candidate_search" <> []);
+  check "searches name their joiner" true
+    (List.for_all (fun e -> List.mem (arg "joiner" e) members) (spans build "smrp.candidate_search"));
+  (* Joins also run the joiner's SPF distance search outside it. *)
+  check "every search encloses its run" true
+    (List.for_all
+       (fun o -> List.exists (within o) (spans build "dijkstra.run"))
+       (spans build "smrp.candidate_search"));
+  check "runs carry the graph size" true
+    (List.for_all (fun e -> arg "n" e = Graph.node_count g) (spans build "dijkstra.run"));
+  let stats, sweep = recorded (fun ws -> Smrp_core.Reshape.stabilize ~ws tree) in
+  (match spans sweep "reshape.stabilize" with
+  | [ e ] ->
+      check_int "rounds arg" stats.Smrp_core.Reshape.rounds (arg "rounds" e);
+      check_int "switches arg" stats.Smrp_core.Reshape.switches (arg "switches" e)
+  | l -> Alcotest.failf "expected one stabilize span, got %d" (List.length l));
+  check_int "one round span per round" stats.Smrp_core.Reshape.rounds
+    (List.length (spans sweep "reshape.round"));
+  check "rounds inside the sweep" true (enclosed sweep ~outer:"reshape.stabilize" ~inner:"reshape.round");
+  check "runs inside the sweep" true (enclosed sweep ~outer:"reshape.stabilize" ~inner:"dijkstra.run");
+  check "one domain track" true
+    (List.for_all (fun e -> e.tid = (Domain.self () :> int)) (build @ sweep))
 
 let ring_keeps_last_events () =
-  let sink = Trace.ring ~capacity:3 in
-  let t = Trace.create sink in
-  for i = 1 to 5 do
-    Trace.instant t ~ts:(float_of_int i) "e"
+  (* Capacity 3 rounds up to 4: six records keep the last four. *)
+  let fl = Flight.create ~capacity:3 () in
+  let r = Flight.recorder fl in
+  for i = 1 to 6 do
+    Flight.record r ~tick:(10 * i) ~code:Flight.span_pool_task ~a:5 ~b:i
   done;
-  match Trace.ring_contents sink with
-  | [ a; b; c ] ->
-      Alcotest.(check (list (float 0.0))) "last three" [ 3.0; 4.0; 5.0 ] [ a.Trace.ts; b.Trace.ts; c.Trace.ts ]
-  | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
+  check_int "two dropped" 2 (Flight.dropped fl);
+  let evs = events (chrome (Flight.snapshot fl)) in
+  Alcotest.(check (list int)) "last four" [ 3; 4; 5; 6 ] (List.map (arg "index") evs);
+  Alcotest.(check (list (float 1e-9))) "ticks as microseconds" [ 3.0; 4.0; 5.0; 6.0 ]
+    (List.map (fun e -> e.ts) evs)
 
 let json_shape () =
-  let e =
-    {
-      Trace.ts = 1.5;
-      name = "fra\"me";
-      cat = "net";
-      ph = Trace.Complete 0.25;
-      pid = 2;
-      tid = 7;
-      args = [ ("dst", Trace.Int 3) ];
-    }
+  let rec_ ~seq ~tick ~code =
+    { Flight.d_tick = tick; d_code = code; d_a = 0; d_b = Flight.pack 7 3; d_domain = 0; d_seq = seq }
   in
-  let j = Trace.to_json e in
+  let j =
+    chrome ~pid:2
+      ~msg_label:(fun _ -> "fra\"me")
+      [
+        rec_ ~seq:0 ~tick:15_000_000 ~code:Flight.net_send;
+        rec_ ~seq:1 ~tick:17_500_000 ~code:Flight.net_deliver;
+      ]
+  in
   List.iter
     (fun affix -> check ("json contains " ^ affix) true (contains ~affix j))
     [
       "\"ph\":\"X\"";
-      "\"ts\":1500000";
-      "\"dur\":250000";
+      "\"ts\":1500000.0";
+      "\"dur\":250000.0";
       "\"name\":\"fra\\\"me\"";
       "\"cat\":\"net\"";
       "\"pid\":2";
       "\"tid\":7";
       "\"args\":{\"dst\":3}";
-    ]
+    ];
+  match events j with
+  | [ e ] -> check "parses back" true (e.name = "fra\"me" && e.dur = 250000.0)
+  | l -> Alcotest.failf "expected one frame span, got %d" (List.length l)
 
 let stitched_multi_domain_monotone_per_tid () =
-  (* Four domains emit into one sharded tracer with deliberately
-     overlapping timestamps; the stitched stream must carry domain ids as
-     tids, be globally ts-ordered, and be monotone within every tid. *)
-  let sink = Trace.sharded_ring ~capacity:1000 in
-  let t = Trace.create sink in
-  let emit k =
+  (* Four domains record into one flight recorder with deliberately
+     overlapping ticks; the projected stream must carry domain ids as tids,
+     be globally ts-ordered, and be monotone within every tid. *)
+  let fl = Flight.create ~capacity:1000 () in
+  let record k =
+    let r = Flight.recorder fl in
     for i = 0 to 9 do
-      Trace.instant t ~ts:(float_of_int i) ~args:[ ("k", Trace.Int k) ]
-        (Printf.sprintf "d%d.e%d" k i)
+      Flight.record r ~tick:(10 * i) ~code:Flight.span_pool_task ~a:0 ~b:((100 * k) + i)
     done
   in
-  let domains = Array.init 4 (fun k -> Domain.spawn (fun () -> emit k)) in
+  let domains = Array.init 4 (fun k -> Domain.spawn (fun () -> record k)) in
   Array.iter Domain.join domains;
-  let events = Trace.stitched_contents sink in
-  check_int "all events stitched" 40 (List.length events);
-  let tids = List.sort_uniq compare (List.map (fun e -> e.Trace.tid) events) in
+  let evs = events (chrome (Flight.snapshot fl)) in
+  check_int "all records projected" 40 (List.length evs);
+  let tids = List.sort_uniq compare (List.map (fun e -> e.tid) evs) in
   check_int "four distinct tids" 4 (List.length tids);
-  let rec globally_sorted = function
-    | a :: (b :: _ as rest) -> a.Trace.ts <= b.Trace.ts && globally_sorted rest
-    | _ -> true
-  in
-  check "globally ts-ordered" true (globally_sorted events);
+  let rec sorted = function a :: (b :: _ as rest) -> a.ts <= b.ts && sorted rest | _ -> true in
+  check "globally ts-ordered" true (sorted evs);
   List.iter
     (fun tid ->
-      let mine = List.filter (fun e -> e.Trace.tid = tid) events in
+      let mine = List.filter (fun e -> e.tid = tid) evs in
       check_int "per-tid events" 10 (List.length mine);
-      let rec monotone = function
-        | a :: (b :: _ as rest) -> a.Trace.ts <= b.Trace.ts && monotone rest
-        | _ -> true
-      in
-      check "monotone per tid" true (monotone mine);
-      (* Per-ring emission order survives the stitch for equal timestamps. *)
-      List.iteri
-        (fun i e ->
-          check "emission order kept" true (e.Trace.name = Printf.sprintf "d%d.e%d"
-            (match e.Trace.args with [ (_, Trace.Int k) ] -> k | _ -> -1) i))
-        mine)
+      check "monotone per tid" true (sorted mine);
+      (* Each domain's own order survives the merge. *)
+      List.iteri (fun i e -> check_int "recording order kept" i (arg "index" e mod 100)) mine)
     tids;
   (* Per-domain rings are individually bounded. *)
-  let sink2 = Trace.sharded_ring ~capacity:3 in
-  let t2 = Trace.create sink2 in
-  let d = Domain.spawn (fun () -> for i = 1 to 5 do Trace.instant t2 ~ts:(float_of_int i) "e" done) in
+  let fl2 = Flight.create ~capacity:4 () in
+  let d =
+    Domain.spawn (fun () ->
+        let r = Flight.recorder fl2 in
+        for i = 1 to 6 do
+          Flight.record r ~tick:(10 * i) ~code:Flight.span_pool_task ~a:0 ~b:i
+        done)
+  in
   Domain.join d;
-  Alcotest.(check (list (float 0.0))) "ring bound per domain" [ 3.0; 4.0; 5.0 ]
-    (List.map (fun e -> e.Trace.ts) (Trace.stitched_contents sink2))
+  Alcotest.(check (list int)) "ring bound per domain" [ 3; 4; 5; 6 ]
+    (List.map (arg "index") (events (chrome (Flight.snapshot fl2))))
 
 (* One fully instrumented seeded simulation; used by the determinism and
    smoke tests below. *)
-let instrumented_run sink =
-  let obs = Obs.create ?sink ()  in
-  let engine = Engine.create ~obs () in
+let instrumented_run ~observed =
+  let metrics = if observed then Some (Metrics.create ()) else None in
+  let flight = if observed then Some (Flight.create ~capacity:65536 ()) else None in
+  let engine = Engine.create ?metrics ?flight:(Option.map Flight.recorder flight) () in
   let g = Fixtures.ring 5 in
   let p = Protocol.create engine g ~source:0 in
   Protocol.start p;
@@ -547,29 +548,55 @@ let instrumented_run sink =
   Engine.run ~until:20.0 engine;
   Protocol.inject_link_failure p (edge g 0 1);
   Engine.run ~until:60.0 engine;
-  (obs, p)
+  (metrics, flight, p)
 
 let sinks_deterministic_across_runs () =
   (* Two identical seeded runs must produce byte-identical JSONL and equal
-     ring contents — traces are keyed on the simulation clock, not wall
-     time. *)
-  let jsonl_run () =
-    let buf = Buffer.create 4096 in
-    let sink = Trace.jsonl (fun line -> Buffer.add_string buf line; Buffer.add_char buf '\n') in
-    let obs, _ = instrumented_run (Some sink) in
-    (Buffer.contents buf, Metrics.render (Obs.metrics obs))
+     record streams — sim records are keyed on the simulation clock, not
+     wall time. *)
+  let run () =
+    match instrumented_run ~observed:true with
+    | Some m, Some fl, _ -> (Flight.snapshot fl, chrome ~pid:1 (Flight.snapshot fl), Metrics.render m)
+    | _ -> assert false
   in
-  let j1, m1 = jsonl_run () in
-  let j2, m2 = jsonl_run () in
+  let r1, j1, m1 = run () in
+  let r2, j2, m2 = run () in
   check "jsonl non-trivial" true (String.length j1 > 1000);
   check "jsonl identical" true (String.equal j1 j2);
   check "metrics render identical" true (String.equal m1 m2);
-  let ring_run () =
-    let sink = Trace.ring ~capacity:100_000 in
-    ignore (instrumented_run (Some sink));
-    Trace.ring_contents sink
+  check "record streams identical" true (r1 = r2)
+
+let latency_trace_holds_whole_run () =
+  (* The default [smrp latency --trace] scenario: each side's own recorder
+     holds its whole run, two runs write byte-identical files, and each
+     side carries one failure and one recovery span per episode. *)
+  let jsonl r =
+    let buf = Buffer.create (1 lsl 20) in
+    Latency.to_chrome r (fun line ->
+        Buffer.add_string buf line;
+        Buffer.add_char buf '\n');
+    Buffer.contents buf
   in
-  check "ring contents identical" true (ring_run () = ring_run ())
+  let run () = Option.get (Latency.run_one ~flight:true ~seed:25 Latency.default) in
+  let r = run () in
+  List.iter
+    (fun (side : Latency.side_result) ->
+      check_int "no record dropped" 0 (Flight.dropped (Option.get side.Latency.flight)))
+    [ r.Latency.smrp; r.Latency.pim ];
+  let j = jsonl r in
+  check "two runs byte-identical" true (String.equal (Digest.string j) (Digest.string (jsonl (run ()))));
+  let evs = events j in
+  List.iter
+    (fun (pid, (side : Latency.side_result)) ->
+      let mine = List.filter (fun e -> e.pid = pid) evs in
+      let eps = List.length side.Latency.episodes in
+      check "episodes recorded" true (eps > 0);
+      check_int "process named" 1 (count ~ph:"M" "process_name" mine);
+      check_int "one failure event" 1 (count "proto.failure" mine);
+      check_int "one recovery span per episode" eps (count "recovery" mine);
+      check_int "restored episodes are complete spans" side.Latency.restored
+        (count ~ph:"X" "recovery" mine))
+    [ (1, r.Latency.smrp); (2, r.Latency.pim) ]
 
 (* -- Timeline ----------------------------------------------------------- *)
 
@@ -605,8 +632,7 @@ let timeline_recorder_guards () =
 let protocol_emits_well_formed_timeline () =
   (* Smoke test: a recovery run produces a complete, ordered episode whose
      milestones bracket the member's reported detection/restoration. *)
-  let sink = Trace.ring ~capacity:100_000 in
-  let obs, p = instrumented_run (Some sink) in
+  let metrics, flight, p = instrumented_run ~observed:true in
   let eps = Protocol.timeline p in
   check "episodes recorded" true (eps <> []);
   List.iter
@@ -626,28 +652,53 @@ let protocol_emits_well_formed_timeline () =
   let table = Protocol.phase_table p in
   check "table has header" true (contains ~affix:"detect(s)" table);
   (* The trace carries the recovery lifecycle for each disrupted member. *)
-  let events = Trace.ring_contents sink in
-  let count ?ph name =
+  let evs = events (chrome (Flight.snapshot (Option.get flight))) in
+  let n = List.length eps in
+  check_int "failure instant" 1 (count "proto.failure" evs);
+  check_int "one recovery span per episode" n (count "recovery" evs);
+  check_int "every recovery span closes" n (count ~ph:"X" "recovery" evs);
+  check "detected instants" true (count "proto.detected" evs >= n);
+  check "first_data instants" true (count "proto.first_data" evs >= n);
+  (* Each recovery span opens at its member's detection and encloses the
+     detour's signal and installation instants on the same track. *)
+  List.iter
+    (fun span ->
+      let inside name =
+        List.exists
+          (fun e ->
+            e.name = name && e.tid = span.tid && span.ts <= e.ts && e.ts <= span.ts +. span.dur)
+          evs
+      in
+      check "opens at detection" true
+        (List.exists (fun e -> e.name = "proto.detected" && e.tid = span.tid && e.ts = span.ts) evs);
+      check "signal inside" true (inside "proto.signal");
+      check "installation inside" true (inside "proto.installed"))
+    (List.filter (fun e -> e.name = "recovery") evs);
+  (* Frame events: one per outcome, as the net counted them. *)
+  let frames = List.filter (fun e -> e.ph = "X" && e.name <> "recovery") evs in
+  let prefixed prefix =
     List.length
-      (List.filter
-         (fun e -> e.Trace.name = name && match ph with Some p -> e.Trace.ph = p | None -> true)
-         events)
+      (List.filter (fun e -> String.starts_with ~prefix e.name) (List.filter (fun e -> e.ph = "i") evs))
   in
-  check_int "failure instant" 1 (count "failure");
-  check_int "one recovery span open per episode" (List.length eps) (count ~ph:Trace.Begin "recovery");
-  check_int "every recovery span closes" (List.length eps) (count ~ph:Trace.End "recovery");
-  check "detected instants" true (count "detected" >= List.length eps);
-  check "first_data instants" true (count "first_data" >= List.length eps);
+  let counters = Net.counters (Protocol.net p) in
+  let counter k = List.assoc k counters in
+  check_int "delivered frames" (counter "delivered") (List.length frames);
+  check_int "send-time drops" (counter "dropped_failure_at_send") (prefixed "drop.down:");
+  check_int "in-flight drops" (counter "dropped_failure_in_flight") (prefixed "drop.in_flight:");
+  check_int "losses" (counter "lost") (prefixed "drop.loss:");
+  check "frames named by message kind" true
+    (List.for_all (fun e -> List.mem e.name [ "hello"; "refresh"; "prune"; "data"; "join_req" ]) frames);
   (* Metrics: engine, net and recovery-phase instruments are live. *)
-  let m = Metrics.render (Obs.metrics obs) in
+  let m = Metrics.render (Option.get metrics) in
   List.iter
     (fun affix -> check ("metrics contain " ^ affix) true (contains ~affix m))
-    [ "engine.events_fired"; "net.frames_sent"; "recovery.phase.detection"; "recovery.total" ]
+    [ "engine.events_fired"; "net.frames_sent"; "recovery.phase.detection.q"; "recovery.total.q" ]
 
 let noop_sink_costs_nothing_extra () =
-  (* With no obs context at all, the same run still records timelines and
-     reports; the instrumentation has no visible side effects. *)
-  let _, p = instrumented_run None in
+  (* With no registry or recorder of its own, the same run still records
+     timelines and reports; the instrumentation has no visible side
+     effects. *)
+  let _, _, p = instrumented_run ~observed:false in
   check "timeline recorded without obs" true (Protocol.timeline p <> []);
   check "members restored" true
     (List.for_all
@@ -660,19 +711,14 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter and gauge" `Quick counter_and_gauge;
-          Alcotest.test_case "histogram bucketing" `Quick histogram_bucketing;
           Alcotest.test_case "snapshot sorted" `Quick snapshot_sorted_and_rendered;
         ] );
       ( "sharding",
         [
           Alcotest.test_case "4-domain hammer exact totals" `Quick sharded_hammer_exact_totals;
           Alcotest.test_case "gauge merge semantics" `Quick gauge_merge_semantics;
-          Alcotest.test_case "histogram bounds mismatch rejected" `Quick
-            histogram_merge_bounds_mismatch_rejected;
           Alcotest.test_case "kind clash across domains rejected" `Quick
             kind_clash_across_domains_rejected;
-          Alcotest.test_case "histogram merge preserves overflow" `Quick
-            histogram_merge_preserves_overflow;
           Alcotest.test_case "merge_into accumulates" `Quick merge_into_accumulates;
         ] );
       ( "sketch",
@@ -707,6 +753,8 @@ let () =
           Alcotest.test_case "sinks deterministic" `Quick sinks_deterministic_across_runs;
           Alcotest.test_case "multi-domain stitching monotone per tid" `Quick
             stitched_multi_domain_monotone_per_tid;
+          Alcotest.test_case "latency trace holds the whole run" `Quick
+            latency_trace_holds_whole_run;
         ] );
       ( "timeline",
         [

@@ -180,9 +180,8 @@ let tick_rounding_at_bucket_boundaries () =
 
 let queue_depth_counts_live_only () =
   let module Metrics = Smrp_obs.Metrics in
-  let obs = Smrp_obs.Obs.create () in
-  let m = Smrp_obs.Obs.metrics obs in
-  let e = Engine.create ~obs () in
+  let m = Metrics.create () in
+  let e = Engine.create ~metrics:m () in
   let hs = List.init 3 (fun _ -> Engine.schedule e ~delay:1.0 (fun () -> ())) in
   check_int "three live" 3 (Engine.pending e);
   Engine.cancel e (List.hd hs);
