@@ -254,10 +254,10 @@ let micro () =
      path end to end. *)
   let ws = Dijkstra.workspace ~capacity:(Graph.node_count graph) () in
   (* Recovery-at-scale fixture: a 10^4-node streaming Waxman with the
-     incremental SPF and the protection tables warm.  The three benches on
-     it share one workload so the numbers compare directly: the full
-     Dijkstra recompute, the incremental fail/restore repair, and the O(1)
-     table read that answers a recovery query. *)
+     incremental SPF and the protection tables warm.  The benches on it
+     share one workload so the numbers compare directly: the full Dijkstra
+     recompute, the incremental fail/restore repair, the O(1) table read
+     that answers a recovery query, and a rebuild of every table entry. *)
   let srng = Rng.create 4242 in
   let scale_n = 10_000 in
   let sgraph =
@@ -274,7 +274,7 @@ let micro () =
     in
     pick 1000
   in
-  let protect_eids, protect_tables =
+  let ptree, protect_eids, protect_tables =
     let smembers =
       List.sort_uniq compare (List.init 30 (fun _ -> 1 + Rng.int srng (scale_n - 1)))
     in
@@ -283,7 +283,7 @@ let micro () =
     let rec take k = function e :: rest when k > 0 -> e :: take (k - 1) rest | _ -> [] in
     let eids = Array.of_list (take 64 (Tree.tree_edges ptree)) in
     Array.iter (fun e -> ignore (Protect.link_lookup pp e)) eids;
-    (eids, pp)
+    (ptree, eids, pp)
   in
   let tests =
     [
@@ -330,6 +330,14 @@ let micro () =
                acc := !acc +. Protect.link_rd protect_tables protect_eids.(i mod m)
              done;
              ignore (Sys.opaque_identity !acc)));
+      Test.make ~name:"protect_prepare_10k"
+        (* Every link and node entry of the same fixture tree, from stale:
+           one nearest-target search per entry.  A table of its own, so the
+           lookup bench above keeps reading its warm entries. *)
+        (let pp = Protect.create ptree in
+         Staged.stage (fun () ->
+             Protect.invalidate pp;
+             Protect.prepare pp));
       Test.make ~name:"engine_1024_events"
         (* One engine reused across runs, as a long simulation would: each
            run schedules a spread of int-coded events and drains them. *)

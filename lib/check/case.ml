@@ -89,6 +89,8 @@ let member what k j = match Json.member k j with Some v -> v | None -> fail "%s:
 
 let node_in_range what n v = if v < 0 || v >= n then fail "%s: node %d out of range" what v
 
+let node_limit = 1_000_000
+
 let of_json j =
   try
     (match Json.member "format" j with
@@ -97,6 +99,7 @@ let of_json j =
     let topo = member "case" "topology" j in
     let n = int_of "nodes" (member "topology" "nodes" topo) in
     if n < 1 then fail "topology: needs at least one node";
+    if n > node_limit then fail "topology: %d nodes exceeds the limit of %d" n node_limit;
     let source = int_of "source" (member "topology" "source" topo) in
     node_in_range "source" n source;
     let edges =
@@ -112,6 +115,7 @@ let of_json j =
                   if u = v then fail "edge: self-loop at %d" u;
                   let d = get "edge delay" Json.to_num d in
                   if not (d > 0.0) then fail "edge: non-positive delay";
+                  if not (Float.is_finite d) then fail "edge: non-finite delay";
                   (u, v, d)
               | _ -> fail "edge: expected [u, v, delay]")
             es
@@ -122,6 +126,7 @@ let of_json j =
       let p = member "case" "protocol" j in
       let name = get "protocol name" Json.to_str (member "protocol" "name" p) in
       let d = get "d_thresh" Json.to_num (member "protocol" "d_thresh" p) in
+      if not (Float.is_finite d) then fail "protocol: non-finite d_thresh";
       if d < 0.0 then fail "protocol: negative d_thresh";
       ( (match name with
         | "spf" -> Spf

@@ -40,9 +40,14 @@ val event_count : t -> int
 
 val to_json : t -> Bench_support.Bench_json.t
 
+val node_limit : int
+(** The largest node count a case may declare (10⁶, the largest graph the
+    repository builds; generated cases stay far below it). *)
+
 val of_json : Bench_support.Bench_json.t -> (t, string) result
-(** Validates ranges (nodes, edge ids, delays) so a hand-edited repro fails
-    loudly rather than crashing the executor. *)
+(** Validates ranges (node count up to {!node_limit}, node and edge ids,
+    finite positive delays, a finite non-negative [d_thresh]) so a
+    hand-edited repro fails loudly rather than crashing the executor. *)
 
 val save : string -> t -> unit
 

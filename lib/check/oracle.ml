@@ -150,13 +150,48 @@ let sorted_edges t = List.sort compare (Tree.tree_edges t)
 
 (* -- Protected-repair oracle -------------------------------------------- *)
 
+(* The nearest-target answer recomputed the slow way: the reference
+   Dijkstra over the whole graph with the targets absorbing, then an
+   exhaustive descending scan of the reachable targets (ties to the
+   smallest id), as [naive_candidates] does for joins. *)
+let naive_nearest ?node_ok ?edge_ok g ~source ~target =
+  let target v = v <> source && target v in
+  let result = Dijkstra.run_reference ?node_ok ?edge_ok ~absorb:target g ~source in
+  let best = ref None in
+  for v = Graph.node_count g - 1 downto 0 do
+    if target v && Dijkstra.reachable result v then begin
+      let d = Option.get (Dijkstra.distance result v) in
+      match !best with Some (bd, _) when bd < d -> () | _ -> best := Some (d, v)
+    end
+  done;
+  Option.map
+    (fun (dist, v) ->
+      {
+        Dijkstra.target = v;
+        dist;
+        nodes = Option.get (Dijkstra.path_nodes result v);
+        edges = Option.get (Dijkstra.path_edges result v);
+      })
+    !best
+
+(* A branch detour searched without the tables' search: same filters as
+   [Recovery.branch_detour], answered by [naive_nearest]. *)
+let naive_branch_detour t f ~root ~eligible =
+  let g = Tree.graph t in
+  if not (Failure.node_ok f root) then None
+  else
+    naive_nearest
+      ~node_ok:(fun v ->
+        Failure.node_ok f v && (v = root || (not (Tree.is_on_tree t v)) || eligible v))
+      ~edge_ok:(Failure.edge_ok g f) g ~source:root ~target:eligible
+
 (* Differential for the table-lookup recovery path.  A [`Protected] repair
    re-attached a whole orphaned branch, so instead of replaying a staged
    member-by-member rebuild the oracle recomputes every branch detour from
    scratch over the pre-failure tree — the same eligibility semantics the
    tables bake in, but none of the cached state (Euler tour, path arenas,
-   version stamps) — and demands the lookup answered with exactly that
-   detour. *)
+   version stamps) and not the tables' nearest-target search — and demands
+   the lookup answered with exactly that detour. *)
 let protected_replay ~pre ~failure ~repairs ~post ~lost =
   let g = Tree.graph pre in
   let source = Tree.source pre in
@@ -223,21 +258,24 @@ let protected_replay ~pre ~failure ~repairs ~post ~lost =
                 "branch %d's total delay %g disagrees with RD + merge delay in the repaired tree"
                 root d.Recovery.new_total_delay
             else begin
-              match Recovery.branch_detour pre failure ~root ~eligible with
+              match naive_branch_detour pre failure ~root ~eligible with
               | None ->
                   violation "protected-differential"
                     "the from-scratch branch search finds no detour for branch %d, the table \
                      answered one"
                     root
               | Some fresh ->
-                  if fresh.Recovery.merge <> d.Recovery.merge then
+                  if fresh.Dijkstra.target <> d.Recovery.merge then
                     violation "protected-differential"
                       "branch %d merges at %d; the from-scratch search selects %d" root
-                      d.Recovery.merge fresh.Recovery.merge
-                  else if abs_float (fresh.Recovery.recovery_distance -. rd) > eps then
+                      d.Recovery.merge fresh.Dijkstra.target
+                  else if abs_float (fresh.Dijkstra.dist -. rd) > eps then
                     violation "protected-differential"
                       "branch %d's RD is %g; the from-scratch search computes %g" root rd
-                      fresh.Recovery.recovery_distance
+                      fresh.Dijkstra.dist
+                  else if fresh.Dijkstra.nodes <> d.Recovery.path_nodes then
+                    violation "protected-differential"
+                      "branch %d's detour path differs from the from-scratch search's" root
                   else check_each rest
             end
       in

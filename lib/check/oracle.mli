@@ -57,6 +57,21 @@ val naive_select :
     minimise [(SHR, delay, id)]; fallback to lowest delay), mirroring
     [Smrp.select]/[Smrp.join_where] tie-break for tie-break. *)
 
+(** {2 Detour differential oracle} *)
+
+val naive_nearest :
+  ?node_ok:(int -> bool) ->
+  ?edge_ok:(int -> bool) ->
+  Smrp_graph.Graph.t ->
+  source:int ->
+  target:(int -> bool) ->
+  Smrp_graph.Dijkstra.nearest option
+(** {!Smrp_graph.Dijkstra.nearest} recomputed the slow way: the reference
+    Dijkstra over the whole graph with the targets absorbing, then an
+    exhaustive descending scan of every reachable target, ties to the
+    smallest id.  The tables' and the detour searches' answers must equal
+    it exactly — target, distance and path. *)
+
 (** {2 Repair oracle} *)
 
 val repair_replay :
@@ -91,10 +106,13 @@ val protected_replay :
     - each detour's [RD_R] equals the delay over its path edges, the path
       survives the failure, and [new_total_delay] is consistent with the
       repaired tree;
-    - differentially, each detour equals (merge point and [RD_R]) a
-      from-scratch {!Smrp_core.Recovery.branch_detour} over the pre-failure
-      tree with eligibility — on-tree, outside the orphaned region, alive,
-      still serving members after the pruning — recomputed naively, sharing
-      none of the tables' cached Euler tour, arenas or version stamps;
+    - differentially, each detour equals (merge point, [RD_R] and path) a
+      from-scratch branch search over the pre-failure tree: the reference
+      Dijkstra ({!Smrp_graph.Dijkstra.run_reference}) and an exhaustive
+      descending scan of the merge targets, with eligibility — on-tree,
+      outside the orphaned region, alive, still serving members after the
+      pruning — recomputed naively, sharing none of the tables' cached
+      Euler tour, arenas or version stamps, nor their nearest-target
+      search;
     - nobody is lost but the failed routers themselves: the surviving
       member set is conserved wholesale. *)

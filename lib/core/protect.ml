@@ -13,9 +13,13 @@
    Invalidation is deliberately wholesale: any tree mutation can change
    any entry's optimum (a new member anywhere adds merge targets), so
    mutations bump a version counter in O(1) and entries refresh lazily on
-   lookup — or eagerly via [prepare], which is what {!Session} runs after
-   each repair so that the next failure hits only fresh entries.  A lookup
-   against a fresh entry allocates nothing until the path is decoded. *)
+   lookup; each refresh is one nearest-target search, so it costs the ball
+   around its merge point.  {!Session} never prepares: it reads the tables
+   only for the first failure of a session, so the entries that failure
+   asks for are the only ones worth computing.  [prepare] refreshes every
+   entry eagerly, for callers that want the whole table warm (benchmarks).
+   A lookup against a fresh entry allocates nothing until the path is
+   decoded. *)
 
 module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
@@ -107,7 +111,7 @@ let refresh_euler t =
   if t.euler_version <> t.version then begin
     Array.fill t.tin 0 t.n (-1);
     let clock = ref 0 in
-    (* Iterative DFS over the tree's child lists. *)
+    (* Recursive preorder walk over the tree's child lists. *)
     let rec enter v =
       t.tin.(v) <- !clock;
       incr clock;

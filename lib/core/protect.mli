@@ -13,9 +13,11 @@
     {b Invalidation} is wholesale and O(1): any tree mutation can improve
     any entry's optimum (a membership change anywhere adds or removes
     merge targets), so {!invalidate} just bumps a version counter.  Stale
-    entries refresh lazily on lookup; {!prepare} refreshes every tree-edge
-    entry eagerly — {!Session} runs it after each repair so the next
-    failure hits only fresh entries. *)
+    entries refresh lazily on lookup, one nearest-target search each.
+    {!Session} relies on that alone and never calls {!prepare}: it reads
+    the tables only for a session's first failure.  {!prepare} refreshes
+    every tree-edge entry eagerly, for callers that want the whole table
+    warm, such as benchmarks. *)
 
 type t
 
@@ -41,7 +43,8 @@ val retarget : t -> Tree.t -> unit
 
 val prepare : t -> unit
 (** Eagerly refresh the link and node entries of every current tree edge
-    (one bounded search each) and compact the path arenas. *)
+    (one nearest-target search each) and compact the path arenas.  No
+    library code calls it; lookups refresh the entries they read. *)
 
 val link_lookup : t -> int -> entry option
 (** Detour for the branch below edge [eid] should [eid] fail.  [None] when

@@ -1,4 +1,3 @@
-module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
 module Paths = Smrp_graph.Paths
 
@@ -21,56 +20,38 @@ let trivial t member =
     new_total_delay = Tree.delay_to_source t member;
   }
 
+(* A nearest-target hit as a detour: ties on distance already resolved to
+   the smallest merge id by the search, keeping recovery deterministic. *)
+let of_nearest t ~member (h : Dijkstra.nearest) =
+  {
+    member;
+    merge = h.Dijkstra.target;
+    path_nodes = h.Dijkstra.nodes;
+    path_edges = h.Dijkstra.edges;
+    recovery_distance = h.Dijkstra.dist;
+    new_total_delay = h.Dijkstra.dist +. Tree.delay_to_source t h.Dijkstra.target;
+  }
+
 let local_detour ?ws t f ~member =
   if not (Failure.node_ok f member) then None
   else begin
     let g = Tree.graph t in
     let surviving = Failure.tree_connected t f in
     if surviving.(member) then Some (trivial t member)
-    else begin
-      let result =
-        Dijkstra.run
-          ~node_ok:(Failure.node_ok f)
-          ~edge_ok:(Failure.edge_ok g f)
-          ~absorb:(fun v -> surviving.(v))
-          ?workspace:ws g ~source:member
-      in
-      (* Descending scan with non-strict replacement: ties on distance end
-         at the smallest node id, keeping recovery deterministic. *)
-      let best = ref None in
-      for v = Graph.node_count g - 1 downto 0 do
-        if surviving.(v) && Dijkstra.reachable result v then begin
-          let d = Option.get (Dijkstra.distance result v) in
-          match !best with
-          | Some (bd, _) when bd < d -> ()
-          | _ -> best := Some (d, v)
-        end
-      done;
-      match !best with
-      | None -> None
-      | Some (d, merge) ->
-          let path_nodes = Option.get (Dijkstra.path_nodes result merge) in
-          let path_edges = Option.get (Dijkstra.path_edges result merge) in
-          Some
-            {
-              member;
-              merge;
-              path_nodes;
-              path_edges;
-              recovery_distance = d;
-              new_total_delay = d +. Tree.delay_to_source t merge;
-            }
-    end
+    else
+      Option.map (of_nearest t ~member)
+        (Dijkstra.nearest ~node_ok:(Failure.node_ok f) ~edge_ok:(Failure.edge_ok g f)
+           ?workspace:ws g ~source:member
+           ~target:(fun v -> surviving.(v)))
   end
 
 (* Branch detour: the re-attachment path of a whole orphaned subtree, used
-   by the precomputed-protection tables ([Protect]) and as the search-based
-   oracle they are checked against.  [root] is the orphan's root; [eligible]
-   marks the merge targets (on-tree, outside the orphaned region, and
-   surviving the post-failure pruning — the caller computes this);
-   [excluded] marks the orphaned region itself.  Interior path nodes must be
-   strictly off-tree, exactly as in the SMRP candidate search (footnote 4),
-   so the merge point is the true merge point. *)
+   by the precomputed-protection tables ([Protect]).  [root] is the orphan's
+   root; [eligible] marks the merge targets (on-tree, outside the orphaned
+   region, and surviving the post-failure pruning — the caller computes
+   this).  Interior path nodes must be strictly off-tree, exactly as in the
+   SMRP candidate search (footnote 4), so the merge point is the true merge
+   point. *)
 let branch_detour ?ws t f ~root ~eligible =
   if not (Failure.node_ok f root) then None
   else begin
@@ -78,36 +59,9 @@ let branch_detour ?ws t f ~root ~eligible =
     let node_ok v =
       Failure.node_ok f v && (v = root || (not (Tree.is_on_tree t v)) || eligible v)
     in
-    let absorb v = v <> root && eligible v in
-    let result =
-      Dijkstra.run ~node_ok ~edge_ok:(Failure.edge_ok g f) ~absorb ?workspace:ws g
-        ~source:root
-    in
-    (* Same descending non-strict scan as [local_detour]: deterministic
-       smallest-id winner on recovery-distance ties. *)
-    let best = ref None in
-    for v = Graph.node_count g - 1 downto 0 do
-      if v <> root && eligible v && Dijkstra.reachable result v then begin
-        let d = Option.get (Dijkstra.distance result v) in
-        match !best with
-        | Some (bd, _) when bd < d -> ()
-        | _ -> best := Some (d, v)
-      end
-    done;
-    match !best with
-    | None -> None
-    | Some (d, merge) ->
-        let path_nodes = Option.get (Dijkstra.path_nodes result merge) in
-        let path_edges = Option.get (Dijkstra.path_edges result merge) in
-        Some
-          {
-            member = root;
-            merge;
-            path_nodes;
-            path_edges;
-            recovery_distance = d;
-            new_total_delay = d +. Tree.delay_to_source t merge;
-          }
+    Option.map (of_nearest t ~member:root)
+      (Dijkstra.nearest ~node_ok ~edge_ok:(Failure.edge_ok g f) ?workspace:ws g ~source:root
+         ~target:eligible)
   end
 
 let surviving_tree old f =

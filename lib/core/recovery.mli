@@ -9,7 +9,11 @@
       path grafts at the first surviving on-tree node it meets.
 
     Either way the {b recovery distance} [RD] counts only the delay of the
-    links newly brought into the tree (the [RD_D = 2] example of §3.1). *)
+    links newly brought into the tree (the [RD_D = 2] example of §3.1).
+
+    The local and branch detours run {!Smrp_graph.Dijkstra.nearest}: the
+    search stops at the nearest merge target, so it costs the ball around
+    the answer rather than the whole graph. *)
 
 type detour = {
   member : int;
@@ -49,8 +53,8 @@ val branch_detour :
     distance resolve to the smallest merge id, as in {!local_detour}.  The
     result's [member] field carries [root].
 
-    This is both the computation behind the {!Protect} tables and the
-    search-based oracle the fuzz harness compares those tables against. *)
+    This is the computation behind the {!Protect} tables; the fuzz harness
+    checks them against its own exhaustive search. *)
 
 val surviving_tree : Tree.t -> Failure.t -> Tree.t
 (** A fresh tree over the same graph containing exactly the structure (and

@@ -214,12 +214,11 @@ let try_protected t p f =
       | Failure.Multi _ -> None)
   | _ -> None
 
-let refresh_protection t =
-  match t.protection with
-  | Some p ->
-      Protect.retarget p t.tree;
-      Protect.prepare p
-  | None -> ()
+(* Repairs swap the tree object; the tables follow it and go stale.  They
+   are not recomputed here: the fast path only reads them while a single
+   failure is active, and failures never clear, so an entry is computed
+   only when a lookup asks for it. *)
+let retarget_protection t = Option.iter (fun p -> Protect.retarget p t.tree) t.protection
 
 let fail t f =
   log t (Failed f);
@@ -237,7 +236,7 @@ let fail t f =
       List.iter (fun m -> log t (Lost m)) dead;
       List.iter (fun r -> log t (Repaired r)) repairs;
       t.tree <- fresh;
-      refresh_protection t;
+      retarget_protection t;
       repairs
   | None ->
       let f = f_all in
@@ -283,5 +282,5 @@ let fail t f =
       List.iter (fun m -> log t (Lost m)) dead;
       let repairs = repair affected [] in
       t.tree <- fresh;
-      refresh_protection t;
+      retarget_protection t;
       repairs

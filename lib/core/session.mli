@@ -28,16 +28,16 @@ type t
 
 val create : ?protection:bool -> Smrp_graph.Graph.t -> source:int -> protocol:protocol -> t
 (** [~protection:true] (default false) arms the precomputed-protection
-    layer: the session maintains {!Protect} branch-detour tables (refreshed
-    after every repair, invalidated in O(1) by membership churn) and an
-    incremental source SPF ({!Smrp_graph.Dspf}) that replaces the per-join
-    unicast distance search.  Under SMRP protocols, a single link or
-    non-source node failure is then repaired by table lookup — each
-    orphaned branch re-attaches wholesale along its precomputed detour
-    (logged as one [`Protected] repair per branch) — with automatic
-    fallback to the staged search repair whenever the failure shape or a
-    stale precondition rules the tables out.  SPF-protocol sessions accept
-    the flag but always use the search path. *)
+    layer: the session keeps {!Protect} branch-detour tables (invalidated in
+    O(1) by membership churn and repairs; an entry is computed when a
+    failure's lookup first reads it) and an incremental source SPF
+    ({!Smrp_graph.Dspf}) that replaces the per-join unicast distance
+    search.  Under SMRP protocols, a single link or non-source node failure
+    is then repaired by table lookup — each orphaned branch re-attaches
+    wholesale along its table detour (logged as one [`Protected] repair per
+    branch) — with automatic fallback to the staged search repair whenever
+    the failure shape or a stale precondition rules the tables out.
+    SPF-protocol sessions accept the flag but always use the search path. *)
 
 val protection_enabled : t -> bool
 

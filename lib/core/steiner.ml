@@ -1,24 +1,14 @@
 module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
 
-(* The cheapest connection from [joiner] to the current tree: an absorbing
-   Dijkstra over link costs.  Delay and cost coincide on the graphs used
-   here, so the delay-weighted search doubles as the cost-weighted one. *)
+(* The cheapest connection from [joiner] to the current tree: a search for
+   the nearest on-tree node over link costs, returned merge-first.  Delay and
+   cost coincide on the graphs used here, so the delay-weighted search
+   doubles as the cost-weighted one. *)
 let cheapest_connection ?ws t ~joiner =
-  let absorb v = Tree.is_on_tree t v in
-  let result = Dijkstra.run ~absorb ?workspace:ws (Tree.graph t) ~source:joiner in
-  let best = ref None in
-  for v = Graph.node_count (Tree.graph t) - 1 downto 0 do
-    if absorb v && v <> joiner && Dijkstra.reachable result v then begin
-      let d = Option.get (Dijkstra.distance result v) in
-      match !best with Some (bd, _) when bd < d -> () | _ -> best := Some (d, v)
-    end
-  done;
-  match !best with
-  | None -> None
-  | Some (d, merge) ->
-      Some (d, List.rev (Option.get (Dijkstra.path_nodes result merge)),
-            List.rev (Option.get (Dijkstra.path_edges result merge)))
+  Option.map
+    (fun h -> (h.Dijkstra.dist, List.rev h.Dijkstra.nodes, List.rev h.Dijkstra.edges))
+    (Dijkstra.nearest ?workspace:ws (Tree.graph t) ~source:joiner ~target:(Tree.is_on_tree t))
 
 let join t nr =
   if Tree.is_member t nr then invalid_arg "Steiner.join: already a member";

@@ -9,10 +9,10 @@
       protection session ever runs;
     - [spf_repair_us]: mean incremental update for a tree-edge
       fail/restore pair, over a sample of tree edges;
-    - [protect_entry_ms]: mean branch-detour precompute per protection
-      table entry, over a bounded sample of the sample tree's edges (a
-      full [Protect.prepare] costs entries x this — background work a
-      session amortises across the inter-failure quiet period);
+    - [protect_entry_ms]: mean branch-detour computation per protection
+      table entry (one nearest-target search), over a bounded sample of the
+      sample tree's edges; a full [Protect.prepare] costs entries x this,
+      while a session computes only the entries its first failure reads;
     - [protect_lookup_ns]: the O(1) table read answering a recovery query.
 
     The member and entry samples are deliberately small: table precompute

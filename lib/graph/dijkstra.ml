@@ -352,3 +352,73 @@ let shortest_path ?node_ok ?edge_ok ?workspace g ~src ~dst =
   match path_rev r dst with
   | None -> None
   | Some (nodes, edges) -> Some (r.ws.dist.(dst), nodes, edges)
+
+type nearest = { target : int; dist : float; nodes : int list; edges : int list }
+
+(* The absorbing search of [run] with [absorb = target], cut short: it
+   performs exactly [run]'s pops and relaxations in the same order, so every
+   node it settles has [run]'s distance and parent chain.  Targets pop in
+   nondecreasing distance, so the first one fixes the minimum; the search
+   keeps popping until the heap minimum exceeds it, which settles every
+   other target at that distance, and keeps the smallest id among them.
+   That is the answer a full [run] and a descending scan over all targets
+   would give, at the cost of the ball around the source. *)
+let nearest ?(node_ok = always) ?(edge_ok = always) ?workspace:ws g ~source ~target =
+  let n = Graph.node_count g in
+  if source < 0 || source >= n then invalid_arg "Dijkstra.nearest: source out of range";
+  if not (node_ok source) then invalid_arg "Dijkstra.nearest: source is filtered out";
+  let offsets, nbr, eids, delays = Graph.csr g in
+  let ws = match ws with Some ws -> ws | None -> workspace ~capacity:n () in
+  let start = Smrp_obs.Flight.span_start ws.flight in
+  reserve ws n;
+  ws.epoch <- ws.epoch + 1;
+  let epoch = ws.epoch in
+  let dist = ws.dist
+  and parent = ws.parent
+  and parent_edge = ws.parent_edge
+  and visited = ws.visited
+  and settled = ws.settled
+  and heap = ws.heap in
+  Int_heap.clear heap;
+  dist.(source) <- 0.0;
+  parent.(source) <- -1;
+  parent_edge.(source) <- -1;
+  visited.(source) <- epoch;
+  Int_heap.add heap 0.0 source;
+  let best = ref (-1) in
+  while not (Int_heap.is_empty heap) do
+    let u = Int_heap.top heap in
+    Int_heap.drop heap;
+    if settled.(u) <> epoch then begin
+      if !best >= 0 && dist.(u) > dist.(!best) then Int_heap.clear heap
+      else begin
+        settled.(u) <- epoch;
+        if u <> source && target u then begin
+          if !best < 0 || u < !best then best := u
+        end
+        else begin
+          let d = dist.(u) in
+          for i = offsets.(u) to offsets.(u + 1) - 1 do
+            let v = nbr.(i) in
+            if settled.(v) <> epoch && node_ok v && edge_ok eids.(i) then begin
+              let d' = d +. delays.(i) in
+              if visited.(v) <> epoch || d' < dist.(v) then begin
+                dist.(v) <- d';
+                parent.(v) <- u;
+                parent_edge.(v) <- eids.(i);
+                visited.(v) <- epoch;
+                Int_heap.add heap d' v
+              end
+            end
+          done
+        end
+      end
+    end
+  done;
+  Smrp_obs.Flight.span ws.flight ~code:Smrp_obs.Flight.span_dijkstra ~start
+    ~b:(Smrp_obs.Flight.pack source n);
+  if !best < 0 then None
+  else begin
+    let nodes, edges = Option.get (path_rev { graph = g; src = source; ws; epoch } !best) in
+    Some { target = !best; dist = dist.(!best); nodes; edges }
+  end

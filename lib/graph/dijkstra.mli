@@ -55,6 +55,32 @@ val run :
     (over-estimated) distance, so callers must ignore results past the
     bound. *)
 
+type nearest = {
+  target : int;
+  dist : float;  (** Shortest-path delay from the source to [target]. *)
+  nodes : int list;  (** [source ... target], inclusive. *)
+  edges : int list;  (** Edge ids along [nodes]. *)
+}
+
+val nearest :
+  ?node_ok:(int -> bool) ->
+  ?edge_ok:(int -> bool) ->
+  ?workspace:workspace ->
+  Graph.t ->
+  source:int ->
+  target:(int -> bool) ->
+  nearest option
+(** The closest [target] node to [source] and one shortest path to it, or
+    [None] when no target is reachable.  Targets absorb (they are reached
+    but never relaxed through, as with [run ~absorb:target]); the source
+    itself is never a target.  Among targets at the minimum distance the
+    smallest id wins.  The answer — target, distance and path — is exactly
+    what {!run} with [~absorb:target] followed by a scan of every reachable
+    target would give, but the search stops once the heap minimum exceeds
+    the nearest target's distance, so it pays only for the ball around its
+    answer.  It writes the same [Flight.span_dijkstra] record as {!run};
+    the workspace's previous result is invalidated. *)
+
 val run_reference :
   ?node_ok:(int -> bool) ->
   ?edge_ok:(int -> bool) ->

@@ -120,7 +120,75 @@ let json_rejects_bad_input () =
                        ("nodes", Json.List []) ] ]));
   reject "negative delay"
     (patch [ "topology"; "edges" ]
-       (Json.List [ Json.List [ Json.Num 0.0; Json.Num 1.0; Json.Num (-1.0) ] ]))
+       (Json.List [ Json.List [ Json.Num 0.0; Json.Num 1.0; Json.Num (-1.0) ] ]));
+  (* Accepted once, though replay then raised (the node counts) or ran on
+     infinities: [1e999] reads as infinity. *)
+  reject "1e18 nodes" (patch [ "topology"; "nodes" ] (Json.parse "1e18"));
+  reject "2^40 nodes" (patch [ "topology"; "nodes" ] (Json.parse "1099511627776"));
+  reject "infinite delay"
+    (patch [ "topology"; "edges" ]
+       (Json.List [ Json.List [ Json.Num 0.0; Json.Num 1.0; Json.parse "1e999" ] ]));
+  reject "infinite d_thresh" (patch [ "protocol"; "d_thresh" ] (Json.parse "1e999"));
+  check "generated cases stay under the node limit" true
+    (Gen.default.Gen.max_nodes <= Case.node_limit)
+
+(* JSON text as tokens: string literals, runs of number or literal
+   characters, and single punctuation characters; whitespace dropped. *)
+let json_tokens s =
+  let n = String.length s in
+  let delim c = String.contains " \n\t\r\"{}[],:" c in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if String.contains " \n\t\r" s.[i] then go (i + 1) acc
+    else begin
+      let j =
+        if s.[i] = '"' then
+          match String.index_from_opt s (i + 1) '"' with Some j -> j + 1 | None -> n
+        else if delim s.[i] then i + 1
+        else
+          let rec stop j = if j < n && not (delim s.[j]) then stop (j + 1) else j in
+          stop i
+      in
+      go j (String.sub s i (j - i) :: acc)
+    end
+  in
+  go 0 []
+
+let replacement_tokens =
+  [ ""; "0"; "-1"; "1.5"; "1e18"; "1099511627776"; "1e999"; "-1e999"; "4611686018427387903";
+    "null"; "true"; "\"x\""; "[]"; "{}"; ","; "]"; "}"; "\"fail\"" ]
+
+(* The parser contract: every single-token mutation of a valid case — each
+   position, each replacement — is [Ok] or [Error], never an exception, and
+   whatever is [Ok] is replayable: a node count within the limit, finite
+   positive delays, a finite [d_thresh]. *)
+let prop_token_mutations =
+  QCheck.Test.make ~name:"single-token mutations of a case parse to Ok or Error" ~count:12
+    QCheck.small_nat (fun seed ->
+      let params = { Gen.default with Gen.max_nodes = 10; max_events = 6 } in
+      let case = Gen.case ~params (Rng.create seed) in
+      let tokens = Array.of_list (json_tokens (Json.to_string (Case.to_json case))) in
+      let parses_replayable k token =
+        let text =
+          String.concat " "
+            (Array.to_list (Array.mapi (fun i x -> if i = k then token else x) tokens))
+        in
+        match Json.parse text with
+        | exception Json.Parse_error _ -> true
+        | j -> (
+            match Case.of_json j with
+            | Error _ -> true
+            | Ok c ->
+                c.Case.n <= Case.node_limit
+                && List.for_all (fun (_, _, d) -> Float.is_finite d && d > 0.0) c.Case.edges
+                && Float.is_finite c.Case.d_thresh)
+      in
+      List.for_all
+        (fun token ->
+          Seq.for_all (fun k -> parses_replayable k token) (Seq.init (Array.length tokens) Fun.id))
+        replacement_tokens)
+
+let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
 
 let save_load_roundtrip () =
   let file = Filename.temp_file "smrp-fuzz" ".json" in
@@ -238,6 +306,7 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
           Alcotest.test_case "malformed repros rejected" `Quick json_rejects_bad_input;
+          qcheck_case prop_token_mutations;
           Alcotest.test_case "save/load roundtrip" `Quick save_load_roundtrip;
         ] );
       ( "determinism",

@@ -14,6 +14,7 @@ module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
 module Session = Smrp_core.Session
 module Scenario = Smrp_experiments.Scenario
+module Oracle = Smrp_check.Oracle
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
@@ -225,6 +226,102 @@ let workspace_dijkstra_equals_reference =
           && Dijkstra.path_edges r v = Dijkstra.path_edges oracle v)
         (List.init n Fun.id))
 
+(* -- Nearest-target search ------------------------------------------------ *)
+
+(* Random graphs with delays in {1, 2, 3}, so targets tie on distance
+   often.  [connected] first lays a random spanning tree. *)
+let int_delay_graph rng ~connected =
+  let n = 3 + Rng.int rng 28 in
+  let g = Graph.create n in
+  let add u v =
+    if u <> v && not (Graph.mem_edge g u v) then
+      ignore (Graph.add_edge g u v (float_of_int (1 + Rng.int rng 3)))
+  in
+  if connected then for v = 1 to n - 1 do add v (Rng.int rng v) done;
+  for _ = 1 to n * (1 + Rng.int rng 3) / 2 do
+    add (Rng.int rng n) (Rng.int rng n)
+  done;
+  g
+
+let detour_hit (d : Recovery.detour) =
+  {
+    Dijkstra.target = d.Recovery.merge;
+    dist = d.Recovery.recovery_distance;
+    nodes = d.Recovery.path_nodes;
+    edges = d.Recovery.path_edges;
+  }
+
+(* Random sources, node and edge filters and target sets — empty ones, and
+   ones the filters or a disconnected graph leave unreachable, included. *)
+let nearest_equals_reference_scan =
+  QCheck.Test.make ~name:"nearest-target search equals the reference search and scan" ~count:300
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let g = int_delay_graph rng ~connected:(Rng.bool rng) in
+      let n = Graph.node_count g in
+      let source = Rng.int rng n in
+      let density = Rng.int rng 5 in
+      let is_target = Array.init n (fun _ -> Rng.int rng 8 < density) in
+      let blocked = Array.init n (fun v -> v <> source && Rng.int rng 8 = 0) in
+      let eblocked = Array.init (Graph.edge_count g) (fun _ -> Rng.int rng 8 = 0) in
+      let target v = is_target.(v) in
+      let ws = Dijkstra.workspace () in
+      ignore (Dijkstra.run ~workspace:ws g ~source:(n - 1 - source));
+      if Rng.bool rng then
+        Dijkstra.nearest ~workspace:ws g ~source ~target = Oracle.naive_nearest g ~source ~target
+      else begin
+        let node_ok v = not blocked.(v) and edge_ok e = not eblocked.(e) in
+        Dijkstra.nearest ~node_ok ~edge_ok ~workspace:ws g ~source ~target
+        = Oracle.naive_nearest ~node_ok ~edge_ok g ~source ~target
+      end)
+
+(* The two detour searches built on it, over SPF trees and random single or
+   correlated failures. *)
+let detours_equal_reference_scan =
+  QCheck.Test.make ~name:"local and branch detours equal the reference search and scan"
+    ~count:200 QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let g = int_delay_graph rng ~connected:true in
+      let n = Graph.node_count g in
+      let source = Rng.int rng n in
+      let members =
+        List.filter (fun v -> v <> source) (List.init (1 + Rng.int rng (n - 1)) (fun _ -> Rng.int rng n))
+      in
+      let t = Spf.build g ~source ~members:(List.sort_uniq compare members) in
+      let on_tree = Array.of_list (List.filter (fun v -> v <> source) (Tree.on_tree_nodes t)) in
+      let edges = Array.of_list (Tree.tree_edges t) in
+      let one () =
+        if Array.length on_tree > 0 && Rng.bool rng then Failure.Node (Rng.pick rng on_tree)
+        else if Array.length edges > 0 && Rng.bool rng then Failure.Link (Rng.pick rng edges)
+        else Failure.Link (Rng.int rng (Graph.edge_count g))
+      in
+      let f = if Rng.int rng 4 = 0 then Failure.compose [ one (); one () ] else one () in
+      let node_ok = Failure.node_ok f and edge_ok = Failure.edge_ok g f in
+      let surviving = Failure.tree_connected t f in
+      let local_ok m =
+        let expect =
+          if not (node_ok m) || surviving.(m) then None
+          else Oracle.naive_nearest ~node_ok ~edge_ok g ~source:m ~target:(fun v -> surviving.(v))
+        in
+        match Recovery.local_detour t f ~member:m with
+        | Some d when d.Recovery.path_edges = [] -> node_ok m && surviving.(m)
+        | d -> Option.map detour_hit d = expect
+      in
+      let branch_ok root =
+        let eligible_set = Array.init n (fun v -> Tree.is_on_tree t v && Rng.int rng 3 > 0) in
+        let eligible v = eligible_set.(v) && node_ok v in
+        let expect =
+          if not (node_ok root) then None
+          else
+            Oracle.naive_nearest
+              ~node_ok:(fun v -> node_ok v && (v = root || (not (Tree.is_on_tree t v)) || eligible v))
+              ~edge_ok g ~source:root ~target:eligible
+        in
+        Option.map detour_hit (Recovery.branch_detour t f ~root ~eligible) = expect
+      in
+      List.for_all local_ok (List.init n Fun.id)
+      && Array.for_all branch_ok on_tree)
+
 (* The domain-pool contract: fanning scenarios out over domains is
    byte-identical to the sequential map, member by member and float by
    float. *)
@@ -268,6 +365,8 @@ let () =
       ( "performance_refactor",
         [
           qcheck_case workspace_dijkstra_equals_reference;
+          qcheck_case nearest_equals_reference_scan;
+          qcheck_case detours_equal_reference_scan;
           qcheck_case run_many_jobs_immaterial;
         ] );
     ]
