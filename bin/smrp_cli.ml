@@ -33,13 +33,47 @@ let with_crash_dump path f =
      with _ -> ());
     Printexc.raise_with_backtrace exn bt
 
+(* An output file that cannot be opened is an input error: exit 1 naming
+   the subcommand, not an uncaught Sys_error. *)
+let open_out_or_exit cmd file =
+  try open_out file
+  with Sys_error msg ->
+    Printf.eprintf "%s: cannot open %s\n%!" cmd msg;
+    exit 1
+
+let write_file cmd file contents =
+  let oc = open_out_or_exit cmd file in
+  output_string oc contents;
+  close_out oc
+
+(* Counts below [lo] are rejected by cmdliner (exit 124) before any work
+   starts, instead of failing deep inside an experiment. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least 1
+
 let seed_arg default =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let scenarios_arg =
   Arg.(
-    value & opt int 100
+    value & opt positive 100
     & info [ "scenarios" ] ~docv:"N" ~doc:"Scenarios per data point (paper: 100).")
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains (default: SMRP_BENCH_JOBS or the recommended domain count). Results \
+           are byte-identical whatever the count.")
 
 let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV instead of a table.")
 
@@ -49,7 +83,8 @@ let fig7_cmd =
     print_string (if csv then Figures.Fig7.csv r else Figures.Fig7.render r)
   in
   let topologies =
-    Arg.(value & opt int 5 & info [ "topologies" ] ~docv:"N" ~doc:"Random topologies (paper: 5).")
+    Arg.(
+      value & opt positive 5 & info [ "topologies" ] ~docv:"N" ~doc:"Random topologies (paper: 5).")
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Local vs global detour scatter (§4.3.1).")
@@ -101,6 +136,10 @@ let all_cmd =
 
 let scenario_cmd =
   let run seed n group alpha d_thresh =
+    if group >= n then begin
+      Printf.eprintf "scenario: --group %d must be smaller than -n %d\n" group n;
+      exit 1
+    end;
     let config =
       { Scenario.default with Scenario.seed; n; group_size = group; alpha; d_thresh }
     in
@@ -120,8 +159,8 @@ let scenario_cmd =
       (100.0 *. a.Scenario.delay_relative)
       (100.0 *. a.Scenario.local_vs_global)
   in
-  let n = Arg.(value & opt int 100 & info [ "n" ] ~docv:"N" ~doc:"Network size.") in
-  let group = Arg.(value & opt int 30 & info [ "group" ] ~docv:"N_G" ~doc:"Group size.") in
+  let n = Arg.(value & opt positive 100 & info [ "n" ] ~docv:"N" ~doc:"Network size.") in
+  let group = Arg.(value & opt positive 30 & info [ "group" ] ~docv:"N_G" ~doc:"Group size.") in
   let alpha = Arg.(value & opt float 0.2 & info [ "alpha" ] ~docv:"A" ~doc:"Waxman alpha.") in
   let d_thresh =
     Arg.(value & opt float 0.3 & info [ "d-thresh" ] ~docv:"D" ~doc:"SMRP delay bound.")
@@ -135,13 +174,7 @@ let latency_cmd =
     if trace = None && not metrics && not openmetrics then
       print_string (Latency.render (Latency.run_many ~seed ~runs Latency.default))
     else begin
-      let open_trace file =
-        try open_out file
-        with Sys_error msg ->
-          Printf.eprintf "latency: cannot open trace file: %s\n%!" msg;
-          exit 1
-      in
-      let oc = Option.map open_trace trace in
+      let oc = Option.map (open_out_or_exit "latency") trace in
       (match Latency.run_one ~flight:(oc <> None) ~with_metrics:metrics ~seed Latency.default with
       | Some r ->
           Option.iter
@@ -173,7 +206,9 @@ let latency_cmd =
         trace
     end
   in
-  let runs = Arg.(value & opt int 10 & info [ "runs" ] ~docv:"N" ~doc:"Topologies to simulate.") in
+  let runs =
+    Arg.(value & opt positive 10 & info [ "runs" ] ~docv:"N" ~doc:"Topologies to simulate.")
+  in
   let trace =
     Arg.(
       value
@@ -245,12 +280,7 @@ let profile_cmd =
     Printf.printf "\n-- phases and pool workers --\n%s" (Profile.render prof);
     match (trace_file, flight) with
     | Some file, Some fl ->
-        let oc =
-          try open_out file
-          with Sys_error msg ->
-            Printf.eprintf "profile: cannot open trace file: %s\n%!" msg;
-            exit 1
-        in
+        let oc = open_out_or_exit "profile" file in
         let events = ref 0 in
         Causal.to_chrome
           (fun line ->
@@ -264,13 +294,6 @@ let profile_cmd =
            are domain ids; load in Perfetto or chrome://tracing)\n"
           file !events (Flight.dropped fl)
     | _ -> ()
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: SMRP_BENCH_JOBS or the recommended domain count).")
   in
   let trace =
     Arg.(
@@ -286,7 +309,7 @@ let profile_cmd =
        ~doc:
          "Profile a Fig. 9 sweep: merged sharded metrics, per-domain pool utilisation, per-phase \
           GC deltas, and optionally the stitched multi-domain trace.")
-    Term.(const run $ seed_arg 9 $ scenarios_arg $ jobs $ trace)
+    Term.(const run $ seed_arg 9 $ scenarios_arg $ jobs_arg $ trace)
 
 let report_cmd =
   let module Report = Smrp_obs.Report in
@@ -297,39 +320,22 @@ let report_cmd =
     let scenarios = Option.value scenarios ~default:base.Dashboard.scenarios in
     let report = Dashboard.run ?jobs { base with Dashboard.seed; scenarios } in
     print_string (Report.render_ascii report);
-    let write file contents =
-      let oc =
-        try open_out file
-        with Sys_error msg ->
-          Printf.eprintf "report: cannot open %s: %s\n%!" file msg;
-          exit 1
-      in
-      output_string oc contents;
-      close_out oc
-    in
-    write html (Report.render_html report);
+    write_file "report" html (Report.render_html report);
     Printf.printf "\nHTML dashboard written to %s\n" html;
     Option.iter
       (fun file ->
-        write file (Report.to_string report);
+        write_file "report" file (Report.to_string report);
         Printf.printf "report JSON written to %s\n" file)
       json
   in
   let scenarios =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "scenarios" ] ~docv:"N" ~doc:"Random topologies per variant (default 20; 4 with --quick).")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Scaled-down campaign (CI/smoke scale).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (default: SMRP_BENCH_JOBS or the recommended domain count).")
   in
   let html =
     Arg.(
@@ -348,7 +354,7 @@ let report_cmd =
          "Run the comparison campaign (SPF baseline vs SMRP D_thresh sweep vs query scheme, plus \
           the packet-level latency simulation) and emit an ASCII summary and a self-contained \
           HTML dashboard.")
-    Term.(const run $ seed_arg 42 $ scenarios $ quick $ jobs $ html $ json)
+    Term.(const run $ seed_arg 42 $ scenarios $ quick $ jobs_arg $ html $ json)
 
 let campaign_cmd =
   let module Report = Smrp_obs.Report in
@@ -372,24 +378,14 @@ let campaign_cmd =
     print_newline ();
     print_string (Campaign.render_summary report);
     Printf.printf "\ndigest %s\n" (Campaign.digest report);
-    let write file contents =
-      let oc =
-        try open_out file
-        with Sys_error msg ->
-          Printf.eprintf "campaign: cannot open %s: %s\n%!" file msg;
-          exit 1
-      in
-      output_string oc contents;
-      close_out oc
-    in
     Option.iter
       (fun file ->
-        write file (Report.to_string report);
+        write_file "campaign" file (Report.to_string report);
         Printf.printf "campaign JSON written to %s\n" file)
       json;
     Option.iter
       (fun file ->
-        write file (Report.render_html report);
+        write_file "campaign" file (Report.render_html report);
         Printf.printf "HTML dashboard written to %s\n" file)
       html
   in
@@ -409,22 +405,12 @@ let campaign_cmd =
              $(b,axis=value,value;...) with axes $(b,topo) (waxman[:N], ts, locality[:N], \
              scale:N), $(b,churn) (static[:K], flash, diurnal, heavy), $(b,fail) (indep[:K], \
              correlated, regional, cascade, adversarial[:B]), $(b,proto) (spf, smrp[:D], \
-             protected[:D], query[:D]), plus $(b,instances=N), $(b,horizon=T), $(b,seed=S) and \
-             $(b,figs=7,8,9,10) for paper-figure cells.")
+             protected[:D], query[:D]), plus $(b,instances=N), $(b,horizon=T) and $(b,seed=S).")
   in
   let quick =
     Arg.(
       value & flag
       & info [ "quick" ] ~doc:"The pinned CI matrix (3x3x2x3, 2 instances per cell).")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: SMRP_BENCH_JOBS or the recommended domain count). The \
-             report is byte-identical whatever the count.")
   in
   let json =
     Arg.(
@@ -448,9 +434,8 @@ let campaign_cmd =
        ~doc:
          "Run a declarative scenario matrix — topology family x churn model x failure model x \
           protocol variant — every cell independently seeded, fanned out across domains, and \
-          collected into one comparison report. Paper figures 7-10 are expressible as matrix \
-          cells via figs=.")
-    Term.(const run $ seed $ matrix $ quick $ jobs $ json $ html $ summary_only)
+          collected into one comparison report.")
+    Term.(const run $ seed $ matrix $ quick $ jobs_arg $ json $ html $ summary_only)
 
 let fuzz_cmd =
   let module Fuzz = Smrp_check.Fuzz in
@@ -715,20 +700,21 @@ let related_cmd =
 
 let scale_cmd =
   let run seed ns json =
+    (* Open the report file before the sweep, so a bad path fails at once. *)
+    let out = Option.map (fun file -> (file, open_out_or_exit "scale" file)) json in
     let rows = Scaling.run ~ns ~seed () in
     print_string (Scaling.render rows);
-    match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
+    Option.iter
+      (fun (file, oc) ->
         output_string oc (Scaling.to_json rows);
         close_out oc;
-        Printf.printf "scale: JSON report written to %s\n" file
+        Printf.printf "scale: JSON report written to %s\n" file)
+      out
   in
   let ns =
     Arg.(
       value
-      & opt (list int) [ 10_000; 100_000 ]
+      & opt (list (int_at_least 2)) [ 10_000; 100_000 ]
       & info [ "n" ] ~docv:"N,N,..."
           ~doc:
             "Topology sizes to sweep (comma-separated node counts; pass 1000000 for the \

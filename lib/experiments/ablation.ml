@@ -1,7 +1,6 @@
 module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
 module Subgraph = Smrp_graph.Subgraph
-module Waxman = Smrp_topology.Waxman
 module Transit_stub = Smrp_topology.Transit_stub
 module Tree = Smrp_core.Tree
 module Spf = Smrp_core.Spf
@@ -14,27 +13,10 @@ module Hierarchy = Smrp_core.Hierarchy
 module Stats = Smrp_metrics.Stats
 module Table = Smrp_metrics.Table
 
-let pct s = Printf.sprintf "%5.1f%% ± %.1f" (100.0 *. s.Stats.mean) (100.0 *. s.Stats.ci95)
-
 (* Mean over members of the worst-case local-detour RD reduction of [tree]
    vs the SPF baseline, and the mean relative delay increase. *)
 let tree_vs_spf ~spf_tree ~tree ~members =
-  let rd_rels =
-    List.filter_map
-      (fun m ->
-        let rd t =
-          match Failure.worst_case_for_member t m with
-          | None -> None
-          | Some f ->
-              Option.map
-                (fun d -> d.Recovery.recovery_distance)
-                (Recovery.local_detour t f ~member:m)
-        in
-        match (rd spf_tree, rd tree) with
-        | Some b, Some i when b > 0.0 -> Some (Stats.relative_reduction ~baseline:b ~improved:i)
-        | _ -> None)
-      members
-  in
+  let rd t m = Scenario.recovery_distance t m `Local in
   let delay_rels =
     List.map
       (fun m ->
@@ -43,20 +25,13 @@ let tree_vs_spf ~spf_tree ~tree ~members =
           ~changed:(Tree.delay_to_source tree m))
       members
   in
-  ( (match rd_rels with [] -> 0.0 | _ -> Stats.mean rd_rels),
+  ( Scenario.mean_reduction (List.map (fun m -> (rd spf_tree m, rd tree m)) members),
     match delay_rels with [] -> 0.0 | _ -> Stats.mean delay_rels )
 
-let scenario_graph_and_group ~seed ~n ~group_size ~extra =
-  let rng = Rng.create seed in
-  let topo_rng = Rng.split rng in
-  let member_rng = Rng.split rng in
-  let topo = Waxman.generate topo_rng ~n ~alpha:0.2 ~beta:0.2 in
-  let chosen = Array.of_list (Rng.sample_without_replacement member_rng (group_size + extra + 1) n) in
-  Rng.shuffle member_rng chosen;
-  ( topo.Waxman.graph,
-    chosen.(0),
-    Array.to_list (Array.sub chosen 1 group_size),
-    Array.to_list (Array.sub chosen (1 + group_size) extra) )
+(* The §4 instance of [seed] on Waxman's default Euclidean delays, which
+   these ablations have always used. *)
+let instance ~seed ~group_size =
+  Scenario.instance { Scenario.default with Scenario.seed; group_size; link_delay = `Euclidean }
 
 module Reshaping = struct
   type row = {
@@ -71,9 +46,11 @@ module Reshaping = struct
   let d_thresh = 0.3
 
   let run_one seed =
-    let graph, source, initial, latecomers =
-      scenario_graph_and_group ~seed ~n:100 ~group_size:30 ~extra:15
-    in
+    (* One draw of 45: the first 30 start the session, the other 15 join
+       late. *)
+    let graph, source, group = instance ~seed ~group_size:45 in
+    let initial = List.filteri (fun i _ -> i < 30) group
+    and latecomers = List.filteri (fun i _ -> i >= 30) group in
     let smrp = Smrp.build ~d_thresh graph ~source ~members:initial in
     (* Churn: every other initial member leaves, the latecomers join — the
        §3.2.3 situation where the tree grows skewed. *)
@@ -87,9 +64,7 @@ module Reshaping = struct
     (float_of_int stats.Reshape.switches, rd_before, rd_after, delay_before, delay_after)
 
   let run ?jobs ?(seed = 11) ?(scenarios = 50) () =
-    let rng = Rng.create seed in
-    let seeds = List.init scenarios (fun _ -> Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF) in
-    let results = Pool.map ?jobs run_one seeds in
+    let results = Pool.map ?jobs run_one (Scenario.seeds ~seed ~count:scenarios) in
     let pick f = List.map f results in
     {
       scenarios;
@@ -102,8 +77,8 @@ module Reshaping = struct
 
   let render r =
     let t = Table.create ~columns:[ "tree"; "RD reduction vs SPF"; "delay penalty" ] in
-    Table.add_row t [ "after churn (skewed)"; pct r.rd_before; pct r.delay_before ];
-    Table.add_row t [ "after reshaping"; pct r.rd_after; pct r.delay_after ];
+    Table.add_row t [ "after churn (skewed)"; Stats.pct r.rd_before; Stats.pct r.delay_before ];
+    Table.add_row t [ "after reshaping"; Stats.pct r.rd_after; Stats.pct r.delay_after ];
     Printf.sprintf
       "Ablation: tree reshaping under churn (§3.2.3; %d scenarios, %.1f switches each)\n%s\n"
       r.scenarios r.switches_per_scenario (Table.render t)
@@ -121,7 +96,7 @@ module Query = struct
   let d_thresh = 0.3
 
   let run_one seed =
-    let graph, source, members, _ = scenario_graph_and_group ~seed ~n:100 ~group_size:30 ~extra:0 in
+    let graph, source, members = instance ~seed ~group_size:30 in
     let spf_tree = Spf.build graph ~source ~members in
     let full = Smrp.build ~d_thresh graph ~source ~members in
     let query = Query_join.build ~d_thresh graph ~source ~members in
@@ -130,9 +105,7 @@ module Query = struct
     (rd_full, rd_query, delay_full, delay_query)
 
   let run ?jobs ?(seed = 12) ?(scenarios = 50) () =
-    let rng = Rng.create seed in
-    let seeds = List.init scenarios (fun _ -> Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF) in
-    let results = Pool.map ?jobs run_one seeds in
+    let results = Pool.map ?jobs run_one (Scenario.seeds ~seed ~count:scenarios) in
     let pick f = List.map f results in
     {
       scenarios;
@@ -144,8 +117,8 @@ module Query = struct
 
   let render r =
     let t = Table.create ~columns:[ "knowledge"; "RD reduction vs SPF"; "delay penalty" ] in
-    Table.add_row t [ "full topology"; pct r.rd_full; pct r.delay_full ];
-    Table.add_row t [ "query scheme (§3.3.1)"; pct r.rd_query; pct r.delay_query ];
+    Table.add_row t [ "full topology"; Stats.pct r.rd_full; Stats.pct r.delay_full ];
+    Table.add_row t [ "query scheme (§3.3.1)"; Stats.pct r.rd_query; Stats.pct r.delay_query ];
     Printf.sprintf
       "Ablation: topology knowledge (%d scenarios)\n%s\n\
        (the query scheme sees fewer candidates, so part of the gain is lost)\n"
@@ -222,9 +195,7 @@ module Hierarchical = struct
     !results
 
   let run ?jobs ?(seed = 13) ?(scenarios = 20) () =
-    let rng = Rng.create seed in
-    let seeds = List.init scenarios (fun _ -> Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF) in
-    let all = List.concat (Pool.map ?jobs run_one seeds) in
+    let all = List.concat (Pool.map ?jobs run_one (Scenario.seeds ~seed ~count:scenarios)) in
     let hier_rds = List.concat_map (fun (h, _, _, _, _) -> h) all in
     let flat_rds = List.concat_map (fun (_, _, f, _, _) -> f) all in
     let confined = List.length (List.filter (fun (_, c, _, _, _) -> c) all) in

@@ -24,8 +24,6 @@ type protocol =
   | Smrp of { d_thresh : float; protection : bool }
   | Smrp_query of { d_thresh : float }
 
-type fig = Fig7 | Fig8 | Fig9 | Fig10
-
 type spec = {
   seed : int;
   instances : int;
@@ -34,9 +32,6 @@ type spec = {
   churns : (string * Churn.model) list;
   failures : (string * Failure_model.model) list;
   protocols : (string * protocol) list;
-  figures : fig list;
-  fig_scenarios : int;
-  fig_topologies : int;
 }
 
 let default =
@@ -74,9 +69,6 @@ let default =
         ("protected0.3", Smrp { d_thresh = 0.3; protection = true });
         ("query0.3", Smrp_query { d_thresh = 0.3 });
       ];
-    figures = [];
-    fig_scenarios = 40;
-    fig_topologies = 3;
   }
 
 let quick =
@@ -117,9 +109,6 @@ let quick =
         ("smrp0.3", Smrp { d_thresh = 0.3; protection = false });
         ("query0.3", Smrp_query { d_thresh = 0.3 });
       ];
-    figures = [];
-    fig_scenarios = 12;
-    fig_topologies = 2;
   }
 
 type cell = {
@@ -337,36 +326,6 @@ let variant_of spec cell row =
   in
   Report.of_metrics ~name:cell.c_name ~attrs m
 
-let fig_variants ?jobs spec =
-  match spec.figures with
-  | [] -> []
-  | figs ->
-      let c = Report.collector () in
-      List.iter
-        (fun fig ->
-          match fig with
-          | Fig7 ->
-              ignore
-                (Figures.Fig7.run ?jobs ~report:c ~seed:7 ~topologies:spec.fig_topologies ()
-                  : Figures.Fig7.result)
-          | Fig8 ->
-              ignore
-                (Figures.Fig8.run ?jobs ~report:c ~seed:8 ~scenarios:spec.fig_scenarios ()
-                  : Figures.Fig8.row list)
-          | Fig9 ->
-              ignore
-                (Figures.Fig9.run ?jobs ~report:c ~seed:9 ~scenarios:spec.fig_scenarios
-                   ~degree_ten_row:false ()
-                  : Figures.Fig9.row list)
-          | Fig10 ->
-              ignore
-                (Figures.Fig10.run ?jobs ~report:c ~seed:10 ~scenarios:spec.fig_scenarios ()
-                  : Figures.Fig10.row list))
-        figs;
-      (* Same projection as [Report.of_collector]: name, no attrs — so a
-         figure cell's variant is byte-identical to the standalone driver's. *)
-      List.map (fun (name, m) -> Report.of_metrics ~name m) (Report.collected c)
-
 let run ?jobs spec =
   let cs = cells spec in
   let rows = Pool.map ?jobs (run_cell spec) cs in
@@ -383,7 +342,7 @@ let run ?jobs spec =
       ("campaign.cells", string_of_int (List.length cs));
     ]
   in
-  Report.make ~title:"smrp campaign" ~meta (variants @ fig_variants ?jobs spec)
+  Report.make ~title:"smrp campaign" ~meta variants
 
 (* -- Analysis ------------------------------------------------------------ *)
 
@@ -537,14 +496,6 @@ let proto_of_token t =
   in
   (label_of_token t, proto)
 
-let fig_of_token t =
-  match t with
-  | "7" -> Fig7
-  | "8" -> Fig8
-  | "9" -> Fig9
-  | "10" -> Fig10
-  | _ -> failwith (Printf.sprintf "figs %S: expected 7, 8, 9 or 10" t)
-
 let single ~axis = function
   | [ v ] -> v
   | _ -> failwith (Printf.sprintf "%s: expected a single value" axis)
@@ -583,7 +534,6 @@ let spec_of_matrix ?(base = default) s =
             | "churn" -> spec := { !spec with churns = cells churn_of_token base.churns }
             | "fail" -> spec := { !spec with failures = cells fail_of_token base.failures }
             | "proto" -> spec := { !spec with protocols = cells proto_of_token base.protocols }
-            | "figs" -> spec := { !spec with figures = List.map fig_of_token values }
             | "instances" ->
                 spec :=
                   { !spec with instances = int_param ~what:axis ~default:0 (Some (single ~axis values)) }
@@ -597,8 +547,8 @@ let spec_of_matrix ?(base = default) s =
             | _ ->
                 failwith
                   (Printf.sprintf
-                     "unknown axis %S: expected topo, churn, fail, proto, figs, instances, \
-                      horizon or seed"
+                     "unknown axis %S: expected topo, churn, fail, proto, instances, horizon \
+                      or seed"
                      axis)))
       clauses;
     Ok !spec

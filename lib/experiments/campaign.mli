@@ -2,18 +2,20 @@
     protocol, every cell a seeded, reproducible experiment.
 
     A campaign is a value ({!spec}): four axis lists whose cross product
-    enumerates the cells, plus the paper's figure drivers as optional extra
-    cells.  Running a campaign fans the cells out over {!Pool} under the
-    byte-identical-to-sequential contract — workers return plain
-    measurement rows, the orchestrator records them into per-cell metric
-    registries after the fan-out joins — and renders one
+    enumerates the cells.  Running a campaign fans the cells out over
+    {!Pool} under the byte-identical-to-sequential contract — workers
+    return plain measurement rows, the orchestrator records them into
+    per-cell metric registries after the fan-out joins — and renders one
     {!Smrp_obs.Report.t} comparison dashboard (ASCII, HTML, JSON).
 
     Seeding discipline: every cell derives its root seed from the campaign
     seed XOR an FNV-1a hash of the cell's name, so a cell's results depend
     only on its own coordinates — never on enumeration order, matrix shape,
     or sibling cells — and identical cells (a collapsed sweep axis) are
-    deduplicated before the fan-out without changing any surviving cell. *)
+    deduplicated before the fan-out without changing any surviving cell.
+    The name includes the protocol, so two protocol cells never share an
+    instance: the paper's figures, each point a paired comparison on one
+    topology and group, are the {!Figures} drivers, not cells. *)
 
 type topology =
   | Waxman of { n : int; alpha : float; beta : float; link_delay : Smrp_topology.Waxman.link_delay }
@@ -28,8 +30,6 @@ type protocol =
   | Smrp of { d_thresh : float; protection : bool }
   | Smrp_query of { d_thresh : float }
 
-type fig = Fig7 | Fig8 | Fig9 | Fig10
-
 type spec = {
   seed : int;
   instances : int;  (** Scenario instances per cell. *)
@@ -38,9 +38,6 @@ type spec = {
   churns : (string * Churn.model) list;
   failures : (string * Failure_model.model) list;
   protocols : (string * protocol) list;
-  figures : fig list;  (** Paper-figure cells appended after the matrix. *)
-  fig_scenarios : int;  (** Scenarios per figure data point. *)
-  fig_topologies : int;  (** Fig. 7 topology count. *)
 }
 
 val default : spec
@@ -78,15 +75,16 @@ val spec_of_matrix : ?base:spec -> string -> (spec, string) result
     (static\[:K\], flash, diurnal, heavy), [fail] (indep\[:K\],
     correlated, regional, cascade, adversarial\[:B\]), [proto] (spf,
     smrp:D, query:D, protected:D), and scalar clauses [instances=N],
-    [horizon=T], [figs=7,8,9,10].  A token equal to one of [base]'s labels
+    [horizon=T] and [seed=S].  A token equal to one of [base]'s labels
     on that axis (e.g. [indep], [smrp0.3]) names [base]'s own cell.
-    Numbers must be positive and finite. *)
+    Numbers must be positive and finite, except the seed, which is any
+    integer. *)
 
 val run : ?jobs:int -> spec -> Smrp_obs.Report.t
-(** Run every cell (fanned out over {!Pool.map}) and the figure cells, and
-    assemble the comparison report.  Byte-identical whatever [jobs]: cell
-    rows are recorded into the collector only after the fan-out joins, and
-    the figure drivers already guarantee the same. *)
+(** Run every cell (fanned out over {!Pool.map}) and assemble the
+    comparison report, one variant per cell.  Byte-identical whatever
+    [jobs]: cell rows are turned into registries only after the fan-out
+    joins. *)
 
 val digest : Smrp_obs.Report.t -> string
 (** Hex digest of the canonical report JSON — the pinning handle. *)

@@ -1,11 +1,8 @@
 module Rng = Smrp_rng.Rng
-module Waxman = Smrp_topology.Waxman
 module Tree = Smrp_core.Tree
 module Spf = Smrp_core.Spf
 module Smrp = Smrp_core.Smrp
 module Steiner = Smrp_core.Steiner
-module Failure = Smrp_core.Failure
-module Recovery = Smrp_core.Recovery
 module Stats = Smrp_metrics.Stats
 module Table = Smrp_metrics.Table
 
@@ -20,30 +17,18 @@ type row = {
 
 (* Worst-case global-detour RD on the baseline tree vs local-detour RD on
    the SMRP tree — the same full-system metric as Figs. 8-10. *)
-let rd_reduction ?ws ~baseline_tree ~smrp_tree m =
-  let rd tree strategy =
-    match Failure.worst_case_for_member tree m with
-    | None -> None
-    | Some f ->
-        Option.map
-          (fun d -> d.Recovery.recovery_distance)
-          (match strategy with
-          | `Global -> Recovery.global_detour ?ws tree f ~member:m
-          | `Local -> Recovery.local_detour ?ws tree f ~member:m)
-  in
-  match (rd baseline_tree `Global, rd smrp_tree `Local) with
+let rd_reduction ~ws ~baseline_tree ~smrp_tree m =
+  match
+    ( Scenario.recovery_distance ~ws baseline_tree m `Global,
+      Scenario.recovery_distance ~ws smrp_tree m `Local )
+  with
   | Some b, Some i when b > 0.0 -> Some (Stats.relative_reduction ~baseline:b ~improved:i)
   | _ -> None
 
 (* One scenario's contribution, with the per-member item lists in member
    order (the order the sequential loop prepended them in). *)
 let run_one (topo_rng, member_rng) =
-  let topo = Waxman.generate ~link_delay:`Unit topo_rng ~n:100 ~alpha:0.2 ~beta:0.2 in
-  let g = topo.Waxman.graph in
-  let chosen = Array.of_list (Rng.sample_without_replacement member_rng 31 100) in
-  Rng.shuffle member_rng chosen;
-  let source = chosen.(0) in
-  let members = Array.to_list (Array.sub chosen 1 30) in
+  let g, source, members = Scenario.draw Scenario.default ~topo_rng ~member_rng in
   let ws = Smrp_graph.Dijkstra.workspace ~capacity:100 () in
   let spf = Spf.build ~ws g ~source ~members in
   let smrp = Smrp.build ~d_thresh:0.3 ~ws g ~source ~members in
@@ -85,14 +70,13 @@ let run ?jobs ?(seed = 21) ?(scenarios = 50) () =
     delay_steiner_vs_spf = Stats.summarize (merge (fun (_, _, d, _, _) -> d));
   }
 
-let pct s = Printf.sprintf "%5.1f%% ± %.1f" (100.0 *. s.Stats.mean) (100.0 *. s.Stats.ci95)
-
 let render r =
   let t = Table.create ~columns:[ "baseline system"; "SMRP RD reduction"; "baseline cost vs Steiner" ] in
-  Table.add_row t [ "SPF/PIM"; pct r.rd_vs_spf; pct r.cost_spf_vs_steiner ];
-  Table.add_row t [ "Steiner (cost-min)"; pct r.rd_vs_steiner; "0 (reference)" ];
+  Table.add_row t [ "SPF/PIM"; Stats.pct r.rd_vs_spf; Stats.pct r.cost_spf_vs_steiner ];
+  Table.add_row t [ "Steiner (cost-min)"; Stats.pct r.rd_vs_steiner; "0 (reference)" ];
   Printf.sprintf
     "Cost-minimising baseline (4.2's conjecture; %d scenarios, Takahashi-Matsuyama trees)\n%s\n\
      SMRP tree cost vs Steiner: %s; Steiner delay penalty vs SPF: %s\n\
      (conjecture holds if SMRP's advantage persists against the cost-min baseline)\n"
-    r.scenarios (Table.render t) (pct r.cost_smrp_vs_steiner) (pct r.delay_steiner_vs_spf)
+    r.scenarios (Table.render t) (Stats.pct r.cost_smrp_vs_steiner)
+    (Stats.pct r.delay_steiner_vs_spf)

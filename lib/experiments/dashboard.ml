@@ -1,7 +1,5 @@
-module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
-module Waxman = Smrp_topology.Waxman
 module Tree = Smrp_core.Tree
 module Spf = Smrp_core.Spf
 module Smrp = Smrp_core.Smrp
@@ -42,18 +40,7 @@ let variant_names config =
   ("spf baseline" :: List.map (Printf.sprintf "smrp d=%.2f") config.d_values) @ [ "smrp query" ]
 
 let measure_seed config seed : rows list =
-  let base = Scenario.default in
-  let rng = Rng.create seed in
-  let topo_rng = Rng.split rng in
-  let member_rng = Rng.split rng in
-  let topo =
-    Waxman.generate ~link_delay:base.Scenario.link_delay topo_rng ~n:base.Scenario.n
-      ~alpha:base.Scenario.alpha ~beta:base.Scenario.beta
-  in
-  let graph = topo.Waxman.graph in
-  let source, members =
-    Scenario.pick_group member_rng ~n:base.Scenario.n ~group_size:base.Scenario.group_size
-  in
+  let graph, source, members = Scenario.instance { Scenario.default with Scenario.seed } in
   let ws = Dijkstra.workspace ~capacity:(Graph.node_count graph) () in
   let rows_of tree strategy =
     List.map
@@ -68,7 +55,8 @@ let measure_seed config seed : rows list =
       config.d_values
   in
   let query_rows =
-    rows_of (Query.build ~d_thresh:base.Scenario.d_thresh ~ws graph ~source ~members) `Local
+    let d_thresh = Scenario.default.Scenario.d_thresh in
+    rows_of (Query.build ~d_thresh ~ws graph ~source ~members) `Local
   in
   (spf_rows :: smrp_rows) @ [ query_rows ]
 
@@ -91,34 +79,9 @@ let record_rows m (rows : rows) =
       Sketch.observe delay_q delay)
     rows
 
-(* Packet-level restoration latency (§4.4): sequential, injecting one
-   collector registry per side so the protocol's recovery sketches and the
-   sim-time series land in their own variants. *)
-let run_latency config collector =
-  if config.latency_runs > 0 then begin
-    let smrp_m = Report.variant_metrics collector "smrp (packet sim)" in
-    let pim_m = Report.variant_metrics collector "pim (packet sim)" in
-    let rng = Rng.create (config.seed + 1) in
-    let rec collect remaining attempts =
-      if remaining > 0 && attempts > 0 then begin
-        let s = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF in
-        let lc =
-          { config.latency with Latency.scenario = { config.latency.Latency.scenario with Scenario.seed = s } }
-        in
-        match Latency.run ~smrp_metrics:smrp_m ~pim_metrics:pim_m lc with
-        | Some _ -> collect (remaining - 1) (attempts - 1)
-        | None -> collect remaining (attempts - 1)
-      end
-    in
-    collect config.latency_runs (5 * config.latency_runs)
-  end
-
 let run ?jobs config =
   if config.scenarios < 1 then invalid_arg "Dashboard.run: scenarios must be positive";
-  let rng = Rng.create config.seed in
-  let seeds =
-    List.init config.scenarios (fun _ -> Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF)
-  in
+  let seeds = Scenario.seeds ~seed:config.seed ~count:config.scenarios in
   let per_seed = Pool.map ?jobs (measure_seed config) seeds in
   let collector = Report.collector () in
   let names = variant_names config in
@@ -128,7 +91,16 @@ let run ?jobs config =
   List.iter
     (fun rows_per_variant -> List.iter2 record_rows registries rows_per_variant)
     per_seed;
-  run_latency config collector;
+  (* Packet-level restoration latency (§4.4), sequential, each side
+     recording into its own variant's registry. *)
+  if config.latency_runs > 0 then begin
+    let smrp_metrics = Report.variant_metrics collector "smrp (packet sim)" in
+    let pim_metrics = Report.variant_metrics collector "pim (packet sim)" in
+    ignore
+      (Latency.run_many ~smrp_metrics ~pim_metrics ~seed:(config.seed + 1)
+         ~runs:config.latency_runs config.latency
+        : Latency.result list)
+  end;
   let meta =
     [
       ("seed", string_of_int config.seed);

@@ -18,6 +18,10 @@
     ([rd.q], [delay.q]) so the dashboard's comparison tables line up one
     row per metric with one column per variant.
 
+    The topology variants share one instance per scenario: the
+    {!Scenario.instance} of each of the {!Scenario.seeds} of [seed].  The
+    packet runs are {!Latency.run_many} from [seed + 1].
+
     Scenario evaluation fans out over {!Pool.map}; recording happens on the
     orchestrating domain after the fan-out joins, and the packet simulation
     is sequential, so the report is byte-identical whatever [jobs]. *)

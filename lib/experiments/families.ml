@@ -118,8 +118,6 @@ let run ?jobs ?(seed = 31) ?(scenarios = 50) ?(target_degree = 4.5) () =
     measure_family ?jobs ~seed ~scenarios ~generate:transit_stub_draw "transit-stub";
   ]
 
-let pct s = Printf.sprintf "%5.1f%% ± %.1f" (100.0 *. s.Stats.mean) (100.0 *. s.Stats.ci95)
-
 let render rows =
   let t =
     Table.create
@@ -128,7 +126,13 @@ let render rows =
   List.iter
     (fun r ->
       Table.add_row t
-        [ r.family; Printf.sprintf "%.2f" r.average_degree; pct r.rd; pct r.delay; pct r.cost ])
+        [
+          r.family;
+          Printf.sprintf "%.2f" r.average_degree;
+          Stats.pct r.rd;
+          Stats.pct r.delay;
+          Stats.pct r.cost;
+        ])
     rows;
   Printf.sprintf
     "Topology families (Zegura et al. [7]; N=100, N_G<=30, D_thresh=0.3, matched density)\n%s\n\

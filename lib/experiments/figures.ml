@@ -2,54 +2,26 @@ module Rng = Smrp_rng.Rng
 module Stats = Smrp_metrics.Stats
 module Table = Smrp_metrics.Table
 module Waxman = Smrp_topology.Waxman
-module Report = Smrp_obs.Report
-
-(* Distinct, reproducible seeds per scenario: one stream per experiment,
-   split once per scenario. *)
-let scenario_seeds ~seed ~count =
-  let rng = Rng.create seed in
-  List.init count (fun _ -> Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF)
 
 (* All data points of a figure fan out through one flat Pool.map — a slow
    config does not serialize behind a fast one — and are regrouped per
-   config afterwards, preserving the sequential order exactly.
-
-   With [?report], each config's scenarios are additionally recorded into
-   the collector's per-variant registry named by [variants] (aligned with
-   [configs]).  Recording happens here on the orchestrator domain, after
-   the fan-out has joined, so the resulting report is byte-identical
-   whatever [jobs]. *)
-let sweep ?jobs ?metrics ?report ?(variants = []) ~seed ~scenarios ~configs () =
-  let per_config =
-    List.map
-      (fun make_config ->
-        let seeds = scenario_seeds ~seed ~count:scenarios in
-        List.map make_config seeds)
-      configs
-  in
+   config afterwards, preserving the sequential order exactly.  Every data
+   point runs on the same scenario seeds. *)
+let sweep ?jobs ?metrics ~seed ~scenarios ~configs () =
+  let seeds = Scenario.seeds ~seed ~count:scenarios in
+  let per_config = List.map (fun make_config -> List.map make_config seeds) configs in
   let results = ref (Scenario.run_many ?jobs ?metrics (List.concat per_config)) in
-  let groups =
-    List.map
-      (fun cfgs ->
-        let k = List.length cfgs in
-        let rec take k acc rest =
-          if k = 0 then (List.rev acc, rest)
-          else match rest with x :: tl -> take (k - 1) (x :: acc) tl | [] -> assert false
-        in
-        let group, rest = take k [] !results in
-        results := rest;
-        group)
-      per_config
-  in
-  (match report with
-  | Some c when variants <> [] ->
-      List.iter2
-        (fun name group ->
-          let m = Report.variant_metrics c name in
-          List.iter (Scenario.record m) group)
-        variants groups
-  | _ -> ());
-  groups
+  List.map
+    (fun cfgs ->
+      let k = List.length cfgs in
+      let rec take k acc rest =
+        if k = 0 then (List.rev acc, rest)
+        else match rest with x :: tl -> take (k - 1) (x :: acc) tl | [] -> assert false
+      in
+      let group, rest = take k [] !results in
+      results := rest;
+      group)
+    per_config
 
 type point_summary = {
   rd : Stats.summary;
@@ -69,8 +41,6 @@ let summaries runs =
     degree = Stats.summarize (List.map (fun r -> r.Scenario.average_degree) runs);
   }
 
-let pct s = Printf.sprintf "%5.1f%% ± %.1f" (100.0 *. s.Stats.mean) (100.0 *. s.Stats.ci95)
-
 let num v = Printf.sprintf "%.6f" v
 
 let num_pair s = [ num s.Stats.mean; num s.Stats.ci95 ]
@@ -83,33 +53,22 @@ module Fig7 = struct
     on_diagonal_fraction : float;
   }
 
-  let run ?jobs ?metrics ?report ?(seed = 7) ?(topologies = 5) () =
-    let seeds = scenario_seeds ~seed ~count:topologies in
+  let run ?jobs ?metrics ?(seed = 7) ?(topologies = 5) () =
     let scenarios =
       Scenario.run_many ?jobs ?metrics
-        (List.map (fun s -> { Scenario.default with seed = s; link_delay = `Euclidean }) seeds)
+        (List.map
+           (fun s -> { Scenario.default with seed = s; link_delay = `Euclidean })
+           (Scenario.seeds ~seed ~count:topologies))
     in
-    (match report with
-    | Some c ->
-        let m = Report.variant_metrics c "smrp (euclidean)" in
-        List.iter (Scenario.record m) scenarios
-    | None -> ());
-    let points =
+    let pairs =
       List.concat_map
         (fun scenario ->
-          List.filter_map
-            (fun o ->
-              match (o.Scenario.rd_global_smrp, o.Scenario.rd_local_smrp) with
-              | Some g, Some l -> Some (g, l)
-              | _ -> None)
+          List.map
+            (fun o -> (o.Scenario.rd_global_smrp, o.Scenario.rd_local_smrp))
             scenario.Scenario.outcomes)
         scenarios
     in
-    let reductions =
-      List.filter_map
-        (fun (g, l) -> if g > 0.0 then Some (Stats.relative_reduction ~baseline:g ~improved:l) else None)
-        points
-    in
+    let points = List.filter_map (function Some g, Some l -> Some (g, l) | _ -> None) pairs in
     let fraction pred =
       match points with
       | [] -> 0.0
@@ -117,7 +76,7 @@ module Fig7 = struct
     in
     {
       points;
-      mean_reduction = (match reductions with [] -> 0.0 | _ -> Stats.mean reductions);
+      mean_reduction = Scenario.mean_reduction pairs;
       below_diagonal_fraction = fraction (fun (g, l) -> l < g -. 1e-9);
       on_diagonal_fraction = fraction (fun (g, l) -> abs_float (g -. l) <= 1e-9);
     }
@@ -151,17 +110,16 @@ module Fig8 = struct
     cost : Stats.summary;
   }
 
-  let run ?jobs ?metrics ?report ?(seed = 8) ?(values = [ 0.1; 0.2; 0.3; 0.4 ]) ?(scenarios = 100) () =
+  let run ?jobs ?metrics ?(seed = 8) ?(values = [ 0.1; 0.2; 0.3; 0.4 ]) ?(scenarios = 100) () =
     let configs =
       List.map (fun dt s -> { Scenario.default with d_thresh = dt; seed = s }) values
     in
-    let variants = List.map (Printf.sprintf "smrp d=%.2f") values in
     List.map2
       (fun dt runs ->
         let s = summaries runs in
         { d_thresh = dt; rd = s.rd; rd_tree = s.rd_tree; delay = s.delay; cost = s.cost })
       values
-      (sweep ?jobs ?metrics ?report ~variants ~seed ~scenarios ~configs ())
+      (sweep ?jobs ?metrics ~seed ~scenarios ~configs ())
 
   let render rows =
     let t =
@@ -171,7 +129,13 @@ module Fig8 = struct
     List.iter
       (fun r ->
         Table.add_row t
-          [ Printf.sprintf "%.2f" r.d_thresh; pct r.rd; pct r.rd_tree; pct r.delay; pct r.cost ])
+          [
+            Printf.sprintf "%.2f" r.d_thresh;
+            Stats.pct r.rd;
+            Stats.pct r.rd_tree;
+            Stats.pct r.delay;
+            Stats.pct r.cost;
+          ])
       rows;
     Printf.sprintf
       "Figure 8: effect of D_thresh (N=100, N_G=30, alpha=0.2)\n%s\n\
@@ -205,7 +169,7 @@ module Fig9 = struct
     cost : Stats.summary;
   }
 
-  let run ?jobs ?metrics ?report ?(seed = 9) ?(values = [ 0.15; 0.2; 0.25; 0.3 ]) ?(scenarios = 100)
+  let run ?jobs ?metrics ?(seed = 9) ?(values = [ 0.15; 0.2; 0.25; 0.3 ]) ?(scenarios = 100)
       ?(degree_ten_row = true) () =
     let values =
       if degree_ten_row then begin
@@ -219,13 +183,12 @@ module Fig9 = struct
       else values
     in
     let configs = List.map (fun a s -> { Scenario.default with alpha = a; seed = s }) values in
-    let variants = List.map (Printf.sprintf "smrp alpha=%.3f") values in
     List.map2
       (fun a runs ->
         let s = summaries runs in
         { alpha = a; average_degree = s.degree.Stats.mean; rd = s.rd; delay = s.delay; cost = s.cost })
       values
-      (sweep ?jobs ?metrics ?report ~variants ~seed ~scenarios ~configs ())
+      (sweep ?jobs ?metrics ~seed ~scenarios ~configs ())
 
   let render rows =
     let t =
@@ -238,9 +201,9 @@ module Fig9 = struct
           [
             Printf.sprintf "%.3f" r.alpha;
             Printf.sprintf "%.2f" r.average_degree;
-            pct r.rd;
-            pct r.delay;
-            pct r.cost;
+            Stats.pct r.rd;
+            Stats.pct r.delay;
+            Stats.pct r.cost;
           ])
       rows;
     Printf.sprintf
@@ -274,15 +237,14 @@ module Fig10 = struct
     cost : Stats.summary;
   }
 
-  let run ?jobs ?metrics ?report ?(seed = 10) ?(values = [ 20; 30; 40; 50 ]) ?(scenarios = 100) () =
+  let run ?jobs ?metrics ?(seed = 10) ?(values = [ 20; 30; 40; 50 ]) ?(scenarios = 100) () =
     let configs = List.map (fun ng s -> { Scenario.default with group_size = ng; seed = s }) values in
-    let variants = List.map (Printf.sprintf "smrp N_G=%d") values in
     List.map2
       (fun ng runs ->
         let s = summaries runs in
         { group_size = ng; rd = s.rd; delay = s.delay; cost = s.cost })
       values
-      (sweep ?jobs ?metrics ?report ~variants ~seed ~scenarios ~configs ())
+      (sweep ?jobs ?metrics ~seed ~scenarios ~configs ())
 
   let render rows =
     let t =
@@ -290,7 +252,8 @@ module Fig10 = struct
     in
     List.iter
       (fun r ->
-        Table.add_row t [ string_of_int r.group_size; pct r.rd; pct r.delay; pct r.cost ])
+        Table.add_row t
+          [ string_of_int r.group_size; Stats.pct r.rd; Stats.pct r.delay; Stats.pct r.cost ])
       rows;
     Printf.sprintf
       "Figure 10: effect of group size (N=100, alpha=0.2, D_thresh=0.3)\n%s\n\

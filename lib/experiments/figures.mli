@@ -1,16 +1,13 @@
 (** Drivers regenerating each figure of §4.  Every run is deterministic in
     its [seed]; scenario counts default to the paper's but scale down for
-    quick runs.  Scenario fan-outs run domain-parallel through {!Pool}
+    quick runs.  A data point is a paired comparison: each scenario is one
+    {!Scenario.run}, and every point of a sweep runs on the same
+    {!Scenario.seeds} of [seed], changing only the swept parameter.
+    Scenario fan-outs run domain-parallel through {!Pool}
     ([jobs] to override; results are byte-identical whatever the count).
     Every [run] accepts [?metrics]: a {!Smrp_obs.Metrics.t} registry that
     each scenario records into (see {!Scenario.run}) — shared across the
     parallel fan-out, it merges to exactly the sequential totals.
-
-    Every [run] also accepts [?report]: a {!Smrp_obs.Report.collector}
-    that receives each sweep row as its own variant (named after the swept
-    parameter, e.g. ["smrp d=0.30"]), recorded via {!Scenario.record} on
-    the orchestrating domain after the fan-out joins — the collected
-    report is byte-identical whatever [jobs].
 
     Sampling note: the paper reuses each random topology for several member
     sets (e.g. 10 × 10 in Fig. 8); we draw an independent topology per
@@ -31,7 +28,6 @@ module Fig7 : sig
   val run :
     ?jobs:int ->
     ?metrics:Smrp_obs.Metrics.t ->
-    ?report:Smrp_obs.Report.collector ->
     ?seed:int ->
     ?topologies:int ->
     unit ->
@@ -63,7 +59,6 @@ module Fig8 : sig
   val run :
     ?jobs:int ->
     ?metrics:Smrp_obs.Metrics.t ->
-    ?report:Smrp_obs.Report.collector ->
     ?seed:int ->
     ?values:float list ->
     ?scenarios:int ->
@@ -92,7 +87,6 @@ module Fig9 : sig
   val run :
     ?jobs:int ->
     ?metrics:Smrp_obs.Metrics.t ->
-    ?report:Smrp_obs.Report.collector ->
     ?seed:int ->
     ?values:float list ->
     ?scenarios:int ->
@@ -122,7 +116,6 @@ module Fig10 : sig
   val run :
     ?jobs:int ->
     ?metrics:Smrp_obs.Metrics.t ->
-    ?report:Smrp_obs.Report.collector ->
     ?seed:int ->
     ?values:int list ->
     ?scenarios:int ->

@@ -6,7 +6,6 @@ module Engine = Smrp_sim.Engine
 module Protocol = Smrp_sim.Protocol
 module Stats = Smrp_metrics.Stats
 module Table = Smrp_metrics.Table
-module Waxman = Smrp_topology.Waxman
 module Metrics = Smrp_obs.Metrics
 module Flight = Smrp_obs.Flight
 module Timeline = Smrp_obs.Timeline
@@ -91,18 +90,7 @@ let run ?(flight = false) ?(with_metrics = false) ?smrp_metrics ?pim_metrics con
   let rng = Rng.create sc.Scenario.seed in
   let topo_rng = Rng.split rng in
   let member_rng = Rng.split rng in
-  let topo =
-    Waxman.generate ~link_delay:sc.Scenario.link_delay topo_rng ~n:sc.Scenario.n
-      ~alpha:sc.Scenario.alpha ~beta:sc.Scenario.beta
-  in
-  let graph = topo.Waxman.graph in
-  let chosen =
-    Array.of_list
-      (Rng.sample_without_replacement member_rng (sc.Scenario.group_size + 1) sc.Scenario.n)
-  in
-  Rng.shuffle member_rng chosen;
-  let source = chosen.(0) in
-  let members = Array.to_list (Array.sub chosen 1 sc.Scenario.group_size) in
+  let graph, source, members = Scenario.draw sc ~topo_rng ~member_rng in
   (* Pick a victim whose worst-case link is not a bridge in either tree, so
      recovery is physically possible (the paper measures recovery distances,
      which presumes recoverable members). *)
@@ -148,9 +136,10 @@ let to_chrome r emit =
     [ (1, "SMRP (local)", r.smrp); (2, "PIM (global)", r.pim) ]
 
 (* Run [config] at the next seed drawn from [rng]. *)
-let run_next ?flight ?with_metrics rng config =
-  let s = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF in
-  run ?flight ?with_metrics { config with scenario = { config.scenario with Scenario.seed = s } }
+let run_next ?flight ?with_metrics ?smrp_metrics ?pim_metrics rng config =
+  let seed = Scenario.next_seed rng in
+  run ?flight ?with_metrics ?smrp_metrics ?pim_metrics
+    { config with scenario = { config.scenario with Scenario.seed } }
 
 let run_one ?flight ?with_metrics ~seed config =
   let rng = Rng.create seed in
@@ -163,12 +152,12 @@ let run_one ?flight ?with_metrics ~seed config =
   in
   attempt 50
 
-let run_many ?(seed = 25) ?(runs = 10) config =
+let run_many ?smrp_metrics ?pim_metrics ?(seed = 25) ?(runs = 10) config =
   let rng = Rng.create seed in
   let rec collect acc remaining attempts =
     if remaining = 0 || attempts = 0 then List.rev acc
     else
-      match run_next rng config with
+      match run_next ?smrp_metrics ?pim_metrics rng config with
       | Some r -> collect (r :: acc) (remaining - 1) (attempts - 1)
       | None -> collect acc remaining (attempts - 1)
   in

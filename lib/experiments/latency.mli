@@ -8,7 +8,9 @@
       unicast reconvergence time.
 
     The failure is the worst case for a random member: the on-tree link
-    incident to the source towards it. *)
+    incident to the source towards it.  The topology and group are
+    {!Scenario.draw}'s, on the two streams split from the scenario seed; the
+    victim is drawn from the member stream after the group. *)
 
 type config = {
   scenario : Scenario.config;
@@ -71,6 +73,17 @@ val run_one : ?flight:bool -> ?with_metrics:bool -> seed:int -> config -> result
     makes) that has a recoverable victim, within 50 draws — the scenario
     [smrp latency --trace] and [--metrics] observe. *)
 
-val run_many : ?seed:int -> ?runs:int -> config -> result list
+val run_many :
+  ?smrp_metrics:Smrp_obs.Metrics.t ->
+  ?pim_metrics:Smrp_obs.Metrics.t ->
+  ?seed:int ->
+  ?runs:int ->
+  config ->
+  result list
+(** Up to [runs] (default 10) results of {!run}, at the {!Scenario.next_seed}
+    draws from [seed] (default 25), skipping draws without a recoverable
+    victim and giving up after [5 * runs] draws.  [smrp_metrics] /
+    [pim_metrics] are passed to every {!run}, so each side's registry
+    accumulates over all the draws. *)
 
 val render : result list -> string

@@ -1,5 +1,3 @@
-module Rng = Smrp_rng.Rng
-module Waxman = Smrp_topology.Waxman
 module Engine = Smrp_sim.Engine
 module Protocol = Smrp_sim.Protocol
 module Table = Smrp_metrics.Table
@@ -47,12 +45,10 @@ let run_side ~graph ~source ~member_list ~sim_time ~name config =
   }
 
 let run ?(seed = 41) ?(members = 30) ?(sim_time = 120.0) () =
-  let rng = Rng.create seed in
-  let topo_rng = Rng.split rng in
-  let member_rng = Rng.split rng in
-  let topo = Waxman.generate topo_rng ~n:100 ~alpha:0.2 ~beta:0.2 in
-  let source, member_list = Scenario.pick_group member_rng ~n:100 ~group_size:members in
-  let graph = topo.Waxman.graph in
+  let graph, source, member_list =
+    Scenario.instance
+      { Scenario.default with Scenario.seed; group_size = members; link_delay = `Euclidean }
+  in
   let base strategy = { Protocol.default_config with Protocol.strategy } in
   {
     seed;

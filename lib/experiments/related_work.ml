@@ -5,8 +5,6 @@ module Waxman = Smrp_topology.Waxman
 module Tree = Smrp_core.Tree
 module Spf = Smrp_core.Spf
 module Smrp = Smrp_core.Smrp
-module Failure = Smrp_core.Failure
-module Recovery = Smrp_core.Recovery
 module Redundant = Smrp_core.Redundant
 module Stats = Smrp_metrics.Stats
 module Table = Smrp_metrics.Table
@@ -56,12 +54,9 @@ let compare_schemes ?(seed = 16) ?(scenarios = 50) ?(alpha = 0.5) () =
     incr attempts;
     let topo_rng = Rng.split rng in
     let member_rng = Rng.split rng in
-    let topo = Waxman.generate ~link_delay:`Unit topo_rng ~n:100 ~alpha ~beta:0.2 in
-    let g = topo.Waxman.graph in
-    let chosen = Array.of_list (Rng.sample_without_replacement member_rng 31 100) in
-    Rng.shuffle member_rng chosen;
-    let source = chosen.(0) in
-    let members = Array.to_list (Array.sub chosen 1 30) in
+    let g, source, members =
+      Scenario.draw { Scenario.default with Scenario.alpha } ~topo_rng ~member_rng
+    in
     match Redundant.build g ~source with
     | None -> ()
     | Some red ->
@@ -80,12 +75,7 @@ let compare_schemes ?(seed = 16) ?(scenarios = 50) ?(alpha = 0.5) () =
             delay_red_post :=
               Stats.relative_increase ~baseline:spf_delay ~changed:(Redundant.worst_delay red m)
               :: !delay_red_post;
-            match Failure.worst_case_for_member smrp m with
-            | None -> ()
-            | Some f -> (
-                match Recovery.local_detour smrp f ~member:m with
-                | Some d -> rd := d.Recovery.recovery_distance :: !rd
-                | None -> ()))
+            Option.iter (fun d -> rd := d :: !rd) (Scenario.recovery_distance smrp m `Local))
           members;
         let spf_cost = Tree.total_cost spf in
         cost_smrp :=

@@ -94,12 +94,29 @@ let evaluate ?ws graph ~source ~members ~d_thresh =
   in
   (spf_tree, smrp_tree, List.map outcome members)
 
-let pick_group rng ~n ~group_size =
+let draw config ~topo_rng ~member_rng =
+  let topo =
+    Waxman.generate ~link_delay:config.link_delay topo_rng ~n:config.n ~alpha:config.alpha
+      ~beta:config.beta
+  in
   (* Source and group drawn together, then the source chosen uniformly
      among them (avoids biasing the source towards low node ids). *)
-  let chosen = Array.of_list (Rng.sample_without_replacement rng (group_size + 1) n) in
-  Rng.shuffle rng chosen;
-  (chosen.(0), Array.to_list (Array.sub chosen 1 group_size))
+  let k = config.group_size in
+  let chosen = Array.of_list (Rng.sample_without_replacement member_rng (k + 1) config.n) in
+  Rng.shuffle member_rng chosen;
+  (topo.Waxman.graph, chosen.(0), Array.to_list (Array.sub chosen 1 k))
+
+let instance config =
+  let rng = Rng.create config.seed in
+  let topo_rng = Rng.split rng in
+  let member_rng = Rng.split rng in
+  draw config ~topo_rng ~member_rng
+
+let next_seed rng = Int64.to_int (Rng.bits64 rng) land 0x3FFFFFFF
+
+let seeds ~seed ~count =
+  let rng = Rng.create seed in
+  List.init count (fun _ -> next_seed rng)
 
 (* Per-scenario instrumentation.  Instruments resolve through the registry
    lock once per scenario (not per event), then mutate the calling domain's
@@ -134,15 +151,7 @@ let record m t =
 
 let run ?metrics config =
   if config.group_size + 1 > config.n then invalid_arg "Scenario.run: group larger than network";
-  let rng = Rng.create config.seed in
-  let topo_rng = Rng.split rng in
-  let member_rng = Rng.split rng in
-  let topo =
-    Waxman.generate ~link_delay:config.link_delay topo_rng ~n:config.n ~alpha:config.alpha
-      ~beta:config.beta
-  in
-  let graph = topo.Waxman.graph in
-  let source, members = pick_group member_rng ~n:config.n ~group_size:config.group_size in
+  let graph, source, members = instance config in
   (* When run under [Pool.with_instrumentation ~flight], the scenario's
      Dijkstra workspace carries this domain's recorder so every search
      inside it (tree builds, candidate searches, recovery detours) lands in

@@ -84,9 +84,29 @@ val evaluate :
     every member — the core of {!run}, exposed for experiments over other
     topology families. *)
 
-val pick_group : Smrp_rng.Rng.t -> n:int -> group_size:int -> int * int list
-(** Draw a source and a member set uniformly (the source is an unbiased
-    pick among the drawn nodes). *)
+val draw :
+  config ->
+  topo_rng:Smrp_rng.Rng.t ->
+  member_rng:Smrp_rng.Rng.t ->
+  Smrp_graph.Graph.t * int * int list
+(** [(graph, source, members)]: one instance of [config] — a Waxman
+    topology drawn from [topo_rng], then [group_size + 1] distinct nodes
+    from [member_rng], of which a uniform pick is the source (so the source
+    is not biased towards low node ids).  [config.seed] is not read: for
+    experiments that split their own streams. *)
+
+val instance : config -> Smrp_graph.Graph.t * int * int list
+(** {!draw} on two streams split, topology first, from [config.seed]: the
+    instance {!run} measures.  Every static experiment draws through this
+    or {!draw}, so one seed names one topology and group everywhere. *)
+
+val next_seed : Smrp_rng.Rng.t -> int
+(** A non-negative 30-bit scenario seed from [rng]. *)
+
+val seeds : seed:int -> count:int -> int list
+(** [count] scenario seeds: {!next_seed} applied [count] times to the stream
+    of [seed].  The seeds of a sweep's scenarios, shared by every data
+    point so each point sees the same instances. *)
 
 val recovery_distance :
   ?ws:Smrp_graph.Dijkstra.workspace ->
@@ -119,3 +139,9 @@ type aggregates = {
 }
 
 val aggregates : t -> aggregates
+
+val mean_reduction : (float option * float option) list -> float
+(** Mean of [(baseline - improved) / baseline] over the [(baseline,
+    improved)] pairs where both are defined and [baseline > 0], in list
+    order; 0 when no pair qualifies.  The group average behind every
+    relative recovery-distance metric. *)

@@ -52,6 +52,8 @@ let relative_reduction ~baseline ~improved =
 let relative_increase ~baseline ~changed =
   if baseline = 0.0 then 0.0 else (changed -. baseline) /. baseline
 
+let pct s = Printf.sprintf "%5.1f%% ± %.1f" (100.0 *. s.mean) (100.0 *. s.ci95)
+
 let pp_summary ppf s =
   Format.fprintf ppf "mean %.4f ± %.4f (n=%d, sd %.4f, range [%.4f, %.4f])" s.mean s.ci95 s.count
     s.stddev s.min s.max

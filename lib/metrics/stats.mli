@@ -24,4 +24,8 @@ val relative_reduction : baseline:float -> improved:float -> float
 val relative_increase : baseline:float -> changed:float -> float
 (** [(changed - baseline) / baseline]: the paper's delay/cost penalties. *)
 
+val pct : summary -> string
+(** A relative metric as a table cell: mean and 95% CI half-width in
+    percent, e.g. [" 23.3% ± 5.3"]. *)
+
 val pp_summary : Format.formatter -> summary -> unit

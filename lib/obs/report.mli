@@ -50,9 +50,8 @@ val make : title:string -> ?meta:(string * string) list -> variant list -> t
 (** {2 Collectors}
 
     A collector hands out one registry per variant name, thread-safely, so
-    experiment drivers ([Figures.figN ?report]) can record each sweep row
-    into its own variant while fanning rows out over a pool.  Variants keep
-    first-registration order. *)
+    an experiment ([Dashboard]) can record each variant into its own
+    registry and then project them all into one report. *)
 
 type collector
 
@@ -61,10 +60,8 @@ val collector : unit -> collector
 val variant_metrics : collector -> string -> Metrics.t
 (** Get-or-create the registry for a variant name. *)
 
-val collected : collector -> (string * Metrics.t) list
-(** Variants in first-registration order. *)
-
 val of_collector : title:string -> ?meta:(string * string) list -> collector -> t
+(** The report of every variant, in first-registration order. *)
 
 (** {2 Serialization} *)
 

@@ -197,6 +197,62 @@ let ablation_hierarchy_smoke () =
   check "failures measured" true (r.Ablation.Hierarchical.failures > 0);
   check "renders" true (String.length (Ablation.Hierarchical.render r) > 50)
 
+(* The MD5 of every experiment's rendered output at small fixed scale, each
+   at its driver's default seed.  These outputs are what the CLI and the
+   bench print, so a refactor of how experiments draw, seed or measure
+   their instances must leave every digest unchanged.  A deliberate change
+   of behaviour regenerates the list from this test's failure output. *)
+let golden_renders () =
+  let module Cost_min = Smrp_experiments.Cost_min in
+  let module Families = Smrp_experiments.Families in
+  let module Overhead = Smrp_experiments.Overhead in
+  let module Related_work = Smrp_experiments.Related_work in
+  let module Dashboard = Smrp_experiments.Dashboard in
+  let fig8 = Figures.Fig8.run ~scenarios:4 () in
+  let outputs =
+    [
+      ("fig7", Figures.Fig7.render (Figures.Fig7.run ~topologies:2 ()));
+      ("fig8", Figures.Fig8.render fig8);
+      ("fig8.csv", Figures.Fig8.csv fig8);
+      ("fig9", Figures.Fig9.render (Figures.Fig9.run ~scenarios:4 ()));
+      ("fig10", Figures.Fig10.render (Figures.Fig10.run ~scenarios:4 ()));
+      ("reshaping", Ablation.Reshaping.render (Ablation.Reshaping.run ~scenarios:4 ()));
+      ("query", Ablation.Query.render (Ablation.Query.run ~scenarios:4 ()));
+      ("hierarchical", Ablation.Hierarchical.render (Ablation.Hierarchical.run ~scenarios:2 ()));
+      ("cost_min", Cost_min.render (Cost_min.run ~scenarios:4 ()));
+      ("families", Families.render (Families.run ~scenarios:4 ()));
+      ("overhead", Overhead.render (Overhead.run ~members:8 ~sim_time:40.0 ()));
+      ( "related_work",
+        Related_work.render
+          (Related_work.feasibility ~samples:4 ())
+          (Related_work.compare_schemes ~scenarios:4 ()) );
+      ("latency", Latency.render (Latency.run_many ~runs:1 Latency.default));
+      ( "dashboard.json",
+        Smrp_obs.Report.to_string
+          (Dashboard.run ~jobs:2 { Dashboard.quick with Dashboard.scenarios = 2 }) );
+    ]
+  in
+  let pinned =
+    [
+      ("fig7", "e47b9cf66ddb281676ccbe0933951b50");
+      ("fig8", "447f045ce6c8f5dfaec01df36bd74ba1");
+      ("fig8.csv", "062efbd6f6ac8f0bd284fa3f959ba900");
+      ("fig9", "772cf78a02a6093e31866a4b42c82b25");
+      ("fig10", "9fcf6d431ab022640f8cce97a9593382");
+      ("reshaping", "4e6f33b97c1bd0980b8dbf772b9afe6d");
+      ("query", "3e50c62f6ab0b447c6d358c4966fd544");
+      ("hierarchical", "d9ccb8a3eb76a5874e2e51caec43dab7");
+      ("cost_min", "52dba1f16eb11bfebeb202093ba3983f");
+      ("families", "623fa8e2feac085b7e279f97b3f120eb");
+      ("overhead", "4fd8e6666bc545cb7b6964e68c8ac5ee");
+      ("related_work", "b33e20c1f41812222cee5f85b9777e22");
+      ("latency", "88cf586b9732a7d80fb728af2baf0dc2");
+      ("dashboard.json", "7d678276b7e82a91eebdc86405da3f83");
+    ]
+  in
+  let actual = List.map (fun (name, out) -> (name, Digest.to_hex (Digest.string out))) outputs in
+  Alcotest.(check (list (pair string string))) "render digests" pinned actual
+
 let () =
   Alcotest.run "experiments"
     [
@@ -229,4 +285,5 @@ let () =
           Alcotest.test_case "hierarchy ablation" `Quick ablation_hierarchy_smoke;
           Alcotest.test_case "overhead" `Quick overhead_smoke;
         ] );
+      ("golden", [ Alcotest.test_case "render digests" `Quick golden_renders ]);
     ]

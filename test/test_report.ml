@@ -1,12 +1,11 @@
 (* Run reports: metrics-to-variant projection, JSON round-trips, renderer
-   output, the Figures/Dashboard collector hooks, and the parallel identity
-   of collected reports. *)
+   output, the Dashboard collector, and the parallel identity of collected
+   reports. *)
 
 module Metrics = Smrp_obs.Metrics
 module Sketch = Smrp_obs.Sketch
 module Series = Smrp_obs.Series
 module Report = Smrp_obs.Report
-module Figures = Smrp_experiments.Figures
 module Dashboard = Smrp_experiments.Dashboard
 module Scenario = Smrp_experiments.Scenario
 module Reshape = Smrp_core.Reshape
@@ -112,23 +111,6 @@ let renderers_smoke () =
   in
   check "names escaped" false (contains ~affix:"<script>x" (Report.render_html evil))
 
-let figures_report_hook () =
-  let run jobs =
-    let c = Report.collector () in
-    ignore (Figures.Fig8.run ~jobs ~report:c ~values:[ 0.2; 0.3 ] ~scenarios:3 ());
-    Report.of_collector ~title:"fig8" c
-  in
-  let r1 = run 1 in
-  let r4 = run 4 in
-  check "variants named after the sweep" true
-    (List.map (fun v -> v.Report.v_name) r1.Report.r_variants = [ "smrp d=0.20"; "smrp d=0.30" ]);
-  List.iter
-    (fun v ->
-      check "runs counted" true (List.assoc_opt "scenario.runs" v.Report.v_counts = Some 3);
-      check "rd dist recorded" true (List.mem_assoc "scenario.rd_local_smrp.q" v.Report.v_dists))
-    r1.Report.r_variants;
-  check_str "report byte-identical whatever jobs" (Report.to_string r1) (Report.to_string r4)
-
 let dashboard_identity_and_content () =
   let config =
     { Dashboard.quick with Dashboard.scenarios = 2; d_values = [ 0.3 ]; latency_runs = 1 }
@@ -187,7 +169,6 @@ let () =
         ] );
       ( "campaigns",
         [
-          Alcotest.test_case "figures collector hook" `Quick figures_report_hook;
           Alcotest.test_case "dashboard parallel identity" `Slow dashboard_identity_and_content;
           Alcotest.test_case "reshape stabilize metrics" `Quick reshape_stabilize_metrics;
         ] );
