@@ -1,4 +1,4 @@
-module Json = Bench_support.Bench_json
+module Json = Smrp_obs.Json
 module Graph = Smrp_graph.Graph
 module Failure = Smrp_core.Failure
 

@@ -3,7 +3,7 @@
     A case carries everything {!Exec.run} needs to reproduce a run
     bit-for-bit: an explicit topology (node count plus an edge list whose
     positions are the edge ids), the session parameters, and the event
-    schedule.  Cases serialize to JSON (via {!Bench_support.Bench_json}) so a
+    schedule.  Cases serialize to JSON (via {!Smrp_obs.Json}) so a
     failing draw survives as a repro file that replays across machines and
     commits; {!Shrink} rewrites cases structurally, which is why the topology
     is explicit rather than a generator seed. *)
@@ -38,13 +38,13 @@ val failure : event -> Smrp_core.Failure.t option
 
 val event_count : t -> int
 
-val to_json : t -> Bench_support.Bench_json.t
+val to_json : t -> Smrp_obs.Json.t
 
 val node_limit : int
 (** The largest node count a case may declare (10⁶, the largest graph the
     repository builds; generated cases stay far below it). *)
 
-val of_json : Bench_support.Bench_json.t -> (t, string) result
+val of_json : Smrp_obs.Json.t -> (t, string) result
 (** Validates ranges (node count up to {!node_limit}, node and edge ids,
     finite positive delays, a finite non-negative [d_thresh]) so a
     hand-edited repro fails loudly rather than crashing the executor. *)

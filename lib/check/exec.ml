@@ -408,9 +408,6 @@ let run ?(bug = No_bug) ?(protection = false) (case : Case.t) =
   in
   go 0 case.Case.events
 
-let fails ?bug ?protection case =
-  match run ?bug ?protection case with Fail _ -> true | Pass _ -> false
-
 (* -- Engine differential ------------------------------------------------ *)
 
 (* The whole-run oracle has no single offending event; violations anchor at

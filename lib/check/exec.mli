@@ -54,9 +54,6 @@ val run : ?bug:bug -> ?protection:bool -> Case.t -> outcome
     {!Oracle.protected_replay} instead of {!Oracle.repair_replay}, and every
     other oracle runs unchanged. *)
 
-val fails : ?bug:bug -> ?protection:bool -> Case.t -> bool
-(** [true] iff {!run} returns [Fail] — the shrinker's predicate. *)
-
 val run_engine_diff : Case.t -> outcome
 (** Execute the case through {!Engine_diff} instead of the tree-level
     session: the same event schedule drives a packet-level simulation on

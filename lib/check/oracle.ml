@@ -1,6 +1,5 @@
 module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
-module Paths = Smrp_graph.Paths
 module Tree = Smrp_core.Tree
 module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
@@ -235,7 +234,7 @@ let protected_replay ~pre ~failure ~repairs ~post ~lost =
         | [] -> None
         | { Session.detour = d; _ } :: rest ->
             let root = d.Recovery.member in
-            let rd = Paths.delay_of_edges g d.Recovery.path_edges in
+            let rd = Graph.delay_of_edges g d.Recovery.path_edges in
             if not (List.mem root roots) then
               violation "protected-scope" "repair root %d is not an orphaned branch root" root
             else if abs_float (d.Recovery.recovery_distance -. rd) > eps then
@@ -317,7 +316,7 @@ let repair_replay ~pre ~failure ~repairs ~post ~lost =
     | [] -> None
     | { Session.detour = d; _ } :: rest ->
         let m = d.Recovery.member in
-        let rd = Paths.delay_of_edges g d.Recovery.path_edges in
+        let rd = Graph.delay_of_edges g d.Recovery.path_edges in
         if abs_float (d.Recovery.recovery_distance -. rd) > eps then
           violation "recovery-distance"
             "member %d reports RD = %g but its new links sum to %g" m

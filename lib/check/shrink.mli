@@ -1,8 +1,8 @@
 (** Greedy case minimizer.
 
-    Given a failing case and the failure predicate (normally
-    [Exec.fails ?bug]), repeatedly applies reduction passes and keeps every
-    candidate that still fails:
+    Given a failing case and the failure predicate (in {!Fuzz}: the case's
+    run returns [Exec.Fail]), repeatedly applies reduction passes and keeps
+    every candidate that still fails:
 
     - {b events}: chunked-then-single greedy deletion (delta-debugging
       style), plus binary halving of large failure groups (regional balls,

@@ -7,23 +7,6 @@ let node_attrs tree v =
   | Some t when Tree.is_on_tree t v -> " [shape=circle, style=filled, fillcolor=lightgrey]"
   | _ -> " [shape=circle]"
 
-let tree t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph multicast_tree {\n  rankdir=BT;\n";
-  List.iter
-    (fun v -> Buffer.add_string buf (Printf.sprintf "  %d%s;\n" v (node_attrs (Some t) v)))
-    (Tree.on_tree_nodes t);
-  List.iter
-    (fun v ->
-      match (Tree.parent t v, Tree.parent_edge t v) with
-      | Some p, Some eid ->
-          let e = Graph.edge (Tree.graph t) eid in
-          Buffer.add_string buf (Printf.sprintf "  %d -> %d [label=\"%g\"];\n" v p e.Graph.delay)
-      | _ -> ())
-    (Tree.on_tree_nodes t);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let network ?tree:t ?failure ?(highlight = []) g =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "graph network {\n  layout=neato;\n";

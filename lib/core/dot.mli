@@ -1,10 +1,6 @@
 (** Graphviz export for trees and failure scenarios — debugging and
     documentation aid ([dot -Tsvg] renders the output). *)
 
-val tree : Tree.t -> string
-(** The multicast tree alone: source as a double circle, members as boxes,
-    relays as circles, edges labelled with their delay. *)
-
 val network :
   ?tree:Tree.t -> ?failure:Failure.t -> ?highlight:int list -> Smrp_graph.Graph.t -> string
 (** The whole topology; tree edges are drawn bold, failed components dashed

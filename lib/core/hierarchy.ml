@@ -70,11 +70,6 @@ let top_domain t = t.top
 
 let member_domains t = List.map snd t.stubs
 
-let domain_of_node t v =
-  match t.ts.TS.roles.(v) with
-  | TS.Transit _ -> None
-  | TS.Stub d -> Option.map (fun dom -> dom) (List.assoc_opt d t.stubs)
-
 (* Translate a failure in original ids into a domain's subgraph ids; [None]
    when the failed component is absent from the domain. *)
 let rec failure_in_domain dom f =
@@ -90,10 +85,6 @@ let rec failure_in_domain dom f =
       match List.filter_map (failure_in_domain dom) fs with
       | [] -> None
       | local -> Some (Failure.compose local))
-
-let owning_domain t f =
-  let domains = t.top :: List.map snd t.stubs in
-  List.find_opt (fun dom -> failure_in_domain dom f <> None) domains
 
 type recovery = {
   domain_id : int;

@@ -39,15 +39,6 @@ val top_domain : t -> domain
 val member_domains : t -> domain list
 (** Stub domains hosting at least one member (the source's included). *)
 
-val domain_of_node : t -> int -> domain option
-(** The level-1 domain owning a stub node. *)
-
-val owning_domain : t -> Failure.t -> domain option
-(** The domain responsible for recovering from a failure: the stub domain
-    containing a failed stub link/router, or the top domain for transit and
-    access failures.  [None] when the failed component carries no session
-    state (e.g. a stub domain with no members). *)
-
 type recovery = {
   domain_id : int;  (** [-1] for the top domain. *)
   receiver : int;  (** Original node id (a member, or an agent). *)

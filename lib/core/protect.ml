@@ -254,11 +254,9 @@ let node_lookup t eid =
   if t.node_version.(eid) <> t.version then refresh_node t eid;
   decode t ~merge_a:t.node_merge ~rd_a:t.node_rd ~off_a:t.node_off ~len_a:t.node_len eid
 
-(* Raw hot-path reads for benchmarking the lookup itself: entry must be
+(* Raw hot-path read for benchmarking the lookup itself: entry must be
    fresh (i.e. after [prepare] with no intervening mutation). *)
 let link_rd t eid = t.link_rd.(eid)
-
-let link_merge t eid = t.link_merge.(eid)
 
 let prepare t =
   refresh_euler t;
@@ -270,5 +268,3 @@ let prepare t =
       refresh_link t eid;
       refresh_node t eid)
     (Tree.tree_edges tree)
-
-let tree t = t.tree

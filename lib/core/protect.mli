@@ -60,10 +60,4 @@ val link_rd : t -> int -> float
     absent) — no staleness check; only meaningful after {!prepare} with no
     intervening mutation.  This is the O(1) hot path the bench measures. *)
 
-val link_merge : t -> int -> int
-(** Raw array read of the link entry's merge node ([-1] no detour, [-2]
-    not a tree edge); same freshness contract as {!link_rd}. *)
-
-val tree : t -> Tree.t
-
 val stats : t -> stats

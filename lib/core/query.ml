@@ -33,7 +33,7 @@ let candidates ?ws t ~joiner =
             when not (List.mem joiner (List.tl (List.rev attach_nodes))) ->
               (* Reject answers whose relay path loops back through the
                  joiner itself. *)
-              let attach_delay = Smrp_graph.Paths.delay_of_edges g attach_edges in
+              let attach_delay = Graph.delay_of_edges g attach_edges in
               {
                 Smrp.merge;
                 attach_nodes;

@@ -1,5 +1,5 @@
 module Dijkstra = Smrp_graph.Dijkstra
-module Paths = Smrp_graph.Paths
+module Graph = Smrp_graph.Graph
 
 type detour = {
   member : int;
@@ -120,7 +120,7 @@ let global_detour ?ws t f ~member =
             | _ -> invalid_arg "Recovery.global_detour: path misses the source"
           in
           let merge, path_nodes, path_edges = prefix nodes edges [] [] in
-          let rd = Paths.delay_of_edges g path_edges in
+          let rd = Graph.delay_of_edges g path_edges in
           Some
             {
               member;

@@ -209,11 +209,6 @@ let build g ~source =
 
 let source t = t.source
 
-let red_parent t v = if t.red_parent.(v) < 0 then None else Some (t.red_parent.(v), t.red_edge.(v))
-
-let blue_parent t v =
-  if t.blue_parent.(v) < 0 then None else Some (t.blue_parent.(v), t.blue_edge.(v))
-
 let path parent edge t v =
   let rec walk v nodes edges steps =
     if steps > Graph.node_count t.graph then invalid_arg "Redundant: cyclic parent chain"

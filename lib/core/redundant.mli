@@ -24,11 +24,6 @@ val build : Smrp_graph.Graph.t -> source:int -> t option
 
 val source : t -> int
 
-val red_parent : t -> int -> (int * int) option
-(** [(parent, edge id)] in the red tree; [None] for the source. *)
-
-val blue_parent : t -> int -> (int * int) option
-
 val red_path : t -> int -> int list * int list
 (** Nodes (member..source) and edge ids of the red path. *)
 

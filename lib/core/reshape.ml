@@ -3,7 +3,7 @@ module Dijkstra = Smrp_graph.Dijkstra
 let candidate_of_previous t (nodes, edges) =
   match nodes with
   | merge :: _ ->
-      let attach_delay = Smrp_graph.Paths.delay_of_edges (Tree.graph t) edges in
+      let attach_delay = Smrp_graph.Graph.delay_of_edges (Tree.graph t) edges in
       {
         Smrp.merge;
         attach_nodes = nodes;

@@ -43,10 +43,6 @@ let active_failure t =
 
 let tree t = t.tree
 
-let protocol t = t.protocol
-
-let protection_enabled t = Option.is_some t.protection
-
 let protection_stats t = Option.map Protect.stats t.protection
 
 let events t = List.rev t.events

@@ -39,14 +39,10 @@ val create : ?protection:bool -> Smrp_graph.Graph.t -> source:int -> protocol:pr
     the failure shape or a stale precondition rules the tables out.
     SPF-protocol sessions accept the flag but always use the search path. *)
 
-val protection_enabled : t -> bool
-
 val protection_stats : t -> Protect.stats option
 (** Lookup/recompute counters of the protection tables, when armed. *)
 
 val tree : t -> Tree.t
-
-val protocol : t -> protocol
 
 val events : t -> event list
 (** Event log, oldest first. *)

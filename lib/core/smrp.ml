@@ -159,8 +159,6 @@ let join ?d_thresh ?failure ?ws ?spf_dist t nr =
     | Some spf_dist -> join_where ?d_thresh ?failure ?ws t nr ~spf_dist
   end
 
-let leave t m = Tree.remove_member t m
-
 let build ?d_thresh ?ws g ~source ~members =
   let ws =
     match ws with

@@ -67,9 +67,6 @@ val join :
     incrementally via {!Smrp_graph.Dspf}), skipping the per-join distance
     search. *)
 
-val leave : Tree.t -> int -> unit
-(** Explicit [Leave_Req]: alias of {!Tree.remove_member}. *)
-
 val build :
   ?d_thresh:float ->
   ?ws:Smrp_graph.Dijkstra.workspace ->

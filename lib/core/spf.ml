@@ -37,8 +37,6 @@ let join ?failure ?ws t nr =
   | nodes, edges -> Tree.graft t ~nodes ~edges);
   Tree.add_member t nr
 
-let leave t m = Tree.remove_member t m
-
 let build ?ws g ~source ~members =
   let ws =
     match ws with

@@ -21,9 +21,6 @@ val join : ?failure:Failure.t -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> 
 (** [join t nr] subscribes [nr].  Raises [Invalid_argument] if [nr] is
     already a member or cannot reach the source. *)
 
-val leave : Tree.t -> int -> unit
-(** Explicit [Leave_Req] (§3.2.2): alias of {!Tree.remove_member}. *)
-
 val build :
   ?ws:Smrp_graph.Dijkstra.workspace ->
   Smrp_graph.Graph.t ->

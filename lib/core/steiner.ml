@@ -21,8 +21,6 @@ let join t nr =
         Tree.add_member t nr
   end
 
-let leave t m = Tree.remove_member t m
-
 let build g ~source ~members =
   let ws = Dijkstra.workspace ~capacity:(Graph.node_count g) () in
   let t = Tree.create g ~source in

@@ -12,8 +12,6 @@ val join : Tree.t -> int -> unit
     (the incremental form of Takahashi–Matsuyama; for a batch build in
     nearest-first order use {!build}). *)
 
-val leave : Tree.t -> int -> unit
-
 val build : Smrp_graph.Graph.t -> source:int -> members:int list -> Tree.t
 (** Full heuristic: repeatedly connect the currently-closest member, which
     is the classical Takahashi–Matsuyama order (independent of the caller's

@@ -238,11 +238,7 @@ type branch = {
   old_root_delay : float;
 }
 
-let branch_root br = br.root
-
 let branch_contains br v = br.in_branch.(v)
-
-let branch_member_count br = br.nsub
 
 let detach_branch t ~node =
   require_on_tree t node "detach_branch";

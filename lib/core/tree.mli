@@ -115,12 +115,7 @@ val detach_branch : t -> node:int -> branch * (int list * int list)
     edges)] — the old upstream path from the deepest ancestor that remains
     on-tree down to [node] — suitable for re-attachment verbatim. *)
 
-val branch_root : branch -> int
-
 val branch_contains : branch -> int -> bool
-
-val branch_member_count : branch -> int
-(** Members inside the detached subtree. *)
 
 val attach_branch : t -> branch -> nodes:int list -> edges:int list -> unit
 (** [attach_branch t br ~nodes ~edges] grafts the branch back; [nodes] runs

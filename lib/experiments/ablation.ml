@@ -54,7 +54,7 @@ module Reshaping = struct
     let smrp = Smrp.build ~d_thresh graph ~source ~members:initial in
     (* Churn: every other initial member leaves, the latecomers join — the
        §3.2.3 situation where the tree grows skewed. *)
-    List.iteri (fun i m -> if i mod 2 = 0 then Smrp.leave smrp m) initial;
+    List.iteri (fun i m -> if i mod 2 = 0 then Tree.remove_member smrp m) initial;
     List.iter (Smrp.join ~d_thresh smrp) latecomers;
     let members = Tree.members smrp in
     let spf_tree = Spf.build graph ~source ~members in

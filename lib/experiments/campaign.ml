@@ -440,7 +440,10 @@ let topo_of_token t =
         let n = int_param ~what:t ~default:100 param in
         Locality { n; radius = 0.3; p_near = 0.4; p_far = 0.01 }
     | "scale" ->
+        (* [Scale.degree_params] needs two nodes, the floor [smrp scale -n]
+           enforces too. *)
         let n = int_param ~what:t ~default:10_000 param in
+        if n < 2 then failwith (Printf.sprintf "%s: expected at least 2 nodes" t);
         Scale_waxman { n; target_degree = 4.0 }
     | _ ->
         failwith

@@ -12,12 +12,6 @@ type event = { at : float; op : op }
 
 type stats = { burst_sizes : int list; lifetimes : float list; joins : int; leaves : int }
 
-let name = function
-  | Static _ -> "static"
-  | Flash_crowd _ -> "flash"
-  | Diurnal _ -> "diurnal"
-  | Heavy_tail _ -> "heavy"
-
 let geometric rng ~mean =
   if mean <= 1.0 then 1
   else begin

@@ -46,9 +46,6 @@ type event = { at : float; op : op }
     lifetime draws (before horizon truncation). *)
 type stats = { burst_sizes : int list; lifetimes : float list; joins : int; leaves : int }
 
-val name : model -> string
-(** Short axis label: ["static"], ["flash"], ["diurnal"], ["heavy"]. *)
-
 val geometric : Smrp_rng.Rng.t -> mean:float -> int
 (** Geometric draw on [{1, 2, …}] with the given mean ([mean <= 1] always
     returns 1). *)

@@ -11,13 +11,6 @@ type model =
   | Cascading of { events : int; depth : int }
   | Adversarial of { events : int; budget : int; passes : int }
 
-let name = function
-  | Independent _ -> "indep"
-  | Correlated _ -> "correlated"
-  | Regional _ -> "regional"
-  | Cascading _ -> "cascade"
-  | Adversarial _ -> "adversarial"
-
 let events = function
   | Independent { events; _ }
   | Correlated { events; _ }

@@ -33,10 +33,6 @@ type model =
   | Cascading of { events : int; depth : int }
   | Adversarial of { events : int; budget : int; passes : int }
 
-val name : model -> string
-(** Short axis label: ["indep"], ["correlated"], ["regional"], ["cascade"],
-    ["adversarial"]. *)
-
 val events : model -> int
 (** How many failure events the model injects per scenario instance. *)
 
@@ -58,9 +54,3 @@ val disrupted : Smrp_core.Tree.t -> Smrp_core.Failure.t -> int
 (** Members losing data under the failure: the members no longer connected
     to the source over surviving tree links and nodes (members whose own
     router died included). *)
-
-val isolated :
-  ws -> Smrp_graph.Graph.t -> source:int -> members:int list -> Smrp_core.Failure.t -> int
-(** Members unrecoverable under the failure — unreachable from the source
-    in the residual graph — evaluated on the workspace's shared
-    incremental-SPF structure. *)

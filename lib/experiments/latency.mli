@@ -41,27 +41,6 @@ type side_result = {
 
 type result = { seed : int; smrp : side_result; pim : side_result }
 
-val run :
-  ?flight:bool ->
-  ?with_metrics:bool ->
-  ?smrp_metrics:Smrp_obs.Metrics.t ->
-  ?pim_metrics:Smrp_obs.Metrics.t ->
-  config ->
-  result option
-(** [None] when every member's worst-case link is a graph bridge (recovery
-    impossible); {!run_many} skips such draws.
-
-    [flight] (default false) records each side into its own
-    {!Smrp_obs.Flight.t} ({!side_result.flight}) instead of the global
-    ring.  [with_metrics] (default false) collects engine/net/protocol
-    metrics per side into {!side_result.metrics}.
-    [smrp_metrics] / [pim_metrics] supply external registries for the
-    respective side (e.g. a report collector's per-variant registries) —
-    the side then records its counters, recovery-latency sketches
-    ([recovery.total.q] and friends) and sim-time series
-    ([net.frame_drops], [proto.members_disrupted]) into the given
-    registry. *)
-
 val to_chrome : result -> (string -> unit) -> unit
 (** Both sides' flight records as Chrome [trace_event] JSONL
     ({!Smrp_obs.Causal.to_chrome}), keyed on the simulation clock: SMRP as
@@ -69,9 +48,15 @@ val to_chrome : result -> (string -> unit) -> unit
     side run without [~flight:true]. *)
 
 val run_one : ?flight:bool -> ?with_metrics:bool -> seed:int -> config -> result option
-(** One {!run} at the first seed drawn from [seed] (the draws {!run_many}
+(** One run at the first seed drawn from [seed] (the draws {!run_many}
     makes) that has a recoverable victim, within 50 draws — the scenario
-    [smrp latency --trace] and [--metrics] observe. *)
+    [smrp latency --trace] and [--metrics] observe.  A draw has none when
+    every member's worst-case link is a graph bridge.
+
+    [flight] (default false) records each side into its own
+    {!Smrp_obs.Flight.t} ({!side_result.flight}) instead of the global
+    ring.  [with_metrics] (default false) collects engine/net/protocol
+    metrics per side into {!side_result.metrics}. *)
 
 val run_many :
   ?smrp_metrics:Smrp_obs.Metrics.t ->
@@ -80,10 +65,13 @@ val run_many :
   ?runs:int ->
   config ->
   result list
-(** Up to [runs] (default 10) results of {!run}, at the {!Scenario.next_seed}
-    draws from [seed] (default 25), skipping draws without a recoverable
-    victim and giving up after [5 * runs] draws.  [smrp_metrics] /
-    [pim_metrics] are passed to every {!run}, so each side's registry
-    accumulates over all the draws. *)
+(** Up to [runs] (default 10) results, at the {!Scenario.next_seed} draws
+    from [seed] (default 25), skipping draws without a recoverable victim
+    and giving up after [5 * runs] draws.  [smrp_metrics] / [pim_metrics]
+    are the respective side's registries (e.g. a report collector's
+    per-variant registries): the side records its counters,
+    recovery-latency sketches ([recovery.total.q] and friends) and
+    sim-time series ([net.frame_drops], [proto.members_disrupted]) into
+    its registry, accumulating over all the draws. *)
 
 val render : result list -> string

@@ -108,6 +108,3 @@ let map ?jobs ?profile ?flight f xs =
     if k < n then raise (Option.get errors.(k));
     Array.to_list (Array.map (function Some v -> v | None -> assert false) results)
   end
-
-let mapi ?jobs ?profile ?flight f xs =
-  map ?jobs ?profile ?flight (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)

@@ -54,11 +54,3 @@ val map :
     would raise, whatever the job count or scheduling.  An input is
     skipped only once a lower index has failed.  [profile]/[flight]
     default to the ambient hooks of {!with_instrumentation}. *)
-
-val mapi :
-  ?jobs:int ->
-  ?profile:Smrp_obs.Profile.t ->
-  ?flight:Smrp_obs.Flight.t ->
-  (int -> 'a -> 'b) ->
-  'a list ->
-  'b list

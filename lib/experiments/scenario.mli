@@ -49,20 +49,14 @@ type t = {
 val run : ?metrics:Smrp_obs.Metrics.t -> config -> t
 (** Deterministic in [config] (including [seed]): safe to fan out across
     domains with {!Pool.map}.  With [?metrics], the run records into the
-    registry via {!record}.  All counted quantities are integers (and under
-    the default [`Unit] link metric the sketch observations are hop
-    counts), so a registry shared across a parallel fan-out merges to
-    exactly the sequential totals. *)
-
-val record : Smrp_obs.Metrics.t -> t -> unit
-(** Record one evaluated scenario: counters [scenario.runs],
-    [scenario.members], [scenario.recovered] / [scenario.isolated] (members
-    with / without a defined worst-case local-SMRP recovery), and quantile
-    sketches
+    registry: counters [scenario.runs], [scenario.members],
+    [scenario.recovered] / [scenario.isolated] (members with / without a
+    defined worst-case local-SMRP recovery), and quantile sketches
     [scenario.rd_local_smrp.q], [scenario.rd_global_spf.q],
-    [scenario.delay_smrp.q], [scenario.delay_spf.q].  Exposed so report
-    builders can record already-run scenarios into per-variant
-    registries. *)
+    [scenario.delay_smrp.q], [scenario.delay_spf.q].  All counted
+    quantities are integers (and under the default [`Unit] link metric
+    the sketch observations are hop counts), so a registry shared across
+    a parallel fan-out merges to exactly the sequential totals. *)
 
 val run_many : ?jobs:int -> ?metrics:Smrp_obs.Metrics.t -> config list -> t list
 (** [run_many configs] is [List.map run configs] fanned out over

@@ -49,96 +49,43 @@ let is_connected ?node_ok ?edge_ok g =
   let _, count = components ?node_ok ?edge_ok g in
   count <= 1
 
-(* Iterative Tarjan low-link computation shared by bridge and articulation
-   detection.  An explicit stack avoids overflow on large topologies. *)
-type dfs_state = {
-  disc : int array;
-  low : int array;
-  parent_edge : int array;
-  mutable time : int;
-}
-
-let dfs_lowlink g ~on_tree_edge ~on_root_children =
+(* Tarjan's bridge finding, iterative: an explicit stack avoids overflow
+   on large topologies.  Tree edge (parent, child) is a bridge iff
+   low(child) = disc(child): nothing in the child's subtree reaches above
+   the child.  A node's low value is final once it leaves the stack. *)
+let bridges g =
   let n = Graph.node_count g in
-  let st =
-    { disc = Array.make n (-1); low = Array.make n (-1); parent_edge = Array.make n (-1); time = 0 }
+  let disc = Array.make n (-1) and low = Array.make n (-1) and parent_edge = Array.make n (-1) in
+  let time = ref 0 and found = ref [] in
+  let discover v =
+    disc.(v) <- !time;
+    low.(v) <- !time;
+    incr time
   in
   for root = 0 to n - 1 do
-    if st.disc.(root) < 0 then begin
-      let root_children = ref 0 in
+    if disc.(root) < 0 then begin
       (* Stack frames: (node, remaining adjacency). *)
       let stack = ref [ (root, Graph.neighbors g root) ] in
-      st.disc.(root) <- st.time;
-      st.low.(root) <- st.time;
-      st.time <- st.time + 1;
+      discover root;
       while !stack <> [] do
         match !stack with
         | [] -> ()
-        | (u, remaining) :: rest -> begin
-            match remaining with
-            | [] ->
-                stack := rest;
-                (match rest with
-                | (p, _) :: _ ->
-                    if st.low.(u) < st.low.(p) then st.low.(p) <- st.low.(u);
-                    on_tree_edge ~parent:p ~child:u ~edge:st.parent_edge.(u)
-                | [] -> ())
-            | (v, eid) :: tail ->
-                stack := (u, tail) :: rest;
-                if st.disc.(v) < 0 then begin
-                  st.parent_edge.(v) <- eid;
-                  st.disc.(v) <- st.time;
-                  st.low.(v) <- st.time;
-                  st.time <- st.time + 1;
-                  if u = root then incr root_children;
-                  stack := (v, Graph.neighbors g v) :: !stack
-                end
-                else if eid <> st.parent_edge.(u) && st.disc.(v) < st.low.(u) then
-                  st.low.(u) <- st.disc.(v)
-          end
-      done;
-      on_root_children ~root ~children:!root_children
+        | (u, []) :: rest -> (
+            stack := rest;
+            match rest with
+            | (p, _) :: _ ->
+                if low.(u) < low.(p) then low.(p) <- low.(u);
+                if low.(u) = disc.(u) then found := parent_edge.(u) :: !found
+            | [] -> ())
+        | (u, (v, eid) :: tail) :: rest ->
+            stack := (u, tail) :: rest;
+            if disc.(v) < 0 then begin
+              parent_edge.(v) <- eid;
+              discover v;
+              stack := (v, Graph.neighbors g v) :: !stack
+            end
+            else if eid <> parent_edge.(u) && disc.(v) < low.(u) then low.(u) <- disc.(v)
+      done
     end
   done;
-  st
-
-let bridges g =
-  (* Tree edge (parent, child) is a bridge iff low(child) = disc(child):
-     nothing in the child's subtree reaches above the child.  Low values are
-     final once the whole DFS completes, so tree edges are collected first and
-     tested afterwards. *)
-  let tree_edges = ref [] in
-  let st =
-    dfs_lowlink g
-      ~on_tree_edge:(fun ~parent:_ ~child ~edge -> tree_edges := (child, edge) :: !tree_edges)
-      ~on_root_children:(fun ~root:_ ~children:_ -> ())
-  in
-  let found = ref [] in
-  List.iter
-    (fun (child, edge) ->
-      if edge >= 0 && st.low.(child) = st.disc.(child) then found := edge :: !found)
-    !tree_edges;
   List.sort_uniq compare !found
-
-let articulation_points g =
-  let cut = Array.make (Graph.node_count g) false in
-  let tree_children = Hashtbl.create 64 in
-  let st =
-    dfs_lowlink g
-      ~on_tree_edge:(fun ~parent ~child ~edge ->
-        ignore edge;
-        Hashtbl.replace tree_children parent
-          (child :: (try Hashtbl.find tree_children parent with Not_found -> [])))
-      ~on_root_children:(fun ~root ~children -> if children >= 2 then cut.(root) <- true)
-  in
-  Hashtbl.iter
-    (fun parent children ->
-      (* A non-root node is a cut vertex iff some DFS child cannot reach above it. *)
-      if st.parent_edge.(parent) >= 0 then
-        List.iter (fun c -> if st.low.(c) >= st.disc.(parent) then cut.(parent) <- true) children)
-    tree_children;
-  let result = ref [] in
-  for v = Graph.node_count g - 1 downto 0 do
-    if cut.(v) then result := v :: !result
-  done;
-  !result

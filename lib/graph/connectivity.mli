@@ -14,6 +14,3 @@ val is_connected : ?node_ok:(int -> bool) -> ?edge_ok:(int -> bool) -> Graph.t -
 
 val bridges : Graph.t -> int list
 (** Edge ids whose removal disconnects their component (Tarjan low-link). *)
-
-val articulation_points : Graph.t -> int list
-(** Nodes whose removal disconnects their component. *)

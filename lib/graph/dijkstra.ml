@@ -315,8 +315,6 @@ let run_reference ?(node_ok = always) ?(edge_ok = always) ?(absorb = never) g ~s
   in
   { graph = g; src = source; ws; epoch = 1 }
 
-let source r = r.src
-
 let distance r v =
   check_fresh r;
   if r.ws.visited.(v) <> r.epoch then None else Some r.ws.dist.(v)

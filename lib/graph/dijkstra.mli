@@ -93,8 +93,6 @@ val run_reference :
     for any graph, filters and source it must agree with {!run} exactly —
     same distances, same parents, same tie-breaks. *)
 
-val source : result -> int
-
 val distance : result -> int -> float option
 (** Shortest-path delay, [None] if unreachable. *)
 

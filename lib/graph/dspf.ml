@@ -2,10 +2,10 @@
    CSR adjacency, in the classic affected-subtree style (Ramalingam–Reps /
    Frigioni et al.): the structure keeps the full source-rooted shortest-path
    tree — distance, parent, parent edge and an intrusive child list per
-   node — and patches it under failures, restorations and weight changes
-   instead of re-running Dijkstra.
+   node — and patches it under failures and restorations instead of
+   re-running Dijkstra.
 
-   A deletion (or weight increase) of a tree edge orphans exactly the
+   A deletion of a tree edge orphans exactly the
    subtree hanging below it.  Only those nodes can change: the repair
    collects them, seeds a workspace heap with the best re-attachment
    candidate of each orphan through its {e boundary} edges (edges into the
@@ -15,7 +15,7 @@
    written, so a leaf-edge failure costs O(degree) while a full recompute
    costs O(E log V).
 
-   Restorations and weight decreases run the dual "grow" phase: seed the
+   Restorations run the dual "grow" phase: seed the
    heap with the improvements the revived element enables and cascade
    strictly decreasing distances outward; the cascade dies out at the
    frontier where the old tree is already as short.
@@ -39,8 +39,8 @@ type t = {
   offsets : int array;
   nbr : int array;
   eids : int array;
-  (* Overlay state: per-edge live delay (mutable via [set_delay]) and the
-     failure flags.  The graph itself is never touched. *)
+  (* Per-edge delays, copied from the graph, and the overlay's failure
+     flags.  The graph itself is never touched. *)
   delay : float array;
   edge_dead : bool array;
   node_dead : bool array;
@@ -197,8 +197,6 @@ let distance t v =
   check_node t v "distance";
   if t.dist.(v) = infinity then None else Some t.dist.(v)
 
-let unsafe_distance t v = Array.unsafe_get t.dist v
-
 let reachable t v =
   check_node t v "reachable";
   t.dist.(v) < infinity
@@ -218,21 +216,6 @@ let edge_failed t eid =
 let node_failed t v =
   check_node t v "node_failed";
   t.node_dead.(v)
-
-let delay t eid =
-  check_edge t eid "delay";
-  t.delay.(eid)
-
-let path_rev t v =
-  check_node t v "path_rev";
-  if t.dist.(v) = infinity then None
-  else begin
-    let rec walk v nodes edges =
-      if v = t.src then (v :: nodes, edges)
-      else walk t.parent.(v) (v :: nodes) (t.parent_edge.(v) :: edges)
-    in
-    Some (walk v [] [])
-  end
 
 (* -- Shrink phase: affected-subtree repair ------------------------------- *)
 
@@ -478,27 +461,6 @@ let restore_node t v =
       if !best < infinity then seed t v !best !best_p !best_e
     end;
     grow t
-  end
-
-let set_delay t eid w =
-  check_edge t eid "set_delay";
-  if w <= 0.0 then invalid_arg "Dspf.set_delay: delay must be positive";
-  let old = t.delay.(eid) in
-  if w <> old then begin
-    t.ops <- t.ops + 1;
-    t.delay.(eid) <- w;
-    if not t.edge_dead.(eid) then begin
-      if w < old then grow_through_edge t eid
-      else begin
-        let e = Graph.edge t.g eid in
-        let child =
-          if t.parent_edge.(e.Graph.u) = eid then e.Graph.u
-          else if t.parent_edge.(e.Graph.v) = eid then e.Graph.v
-          else -1
-        in
-        if child >= 0 then repair_subtrees t [ child ]
-      end
-    end
   end
 
 (* -- Self-check ---------------------------------------------------------- *)

@@ -1,11 +1,11 @@
 (** Incremental single-source shortest paths (dynamic SPF).
 
     Maintains the source-rooted shortest-path tree of a frozen {!Graph.t}
-    under edge/node failures, restorations and delay changes, using the
+    under edge/node failures and restorations, using the
     classic affected-subtree approach: a failure orphans exactly the
     subtree below the failed element, which is re-attached by boundary-edge
     relaxation from a workspace heap without touching the unaffected
-    region.  Restorations and delay decreases run the dual grow-cascade.
+    region.  Restorations run the dual grow-cascade.
 
     Distances are bit-identical to a fresh {!Dijkstra.run_reference} over
     the surviving elements after every mutation — the differential suite in
@@ -47,12 +47,6 @@ val fail_node : t -> int -> unit
 val restore_node : t -> int -> unit
 (** Revive a node; its best re-entry seeds the improvement cascade. *)
 
-val set_delay : t -> int -> float -> unit
-(** Override edge [eid]'s delay in the overlay (must be positive; raises
-    [Invalid_argument] otherwise).  A decrease grows, an increase on a
-    tree edge repairs the downstream subtree.  Dead edges take the new
-    delay into account upon restoration. *)
-
 (** {1 Queries} *)
 
 val source : t -> int
@@ -62,10 +56,6 @@ val graph : t -> Graph.t
 val distance : t -> int -> float option
 (** [None] when unreachable (or dead) under the current overlay. *)
 
-val unsafe_distance : t -> int -> float
-(** Unchecked array read; [infinity] when unreachable.  Hot-path variant
-    of {!distance}. *)
-
 val reachable : t -> int -> bool
 
 val parent : t -> int -> int
@@ -74,16 +64,9 @@ val parent : t -> int -> int
 val parent_edge : t -> int -> int
 (** Edge id to the parent, [-1] for the source and unreachable nodes. *)
 
-val path_rev : t -> int -> (int list * int list) option
-(** [(nodes, edges)] from the source to the node, nodes source-first;
-    [None] when unreachable. *)
-
 val edge_failed : t -> int -> bool
 
 val node_failed : t -> int -> bool
-
-val delay : t -> int -> float
-(** Current overlay delay of edge [eid]. *)
 
 val stats : t -> stats
 

@@ -169,7 +169,5 @@ let fold_edges f init g =
 
 let total_cost g = fold_edges (fun acc e -> acc +. e.cost) 0.0 g
 
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph: %d nodes, %d edges" g.n g.edge_count;
-  iter_edges (fun e -> Format.fprintf ppf "@,  %d -- %d (delay %g, cost %g)" e.u e.v e.delay e.cost) g;
-  Format.fprintf ppf "@]"
+let delay_of_edges g edge_ids =
+  List.fold_left (fun acc eid -> acc +. (edge g eid).delay) 0.0 edge_ids

@@ -76,4 +76,5 @@ val fold_edges : ('a -> edge -> 'a) -> 'a -> t -> 'a
 val total_cost : t -> float
 (** Sum of all edge costs. *)
 
-val pp : Format.formatter -> t -> unit
+val delay_of_edges : t -> int list -> float
+(** Sum of the delays of the edges with these ids. *)

@@ -30,22 +30,6 @@ let summarize = function
         max = List.fold_left Float.max neg_infinity xs;
       }
 
-let percentile p = function
-  | [] -> invalid_arg "Stats.percentile: empty sample"
-  | xs ->
-      if p < 0.0 || p > 1.0 then invalid_arg "Stats.percentile: p out of [0, 1]";
-      let sorted = List.sort compare xs in
-      let arr = Array.of_list sorted in
-      let n = Array.length arr in
-      let pos = p *. float_of_int (n - 1) in
-      let lo = int_of_float (Float.floor pos) in
-      let hi = int_of_float (Float.ceil pos) in
-      if lo = hi then arr.(lo)
-      else begin
-        let frac = pos -. float_of_int lo in
-        (arr.(lo) *. (1.0 -. frac)) +. (arr.(hi) *. frac)
-      end
-
 let relative_reduction ~baseline ~improved =
   if baseline = 0.0 then 0.0 else (baseline -. improved) /. baseline
 
@@ -53,7 +37,3 @@ let relative_increase ~baseline ~changed =
   if baseline = 0.0 then 0.0 else (changed -. baseline) /. baseline
 
 let pct s = Printf.sprintf "%5.1f%% ± %.1f" (100.0 *. s.mean) (100.0 *. s.ci95)
-
-let pp_summary ppf s =
-  Format.fprintf ppf "mean %.4f ± %.4f (n=%d, sd %.4f, range [%.4f, %.4f])" s.mean s.ci95 s.count
-    s.stddev s.min s.max

@@ -15,9 +15,6 @@ val summarize : float list -> summary
 
 val mean : float list -> float
 
-val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [\[0,1\]] via linear interpolation. *)
-
 val relative_reduction : baseline:float -> improved:float -> float
 (** [(baseline - improved) / baseline]: the paper's [RD^relative] shape. *)
 
@@ -27,5 +24,3 @@ val relative_increase : baseline:float -> changed:float -> float
 val pct : summary -> string
 (** A relative metric as a table cell: mean and 95% CI half-width in
     percent, e.g. [" 23.3% ± 5.3"]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

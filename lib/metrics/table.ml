@@ -41,8 +41,6 @@ let to_csv t =
   let line cells = String.concat "," (List.map csv_cell cells) in
   String.concat "\n" (line t.columns :: List.map line (List.rev t.rows)) ^ "\n"
 
-let pp ppf t = Format.pp_print_string ppf (render t)
-
 let scatter ?(width = 60) ?(height = 24) ~xlabel ~ylabel points =
   if width < 8 || height < 4 then invalid_arg "Table.scatter: too small";
   match points with

@@ -15,8 +15,6 @@ val to_csv : t -> string
 (** RFC-4180-style CSV of the same rows (quotes doubled, cells containing
     commas/quotes/newlines quoted). *)
 
-val pp : Format.formatter -> t -> unit
-
 val scatter :
   ?width:int ->
   ?height:int ->

@@ -31,8 +31,6 @@ type episode = {
 (* The paper's recovery window, §3.2: detect → notify → repair → stabilize. *)
 type phase = Detect | Notify | Repair | Stabilize
 
-let phases = [ Detect; Notify; Repair; Stabilize ]
-
 let phase_name = function
   | Detect -> "detect"
   | Notify -> "notify"

@@ -21,9 +21,6 @@ type episode = {
     signalled→installed and installed→first-data intervals. *)
 type phase = Detect | Notify | Repair | Stabilize
 
-val phases : phase list
-val phase_name : phase -> string
-
 val phase_durations : episode -> (phase * float option) list
 val total : episode -> float option
 
@@ -51,17 +48,13 @@ val restored_at : tracker -> int -> float option
 val oracle_id : string -> int
 (** Stable small-int id for a `lib/check` oracle name; 0 = unknown. *)
 
-val oracle_name : int -> string
-
 val kind_join : int
 val kind_leave : int
 val kind_fail : int
 val kind_reshape : int
 
 val pack_exec_event : kind:int -> operand:int -> int
-val exec_event_kind : int -> int
 val exec_event_operand : int -> int
-val phase_of_kind : int -> phase
 
 (** {1 Post-mortem stitching} *)
 

@@ -5,8 +5,7 @@
    unsynchronized field update — the hot path an instrumented simulator pays
    per event is one increment, exactly as in the single-domain design.  The
    registry mutex guards only the rare operations: shard creation,
-   instrument registration, and the merge performed by [snapshot] /
-   [merge_into].
+   instrument registration, and the merge performed by [snapshot].
 
    Merge semantics (applied shard-by-shard in increasing domain-id order):
    - counters add;
@@ -50,8 +49,6 @@ module Gauge = struct
     if v > g.max then g.max <- v
 
   let value g = g.last
-
-  let last_ts g = g.last_ts
 
   let max_value g = g.max
 end
@@ -212,64 +209,6 @@ let value_of_minst = function
   | MT s -> Series_value (Series.view s)
 
 let snapshot t = List.map (fun (name, m) -> (name, value_of_minst m)) (merged t)
-
-(* Fold [src]'s merged totals into [into]'s calling-domain shard.  Missing
-   instruments are created (sketches and series with [src]'s layout);
-   existing ones must agree on kind and layout.  Calling this twice with
-   the same [src] double-counts — it is an accumulation, not a union. *)
-let merge_into ~into src =
-  let entries = merged src in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | MC n -> Counter.add (counter into name) n
-      | MG { last; last_ts; max } ->
-          let g = gauge into name in
-          let keep_ours =
-            g.Gauge.last_ts > last_ts
-            || (g.Gauge.last_ts = last_ts && g.Gauge.last >= last)
-          in
-          if not keep_ours then begin
-            g.Gauge.last <- last;
-            g.Gauge.last_ts <- last_ts
-          end;
-          if max > g.Gauge.max then g.Gauge.max <- max
-      | MS src_s ->
-          let s =
-            match
-              register into name
-                (fun () ->
-                  S
-                    (Sketch.create ~base:(Sketch.base src_s) ~lowest:(Sketch.lowest src_s)
-                       ~count:(Sketch.bucket_count src_s) ()))
-                "sketch"
-            with
-            | S s -> s
-            | _ -> assert false
-          in
-          if not (Sketch.compatible s src_s) then
-            invalid_arg
-              (Printf.sprintf "Metrics: sketch %S layouts differ across registries" name);
-          Sketch.merge_into ~into:s src_s
-      | MT src_ts ->
-          let ts =
-            match
-              register into name
-                (fun () ->
-                  Ts
-                    (Series.create ~kind:(Series.kind src_ts)
-                       ~interval:(Series.interval src_ts)
-                       ~capacity:(Series.capacity src_ts) ()))
-                "series"
-            with
-            | Ts ts -> ts
-            | _ -> assert false
-          in
-          if not (Series.compatible ts src_ts) then
-            invalid_arg
-              (Printf.sprintf "Metrics: series %S layouts differ across registries" name);
-          Series.merge_into ~into:ts src_ts)
-    entries
 
 let render t =
   let buf = Buffer.create 256 in

@@ -60,9 +60,6 @@ module Gauge : sig
 
   val value : t -> float
 
-  val last_ts : t -> float
-  (** Timestamp of the last [set] ([neg_infinity] if unstamped). *)
-
   val max_value : t -> float
   (** High-water mark over the gauge's lifetime ([neg_infinity] before the
       first [set]). *)
@@ -94,13 +91,6 @@ type value =
 val snapshot : t -> (string * value) list
 (** All instruments merged across shards, sorted by name.  Raises
     [Invalid_argument] on cross-shard kind clashes or layout mismatches. *)
-
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] folds [src]'s merged totals into [into]'s
-    calling-domain shard, creating missing instruments (sketches and series
-    keep [src]'s layout).  This is an accumulation — calling it twice with
-    the same [src] double-counts.  Raises [Invalid_argument] on kind or
-    layout mismatches. *)
 
 val render : t -> string
 (** Human-readable dump of {!snapshot}, one instrument per line. *)

@@ -48,9 +48,6 @@ val worker_task : worker_handle -> (unit -> 'a) -> 'a
 val worker_stop : worker_handle -> unit
 (** Seals the worker's record into the recorder. *)
 
-val phases : t -> phase list
-(** In recording order. *)
-
 val workers : t -> worker list
 (** Sorted by domain id.  One record per worker per fan-out, so a recorder
     spanning several [Pool.map] calls accumulates multiple records. *)

@@ -5,8 +5,6 @@
    fixed, and the renderers iterate those lists in order — equal reports
    produce byte-identical output. *)
 
-module J = Bench_support.Bench_json
-
 type dist = {
   d_count : int;
   d_sum : float;
@@ -105,60 +103,61 @@ let of_collector ~title ?meta c =
 
 let schema_version = 1.0
 
-let str_obj l = J.Obj (List.map (fun (k, v) -> (k, J.Str v)) l)
+let str_obj l = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) l)
 
 let json_of_dist d =
-  J.Obj
+  Json.Obj
     [
-      ("count", J.Num (float_of_int d.d_count));
-      ("sum", J.Num d.d_sum);
-      ("min", J.Num d.d_min);
-      ("max", J.Num d.d_max);
-      ("p50", J.Num d.d_p50);
-      ("p90", J.Num d.d_p90);
-      ("p99", J.Num d.d_p99);
-      ("p999", J.Num d.d_p999);
-      ("rel_err", J.Num d.d_rel_err);
+      ("count", Json.Num (float_of_int d.d_count));
+      ("sum", Json.Num d.d_sum);
+      ("min", Json.Num d.d_min);
+      ("max", Json.Num d.d_max);
+      ("p50", Json.Num d.d_p50);
+      ("p90", Json.Num d.d_p90);
+      ("p99", Json.Num d.d_p99);
+      ("p999", Json.Num d.d_p999);
+      ("rel_err", Json.Num d.d_rel_err);
     ]
 
 let json_of_series (v : Series.view) =
-  J.Obj
+  Json.Obj
     [
-      ("kind", J.Str (match v.Series.v_kind with Series.Sum -> "sum" | Series.Last -> "last"));
-      ("interval", J.Num v.Series.v_interval);
-      ("points", J.List (List.map (fun (t, x) -> J.List [ J.Num t; J.Num x ]) v.Series.v_points));
-      ("dropped", J.Num (float_of_int v.Series.v_dropped));
+      ("kind", Json.Str (match v.Series.v_kind with Series.Sum -> "sum" | Series.Last -> "last"));
+      ("interval", Json.Num v.Series.v_interval);
+      ( "points",
+        Json.List (List.map (fun (t, x) -> Json.List [ Json.Num t; Json.Num x ]) v.Series.v_points) );
+      ("dropped", Json.Num (float_of_int v.Series.v_dropped));
     ]
 
 let json_of_variant v =
-  J.Obj
+  Json.Obj
     [
-      ("name", J.Str v.v_name);
+      ("name", Json.Str v.v_name);
       ("attrs", str_obj v.v_attrs);
-      ("counts", J.Obj (List.map (fun (k, n) -> (k, J.Num (float_of_int n))) v.v_counts));
-      ("values", J.Obj (List.map (fun (k, x) -> (k, J.Num x)) v.v_values));
-      ("dists", J.Obj (List.map (fun (k, d) -> (k, json_of_dist d)) v.v_dists));
-      ("series", J.Obj (List.map (fun (k, s) -> (k, json_of_series s)) v.v_series));
+      ("counts", Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) v.v_counts));
+      ("values", Json.Obj (List.map (fun (k, x) -> (k, Json.Num x)) v.v_values));
+      ("dists", Json.Obj (List.map (fun (k, d) -> (k, json_of_dist d)) v.v_dists));
+      ("series", Json.Obj (List.map (fun (k, s) -> (k, json_of_series s)) v.v_series));
     ]
 
 let to_json r =
-  J.Obj
+  Json.Obj
     [
-      ("schema_version", J.Num schema_version);
-      ("title", J.Str r.r_title);
+      ("schema_version", Json.Num schema_version);
+      ("title", Json.Str r.r_title);
       ("meta", str_obj r.r_meta);
-      ("variants", J.List (List.map json_of_variant r.r_variants));
+      ("variants", Json.List (List.map json_of_variant r.r_variants));
     ]
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
 
 let get name j =
-  match J.member name j with
+  match Json.member name j with
   | Some v -> v
   | None -> fail "Report.of_json: missing member %S" name
 
 let num name j =
-  match J.to_num (get name j) with
+  match Json.to_num (get name j) with
   | Some f -> f
   | None -> fail "Report.of_json: member %S is not a number" name
 
@@ -168,17 +167,17 @@ let int_mem name j =
   else fail "Report.of_json: member %S is not an integer" name
 
 let str name j =
-  match J.to_str (get name j) with
+  match Json.to_str (get name j) with
   | Some s -> s
   | None -> fail "Report.of_json: member %S is not a string" name
 
 let str_assoc name j =
   List.map
     (fun (k, v) ->
-      match J.to_str v with
+      match Json.to_str v with
       | Some s -> (k, s)
       | None -> fail "Report.of_json: %S entry %S is not a string" name k)
-    (J.obj_members (get name j))
+    (Json.obj_members (get name j))
 
 let dist_of_json j =
   {
@@ -202,16 +201,16 @@ let series_of_json j =
   in
   let points =
     match get "points" j with
-    | J.List l ->
+    | Json.List l ->
         List.map
           (function
-            | J.List [ J.Num t; J.Num v ] -> (t, v)
+            | Json.List [ Json.Num t; Json.Num v ] -> (t, v)
             | _ -> fail "Report.of_json: series point is not a [t, v] pair")
           l
     | _ -> fail "Report.of_json: member \"points\" is not a list"
   in
   (* [dropped] is absent from pre-v4 reports; default 0. *)
-  let dropped = match J.member "dropped" j with Some _ -> int_mem "dropped" j | None -> 0 in
+  let dropped = match Json.member "dropped" j with Some _ -> int_mem "dropped" j | None -> 0 in
   { Series.v_kind = kind; v_interval = num "interval" j; v_points = points; v_dropped = dropped }
 
 let variant_of_json j =
@@ -221,19 +220,19 @@ let variant_of_json j =
     v_counts =
       List.map
         (fun (k, v) ->
-          match J.to_num v with
+          match Json.to_num v with
           | Some f when Float.is_integer f -> (k, int_of_float f)
           | _ -> fail "Report.of_json: count %S is not an integer" k)
-        (J.obj_members (get "counts" j));
+        (Json.obj_members (get "counts" j));
     v_values =
       List.map
         (fun (k, v) ->
-          match J.to_num v with
+          match Json.to_num v with
           | Some f -> (k, f)
           | None -> fail "Report.of_json: value %S is not a number" k)
-        (J.obj_members (get "values" j));
-    v_dists = List.map (fun (k, v) -> (k, dist_of_json v)) (J.obj_members (get "dists" j));
-    v_series = List.map (fun (k, v) -> (k, series_of_json v)) (J.obj_members (get "series" j));
+        (Json.obj_members (get "values" j));
+    v_dists = List.map (fun (k, v) -> (k, dist_of_json v)) (Json.obj_members (get "dists" j));
+    v_series = List.map (fun (k, v) -> (k, series_of_json v)) (Json.obj_members (get "series" j));
   }
 
 let of_json j =
@@ -241,14 +240,14 @@ let of_json j =
   if v <> schema_version then fail "Report.of_json: unsupported schema_version %g" v;
   let variants =
     match get "variants" j with
-    | J.List l -> List.map variant_of_json l
+    | Json.List l -> List.map variant_of_json l
     | _ -> fail "Report.of_json: member \"variants\" is not a list"
   in
   { r_title = str "title" j; r_meta = str_assoc "meta" j; r_variants = variants }
 
-let to_string ?minify r = J.to_string ?minify (to_json r)
+let to_string ?minify r = Json.to_string ?minify (to_json r)
 
-let of_string s = of_json (J.parse s)
+let of_string s = of_json (Json.parse s)
 
 (* -- Shared renderer helpers -------------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (** Structured run reports: a plain-data model of one experiment campaign —
     per-variant metric totals, quantile-sketch summaries and sim-time
-    series — with JSON (de)serialization through [Bench_json], an ASCII
+    series — with JSON (de)serialization through {!Json}, an ASCII
     table renderer, and a self-contained HTML comparison dashboard.
 
     A report is built from merged {!Metrics} snapshots, one registry per
@@ -65,19 +65,14 @@ val of_collector : title:string -> ?meta:(string * string) list -> collector -> 
 
 (** {2 Serialization} *)
 
-val to_json : t -> Bench_support.Bench_json.t
-(** Schema: [{schema_version; title; meta; variants}], member order fixed,
-    so equal reports serialize to byte-identical strings. *)
-
-val of_json : Bench_support.Bench_json.t -> t
-(** Inverse of {!to_json}; raises [Invalid_argument] on a missing or
-    ill-typed member or an unsupported [schema_version]. *)
-
 val to_string : ?minify:bool -> t -> string
+(** JSON of schema [{schema_version; title; meta; variants}], member order
+    fixed, so equal reports serialize to byte-identical strings. *)
 
 val of_string : string -> t
-(** Raises [Bench_json.Parse_error] on malformed JSON, [Invalid_argument]
-    on schema violations. *)
+(** Inverse of {!to_string}.  Raises [Json.Parse_error] on malformed JSON,
+    [Invalid_argument] on a missing or ill-typed member or an unsupported
+    [schema_version]. *)
 
 (** {2 Renderers} *)
 

@@ -35,12 +35,6 @@ let create ?(kind = Sum) ?(interval = 1.0) ?(capacity = 512) () =
     dropped = 0;
   }
 
-let kind t = t.kind
-
-let interval t = t.interval
-
-let capacity t = t.cap
-
 (* A slot's entry is live iff it holds a bucket inside the current window
    (hi - cap, hi]. *)
 let live t idx = idx >= 0 && idx > t.hi - t.cap

@@ -31,12 +31,6 @@ val create : ?kind:kind -> ?interval:float -> ?capacity:int -> unit -> t
 (** Defaults: [kind = Sum], [interval = 1.0] (simulated seconds),
     [capacity = 512] buckets.  [interval > 0], [capacity >= 1]. *)
 
-val kind : t -> kind
-
-val interval : t -> float
-
-val capacity : t -> int
-
 val observe : t -> ts:float -> float -> unit
 (** Record [v] at simulation time [ts >= 0] (non-finite or negative [ts],
     or a non-finite [v], raises [Invalid_argument]). *)

@@ -47,36 +47,16 @@ let observe t v =
   let i = index t.bounds v in
   t.counts.(i) <- t.counts.(i) + 1
 
-let base t = t.base
-
-let lowest t = t.lowest
-
-let bucket_count t = Array.length t.bounds
-
-let count t = t.count
-
-let sum t = t.sum
-
-let min_value t = t.min_v
-
-let max_value t = t.max_v
-
 let buckets t =
   let n = Array.length t.bounds in
   List.init (n + 1) (fun i -> ((if i = n then infinity else t.bounds.(i)), t.counts.(i)))
 
-(* The worst case of the harmonic-midpoint estimate below over a bucket
-   (lo, lo*base]: equal relative error at both edges, (base-1)/(base+1). *)
-let rel_error_of_base base = (base -. 1.0) /. (base +. 1.0)
-
-let rel_error t = rel_error_of_base t.base
-
 (* The bucket covering rank [ceil (q * count)] (rank 1 at q = 0), as an
    index into a counts array laid out like [t.counts]. *)
 let rank_bucket ~counts ~total q =
-  if total = 0 then invalid_arg "Sketch.quantile: empty sketch";
+  if total = 0 then invalid_arg "Sketch.summary_quantile: empty sketch";
   if not (Float.is_finite q) || q < 0.0 || q > 1.0 then
-    invalid_arg "Sketch.quantile: q outside [0, 1]";
+    invalid_arg "Sketch.summary_quantile: q outside [0, 1]";
   let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
   let n = Array.length counts in
   let rec walk i acc =
@@ -109,18 +89,6 @@ let estimate ~bounds ~min_v ~max_v i =
     else 2.0 *. lo *. hi /. (lo +. hi)
   in
   clamp ~lo:min_v ~hi:max_v raw
-
-let quantile t q =
-  let i = rank_bucket ~counts:t.counts ~total:t.count q in
-  (* The extreme ranks are tracked exactly; buckets only refine between. *)
-  if q = 0.0 then t.min_v
-  else if q = 1.0 then t.max_v
-  else estimate ~bounds:t.bounds ~min_v:t.min_v ~max_v:t.max_v i
-
-let quantile_bounds t q =
-  let i = rank_bucket ~counts:t.counts ~total:t.count q in
-  let lo, hi = bucket_edges t.bounds i in
-  (Float.max lo t.min_v, Float.min hi t.max_v)
 
 let compatible a b =
   a.base = b.base && a.lowest = b.lowest && Array.length a.bounds = Array.length b.bounds
@@ -163,14 +131,17 @@ let summarize (t : t) =
   }
 
 let summary_quantile s q =
-  (* Rebuild the array views the shared walk expects; the final (infinite)
+  (* Rebuild the array views the walk expects; the final (infinite)
      bound carries the overflow count. *)
   let counts = Array.of_list (List.map snd s.s_buckets) in
   let finite = List.filter (fun (b, _) -> b <> infinity) s.s_buckets in
   let bounds = Array.of_list (List.map fst finite) in
   let i = rank_bucket ~counts ~total:s.s_count q in
+  (* The extreme ranks are tracked exactly; buckets only refine between. *)
   if q = 0.0 then s.s_min
   else if q = 1.0 then s.s_max
   else estimate ~bounds ~min_v:s.s_min ~max_v:s.s_max i
 
-let summary_rel_error s = rel_error_of_base s.base
+(* The worst case of the harmonic-midpoint estimate over a bucket
+   (lo, lo*base]: equal relative error at both edges. *)
+let summary_rel_error s = (s.base -. 1.0) /. (s.base +. 1.0)

@@ -31,43 +31,6 @@ val observe : t -> float -> unit
 (** Record one value.  Non-finite values raise [Invalid_argument] (they
     would poison [sum] and serialization). *)
 
-val base : t -> float
-
-val lowest : t -> float
-
-val bucket_count : t -> int
-(** Number of finite bounds (the overflow bucket is extra). *)
-
-val count : t -> int
-
-val sum : t -> float
-
-val min_value : t -> float
-(** Smallest observed value; [infinity] while empty. *)
-
-val max_value : t -> float
-(** Largest observed value; [neg_infinity] while empty. *)
-
-val buckets : t -> (float * int) list
-(** [(upper_bound, count)] per bucket in increasing bound order; the final
-    overflow bucket reports [infinity].  Counts are per-bucket. *)
-
-val rel_error : t -> float
-(** The worst-case relative error of {!quantile} estimates that land in a
-    finite bucket: [(base - 1) / (base + 1)]. *)
-
-val quantile : t -> float -> float
-(** [quantile t q] with [0 <= q <= 1]: the value at rank [ceil (q * count)]
-    (rank 1 for [q = 0]), estimated as the harmonic midpoint of the
-    covering bucket and clamped to [[min_value, max_value]]; [q = 0] and
-    [q = 1] return the exactly-tracked extrema.  Raises [Invalid_argument]
-    on an empty sketch or a [q] outside [0, 1]. *)
-
-val quantile_bounds : t -> float -> float * float
-(** The covering bucket's [(lower, upper)] edges for the same rank,
-    intersected with [[min_value, max_value]] — a hard interval the true
-    quantile lies in. *)
-
 val compatible : t -> t -> bool
 (** Same layout ([base], [lowest], bucket count)? *)
 
@@ -88,12 +51,20 @@ type summary = {
   s_sum : float;
   s_min : float;
   s_max : float;
-  s_buckets : (float * int) list;  (** As {!buckets}. *)
+  s_buckets : (float * int) list;
+      (** [(upper_bound, count)] per bucket in increasing bound order; the
+          final overflow bucket reports [infinity]. *)
 }
 
 val summarize : t -> summary
 
 val summary_quantile : summary -> float -> float
-(** {!quantile} computed on a snapshot. *)
+(** [summary_quantile s q] with [0 <= q <= 1]: the value at rank
+    [ceil (q * s_count)] (rank 1 for [q = 0]), estimated as the harmonic
+    midpoint of the covering bucket and clamped to [[s_min, s_max]];
+    [q = 0] and [q = 1] return the exactly-tracked extrema.  Raises
+    [Invalid_argument] on an empty sketch or a [q] outside [0, 1]. *)
 
 val summary_rel_error : summary -> float
+(** The worst-case relative error of {!summary_quantile} estimates that
+    land in a finite bucket: [(base - 1) / (base + 1)]. *)

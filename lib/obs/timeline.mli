@@ -33,10 +33,6 @@ val phases : phase list
 
 val phase_name : phase -> string
 
-val to_causal : phase -> Causal.phase
-(** The same interval under {!Causal}'s detect/notify/repair/stabilize
-    naming. *)
-
 val phase_durations : episode -> (phase * float option) list
 (** Consecutive milestone deltas, [None] where a milestone is missing. *)
 

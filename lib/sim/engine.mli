@@ -90,9 +90,6 @@ val run : ?until:float -> t -> unit
 (** Process events in time order; stops when the queue empties or the clock
     would pass [until]. *)
 
-val step : t -> bool
-(** Process one event; [false] when the queue is empty. *)
-
 val pending : t -> int
 (** Number of live (not cancelled) scheduled events. *)
 

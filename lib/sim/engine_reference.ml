@@ -12,8 +12,6 @@ type t = {
 
 let create () = { tick = Array.make 64 0; seq = Array.make 64 0; eid = Array.make 64 0; n = 0 }
 
-let length t = t.n
-
 let[@inline] less t i j =
   t.tick.(i) < t.tick.(j) || (t.tick.(i) = t.tick.(j) && t.seq.(i) < t.seq.(j))
 

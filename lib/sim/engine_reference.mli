@@ -21,5 +21,3 @@ val min_tick : t -> int
 val pop_min : t -> int
 (** Remove and return the [eid] with the smallest [(tick, seq)]; [-1] when
     empty. *)
-
-val length : t -> int

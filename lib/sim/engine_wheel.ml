@@ -77,8 +77,6 @@ let create () =
     n = 0;
   }
 
-let length t = t.n
-
 let grow t =
   let ncap = t.cap * 2 in
   let ext a = Array.append a (Array.make t.cap 0) in

@@ -45,10 +45,6 @@ let frame_cap0 = 64
 
 let free_chain n off = Array.init n (fun i -> if i = n - 1 then -1 else off + i + 1)
 
-let engine t = t.engine
-
-let graph t = t.graph
-
 let link_up t eid = not t.link_down.(eid)
 
 let node_up t v = not t.node_down.(v)
@@ -203,8 +199,6 @@ let fail_node t v = t.node_down.(v) <- true
 
 let restore_link t eid = t.link_down.(eid) <- false
 
-let restore_node t v = t.node_down.(v) <- false
-
 let as_failure t =
   let downs = ref [] in
   Array.iteri (fun i d -> if d then downs := Smrp_core.Failure.Link i :: !downs) t.link_down;
@@ -214,14 +208,6 @@ let as_failure t =
 let set_loss t ~rng ~rate =
   if rate < 0.0 || rate >= 1.0 then invalid_arg "Net.set_loss: rate out of [0, 1)";
   t.loss <- Some (rng, rate)
-
-let frames_sent t = t.frames_sent
-
-let frames_delivered t = t.frames_delivered
-
-let frames_lost t = t.frames_lost
-
-let frames_dropped_failure t = t.dropped_send_failure + t.dropped_in_flight
 
 let counters t =
   [

@@ -32,10 +32,6 @@ val create :
     present the net maintains [net.frames_*] counters and a
     [net.frame_drops] series. *)
 
-val engine : 'msg t -> Engine.t
-
-val graph : 'msg t -> Smrp_graph.Graph.t
-
 val send : 'msg t -> src:int -> dst:int -> 'msg -> bool
 (** Send over the (existing) link [src]–[dst]; returns whether the frame was
     put on the wire (i.e. the link and both endpoints were up at send time).
@@ -48,8 +44,6 @@ val fail_node : 'msg t -> int -> unit
 (** Kill a router: all its incident links stop delivering. *)
 
 val restore_link : 'msg t -> int -> unit
-
-val restore_node : 'msg t -> int -> unit
 
 val link_up : 'msg t -> int -> bool
 
@@ -64,19 +58,6 @@ val set_loss : 'msg t -> rng:Smrp_rng.Rng.t -> rate:float -> unit
 (** Bernoulli frame loss: each frame is dropped at delivery with probability
     [rate] (drawn from [rng], so runs stay reproducible).  Models the
     transient losses the soft-state machinery (§3.2) must absorb. *)
-
-val frames_sent : 'msg t -> int
-(** Total frames accepted onto a wire: the control-overhead metric. *)
-
-val frames_delivered : 'msg t -> int
-(** Frames that reached their destination's handler. *)
-
-val frames_lost : 'msg t -> int
-(** Frames dropped by the Bernoulli loss process (not by failures). *)
-
-val frames_dropped_failure : 'msg t -> int
-(** Frames dropped because a link or endpoint was down — rejected at send
-    time or killed in flight — as opposed to Bernoulli loss. *)
 
 val counters : 'msg t -> (string * int) list
 (** Frame accounting by outcome: [sent], [delivered], [lost] (Bernoulli),

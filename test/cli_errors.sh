@@ -28,4 +28,5 @@ expect 1 scenario -n 10 --group 30
 expect 1 scenario -n 10 --group 10
 expect 1 scale -n 1000 --json no-such-dir/scale.json
 expect 2 campaign --quick --matrix "figs=7"
+expect 2 campaign --matrix "topo=scale:1"
 exit $status

@@ -150,8 +150,7 @@ let tree_of_waxman seed =
 let failure_models_deterministic_and_sane () =
   let g, tree = tree_of_waxman 3 in
   List.iter
-    (fun model ->
-      let name = Failure_model.name model in
+    (fun (name, model) ->
       let draw seed =
         let ws = Failure_model.create_ws () in
         Failure_model.draw ws model (Rng.create seed) g ~tree
@@ -167,11 +166,11 @@ let failure_models_deterministic_and_sane () =
             true
             (Failure_model.disrupted tree f <= Tree.member_count tree))
     [
-      Failure_model.Independent { events = 2; elements = 2 };
-      Failure_model.Correlated { events = 2; burst = 3 };
-      Failure_model.Regional { events = 2; radius = 1 };
-      Failure_model.Cascading { events = 2; depth = 3 };
-      Failure_model.Adversarial { events = 2; budget = 2; passes = 1 };
+      ("indep", Failure_model.Independent { events = 2; elements = 2 });
+      ("correlated", Failure_model.Correlated { events = 2; burst = 3 });
+      ("regional", Failure_model.Regional { events = 2; radius = 1 });
+      ("cascade", Failure_model.Cascading { events = 2; depth = 3 });
+      ("adversarial", Failure_model.Adversarial { events = 2; budget = 2; passes = 1 });
     ]
 
 let adversarial_beats_random () =
@@ -279,6 +278,7 @@ let matrix_parser () =
   in
   bad "nonsense";
   bad "topo=hypercube";
+  bad "topo=scale:1";
   bad "fail=adversarial:x";
   bad "instances=0";
   bad "figs=11"

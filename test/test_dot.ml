@@ -12,16 +12,6 @@ let contains haystack needle =
   let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
   scan 0
 
-let tree_export () =
-  let g = Fixtures.line 4 in
-  let t = Spf.build g ~source:0 ~members:[ 3 ] in
-  let dot = Dot.tree t in
-  check "digraph" true (contains dot "digraph");
-  check "member styled" true (contains dot "3 [shape=box");
-  check "source styled" true (contains dot "0 [shape=doublecircle");
-  check "edge present" true (contains dot "3 -> 2");
-  check "balanced braces" true (contains dot "}")
-
 let network_export () =
   let f = Fixtures.fig1 () in
   let g = f.Fixtures.graph in
@@ -44,7 +34,6 @@ let () =
     [
       ( "export",
         [
-          Alcotest.test_case "tree" `Quick tree_export;
           Alcotest.test_case "network with failure" `Quick network_export;
           Alcotest.test_case "network plain" `Quick network_without_tree;
         ] );

@@ -129,32 +129,6 @@ let pinned_repeated_fail_restore () =
   done;
   check "back to base" true (Dspf.distance t 3 = Some 3.0)
 
-let pinned_set_delay () =
-  (* [run_reference] reads the graph's own delays, so overlay-delay cases
-     are pinned on exact distances plus the from-scratch [verify]. *)
-  let g = path_graph [| 1.0; 1.0 |] in
-  let alt = Graph.add_edge g 0 2 3.0 in
-  let t = Dspf.create g ~source:0 in
-  check "base" true (Dspf.distance t 2 = Some 2.0);
-  (* Increase on a tree edge: downstream subtree re-routes. *)
-  Dspf.set_delay t 1 10.0;
-  check "verify after increase" true (Dspf.verify t);
-  check "rerouted" true (Dspf.distance t 2 = Some 3.0);
-  (* Decrease below the alternative: grow-cascade takes it back. *)
-  Dspf.set_delay t 1 0.5;
-  check "verify after decrease" true (Dspf.verify t);
-  check "back" true (Dspf.distance t 2 = Some 1.5);
-  (* Delay change on a dead edge applies at restoration. *)
-  Dspf.fail_edge t alt;
-  Dspf.set_delay t alt 0.25;
-  check "verify on dead edge" true (Dspf.verify t);
-  Dspf.restore_edge t alt;
-  check "verify after restore" true (Dspf.verify t);
-  check "restored with new delay" true (Dspf.distance t 2 = Some 0.25);
-  Alcotest.check_raises "positive delay required"
-    (Invalid_argument "Dspf.set_delay: delay must be positive") (fun () ->
-      Dspf.set_delay t 0 0.0)
-
 let pinned_locality () =
   (* A leaf-edge failure must not touch the rest of the tree. *)
   let g = path_graph [| 1.0; 1.0; 1.0; 1.0; 1.0 |] in
@@ -167,10 +141,9 @@ let pinned_locality () =
 
 (* -- Randomized mutation-sequence differential --------------------------- *)
 
-type mutation = Fail_edge | Restore_edge | Fail_node | Restore_node | Set_delay
+type mutation = Fail_edge | Restore_edge | Fail_node | Restore_node
 
-let fail_restore_mutations = [| Fail_edge; Restore_edge; Fail_node; Restore_node |]
-let all_mutations = [| Fail_edge; Restore_edge; Fail_node; Restore_node; Set_delay |]
+let mutations = [| Fail_edge; Restore_edge; Fail_node; Restore_node |]
 
 let apply_mutation rng t ~source mu =
   let g = Dspf.graph t in
@@ -185,33 +158,17 @@ let apply_mutation rng t ~source mu =
       let v = Rng.int rng n in
       Dspf.fail_node t (if v = source && Rng.int rng 4 <> 0 then (v + 1) mod n else v)
   | Restore_node -> Dspf.restore_node t (Rng.int rng n)
-  | Set_delay ->
-      let eid = Rng.int rng m in
-      Dspf.set_delay t eid (0.05 +. Rng.float rng 5.0)
 
 (* Apply [steps] random fail/restore mutations, checking exact agreement
    with [run_reference] after every single one.  Returns the number of
    mutations performed (no-ops on already-dead/live elements still count
-   as checks).  [set_delay] is excluded here — the reference reads the
-   graph's own delays, not the overlay — and exercised by
-   {!delay_overlay_run} against the from-scratch recompute instead. *)
+   as checks). *)
 let differential_run rng g ~source ~steps =
   let t = Dspf.create g ~source in
   agree_with_reference t;
   for _ = 1 to steps do
-    apply_mutation rng t ~source (Rng.pick rng fail_restore_mutations);
+    apply_mutation rng t ~source (Rng.pick rng mutations);
     agree_with_reference t
-  done;
-  steps
-
-(* Mixed run including delay overrides, validated after every mutation by
-   [Dspf.verify] — a from-scratch Dijkstra over the same overlay. *)
-let delay_overlay_run rng g ~source ~steps =
-  let t = Dspf.create g ~source in
-  check "verify initial" true (Dspf.verify t);
-  for _ = 1 to steps do
-    apply_mutation rng t ~source (Rng.pick rng all_mutations);
-    if not (Dspf.verify t) then Alcotest.fail "dspf diverged from recompute"
   done;
   steps
 
@@ -236,17 +193,6 @@ let random_transit_stub_differential () =
     total := !total + differential_run mut_rng ts.Transit_stub.graph ~source:0 ~steps:160
   done;
   check "≥480 transit-stub mutations" true (!total >= 480)
-
-let random_delay_overlay_differential () =
-  let rng = Rng.create 5150 in
-  let total = ref 0 in
-  for _ = 1 to 2 do
-    let topo_rng = Rng.split rng in
-    let mut_rng = Rng.split rng in
-    let w = Waxman.generate topo_rng ~n:45 ~alpha:0.2 ~beta:0.25 in
-    total := !total + delay_overlay_run mut_rng w.Waxman.graph ~source:0 ~steps:120
-  done;
-  check "≥240 overlay mutations" true (!total >= 240)
 
 let stats_count_ops () =
   let g = path_graph [| 1.0; 1.0 |] in
@@ -274,14 +220,12 @@ let () =
           Alcotest.test_case "source failure" `Quick pinned_source_failure;
           Alcotest.test_case "interior node failure" `Quick pinned_interior_node_failure;
           Alcotest.test_case "repeated fail/restore same edge" `Quick pinned_repeated_fail_restore;
-          Alcotest.test_case "set_delay" `Quick pinned_set_delay;
           Alcotest.test_case "leaf failure locality" `Quick pinned_locality;
         ] );
       ( "differential",
         [
           Alcotest.test_case "waxman ≥640 mutations" `Quick random_waxman_differential;
           Alcotest.test_case "transit-stub ≥480 mutations" `Quick random_transit_stub_differential;
-          Alcotest.test_case "delay overlay ≥240 mutations" `Quick random_delay_overlay_differential;
         ] );
       ( "api",
         [

@@ -1,6 +1,5 @@
 module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
-module Paths = Smrp_graph.Paths
 module Connectivity = Smrp_graph.Connectivity
 module Subgraph = Smrp_graph.Subgraph
 module Fixtures = Smrp_topology.Fixtures
@@ -186,62 +185,6 @@ let shortest_path_convenience () =
       check_int "edges" 2 (List.length edges)
   | None -> Alcotest.fail "expected path"
 
-(* -- Paths ------------------------------------------------------------- *)
-
-let path_of_edges () =
-  let g = Fixtures.line 4 in
-  let edges = Option.get (Dijkstra.path_edges (Dijkstra.run g ~source:0) 3) in
-  let p = Paths.of_edges g ~src:0 edges in
-  check_float "delay" 3.0 p.Paths.delay;
-  check_ilist "nodes" [ 0; 1; 2; 3 ] p.Paths.nodes;
-  check "simple" true (Paths.is_simple p)
-
-let path_concat () =
-  let g = Fixtures.line 5 in
-  let e01 = (Option.get (Graph.edge_between g 0 1)).Graph.id in
-  let e12 = (Option.get (Graph.edge_between g 1 2)).Graph.id in
-  let p = Paths.of_edges g ~src:0 [ e01 ] in
-  let q = Paths.of_edges g ~src:1 [ e12 ] in
-  let pq = Paths.concat p q in
-  check_ilist "joined" [ 0; 1; 2 ] pq.Paths.nodes;
-  check_float "delay adds" 2.0 pq.Paths.delay;
-  Alcotest.check_raises "mismatched concat" (Invalid_argument "Paths.concat: endpoints do not meet")
-    (fun () -> ignore (Paths.concat q p))
-
-let yen_diamond () =
-  let g = Fixtures.diamond () in
-  let paths = Paths.yen ~k:3 g ~src:0 ~dst:3 in
-  check_int "two disjoint paths exist" 2 (List.length paths);
-  check "sorted" true
-    (let ds = List.map (fun p -> p.Paths.delay) paths in
-     List.sort compare ds = ds);
-  List.iter (fun p -> check "loopless" true (Paths.is_simple p)) paths
-
-let yen_ring () =
-  let g = Fixtures.ring 6 in
-  let paths = Paths.yen ~k:5 g ~src:0 ~dst:2 in
-  check_int "both ways around" 2 (List.length paths);
-  check_float "short way" 2.0 (List.hd paths).Paths.delay;
-  check_float "long way" 4.0 (List.nth paths 1).Paths.delay
-
-let yen_distinct () =
-  let g = Fixtures.grid 3 in
-  let paths = Paths.yen ~k:4 g ~src:0 ~dst:8 in
-  check_int "four paths" 4 (List.length paths);
-  let keys = List.map (fun p -> p.Paths.edges) paths in
-  check "all distinct" true (List.length (List.sort_uniq compare keys) = 4)
-
-let yen_respects_filters () =
-  (* With node 1 filtered out of the diamond, only the 0-2-3 path remains. *)
-  let g = Fixtures.diamond () in
-  let paths = Paths.yen ~k:3 ~node_ok:(fun v -> v <> 1) g ~src:0 ~dst:3 in
-  check_int "single path" 1 (List.length paths);
-  check_ilist "the surviving route" [ 0; 2; 3 ] (List.hd paths).Paths.nodes
-
-let yen_zero_k () =
-  let g = Fixtures.diamond () in
-  check_int "k=0 yields nothing" 0 (List.length (Paths.yen ~k:0 g ~src:0 ~dst:3))
-
 (* -- Connectivity ------------------------------------------------------ *)
 
 let components_basic () =
@@ -286,17 +229,6 @@ let bridges_mixed () =
   ignore (Graph.add_edge g 2 0 1.0);
   let pendant = Graph.add_edge g 2 3 1.0 in
   check_ilist "pendant only" [ pendant ] (Connectivity.bridges g)
-
-let articulation_star () =
-  let g = Graph.create 4 in
-  ignore (Graph.add_edge g 0 1 1.0);
-  ignore (Graph.add_edge g 0 2 1.0);
-  ignore (Graph.add_edge g 0 3 1.0);
-  check_ilist "hub is the cut vertex" [ 0 ] (Connectivity.articulation_points g)
-
-let articulation_ring () =
-  let g = Fixtures.ring 5 in
-  check_ilist "cycle has none" [] (Connectivity.articulation_points g)
 
 (* -- Subgraph ---------------------------------------------------------- *)
 
@@ -355,18 +287,6 @@ let qcheck_triangle_inequality =
           | _ -> false)
         true g)
 
-let qcheck_yen_sorted_loopless =
-  QCheck.Test.make ~name:"yen paths are loopless, distinct and sorted" ~count:60
-    QCheck.(pair small_int (int_range 4 25))
-    (fun (seed, n) ->
-      let g = random_graph seed n (2 * n) in
-      let paths = Paths.yen ~k:4 g ~src:0 ~dst:(n - 1) in
-      let sorted = List.map (fun p -> p.Paths.delay) paths in
-      List.for_all Paths.is_simple paths
-      && List.sort compare sorted = sorted
-      && List.length (List.sort_uniq compare (List.map (fun p -> p.Paths.edges) paths))
-         = List.length paths)
-
 let qcheck_bridge_removal_disconnects =
   QCheck.Test.make ~name:"removing a bridge disconnects; removing a non-bridge does not" ~count:60
     QCheck.(pair small_int (int_range 3 30))
@@ -406,16 +326,6 @@ let () =
           Alcotest.test_case "absorbing interior choice" `Quick absorbing_picks_off_tree_interior;
           Alcotest.test_case "shortest_path convenience" `Quick shortest_path_convenience;
         ] );
-      ( "paths",
-        [
-          Alcotest.test_case "of_edges" `Quick path_of_edges;
-          Alcotest.test_case "concat" `Quick path_concat;
-          Alcotest.test_case "yen on diamond" `Quick yen_diamond;
-          Alcotest.test_case "yen on ring" `Quick yen_ring;
-          Alcotest.test_case "yen distinct on grid" `Quick yen_distinct;
-          Alcotest.test_case "yen respects filters" `Quick yen_respects_filters;
-          Alcotest.test_case "yen k=0" `Quick yen_zero_k;
-        ] );
       ( "connectivity",
         [
           Alcotest.test_case "components" `Quick components_basic;
@@ -424,8 +334,6 @@ let () =
           Alcotest.test_case "bridges on a line" `Quick bridges_line;
           Alcotest.test_case "bridges on a ring" `Quick bridges_ring;
           Alcotest.test_case "bridges mixed" `Quick bridges_mixed;
-          Alcotest.test_case "articulation star" `Quick articulation_star;
-          Alcotest.test_case "articulation ring" `Quick articulation_ring;
         ] );
       ( "subgraph",
         [
@@ -435,7 +343,6 @@ let () =
       ( "properties",
         [
           qcheck_case qcheck_triangle_inequality;
-          qcheck_case qcheck_yen_sorted_loopless;
           qcheck_case qcheck_bridge_removal_disconnects;
         ] );
     ]

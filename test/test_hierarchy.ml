@@ -1,6 +1,5 @@
 (* Hierarchical recovery architecture (§3.3.3). *)
 
-module Graph = Smrp_graph.Graph
 module Subgraph = Smrp_graph.Subgraph
 module Rng = Smrp_rng.Rng
 module Transit_stub = Smrp_topology.Transit_stub
@@ -74,32 +73,6 @@ let source_domain_rooted_at_source () =
   let sub_source = Option.get (Subgraph.node_to_sub d.Hierarchy.sub source) in
   check_int "tree rooted at the actual source" sub_source (Tree.source d.Hierarchy.tree)
 
-let owning_domain_classification () =
-  let ts, source, members = scene 4 in
-  let h = Hierarchy.build ts ~source ~members in
-  (* A transit-transit edge belongs to the top domain. *)
-  let transit = Transit_stub.transit_nodes ts in
-  let transit_edge =
-    Graph.fold_edges
-      (fun acc e ->
-        if acc = None && List.mem e.Graph.u transit && List.mem e.Graph.v transit then
-          Some e.Graph.id
-        else acc)
-      None ts.Transit_stub.graph
-  in
-  (match Hierarchy.owning_domain h (Failure.Link (Option.get transit_edge)) with
-  | Some d -> check_int "top domain owns transit links" (-1) d.Hierarchy.id
-  | None -> Alcotest.fail "transit link must be owned");
-  (* An edge strictly inside a member stub belongs to that stub's domain. *)
-  let dom = List.hd (Hierarchy.member_domains h) in
-  match Tree.tree_edges dom.Hierarchy.tree with
-  | [] -> () (* single-node domain tree: nothing to classify *)
-  | sub_eid :: _ -> (
-      let orig = dom.Hierarchy.sub.Subgraph.edge_from_sub.(sub_eid) in
-      match Hierarchy.owning_domain h (Failure.Link orig) with
-      | Some d -> check_int "stub domain owns its links" dom.Hierarchy.id d.Hierarchy.id
-      | None -> Alcotest.fail "stub link must be owned")
-
 let recoveries_confined () =
   let ts, source, members = scene 5 in
   let h = Hierarchy.build ts ~source ~members in
@@ -126,16 +99,6 @@ let flat_equivalent_members () =
   check_int "exactly the receivers" (List.length (List.sort_uniq compare members))
     (Tree.member_count flat)
 
-let domain_of_node_lookup () =
-  let ts, source, members = scene 7 in
-  let h = Hierarchy.build ts ~source ~members in
-  let m = List.hd members in
-  (match Hierarchy.domain_of_node h m with
-  | Some d -> check_int "member's own domain" (stub_of ts m) d.Hierarchy.id
-  | None -> Alcotest.fail "member domain must exist");
-  let transit = List.hd (Transit_stub.transit_nodes ts) in
-  check "transit nodes have no stub domain" true (Hierarchy.domain_of_node h transit = None)
-
 let qcheck_hierarchy_builds =
   QCheck.Test.make ~name:"hierarchies build with valid domain trees" ~count:40 QCheck.small_int
     (fun seed ->
@@ -154,11 +117,9 @@ let () =
           Alcotest.test_case "top domain connects agents" `Quick top_domain_connects_agents;
           Alcotest.test_case "source domain rooted at source" `Quick source_domain_rooted_at_source;
           Alcotest.test_case "flat equivalent" `Quick flat_equivalent_members;
-          Alcotest.test_case "domain lookup" `Quick domain_of_node_lookup;
         ] );
       ( "recovery",
         [
-          Alcotest.test_case "owning domain" `Quick owning_domain_classification;
           Alcotest.test_case "recoveries confined" `Quick recoveries_confined;
         ] );
       ("properties", [ qcheck_case qcheck_hierarchy_builds ]);

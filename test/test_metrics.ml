@@ -24,15 +24,6 @@ let summarize_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty sample") (fun () ->
       ignore (Stats.summarize []))
 
-let percentiles () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  check_float "median" 3.0 (Stats.percentile 0.5 xs);
-  check_float "min" 1.0 (Stats.percentile 0.0 xs);
-  check_float "max" 5.0 (Stats.percentile 1.0 xs);
-  check_float "interpolated" 1.5 (Stats.percentile 0.125 xs);
-  Alcotest.check_raises "out of range" (Invalid_argument "Stats.percentile: p out of [0, 1]")
-    (fun () -> ignore (Stats.percentile 1.5 xs))
-
 let relative_metrics () =
   check_float "reduction" 0.25 (Stats.relative_reduction ~baseline:4.0 ~improved:3.0);
   check_float "increase" 0.25 (Stats.relative_increase ~baseline:4.0 ~changed:5.0);
@@ -81,7 +72,6 @@ let () =
           Alcotest.test_case "summarize known sample" `Quick summarize_known_sample;
           Alcotest.test_case "singleton" `Quick summarize_singleton;
           Alcotest.test_case "empty rejected" `Quick summarize_empty_rejected;
-          Alcotest.test_case "percentiles" `Quick percentiles;
           Alcotest.test_case "relative metrics" `Quick relative_metrics;
         ] );
       ( "rendering",

@@ -118,7 +118,7 @@ let full_churn_empties_tree =
     QCheck.small_int (fun seed ->
       let g, source, members = scene seed in
       let t = Smrp.build ~d_thresh:0.3 g ~source ~members in
-      List.iter (Smrp.leave t) members;
+      List.iter (Tree.remove_member t) members;
       Tree.on_tree_nodes t = [ source ] && Tree.validate t = Ok ())
 
 (* Join order changes the tree but never its member set or validity. *)

@@ -60,7 +60,7 @@ let spf_errors () =
 let spf_leave_roundtrip () =
   let g = Fixtures.line 4 in
   let t = Spf.build g ~source:0 ~members:[ 3 ] in
-  Spf.leave t 3;
+  Tree.remove_member t 3;
   check_ilist "tree shrinks to source" [ 0 ] (Tree.on_tree_nodes t);
   assert_valid t
 

@@ -128,10 +128,8 @@ let detach_attach_previous_is_identity () =
   Tree.add_member t 5;
   let before = Format.asprintf "%a" Tree.pp t in
   let branch, (nodes, edges) = Tree.detach_branch t ~node:5 in
-  check_int "branch root" 5 (Tree.branch_root branch);
   check "branch contains root" true (Tree.branch_contains branch 5);
   check "branch excludes others" false (Tree.branch_contains branch 2);
-  check_int "branch members" 1 (Tree.branch_member_count branch);
   Tree.attach_branch t branch ~nodes ~edges;
   let after = Format.asprintf "%a" Tree.pp t in
   Alcotest.(check string) "tree unchanged" before after;
