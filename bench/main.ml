@@ -38,6 +38,7 @@ module Smrp = Smrp_core.Smrp
 module Reshape = Smrp_core.Reshape
 module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
+module Session = Smrp_core.Session
 module Engine = Smrp_sim.Engine
 module Metrics = Smrp_obs.Metrics
 module Flight = Smrp_obs.Flight
@@ -310,6 +311,29 @@ let micro () =
         (let base = Smrp.build ~d_thresh:0.3 ~ws graph ~source ~members in
          Staged.stage (fun () ->
              ignore (Reshape.stabilize ~d_thresh:0.3 ~ws (Tree.copy base))));
+      Test.make ~name:"session_join_failed"
+        (* A join under accumulated persistent failures: an SMRP session
+           on the reference graph with four tree-link failures active, one
+           off-tree node joining and leaving.  The join reads D_SPF from the
+           session's incremental SPF and runs one filtered candidate
+           search. *)
+        (let s = Session.create graph ~source ~protocol:(Session.Smrp { d_thresh = 0.3 }) in
+         List.iter (Session.join s) members;
+         let frng = Rng.create 4245 in
+         for _ = 1 to 4 do
+           let edges = Array.of_list (Tree.tree_edges (Session.tree s)) in
+           ignore (Session.fail s (Failure.Link (Rng.pick frng edges)) : Session.repair list)
+         done;
+         let joiner =
+           let rec first v =
+             if (not (Tree.is_on_tree (Session.tree s) v)) && Session.reachable s v then v
+             else first (v + 1)
+           in
+           first 0
+         in
+         Staged.stage (fun () ->
+             Session.join s joiner;
+             Session.leave s joiner));
       Test.make ~name:"dijkstra_full_recover"
         (* What recovery costs without the incremental layer: recompute the
            whole source-rooted SPF on the 10^4-node graph. *)

@@ -180,13 +180,27 @@ let query_join_checks s ~d_thresh ~spf ~pre_on_tree ~qcands ~full m () =
             | _ -> None
           end)
 
+(* The session answers reachability from its incremental source SPF; the
+   reference is a fresh filtered search from the joiner. *)
+let reachable_violation m ~reference =
+  {
+    Oracle.oracle = "join-reachable";
+    message =
+      Printf.sprintf "session says %d %s the source; the reference search says it %s" m
+        (if reference then "cannot reach" else "reaches")
+        (if reference then "can" else "cannot");
+  }
+
 let apply_join s (case : Case.t) ~bug m =
   let tree = Session.tree s in
   let failure = Session.active_failure s in
   let dead = match failure with Some f -> not (Failure.node_ok f m) | None -> false in
-  if Tree.is_member tree m || dead then Skipped
+  let spf = if dead then None else Smrp.spf_distance ?failure tree m in
+  let reference = spf <> None in
+  if Session.reachable s m <> reference then bad (reachable_violation m ~reference)
+  else if Tree.is_member tree m || dead then Skipped
   else
-    match Smrp.spf_distance ?failure tree m with
+    match spf with
     | None -> Skipped
     | Some spf ->
         let inject_bug () =

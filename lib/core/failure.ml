@@ -4,11 +4,12 @@ type t = Link of int | Node of int | Multi of t list
 
 let compose = function [ f ] -> f | fs -> Multi fs
 
+(* Plain recursion over the nesting: a [List.for_all] with a capturing
+   closure would allocate one closure per level per call. *)
 let rec node_ok f v =
-  match f with
-  | Link _ -> true
-  | Node u -> v <> u
-  | Multi fs -> List.for_all (fun f -> node_ok f v) fs
+  match f with Link _ -> true | Node u -> v <> u | Multi fs -> all_nodes_ok fs v
+
+and all_nodes_ok fs v = match fs with [] -> true | f :: rest -> node_ok f v && all_nodes_ok rest v
 
 let rec edge_ok g f eid =
   match f with
@@ -16,7 +17,57 @@ let rec edge_ok g f eid =
   | Node u ->
       let e = Graph.edge g eid in
       e.Graph.u <> u && e.Graph.v <> u
-  | Multi fs -> List.for_all (fun f -> edge_ok g f eid) fs
+  | Multi fs -> all_edges_ok g fs eid
+
+and all_edges_ok g fs eid =
+  match fs with [] -> true | f :: rest -> edge_ok g f eid && all_edges_ok g rest eid
+
+(* Membership in a sorted array by binary search over [lo, hi). *)
+let rec mem_sorted (a : int array) (x : int) lo hi =
+  if lo >= hi then false
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let y = Array.unsafe_get a mid in
+    if y = x then true else if y < x then mem_sorted a x (mid + 1) hi else mem_sorted a x lo mid
+  end
+
+let always _ = true
+
+(* The complement of a set of ids as a predicate. *)
+let outside ids =
+  match Array.of_list ids with
+  | [||] -> always
+  | a ->
+      Array.sort Int.compare a;
+      let len = Array.length a in
+      fun x -> not (mem_sorted a x 0 len)
+
+let compile g f =
+  let nodes = ref [] and edges = ref [] in
+  let rec collect = function
+    | Link e -> edges := e :: !edges
+    | Node u -> nodes := u :: !nodes
+    | Multi fs -> List.iter collect fs
+  in
+  collect f;
+  (* A dead node kills its incident links: read them off the CSR rows of
+     the dead nodes only, so the cost follows the failure, not the graph.
+     An id outside the graph has no row, and [edge_ok] spares every edge
+     for it too. *)
+  let n = Graph.node_count g in
+  let offsets, _, eids, _ = Graph.csr g in
+  List.iter
+    (fun u ->
+      if u >= 0 && u < n then
+        for i = offsets.(u) to offsets.(u + 1) - 1 do
+          edges := eids.(i) :: !edges
+        done)
+    !nodes;
+  (outside !nodes, outside !edges)
+
+(* A lone link needs no arrays. *)
+let filters g f =
+  match f with Link e -> (always, fun x -> x <> e) | Node _ | Multi _ -> compile g f
 
 let worst_case_for_member t r =
   if r = Tree.source t then None

@@ -11,13 +11,27 @@ type t =
           hours, so a session typically outlives several. *)
 
 val compose : t list -> t
-(** Flatten a list of scenarios into one (a singleton stays itself). *)
+(** Wrap a list of scenarios into one [Multi] (a singleton stays itself).
+    It does not flatten: composing compositions nests them, and {!pp} and
+    the fuzz harness's case JSON show that nesting. *)
 
 val node_ok : t -> int -> bool
-(** Whether a node survives the scenario. *)
+(** Whether a node survives the scenario.  Walks the whole scenario on
+    every call: the one-off test.  A search that asks once per relaxed
+    edge should compile {!filters} instead. *)
 
 val edge_ok : Smrp_graph.Graph.t -> t -> int -> bool
 (** Whether an edge survives; a node failure kills its incident links. *)
+
+val filters : Smrp_graph.Graph.t -> t -> (int -> bool) * (int -> bool)
+(** [filters g f] is [(node_ok f, edge_ok g f)] compiled once for a search.
+    It gives the same answer for every id, outside the graph too (a failed
+    id outside the graph kills nothing inside it), wherever [edge_ok]
+    answers rather than raising on a bad edge id.  Each check is a binary
+    search over a sorted array of the dead nodes, or of the dead edges
+    (failed links plus every edge incident to a dead node), and allocates
+    nothing.  Compiling costs the failure's size plus the dead nodes'
+    degrees, never O(node count); a lone [Link] needs no arrays. *)
 
 val worst_case_for_member : Tree.t -> int -> t option
 (** The paper's worst case for member [R] (§4.3.1): the failure of the

@@ -58,11 +58,11 @@ let candidates ?ws t ~joiner =
   Hashtbl.fold (fun _ c acc -> c :: acc) best []
   |> List.sort (fun a b -> compare a.Smrp.merge b.Smrp.merge)
 
-let join ?d_thresh ?ws t nr =
+let join ?d_thresh ?ws ?spf_dist t nr =
   if Tree.is_member t nr then invalid_arg "Query.join: already a member";
   if Tree.is_on_tree t nr then Tree.add_member t nr
   else begin
-    match Smrp.spf_distance ?ws t nr with
+    match (match spf_dist with Some _ as d -> d | None -> Smrp.spf_distance ?ws t nr) with
     | None -> invalid_arg "Query.join: source unreachable"
     | Some spf_dist -> begin
         match Smrp.select ?d_thresh ~spf_distance:spf_dist (candidates ?ws t ~joiner:nr) with

@@ -13,9 +13,16 @@ val candidates :
 (** One candidate per answering on-tree node (deduplicated, keeping the
     lowest-delay connection), ordered by merge-node id. *)
 
-val join : ?d_thresh:float -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> unit
+val join :
+  ?d_thresh:float -> ?ws:Smrp_graph.Dijkstra.workspace -> ?spf_dist:float -> Tree.t -> int -> unit
 (** SMRP join restricted to query-discovered candidates.  Falls back to the
-    SPF join when no query is answered. *)
+    SPF join when no query is answered.  Raises [Invalid_argument] if the
+    node is already a member or cannot reach the source.
+
+    [spf_dist] supplies the joiner's unicast SPF distance, as in
+    {!Smrp.join}: a {!Session} reads it from its incremental source SPF, so
+    the join runs only the per-neighbour queries.  Without it the join runs
+    one distance search from the joiner first. *)
 
 val build :
   ?d_thresh:float ->

@@ -38,11 +38,12 @@ let local_detour ?ws t f ~member =
     let g = Tree.graph t in
     let surviving = Failure.tree_connected t f in
     if surviving.(member) then Some (trivial t member)
-    else
+    else begin
+      let node_ok, edge_ok = Failure.filters g f in
       Option.map (of_nearest t ~member)
-        (Dijkstra.nearest ~node_ok:(Failure.node_ok f) ~edge_ok:(Failure.edge_ok g f)
-           ?workspace:ws g ~source:member
+        (Dijkstra.nearest ~node_ok ~edge_ok ?workspace:ws g ~source:member
            ~target:(fun v -> surviving.(v)))
+    end
   end
 
 (* Branch detour: the re-attachment path of a whole orphaned subtree, used
@@ -56,12 +57,10 @@ let branch_detour ?ws t f ~root ~eligible =
   if not (Failure.node_ok f root) then None
   else begin
     let g = Tree.graph t in
-    let node_ok v =
-      Failure.node_ok f v && (v = root || (not (Tree.is_on_tree t v)) || eligible v)
-    in
+    let alive, edge_ok = Failure.filters g f in
+    let node_ok v = alive v && (v = root || (not (Tree.is_on_tree t v)) || eligible v) in
     Option.map (of_nearest t ~member:root)
-      (Dijkstra.nearest ~node_ok ~edge_ok:(Failure.edge_ok g f) ?workspace:ws g ~source:root
-         ~target:eligible)
+      (Dijkstra.nearest ~node_ok ~edge_ok ?workspace:ws g ~source:root ~target:eligible)
   end
 
 let surviving_tree old f =
@@ -102,11 +101,9 @@ let global_detour ?ws t f ~member =
     let surviving = Failure.tree_connected t f in
     if surviving.(member) then Some (trivial t member)
     else begin
+      let node_ok, edge_ok = Failure.filters g f in
       match
-        Dijkstra.shortest_path
-          ~node_ok:(Failure.node_ok f)
-          ~edge_ok:(Failure.edge_ok g f)
-          ?workspace:ws g ~src:member ~dst:(Tree.source t)
+        Dijkstra.shortest_path ~node_ok ~edge_ok ?workspace:ws g ~src:member ~dst:(Tree.source t)
       with
       | None -> None
       | Some (_, nodes, edges) ->

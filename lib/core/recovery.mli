@@ -13,7 +13,9 @@
 
     The local and branch detours run {!Smrp_graph.Dijkstra.nearest}: the
     search stops at the nearest merge target, so it costs the ball around
-    the answer rather than the whole graph. *)
+    the answer rather than the whole graph.  The global detour's
+    {!Smrp_graph.Dijkstra.shortest_path} likewise stops once the source
+    settles.  Each search compiles the failure once ({!Failure.filters}). *)
 
 type detour = {
   member : int;

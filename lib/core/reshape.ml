@@ -119,9 +119,12 @@ let refresh_caches t sc =
 
 let bound_epsilon = 1e-9
 
+let always _ = true
+
 (* Evaluate node [r] exactly as [try_reshape] would, mutating the tree only
-   on a switch.  [sc.spf] must hold current source-rooted SPF distances. *)
-let eval_node t sc ~ws ~d_thresh ~failure r =
+   on a switch.  [sc.spf] must hold current source-rooted SPF distances;
+   [filters] is the active failure, compiled once per sweep. *)
+let eval_node t sc ~ws ~d_thresh ~filters r =
   let g = Tree.graph t in
   let spf_dist = sc.spf.(r) in
   if spf_dist = infinity then false
@@ -201,20 +204,18 @@ let eval_node t sc ~ws ~d_thresh ~failure r =
     let bound = ((1.0 +. d_thresh) *. spf_dist) +. bound_epsilon in
     (* Candidate search on the virtual detached tree.  The filters close
        over the scratch marks and caches only — every test is an array
-       read, plus the failure predicates when a failure is active. *)
-    let alive v = match failure with None -> true | Some f -> Failure.node_ok f v in
+       read, plus the compiled failure filters when a failure is active. *)
+    let alive = match filters with None -> always | Some (node_alive, _) -> node_alive in
     let result =
-      match failure with
+      match filters with
       | None ->
           let node_ok v = sc.sub.(v) <> ep || v = r in
           let absorb v = sc.on_tree_c.(v) && sc.chain.(v) <> ep && sc.sub.(v) <> ep in
           Dijkstra.run ~node_ok ~absorb ~dist_bound:bound ~workspace:ws g ~source:r
-      | Some f ->
-          let node_ok v = (sc.sub.(v) <> ep || v = r) && Failure.node_ok f v in
+      | Some (node_alive, edge_ok) ->
+          let node_ok v = (sc.sub.(v) <> ep || v = r) && node_alive v in
           let absorb v = sc.on_tree_c.(v) && sc.chain.(v) <> ep && node_ok v in
-          Dijkstra.run ~node_ok
-            ~edge_ok:(fun e -> Failure.edge_ok g f e)
-            ~absorb ~dist_bound:bound ~workspace:ws g ~source:r
+          Dijkstra.run ~node_ok ~edge_ok ~absorb ~dist_bound:bound ~workspace:ws g ~source:r
     in
     (* Best bounded candidate, scanned in ascending merge order with the
        same comparisons as [Smrp.select] over [Smrp.candidates]. *)
@@ -306,16 +307,13 @@ let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
      scratch immediately — the result borrows [ws] and the next candidate
      search invalidates it. *)
   let src = Tree.source t in
-  let src_alive = match failure with None -> true | Some f -> Failure.node_ok f src in
+  let filters = Option.map (Failure.filters g) failure in
+  let src_alive = match filters with None -> true | Some (node_ok, _) -> node_ok src in
   if src_alive then begin
     let res =
-      match failure with
+      match filters with
       | None -> Dijkstra.run ~workspace:ws g ~source:src
-      | Some f ->
-          Dijkstra.run
-            ~node_ok:(fun v -> Failure.node_ok f v)
-            ~edge_ok:(fun e -> Failure.edge_ok g f e)
-            ~workspace:ws g ~source:src
+      | Some (node_ok, edge_ok) -> Dijkstra.run ~node_ok ~edge_ok ~workspace:ws g ~source:src
     in
     for v = 0 to n - 1 do
       sc.spf.(v) <- (match Dijkstra.distance res v with Some d -> d | None -> infinity)
@@ -371,7 +369,7 @@ let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
                switch mutates the tree: skip the search, keep the scan
                count (the node was considered, the answer is just known). *)
             if sc.eval_stamp.(v) <> sc.mstamp then begin
-              if eval_node t sc ~ws ~d_thresh ~failure v then begin
+              if eval_node t sc ~ws ~d_thresh ~filters v then begin
                 sc.mstamp <- sc.mstamp + 1;
                 incr round_switches
               end

@@ -19,11 +19,16 @@ type t = {
   mutable tree : Tree.t;
   mutable active_failures : Failure.t list; (* persistent, newest first *)
   mutable events : event list; (* newest first *)
-  (* Protection mode: precomputed branch detours answer the recovery query
-     ([protection]), and the incrementally-maintained source SPF supplies
-     join distances ([spf]); both [None] when protection is off. *)
+  (* Protection mode: precomputed branch detours answer the recovery query;
+     [None] when protection is off. *)
   protection : Protect.t option;
-  spf : Dspf.t option;
+  (* The incrementally-maintained source SPF: it supplies every join's
+     unicast distance and answers [reachable].  Failures reach it lazily —
+     [fail] only queues them in [unsynced] (newest first), and the next
+     read applies the queue — so a session that repairs and reshapes but
+     never joins again pays no SPF update. *)
+  spf : Dspf.t;
+  mutable unsynced : Failure.t list;
 }
 
 let create ?(protection = false) graph ~source ~protocol =
@@ -35,7 +40,8 @@ let create ?(protection = false) graph ~source ~protocol =
     active_failures = [];
     events = [];
     protection = (if protection then Some (Protect.create tree) else None);
-    spf = (if protection then Some (Dspf.create graph ~source) else None);
+    spf = Dspf.create graph ~source;
+    unsynced = [];
   }
 
 let active_failure t =
@@ -51,25 +57,38 @@ let log t e = t.events <- e :: t.events
 
 let invalidate_protection t = Option.iter Protect.invalidate t.protection
 
+let rec sync_spf sp = function
+  | Failure.Link e -> Dspf.fail_edge sp e
+  | Failure.Node v -> Dspf.fail_node sp v
+  | Failure.Multi fs -> List.iter (sync_spf sp) fs
+
+(* The source SPF with every queued failure applied, oldest first. *)
+let spf t =
+  if t.unsynced <> [] then begin
+    List.iter (sync_spf t.spf) (List.rev t.unsynced);
+    t.unsynced <- []
+  end;
+  t.spf
+
+let reachable t v = Dspf.reachable (spf t) v
+
 let join t nr =
   let failure = active_failure t in
   (* The incremental SPF already knows the joiner's unicast distance under
-     every active failure — protection sessions skip the per-join distance
+     every active failure, so an SMRP or query join runs only its candidate
      search.  [Dspf] returning [None] means the source is unreachable;
-     passing nothing lets [Smrp.join] re-derive and raise identically. *)
-  let spf_dist =
-    match t.spf with
-    | Some sp when not (Tree.is_on_tree t.tree nr) -> Dspf.distance sp nr
-    | _ -> None
-  in
+     passing nothing lets the protocol re-derive and raise identically.  An
+     SPF join reads no distance. *)
+  let spf_dist () = if Tree.is_on_tree t.tree nr then None else Dspf.distance (spf t) nr in
   (match t.protocol with
   | Spf -> Spf.join ?failure t.tree nr
-  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?failure ?spf_dist t.tree nr
+  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?failure ?spf_dist:(spf_dist ()) t.tree nr
   | Smrp_query { d_thresh } ->
       (* The query scheme has no failure-aware variant; under active
          failures fall back to the failure-aware SMRP selection. *)
+      let spf_dist = spf_dist () in
       (match failure with
-      | None -> Query.join ~d_thresh t.tree nr
+      | None -> Query.join ~d_thresh ?spf_dist t.tree nr
       | Some _ -> Smrp.join ~d_thresh ?failure ?spf_dist t.tree nr));
   invalidate_protection t;
   log t (Joined nr)
@@ -89,11 +108,6 @@ let reshape_all t =
         log t (Reshaped { node = Tree.source t.tree; switches = stats.Reshape.switches })
       end;
       stats.Reshape.switches
-
-let rec sync_spf sp = function
-  | Failure.Link e -> Dspf.fail_edge sp e
-  | Failure.Node v -> Dspf.fail_node sp v
-  | Failure.Multi fs -> List.iter (sync_spf sp) fs
 
 (* -- Precomputed-protection repair --------------------------------------- *)
 
@@ -216,10 +230,22 @@ let try_protected t p f =
    only when a lookup asks for it. *)
 let retarget_protection t = Option.iter (fun p -> Protect.retarget p t.tree) t.protection
 
+(* Ids are checked here rather than when the SPF applies the failure, so a
+   bad id is rejected before it touches the session. *)
+let rec check_ids g = function
+  | Failure.Link e ->
+      if e < 0 || e >= Graph.edge_count g then
+        invalid_arg (Printf.sprintf "Session.fail: bad edge id %d" e)
+  | Failure.Node v ->
+      if v < 0 || v >= Graph.node_count g then
+        invalid_arg (Printf.sprintf "Session.fail: node %d out of range" v)
+  | Failure.Multi fs -> List.iter (check_ids g) fs
+
 let fail t f =
+  check_ids t.graph f;
   log t (Failed f);
   t.active_failures <- f :: t.active_failures;
-  Option.iter (fun sp -> sync_spf sp f) t.spf;
+  t.unsynced <- f :: t.unsynced;
   (* Detours must avoid every failure still active, not just the new one. *)
   let f_all = Option.get (active_failure t) in
   let protected_result =

@@ -27,17 +27,23 @@ type event =
 type t
 
 val create : ?protection:bool -> Smrp_graph.Graph.t -> source:int -> protocol:protocol -> t
-(** [~protection:true] (default false) arms the precomputed-protection
-    layer: the session keeps {!Protect} branch-detour tables (invalidated in
-    O(1) by membership churn and repairs; an entry is computed when a
-    failure's lookup first reads it) and an incremental source SPF
-    ({!Smrp_graph.Dspf}) that replaces the per-join unicast distance
-    search.  Under SMRP protocols, a single link or non-source node failure
-    is then repaired by table lookup — each orphaned branch re-attaches
-    wholesale along its table detour (logged as one [`Protected] repair per
-    branch) — with automatic fallback to the staged search repair whenever
-    the failure shape or a stale precondition rules the tables out.
-    SPF-protocol sessions accept the flag but always use the search path. *)
+(** Every session keeps an incremental source SPF ({!Smrp_graph.Dspf}).  It
+    supplies each SMRP or query join's unicast distance D_SPF, so a join
+    runs only its candidate search, and it answers {!reachable}.  {!fail}
+    only queues a failure for it; the next read (a join or {!reachable})
+    applies the queue, so a session that never joins after a failure pays
+    no SPF update.
+
+    [~protection:true] (default false) arms the precomputed-protection
+    tables: the session keeps {!Protect} branch-detour tables (invalidated
+    in O(1) by membership churn and repairs; an entry is computed when a
+    failure's lookup first reads it).  Under SMRP protocols, a single link
+    or non-source node failure is then repaired by table lookup — each
+    orphaned branch re-attaches wholesale along its table detour (logged as
+    one [`Protected] repair per branch) — with automatic fallback to the
+    staged search repair whenever the failure shape or a stale precondition
+    rules the tables out.  SPF-protocol sessions accept the flag but always
+    use the search path. *)
 
 val protection_stats : t -> Protect.stats option
 (** Lookup/recompute counters of the protection tables, when armed. *)
@@ -51,6 +57,11 @@ val active_failure : t -> Failure.t option
 (** The composition of every failure injected so far (persistent failures
     outlive repairs); joins and repairs route around all of them. *)
 
+val reachable : t -> int -> bool
+(** Whether the node can reach the source under every active failure:
+    false for a dead router, and for every node once the source's router
+    is dead.  Raises [Invalid_argument] for a node outside the graph. *)
+
 val join : t -> int -> unit
 
 val leave : t -> int -> unit
@@ -61,7 +72,8 @@ val reshape_all : t -> int
 val fail : t -> Failure.t -> repair list
 (** Apply a persistent failure and repair the session.  The failure stays
     active for the rest of the session: later joins and later repairs avoid
-    it too.
+    it too.  Raises [Invalid_argument], leaving the session untouched, if
+    the failure names an edge or node outside the graph.
 
     Under SMRP protocols each disconnected member takes its local detour;
     under SPF it re-joins by global detour, as PIM would after unicast

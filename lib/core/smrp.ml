@@ -11,15 +11,22 @@ type candidate = {
 
 let default_d_thresh = 0.3
 
+let always _ = true
+
 (* The candidate search of §3.2.1: a Dijkstra from the joiner that treats
    admissible on-tree nodes as absorbing.  Returns the settled result plus
    the admissibility predicate; callers must consume the result before the
    next run on the same workspace. *)
 let candidate_search ?exclude ?failure ?ws t ~joiner =
   let g = Tree.graph t in
-  let alive v = match failure with None -> true | Some f -> Failure.node_ok f v in
-  let excluded v = match exclude with None -> false | Some f -> f v in
-  let admissible v = alive v && not (excluded v) in
+  (* The failure is compiled once into array-backed filters: the search
+     asks them once per relaxed edge. *)
+  let alive, edge_alive =
+    match failure with None -> (always, always) | Some f -> Failure.filters g f
+  in
+  let admissible =
+    match exclude with None -> alive | Some excluded -> fun v -> alive v && not (excluded v)
+  in
   let absorb v = Tree.is_on_tree t v && admissible v in
   (* Spans ride the workspace recorder (see Dijkstra.set_flight): the search
      span nests the inner "dijkstra.run" span in the rendered trace. *)
@@ -33,7 +40,6 @@ let candidate_search ?exclude ?failure ?ws t ~joiner =
     match (failure, exclude) with
     | None, None -> Dijkstra.run ~absorb ?workspace:ws g ~source:joiner
     | _ ->
-        let edge_alive e = match failure with None -> true | Some f -> Failure.edge_ok g f e in
         Dijkstra.run ~node_ok:admissible ~edge_ok:edge_alive ~absorb ?workspace:ws g ~source:joiner
   in
   Smrp_obs.Flight.span flight ~code:Smrp_obs.Flight.span_candidate_search ~start ~b:joiner;
@@ -73,10 +79,8 @@ let spf_distance ?failure ?ws t v =
     match failure with
     | None -> Dijkstra.run ?workspace:ws g ~source:v
     | Some f ->
-        Dijkstra.run
-          ~node_ok:(fun v -> Failure.node_ok f v)
-          ~edge_ok:(fun e -> Failure.edge_ok g f e)
-          ?workspace:ws g ~source:v
+        let node_ok, edge_ok = Failure.filters g f in
+        Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source:v
   in
   Dijkstra.distance r (Tree.source t)
 
@@ -152,8 +156,8 @@ let join ?d_thresh ?failure ?ws ?spf_dist t nr =
   if Tree.is_on_tree t nr then Tree.add_member t nr
   else begin
     (* [spf_dist] lets a caller that already maintains the source-rooted
-       SPF (e.g. a protection session's incremental Dspf) skip the
-       per-join distance search. *)
+       SPF (a session's incremental Dspf) skip the per-join distance
+       search. *)
     match (match spf_dist with Some _ as d -> d | None -> spf_distance ?failure ?ws t nr) with
     | None -> invalid_arg "Smrp.join: source unreachable"
     | Some spf_dist -> join_where ?d_thresh ?failure ?ws t nr ~spf_dist

@@ -63,7 +63,7 @@ val join :
     the tree exists.
 
     [spf_dist] supplies the joiner's unicast SPF distance when the caller
-    already maintains it (protection sessions keep the source-rooted tree
+    already maintains it (every {!Session} keeps the source-rooted tree
     incrementally via {!Smrp_graph.Dspf}), skipping the per-join distance
     search. *)
 

@@ -10,10 +10,8 @@ let attach_path ?failure ?ws t nr =
       match failure with
       | None -> Dijkstra.shortest_path ?workspace:ws g ~src:nr ~dst:(Tree.source t)
       | Some f ->
-          Dijkstra.shortest_path
-            ~node_ok:(fun v -> Failure.node_ok f v)
-            ~edge_ok:(fun e -> Failure.edge_ok g f e)
-            ?workspace:ws g ~src:nr ~dst:(Tree.source t)
+          let node_ok, edge_ok = Failure.filters g f in
+          Dijkstra.shortest_path ~node_ok ~edge_ok ?workspace:ws g ~src:nr ~dst:(Tree.source t)
     in
     match path with
     | None -> invalid_arg "Spf.attach_path: source unreachable"

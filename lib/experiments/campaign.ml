@@ -1,8 +1,6 @@
 module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
 module Tree = Smrp_core.Tree
-module Failure = Smrp_core.Failure
-module Smrp = Smrp_core.Smrp
 module Session = Smrp_core.Session
 module Waxman = Smrp_topology.Waxman
 module Transit_stub = Smrp_topology.Transit_stub
@@ -241,18 +239,13 @@ let run_instance spec cell acc rng =
   let apply (at, act) =
     match act with
     | Churn_op (Churn.Join m) ->
-        let tree = Session.tree s in
-        let failure = Session.active_failure s in
-        let dead =
-          match failure with Some f -> not (Failure.node_ok f m) | None -> false
-        in
-        if Tree.is_member tree m || dead then acc.skipped <- acc.skipped + 1
+        (* A member, a dead router or a node the failures cut off from the
+           source cannot join. *)
+        if Tree.is_member (Session.tree s) m || not (Session.reachable s m) then
+          acc.skipped <- acc.skipped + 1
         else begin
-          match Smrp.spf_distance ?failure tree m with
-          | None -> acc.skipped <- acc.skipped + 1
-          | Some _ ->
-              Session.join s m;
-              acc.joins <- acc.joins + 1
+          Session.join s m;
+          acc.joins <- acc.joins + 1
         end
     | Churn_op (Churn.Leave m) ->
         (* The member may already be gone: dropped as [Lost] by a failure. *)

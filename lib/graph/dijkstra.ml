@@ -345,12 +345,6 @@ let path_nodes r v = Option.map fst (path_rev r v)
 
 let path_edges r v = Option.map snd (path_rev r v)
 
-let shortest_path ?node_ok ?edge_ok ?workspace g ~src ~dst =
-  let r = run ?node_ok ?edge_ok ?workspace g ~source:src in
-  match path_rev r dst with
-  | None -> None
-  | Some (nodes, edges) -> Some (r.ws.dist.(dst), nodes, edges)
-
 type nearest = { target : int; dist : float; nodes : int list; edges : int list }
 
 (* The absorbing search of [run] with [absorb = target], cut short: it
@@ -420,3 +414,19 @@ let nearest ?(node_ok = always) ?(edge_ok = always) ?workspace:ws g ~source ~tar
     let nodes, edges = Option.get (path_rev { graph = g; src = source; ws; epoch } !best) in
     Some { target = !best; dist = dist.(!best); nodes; edges }
   end
+
+(* [nearest] with the single target [dst]: up to [dst]'s settle it pops and
+   relaxes exactly as [run] does, so the distance and path are [run]'s, and
+   nothing beyond [dst]'s distance is searched.  The source is never a
+   target of [nearest], so [src = dst] is answered here. *)
+let shortest_path ?(node_ok = always) ?edge_ok ?workspace g ~src ~dst =
+  if src = dst then begin
+    if src < 0 || src >= Graph.node_count g then
+      invalid_arg "Dijkstra.shortest_path: source out of range";
+    if not (node_ok src) then invalid_arg "Dijkstra.shortest_path: source is filtered out";
+    Some (0.0, [ src ], [])
+  end
+  else
+    Option.map
+      (fun h -> (h.dist, h.nodes, h.edges))
+      (nearest ~node_ok ?edge_ok ?workspace g ~source:src ~target:(fun v -> v = dst))

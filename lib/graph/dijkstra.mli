@@ -121,4 +121,7 @@ val shortest_path :
   src:int ->
   dst:int ->
   (float * int list * int list) option
-(** [(delay, nodes, edge ids)] of one shortest [src]→[dst] path. *)
+(** [(delay, nodes, edge ids)] of one shortest [src]→[dst] path: the one
+    {!run} from [src] would give, found by {!nearest} with the single target
+    [dst], so the search stops once [dst] settles.  [src = dst] is the
+    trivial path. *)

@@ -154,6 +154,7 @@ let oracle_names =
     "recovery-distance";
     "recovery-replay";
     "recovery-accounting";
+    "join-reachable";
   |]
 
 let oracle_id name =

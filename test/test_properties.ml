@@ -322,6 +322,154 @@ let detours_equal_reference_scan =
       List.for_all local_ok (List.init n Fun.id)
       && Array.for_all branch_ok on_tree)
 
+(* [shortest_path] stops once [dst] settles; the reference runs the whole
+   search.  Every [dst] is asked, so [src = dst] is always covered, and
+   filtered-out or disconnected targets whenever the draw has them. *)
+let shortest_path_equals_reference =
+  QCheck.Test.make ~name:"single-target shortest_path equals the reference search" ~count:300
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let g = int_delay_graph rng ~connected:(Rng.bool rng) in
+      let n = Graph.node_count g in
+      let src = Rng.int rng n in
+      let blocked = Array.init n (fun v -> v <> src && Rng.int rng 8 = 0) in
+      let eblocked = Array.init (Graph.edge_count g) (fun _ -> Rng.int rng 8 = 0) in
+      let node_ok v = not blocked.(v) and edge_ok e = not eblocked.(e) in
+      let filtered = Rng.bool rng in
+      let ws = Dijkstra.workspace () in
+      let reference =
+        if filtered then Dijkstra.run_reference ~node_ok ~edge_ok g ~source:src
+        else Dijkstra.run_reference g ~source:src
+      in
+      List.for_all
+        (fun dst ->
+          let got =
+            if filtered then Dijkstra.shortest_path ~node_ok ~edge_ok ~workspace:ws g ~src ~dst
+            else Dijkstra.shortest_path ~workspace:ws g ~src ~dst
+          in
+          let expect =
+            match
+              ( Dijkstra.distance reference dst,
+                Dijkstra.path_nodes reference dst,
+                Dijkstra.path_edges reference dst )
+            with
+            | Some d, Some nodes, Some edges -> Some (d, nodes, edges)
+            | _ -> None
+          in
+          got = expect)
+        (List.init n Fun.id))
+
+(* Random nested failures: links, nodes, ids outside the graph, repeated
+   elements, and a dead node together with some of its own links. *)
+let random_failure rng g =
+  let n = Graph.node_count g and m = Graph.edge_count g in
+  let atom () =
+    match Rng.int rng 10 with
+    | 0 -> Failure.Link (m + Rng.int rng 2)
+    | 1 -> Failure.Node (if Rng.bool rng then -1 else n + Rng.int rng 2)
+    | k when k < 6 && m > 0 -> Failure.Link (Rng.int rng m)
+    | _ -> Failure.Node (Rng.int rng n)
+  in
+  let atoms = List.init (Rng.int rng 5) (fun _ -> atom ()) in
+  let atoms =
+    if Rng.bool rng then begin
+      let u = Rng.int rng n in
+      let links =
+        List.filter_map
+          (fun (_, e) -> if Rng.bool rng then Some (Failure.Link e) else None)
+          (Graph.neighbors g u)
+      in
+      (Failure.Node u :: links) @ atoms
+    end
+    else atoms
+  in
+  let atoms =
+    match atoms with
+    | [] -> atoms
+    | _ -> List.init (Rng.int rng 3) (fun _ -> Rng.pick rng (Array.of_list atoms)) @ atoms
+  in
+  let rec nest = function
+    | ([] | [ _ ]) as atoms -> Failure.compose atoms
+    | atoms when Rng.int rng 3 = 0 -> Failure.compose atoms
+    | atoms ->
+        let k = 1 + Rng.int rng (List.length atoms - 1) in
+        let front = List.filteri (fun i _ -> i < k) atoms
+        and back = List.filteri (fun i _ -> i >= k) atoms in
+        Failure.compose [ nest front; nest back ]
+  in
+  nest atoms
+
+let filters_equal_predicates =
+  QCheck.Test.make ~name:"compiled failure filters equal node_ok and edge_ok" ~count:400
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let g = int_delay_graph rng ~connected:(Rng.bool rng) in
+      let n = Graph.node_count g and m = Graph.edge_count g in
+      let f = random_failure rng g in
+      let node_ok, edge_ok = Failure.filters g f in
+      List.for_all (fun v -> node_ok v = Failure.node_ok f v) (List.init (n + 4) (fun i -> i - 2))
+      && List.for_all
+           (fun e ->
+             match Failure.edge_ok g f e with
+             | ok -> edge_ok e = ok
+             | exception Invalid_argument _ -> true (* an id [Graph.edge] rejects *))
+           (List.init (m + 4) (fun i -> i - 2)))
+
+(* After every step of a random join/leave/fail schedule, the session's
+   incremental answer against a fresh reference search from the source.
+   Failures come in bursts, so a read finds several of them queued. *)
+let session_reachable_equals_reference =
+  QCheck.Test.make ~name:"Session.reachable equals the reference search after every step"
+    ~count:150 QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let g = int_delay_graph rng ~connected:(Rng.int rng 4 > 0) in
+      let n = Graph.node_count g and m = Graph.edge_count g in
+      let source = Rng.int rng n in
+      let protocol =
+        match Rng.int rng 3 with
+        | 0 -> Session.Spf
+        | 1 -> Session.Smrp { d_thresh = 0.3 }
+        | _ -> Session.Smrp_query { d_thresh = 0.3 }
+      in
+      let s = Session.create ~protection:(Rng.bool rng) g ~source ~protocol in
+      let reference () =
+        let r =
+          match Session.active_failure s with
+          | None -> Some (Dijkstra.run_reference g ~source)
+          | Some f when Failure.node_ok f source ->
+              Some
+                (Dijkstra.run_reference ~node_ok:(Failure.node_ok f)
+                   ~edge_ok:(Failure.edge_ok g f) g ~source)
+          | Some _ -> None (* the source's router is dead *)
+        in
+        Array.init n (fun v -> match r with Some r -> Dijkstra.reachable r v | None -> false)
+      in
+      let step () =
+        match Rng.int rng 4 with
+        | 0 | 1 ->
+            let v = Rng.int rng n in
+            if (not (Tree.is_member (Session.tree s) v)) && (reference ()).(v) then Session.join s v
+        | 2 -> (
+            match Tree.members (Session.tree s) with
+            | [] -> ()
+            | ms -> Session.leave s (Rng.pick rng (Array.of_list ms)))
+        | _ ->
+            for _ = 0 to Rng.int rng 3 do
+              let f =
+                if m > 0 && Rng.bool rng then Failure.Link (Rng.int rng m)
+                else if Rng.int rng 20 = 0 then Failure.Node source
+                else Failure.Node (Rng.int rng n)
+              in
+              ignore (Session.fail s f : Session.repair list)
+            done
+      in
+      List.for_all
+        (fun _ ->
+          step ();
+          let expect = reference () in
+          List.for_all (fun v -> Session.reachable s v = expect.(v)) (List.init n Fun.id))
+        (List.init 20 Fun.id))
+
 (* The domain-pool contract: fanning scenarios out over domains is
    byte-identical to the sequential map, member by member and float by
    float. *)
@@ -367,6 +515,9 @@ let () =
           qcheck_case workspace_dijkstra_equals_reference;
           qcheck_case nearest_equals_reference_scan;
           qcheck_case detours_equal_reference_scan;
+          qcheck_case shortest_path_equals_reference;
+          qcheck_case filters_equal_predicates;
+          qcheck_case session_reachable_equals_reference;
           qcheck_case run_many_jobs_immaterial;
         ] );
     ]

@@ -178,6 +178,32 @@ let reshape_respects_active_failures () =
     (Tree.tree_edges (Session.tree s));
   assert_valid (Session.tree s)
 
+(* A failure naming an id outside the graph is rejected before it touches
+   the session, with or without the protection tables. *)
+let fail_rejects_bad_ids () =
+  let g = Fixtures.ring 6 in
+  List.iter
+    (fun protection ->
+      let s =
+        Session.create ~protection g ~source:0 ~protocol:(Session.Smrp { d_thresh = 0.3 })
+      in
+      Session.join s 3;
+      List.iter
+        (fun f ->
+          match Session.fail s f with
+          | _ -> Alcotest.fail "a bad id was accepted"
+          | exception Invalid_argument _ -> ())
+        [
+          Failure.Link (Graph.edge_count g);
+          Failure.Node 6;
+          Failure.compose [ Failure.Link 0; Failure.Node (-1) ];
+        ];
+      check "no failure active" true (Session.active_failure s = None);
+      check "only the join logged" true (Session.events s = [ Session.Joined 3 ]);
+      check "every node still reaches the source" true
+        (List.for_all (Session.reachable s) (List.init 6 Fun.id)))
+    [ false; true ]
+
 let qcheck_session_failures_leave_valid_trees =
   QCheck.Test.make ~name:"session repair always leaves a valid tree" ~count:80 QCheck.small_int
     (fun seed ->
@@ -216,6 +242,7 @@ let () =
           Alcotest.test_case "sequential failures accumulate" `Quick sequential_failures_accumulate;
           Alcotest.test_case "joins avoid dead links" `Quick join_after_failure_avoids_dead_link;
           Alcotest.test_case "reshape respects failures" `Quick reshape_respects_active_failures;
+          Alcotest.test_case "rejects bad failure ids" `Quick fail_rejects_bad_ids;
         ] );
       ( "properties",
         [ qcheck_case qcheck_session_failures_leave_valid_trees ] );
