@@ -40,6 +40,7 @@ module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
 module Session = Smrp_core.Session
 module Engine = Smrp_sim.Engine
+module Net = Smrp_sim.Net
 module Metrics = Smrp_obs.Metrics
 module Flight = Smrp_obs.Flight
 module Profile = Smrp_obs.Profile
@@ -374,6 +375,25 @@ let micro () =
                     ~delay:(0.001 *. float_of_int (k land 63))
                     ~code ~a:k ~b:0)
              done;
+             Engine.run eng));
+      Test.make ~name:"net_frames_waxman400"
+        (* The per-frame path at packet_restore's shape: one frame on every
+           directed edge of a fixed 400-node Waxman graph (alpha 0.08,
+           beta 0.2, Euclidean delays, so frames fly 0.01-0.5 s) through
+           Net.send into a no-op handler, then drain the engine.  One engine
+           and net reused across runs, as a long simulation would. *)
+        (let wgraph =
+           (Waxman.generate ~link_delay:`Euclidean (Rng.create 4246) ~n:400 ~alpha:0.08 ~beta:0.2)
+             .Waxman.graph
+         in
+         let eng = Engine.create () in
+         let net = Net.create eng wgraph ~handler:(fun _ ~at:_ ~from:_ ~eid:_ () -> ()) in
+         Staged.stage (fun () ->
+             Graph.iter_edges
+               (fun e ->
+                 ignore (Net.send net ~src:e.Graph.u ~dst:e.Graph.v () : bool);
+                 ignore (Net.send net ~src:e.Graph.v ~dst:e.Graph.u () : bool))
+               wgraph;
              Engine.run eng));
       Test.make ~name:"engine_1024_events_flight_off"
         (* Same workload with the flight recorder disabled: the pair gates

@@ -62,8 +62,10 @@ let add_edge ?cost g u v delay =
   (* The duplicate lookup already bounds-checks both endpoints. *)
   if find_edge_id g u v "add_edge" >= 0 then invalid_arg "Graph.add_edge: duplicate edge";
   if u = v then invalid_arg "Graph.add_edge: self-loop";
+  if Float.is_nan delay || delay = infinity then invalid_arg "Graph.add_edge: non-finite delay";
   if delay <= 0.0 then invalid_arg "Graph.add_edge: delay must be positive";
   let cost = match cost with Some c -> c | None -> delay in
+  if Float.is_nan cost || Float.abs cost = infinity then invalid_arg "Graph.add_edge: non-finite cost";
   let id = g.edge_count in
   let e = { id; u; v; delay; cost } in
   let capacity = Array.length g.edges in
@@ -131,6 +133,20 @@ let freeze g =
 let csr g =
   freeze g;
   (g.adj_offsets, g.adj_neighbor, g.adj_edge, g.adj_delay)
+
+(* The frozen twin of [find_edge_id]: a scan of [u]'s contiguous CSR slice,
+   for per-frame lookups.  Building code keeps to the list scan, which never
+   triggers a freeze. *)
+let find_edge g u v =
+  check_node g u "find_edge";
+  check_node g v "find_edge";
+  freeze g;
+  let i = ref g.adj_offsets.(u) in
+  let stop = g.adj_offsets.(u + 1) in
+  while !i < stop && g.adj_neighbor.(!i) <> v do
+    incr i
+  done;
+  if !i < stop then g.adj_edge.(!i) else -1
 
 let iter_neighbors g u f =
   check_node g u "iter_neighbors";

@@ -28,8 +28,9 @@ val edge_count : t -> int
 
 val add_edge : ?cost:float -> t -> int -> int -> float -> int
 (** [add_edge g u v delay] inserts the undirected edge [(u, v)] and returns its
-    id.  [cost] defaults to [delay].  Self-loops and duplicate edges are
-    rejected with [Invalid_argument]. *)
+    id.  [cost] defaults to [delay].  Self-loops, duplicate edges, a delay
+    that is not a positive finite number and a non-finite cost are rejected
+    with [Invalid_argument]. *)
 
 val edge : t -> int -> edge
 (** Edge by id. *)
@@ -38,6 +39,14 @@ val edge_between : t -> int -> int -> edge option
 (** The edge joining two nodes, if any. *)
 
 val mem_edge : t -> int -> int -> bool
+
+val find_edge : t -> int -> int -> int
+(** [find_edge g u v] is the id of the edge joining [u] and [v], or [-1]
+    when they are not adjacent.  It scans [u]'s slice of the CSR view
+    (freezing [g] first if an edge was added since) and allocates nothing:
+    the per-frame form of {!edge_between}.  {!edge_between}, {!mem_edge} and
+    {!add_edge}'s duplicate check read the build-side lists instead, so
+    building a graph edge by edge never rebuilds the CSR. *)
 
 val other_end : edge -> int -> int
 (** [other_end e u] is the endpoint of [e] distinct from [u]. *)

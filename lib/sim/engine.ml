@@ -66,8 +66,12 @@ type t = {
 }
 
 let ticks_per_second = 1e7
-let tick_of_time time = int_of_float (Float.round (time *. ticks_per_second))
-let time_of_tick tick = float_of_int tick /. ticks_per_second
+let[@inline] tick_of_time time = int_of_float (Float.round (time *. ticks_per_second))
+let[@inline] time_of_tick tick = float_of_int tick /. ticks_per_second
+
+(* Latest schedulable time (~1.2e11 s): its tick stays far below the queue's
+   [max_int] "empty" answer, and [int_of_float] stays in range up to it. *)
+let max_time = time_of_tick (1 lsl 60)
 
 let dummy_action () = ()
 let dummy_handler _ _ = ()
@@ -139,6 +143,17 @@ let[@inline] q_pop t =
 
 let[@inline] q_min t =
   match t.queue with Q_wheel w -> Engine_wheel.min_tick w | Q_ref r -> Engine_reference.min_tick r
+
+(* Times and delays must be numbers the tick clock can hold: NaN, an
+   infinity or a time past [max_time] would quantize to a wrong tick (NaN and
+   infinity to tick 0, firing at once). *)
+let[@inline] check_delay name delay =
+  if Float.is_nan delay || delay = infinity then invalid_arg (name ^ ": non-finite delay");
+  if delay < 0.0 then invalid_arg (name ^ ": negative delay")
+
+let[@inline] check_time name time =
+  if Float.is_nan time || Float.abs time = infinity then invalid_arg (name ^ ": non-finite time");
+  if time > max_time then invalid_arg (name ^ ": time beyond the clock's range")
 
 (* -- Pool management ----------------------------------------------------- *)
 
@@ -217,12 +232,13 @@ let schedule_event t ~tick ~code ~a ~b =
   (t.ev_gen.(eid) lsl 31) lor eid
 
 let schedule_at t ~time action =
+  check_time "Engine.schedule_at" time;
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   let c = alloc_closure t action in
   schedule_event t ~tick:(tick_of_time time) ~code:0 ~a:c ~b:0
 
 let schedule t ~delay action =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  check_delay "Engine.schedule" delay;
   schedule_at t ~time:(t.clock +. delay) action
 
 let register t f =
@@ -234,9 +250,11 @@ let register t f =
   code
 
 let schedule_code t ~delay ~code ~a ~b =
-  if delay < 0.0 then invalid_arg "Engine.schedule_code: negative delay";
+  check_delay "Engine.schedule_code" delay;
   if code <= 0 || code >= t.n_handlers then invalid_arg "Engine.schedule_code: unknown code";
-  ignore (schedule_event t ~tick:(tick_of_time (t.clock +. delay)) ~code ~a ~b : handle)
+  let time = t.clock +. delay in
+  check_time "Engine.schedule_code" time;
+  ignore (schedule_event t ~tick:(tick_of_time time) ~code ~a ~b : handle)
 
 (* -- Cancellation -------------------------------------------------------- *)
 
@@ -290,6 +308,7 @@ let release_series t sid =
   t.sr_free <- sid
 
 let every t ~period ?(jitter = fun () -> 0.0) action =
+  if Float.is_nan period || period = infinity then invalid_arg "Engine.every: non-finite period";
   if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
   (* One control slot governs the whole series; each firing re-arms.  The
      slot is reclaimed by the firing that observes the cancellation, so a
@@ -311,54 +330,54 @@ let every t ~period ?(jitter = fun () -> 0.0) action =
 
 (* -- Execution ----------------------------------------------------------- *)
 
-let step t =
-  let eid = q_pop t in
-  if eid = -1 then false
+(* Dispatch event [eid], just popped from the queue. *)
+let fire t eid =
+  let state = Bytes.unsafe_get t.ev_state eid in
+  let tick = t.ev_tick.(eid) in
+  let code = t.ev_code.(eid) in
+  let a = t.ev_a.(eid) in
+  let b = t.ev_b.(eid) in
+  (* The clock only moves forward: [run ~until] may have advanced it past
+     this tick's quantized float by a sub-tick margin.  Comparing first also
+     skips boxing a new clock value for same-tick events. *)
+  let time = time_of_tick tick in
+  if time > t.clock then t.clock <- time;
+  release_event t eid;
+  if state = st_cancelled then begin
+    if code = 0 then release_closure t a;
+    match t.meters with
+    | Some m ->
+        Metrics.Counter.incr m.skipped;
+        note_depth t m
+    | None -> ()
+  end
   else begin
-    let state = Bytes.unsafe_get t.ev_state eid in
-    let tick = t.ev_tick.(eid) in
-    let code = t.ev_code.(eid) in
-    let a = t.ev_a.(eid) in
-    let b = t.ev_b.(eid) in
-    (* Float.max: [run ~until] may have advanced the clock past this tick's
-       quantized float by a sub-tick margin. *)
-    t.clock <- Float.max t.clock (time_of_tick tick);
-    release_event t eid;
-    if state = st_cancelled then begin
-      if code = 0 then release_closure t a;
-      (match t.meters with
-      | Some m ->
-          Metrics.Counter.incr m.skipped;
-          note_depth t m
-      | None -> ())
+    t.live <- t.live - 1;
+    t.n_fired <- t.n_fired + 1;
+    t.fp <- (((t.fp lxor tick) * 1099511628211) + code) land max_int;
+    Flight.record t.flight ~tick ~code:Flight.ev_fire ~a:code ~b:a;
+    (match t.meters with
+    | Some m ->
+        Metrics.Counter.incr m.fired;
+        note_depth t m
+    | None -> ());
+    if code = 0 then begin
+      let f = t.cls.(a) in
+      release_closure t a;
+      f ()
     end
-    else begin
-      t.live <- t.live - 1;
-      t.n_fired <- t.n_fired + 1;
-      t.fp <- (((t.fp lxor tick) * 1099511628211) + code) land max_int;
-      Flight.record t.flight ~tick ~code:Flight.ev_fire ~a:code ~b:a;
-      (match t.meters with
-      | Some m ->
-          Metrics.Counter.incr m.fired;
-          note_depth t m
-      | None -> ());
-      if code = 0 then begin
-        let f = t.cls.(a) in
-        release_closure t a;
-        f ()
-      end
-      else t.handlers.(code) a b
-    end;
-    true
+    else t.handlers.(code) a b
   end
 
+(* One queue search per event: [q_min] finds the minimum and leaves it where
+   [q_pop] takes it without searching again. *)
 let run ?until t =
-  let continue () =
+  let limit = match until with Some limit -> limit | None -> infinity in
+  (* A NaN limit would run nothing and then set the clock to NaN. *)
+  if Float.is_nan limit then invalid_arg "Engine.run: until is not a number";
+  let go = ref true in
+  while !go do
     let tick = q_min t in
-    if tick = max_int then false
-    else match until with None -> true | Some limit -> time_of_tick tick <= limit
-  in
-  while continue () && step t do
-    ()
+    if tick <> max_int && time_of_tick tick <= limit then fire t (q_pop t) else go := false
   done;
   match until with Some limit -> t.clock <- Float.max t.clock limit | None -> ()

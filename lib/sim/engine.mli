@@ -1,14 +1,20 @@
 (** Discrete-event simulation engine: a virtual clock over a scaled-int
     tick domain and a time-ordered event queue.
 
-    Engine v2 runs the hot loop allocation-free: sim times quantize to
-    integer ticks of 100 ns, pending events live in a pooled
+    Engine v2 keeps the hot loop nearly allocation-free: sim times quantize
+    to integer ticks of 100 ns, pending events live in a pooled
     struct-of-arrays table keyed by int ids, cancellation is an O(1)
     generation-stamped lazy delete, and dispatch goes through small int
     event codes ([register] / [schedule_code]) so layered protocols can
-    schedule without closure allocation.  Closure scheduling ([schedule] /
-    [schedule_at] / [every]) is still available for cold paths and keeps
-    the original semantics.
+    schedule without closure allocation.  The clock is the one boxed float
+    on the path: each advance to a new tick allocates a 2-word box, and on
+    packet_restore topologies the loop, protocol handlers included,
+    allocates about 2 minor words per fired event.  Closure scheduling ([schedule] / [schedule_at] / [every]) is still
+    available for cold paths and keeps the original semantics.
+
+    Every time, delay and period must be a finite number the tick clock can
+    hold (up to ~1.2e11 s); anything else raises [Invalid_argument] rather
+    than quantizing to a wrong tick.
 
     Events at equal times fire in scheduling order (FIFO) — guaranteed, and
     pinned by a regression test; the float-heap engine this replaces only
@@ -63,17 +69,19 @@ val flight : t -> Smrp_obs.Flight.recorder
 val now : t -> float
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
-(** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay >= 0]. *)
+(** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
+    finite and [>= 0]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
-(** Absolute-time variant; [time] must not be in the past. *)
+(** Absolute-time variant; [time] must be finite and not in the past. *)
 
 val cancel : t -> handle -> unit
 (** O(1) lazy delete.  Idempotent; cancelling a fired event is a no-op. *)
 
 val every : t -> period:float -> ?jitter:(unit -> float) -> (unit -> unit) -> handle
 (** [every t ~period f] runs [f] now + period, then each period (+ optional
-    jitter per firing) until the returned handle is cancelled. *)
+    jitter per firing) until the returned handle is cancelled.  [period]
+    must be finite and positive. *)
 
 val register : t -> (int -> int -> unit) -> int
 (** [register t f] installs [f] as an int-coded event handler and returns
@@ -83,12 +91,12 @@ val register : t -> (int -> int -> unit) -> int
 
 val schedule_code : t -> delay:float -> code:int -> a:int -> b:int -> unit
 (** Allocation-free scheduling: at [now t +. delay] the handler registered
-    for [code] is called with the two int payload words.  [delay >= 0];
-    [code] must come from [register]. *)
+    for [code] is called with the two int payload words.  [delay] must be
+    finite and [>= 0]; [code] must come from [register]. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in time order; stops when the queue empties or the clock
-    would pass [until]. *)
+    would pass [until] (not NaN; [infinity] runs to the end). *)
 
 val pending : t -> int
 (** Number of live (not cancelled) scheduled events. *)

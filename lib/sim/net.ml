@@ -155,43 +155,42 @@ let create ?metrics ?msg_int ?on_drop engine graph ~handler =
   t
 
 let send t ~src ~dst msg =
-  match Graph.edge_between t.graph src dst with
-  | None -> invalid_arg "Net.send: nodes not adjacent"
-  | Some e ->
-      let eid = e.Graph.id in
-      if t.link_down.(eid) || t.node_down.(src) || t.node_down.(dst) then begin
-        t.dropped_send_failure <- t.dropped_send_failure + 1;
-        flight_record t ~code:Flight.net_drop_send ~src ~dst msg;
-        meter t (fun m -> m.m_dropped_send);
-        meter_drop t;
-        drop t msg;
-        false
-      end
-      else begin
-        t.frames_sent <- t.frames_sent + 1;
-        flight_record t ~code:Flight.net_send ~src ~dst msg;
-        meter t (fun m -> m.m_sent);
-        let lost =
-          match t.loss with
-          | Some (rng, rate) when Smrp_rng.Rng.float rng 1.0 < rate ->
-              t.frames_lost <- t.frames_lost + 1;
-              flight_record t ~code:Flight.net_drop_loss ~src ~dst msg;
-              meter t (fun m -> m.m_lost);
-              meter_drop t;
-              drop t msg;
-              true
-          | _ -> false
-        in
-        if not lost then begin
-          let slot = alloc_frame t msg in
-          t.fr_src.(slot) <- src;
-          t.fr_dst.(slot) <- dst;
-          t.fr_eid.(slot) <- eid;
-          t.fr_msg.(slot) <- msg;
-          Engine.schedule_code t.engine ~delay:e.Graph.delay ~code:t.deliver_code ~a:slot ~b:0
-        end;
-        true
-      end
+  let eid = Graph.find_edge t.graph src dst in
+  if eid < 0 then invalid_arg "Net.send: nodes not adjacent";
+  if t.link_down.(eid) || t.node_down.(src) || t.node_down.(dst) then begin
+    t.dropped_send_failure <- t.dropped_send_failure + 1;
+    flight_record t ~code:Flight.net_drop_send ~src ~dst msg;
+    meter t (fun m -> m.m_dropped_send);
+    meter_drop t;
+    drop t msg;
+    false
+  end
+  else begin
+    t.frames_sent <- t.frames_sent + 1;
+    flight_record t ~code:Flight.net_send ~src ~dst msg;
+    meter t (fun m -> m.m_sent);
+    let lost =
+      match t.loss with
+      | Some (rng, rate) when Smrp_rng.Rng.float rng 1.0 < rate ->
+          t.frames_lost <- t.frames_lost + 1;
+          flight_record t ~code:Flight.net_drop_loss ~src ~dst msg;
+          meter t (fun m -> m.m_lost);
+          meter_drop t;
+          drop t msg;
+          true
+      | _ -> false
+    in
+    if not lost then begin
+      let slot = alloc_frame t msg in
+      t.fr_src.(slot) <- src;
+      t.fr_dst.(slot) <- dst;
+      t.fr_eid.(slot) <- eid;
+      t.fr_msg.(slot) <- msg;
+      Engine.schedule_code t.engine ~delay:(Graph.edge t.graph eid).Graph.delay ~code:t.deliver_code
+        ~a:slot ~b:0
+    end;
+    true
+  end
 
 let fail_link t eid = t.link_down.(eid) <- true
 

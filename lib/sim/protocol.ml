@@ -262,32 +262,28 @@ let reclaim t m =
 (* -- Sending ------------------------------------------------------------- *)
 
 let send t ~src ~dst m =
-  let mt = t.meters in
-  let meter f = match mt with Some mt -> Metrics.Counter.incr (f mt) | None -> () in
-  (match m land 7 with
-  | 3 ->
-      t.data_sent <- t.data_sent + 1;
-      meter (fun m -> m.p_data)
-  | 0 ->
-      t.control_sent <- t.control_sent + 1;
-      t.hello_sent <- t.hello_sent + 1;
-      meter (fun m -> m.p_hello)
-  | 5 | 6 ->
-      t.control_sent <- t.control_sent + 1;
-      t.query_sent <- t.query_sent + 1;
-      meter (fun m -> m.p_query)
-  | 4 ->
-      t.control_sent <- t.control_sent + 1;
-      t.join_sent <- t.join_sent + 1;
-      meter (fun m -> m.p_join)
-  | 1 ->
-      t.control_sent <- t.control_sent + 1;
-      t.refresh_sent <- t.refresh_sent + 1;
-      meter (fun m -> m.p_refresh)
-  | _ ->
-      t.control_sent <- t.control_sent + 1;
-      t.prune_sent <- t.prune_sent + 1;
-      meter (fun m -> m.p_prune));
+  let tag = m land 7 in
+  if tag = tag_data then t.data_sent <- t.data_sent + 1
+  else begin
+    t.control_sent <- t.control_sent + 1;
+    match tag with
+    | 0 -> t.hello_sent <- t.hello_sent + 1
+    | 5 | 6 -> t.query_sent <- t.query_sent + 1
+    | 4 -> t.join_sent <- t.join_sent + 1
+    | 1 -> t.refresh_sent <- t.refresh_sent + 1
+    | _ -> t.prune_sent <- t.prune_sent + 1
+  end;
+  (match t.meters with
+  | Some mt ->
+      Metrics.Counter.incr
+        (match tag with
+        | 3 -> mt.p_data
+        | 0 -> mt.p_hello
+        | 5 | 6 -> mt.p_query
+        | 4 -> mt.p_join
+        | 1 -> mt.p_refresh
+        | _ -> mt.p_prune)
+  | None -> ());
   ignore (Net.send (net t) ~src ~dst m : bool)
 
 let hold_time t = t.config.hold_factor *. t.config.refresh_period
@@ -834,14 +830,15 @@ let start t =
          t.n_last_forwarded.(t.source) <- seq;
          let now = Engine.now t.engine in
          fanout_data t t.source ~except:(-1) ~now ~seq));
-  (* Hellos on every live link. *)
+  (* Hellos on every live link, swept straight off the CSR adjacency. *)
   ignore
     (Engine.every t.engine ~period:t.config.hello_period (fun () ->
+         let offsets, neighbor, edge_id, _ = Graph.csr t.graph in
          for v = 0 to Graph.node_count t.graph - 1 do
            if Net.node_up (net t) v then
-             List.iter
-               (fun (nb, eid) -> if Net.link_up (net t) eid then send t ~src:v ~dst:nb msg_hello)
-               (Graph.neighbors t.graph v)
+             for i = offsets.(v) to offsets.(v + 1) - 1 do
+               if Net.link_up (net t) edge_id.(i) then send t ~src:v ~dst:neighbor.(i) msg_hello
+             done
          done));
   (* Refreshes from every attached node towards its parent, and PIM-style
      periodic join refresh from members along their stored attach paths —
@@ -904,13 +901,13 @@ let start t =
          for v = 0 to Array.length t.n_parent - 1 do
            let p = t.n_parent.(v) in
            if p >= 0 && t.n_member.(v) && not t.n_recovering.(v) then begin
-             match Graph.edge_between t.graph v p with
-             | Some e ->
-                 let side = if v = e.Graph.u then 0 else 1 in
-                 let seen = t.hello_seen.((2 * e.Graph.id) + side) in
-                 if seen > neg_infinity && now -. seen > dead && t.failure <> None then
-                   declare_disrupted t v
-             | None -> ()
+             let eid = Graph.find_edge t.graph v p in
+             if eid >= 0 then begin
+               let side = if v = (Graph.edge t.graph eid).Graph.u then 0 else 1 in
+               let seen = t.hello_seen.((2 * eid) + side) in
+               if seen > neg_infinity && now -. seen > dead && t.failure <> None then
+                 declare_disrupted t v
+             end
            end
          done))
 

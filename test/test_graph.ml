@@ -40,6 +40,25 @@ let rejects_bad_edges () =
       let g' = Graph.create 2 in
       ignore (Graph.add_edge g' 0 1 0.0))
 
+(* NaN passes a [<= 0.0] test and infinity is positive: both used to be
+   accepted as link delays, and any cost at all. *)
+let rejects_non_finite_weights () =
+  let fresh () = Graph.create 2 in
+  List.iter
+    (fun d ->
+      Alcotest.check_raises (Printf.sprintf "delay %h" d) (Invalid_argument "Graph.add_edge: non-finite delay")
+        (fun () -> ignore (Graph.add_edge (fresh ()) 0 1 d)))
+    [ nan; infinity ];
+  List.iter
+    (fun c ->
+      Alcotest.check_raises (Printf.sprintf "cost %h" c) (Invalid_argument "Graph.add_edge: non-finite cost")
+        (fun () -> ignore (Graph.add_edge ~cost:c (fresh ()) 0 1 1.0)))
+    [ nan; infinity; neg_infinity ];
+  let g = fresh () in
+  Alcotest.check_raises "rejected edge leaves no trace" (Invalid_argument "Graph.add_edge: non-finite delay")
+    (fun () -> ignore (Graph.add_edge g 0 1 nan));
+  check_int "no edge added" 0 (Graph.edge_count g)
+
 let neighbors_and_lookup () =
   let g = Fixtures.diamond () in
   check_ilist "neighbors of 0" [ 1; 2 ] (List.map fst (Graph.neighbors g 0));
@@ -117,7 +136,21 @@ let csr_rebuilds_after_mutation () =
   ignore (Graph.add_edge g 0 2 1.0);
   check_int "degree after" 2 (count 0);
   check "new edge visible to mem_edge" true (Graph.mem_edge g 2 0);
-  check "absent edge" false (Graph.mem_edge g 1 2)
+  check "absent edge" false (Graph.mem_edge g 1 2);
+  check_int "new edge visible to find_edge" 1 (Graph.find_edge g 2 0)
+
+(* The CSR lookup agrees with the build-side list scan on every ordered
+   pair, adjacent or not. *)
+let find_edge_matches_edge_between () =
+  let g = Fixtures.diamond () in
+  for u = 0 to Graph.node_count g - 1 do
+    for v = 0 to Graph.node_count g - 1 do
+      let expect = match Graph.edge_between g u v with Some e -> e.Graph.id | None -> -1 in
+      check_int (Printf.sprintf "edge %d-%d" u v) expect (Graph.find_edge g u v)
+    done
+  done;
+  Alcotest.check_raises "node out of range" (Invalid_argument "Graph.find_edge: node 4 out of range")
+    (fun () -> ignore (Graph.find_edge g 0 4))
 
 (* -- Dijkstra ---------------------------------------------------------- *)
 
@@ -308,11 +341,13 @@ let () =
         [
           Alcotest.test_case "build and inspect" `Quick build_basics;
           Alcotest.test_case "rejects bad edges" `Quick rejects_bad_edges;
+          Alcotest.test_case "rejects non-finite weights" `Quick rejects_non_finite_weights;
           Alcotest.test_case "neighbors and lookup" `Quick neighbors_and_lookup;
           Alcotest.test_case "CSR matches neighbors" `Quick csr_matches_neighbors;
           Alcotest.test_case "freeze empty graph" `Quick freeze_empty;
           Alcotest.test_case "freeze single node" `Quick freeze_single_node;
           Alcotest.test_case "CSR rebuilds after mutation" `Quick csr_rebuilds_after_mutation;
+          Alcotest.test_case "find_edge matches edge_between" `Quick find_edge_matches_edge_between;
         ] );
       ( "dijkstra",
         [

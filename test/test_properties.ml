@@ -493,6 +493,100 @@ let run_many_jobs_immaterial =
           && Scenario.aggregates a = Scenario.aggregates b)
         seq par)
 
+(* The timer wheel against the reference heap, driven directly: both must
+   answer every [min_tick] alike and pop the same eids in the same order.
+   Ticks are drawn relative to the last popped tick (the engine's clock) to
+   hit the wheel's corners: ties, descending bursts inside one level-0 slot,
+   runs either side of a 2^b slot edge for every b (every level of any
+   power-of-two layout), adds below the hand, and ticks past the horizon. *)
+module Wheel = Smrp_sim.Engine_wheel
+module Heap = Smrp_sim.Engine_reference
+
+type wheel_op =
+  | Pop
+  | Min
+  | Near of int  (** last popped tick + d *)
+  | Tie  (** the tick of the previous add *)
+  | Edge of int * int * int  (** [(b, k, off)]: [off] from the k-th 2^b boundary ahead *)
+  | Burst of int * int  (** [(n, d)]: n ticks descending to last popped + d *)
+  | Below of int  (** d ticks before the last popped tick *)
+  | Far of int * int  (** [(b, d)]: 2^b + d past the last popped tick *)
+
+let show_wheel_op = function
+  | Pop -> "Pop"
+  | Min -> "Min"
+  | Near d -> Printf.sprintf "Near %d" d
+  | Tie -> "Tie"
+  | Edge (b, k, off) -> Printf.sprintf "Edge (%d, %d, %d)" b k off
+  | Burst (n, d) -> Printf.sprintf "Burst (%d, %d)" n d
+  | Below d -> Printf.sprintf "Below %d" d
+  | Far (b, d) -> Printf.sprintf "Far (%d, %d)" b d
+
+let wheel_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, return Pop);
+        (2, return Min);
+        (3, map (fun d -> Near d) (int_bound 64));
+        (1, return Tie);
+        (* k near 32 and near every power of two up to 2^11 crosses the
+           window edge of rings of any power-of-two size up to 2048 slots *)
+        ( 4,
+          map3
+            (fun b k off -> Edge (b, k, off))
+            (int_bound 40)
+            (oneof [ int_bound 33; map2 (fun p j -> (1 lsl p) + j) (int_range 5 11) (int_range (-1) 1) ])
+            (int_range (-3) 3) );
+        (2, map2 (fun n d -> Burst (n, d)) (int_range 2 12) (int_bound (1 lsl 20)));
+        (1, map (fun d -> Below d) (int_range 1 (1 lsl 24)));
+        (1, map2 (fun b d -> Far (b, d)) (int_range 30 45) (int_bound 1000));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_wheel_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 300) op)
+
+let wheel_equals_reference_heap =
+  QCheck.Test.make ~name:"timer wheel pops exactly the reference heap's sequence" ~count:1000 wheel_ops
+    (fun ops ->
+      let w = Wheel.create () and h = Heap.create () in
+      let seq = ref 0 and clock = ref 0 and last = ref 0 and ok = ref true in
+      let add tick =
+        let tick = max 0 tick in
+        Wheel.add w ~tick ~seq:!seq ~eid:!seq;
+        Heap.add h ~tick ~seq:!seq ~eid:!seq;
+        incr seq;
+        last := tick
+      in
+      let check_min () = if Wheel.min_tick w <> Heap.min_tick h then ok := false in
+      let pop () =
+        let tick = Heap.min_tick h in
+        if Wheel.pop_min w <> Heap.pop_min h then ok := false
+        else if tick <> max_int then clock := tick
+      in
+      List.iter
+        (function
+          | Pop -> pop ()
+          | Min -> check_min ()
+          | Near d -> add (!clock + d)
+          | Tie -> add !last
+          | Edge (b, k, off) -> add ((((!clock asr b) + k) lsl b) + off)
+          | Burst (n, d) ->
+              for i = n - 1 downto 0 do
+                add (!clock + d + i)
+              done
+          | Below d -> add (!clock - d)
+          | Far (b, d) -> add (!clock + (1 lsl b) + d))
+        ops;
+      while !ok && Heap.min_tick h <> max_int do
+        check_min ();
+        pop ()
+      done;
+      !ok && Wheel.min_tick w = max_int && Wheel.pop_min w = -1)
+
 let () =
   Alcotest.run "properties"
     [
@@ -519,5 +613,6 @@ let () =
           qcheck_case filters_equal_predicates;
           qcheck_case session_reachable_equals_reference;
           qcheck_case run_many_jobs_immaterial;
+          qcheck_case wheel_equals_reference_heap;
         ] );
     ]

@@ -77,6 +77,41 @@ let rejects_past_and_negative () =
   Alcotest.check_raises "past time" (Invalid_argument "Engine.schedule_at: time in the past")
     (fun () -> ignore (Engine.schedule_at e ~time:0.5 (fun () -> ())))
 
+(* NaN slips past [< 0.0] and [<= 0.0] guards, and NaN, infinity and huge
+   times all used to quantize to tick 0: such an event fired at once, ahead
+   of everything already due, and a NaN period re-armed at tick 0 forever.
+   A NaN [until] ran nothing and left the clock at NaN. *)
+let rejects_non_finite_times () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  ignore (Engine.schedule e ~delay:5.0 (fun () -> ()));
+  Engine.run e;
+  ignore (Engine.schedule e ~delay:0.5 (fun () -> fired := `Due :: !fired));
+  let code = Engine.register e (fun _ _ -> fired := `Code :: !fired) in
+  let raises name msg f = Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ())) in
+  List.iter
+    (fun d ->
+      raises "schedule" "Engine.schedule: non-finite delay" (fun () ->
+          Engine.schedule e ~delay:d (fun () -> fired := `Bad :: !fired));
+      raises "schedule_code" "Engine.schedule_code: non-finite delay" (fun () ->
+          Engine.schedule_code e ~delay:d ~code ~a:0 ~b:0);
+      raises "every" "Engine.every: non-finite period" (fun () ->
+          Engine.every e ~period:d (fun () -> fired := `Bad :: !fired)))
+    [ nan; infinity ];
+  List.iter
+    (fun time ->
+      raises "schedule_at" "Engine.schedule_at: non-finite time" (fun () ->
+          Engine.schedule_at e ~time (fun () -> fired := `Bad :: !fired)))
+    [ nan; infinity ];
+  raises "far delay" "Engine.schedule_at: time beyond the clock's range" (fun () ->
+      Engine.schedule e ~delay:1e300 (fun () -> fired := `Bad :: !fired));
+  raises "far code delay" "Engine.schedule_code: time beyond the clock's range" (fun () ->
+      Engine.schedule_code e ~delay:1e300 ~code ~a:0 ~b:0);
+  raises "run until NaN" "Engine.run: until is not a number" (fun () -> Engine.run ~until:nan e);
+  check_int "only the valid event pending" 1 (Engine.pending e);
+  Engine.run ~until:10.0 e;
+  check "nothing rejected fired" true (!fired = [ `Due ])
+
 let every_with_jitter () =
   let e = Engine.create () in
   let times = ref [] in
@@ -120,7 +155,7 @@ let zero_delay_self_reschedule () =
   check_float "clock never advanced past the tick" 1.0 (Engine.now e)
 
 let far_future_overflow_cascade () =
-  (* The wheel horizon is 2^35 ticks (~3436 s): events beyond it park in
+  (* The wheel horizon is 2^33 ticks (~859 s): events beyond it park in
      the overflow list and must cascade back in, in order, mixed with near
      events scheduled later. *)
   List.iter
@@ -519,6 +554,7 @@ let () =
           Alcotest.test_case "run until" `Quick run_until_stops;
           Alcotest.test_case "every cancellable" `Quick every_cancellable;
           Alcotest.test_case "rejects past/negative" `Quick rejects_past_and_negative;
+          Alcotest.test_case "rejects non-finite times" `Quick rejects_non_finite_times;
           Alcotest.test_case "every with jitter" `Quick every_with_jitter;
           Alcotest.test_case "zero-delay self-reschedule" `Quick zero_delay_self_reschedule;
           Alcotest.test_case "far-future overflow cascade" `Quick far_future_overflow_cascade;
