@@ -89,8 +89,6 @@ let member what k j = match Json.member k j with Some v -> v | None -> fail "%s:
 
 let node_in_range what n v = if v < 0 || v >= n then fail "%s: node %d out of range" what v
 
-let node_limit = 1_000_000
-
 let of_json j =
   try
     (match Json.member "format" j with
@@ -99,7 +97,8 @@ let of_json j =
     let topo = member "case" "topology" j in
     let n = int_of "nodes" (member "topology" "nodes" topo) in
     if n < 1 then fail "topology: needs at least one node";
-    if n > node_limit then fail "topology: %d nodes exceeds the limit of %d" n node_limit;
+    if n > Graph.node_limit then
+      fail "topology: %d nodes exceeds the limit of %d" n Graph.node_limit;
     let source = int_of "source" (member "topology" "source" topo) in
     node_in_range "source" n source;
     let edges =

@@ -40,13 +40,10 @@ val event_count : t -> int
 
 val to_json : t -> Smrp_obs.Json.t
 
-val node_limit : int
-(** The largest node count a case may declare (10⁶, the largest graph the
-    repository builds; generated cases stay far below it). *)
-
 val of_json : Smrp_obs.Json.t -> (t, string) result
-(** Validates ranges (node count up to {!node_limit}, node and edge ids,
-    finite positive delays, a finite non-negative [d_thresh]) so a
+(** Validates ranges (node count up to {!Smrp_graph.Graph.node_limit},
+    far above what generated cases use, node and edge ids, finite positive
+    delays, a finite non-negative [d_thresh]) so a
     hand-edited repro fails loudly rather than crashing the executor. *)
 
 val save : string -> t -> unit

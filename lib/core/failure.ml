@@ -65,9 +65,34 @@ let compile g f =
     !nodes;
   (outside !nodes, outside !edges)
 
+type filters = (int -> bool) * (int -> bool)
+
 (* A lone link needs no arrays. *)
 let filters g f =
   match f with Link e -> (always, fun x -> x <> e) | Node _ | Multi _ -> compile g f
+
+(* The session's compiled form: one byte per node and per edge, '\001' when
+   dead.  A check is one load, with no search, and a failure is added in
+   time proportional to its own size. *)
+type mask = { graph : Graph.t; dead_nodes : Bytes.t; dead_edges : Bytes.t; mask_filters : filters }
+
+let mask g =
+  let dead_nodes = Bytes.make (Graph.node_count g) '\000' in
+  let dead_edges = Bytes.make (Graph.edge_count g) '\000' in
+  let node_ok v = Bytes.get dead_nodes v = '\000' and edge_ok e = Bytes.get dead_edges e = '\000' in
+  { graph = g; dead_nodes; dead_edges; mask_filters = (node_ok, edge_ok) }
+
+let rec kill m = function
+  | Link e -> Bytes.set m.dead_edges e '\001'
+  | Node u ->
+      Bytes.set m.dead_nodes u '\001';
+      let offsets, _, eids, _ = Graph.csr m.graph in
+      for i = offsets.(u) to offsets.(u + 1) - 1 do
+        Bytes.set m.dead_edges eids.(i) '\001'
+      done
+  | Multi fs -> List.iter (kill m) fs
+
+let mask_filters m = m.mask_filters
 
 let worst_case_for_member t r =
   if r = Tree.source t then None

@@ -32,14 +32,26 @@ let of_nearest t ~member (h : Dijkstra.nearest) =
     new_total_delay = h.Dijkstra.dist +. Tree.delay_to_source t h.Dijkstra.target;
   }
 
-let local_detour ?ws t f ~member =
-  if not (Failure.node_ok f member) then None
+(* What a detour search knows before it starts: [f] compiled, and the tree's
+   surviving set.  A caller that searches for many members of one tree
+   (staged repair) passes both; otherwise they are computed here, the
+   filters only once a search is certain. *)
+let alive ?filters f v =
+  match filters with Some (node_ok, _) -> node_ok v | None -> Failure.node_ok f v
+
+let compiled ?filters g f = match filters with Some fl -> fl | None -> Failure.filters g f
+
+let surviving_set ?surviving t f =
+  match surviving with Some s -> s | None -> Failure.tree_connected t f
+
+let local_detour ?ws ?filters ?surviving t f ~member =
+  if not (alive ?filters f member) then None
   else begin
     let g = Tree.graph t in
-    let surviving = Failure.tree_connected t f in
+    let surviving = surviving_set ?surviving t f in
     if surviving.(member) then Some (trivial t member)
     else begin
-      let node_ok, edge_ok = Failure.filters g f in
+      let node_ok, edge_ok = compiled ?filters g f in
       Option.map (of_nearest t ~member)
         (Dijkstra.nearest ~node_ok ~edge_ok ?workspace:ws g ~source:member
            ~target:(fun v -> surviving.(v)))
@@ -94,14 +106,14 @@ let surviving_tree old f =
     (Tree.members old);
   fresh
 
-let global_detour ?ws t f ~member =
-  if not (Failure.node_ok f member) then None
+let global_detour ?ws ?filters ?surviving t f ~member =
+  if not (alive ?filters f member) then None
   else begin
     let g = Tree.graph t in
-    let surviving = Failure.tree_connected t f in
+    let surviving = surviving_set ?surviving t f in
     if surviving.(member) then Some (trivial t member)
     else begin
-      let node_ok, edge_ok = Failure.filters g f in
+      let node_ok, edge_ok = compiled ?filters g f in
       match
         Dijkstra.shortest_path ~node_ok ~edge_ok ?workspace:ws g ~src:member ~dst:(Tree.source t)
       with

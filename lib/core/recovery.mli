@@ -15,7 +15,11 @@
     search stops at the nearest merge target, so it costs the ball around
     the answer rather than the whole graph.  The global detour's
     {!Smrp_graph.Dijkstra.shortest_path} likewise stops once the source
-    settles.  Each search compiles the failure once ({!Failure.filters}). *)
+    settles.  A one-off search compiles the failure once
+    ({!Failure.filters}) and computes the tree's surviving set itself.
+    Staged repair ({!Session.fail}) searches for every pending member of
+    one tree, so it passes [~filters] (its session's {!Failure.mask}) and
+    [~surviving] (computed once per graft) instead. *)
 
 type detour = {
   member : int;
@@ -27,16 +31,33 @@ type detour = {
 }
 
 val local_detour :
-  ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> Failure.t -> member:int -> detour option
+  ?ws:Smrp_graph.Dijkstra.workspace ->
+  ?filters:Failure.filters ->
+  ?surviving:bool array ->
+  Tree.t ->
+  Failure.t ->
+  member:int ->
+  detour option
 (** Shortest connection from the receiver to any surviving on-tree node over
     the surviving network.  [None] if the receiver is isolated.  A receiver
     that still gets data receives the trivial detour ([merge = member],
     [recovery_distance = 0]).  [member] need not currently be subscribed —
-    staged repair ({!Session.fail}) re-attaches receivers one at a time. *)
+    staged repair ({!Session.fail}) re-attaches receivers one at a time.
+
+    [filters], when given, must answer as [Failure.filters g f], and
+    [surviving] must equal [Failure.tree_connected t f]: they replace the
+    search's own compile and tree walk. *)
 
 val global_detour :
-  ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> Failure.t -> member:int -> detour option
-(** SPF re-join over the surviving network. *)
+  ?ws:Smrp_graph.Dijkstra.workspace ->
+  ?filters:Failure.filters ->
+  ?surviving:bool array ->
+  Tree.t ->
+  Failure.t ->
+  member:int ->
+  detour option
+(** SPF re-join over the surviving network.  [filters] and [surviving] as
+    in {!local_detour}. *)
 
 val branch_detour :
   ?ws:Smrp_graph.Dijkstra.workspace ->

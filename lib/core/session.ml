@@ -1,5 +1,6 @@
 module Graph = Smrp_graph.Graph
 module Dspf = Smrp_graph.Dspf
+module Dijkstra = Smrp_graph.Dijkstra
 
 type protocol = Spf | Smrp of { d_thresh : float } | Smrp_query of { d_thresh : float }
 
@@ -29,6 +30,12 @@ type t = {
      never joins again pays no SPF update. *)
   spf : Dspf.t;
   mutable unsynced : Failure.t list;
+  (* Every join, detour and re-join search borrows this one workspace, so a
+     search allocates no arrays or heap of its own. *)
+  ws : Dijkstra.workspace;
+  (* Every active failure, compiled once as [fail] adds it: the filters of
+     every failure-aware search. *)
+  dead : Failure.mask;
 }
 
 let create ?(protection = false) graph ~source ~protocol =
@@ -42,6 +49,8 @@ let create ?(protection = false) graph ~source ~protocol =
     protection = (if protection then Some (Protect.create tree) else None);
     spf = Dspf.create graph ~source;
     unsynced = [];
+    ws = Dijkstra.workspace ~capacity:(Graph.node_count graph) ();
+    dead = Failure.mask graph;
   }
 
 let active_failure t =
@@ -72,8 +81,12 @@ let spf t =
 
 let reachable t v = Dspf.reachable (spf t) v
 
+(* The compiled active failure; [None] while nothing has failed, so the
+   searches take Dijkstra's unfiltered paths. *)
+let filters t = match t.active_failures with [] -> None | _ -> Some (Failure.mask_filters t.dead)
+
 let join t nr =
-  let failure = active_failure t in
+  let filters = filters t and ws = t.ws in
   (* The incremental SPF already knows the joiner's unicast distance under
      every active failure, so an SMRP or query join runs only its candidate
      search.  [Dspf] returning [None] means the source is unreachable;
@@ -81,15 +94,15 @@ let join t nr =
      SPF join reads no distance. *)
   let spf_dist () = if Tree.is_on_tree t.tree nr then None else Dspf.distance (spf t) nr in
   (match t.protocol with
-  | Spf -> Spf.join ?failure t.tree nr
-  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?failure ?spf_dist:(spf_dist ()) t.tree nr
+  | Spf -> Spf.join ?filters ~ws t.tree nr
+  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?filters ~ws ?spf_dist:(spf_dist ()) t.tree nr
   | Smrp_query { d_thresh } ->
       (* The query scheme has no failure-aware variant; under active
          failures fall back to the failure-aware SMRP selection. *)
       let spf_dist = spf_dist () in
-      (match failure with
-      | None -> Query.join ~d_thresh ?spf_dist t.tree nr
-      | Some _ -> Smrp.join ~d_thresh ?failure ?spf_dist t.tree nr));
+      (match filters with
+      | None -> Query.join ~d_thresh ~ws ?spf_dist t.tree nr
+      | Some _ -> Smrp.join ~d_thresh ?filters ~ws ?spf_dist t.tree nr));
   invalidate_protection t;
   log t (Joined nr)
 
@@ -102,7 +115,7 @@ let reshape_all t =
   match t.protocol with
   | Spf -> 0
   | Smrp { d_thresh } | Smrp_query { d_thresh } ->
-      let stats = Reshape.stabilize ~d_thresh ?failure:(active_failure t) t.tree in
+      let stats = Reshape.stabilize ~d_thresh ?failure:(active_failure t) ~ws:t.ws t.tree in
       if stats.Reshape.switches > 0 then begin
         invalidate_protection t;
         log t (Reshaped { node = Tree.source t.tree; switches = stats.Reshape.switches })
@@ -243,6 +256,7 @@ let rec check_ids g = function
 
 let fail t f =
   check_ids t.graph f;
+  Failure.kill t.dead f;
   log t (Failed f);
   t.active_failures <- f :: t.active_failures;
   t.unsynced <- f :: t.unsynced;
@@ -266,14 +280,17 @@ let fail t f =
       let affected = Failure.affected_members t.tree f in
       let dead = List.filter (fun m -> not (Failure.node_ok f m)) (Tree.members t.tree) in
       let fresh = Recovery.surviving_tree t.tree f in
+      let filters = Failure.mask_filters t.dead and ws = t.ws in
       (* Closest-detour-first repair: each re-attachment can serve as a merge
          point for the next member (Fig. 2(b)), so detours are recomputed after
-         every graft. *)
+         every graft.  The surviving set changes only with a graft, so every
+         pending member's search in one round shares it. *)
       let rec repair pending repairs =
+        let surviving = if pending = [] then [||] else Failure.tree_connected fresh f in
         let detour_of m =
           match strategy with
-          | `Local -> Recovery.local_detour fresh f ~member:m
-          | `Global -> Recovery.global_detour fresh f ~member:m
+          | `Local -> Recovery.local_detour ~ws ~filters ~surviving fresh f ~member:m
+          | `Global -> Recovery.global_detour ~ws ~filters ~surviving fresh f ~member:m
         in
         let options =
           List.filter_map (fun m -> Option.map (fun d -> (m, d)) (detour_of m)) pending

@@ -34,6 +34,13 @@ val create : ?protection:bool -> Smrp_graph.Graph.t -> source:int -> protocol:pr
     applies the queue, so a session that never joins after a failure pays
     no SPF update.
 
+    A session also owns one {!Smrp_graph.Dijkstra.workspace}, which every
+    join, detour and re-join search borrows, and a {!Failure.mask} of its
+    active failures, extended by each {!fail} and handed to every
+    failure-aware search as its filters.  The workspace makes a session
+    domain-private: use it from one domain at a time, as a campaign does
+    by running each cell's sessions inside one [Pool] task.
+
     [~protection:true] (default false) arms the precomputed-protection
     tables: the session keeps {!Protect} branch-detour tables (invalidated
     in O(1) by membership churn and repairs; an entry is computed when a

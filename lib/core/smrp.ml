@@ -14,16 +14,15 @@ let default_d_thresh = 0.3
 let always _ = true
 
 (* The candidate search of §3.2.1: a Dijkstra from the joiner that treats
-   admissible on-tree nodes as absorbing.  Returns the settled result plus
-   the admissibility predicate; callers must consume the result before the
-   next run on the same workspace. *)
-let candidate_search ?exclude ?failure ?ws t ~joiner =
+   admissible on-tree nodes as absorbing.  [filters] is the active failure,
+   already compiled: the search asks it once per relaxed edge.  Returns the
+   settled result plus the admissibility predicate; callers must consume the
+   result before the next run on the same workspace.  [dist_bound] is
+   [Dijkstra.run]'s: every node within it gets the full search's distance
+   and path. *)
+let candidate_search ?exclude ?filters ?dist_bound ?ws t ~joiner =
   let g = Tree.graph t in
-  (* The failure is compiled once into array-backed filters: the search
-     asks them once per relaxed edge. *)
-  let alive, edge_alive =
-    match failure with None -> (always, always) | Some f -> Failure.filters g f
-  in
+  let alive, edge_alive = match filters with None -> (always, always) | Some fl -> fl in
   let admissible =
     match exclude with None -> alive | Some excluded -> fun v -> alive v && not (excluded v)
   in
@@ -37,17 +36,19 @@ let candidate_search ?exclude ?failure ?ws t ~joiner =
   let result =
     (* Only pass per-edge/per-node filters when something actually filters:
        the unconstrained search takes Dijkstra's absorb-only fast path. *)
-    match (failure, exclude) with
-    | None, None -> Dijkstra.run ~absorb ?workspace:ws g ~source:joiner
+    match (filters, exclude) with
+    | None, None -> Dijkstra.run ~absorb ?dist_bound ?workspace:ws g ~source:joiner
     | _ ->
-        Dijkstra.run ~node_ok:admissible ~edge_ok:edge_alive ~absorb ?workspace:ws g ~source:joiner
+        Dijkstra.run ~node_ok:admissible ~edge_ok:edge_alive ~absorb ?dist_bound ?workspace:ws g
+          ~source:joiner
   in
   Smrp_obs.Flight.span flight ~code:Smrp_obs.Flight.span_candidate_search ~start ~b:joiner;
   (result, admissible)
 
 let candidates ?exclude ?failure ?ws t ~joiner =
   let g = Tree.graph t in
-  let result, admissible = candidate_search ?exclude ?failure ?ws t ~joiner in
+  let filters = Option.map (Failure.filters g) failure in
+  let result, admissible = candidate_search ?exclude ?filters ?ws t ~joiner in
   let absorb v = Tree.is_on_tree t v && admissible v in
   let acc = ref [] in
   for merge = Smrp_graph.Graph.node_count g - 1 downto 0 do
@@ -73,16 +74,17 @@ let candidates ?exclude ?failure ?ws t ~joiner =
   done;
   !acc
 
-let spf_distance ?failure ?ws t v =
+let spf_search ?filters ?ws t v =
   let g = Tree.graph t in
   let r =
-    match failure with
+    match filters with
     | None -> Dijkstra.run ?workspace:ws g ~source:v
-    | Some f ->
-        let node_ok, edge_ok = Failure.filters g f in
-        Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source:v
+    | Some (node_ok, edge_ok) -> Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source:v
   in
   Dijkstra.distance r (Tree.source t)
+
+let spf_distance ?failure ?ws t v =
+  spf_search ?filters:(Option.map (Failure.filters (Tree.graph t)) failure) ?ws t v
 
 let bound_epsilon = 1e-9
 
@@ -106,24 +108,22 @@ let select ?(d_thresh = default_d_thresh) ~spf_distance cands =
          connection, i.e. SPF behaviour. *)
       minimum_by (fun a b -> a.total_delay < b.total_delay) cands
 
-(* [select] over [candidates], computed directly off the candidate-search
-   result: no candidate record or path is materialised for losing merge
-   points.  The scan order (ascending merge id) and every comparison —
-   including the fallback to the lowest-delay connection when nothing meets
-   the bound — replicate the list-based pipeline exactly. *)
-let join_where ?(d_thresh = default_d_thresh) ?failure ?ws t nr ~spf_dist =
-  if d_thresh < 0.0 then invalid_arg "Smrp.select: d_thresh must be non-negative";
+(* The winner of [select] over [candidates], read directly off a
+   candidate-search result: no candidate record or path is materialised for
+   losing merge points.  The scan order (ascending merge id) and every
+   comparison — including the fallback to the lowest-delay connection when
+   nothing meets the bound — replicate the list-based pipeline exactly.
+   Returns the best merge point inside [bound] and the lowest-delay one,
+   each [-1] when there is none.  [final] is how a merge point's distance is
+   known to be the search's last word: reached, after a full search;
+   settled, after a truncated one. *)
+let select_on result admissible t nr ~bound ~final =
   let n = Smrp_graph.Graph.node_count (Tree.graph t) in
-  let result, admissible = candidate_search ?failure ?ws t ~joiner:nr in
-  let bound = ((1.0 +. d_thresh) *. spf_dist) +. bound_epsilon in
   let best = ref (-1) and best_delay = ref infinity and best_shr = ref max_int in
   let fallback = ref (-1) and fallback_delay = ref infinity in
   for merge = 0 to n - 1 do
-    if
-      merge <> nr && Tree.is_on_tree t merge && admissible merge
-      && Dijkstra.reachable result merge
-    then begin
-      let total = Option.get (Dijkstra.distance result merge) +. Tree.delay_to_source t merge in
+    if merge <> nr && Tree.is_on_tree t merge && admissible merge && final result merge then begin
+      let total = Dijkstra.unsafe_distance result merge +. Tree.delay_to_source t merge in
       if !fallback < 0 || total < !fallback_delay then begin
         fallback := merge;
         fallback_delay := total
@@ -143,7 +143,30 @@ let join_where ?(d_thresh = default_d_thresh) ?failure ?ws t nr ~spf_dist =
       end
     end
   done;
-  let winner = if !best >= 0 then !best else !fallback in
+  (!best, !fallback)
+
+(* Bounded first.  A merge point that meets the bound has [total <= bound]
+   and a non-negative tree delay, so its attach distance is [<= bound] too
+   (rounded addition is monotone): the search truncated at [bound] settles
+   it with the full search's distance and path, since up to the bound both
+   pop and relax identically.  So the settled merge points inside the
+   bound are exactly the full search's, and when there is one, the full
+   search's winner is the same.  Only when there is none does the full
+   search run, for the lowest-delay fallback.  (A reached but unsettled
+   node reads a tentative distance above the bound; it is left out rather
+   than trusted.) *)
+let join_where ?(d_thresh = default_d_thresh) ?filters ?ws t nr ~spf_dist =
+  if d_thresh < 0.0 then invalid_arg "Smrp.select: d_thresh must be non-negative";
+  let bound = ((1.0 +. d_thresh) *. spf_dist) +. bound_epsilon in
+  let result, admissible = candidate_search ?filters ~dist_bound:bound ?ws t ~joiner:nr in
+  let result, winner =
+    match select_on result admissible t nr ~bound ~final:Dijkstra.settled with
+    | best, _ when best >= 0 -> (result, best)
+    | _ ->
+        let result, admissible = candidate_search ?filters ?ws t ~joiner:nr in
+        let best, fallback = select_on result admissible t nr ~bound ~final:Dijkstra.reachable in
+        (result, if best >= 0 then best else fallback)
+  in
   if winner < 0 then invalid_arg "Smrp.join: no connection to the tree";
   (* Dijkstra paths run joiner → merge; grafting wants them merge → joiner. *)
   let nodes = Option.get (Dijkstra.path_nodes result winner) in
@@ -151,16 +174,16 @@ let join_where ?(d_thresh = default_d_thresh) ?failure ?ws t nr ~spf_dist =
   Tree.graft t ~nodes:(List.rev nodes) ~edges:(List.rev edges);
   Tree.add_member t nr
 
-let join ?d_thresh ?failure ?ws ?spf_dist t nr =
+let join ?d_thresh ?filters ?ws ?spf_dist t nr =
   if Tree.is_member t nr then invalid_arg "Smrp.join: already a member";
   if Tree.is_on_tree t nr then Tree.add_member t nr
   else begin
     (* [spf_dist] lets a caller that already maintains the source-rooted
        SPF (a session's incremental Dspf) skip the per-join distance
        search. *)
-    match (match spf_dist with Some _ as d -> d | None -> spf_distance ?failure ?ws t nr) with
+    match (match spf_dist with Some _ as d -> d | None -> spf_search ?filters ?ws t nr) with
     | None -> invalid_arg "Smrp.join: source unreachable"
-    | Some spf_dist -> join_where ?d_thresh ?failure ?ws t nr ~spf_dist
+    | Some spf_dist -> join_where ?d_thresh ?filters ?ws t nr ~spf_dist
   end
 
 let build ?d_thresh ?ws g ~source ~members =

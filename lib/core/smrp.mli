@@ -50,7 +50,7 @@ val select : ?d_thresh:float -> spf_distance:float -> candidate list -> candidat
 
 val join :
   ?d_thresh:float ->
-  ?failure:Failure.t ->
+  ?filters:Failure.filters ->
   ?ws:Smrp_graph.Dijkstra.workspace ->
   ?spf_dist:float ->
   Tree.t ->
@@ -61,6 +61,17 @@ val join :
     may exceed the delay bound; a later reshaping pass can move it.  Raises
     [Invalid_argument] if the node is already a member or no connection to
     the tree exists.
+
+    [filters] removes failed components (joins arriving while failures are
+    active): a failure compiled by {!Failure.filters}, or a session's
+    {!Failure.mask}.
+
+    The candidate search first stops at the delay bound
+    [(1 + d_thresh) * D_SPF]: every merge point that meets the bound lies
+    within it, and gets the full search's distance and path.  Only when no
+    merge point meets the bound does a full search run, to find the
+    lowest-delay fallback.  The chosen path is the one {!select} over
+    {!candidates} gives.
 
     [spf_dist] supplies the joiner's unicast SPF distance when the caller
     already maintains it (every {!Session} keeps the source-rooted tree

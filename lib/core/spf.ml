@@ -1,16 +1,15 @@
 module Dijkstra = Smrp_graph.Dijkstra
 
-let attach_path ?failure ?ws t nr =
+let attach_path ?filters ?ws t nr =
   if Tree.is_on_tree t nr then ([ nr ], [])
   else begin
     let g = Tree.graph t in
     (* No filters when there is no failure: the search then takes
        Dijkstra's unfiltered fast path. *)
     let path =
-      match failure with
+      match filters with
       | None -> Dijkstra.shortest_path ?workspace:ws g ~src:nr ~dst:(Tree.source t)
-      | Some f ->
-          let node_ok, edge_ok = Failure.filters g f in
+      | Some (node_ok, edge_ok) ->
           Dijkstra.shortest_path ~node_ok ~edge_ok ?workspace:ws g ~src:nr ~dst:(Tree.source t)
     in
     match path with
@@ -28,9 +27,9 @@ let attach_path ?failure ?ws t nr =
         walk nodes edges [] []
   end
 
-let join ?failure ?ws t nr =
+let join ?filters ?ws t nr =
   if Tree.is_member t nr then invalid_arg "Spf.join: already a member";
-  (match attach_path ?failure ?ws t nr with
+  (match attach_path ?filters ?ws t nr with
   | [ _ ], [] -> ()
   | nodes, edges -> Tree.graft t ~nodes ~edges);
   Tree.add_member t nr

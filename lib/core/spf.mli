@@ -10,14 +10,19 @@
     Omitting it allocates a private workspace per search. *)
 
 val attach_path :
-  ?failure:Failure.t -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> int list * int list
+  ?filters:Failure.filters ->
+  ?ws:Smrp_graph.Dijkstra.workspace ->
+  Tree.t ->
+  int ->
+  int list * int list
 (** [attach_path t nr] is the graft [(nodes, edges)] a PIM-style join would
     install: the suffix of [nr]'s unicast shortest path to the source from
     the first on-tree node encountered, returned merge-node first.  Returns
     [([nr], [])] when [nr] is already on-tree.  Raises [Invalid_argument]
-    when the source is unreachable. *)
+    when the source is unreachable.  [filters] is the active failure,
+    compiled ({!Failure.filters}, or a session's {!Failure.mask}). *)
 
-val join : ?failure:Failure.t -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> unit
+val join : ?filters:Failure.filters -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> unit
 (** [join t nr] subscribes [nr].  Raises [Invalid_argument] if [nr] is
     already a member or cannot reach the source. *)
 

@@ -414,6 +414,21 @@ let int_param ~what ~default = function
       | Some v when v > 0 -> v
       | _ -> failwith (Printf.sprintf "%s: expected a positive integer, got %S" what s))
 
+(* A node count: positive, and at most the limit every parsed input
+   shares. *)
+let nodes_param ~what ~default param =
+  let n = int_param ~what ~default param in
+  if n > Graph.node_limit then
+    failwith (Printf.sprintf "%s: %d nodes exceeds the limit of %d" what n Graph.node_limit);
+  n
+
+(* [v], the value of a token that takes no parameter; a parameter on it
+   would be dropped without a word, so it is an error. *)
+let no_param ~what param v =
+  match param with
+  | None -> v
+  | Some p -> failwith (Printf.sprintf "%s: takes no parameter, got %S" what p)
+
 let float_param ~what ~default = function
   | None -> default
   | Some s -> (
@@ -426,16 +441,16 @@ let topo_of_token t =
   let topo =
     match base with
     | "waxman" ->
-        let n = int_param ~what:t ~default:100 param in
+        let n = nodes_param ~what:t ~default:100 param in
         Waxman { n; alpha = 0.2; beta = 0.2; link_delay = `Euclidean }
-    | "ts" -> Transit_stub Transit_stub.default_params
+    | "ts" -> no_param ~what:t param (Transit_stub Transit_stub.default_params)
     | "locality" ->
-        let n = int_param ~what:t ~default:100 param in
+        let n = nodes_param ~what:t ~default:100 param in
         Locality { n; radius = 0.3; p_near = 0.4; p_far = 0.01 }
     | "scale" ->
         (* [Scale.degree_params] needs two nodes, the floor [smrp scale -n]
            enforces too. *)
-        let n = int_param ~what:t ~default:10_000 param in
+        let n = nodes_param ~what:t ~default:10_000 param in
         if n < 2 then failwith (Printf.sprintf "%s: expected at least 2 nodes" t);
         Scale_waxman { n; target_degree = 4.0 }
     | _ ->
@@ -450,9 +465,11 @@ let churn_of_token t =
     match base with
     | "static" -> Churn.Static { group_size = int_param ~what:t ~default:20 param }
     | "flash" ->
-        Churn.Flash_crowd { crowds = 4; mean_size = 8.0; spread = 2.0; mean_lifetime = 30.0 }
-    | "diurnal" -> Churn.Diurnal { waves = 3; wave_size = 10 }
-    | "heavy" -> Churn.Heavy_tail { arrivals = 40; alpha = 2.5; x_min = 5.0 }
+        no_param ~what:t param
+          (Churn.Flash_crowd { crowds = 4; mean_size = 8.0; spread = 2.0; mean_lifetime = 30.0 })
+    | "diurnal" -> no_param ~what:t param (Churn.Diurnal { waves = 3; wave_size = 10 })
+    | "heavy" ->
+        no_param ~what:t param (Churn.Heavy_tail { arrivals = 40; alpha = 2.5; x_min = 5.0 })
     | _ ->
         failwith (Printf.sprintf "churn %S: expected static[:K], flash, diurnal or heavy" t)
   in
@@ -464,9 +481,9 @@ let fail_of_token t =
     match base with
     | "indep" ->
         Failure_model.Independent { events = 5; elements = int_param ~what:t ~default:1 param }
-    | "correlated" -> Failure_model.Correlated { events = 4; burst = 3 }
-    | "regional" -> Failure_model.Regional { events = 3; radius = 1 }
-    | "cascade" -> Failure_model.Cascading { events = 3; depth = 3 }
+    | "correlated" -> no_param ~what:t param (Failure_model.Correlated { events = 4; burst = 3 })
+    | "regional" -> no_param ~what:t param (Failure_model.Regional { events = 3; radius = 1 })
+    | "cascade" -> no_param ~what:t param (Failure_model.Cascading { events = 3; depth = 3 })
     | "adversarial" ->
         Failure_model.Adversarial
           { events = 3; budget = int_param ~what:t ~default:3 param; passes = 1 }
@@ -481,7 +498,7 @@ let proto_of_token t =
   let base, param = split_token t in
   let proto =
     match base with
-    | "spf" -> Spf_baseline
+    | "spf" -> no_param ~what:t param Spf_baseline
     | "smrp" -> Smrp { d_thresh = float_param ~what:t ~default:0.3 param; protection = false }
     | "protected" ->
         Smrp { d_thresh = float_param ~what:t ~default:0.3 param; protection = true }

@@ -78,7 +78,10 @@ val spec_of_matrix : ?base:spec -> string -> (spec, string) result
     [horizon=T] and [seed=S].  A token equal to one of [base]'s labels
     on that axis (e.g. [indep], [smrp0.3]) names [base]'s own cell.
     Numbers must be positive and finite, except the seed, which is any
-    integer. *)
+    integer.  A token the grammar shows without [\[:…\]] takes no
+    parameter ([ts:5] is an error, not [ts]), and a node count may not
+    exceed {!Smrp_graph.Graph.node_limit}.  Every rejection is an [Error]
+    naming the offending token; nothing raises. *)
 
 val run : ?jobs:int -> spec -> Smrp_obs.Report.t
 (** Run every cell (fanned out over {!Pool.map}) and assemble the

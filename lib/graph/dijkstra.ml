@@ -323,6 +323,10 @@ let reachable r v =
   check_fresh r;
   r.ws.visited.(v) = r.epoch
 
+let settled r v =
+  check_fresh r;
+  r.ws.settled.(v) = r.epoch
+
 let unsafe_distance r v = Array.unsafe_get r.ws.dist v
 
 let parent r v =

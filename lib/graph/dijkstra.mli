@@ -98,6 +98,11 @@ val distance : result -> int -> float option
 
 val reachable : result -> int -> bool
 
+val settled : result -> int -> bool
+(** Whether the search popped the node, which fixes its distance and path.
+    After a [dist_bound] run, a node that is reachable but not settled has
+    only a tentative distance above the bound. *)
+
 val unsafe_distance : result -> int -> float
 (** The raw distance cell of a node, with no freshness or reachability
     check: meaningful only when {!reachable} just returned [true] for the

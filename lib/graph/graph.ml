@@ -34,6 +34,8 @@ let create n =
     adj_delay = [||];
   }
 
+let node_limit = 1_000_000
+
 let node_count g = g.n
 
 let edge_count g = g.edge_count

@@ -22,6 +22,11 @@ type t
 val create : int -> t
 (** [create n] is an empty graph over nodes [0 .. n-1]. *)
 
+val node_limit : int
+(** The largest node count an input may ask for: a fuzz case file, or a
+    campaign matrix's topology (10⁶, the largest graph the repository
+    builds).  Parsers reject larger counts before building anything. *)
+
 val node_count : t -> int
 
 val edge_count : t -> int

@@ -1,44 +1,58 @@
 (* SplitMix64.  Reference: Steele, Lea & Flood, "Fast splittable
    pseudorandom number generators", OOPSLA 2014.  The mixing constants below
-   are the published ones. *)
+   are the published ones.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes: an [int64] record field would
+   box a fresh state on every draw.  [next] and [mix64] are inlined into
+   every draw in this unit, so the state update and the mixing stay in
+   registers and [int] allocates nothing; [float] and [bits64] box only the
+   value they return. *)
+
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+(* Advance the state by the golden gamma and mix it: one SplitMix64 step. *)
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = mix64 (bits64 t) }
+let copy = Bytes.copy
 
-(* Rejection sampling over the low bits keeps the draw exactly uniform. *)
+let bits64 t = next t
+
+let split t = of_state (mix64 (next t))
+
+(* Rejection sampling over the low 62 bits keeps the draw exactly uniform:
+   a draw from the final partial block is discarded to avoid modulo bias. *)
+let rec draw_below t bound =
+  let v = Int64.to_int (Int64.logand (next t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let r = v mod bound in
+  if v - r > max_int - bound + 1 then draw_below t bound else r
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.of_int max_int in
-  let rec draw () =
-    let v = Int64.to_int (Int64.logand (bits64 t) mask) in
-    let r = v mod bound in
-    (* Discard draws from the final partial block to avoid modulo bias. *)
-    if v - r > max_int - bound + 1 then draw () else r
-  in
-  draw ()
+  draw_below t bound
 
 let float t bound =
   (* 53 uniform mantissa bits. *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";

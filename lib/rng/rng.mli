@@ -7,7 +7,8 @@
     {!split}ting into independent streams. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: 8 bytes holding the SplitMix64 state unboxed,
+    so advancing it allocates nothing. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator determined by [seed]. *)

@@ -205,7 +205,7 @@ let as_failure t =
   match !downs with [ f ] -> Some f | _ -> None
 
 let set_loss t ~rng ~rate =
-  if rate < 0.0 || rate >= 1.0 then invalid_arg "Net.set_loss: rate out of [0, 1)";
+  if not (rate >= 0.0 && rate < 1.0) then invalid_arg "Net.set_loss: rate out of [0, 1)";
   t.loss <- Some (rng, rate)
 
 let counters t =

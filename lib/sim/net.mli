@@ -57,7 +57,8 @@ val as_failure : 'msg t -> Smrp_core.Failure.t option
 val set_loss : 'msg t -> rng:Smrp_rng.Rng.t -> rate:float -> unit
 (** Bernoulli frame loss: each frame is dropped at delivery with probability
     [rate] (drawn from [rng], so runs stay reproducible).  Models the
-    transient losses the soft-state machinery (§3.2) must absorb. *)
+    transient losses the soft-state machinery (§3.2) must absorb.  Raises
+    [Invalid_argument] for a rate outside [\[0, 1)], NaN included. *)
 
 val counters : 'msg t -> (string * int) list
 (** Frame accounting by outcome: [sent], [delivered], [lost] (Bernoulli),

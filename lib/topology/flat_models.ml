@@ -43,7 +43,12 @@ let repair link_delay rng g positions =
   in
   step []
 
-let generate_with ?(link_delay = `Euclidean) rng ~n ~edge_probability =
+(* [p_max] is [Some] bound on every pair's probability only when every
+   pair's probability is positive, so that every pair draws: then the draw
+   comes first, and one at or above the bound rejects the pair without
+   computing its probability.  With [None] a zero-probability pair draws
+   nothing, as it always has. *)
+let generate_with ?(link_delay = `Euclidean) rng ~n ~p_max ~edge_probability =
   if n <= 0 then invalid_arg "Flat_models: n must be positive";
   let positions = Array.init n (fun _ ->
       let x = Rng.float rng 1.0 in
@@ -51,25 +56,36 @@ let generate_with ?(link_delay = `Euclidean) rng ~n ~edge_probability =
       (x, y))
   in
   let g = Graph.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let p = edge_probability positions u v in
-      if p > 0.0 && Rng.float rng 1.0 < p then
-        ignore (Graph.add_edge g u v (make_delay link_delay rng positions u v))
-    done
-  done;
+  let add u v = ignore (Graph.add_edge g u v (make_delay link_delay rng positions u v)) in
+  (match p_max with
+  | Some p_max ->
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          let r = Rng.float rng 1.0 in
+          if r < p_max && r < edge_probability positions u v then add u v
+        done
+      done
+  | None ->
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          let p = edge_probability positions u v in
+          if p > 0.0 && Rng.float rng 1.0 < p then add u v
+        done
+      done);
   let repaired_edges = repair link_delay rng g positions in
   { graph = g; positions; repaired_edges }
 
 let pure_random ?link_delay rng ~n ~p =
   if p < 0.0 || p > 1.0 then invalid_arg "Flat_models.pure_random: p out of [0, 1]";
-  generate_with ?link_delay rng ~n ~edge_probability:(fun _ _ _ -> p)
+  let p_max = if p > 0.0 then Some p else None in
+  generate_with ?link_delay rng ~n ~p_max ~edge_probability:(fun _ _ _ -> p)
 
 let locality ?link_delay rng ~n ~radius ~p_near ~p_far =
   if radius <= 0.0 then invalid_arg "Flat_models.locality: radius must be positive";
   if p_near < 0.0 || p_near > 1.0 || p_far < 0.0 || p_far > 1.0 then
     invalid_arg "Flat_models.locality: probabilities out of [0, 1]";
-  generate_with ?link_delay rng ~n ~edge_probability:(fun positions u v ->
+  let p_max = if p_near > 0.0 && p_far > 0.0 then Some (Float.max p_near p_far) else None in
+  generate_with ?link_delay rng ~n ~p_max ~edge_probability:(fun positions u v ->
       if distance positions.(u) positions.(v) < radius then p_near else p_far)
 
 let probability_for_degree ~n ~target_degree =

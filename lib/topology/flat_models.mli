@@ -13,7 +13,10 @@ type t = {
 val pure_random : ?link_delay:Waxman.link_delay -> Smrp_rng.Rng.t -> n:int -> p:float -> t
 (** G(n, p): every pair connected with probability [p], independent of
     distance.  Nodes still carry plane positions so Euclidean delays remain
-    meaningful.  Connectivity is repaired as in {!Waxman.generate}. *)
+    meaningful.  Connectivity is repaired as in {!Waxman.generate}, and the
+    draws come in the same order: positions, then one draw per pair [u < v]
+    (plus a [`Uniform] delay per added edge), then the stitching.  A pair
+    whose probability is 0 draws nothing. *)
 
 val locality :
   ?link_delay:Waxman.link_delay ->
@@ -24,7 +27,11 @@ val locality :
   p_far:float ->
   t
 (** Zegura's locality model: pairs closer than [radius] connect with
-    probability [p_near], the rest with [p_far]. *)
+    probability [p_near], the rest with [p_far].  Draw order as in
+    {!pure_random}.  When both probabilities are positive every pair draws,
+    so the draw comes first and one at or above [max p_near p_far] rejects
+    the pair without its distance; when one is 0 its pairs draw nothing, so
+    the distance is computed first. *)
 
 val probability_for_degree : n:int -> target_degree:float -> float
 (** The [p] giving the target expected average degree in G(n, p). *)

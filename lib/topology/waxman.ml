@@ -63,12 +63,20 @@ let generate ?(link_delay = `Euclidean) rng ~n ~alpha ~beta =
   in
   let l = sqrt 2.0 in
   let g = Graph.create n in
+  (* Draw first: p = alpha * exp (-d / (beta * l)) never exceeds alpha,
+     because exp of a non-positive number is at most 1 under faithful
+     rounding and rounded multiplication is monotone.  A draw at or above
+     alpha therefore rejects the pair without computing its distance; below
+     alpha the draw is compared with p.  Either way the pair takes one draw
+     and becomes an edge exactly when the draw is below p. *)
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      let d = distance positions.(u) positions.(v) in
-      let p = alpha *. exp (-.d /. (beta *. l)) in
-      if Rng.float rng 1.0 < p then
-        ignore (Graph.add_edge g u v (make_delay link_delay rng positions u v))
+      let r = Rng.float rng 1.0 in
+      if r < alpha then begin
+        let d = distance positions.(u) positions.(v) in
+        let p = alpha *. exp (-.d /. (beta *. l)) in
+        if r < p then ignore (Graph.add_edge g u v (make_delay link_delay rng positions u v))
+      end
     done
   done;
   let repaired_edges = repair_connectivity link_delay rng g positions in

@@ -34,7 +34,15 @@ val generate :
     always connected: components of the raw draw are stitched together by
     adding the shortest possible edge between the two closest components,
     repeatedly.  (GT-ITM simply discards disconnected draws; stitching keeps
-    generation O(n²) and deterministic in the number of RNG draws.) *)
+    generation O(n²) and deterministic in the number of RNG draws.)
+
+    Draw order: [2n] draws place the nodes (x then y, node by node); then
+    each pair [u < v], in lexicographic order, takes one draw [r], plus one
+    more for its delay under [`Uniform] when the edge is added; then the
+    stitching pass draws once per added edge under [`Uniform].  A pair is
+    an edge when [r < p].  Since [p <= alpha], a draw at or above [alpha]
+    rejects the pair before its distance is computed; the stream of draws
+    is the same as computing [p] first. *)
 
 val measured_average_degree :
   Smrp_rng.Rng.t -> n:int -> alpha:float -> beta:float -> samples:int -> float

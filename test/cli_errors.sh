@@ -29,4 +29,7 @@ expect 1 scenario -n 10 --group 10
 expect 1 scale -n 1000 --json no-such-dir/scale.json
 expect 2 campaign --quick --matrix "figs=7"
 expect 2 campaign --matrix "topo=scale:1"
+expect 2 campaign --matrix "topo=ts:5"
+expect 2 campaign --matrix "fail=regional:nan"
+expect 2 campaign --matrix "topo=waxman:5000000"
 exit $status

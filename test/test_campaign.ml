@@ -281,7 +281,25 @@ let matrix_parser () =
   bad "topo=scale:1";
   bad "fail=adversarial:x";
   bad "instances=0";
-  bad "figs=11"
+  bad "figs=11";
+  (* A parameter on a token that takes none was once dropped silently. *)
+  List.iter bad
+    [
+      "fail=regional:nan";
+      "fail=correlated:2";
+      "fail=cascade:3";
+      "topo=ts:5";
+      "churn=flash:3";
+      "churn=diurnal:2";
+      "churn=heavy:1";
+      "proto=spf:0.3";
+    ];
+  (* Node counts share the case files' limit: a dense generator is O(N²). *)
+  List.iter bad
+    [ "topo=scale:999999999"; "topo=waxman:5000000"; "topo=locality:1000001"; "topo=scale:1000001" ];
+  match Campaign.spec_of_matrix "topo=scale:1000000" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "the node limit itself rejected: %s" msg
 
 let matrix_labels_name_base_cells () =
   (* Every label of a base spec's axis, written as a bare token, names the

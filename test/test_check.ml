@@ -55,6 +55,22 @@ let smoke_campaign () =
   check "events were exercised" true (report.Fuzz.applied > 500);
   check "failures were exercised" true (report.Fuzz.repairs > 0 || report.Fuzz.lost > 0)
 
+(* The CI smokes' counts for seed 42 at 500 runs.  "All invariants held"
+   stays true when a change alters which repairs happen; these counts do
+   not, so a behaviour change in the session path fails here. *)
+let pinned_campaign_counts () =
+  let report = Fuzz.run { Fuzz.default with Fuzz.seed = 42; runs = 500 } in
+  check "no violations" true (report.Fuzz.failures = []);
+  check_int "applied" 6125 report.Fuzz.applied;
+  check_int "skipped" 1016 report.Fuzz.skipped;
+  check_int "repairs" 212 report.Fuzz.repairs;
+  check_int "lost" 833 report.Fuzz.lost;
+  check_int "switches" 55 report.Fuzz.switches;
+  let report = Fuzz.run { Fuzz.default with Fuzz.seed = 42; runs = 500; protection = true } in
+  check "no violations under protection" true (report.Fuzz.failures = []);
+  check_int "repairs under protection" 208 report.Fuzz.repairs;
+  check_int "of them from the tables" 13 report.Fuzz.protected
+
 let injected_bug_caught_and_shrunk () =
   let report =
     Fuzz.run { Fuzz.default with Fuzz.seed = 42; runs = 500; bug = Exec.Skip_n_r_update }
@@ -132,7 +148,7 @@ let json_rejects_bad_input () =
        (Json.List [ Json.List [ Json.Num 0.0; Json.Num 1.0; Json.parse "1e999" ] ]));
   reject "infinite d_thresh" (patch [ "protocol"; "d_thresh" ] (Json.parse "1e999"));
   check "generated cases stay under the node limit" true
-    (Gen.default.Gen.max_nodes <= Case.node_limit)
+    (Gen.default.Gen.max_nodes <= Graph.node_limit)
 
 (* JSON text as tokens: string literals, runs of number or literal
    characters, and single punctuation characters; whitespace dropped. *)
@@ -181,7 +197,7 @@ let prop_token_mutations =
             match Case.of_json j with
             | Error _ -> true
             | Ok c ->
-                c.Case.n <= Case.node_limit
+                c.Case.n <= Graph.node_limit
                 && List.for_all (fun (_, _, d) -> Float.is_finite d && d > 0.0) c.Case.edges
                 && Float.is_finite c.Case.d_thresh)
       in
@@ -299,6 +315,7 @@ let () =
       ( "campaigns",
         [
           Alcotest.test_case "smoke campaign holds all invariants" `Quick smoke_campaign;
+          Alcotest.test_case "seed-42 campaign counts are pinned" `Quick pinned_campaign_counts;
           Alcotest.test_case "skip-shr injection is caught and shrunk" `Quick
             injected_bug_caught_and_shrunk;
           Alcotest.test_case "drop-member injection names the reshape oracle" `Quick

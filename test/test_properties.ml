@@ -415,6 +415,180 @@ let filters_equal_predicates =
              | exception Invalid_argument _ -> true (* an id [Graph.edge] rejects *))
            (List.init (m + 4) (fun i -> i - 2)))
 
+(* The session's byte mask, extended failure by failure, answers as the
+   one-off compile of the composition of every failure killed so far, for
+   every id of the graph. *)
+let mask_equals_filters =
+  QCheck.Test.make ~name:"a failure mask equals the compiled filters of its failures" ~count:300
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let g = int_delay_graph rng ~connected:(Rng.bool rng) in
+      let n = Graph.node_count g and m = Graph.edge_count g in
+      let mask = Failure.mask g in
+      let node_ok, edge_ok = Failure.mask_filters mask in
+      let in_graph = function
+        | Failure.Link e -> e >= 0 && e < m
+        | Failure.Node v -> v >= 0 && v < n
+        | Failure.Multi _ -> true
+      in
+      let rec valid f =
+        in_graph f && match f with Failure.Multi fs -> List.for_all valid fs | _ -> true
+      in
+      let killed = ref [] in
+      List.for_all
+        (fun _ ->
+          let f = random_failure rng g in
+          if valid f then begin
+            Failure.kill mask f;
+            killed := f :: !killed
+          end;
+          let all = Failure.compose !killed in
+          let node_ok', edge_ok' = Failure.filters g all in
+          List.for_all (fun v -> node_ok v = node_ok' v) (List.init n Fun.id)
+          && List.for_all (fun e -> edge_ok e = edge_ok' e) (List.init m Fun.id))
+        (List.init 4 Fun.id))
+
+(* One random session grown by joins at a random d_thresh (0 included), on a
+   small Waxman graph with [`Unit] or Euclidean delays (so exact ties
+   occur), under 0-3 accumulated failures.  Every join that runs the
+   candidate search is checked against the unbounded reference: the merge
+   [Oracle.naive_select] picks over [Oracle.naive_candidates], grafted along
+   the reference search's path.  Returns the joins checked, how many of
+   them had no candidate inside the bound (where the bounded search finds
+   nothing and the full search runs), and whether all matched.
+
+   Such joins are rare in random churn, so the generator plants them.
+   Each core node gets up to two pendant leaves.  A leaf can reach the tree
+   only through its anchor, so once a repair leaves the anchor on a tree
+   path longer than its unicast distance, the leaf's only merge point may
+   lie outside a tight bound.  After each failure the generator joins the
+   leaves of such anchors. *)
+let bounded_join_session seed =
+  let rng = Rng.create seed in
+  let core = 6 + Rng.int rng 20 in
+  let link_delay = if Rng.bool rng then `Euclidean else `Unit in
+  let alpha = 0.2 +. Rng.float rng 0.6 in
+  let wax = (Waxman.generate ~link_delay rng ~n:core ~alpha ~beta:0.3).Waxman.graph in
+  let anchors =
+    List.filter (fun _ -> Rng.int rng 10 < 7) (List.init core Fun.id @ List.init core Fun.id)
+  in
+  let n = core + List.length anchors in
+  let g = Graph.create n in
+  Graph.iter_edges (fun e -> ignore (Graph.add_edge g e.Graph.u e.Graph.v e.Graph.delay)) wax;
+  List.iteri
+    (fun i a ->
+      let w = match link_delay with `Unit -> 1.0 | `Euclidean -> 0.01 +. Rng.float rng 0.3 in
+      ignore (Graph.add_edge g (core + i) a w))
+    anchors;
+  let m = Graph.edge_count g in
+  let d_thresh = Rng.pick rng [| 0.0; 0.0; 0.0; 0.05; 0.3; 1.0 |] in
+  let source = Rng.int rng core in
+  (* A query session's joins run the candidate search only once a failure
+     is active; before that they grow a tree by the query scheme. *)
+  let query = Rng.bool rng in
+  let protocol = if query then Session.Smrp_query { d_thresh } else Session.Smrp { d_thresh } in
+  let s = Session.create ~protection:(Rng.bool rng) g ~source ~protocol in
+  let checked = ref 0 and fallbacks = ref 0 and ok = ref true in
+  let reference failure =
+    let node_ok v = match failure with None -> true | Some f -> Failure.node_ok f v in
+    let edge_ok e = match failure with None -> true | Some f -> Failure.edge_ok g f e in
+    (node_ok, edge_ok)
+  in
+  let join v =
+    let t = Session.tree s in
+    let failure = Session.active_failure s in
+    if (not (Tree.is_member t v)) && Session.reachable s v then begin
+      if (query && failure = None) || Tree.is_on_tree t v then Session.join s v
+      else begin
+        let node_ok, edge_ok = reference failure in
+        let spf_distance =
+          Option.get (Dijkstra.distance (Dijkstra.run_reference ~node_ok ~edge_ok g ~source) v)
+        in
+        let cands = Oracle.naive_candidates ?failure t ~joiner:v in
+        let bound = ((1.0 +. d_thresh) *. spf_distance) +. 1e-9 in
+        if not (List.exists (fun c -> c.Oracle.total_delay <= bound) cands) then incr fallbacks;
+        let merge =
+          (Option.get (Oracle.naive_select ~d_thresh ~spf_distance cands)).Oracle.merge
+        in
+        let search =
+          Dijkstra.run_reference ~node_ok ~edge_ok
+            ~absorb:(fun u -> Tree.is_on_tree t u && node_ok u)
+            g ~source:v
+        in
+        let expect =
+          Option.get (Dijkstra.path_nodes search merge) @ List.tl (Tree.path_to_source t merge)
+        in
+        Session.join s v;
+        incr checked;
+        if Tree.path_to_source (Session.tree s) v <> expect then ok := false
+      end
+    end
+  in
+  let churn () =
+    let v = Rng.int rng n in
+    if Tree.is_member (Session.tree s) v then begin
+      if Rng.int rng 3 = 0 then Session.leave s v
+    end
+    else join v
+  in
+  (* On-tree anchors whose tree path is longer than their unicast
+     distance. *)
+  let stretched () =
+    let t = Session.tree s in
+    let node_ok, edge_ok = reference (Session.active_failure s) in
+    if not (node_ok source) then fun _ -> false
+    else begin
+      let r = Dijkstra.run_reference ~node_ok ~edge_ok g ~source in
+      fun a ->
+        Tree.is_on_tree t a
+        &&
+        match Dijkstra.distance r a with
+        | Some d -> Tree.delay_to_source t a > d +. 1e-9
+        | None -> false
+    end
+  in
+  for _ = 1 to core / 2 do
+    churn ()
+  done;
+  for _ = 1 to Rng.int rng 4 do
+    let f =
+      match Tree.members (Session.tree s) with
+      | _ :: _ as ms when Rng.int rng 4 > 0 -> (
+          match Failure.worst_case_for_member (Session.tree s) (Rng.pick rng (Array.of_list ms)) with
+          | Some f -> f
+          | None -> Failure.Node (Rng.int rng n))
+      | _ -> if m > 0 && Rng.bool rng then Failure.Link (Rng.int rng m) else Failure.Node (Rng.int rng n)
+    in
+    if f <> Failure.Node source then ignore (Session.fail s f : Session.repair list);
+    let stretched = stretched () in
+    List.iteri (fun i a -> if stretched a then join (core + i)) anchors;
+    for _ = 1 to core / 8 do
+      churn ()
+    done
+  done;
+  (!checked, !fallbacks, !ok)
+
+let bounded_join_equals_oracle =
+  QCheck.Test.make ~name:"bounded SMRP joins graft what the unbounded oracle picks" ~count:400
+    QCheck.small_int (fun seed ->
+      let _, _, ok = bounded_join_session seed in
+      ok)
+
+(* The property above must exercise the fallback: a join with no merge
+   point inside the bound, where the bounded search finds nothing and the
+   full search runs. *)
+let bounded_join_fallback_share () =
+  let checked = ref 0 and fallbacks = ref 0 in
+  for seed = 0 to 399 do
+    let c, f, _ = bounded_join_session seed in
+    checked := !checked + c;
+    fallbacks := !fallbacks + f
+  done;
+  let share = float_of_int !fallbacks /. float_of_int !checked in
+  Printf.printf "bounded joins: %d of %d checked joins (%.1f%%) had no candidate inside the bound\n"
+    !fallbacks !checked (100.0 *. share);
+  Alcotest.(check bool) "at least 5% of joins fall back" true (share >= 0.05)
+
 (* After every step of a random join/leave/fail schedule, the session's
    incremental answer against a fresh reference search from the source.
    Failures come in bursts, so a read finds several of them queued. *)
@@ -611,6 +785,10 @@ let () =
           qcheck_case detours_equal_reference_scan;
           qcheck_case shortest_path_equals_reference;
           qcheck_case filters_equal_predicates;
+          qcheck_case mask_equals_filters;
+          qcheck_case bounded_join_equals_oracle;
+          Alcotest.test_case "bounded joins exercise the fallback" `Quick
+            bounded_join_fallback_share;
           qcheck_case session_reachable_equals_reference;
           qcheck_case run_many_jobs_immaterial;
           qcheck_case wheel_equals_reference_heap;

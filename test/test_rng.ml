@@ -28,6 +28,70 @@ let split_diverges () =
   done;
   check "split streams differ" true (!same < 2)
 
+(* The stream itself, pinned: every figure and digest is drawn from it, so
+   a change to how the state is stored must leave each of these values
+   unchanged.  Per seed: three [bits64], three [float 1.0], three
+   [int 1000], the first [bits64] of a [split], then the parent's next
+   [bits64]. *)
+let golden =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ],
+      [ 0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2 ],
+      [ 913; 228; 299 ],
+      136402110108020141L,
+      7313543279846440201L );
+    ( 1,
+      [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L ],
+      [ 0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1 ],
+      [ 240; 294; 669 ],
+      -2462950755002874267L,
+      -8945553099086264698L );
+    ( 42,
+      [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L ],
+      [ 0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3 ],
+      [ 585; 986; 69 ],
+      -1118732243571790362L,
+      -4345211542386587372L );
+    ( -7,
+      [ -6657567321482388864L; 2521065584565188649L; -2683386023840429499L ],
+      [ 0x1.86b9d1c56630cp-2; 0x1.3f6a24e253b41p-1; 0x1.1640c17424a3p-2 ],
+      [ 993; 28; 546 ],
+      3340599824860731326L,
+      -2439024395002728755L );
+    ( max_int,
+      [ 3306431589464170407L; -5806950763503052372L; -4461727061837351953L ],
+      [ 0x1.92e245b8bb29cp-1; 0x1.679476d0c23bp-1; 0x1.0a947bbe3db31p-1 ],
+      [ 103; 437; 918 ],
+      -885419287645871649L,
+      8218048674794824355L );
+  ]
+
+let stream_pinned () =
+  List.iter
+    (fun (seed, bits, floats, ints, split_first, after) ->
+      let r = Rng.create seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check (list int64)) (name "bits64") bits (List.init 3 (fun _ -> Rng.bits64 r));
+      Alcotest.(check (list (float 0.0))) (name "float") floats (List.init 3 (fun _ -> Rng.float r 1.0));
+      Alcotest.(check (list int)) (name "int") ints (List.init 3 (fun _ -> Rng.int r 1000));
+      let child = Rng.split r in
+      Alcotest.(check int64) (name "split") split_first (Rng.bits64 child);
+      Alcotest.(check int64) (name "after split") after (Rng.bits64 r))
+    golden
+
+(* The state lives unboxed, so an integer draw allocates nothing. *)
+let int_draws_allocate_nothing () =
+  let r = Rng.create 3 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  check "some draws" true (!acc > 0);
+  check (Printf.sprintf "10k draws allocated %.0f words" words) true (words = 0.0)
+
 let int_bounds () =
   let r = Rng.create 1 in
   for _ = 1 to 10_000 do
@@ -143,10 +207,12 @@ let () =
           Alcotest.test_case "same seed, same stream" `Quick determinism;
           Alcotest.test_case "copy continues identically" `Quick copy_independent;
           Alcotest.test_case "split diverges" `Quick split_diverges;
+          Alcotest.test_case "stream pinned for five seeds" `Quick stream_pinned;
         ] );
       ( "draws",
         [
           Alcotest.test_case "int bounds" `Quick int_bounds;
+          Alcotest.test_case "int draws allocate nothing" `Quick int_draws_allocate_nothing;
           Alcotest.test_case "int covers range" `Quick int_covers_range;
           Alcotest.test_case "int rejects bad bound" `Quick int_rejects_bad_bound;
           Alcotest.test_case "float bounds" `Quick float_bounds;

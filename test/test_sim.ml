@@ -422,6 +422,17 @@ let lossy_links_counted () =
   check_int "lost + received = sent" 1000 (frames n "lost" + !received);
   check "roughly the configured rate" true (frames n "lost" > 230 && frames n "lost" < 370)
 
+let loss_rate_guard () =
+  (* NaN fails every comparison, so a guard written as "rate < 0 || rate >= 1"
+     lets it through, and a NaN rate then drops nothing. *)
+  let n = Net.create (Engine.create ()) (Fixtures.line 2) ~handler:(fun _ ~at:_ ~from:_ ~eid:_ () -> ()) in
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Net.set_loss: rate out of [0, 1)") (fun () ->
+          Net.set_loss n ~rng:(Smrp_rng.Rng.create 1) ~rate))
+    [ Float.nan; -0.1; 1.0; Float.infinity ]
+
 let soft_state_survives_loss () =
   (* 10% loss on every frame: refreshes and data redundancy keep the member
      served, and the retry logic completes recovery despite lost Join_reqs. *)
@@ -581,6 +592,7 @@ let () =
           Alcotest.test_case "messages counted" `Quick control_and_data_counted;
           Alcotest.test_case "join errors" `Quick join_errors;
           Alcotest.test_case "lossy links counted" `Quick lossy_links_counted;
+          Alcotest.test_case "loss rate outside [0, 1) rejected" `Quick loss_rate_guard;
           Alcotest.test_case "soft state survives loss" `Quick soft_state_survives_loss;
           Alcotest.test_case "query-scheme join" `Quick query_scheme_join_flows;
           Alcotest.test_case "query-scheme fallback" `Quick query_scheme_falls_back;

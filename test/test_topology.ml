@@ -4,6 +4,7 @@ module Connectivity = Smrp_graph.Connectivity
 module Waxman = Smrp_topology.Waxman
 module Transit_stub = Smrp_topology.Transit_stub
 module Fixtures = Smrp_topology.Fixtures
+module Flat_models = Smrp_topology.Flat_models
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
@@ -161,6 +162,117 @@ let qcheck_ts_connected =
       let t = Transit_stub.generate (Rng.create seed) Transit_stub.default_params in
       Connectivity.is_connected t.Transit_stub.graph)
 
+(* -- Draw-first generators against the original pair loop ----------------- *)
+
+(* The dense generators as they were before drawing first: for every pair,
+   the probability (Waxman: from the distance) is computed first, and a
+   zero-probability pair draws nothing.  Positions, pair order, delays and
+   the connectivity stitching are copied verbatim, so any difference in
+   edges or in the draws consumed is the draw-first loop's. *)
+module Pair_loop = struct
+  let distance (x1, y1) (x2, y2) = sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0))
+
+  let make_delay link_delay rng positions u v =
+    match link_delay with
+    | `Euclidean -> Float.max Waxman.min_delay (distance positions.(u) positions.(v))
+    | `Unit -> 1.0
+    | `Uniform (lo, hi) -> lo +. Rng.float rng (hi -. lo)
+
+  let repair link_delay rng g positions =
+    let rec step () =
+      let comp, count = Connectivity.components g in
+      if count > 1 then begin
+        let n = Graph.node_count g in
+        let best = ref None in
+        for u = 0 to n - 1 do
+          for v = u + 1 to n - 1 do
+            if comp.(u) <> comp.(v) then begin
+              let d = distance positions.(u) positions.(v) in
+              match !best with Some (bd, _, _) when bd <= d -> () | _ -> best := Some (d, u, v)
+            end
+          done
+        done;
+        match !best with
+        | None -> ()
+        | Some (_, u, v) ->
+            ignore (Graph.add_edge g u v (make_delay link_delay rng positions u v));
+            step ()
+      end
+    in
+    step ()
+
+  let generate link_delay rng ~n ~edge_probability =
+    let positions =
+      Array.init n (fun _ ->
+          let x = Rng.float rng 1.0 in
+          let y = Rng.float rng 1.0 in
+          (x, y))
+    in
+    let g = Graph.create n in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        let p = edge_probability positions u v in
+        if p > 0.0 && Rng.float rng 1.0 < p then
+          ignore (Graph.add_edge g u v (make_delay link_delay rng positions u v))
+      done
+    done;
+    repair link_delay rng g positions;
+    g
+
+  let waxman link_delay rng ~n ~alpha ~beta =
+    let l = sqrt 2.0 in
+    generate link_delay rng ~n ~edge_probability:(fun positions u v ->
+        alpha *. exp (-.distance positions.(u) positions.(v) /. (beta *. l)))
+
+  let locality link_delay rng ~n ~radius ~p_near ~p_far =
+    generate link_delay rng ~n ~edge_probability:(fun positions u v ->
+        if distance positions.(u) positions.(v) < radius then p_near else p_far)
+
+  let pure_random link_delay rng ~n ~p = generate link_delay rng ~n ~edge_probability:(fun _ _ _ -> p)
+end
+
+let edge_list g =
+  List.rev (Graph.fold_edges (fun acc e -> (e.Graph.id, e.Graph.u, e.Graph.v, e.Graph.delay, e.Graph.cost) :: acc) [] g)
+
+(* A probability in [0, 1] with both ends, 0 (the no-draw path) and 1,
+   drawn often. *)
+let probability rng = match Rng.int rng 6 with 0 -> 0.0 | 1 -> 1.0 | _ -> Rng.float rng 1.0
+
+let qcheck_draw_first_generators =
+  QCheck.Test.make ~name:"draw-first generators equal the original pair loop, draw for draw"
+    ~count:300 QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 60 in
+      let link_delay =
+        match Rng.int rng 3 with
+        | 0 -> `Unit
+        | 1 -> `Euclidean
+        | _ ->
+            let lo = 0.01 +. Rng.float rng 1.0 in
+            `Uniform (lo, lo +. Rng.float rng 1.0)
+      in
+      let model_seed = Rng.int rng 1_000_000 in
+      (* Both sides start from the same stream; after generating, the next
+         draw on each must agree too. *)
+      let same generate reference =
+        let a = Rng.create model_seed and b = Rng.create model_seed in
+        let got = generate a and expect = reference b in
+        edge_list got = edge_list expect && Rng.bits64 a = Rng.bits64 b
+      in
+      let alpha = if Rng.int rng 4 = 0 then 1.0 else 0.01 +. Rng.float rng 0.99 in
+      let beta = 0.05 +. Rng.float rng 0.95 in
+      let radius = 0.05 +. Rng.float rng 1.5 in
+      let p_near = probability rng and p_far = probability rng and p = probability rng in
+      same
+        (fun r -> (Waxman.generate ~link_delay r ~n ~alpha ~beta).Waxman.graph)
+        (fun r -> Pair_loop.waxman link_delay r ~n ~alpha ~beta)
+      && same
+           (fun r -> (Flat_models.locality ~link_delay r ~n ~radius ~p_near ~p_far).Flat_models.graph)
+           (fun r -> Pair_loop.locality link_delay r ~n ~radius ~p_near ~p_far)
+      && same
+           (fun r -> (Flat_models.pure_random ~link_delay r ~n ~p).Flat_models.graph)
+           (fun r -> Pair_loop.pure_random link_delay r ~n ~p))
+
 let () =
   Alcotest.run "topology"
     [
@@ -194,5 +306,6 @@ let () =
         [
           qcheck_case qcheck_waxman_connected;
           qcheck_case qcheck_ts_connected;
+          qcheck_case qcheck_draw_first_generators;
         ] );
     ]
