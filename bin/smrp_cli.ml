@@ -58,6 +58,16 @@ let int_at_least lo =
 
 let positive = int_at_least 1
 
+(* So are floats outside their valid range, NaN included: [ok] states the
+   range, and NaN fails every comparison in it. *)
+let float_where what ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let seed_arg default =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
@@ -161,9 +171,17 @@ let scenario_cmd =
   in
   let n = Arg.(value & opt positive 100 & info [ "n" ] ~docv:"N" ~doc:"Network size.") in
   let group = Arg.(value & opt positive 30 & info [ "group" ] ~docv:"N_G" ~doc:"Group size.") in
-  let alpha = Arg.(value & opt float 0.2 & info [ "alpha" ] ~docv:"A" ~doc:"Waxman alpha.") in
+  let alpha =
+    let in_range = float_where "a number in (0, 1]" (fun a -> a > 0.0 && a <= 1.0) in
+    Arg.(value & opt in_range 0.2 & info [ "alpha" ] ~docv:"A" ~doc:"Waxman alpha, in (0, 1].")
+  in
   let d_thresh =
-    Arg.(value & opt float 0.3 & info [ "d-thresh" ] ~docv:"D" ~doc:"SMRP delay bound.")
+    let in_range =
+      float_where "a finite number >= 0" (fun d -> d >= 0.0 && Float.is_finite d)
+    in
+    Arg.(
+      value & opt in_range 0.3
+      & info [ "d-thresh" ] ~docv:"D" ~doc:"SMRP delay bound, finite and at least 0.")
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run and summarise one scenario.")

@@ -87,20 +87,23 @@ let avoids_failure t f =
 
 (* -- Join differential oracle ------------------------------------------- *)
 
-type naive_candidate = { merge : int; attach_delay : float; total_delay : float; shr : int }
+type naive_candidate = {
+  merge : int;
+  attach_nodes : int list;
+  attach_edges : int list;
+  attach_delay : float;
+  total_delay : float;
+  shr : int;
+}
 
-let naive_candidates ?failure t ~joiner =
+let naive_candidates ?failure ?(exclude = fun _ -> false) t ~joiner =
   let g = Tree.graph t in
-  let alive v = match failure with None -> true | Some f -> Failure.node_ok f v in
-  let absorb v = Tree.is_on_tree t v && alive v in
-  let result =
-    match failure with
-    | None -> Dijkstra.run_reference ~absorb g ~source:joiner
-    | Some f ->
-        Dijkstra.run_reference ~node_ok:alive
-          ~edge_ok:(fun e -> Failure.edge_ok g f e)
-          ~absorb g ~source:joiner
+  let alive v =
+    (match failure with None -> true | Some f -> Failure.node_ok f v) && not (exclude v)
   in
+  let edge_ok e = match failure with None -> true | Some f -> Failure.edge_ok g f e in
+  let absorb v = Tree.is_on_tree t v && alive v in
+  let result = Dijkstra.run_reference ~node_ok:alive ~edge_ok ~absorb g ~source:joiner in
   let shr = recompute_shr t in
   let acc = ref [] in
   for merge = Graph.node_count g - 1 downto 0 do
@@ -109,6 +112,9 @@ let naive_candidates ?failure t ~joiner =
       acc :=
         {
           merge;
+          (* The search runs joiner → merge; a graft runs merge → joiner. *)
+          attach_nodes = List.rev (Option.get (Dijkstra.path_nodes result merge));
+          attach_edges = List.rev (Option.get (Dijkstra.path_edges result merge));
           attach_delay;
           total_delay = attach_delay +. Tree.delay_to_source t merge;
           shr = shr.(merge);
@@ -118,9 +124,9 @@ let naive_candidates ?failure t ~joiner =
   done;
   !acc
 
-(* Mirrors [Smrp.join_where]'s selection loop — including its exact epsilon
-   and tie-breaks — over the naive candidate list (already in ascending
-   merge order). *)
+(* Mirrors the Path Selection Criterion of [Smrp.select] and
+   [Smrp.attach_path] — including their exact epsilon and tie-breaks — over
+   a candidate list in ascending merge order. *)
 let naive_select ~d_thresh ~spf_distance cands =
   let bound_epsilon = 1e-9 in
   let bound = ((1.0 +. d_thresh) *. spf_distance) +. bound_epsilon in

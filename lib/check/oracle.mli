@@ -40,22 +40,32 @@ val avoids_failure : Smrp_core.Tree.t -> Smrp_core.Failure.t -> violation option
 
 type naive_candidate = {
   merge : int;
+  attach_nodes : int list;  (** The connection, [merge] first, the joiner last. *)
+  attach_edges : int list;
   attach_delay : float;
   total_delay : float;
   shr : int;
 }
 
 val naive_candidates :
-  ?failure:Smrp_core.Failure.t -> Smrp_core.Tree.t -> joiner:int -> naive_candidate list
+  ?failure:Smrp_core.Failure.t ->
+  ?exclude:(int -> bool) ->
+  Smrp_core.Tree.t ->
+  joiner:int ->
+  naive_candidate list
 (** The exhaustive merge-point scan of §3.2.1, computed with the reference
     Dijkstra and the recomputed SHR: one candidate per on-tree node
-    admitting a tree-avoiding connection, ordered by merge id. *)
+    admitting a tree-avoiding connection, ordered by merge id, each with
+    the reference search's path.  [failure] and [exclude] remove nodes from
+    both traversal and merging ([failure] links too). *)
 
 val naive_select :
   d_thresh:float -> spf_distance:float -> naive_candidate list -> naive_candidate option
 (** The Path Selection Criterion replicated naively (bound filter, then
-    minimise [(SHR, delay, id)]; fallback to lowest delay), mirroring
-    [Smrp.select]/[Smrp.join_where] tie-break for tie-break. *)
+    minimise [(SHR, delay)] within 1e-9, the first in list order winning
+    ties; fallback to the lowest delay) over a list in ascending merge
+    order, mirroring [Smrp.select] and [Smrp.attach_path] tie-break for
+    tie-break. *)
 
 (** {2 Detour differential oracle} *)
 

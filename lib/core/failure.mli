@@ -31,8 +31,8 @@ val edge_ok : Smrp_graph.Graph.t -> t -> int -> bool
 
     - {!filters} compiles one failure for one search, at a cost that
       follows the failure's size.  One-off searches use it: a [~failure]
-      given to {!Smrp.candidates}, {!Smrp.spf_distance}, {!Reshape} or a
-      {!Recovery} detour.
+      given to {!Smrp.spf_distance}, {!Reshape.stabilize} or a {!Recovery}
+      detour.
     - a {!mask} is allocated once per graph and extended as failures
       accumulate; each check is one byte load.  A {!Session} keeps one for
       the composition of its active failures, and hands its filters to

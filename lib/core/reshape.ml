@@ -1,59 +1,17 @@
 module Dijkstra = Smrp_graph.Dijkstra
 
-let candidate_of_previous t (nodes, edges) =
-  match nodes with
-  | merge :: _ ->
-      let attach_delay = Smrp_graph.Graph.delay_of_edges (Tree.graph t) edges in
-      {
-        Smrp.merge;
-        attach_nodes = nodes;
-        attach_edges = edges;
-        attach_delay;
-        total_delay = attach_delay +. Tree.delay_to_source t merge;
-        shr = Tree.shr t merge;
-      }
-  | [] -> invalid_arg "Reshape: empty previous attachment"
-
-let try_reshape ?d_thresh ?failure ?ws t r =
-  if not (Tree.is_on_tree t r) then invalid_arg "Reshape.try_reshape: off-tree node";
-  if r = Tree.source t then invalid_arg "Reshape.try_reshape: cannot reshape the source";
-  let d_thresh = Option.value d_thresh ~default:Smrp.default_d_thresh in
-  match Smrp.spf_distance ?failure ?ws t r with
-  | None -> false
-  | Some spf_dist ->
-      let branch, previous = Tree.detach_branch t ~node:r in
-      let current = candidate_of_previous t previous in
-      let exclude v = Tree.branch_contains branch v && v <> r in
-      let cands = Smrp.candidates ~exclude ?failure ?ws t ~joiner:r in
-      let bound = ((1.0 +. d_thresh) *. spf_dist) +. 1e-9 in
-      let chosen =
-        (* Only a candidate that respects the delay bound may replace the
-           current path (a fallback returned by [select] when nothing is
-           bounded must not). *)
-        match Smrp.select ~d_thresh ~spf_distance:spf_dist cands with
-        | Some best
-          when best.Smrp.total_delay <= bound
-               && (best.Smrp.shr < current.Smrp.shr
-                  || (best.Smrp.shr = current.Smrp.shr
-                     && best.Smrp.total_delay < current.Smrp.total_delay -. 1e-9)) ->
-            best
-        | _ -> current
-      in
-      Tree.attach_branch t branch ~nodes:chosen.Smrp.attach_nodes ~edges:chosen.Smrp.attach_edges;
-      chosen.Smrp.merge <> current.Smrp.merge || chosen.Smrp.attach_edges <> current.Smrp.attach_edges
-
 type stats = { switches : int; rounds : int }
 
 (* -- Mutation-free single-node evaluation --------------------------------
 
-   [try_reshape] evaluates a node by physically detaching its branch,
-   searching, and re-attaching — allocating an O(n) branch bitmap, two
-   candidate-record lists and invalidating the SHR cache twice even when
-   nothing switches (the common case).  [stabilize] instead evaluates each
-   node against epoch-stamped marks describing what the detached tree
-   {e would} look like, and only mutates on an actual switch:
+   Reshaping [r] is the join decision re-made with [r]'s own subtree
+   discounted: detach the branch, search for a merge point, and switch only
+   to a bounded candidate strictly better than the current attachment.
+   [eval_node] makes that decision without detaching anything.  It
+   evaluates the node against epoch-stamped marks describing what the
+   detached tree {e would} look like, and mutates only on an actual switch:
 
-   - [sub]: the subtree of the evaluated node [r] (the old branch bitmap);
+   - [sub]: the subtree of the evaluated node [r] (the branch);
    - [anc]/[anc_depth]: the strict ancestors of [r] with their depths, so
      the SHR a merge candidate would have after detaching [r]'s branch is
      [shr m - nsub * depth (first marked ancestor of m)] — detaching removes
@@ -62,10 +20,9 @@ type stats = { switches : int; rounds : int }
    - [chain]: the relay chain that detaching would prune (off-tree in the
      detached view: traversable, not a merge point).
 
-   The candidate Dijkstra runs with [dist_bound]: a replacement must beat
-   the delay bound, and the fallback [Smrp.select] returns when nothing is
-   bounded can never pass [try_reshape]'s bound re-check — so candidates
-   beyond the bound can never cause a switch and need not be settled. *)
+   The candidate Dijkstra runs with [dist_bound]: a replacement must meet
+   the delay bound, so candidates beyond it can never cause a switch and
+   need not be settled. *)
 
 type scratch = {
   sub : int array;
@@ -121,8 +78,8 @@ let bound_epsilon = 1e-9
 
 let always _ = true
 
-(* Evaluate node [r] exactly as [try_reshape] would, mutating the tree only
-   on a switch.  [sc.spf] must hold current source-rooted SPF distances;
+(* Evaluate node [r], mutating the tree only on a switch; returns whether
+   it switched.  [sc.spf.(r)] must hold [r]'s current SPF distance;
    [filters] is the active failure, compiled once per sweep. *)
 let eval_node t sc ~ws ~d_thresh ~filters r =
   let g = Tree.graph t in
@@ -186,8 +143,8 @@ let eval_node t sc ~ws ~d_thresh ~filters r =
       else walking := false
     done;
     let m0 = !m0 in
-    (* Current attachment: delay summed top-down to match the edge-list fold
-       of the detach-based path bit for bit. *)
+    (* Current attachment: delay summed top-down, from the surviving merge
+       point to [r]. *)
     let ce_n = ref 0 in
     let v = ref r in
     while !v <> m0 do
@@ -217,8 +174,8 @@ let eval_node t sc ~ws ~d_thresh ~filters r =
           let absorb v = sc.on_tree_c.(v) && sc.chain.(v) <> ep && node_ok v in
           Dijkstra.run ~node_ok ~edge_ok ~absorb ~dist_bound:bound ~workspace:ws g ~source:r
     in
-    (* Best bounded candidate, scanned in ascending merge order with the
-       same comparisons as [Smrp.select] over [Smrp.candidates]. *)
+    (* Best bounded candidate, scanned in ascending merge order with
+       [Smrp.select]'s comparisons on the post-detach SHR. *)
     let n = Smrp_graph.Graph.node_count g in
     let best = ref (-1) and best_delay = ref infinity and best_shr = ref max_int in
     for m = 0 to n - 1 do
@@ -267,6 +224,20 @@ let eval_node t sc ~ws ~d_thresh ~filters r =
     end
     else false
   end
+
+let try_reshape ?d_thresh ?ws t r =
+  if not (Tree.is_on_tree t r) then invalid_arg "Reshape.try_reshape: off-tree node";
+  if r = Tree.source t then invalid_arg "Reshape.try_reshape: cannot reshape the source";
+  let n = Smrp_graph.Graph.node_count (Tree.graph t) in
+  let ws = match ws with Some ws -> ws | None -> Dijkstra.workspace ~capacity:n () in
+  match Smrp.spf_distance ~ws t r with
+  | None -> false
+  | Some spf_dist ->
+      let sc = make_scratch n in
+      sc.spf.(r) <- spf_dist;
+      eval_node t sc ~ws
+        ~d_thresh:(Option.value d_thresh ~default:Smrp.default_d_thresh)
+        ~filters:None r
 
 let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
   if max_rounds < 1 then invalid_arg "Reshape.stabilize: max_rounds must be positive";

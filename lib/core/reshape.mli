@@ -10,15 +10,11 @@
       path) — see {!monitor};
     - {b Condition II}: a periodic sweep, modelled by {!stabilize}. *)
 
-val try_reshape :
-  ?d_thresh:float ->
-  ?failure:Failure.t ->
-  ?ws:Smrp_graph.Dijkstra.workspace ->
-  Tree.t ->
-  int ->
-  bool
-(** [try_reshape t r] re-evaluates node [r]'s upstream path; returns whether
-    the node switched.  [r] must be on-tree and not the source. *)
+val try_reshape : ?d_thresh:float -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> bool
+(** [try_reshape t r] re-evaluates node [r]'s upstream path with no failure
+    active, by the single-node evaluation {!stabilize} sweeps with; D_SPF
+    is measured from [r].  Returns whether the node switched; the tree is
+    mutated only then.  [r] must be on-tree and not the source. *)
 
 type stats = { switches : int; rounds : int }
 

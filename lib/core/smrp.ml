@@ -14,19 +14,16 @@ let default_d_thresh = 0.3
 let always _ = true
 
 (* The candidate search of §3.2.1: a Dijkstra from the joiner that treats
-   admissible on-tree nodes as absorbing.  [filters] is the active failure,
+   surviving on-tree nodes as absorbing.  [filters] is the active failure,
    already compiled: the search asks it once per relaxed edge.  Returns the
-   settled result plus the admissibility predicate; callers must consume the
+   settled result plus the survival predicate; callers must consume the
    result before the next run on the same workspace.  [dist_bound] is
    [Dijkstra.run]'s: every node within it gets the full search's distance
    and path. *)
-let candidate_search ?exclude ?filters ?dist_bound ?ws t ~joiner =
+let candidate_search ?filters ?dist_bound ?ws t ~joiner =
   let g = Tree.graph t in
   let alive, edge_alive = match filters with None -> (always, always) | Some fl -> fl in
-  let admissible =
-    match exclude with None -> alive | Some excluded -> fun v -> alive v && not (excluded v)
-  in
-  let absorb v = Tree.is_on_tree t v && admissible v in
+  let absorb v = Tree.is_on_tree t v && alive v in
   (* Spans ride the workspace recorder (see Dijkstra.set_flight): the search
      span nests the inner "dijkstra.run" span in the rendered trace. *)
   let flight =
@@ -36,43 +33,14 @@ let candidate_search ?exclude ?filters ?dist_bound ?ws t ~joiner =
   let result =
     (* Only pass per-edge/per-node filters when something actually filters:
        the unconstrained search takes Dijkstra's absorb-only fast path. *)
-    match (filters, exclude) with
-    | None, None -> Dijkstra.run ~absorb ?dist_bound ?workspace:ws g ~source:joiner
-    | _ ->
-        Dijkstra.run ~node_ok:admissible ~edge_ok:edge_alive ~absorb ?dist_bound ?workspace:ws g
+    match filters with
+    | None -> Dijkstra.run ~absorb ?dist_bound ?workspace:ws g ~source:joiner
+    | Some _ ->
+        Dijkstra.run ~node_ok:alive ~edge_ok:edge_alive ~absorb ?dist_bound ?workspace:ws g
           ~source:joiner
   in
   Smrp_obs.Flight.span flight ~code:Smrp_obs.Flight.span_candidate_search ~start ~b:joiner;
-  (result, admissible)
-
-let candidates ?exclude ?failure ?ws t ~joiner =
-  let g = Tree.graph t in
-  let filters = Option.map (Failure.filters g) failure in
-  let result, admissible = candidate_search ?exclude ?filters ?ws t ~joiner in
-  let absorb v = Tree.is_on_tree t v && admissible v in
-  let acc = ref [] in
-  for merge = Smrp_graph.Graph.node_count g - 1 downto 0 do
-    if merge <> joiner && absorb merge && Dijkstra.reachable result merge then begin
-      match (Dijkstra.path_nodes result merge, Dijkstra.path_edges result merge) with
-      | Some nodes, Some edges ->
-          let attach_delay = Option.get (Dijkstra.distance result merge) in
-          let candidate =
-            {
-              merge;
-              (* Dijkstra paths run joiner → merge; grafting wants them
-                 merge → joiner. *)
-              attach_nodes = List.rev nodes;
-              attach_edges = List.rev edges;
-              attach_delay;
-              total_delay = attach_delay +. Tree.delay_to_source t merge;
-              shr = Tree.shr t merge;
-            }
-          in
-          acc := candidate :: !acc
-      | _ -> ()
-    end
-  done;
-  !acc
+  (result, alive)
 
 let spf_search ?filters ?ws t v =
   let g = Tree.graph t in
@@ -98,7 +66,7 @@ let minimum_by le = function
   | first :: rest -> Some (List.fold_left (fun best c -> if le c best then c else best) first rest)
 
 let select ?(d_thresh = default_d_thresh) ~spf_distance cands =
-  if d_thresh < 0.0 then invalid_arg "Smrp.select: d_thresh must be non-negative";
+  if not (d_thresh >= 0.0) then invalid_arg "Smrp.select: d_thresh must be non-negative";
   let bound = ((1.0 +. d_thresh) *. spf_distance) +. bound_epsilon in
   let bounded = List.filter (fun c -> c.total_delay <= bound) cands in
   match bounded with
@@ -108,21 +76,20 @@ let select ?(d_thresh = default_d_thresh) ~spf_distance cands =
          connection, i.e. SPF behaviour. *)
       minimum_by (fun a b -> a.total_delay < b.total_delay) cands
 
-(* The winner of [select] over [candidates], read directly off a
-   candidate-search result: no candidate record or path is materialised for
-   losing merge points.  The scan order (ascending merge id) and every
-   comparison — including the fallback to the lowest-delay connection when
-   nothing meets the bound — replicate the list-based pipeline exactly.
-   Returns the best merge point inside [bound] and the lowest-delay one,
-   each [-1] when there is none.  [final] is how a merge point's distance is
-   known to be the search's last word: reached, after a full search;
-   settled, after a truncated one. *)
-let select_on result admissible t nr ~bound ~final =
+(* The Path Selection Criterion read directly off a candidate-search
+   result: no candidate record or path is materialised for losing merge
+   points.  The scan runs in ascending merge id with [select]'s comparisons,
+   so over the merge points it reads it picks what [select] picks over
+   their candidate list, fallback included.  Returns the best merge point
+   inside [bound] and the lowest-delay one, each [-1] when there is none.
+   [final] is how a merge point's distance is known to be the search's last
+   word: reached, after a full search; settled, after a truncated one. *)
+let select_on result alive t nr ~bound ~final =
   let n = Smrp_graph.Graph.node_count (Tree.graph t) in
   let best = ref (-1) and best_delay = ref infinity and best_shr = ref max_int in
   let fallback = ref (-1) and fallback_delay = ref infinity in
   for merge = 0 to n - 1 do
-    if merge <> nr && Tree.is_on_tree t merge && admissible merge && final result merge then begin
+    if merge <> nr && Tree.is_on_tree t merge && alive merge && final result merge then begin
       let total = Dijkstra.unsafe_distance result merge +. Tree.delay_to_source t merge in
       if !fallback < 0 || total < !fallback_delay then begin
         fallback := merge;
@@ -155,24 +122,25 @@ let select_on result admissible t nr ~bound ~final =
    search run, for the lowest-delay fallback.  (A reached but unsettled
    node reads a tentative distance above the bound; it is left out rather
    than trusted.) *)
-let join_where ?(d_thresh = default_d_thresh) ?filters ?ws t nr ~spf_dist =
-  if d_thresh < 0.0 then invalid_arg "Smrp.select: d_thresh must be non-negative";
-  let bound = ((1.0 +. d_thresh) *. spf_dist) +. bound_epsilon in
-  let result, admissible = candidate_search ?filters ~dist_bound:bound ?ws t ~joiner:nr in
-  let result, winner =
-    match select_on result admissible t nr ~bound ~final:Dijkstra.settled with
-    | best, _ when best >= 0 -> (result, best)
-    | _ ->
-        let result, admissible = candidate_search ?filters ?ws t ~joiner:nr in
-        let best, fallback = select_on result admissible t nr ~bound ~final:Dijkstra.reachable in
-        (result, if best >= 0 then best else fallback)
-  in
-  if winner < 0 then invalid_arg "Smrp.join: no connection to the tree";
-  (* Dijkstra paths run joiner → merge; grafting wants them merge → joiner. *)
-  let nodes = Option.get (Dijkstra.path_nodes result winner) in
-  let edges = Option.get (Dijkstra.path_edges result winner) in
-  Tree.graft t ~nodes:(List.rev nodes) ~edges:(List.rev edges);
-  Tree.add_member t nr
+let attach_path ?(d_thresh = default_d_thresh) ?filters ?ws t nr ~spf_dist =
+  if not (d_thresh >= 0.0) then invalid_arg "Smrp.attach_path: d_thresh must be non-negative";
+  if Tree.is_on_tree t nr then ([ nr ], [])
+  else begin
+    let bound = ((1.0 +. d_thresh) *. spf_dist) +. bound_epsilon in
+    let result, alive = candidate_search ?filters ~dist_bound:bound ?ws t ~joiner:nr in
+    let result, winner =
+      match select_on result alive t nr ~bound ~final:Dijkstra.settled with
+      | best, _ when best >= 0 -> (result, best)
+      | _ ->
+          let result, alive = candidate_search ?filters ?ws t ~joiner:nr in
+          let best, fallback = select_on result alive t nr ~bound ~final:Dijkstra.reachable in
+          (result, if best >= 0 then best else fallback)
+    in
+    if winner < 0 then invalid_arg "Smrp.attach_path: no connection to the tree";
+    (* Dijkstra paths run joiner → merge; grafting wants them merge → joiner. *)
+    ( List.rev (Option.get (Dijkstra.path_nodes result winner)),
+      List.rev (Option.get (Dijkstra.path_edges result winner)) )
+  end
 
 let join ?d_thresh ?filters ?ws ?spf_dist t nr =
   if Tree.is_member t nr then invalid_arg "Smrp.join: already a member";
@@ -183,7 +151,10 @@ let join ?d_thresh ?filters ?ws ?spf_dist t nr =
        search. *)
     match (match spf_dist with Some _ as d -> d | None -> spf_search ?filters ?ws t nr) with
     | None -> invalid_arg "Smrp.join: source unreachable"
-    | Some spf_dist -> join_where ?d_thresh ?filters ?ws t nr ~spf_dist
+    | Some spf_dist ->
+        let nodes, edges = attach_path ?d_thresh ?filters ?ws t nr ~spf_dist in
+        Tree.graft t ~nodes ~edges;
+        Tree.add_member t nr
   end
 
 let build ?d_thresh ?ws g ~source ~members =
@@ -199,13 +170,5 @@ let build ?d_thresh ?ws g ~source ~members =
      join because the joins' searches reuse — and so invalidate — [ws]. *)
   let from_source = Dijkstra.run ~workspace:ws g ~source in
   let spf_dists = List.map (fun m -> Dijkstra.distance from_source m) members in
-  List.iter2
-    (fun nr spf_dist ->
-      if Tree.is_member t nr then invalid_arg "Smrp.join: already a member";
-      if Tree.is_on_tree t nr then Tree.add_member t nr
-      else
-        match spf_dist with
-        | None -> invalid_arg "Smrp.join: source unreachable"
-        | Some spf_dist -> join_where ?d_thresh ~ws t nr ~spf_dist)
-    members spf_dists;
+  List.iter2 (fun nr spf_dist -> join ?d_thresh ~ws ?spf_dist t nr) members spf_dists;
   t

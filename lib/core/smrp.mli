@@ -26,27 +26,42 @@ type candidate = {
 val default_d_thresh : float
 (** 0.3, the paper's reference setting. *)
 
-val candidates :
-  ?exclude:(int -> bool) ->
-  ?failure:Failure.t ->
-  ?ws:Smrp_graph.Dijkstra.workspace ->
-  Tree.t ->
-  joiner:int ->
-  candidate list
-(** All merge options for [joiner], ordered by merge-node id.  [exclude]
-    removes nodes from both traversal and merging (used by reshaping to
-    keep the detached branch out of the search); [failure] removes failed
-    components (joins arriving while failures are active).  [ws] makes the
-    underlying absorbing Dijkstra allocation-free. *)
-
 val spf_distance :
   ?failure:Failure.t -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> float option
 (** Unicast shortest-path delay from a node to the source, over the
     surviving network when [failure] is given. *)
 
 val select : ?d_thresh:float -> spf_distance:float -> candidate list -> candidate option
-(** Apply the Path Selection Criterion; [None] when the list is empty.
-    Falls back to the lowest-delay candidate when none meets the bound. *)
+(** Apply the Path Selection Criterion to a list of candidates gathered
+    elsewhere (the §3.3.1 query scheme's answers); [None] when the list is
+    empty.  Falls back to the lowest-delay candidate when none meets the
+    bound.  Ties on SHR and on delay (within 1e-9) go to the lower merge
+    id. *)
+
+val attach_path :
+  ?d_thresh:float ->
+  ?filters:Failure.filters ->
+  ?ws:Smrp_graph.Dijkstra.workspace ->
+  Tree.t ->
+  int ->
+  spf_dist:float ->
+  int list * int list
+(** The full-knowledge join decision (§3.2.2) for a node whose unicast SPF
+    distance is [spf_dist]: the path [(nodes, edges)] to graft, merge node
+    first and the joiner last, as {!Spf.attach_path} returns it.  An
+    on-tree joiner gets [([nr], [])].  The tree is not touched.
+
+    The candidate search first stops at the delay bound
+    [(1 + d_thresh) * D_SPF]: every merge point that meets the bound lies
+    within it, and gets the full search's distance and path.  Only when no
+    merge point meets the bound does a full search run, to find the
+    lowest-delay fallback.  Over the merge points the search finds, the
+    choice is the one {!select} makes over their candidate list.
+
+    [filters] removes failed components (joins arriving while failures are
+    active): a failure compiled by {!Failure.filters}, or a session's
+    {!Failure.mask}.  Raises [Invalid_argument] when [d_thresh] is negative
+    or NaN, or when no connection to the tree exists. *)
 
 val join :
   ?d_thresh:float ->
@@ -56,22 +71,12 @@ val join :
   Tree.t ->
   int ->
   unit
-(** SMRP join (§3.2.2).  A joiner that is already on-tree (a relay)
-    subscribes in place and keeps its existing path — a zero-cost join that
-    may exceed the delay bound; a later reshaping pass can move it.  Raises
+(** SMRP join (§3.2.2): grafts what {!attach_path} returns and subscribes
+    the joiner.  A joiner that is already on-tree (a relay) subscribes in
+    place and keeps its existing path — a zero-cost join that may exceed
+    the delay bound; a later reshaping pass can move it.  Raises
     [Invalid_argument] if the node is already a member or no connection to
-    the tree exists.
-
-    [filters] removes failed components (joins arriving while failures are
-    active): a failure compiled by {!Failure.filters}, or a session's
-    {!Failure.mask}.
-
-    The candidate search first stops at the delay bound
-    [(1 + d_thresh) * D_SPF]: every merge point that meets the bound lies
-    within it, and gets the full search's distance and path.  Only when no
-    merge point meets the bound does a full search run, to find the
-    lowest-delay fallback.  The chosen path is the one {!select} over
-    {!candidates} gives.
+    the tree exists.  [filters] is {!attach_path}'s.
 
     [spf_dist] supplies the joiner's unicast SPF distance when the caller
     already maintains it (every {!Session} keeps the source-rooted tree

@@ -123,8 +123,9 @@ let require_on_tree t v name =
    top-down recurrence SHR(c) = SHR(parent c) + N_R(c), so one DFS from the
    source refreshes every node.  The cache is invalidated wholesale by any
    mutation (membership or structure) and rebuilt lazily on the next query:
-   query-heavy phases — [Smrp.candidates] reads SHR for every on-tree node —
-   cost O(1) per lookup instead of an O(depth) parent walk. *)
+   scans that read SHR for every on-tree node ([Smrp.attach_path]'s
+   merge-point scan, [Reshape]'s cache refresh) cost O(1) per lookup
+   instead of an O(depth) parent walk. *)
 let refresh_shr t =
   if not t.shr_valid then begin
     let rec visit v acc =

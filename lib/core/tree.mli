@@ -65,8 +65,9 @@ val delay_to_source : t -> int -> float
 
 val shr : t -> int -> int
 (** [SHR(S,R)] per Eq. 2.  [shr t (source t) = 0].  O(1) amortised: values
-    are cached tree-wide and rebuilt in one pass after a mutation, so the
-    query-per-on-tree-node pattern of [Smrp.candidates] stays linear. *)
+    are cached tree-wide and rebuilt in one pass after a mutation, so a scan
+    that reads the SHR of every on-tree node (a join's merge-point scan, a
+    reshape sweep's cache refresh) stays linear. *)
 
 val path_to_source : t -> int -> int list
 (** On-tree node sequence [R; ...; S]. *)
@@ -99,9 +100,10 @@ val remove_member : t -> int -> unit
     subtree discounted ("the value of SHR may be inaccurate and should be
     adjusted before the path comparison is made").  The tree supports this
     as a transaction: {!detach_branch} removes [R]'s subtree contribution
-    and prunes the old upstream relays, the caller evaluates candidate
-    merge points against the adjusted tree, and {!attach_branch} commits
-    either the new path or the recorded previous one.
+    and prunes the old upstream relays, and {!attach_branch} grafts the
+    branch back along a new path or the recorded previous one.  {!Reshape}
+    decides on a view of the detached tree without mutating it, and runs
+    the transaction only to switch.
 
     Between detach and attach the tree is transiently inconsistent
     ({!validate} may fail); branch nodes still test {!is_on_tree} but must

@@ -1,4 +1,5 @@
 module Graph = Smrp_graph.Graph
+module Dijkstra = Smrp_graph.Dijkstra
 module Tree = Smrp_core.Tree
 module Spf = Smrp_core.Spf
 module Smrp = Smrp_core.Smrp
@@ -103,6 +104,9 @@ type t = {
   config : config;
   graph : Graph.t;
   source : int;
+  spf : Dijkstra.result;
+      (* source-rooted over the whole graph, which never changes: every
+         join's D_SPF, before and after a failure *)
   mutable net : msg Net.t option; (* set right after creation *)
   mutable tree : Tree.t;
   mutable failure : Failure.t option;
@@ -451,7 +455,7 @@ let handle_query t ~at slot =
   end
   else begin
     (* Forward along our unicast next hop towards the source. *)
-    match Smrp_graph.Dijkstra.shortest_path t.graph ~src:at ~dst:t.source with
+    match Dijkstra.shortest_path t.graph ~src:at ~dst:t.source with
     | Some (_, _ :: next :: _, _) when (not (on_path next)) && next <> requester ->
         ensure_keep t.q_path slot (plen + 1);
         t.q_path.(slot).(plen) <- at;
@@ -527,6 +531,7 @@ let create ?(config = default_config) ?metrics engine graph ~source =
       config;
       graph;
       source;
+      spf = Dijkstra.run graph ~source;
       net = None;
       tree = Tree.create graph ~source;
       failure = None;
@@ -627,25 +632,17 @@ let signal_join t ~requester ~attach_nodes =
       Causal.note_signalled t.causal ~member:requester ~ts:now;
       send t ~src:requester ~dst:next (msg_join (join_slot_of_list t ~requester rest))
 
+let d_spf t m =
+  match Dijkstra.distance t.spf m with
+  | Some d -> d
+  | None -> invalid_arg "Protocol.join: source unreachable"
+
 (* Full-knowledge path selection (§3.2.2): min-SHR for SMRP, unicast
    shortest path for the PIM baseline. *)
 let oracle_join t m =
   let attach_nodes, attach_edges =
     match t.config.strategy with
-    | Local -> begin
-        if Tree.is_on_tree t.tree m then ([ m ], [])
-        else
-          match Smrp.spf_distance t.tree m with
-          | None -> invalid_arg "Protocol.join: source unreachable"
-          | Some spf_dist -> begin
-              match
-                Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance:spf_dist
-                  (Smrp.candidates t.tree ~joiner:m)
-              with
-              | Some c -> (c.Smrp.attach_nodes, c.Smrp.attach_edges)
-              | None -> invalid_arg "Protocol.join: no connection to the tree"
-            end
-      end
+    | Local -> Smrp.attach_path ~d_thresh:t.config.d_thresh t.tree m ~spf_dist:(d_spf t m)
     | Global -> Spf.attach_path t.tree m
   in
   (match (attach_nodes, attach_edges) with
@@ -696,7 +693,7 @@ let finalize_query_join t m =
       | [] -> false
     in
     let candidates = List.filter graftable (List.map (candidate_of_response t) responses) in
-    match Smrp.spf_distance t.tree m with
+    match Dijkstra.distance t.spf m with
     | None -> ()
     | Some spf_dist -> (
         match Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance:spf_dist candidates with

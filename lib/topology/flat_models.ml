@@ -15,7 +15,7 @@ let make_delay link_delay rng positions u v =
   | `Euclidean -> Float.max Waxman.min_delay (distance positions.(u) positions.(v))
   | `Unit -> 1.0
   | `Uniform (lo, hi) ->
-      if lo <= 0.0 || hi < lo then invalid_arg "Flat_models: bad uniform delay range";
+      if not (lo > 0.0 && hi >= lo) then invalid_arg "Flat_models: bad uniform delay range";
       lo +. Rng.float rng (hi -. lo)
 
 (* Same stitching strategy as Waxman.generate. *)
@@ -76,13 +76,13 @@ let generate_with ?(link_delay = `Euclidean) rng ~n ~p_max ~edge_probability =
   { graph = g; positions; repaired_edges }
 
 let pure_random ?link_delay rng ~n ~p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Flat_models.pure_random: p out of [0, 1]";
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Flat_models.pure_random: p out of [0, 1]";
   let p_max = if p > 0.0 then Some p else None in
   generate_with ?link_delay rng ~n ~p_max ~edge_probability:(fun _ _ _ -> p)
 
 let locality ?link_delay rng ~n ~radius ~p_near ~p_far =
-  if radius <= 0.0 then invalid_arg "Flat_models.locality: radius must be positive";
-  if p_near < 0.0 || p_near > 1.0 || p_far < 0.0 || p_far > 1.0 then
+  if not (radius > 0.0) then invalid_arg "Flat_models.locality: radius must be positive";
+  if not (p_near >= 0.0 && p_near <= 1.0 && p_far >= 0.0 && p_far <= 1.0) then
     invalid_arg "Flat_models.locality: probabilities out of [0, 1]";
   let p_max = if p_near > 0.0 && p_far > 0.0 then Some (Float.max p_near p_far) else None in
   generate_with ?link_delay rng ~n ~p_max ~edge_probability:(fun positions u v ->

@@ -18,7 +18,8 @@ let default_p_floor = 1e-9
 
 let degree_params ~n ~target_degree =
   if n < 2 then invalid_arg "Scale.degree_params: n must be at least 2";
-  if target_degree <= 0.0 then invalid_arg "Scale.degree_params: target_degree must be positive";
+  if not (target_degree > 0.0) then
+    invalid_arg "Scale.degree_params: target_degree must be positive";
   (* For pairs drawn uniformly in the unit square the short-range distance
      density is ~ 2*pi*d, so E[p] = alpha * 2*pi*(beta*l)^2 once beta*l is
      small against the square; solving E[deg] = (n-1) * E[p] for beta at a
@@ -84,7 +85,7 @@ let make_delay link_delay rng d =
   | `Euclidean -> Float.max min_delay d
   | `Unit -> 1.0
   | `Uniform (lo, hi) ->
-      if lo <= 0.0 || hi < lo then invalid_arg "Scale.waxman: bad uniform delay range";
+      if not (lo > 0.0 && hi >= lo) then invalid_arg "Scale.waxman: bad uniform delay range";
       lo +. Rng.float rng (hi -. lo)
 
 (* Stitch the raw draw into one component.  Minor components (smallest
@@ -185,9 +186,9 @@ let repair link_delay rng g grid parent xs ys =
 
 let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha ~beta =
   if n <= 0 then invalid_arg "Scale.waxman: n must be positive";
-  if alpha <= 0.0 || alpha > 1.0 then invalid_arg "Scale.waxman: alpha out of (0, 1]";
-  if beta <= 0.0 || beta > 1.0 then invalid_arg "Scale.waxman: beta out of (0, 1]";
-  if p_floor <= 0.0 then invalid_arg "Scale.waxman: p_floor must be positive";
+  if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Scale.waxman: alpha out of (0, 1]";
+  if not (beta > 0.0 && beta <= 1.0) then invalid_arg "Scale.waxman: beta out of (0, 1]";
+  if not (p_floor > 0.0) then invalid_arg "Scale.waxman: p_floor must be positive";
   let xs = Bigarray.(Array1.create float64 c_layout n) in
   let ys = Bigarray.(Array1.create float64 c_layout n) in
   for i = 0 to n - 1 do

@@ -21,7 +21,7 @@ let make_delay link_delay rng positions u v =
   | `Euclidean -> euclidean_delay positions u v
   | `Unit -> 1.0
   | `Uniform (lo, hi) ->
-      if lo <= 0.0 || hi < lo then invalid_arg "Waxman: bad uniform delay range";
+      if not (lo > 0.0 && hi >= lo) then invalid_arg "Waxman: bad uniform delay range";
       lo +. Rng.float rng (hi -. lo)
 
 (* Stitch components together with the geometrically shortest inter-component
@@ -54,8 +54,8 @@ let repair_connectivity link_delay rng g positions =
 
 let generate ?(link_delay = `Euclidean) rng ~n ~alpha ~beta =
   if n <= 0 then invalid_arg "Waxman.generate: n must be positive";
-  if alpha <= 0.0 || alpha > 1.0 then invalid_arg "Waxman.generate: alpha out of (0, 1]";
-  if beta <= 0.0 || beta > 1.0 then invalid_arg "Waxman.generate: beta out of (0, 1]";
+  if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Waxman.generate: alpha out of (0, 1]";
+  if not (beta > 0.0 && beta <= 1.0) then invalid_arg "Waxman.generate: beta out of (0, 1]";
   let positions = Array.init n (fun _ ->
       let x = Rng.float rng 1.0 in
       let y = Rng.float rng 1.0 in

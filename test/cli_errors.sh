@@ -1,8 +1,8 @@
 #!/bin/sh
-# Bad counts and unwritable output files are input errors, never an
-# uncaught exception (exit 125): cmdliner rejects a bad count before any
-# work starts (exit 124), a subcommand rejects the rest (exit 1, or 2 for
-# a bad campaign matrix).
+# Bad counts, out-of-range floats and unwritable output files are input
+# errors, never an uncaught exception (exit 125): cmdliner rejects a bad
+# count or float before any work starts (exit 124), a subcommand rejects
+# the rest (exit 1, or 2 for a bad campaign matrix).
 # Usage: cli_errors.sh PATH-TO-SMRP-CLI
 smrp=$1
 status=0
@@ -24,6 +24,10 @@ expect 124 latency --runs 0
 expect 124 scale -n 0
 expect 124 scale -n 1000,1
 expect 124 scenario --group 0
+expect 124 scenario --alpha 2
+expect 124 scenario --alpha nan
+expect 124 scenario --d-thresh=-1
+expect 124 scenario --d-thresh nan
 expect 1 scenario -n 10 --group 30
 expect 1 scenario -n 10 --group 10
 expect 1 scale -n 1000 --json no-such-dir/scale.json

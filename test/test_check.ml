@@ -246,21 +246,24 @@ let recomputation_matches_incremental () =
     (Tree.on_tree_nodes t)
 
 let naive_candidates_match_production () =
-  (* The naive reference enumeration must agree with Smrp.candidates on the
-     paper's Figure 4 walkthrough — same merges, same delays, same SHR. *)
+  (* The naive reference enumeration and selection must make the join
+     decision Smrp.attach_path makes on the paper's Figure 4 walkthrough —
+     same merge point, same path — at the bound that keeps F on D and at
+     the one that frees it to take B. *)
   let f = Fixtures.fig4 () in
   let t = Tree.create f.Fixtures.graph ~source:f.Fixtures.s in
   Smrp.join ~d_thresh:0.3 t f.Fixtures.e;
   Smrp.join ~d_thresh:0.3 t f.Fixtures.g;
-  let prod = Smrp.candidates t ~joiner:f.Fixtures.f in
+  let spf_distance = Option.get (Smrp.spf_distance t f.Fixtures.f) in
   let naive = Oracle.naive_candidates t ~joiner:f.Fixtures.f in
-  check_int "same candidate count" (List.length prod) (List.length naive);
-  List.iter2
-    (fun (p : Smrp.candidate) (o : Oracle.naive_candidate) ->
-      check_int "same merge" p.Smrp.merge o.Oracle.merge;
-      check_int "same SHR" p.Smrp.shr o.Oracle.shr;
-      Alcotest.(check (float 1e-9)) "same total delay" p.Smrp.total_delay o.Oracle.total_delay)
-    prod naive
+  List.iter
+    (fun (d_thresh, expect) ->
+      let o = Option.get (Oracle.naive_select ~d_thresh ~spf_distance naive) in
+      check_int "expected merge" expect o.Oracle.merge;
+      let nodes, edges = Smrp.attach_path ~d_thresh t f.Fixtures.f ~spf_dist:spf_distance in
+      Alcotest.(check (list int)) "same path nodes" o.Oracle.attach_nodes nodes;
+      Alcotest.(check (list int)) "same path edges" o.Oracle.attach_edges edges)
+    [ (0.3, f.Fixtures.d); (1.0, f.Fixtures.b) ]
 
 let bookkeeping_oracle_detects_corruption () =
   let f = Fixtures.fig4 () in

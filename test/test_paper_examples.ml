@@ -14,6 +14,7 @@ module Smrp = Smrp_core.Smrp
 module Reshape = Smrp_core.Reshape
 module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
+module Oracle = Smrp_check.Oracle
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -107,24 +108,25 @@ let fig4_f_bounded_by_dthresh () =
 let fig4_f_candidates_pinned () =
   (* Pin the full candidate list F computes after E and G have joined: the
      merge points the text enumerates (D, B and G), in ascending merge-id
-     order, with every field of the record.  Guards the optimised
-     candidate search against silent changes in order or content. *)
+     order, with every field of the record, from the exhaustive reference
+     scan.  Then the join decision: at D_thresh = 0.3 only D is bounded, and
+     Smrp.attach_path must return D's connection. *)
   let f = Fixtures.fig4 () in
   let g = f.Fixtures.graph in
   let t = Tree.create g ~source:f.Fixtures.s in
   Smrp.join ~d_thresh:0.3 t f.Fixtures.e;
   Smrp.join ~d_thresh:0.3 t f.Fixtures.g;
-  let cands = Smrp.candidates t ~joiner:f.Fixtures.f in
+  let cands = Oracle.naive_candidates t ~joiner:f.Fixtures.f in
   check_list "merge points, ascending"
     [ f.Fixtures.b; f.Fixtures.d; f.Fixtures.g ]
-    (List.map (fun c -> c.Smrp.merge) cands);
+    (List.map (fun c -> c.Oracle.merge) cands);
   let pin name c ~merge ~other ~attach_delay ~total_delay ~shr =
-    check_int (name ^ " merge") merge c.Smrp.merge;
-    check_list (name ^ " attach nodes") [ merge; f.Fixtures.f ] c.Smrp.attach_nodes;
-    check_list (name ^ " attach edges") [ edge_id g merge other ] c.Smrp.attach_edges;
-    check_float (name ^ " attach delay") attach_delay c.Smrp.attach_delay;
-    check_float (name ^ " total delay") total_delay c.Smrp.total_delay;
-    check_int (name ^ " shr") shr c.Smrp.shr
+    check_int (name ^ " merge") merge c.Oracle.merge;
+    check_list (name ^ " attach nodes") [ merge; f.Fixtures.f ] c.Oracle.attach_nodes;
+    check_list (name ^ " attach edges") [ edge_id g merge other ] c.Oracle.attach_edges;
+    check_float (name ^ " attach delay") attach_delay c.Oracle.attach_delay;
+    check_float (name ^ " total delay") total_delay c.Oracle.total_delay;
+    check_int (name ^ " shr") shr c.Oracle.shr
   in
   (match cands with
   | [ cb; cd; cg ] ->
@@ -137,7 +139,12 @@ let fig4_f_candidates_pinned () =
       (* G: one hop over L_FG; G's own path G-B-S gives delay 4.5. *)
       pin "G" cg ~merge:f.Fixtures.g ~other:f.Fixtures.f ~attach_delay:1.0 ~total_delay:5.5
         ~shr:2
-  | _ -> Alcotest.fail "expected exactly three candidates")
+  | _ -> Alcotest.fail "expected exactly three candidates");
+  let spf_dist = Option.get (Smrp.spf_distance t f.Fixtures.f) in
+  Alcotest.(check (pair (list int) (list int)))
+    "F's join decision"
+    ([ f.Fixtures.d; f.Fixtures.f ], [ edge_id g f.Fixtures.d f.Fixtures.f ])
+    (Smrp.attach_path ~d_thresh:0.3 t f.Fixtures.f ~spf_dist)
 
 let fig4_f_would_take_b_with_larger_threshold () =
   (* Sanity check of the bound's role: with a permissive D_thresh, F prefers

@@ -50,8 +50,8 @@ let bound_respected =
           let had_bounded =
             (not was_on_tree)
             && List.exists
-                 (fun c -> c.Smrp.total_delay <= ((1.0 +. d_thresh) *. spf) +. 1e-9)
-                 (Smrp.candidates t ~joiner:m)
+                 (fun c -> c.Oracle.total_delay <= ((1.0 +. d_thresh) *. spf) +. 1e-9)
+                 (Oracle.naive_candidates t ~joiner:m)
           in
           Smrp.join ~d_thresh t m;
           (not had_bounded)

@@ -7,6 +7,7 @@ module Fixtures = Smrp_topology.Fixtures
 module Tree = Smrp_core.Tree
 module Spf = Smrp_core.Spf
 module Smrp = Smrp_core.Smrp
+module Oracle = Smrp_check.Oracle
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
@@ -71,33 +72,49 @@ let candidates_on_fig1 () =
   let t = Spf.build f.Fixtures.graph ~source:f.Fixtures.s ~members:[ f.Fixtures.c ] in
   (* Tree: S-A-C.  Candidates for D: merge at A (via L_AD), at C (via L_CD),
      at S (via B). *)
-  let cands = Smrp.candidates t ~joiner:f.Fixtures.d in
-  let merges = List.map (fun c -> c.Smrp.merge) cands in
+  let cands = Oracle.naive_candidates t ~joiner:f.Fixtures.d in
+  let merges = List.map (fun c -> c.Oracle.merge) cands in
   check_ilist "three merge options" [ f.Fixtures.s; f.Fixtures.a; f.Fixtures.c ] merges;
-  let at node = List.find (fun c -> c.Smrp.merge = node) cands in
-  check_int "SHR at S" 0 (at f.Fixtures.s).Smrp.shr;
-  check_int "SHR at A" 1 (at f.Fixtures.a).Smrp.shr;
-  check_int "SHR at C" 2 (at f.Fixtures.c).Smrp.shr;
-  check_float "delay via A" 2.0 (at f.Fixtures.a).Smrp.total_delay;
-  check_float "attach via C" 2.0 (at f.Fixtures.c).Smrp.attach_delay;
-  check_float "delay via B to S" 3.0 (at f.Fixtures.s).Smrp.total_delay
+  let at node = List.find (fun c -> c.Oracle.merge = node) cands in
+  check_int "SHR at S" 0 (at f.Fixtures.s).Oracle.shr;
+  check_int "SHR at A" 1 (at f.Fixtures.a).Oracle.shr;
+  check_int "SHR at C" 2 (at f.Fixtures.c).Oracle.shr;
+  check_float "delay via A" 2.0 (at f.Fixtures.a).Oracle.total_delay;
+  check_float "attach via C" 2.0 (at f.Fixtures.c).Oracle.attach_delay;
+  check_float "delay via B to S" 3.0 (at f.Fixtures.s).Oracle.total_delay;
+  (* The join decision over that set, at the paper's bound and at one loose
+     enough to admit the unshared merge at S. *)
+  let spf_distance = Option.get (Smrp.spf_distance t f.Fixtures.d) in
+  List.iter
+    (fun d_thresh ->
+      let o = Option.get (Oracle.naive_select ~d_thresh ~spf_distance cands) in
+      Alcotest.(check (pair (list int) (list int)))
+        (Printf.sprintf "attach path at D_thresh %g" d_thresh)
+        (o.Oracle.attach_nodes, o.Oracle.attach_edges)
+        (Smrp.attach_path ~d_thresh t f.Fixtures.d ~spf_dist:spf_distance))
+    [ 0.0; 0.3; 1.0 ]
 
 let candidate_interiors_avoid_tree () =
   let g = Fixtures.grid 4 in
   let rng = Rng.create 3 in
   let members = Smrp_rng.Rng.sample_without_replacement rng 5 16 in
   let t = Smrp.build g ~source:0 ~members:(List.filter (fun v -> v <> 0) members) in
-  let joiner = List.find (fun v -> not (Tree.is_on_tree t v)) (List.init 16 (fun i -> 15 - i)) in
+  let joiners = List.filter (fun v -> not (Tree.is_on_tree t v)) (List.init 16 Fun.id) in
+  check "some joiner is off-tree" true (joiners <> []);
   List.iter
-    (fun c ->
-      match c.Smrp.attach_nodes with
-      | _merge :: interior_and_joiner ->
-          let interior = List.filteri (fun i _ -> i < List.length interior_and_joiner - 1) interior_and_joiner in
-          List.iter
-            (fun v -> check "interior off-tree" false (Tree.is_on_tree t v))
-            interior
-      | [] -> Alcotest.fail "empty candidate path")
-    (Smrp.candidates t ~joiner)
+    (fun joiner ->
+      let spf_dist = Option.get (Smrp.spf_distance t joiner) in
+      match Smrp.attach_path t joiner ~spf_dist with
+      | (merge :: interior_and_joiner as nodes), edges ->
+          check "merge on-tree" true (Tree.is_on_tree t merge);
+          check_int "ends at the joiner" joiner (List.nth nodes (List.length nodes - 1));
+          check_int "one edge per hop" (List.length nodes - 1) (List.length edges);
+          let interior =
+            List.filteri (fun i _ -> i < List.length interior_and_joiner - 1) interior_and_joiner
+          in
+          List.iter (fun v -> check "interior off-tree" false (Tree.is_on_tree t v)) interior
+      | [], _ -> Alcotest.fail "empty attach path")
+    joiners
 
 (* -- SMRP selection ---------------------------------------------------- *)
 
@@ -157,6 +174,20 @@ let select_fallback_when_nothing_bounded () =
 let select_rejects_negative_threshold () =
   Alcotest.check_raises "negative" (Invalid_argument "Smrp.select: d_thresh must be non-negative")
     (fun () -> ignore (Smrp.select ~d_thresh:(-0.1) ~spf_distance:1.0 []))
+
+let select_rejects_nan_threshold () =
+  (* NaN fails every bound comparison, so every join would take the
+     lowest-delay fallback. *)
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let g = Fixtures.line 3 in
+  rejects "select" (fun () -> ignore (Smrp.select ~d_thresh:nan ~spf_distance:1.0 []));
+  rejects "attach_path" (fun () ->
+      ignore (Smrp.attach_path ~d_thresh:nan (Tree.create g ~source:0) 2 ~spf_dist:2.0));
+  rejects "build" (fun () -> ignore (Smrp.build ~d_thresh:nan g ~source:0 ~members:[ 2 ]))
 
 (* -- SMRP joins -------------------------------------------------------- *)
 
@@ -258,6 +289,54 @@ let qcheck_smrp_shr_not_worse =
           by_walk = Tree.shr t m)
         members)
 
+(* The list selection the query scheme keeps, against the naive oracle:
+   random candidate lists in ascending merge order, with SHR ties, delays
+   tied within the 1e-9 slack, and bounds that admit no candidate. *)
+let qcheck_select_matches_oracle =
+  QCheck.Test.make ~name:"Smrp.select picks what Oracle.naive_select picks" ~count:1000
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let delays =
+        [| 1.0; 1.0 +. 4e-10; 1.0 +. 9e-10; 1.0 +. 2e-9; 1.25; 1.3; 1.3 +. 5e-10; 2.0 |]
+      in
+      let merge = ref (-1) in
+      let cands =
+        List.init (Rng.int rng 9) (fun _ ->
+            merge := !merge + 1 + Rng.int rng 3;
+            (!merge, Rng.int rng 3, Rng.pick rng delays))
+      in
+      let d_thresh = Rng.pick rng [| 0.0; 0.1; 0.3 |] in
+      let spf_distance = Rng.pick rng [| 0.5; 1.0; 1.0 +. 5e-10; 1.5 |] in
+      let prod =
+        Smrp.select ~d_thresh ~spf_distance
+          (List.map
+             (fun (merge, shr, total_delay) ->
+               {
+                 Smrp.merge;
+                 attach_nodes = [];
+                 attach_edges = [];
+                 attach_delay = 0.0;
+                 total_delay;
+                 shr;
+               })
+             cands)
+      in
+      let naive =
+        Oracle.naive_select ~d_thresh ~spf_distance
+          (List.map
+             (fun (merge, shr, total_delay) ->
+               {
+                 Oracle.merge;
+                 attach_nodes = [];
+                 attach_edges = [];
+                 attach_delay = 0.0;
+                 total_delay;
+                 shr;
+               })
+             cands)
+      in
+      Option.map (fun c -> c.Smrp.merge) prod = Option.map (fun c -> c.Oracle.merge) naive)
+
 let () =
   Alcotest.run "protocols"
     [
@@ -280,6 +359,7 @@ let () =
           Alcotest.test_case "tie breaks" `Quick select_tie_breaks;
           Alcotest.test_case "fallback" `Quick select_fallback_when_nothing_bounded;
           Alcotest.test_case "rejects negative threshold" `Quick select_rejects_negative_threshold;
+          Alcotest.test_case "rejects NaN threshold" `Quick select_rejects_nan_threshold;
         ] );
       ( "smrp_join",
         [
@@ -293,5 +373,6 @@ let () =
           qcheck_case qcheck_smrp_tree_valid;
           qcheck_case qcheck_spf_tree_valid;
           qcheck_case qcheck_smrp_shr_not_worse;
+          qcheck_case qcheck_select_matches_oracle;
         ] );
     ]

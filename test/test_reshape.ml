@@ -1,6 +1,7 @@
 (* Tree reshaping (§3.2.3) beyond the Figure 5 walkthrough. *)
 
 module Graph = Smrp_graph.Graph
+module Dijkstra = Smrp_graph.Dijkstra
 module Rng = Smrp_rng.Rng
 module Waxman = Smrp_topology.Waxman
 module Fixtures = Smrp_topology.Fixtures
@@ -8,6 +9,8 @@ module Tree = Smrp_core.Tree
 module Spf = Smrp_core.Spf
 module Smrp = Smrp_core.Smrp
 module Reshape = Smrp_core.Reshape
+module Failure = Smrp_core.Failure
+module Oracle = Smrp_check.Oracle
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
@@ -182,11 +185,11 @@ let qcheck_stabilize_valid =
       ignore (Reshape.stabilize ~d_thresh:0.3 t);
       Tree.validate t = Ok () && List.for_all (Tree.is_member t) members)
 
-(* Differential oracle for the rewritten [stabilize]: the historical sweep
-   semantics, spelled out as one detach-based [try_reshape] per node in
-   deepest-first order.  Unit link delays keep every float sum exact, so
-   the two implementations must agree bit for bit — same switch decisions,
-   same rounds, same final edge set. *)
+(* Differential oracle for [stabilize] and [try_reshape]: the §3.2.3
+   decision re-made from scratch, sharing no code with [Reshape] or with
+   [Smrp]'s candidate search.  Unit link delays keep every float sum exact,
+   so the two must agree bit for bit — same switch decisions, same rounds,
+   same final edge set. *)
 let unit_scene seed =
   let rng = Rng.create (seed + 77) in
   let n = 20 + Rng.int rng 60 in
@@ -195,22 +198,82 @@ let unit_scene seed =
   let sample = Smrp_rng.Rng.sample_without_replacement rng (k + 1) n in
   (topo.Waxman.graph, List.hd sample, List.tl sample)
 
+(* One reshape of node [r].  The detached tree is a copy with every member
+   of [r]'s subtree removed, which prunes the subtree and the relay chain
+   above it exactly as [Tree.detach_branch] does, so [Oracle.recompute_shr]
+   on it is the post-detach SHR.  The candidates are the exhaustive
+   reference scan from [r] with its subtree excluded; D_SPF is a reference
+   search from [r].  [r] switches to the best bounded candidate when its
+   SHR is strictly smaller than the current attachment's, or equal with a
+   delay smaller by more than 1e-9; the switch is a detach and attach on
+   the real tree. *)
+let oracle_reshape ?failure t r =
+  let g = Tree.graph t in
+  let node_ok v = match failure with None -> true | Some f -> Failure.node_ok f v in
+  let edge_ok e = match failure with None -> true | Some f -> Failure.edge_ok g f e in
+  let spf =
+    if node_ok r then
+      Dijkstra.distance (Dijkstra.run_reference ~node_ok ~edge_ok g ~source:r) (Tree.source t)
+    else None
+  in
+  match spf with
+  | None -> false
+  | Some spf_distance ->
+      let in_sub = Array.make (Graph.node_count g) false in
+      let rec mark v =
+        in_sub.(v) <- true;
+        List.iter mark (Tree.children t v)
+      in
+      mark r;
+      let detached = Tree.copy t in
+      Array.iteri
+        (fun v sub -> if sub && Tree.is_member detached v then Tree.remove_member detached v)
+        in_sub;
+      (* The current attachment: the edges of [r]'s tree path, top down, up
+         to the first node the detachment keeps, which is its merge. *)
+      let rec up v edges =
+        if Tree.is_on_tree detached v then (v, edges)
+        else up (Tree.parent_id t v) (Tree.parent_edge_id t v :: edges)
+      in
+      let merge, edges = up (Tree.parent_id t r) [ Tree.parent_edge_id t r ] in
+      let current_total = Graph.delay_of_edges g edges +. Tree.delay_to_source detached merge in
+      let current_shr = (Oracle.recompute_shr detached).(merge) in
+      let bound = ((1.0 +. 0.3) *. spf_distance) +. 1e-9 in
+      let bounded =
+        Oracle.naive_candidates ?failure ~exclude:(fun v -> in_sub.(v) && v <> r) detached ~joiner:r
+        |> List.filter (fun c -> c.Oracle.total_delay <= bound)
+      in
+      match Oracle.naive_select ~d_thresh:0.3 ~spf_distance bounded with
+      | Some best
+        when best.Oracle.shr < current_shr
+             || best.Oracle.shr = current_shr
+                && best.Oracle.total_delay < current_total -. 1e-9 ->
+          let branch, _previous = Tree.detach_branch t ~node:r in
+          Tree.attach_branch t branch ~nodes:best.Oracle.attach_nodes
+            ~edges:best.Oracle.attach_edges;
+          true
+      | _ -> false
+
+(* The non-source on-tree nodes, deepest first (ties to the lower id). *)
+let deepest_first t =
+  Tree.on_tree_nodes t
+  |> List.filter (fun v -> v <> Tree.source t)
+  |> List.map (fun v -> (List.length (Tree.path_to_source t v), v))
+  |> List.sort (fun (d1, v1) (d2, v2) -> compare (-d1, v1) (-d2, v2))
+  |> List.map snd
+
+(* The sweep semantics spelled out: one [oracle_reshape] per node in
+   deepest-first order, rounds until one switches nothing. *)
 let reference_stabilize ?failure ?(max_rounds = 10) t =
   let rec go rounds switches =
     if rounds = max_rounds then { Reshape.switches; rounds }
     else begin
-      let nodes =
-        Tree.on_tree_nodes t
-        |> List.filter (fun v -> v <> Tree.source t)
-        |> List.map (fun v -> (List.length (Tree.path_to_source t v), v))
-        |> List.sort (fun (d1, v1) (d2, v2) -> compare (-d1, v1) (-d2, v2))
-        |> List.map snd
-      in
+      let nodes = deepest_first t in
       let rs =
         List.fold_left
           (fun acc v ->
             if Tree.is_on_tree t v && v <> Tree.source t then
-              if Reshape.try_reshape ~d_thresh:0.3 ?failure t v then acc + 1 else acc
+              if oracle_reshape ?failure t v then acc + 1 else acc
             else acc)
           0 nodes
       in
@@ -235,7 +298,6 @@ let qcheck_stabilize_matches_reference =
 let qcheck_stabilize_matches_reference_under_failure =
   QCheck.Test.make ~name:"stabilize matches the reference sweep under link failure" ~count:40
     QCheck.small_int (fun seed ->
-      let module Failure = Smrp_core.Failure in
       let g, source, members = unit_scene seed in
       let t = Smrp.build ~d_thresh:0.3 g ~source ~members in
       let failure = Failure.Link (seed * 7 mod Graph.edge_count g) in
@@ -243,6 +305,24 @@ let qcheck_stabilize_matches_reference_under_failure =
       let s_ref = reference_stabilize ~failure t_ref in
       let s_new = Reshape.stabilize ~d_thresh:0.3 ~failure t_new in
       s_ref = s_new && edge_sets_equal t_ref t_new && Tree.validate t_new = Ok ())
+
+(* Node by node: every [try_reshape] call against one oracle step on a
+   copy, on the switch decision and the resulting edge set.  Nodes are
+   visited deepest first, as a sweep visits them, twice over. *)
+let qcheck_try_reshape_matches_oracle =
+  QCheck.Test.make ~name:"try_reshape matches one oracle step per node" ~count:60
+    QCheck.small_int (fun seed ->
+      let g, source, members = unit_scene seed in
+      let t = Smrp.build ~d_thresh:0.3 g ~source ~members in
+      let t_ref = Tree.copy t in
+      let order = deepest_first t in
+      List.for_all
+        (fun v ->
+          (not (Tree.is_on_tree t v))
+          ||
+          let switched = Reshape.try_reshape ~d_thresh:0.3 t v in
+          switched = oracle_reshape t_ref v && edge_sets_equal t t_ref)
+        (order @ order))
 
 let qcheck_try_reshape_valid =
   QCheck.Test.make ~name:"any single reshape keeps the tree valid" ~count:100 QCheck.small_int
@@ -287,5 +367,6 @@ let () =
           qcheck_case qcheck_try_reshape_valid;
           qcheck_case qcheck_stabilize_matches_reference;
           qcheck_case qcheck_stabilize_matches_reference_under_failure;
+          qcheck_case qcheck_try_reshape_matches_oracle;
         ] );
     ]

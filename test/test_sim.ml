@@ -6,6 +6,13 @@ module Tree = Smrp_core.Tree
 module Engine = Smrp_sim.Engine
 module Net = Smrp_sim.Net
 module Protocol = Smrp_sim.Protocol
+module Rng = Smrp_rng.Rng
+module Waxman = Smrp_topology.Waxman
+module Smrp = Smrp_core.Smrp
+
+(* Property tests run with a pinned PRNG state so failures are
+   reproducible run over run. *)
+let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -553,6 +560,33 @@ let join_errors () =
   Alcotest.check_raises "double join" (Invalid_argument "Protocol.join: already a member")
     (fun () -> Protocol.join p 2)
 
+(* The packet-level joins make the core's join decision: members joining
+   one second apart through an oracle-mode protocol graft exactly the edges
+   [Smrp.build] grafts for the same members in the same order. *)
+let qcheck_oracle_joins_match_build =
+  QCheck.Test.make ~name:"packet-level oracle joins graft what Smrp.build grafts" ~count:100
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 20 + Rng.int rng 60 in
+      let link_delay = if seed mod 2 = 0 then `Euclidean else `Unit in
+      let g = (Waxman.generate ~link_delay rng ~n ~alpha:0.2 ~beta:0.2).Waxman.graph in
+      let k = 2 + Rng.int rng (min 20 (n - 2)) in
+      let sample = Rng.sample_without_replacement rng (k + 1) n in
+      let source = List.hd sample and members = List.tl sample in
+      let d_thresh = Rng.pick rng [| 0.0; 0.3; 1.0 |] in
+      let engine = Engine.create () in
+      let config = { Protocol.default_config with Protocol.d_thresh } in
+      let p = Protocol.create ~config engine g ~source in
+      Protocol.start p;
+      List.iteri
+        (fun i m ->
+          let join () = Protocol.join p m in
+          ignore (Engine.schedule engine ~delay:(float_of_int (i + 1)) join))
+        members;
+      Engine.run ~until:(float_of_int (k + 5)) engine;
+      let edges t = List.sort compare (Tree.tree_edges t) in
+      edges (Protocol.tree p) = edges (Smrp.build ~d_thresh g ~source ~members))
+
 let () =
   Alcotest.run "sim"
     [
@@ -598,5 +632,6 @@ let () =
           Alcotest.test_case "query-scheme fallback" `Quick query_scheme_falls_back;
           Alcotest.test_case "protocol-level reshaping" `Quick reshaping_switches_at_protocol_level;
           Alcotest.test_case "simulation deterministic" `Quick simulation_deterministic;
+          qcheck_case qcheck_oracle_joins_match_build;
         ] );
     ]

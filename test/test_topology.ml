@@ -5,6 +5,7 @@ module Waxman = Smrp_topology.Waxman
 module Transit_stub = Smrp_topology.Transit_stub
 module Fixtures = Smrp_topology.Fixtures
 module Flat_models = Smrp_topology.Flat_models
+module Scale = Smrp_topology.Scale
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
@@ -58,6 +59,38 @@ let waxman_uniform_delays () =
 let waxman_rejects_bad_params () =
   Alcotest.check_raises "bad alpha" (Invalid_argument "Waxman.generate: alpha out of (0, 1]")
     (fun () -> ignore (Waxman.generate (Rng.create 1) ~n:10 ~alpha:1.5 ~beta:0.2))
+
+(* Every parameter guard rejects NaN: a NaN probability or radius draws no
+   edge at all, so without the guard the result is only the connectivity
+   stitching, with no error. *)
+let nan_parameters_rejected () =
+  let rejects name f =
+    match f (Rng.create 1) with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let n = 30 in
+  rejects "Waxman alpha" (fun r -> Waxman.generate r ~n ~alpha:nan ~beta:0.2);
+  rejects "Waxman beta" (fun r -> Waxman.generate r ~n ~alpha:0.2 ~beta:nan);
+  rejects "Waxman uniform lo" (fun r ->
+      Waxman.generate ~link_delay:(`Uniform (nan, 2.0)) r ~n ~alpha:0.2 ~beta:0.2);
+  rejects "Waxman uniform hi" (fun r ->
+      Waxman.generate ~link_delay:(`Uniform (1.0, nan)) r ~n ~alpha:0.2 ~beta:0.2);
+  rejects "Scale alpha" (fun r -> Scale.waxman r ~n ~alpha:nan ~beta:0.2);
+  rejects "Scale beta" (fun r -> Scale.waxman r ~n ~alpha:0.2 ~beta:nan);
+  rejects "Scale p_floor" (fun r -> Scale.waxman ~p_floor:nan r ~n ~alpha:0.2 ~beta:0.2);
+  rejects "Scale uniform lo" (fun r ->
+      Scale.waxman ~link_delay:(`Uniform (nan, 2.0)) r ~n ~alpha:0.2 ~beta:0.2);
+  rejects "Scale target degree" (fun _ -> Scale.degree_params ~n ~target_degree:nan);
+  rejects "pure_random p" (fun r -> Flat_models.pure_random r ~n ~p:nan);
+  rejects "pure_random uniform hi" (fun r ->
+      Flat_models.pure_random ~link_delay:(`Uniform (1.0, nan)) r ~n ~p:0.2);
+  rejects "locality radius" (fun r ->
+      Flat_models.locality r ~n ~radius:nan ~p_near:0.5 ~p_far:0.05);
+  rejects "locality p_near" (fun r ->
+      Flat_models.locality r ~n ~radius:0.2 ~p_near:nan ~p_far:0.05);
+  rejects "locality p_far" (fun r ->
+      Flat_models.locality r ~n ~radius:0.2 ~p_near:0.5 ~p_far:nan)
 
 let waxman_calibration () =
   let alpha =
@@ -296,6 +329,7 @@ let () =
           Alcotest.test_case "inter-domain links" `Quick ts_inter_domain_links;
           Alcotest.test_case "rejects bad params" `Quick ts_rejects_bad_params;
         ] );
+      ("guards", [ Alcotest.test_case "NaN parameters rejected" `Quick nan_parameters_rejected ]);
       ( "fixtures",
         [
           Alcotest.test_case "fig1 shape" `Quick fig1_shape;
