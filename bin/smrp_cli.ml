@@ -613,7 +613,7 @@ let inspect_cmd =
       in
       (* b packs src and dst for net records. *)
       let src = Flight.hi and dst = Flight.lo in
-      let is_net c = c >= Flight.net_send && c <= Flight.net_drop_loss in
+      let is_net c = c >= Flight.net_send && c <= Flight.net_drop_flight in
       let touches_member m (r : Flight.decoded) =
         if is_net r.Flight.d_code then src r.Flight.d_b = m || dst r.Flight.d_b = m
         else if r.Flight.d_code = Flight.exec_event then

@@ -21,7 +21,7 @@ let run_side ~graph ~source ~members ~name strategy =
   let proto = Protocol.create ~config engine graph ~source in
   Protocol.start proto;
   List.iteri
-    (fun i m -> ignore (Engine.schedule engine ~delay:(0.5 +. float_of_int i) (fun () -> Protocol.join proto m)))
+    (fun i m -> Engine.schedule engine ~delay:(0.5 +. float_of_int i) (fun () -> Protocol.join proto m))
     members;
   Engine.run ~until:60.0 engine;
   (* Fail the busiest link below the source. *)

@@ -48,10 +48,9 @@ let digest impl (case : Case.t) =
   let applied = ref 0 in
   let skipped = ref 0 in
   let at i f =
-    ignore
-      (Engine.schedule_at engine
-         ~time:(1.0 +. (event_spacing *. float_of_int i))
-         (fun () -> if f () then incr applied else incr skipped))
+    Engine.schedule_at engine
+      ~time:(1.0 +. (event_spacing *. float_of_int i))
+      (fun () -> if f () then incr applied else incr skipped)
   in
   Protocol.start p;
   List.iteri

@@ -207,8 +207,6 @@ let build g ~source =
         List.iter lay_ear rest;
         Some { graph = g; source; red_parent; red_edge; blue_parent; blue_edge }
 
-let source t = t.source
-
 let path parent edge t v =
   let rec walk v nodes edges steps =
     if steps > Graph.node_count t.graph then invalid_arg "Redundant: cyclic parent chain"

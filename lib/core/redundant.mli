@@ -22,13 +22,6 @@ val build : Smrp_graph.Graph.t -> source:int -> t option
 (** [None] when the graph is not connected and 2-edge-connected (a bridge
     or isolated node makes single-failure protection impossible). *)
 
-val source : t -> int
-
-val red_path : t -> int -> int list * int list
-(** Nodes (member..source) and edge ids of the red path. *)
-
-val blue_path : t -> int -> int list * int list
-
 val paths_disjoint : t -> int -> bool
 (** Whether the node's red and blue paths share no link (the MFBG
     guarantee; exposed for property tests). *)

@@ -380,15 +380,13 @@ let drifted m t ~threshold =
       Tree.shr t v - old_shr > threshold)
     (Tree.on_tree_nodes t)
 
-let note_reshaped m t v = Hashtbl.replace m v (if Tree.is_on_tree t v then Tree.shr t v else 0)
-
 let run_condition_i ?d_thresh ?(threshold = 1) ?ws m t =
   let triggered = drifted m t ~threshold in
   List.fold_left
     (fun acc v ->
       if Tree.is_on_tree t v && v <> Tree.source t then begin
         let switched = try_reshape ?d_thresh ?ws t v in
-        note_reshaped m t v;
+        Hashtbl.replace m v (Tree.shr t v);
         if switched then acc + 1 else acc
       end
       else acc)

@@ -44,14 +44,10 @@ type monitor
 
 val monitor : Tree.t -> monitor
 
-val drifted : monitor -> Tree.t -> threshold:int -> int list
-(** Nodes whose current SHR exceeds the recorded [SHR^old] by more than
-    [threshold]. *)
-
-val note_reshaped : monitor -> Tree.t -> int -> unit
-(** Record the node's current SHR as its new [SHR^old]. *)
-
 val run_condition_i :
   ?d_thresh:float -> ?threshold:int -> ?ws:Smrp_graph.Dijkstra.workspace -> monitor -> Tree.t -> int
-(** Trigger {!try_reshape} at every drifted node (refreshing their
-    snapshots); returns the number of switches. *)
+(** Trigger {!try_reshape} at every drifted node: every on-tree node but
+    the source whose current SHR exceeds its recorded [SHR^old] by more
+    than [threshold] (default 1).  A triggered node still on the tree
+    then records its SHR as its new [SHR^old].  Returns the number of
+    switches. *)

@@ -10,12 +10,13 @@ let cheapest_connection ?ws t ~joiner =
     (fun h -> (h.Dijkstra.dist, List.rev h.Dijkstra.nodes, List.rev h.Dijkstra.edges))
     (Dijkstra.nearest ?workspace:ws (Tree.graph t) ~source:joiner ~target:(Tree.is_on_tree t))
 
+(* Greedy join: attach via the minimum-cost connection to the current tree
+   (the incremental form of Takahashi–Matsuyama). *)
 let join t nr =
-  if Tree.is_member t nr then invalid_arg "Steiner.join: already a member";
   if Tree.is_on_tree t nr then Tree.add_member t nr
   else begin
     match cheapest_connection t ~joiner:nr with
-    | None -> invalid_arg "Steiner.join: no connection to the tree"
+    | None -> invalid_arg "Steiner.build: some member cannot reach the tree"
     | Some (_, nodes, edges) ->
         Tree.graft t ~nodes ~edges;
         Tree.add_member t nr

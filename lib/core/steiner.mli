@@ -7,11 +7,6 @@
     routing protocols".  This module provides the protocol needed to test
     that conjecture (see the [steiner] experiment). *)
 
-val join : Tree.t -> int -> unit
-(** Greedy join: attach via the minimum-cost connection to the current tree
-    (the incremental form of Takahashi–Matsuyama; for a batch build in
-    nearest-first order use {!build}). *)
-
 val build : Smrp_graph.Graph.t -> source:int -> members:int list -> Tree.t
 (** Full heuristic: repeatedly connect the currently-closest member, which
     is the classical Takahashi–Matsuyama order (independent of the caller's

@@ -152,6 +152,7 @@ let tree_edges t =
 let total_cost t =
   List.fold_left (fun acc eid -> acc +. (Graph.edge t.graph eid).Graph.cost) 0.0 (tree_edges t)
 
+(* The subtree rooted at [v]: [v] first, then preorder. *)
 let descendants t v =
   require_on_tree t v "descendants";
   let rec visit v acc = List.fold_left (fun acc c -> visit c acc) (v :: acc) t.children.(v) in
@@ -399,13 +400,3 @@ let validate t =
             fail "member_count %d does not match %d marked members" t.member_count total
           else Ok ()
       | v :: _ -> fail "on-tree node %d does not reach the source" v)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>multicast tree (source %d, %d members)" t.source t.member_count;
-  List.iter
-    (fun v ->
-      Format.fprintf ppf "@,  %d%s: parent %d, N_R %d, SHR %d, delay %g" v
-        (if t.member.(v) then " [member]" else "")
-        t.parent.(v) t.n_r.(v) (shr t v) t.delay.(v))
-    (on_tree_nodes t);
-  Format.fprintf ppf "@]"

@@ -78,9 +78,6 @@ val tree_edges : t -> int list
 val total_cost : t -> float
 (** Sum of tree-edge costs (§4.2's [Cost_T]). *)
 
-val descendants : t -> int -> int list
-(** The subtree rooted at a node (the node first, then preorder). *)
-
 val graft : t -> nodes:int list -> edges:int list -> unit
 (** [graft t ~nodes ~edges] splices a path into the tree.  [nodes] runs from
     an on-tree merge node to an off-tree tip; all other nodes must be
@@ -137,5 +134,3 @@ val unsafe_tweak_subtree_members : t -> int -> int -> unit
     that drops an [N_R] update); {!validate} and the check oracles exist to
     catch exactly this corruption.  Never call it outside a test or fuzzing
     context. *)
-
-val pp : Format.formatter -> t -> unit

@@ -158,6 +158,7 @@ let fnv1a s =
     s;
   Int64.to_int (Int64.logand !h 0x3FFF_FFFF_FFFF_FFFFL)
 
+(* [spec.seed] XOR FNV-1a of the cell name. *)
 let cell_seed spec cell = spec.seed lxor fnv1a cell.c_name
 
 (* -- Cell execution ------------------------------------------------------ *)
@@ -351,6 +352,8 @@ let matrix_variants report =
       | _ -> None)
     report.Report.r_variants
 
+(* Mean members disrupted per failure event over the matrix cells whose
+   failure axis is [failure] (0 when no such cell recorded a failure). *)
 let mean_disrupted report ~failure =
   let num, den =
     List.fold_left

@@ -64,9 +64,6 @@ val cells : spec -> cell list
     protocol innermost); a repeated axis value — a collapsed sweep —
     contributes its cell once. *)
 
-val cell_seed : spec -> cell -> int
-(** [spec.seed] XOR FNV-1a of the cell name. *)
-
 val spec_of_matrix : ?base:spec -> string -> (spec, string) result
 (** Parse a matrix description, overriding [base] (default {!default})
     axis-wise.  Grammar (see DESIGN.md "Campaign DSL"):
@@ -91,11 +88,6 @@ val run : ?jobs:int -> spec -> Smrp_obs.Report.t
 
 val digest : Smrp_obs.Report.t -> string
 (** Hex digest of the canonical report JSON — the pinning handle. *)
-
-val mean_disrupted : Smrp_obs.Report.t -> failure:string -> float
-(** Mean members disrupted per failure event over the matrix cells whose
-    failure axis is [failure] (0 when no such cell recorded a failure) —
-    the adversarial-vs-independent comparison the quick matrix pins. *)
 
 val render_summary : Smrp_obs.Report.t -> string
 (** Compact per-cell table (joins, failure events, mean disrupted, p90

@@ -10,8 +10,8 @@ type op = Join of int | Leave of int
 
 type event = { at : float; op : op }
 
-type stats = { burst_sizes : int list; lifetimes : float list; joins : int; leaves : int }
-
+(* Geometric draw on {1, 2, ...} with the given mean (mean <= 1 always
+   returns 1). *)
 let geometric rng ~mean =
   if mean <= 1.0 then 1
   else begin
@@ -21,6 +21,8 @@ let geometric rng ~mean =
     1 + int_of_float (Float.log1p (-.u) /. Float.log1p (-.p))
   end
 
+(* Pareto draw: x_min * u^(-1/alpha); mean alpha*x_min/(alpha-1) for
+   alpha > 1. *)
 let pareto rng ~alpha ~x_min =
   let u = Rng.float rng 1.0 in
   x_min *. ((1.0 -. u) ** (-1.0 /. alpha))
@@ -64,17 +66,15 @@ let release p v =
     p.free_count <- p.free_count + 1
   end
 
-let schedule_with_stats model rng ~n ~source ~horizon =
+let schedule model rng ~n ~source ~horizon =
   if n < 1 then invalid_arg "Churn.schedule: empty topology";
   if horizon <= 0.0 then invalid_arg "Churn.schedule: non-positive horizon";
   let p = pool ~n ~source in
   let events = ref [] in
   let seq = ref 0 in
-  let joins = ref 0 and leaves = ref 0 in
   let emit at op =
     events := (at, !seq, op) :: !events;
-    incr seq;
-    match op with Join _ -> incr joins | Leave _ -> incr leaves
+    incr seq
   in
   (* Draw order is not simulated-time order (burst instants are random), so
      a departed node must not be re-drawn before its scheduled leave time.
@@ -107,9 +107,8 @@ let schedule_with_stats model rng ~n ~source ~horizon =
     emit at (Leave v);
     add_pending at v
   in
-  let burst_sizes = ref [] and lifetimes = ref [] in
-  (* Session candidates are drawn first (pure RNG phase, where the stats
-     are recorded), then assigned nodes in chronological order: the pool
+  (* Session candidates are drawn first (pure RNG phase), then assigned
+     nodes in chronological order: the pool
      only ever moves forward in time, so a departure can never be re-drawn
      before its leave instant. *)
   let assign candidates =
@@ -133,18 +132,16 @@ let schedule_with_stats model rng ~n ~source ~horizon =
       done
   | Flash_crowd { crowds; mean_size; spread; mean_lifetime } ->
       (* Burst instants cover the first 60% of the horizon so lifetimes have
-         room to play out; sizes are the geometric draws recorded in the
-         stats (capped only at assignment time by the free pool). *)
+         room to play out; sizes are geometric draws, capped only at
+         assignment time by the free pool. *)
       let candidates = ref [] in
       let cseq = ref 0 in
       for _ = 1 to crowds do
         let t0 = Rng.float rng (0.6 *. horizon) in
         let size = geometric rng ~mean:mean_size in
-        burst_sizes := size :: !burst_sizes;
         for _ = 1 to size do
           let at = t0 +. Rng.float rng (max 1e-9 spread) in
           let life = Rng.exponential rng (1.0 /. mean_lifetime) in
-          lifetimes := life :: !lifetimes;
           candidates := (at, !cseq, life) :: !candidates;
           incr cseq
         done
@@ -174,7 +171,6 @@ let schedule_with_stats model rng ~n ~source ~horizon =
       for _ = 1 to arrivals do
         let at = Rng.float rng (0.8 *. horizon) in
         let life = pareto rng ~alpha ~x_min in
-        lifetimes := life :: !lifetimes;
         candidates := (at, !cseq, life) :: !candidates;
         incr cseq
       done;
@@ -185,13 +181,4 @@ let schedule_with_stats model rng ~n ~source ~horizon =
         match compare (t1 : float) t2 with 0 -> compare (s1 : int) s2 | c -> c)
       (List.rev !events)
   in
-  ( List.map (fun (at, _, op) -> { at; op }) sorted,
-    {
-      burst_sizes = List.rev !burst_sizes;
-      lifetimes = List.rev !lifetimes;
-      joins = !joins;
-      leaves = !leaves;
-    } )
-
-let schedule model rng ~n ~source ~horizon =
-  fst (schedule_with_stats model rng ~n ~source ~horizon)
+  List.map (fun (at, _, op) -> { at; op }) sorted

@@ -18,8 +18,7 @@
 
     Everything is a pure function of the supplied {!Smrp_rng.Rng.t}: the
     same seed yields the same schedule, run after run and whatever the
-    pool's job count.  Distribution draws are exposed ({!geometric},
-    {!pareto}) so property tests can pin their moments directly. *)
+    pool's job count. *)
 
 type model =
   | Static of { group_size : int }
@@ -40,25 +39,9 @@ type op = Join of int | Leave of int
 
 type event = { at : float; op : op }
 
-(** What the draws looked like, for distribution property tests:
-    [burst_sizes] are the geometric draws of a flash-crowd model (before
-    capping by the free-node pool), [lifetimes] the raw Pareto/exponential
-    lifetime draws (before horizon truncation). *)
-type stats = { burst_sizes : int list; lifetimes : float list; joins : int; leaves : int }
-
-val geometric : Smrp_rng.Rng.t -> mean:float -> int
-(** Geometric draw on [{1, 2, …}] with the given mean ([mean <= 1] always
-    returns 1). *)
-
-val pareto : Smrp_rng.Rng.t -> alpha:float -> x_min:float -> float
-(** Pareto draw: [x_min · u^{-1/alpha}]; mean [alpha·x_min/(alpha-1)] for
-    [alpha > 1]. *)
-
-val schedule_with_stats :
-  model -> Smrp_rng.Rng.t -> n:int -> source:int -> horizon:float -> event list * stats
-(** The schedule, sorted by time (draw order breaking ties), plus the raw
-    draw statistics.  Joins only ever pick currently-unjoined non-source
-    nodes; a burst bigger than the free pool is capped.  Deterministic in
-    the RNG state. *)
-
 val schedule : model -> Smrp_rng.Rng.t -> n:int -> source:int -> horizon:float -> event list
+(** The schedule, sorted by time (draw order breaking ties).  Joins only
+    ever pick currently-unjoined non-source nodes; a burst bigger than the
+    free pool is capped.  Under [Flash_crowd] and [Heavy_tail] a member
+    leaves its drawn lifetime after it joined, or stays when that falls
+    at or past [horizon].  Deterministic in the RNG state. *)

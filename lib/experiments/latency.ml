@@ -61,7 +61,7 @@ let run_side ?metrics ~flight config ~graph ~source ~members ~victim strategy =
   (* Members join one hello period apart so signalling interleaves
      naturally. *)
   List.iteri
-    (fun i m -> ignore (Engine.schedule engine ~delay:(0.5 +. float_of_int i) (fun () -> Protocol.join proto m)))
+    (fun i m -> Engine.schedule engine ~delay:(0.5 +. float_of_int i) (fun () -> Protocol.join proto m))
     members;
   Engine.run ~until:config.settle_time engine;
   (* Worst-case failure for the victim in the tree this protocol built. *)

@@ -28,8 +28,7 @@ let run_side ~graph ~source ~member_list ~sim_time ~name config =
   let proto = Protocol.create ~config engine graph ~source in
   Protocol.start proto;
   List.iteri
-    (fun i m ->
-      ignore (Engine.schedule engine ~delay:(0.5 +. float_of_int i) (fun () -> Protocol.join proto m)))
+    (fun i m -> Engine.schedule engine ~delay:(0.5 +. float_of_int i) (fun () -> Protocol.join proto m))
     member_list;
   Engine.run ~until:sim_time engine;
   let find key = List.assoc key (Protocol.message_breakdown proto) in

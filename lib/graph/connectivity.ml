@@ -45,10 +45,6 @@ let components ?(node_ok = always) ?(edge_ok = always) g =
   done;
   (comp, !count)
 
-let is_connected ?node_ok ?edge_ok g =
-  let _, count = components ?node_ok ?edge_ok g in
-  count <= 1
-
 (* Tarjan's bridge finding, iterative: an explicit stack avoids overflow
    on large topologies.  Tree edge (parent, child) is a bridge iff
    low(child) = disc(child): nothing in the child's subtree reaches above

@@ -8,9 +8,5 @@ val components : ?node_ok:(int -> bool) -> ?edge_ok:(int -> bool) -> Graph.t -> 
 (** [(comp, count)] where [comp.(v)] is the component index of node [v]
     (or [-1] for filtered-out nodes) and [count] the number of components. *)
 
-val is_connected : ?node_ok:(int -> bool) -> ?edge_ok:(int -> bool) -> Graph.t -> bool
-(** True when all (non-filtered) nodes lie in one component.  A graph with no
-    admissible node is connected vacuously. *)
-
 val bridges : Graph.t -> int list
 (** Edge ids whose removal disconnects their component (Tarjan low-link). *)

@@ -329,10 +329,6 @@ let settled r v =
 
 let unsafe_distance r v = Array.unsafe_get r.ws.dist v
 
-let parent r v =
-  check_fresh r;
-  if r.ws.visited.(v) <> r.epoch || r.ws.parent.(v) < 0 then None else Some r.ws.parent.(v)
-
 let path_rev r v =
   check_fresh r;
   if r.ws.visited.(v) <> r.epoch then None

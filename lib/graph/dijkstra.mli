@@ -109,9 +109,6 @@ val unsafe_distance : result -> int -> float
     same result.  Exists for scan loops that have already filtered on
     {!reachable} and must not allocate an option per node. *)
 
-val parent : result -> int -> int option
-(** Predecessor on the shortest path tree. *)
-
 val path_nodes : result -> int -> int list option
 (** Node sequence from the source to the target, inclusive. *)
 

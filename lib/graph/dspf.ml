@@ -71,10 +71,6 @@ type stats = { ops : int; touched : int }
 
 let stats (t : t) = { ops = t.ops; touched = t.touched }
 
-let source t = t.src
-
-let graph t = t.g
-
 (* -- Child-list surgery -------------------------------------------------- *)
 
 let unlink t c =
@@ -208,14 +204,6 @@ let parent t v =
 let parent_edge t v =
   check_node t v "parent_edge";
   t.parent_edge.(v)
-
-let edge_failed t eid =
-  check_edge t eid "edge_failed";
-  t.edge_dead.(eid)
-
-let node_failed t v =
-  check_node t v "node_failed";
-  t.node_dead.(v)
 
 (* -- Shrink phase: affected-subtree repair ------------------------------- *)
 

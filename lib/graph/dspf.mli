@@ -49,10 +49,6 @@ val restore_node : t -> int -> unit
 
 (** {1 Queries} *)
 
-val source : t -> int
-
-val graph : t -> Graph.t
-
 val distance : t -> int -> float option
 (** [None] when unreachable (or dead) under the current overlay. *)
 
@@ -63,10 +59,6 @@ val parent : t -> int -> int
 
 val parent_edge : t -> int -> int
 (** Edge id to the parent, [-1] for the source and unreachable nodes. *)
-
-val edge_failed : t -> int -> bool
-
-val node_failed : t -> int -> bool
 
 val stats : t -> stats
 

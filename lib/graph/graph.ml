@@ -86,11 +86,6 @@ let edge g id =
   if id < 0 || id >= g.edge_count then invalid_arg "Graph.edge: bad edge id";
   g.edges.(id)
 
-let other_end e u =
-  if e.u = u then e.v
-  else if e.v = u then e.u
-  else invalid_arg "Graph.other_end: node not an endpoint"
-
 (* Build the CSR view from the edge array.  Filling in edge-id order yields
    insertion-order slices, matching the historical [neighbors] contract. *)
 let freeze g =
@@ -184,8 +179,6 @@ let fold_edges f init g =
   let acc = ref init in
   iter_edges (fun e -> acc := f !acc e) g;
   !acc
-
-let total_cost g = fold_edges (fun acc e -> acc +. e.cost) 0.0 g
 
 let delay_of_edges g edge_ids =
   List.fold_left (fun acc eid -> acc +. (edge g eid).delay) 0.0 edge_ids

@@ -53,9 +53,6 @@ val find_edge : t -> int -> int -> int
     {!add_edge}'s duplicate check read the build-side lists instead, so
     building a graph edge by edge never rebuilds the CSR. *)
 
-val other_end : edge -> int -> int
-(** [other_end e u] is the endpoint of [e] distinct from [u]. *)
-
 val freeze : t -> unit
 (** Build the CSR (compressed sparse row) adjacency view if any edge has been
     added since the last build.  Read-path traversals call this implicitly;
@@ -86,9 +83,6 @@ val average_degree : t -> float
 val iter_edges : (edge -> unit) -> t -> unit
 
 val fold_edges : ('a -> edge -> 'a) -> 'a -> t -> 'a
-
-val total_cost : t -> float
-(** Sum of all edge costs. *)
 
 val delay_of_edges : t -> int list -> float
 (** Sum of the delays of the edges with these ids. *)

@@ -11,10 +11,6 @@ let create ?(capacity = 16) () =
   if capacity < 0 then invalid_arg "Heap.create: negative capacity";
   { data = [||]; size = 0; next_seq = 0; initial_capacity = max 16 capacity }
 
-let length h = h.size
-
-let is_empty h = h.size = 0
-
 let before a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
 
 let grow h entry =
@@ -47,8 +43,6 @@ let add h prio value =
     else continue := false
   done
 
-let peek_min h = if h.size = 0 then None else Some (h.data.(0).prio, h.data.(0).value)
-
 let pop_min h =
   if h.size = 0 then None
   else begin
@@ -75,7 +69,3 @@ let pop_min h =
     end;
     Some (root.prio, root.value)
   end
-
-let clear h =
-  h.size <- 0;
-  h.next_seq <- 0

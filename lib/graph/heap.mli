@@ -9,17 +9,9 @@ val create : ?capacity:int -> unit -> 'a t
     array (applied at the first insertion) so a heap whose final size is known
     never reallocates; it is a hint, not a limit. *)
 
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
 val add : 'a t -> float -> 'a -> unit
 (** [add h prio x] inserts [x] with priority [prio]. *)
 
 val pop_min : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element, ties broken by insertion
     order. *)
-
-val peek_min : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit

@@ -22,8 +22,6 @@ let create ?(capacity = 16) () =
     next_seq = 0;
   }
 
-let length h = h.size
-
 let is_empty h = h.size = 0
 
 let clear h =
@@ -118,12 +116,4 @@ let drop h =
     Array.unsafe_set pa !i prio;
     Array.unsafe_set sa !i seq;
     Array.unsafe_set va !i value
-  end
-
-let pop_min h =
-  if h.size = 0 then None
-  else begin
-    let p = h.prio.(0) and v = h.value.(0) in
-    drop h;
-    Some (p, v)
   end

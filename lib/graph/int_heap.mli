@@ -25,8 +25,6 @@ val grow : t -> unit
 (** Double the backing arrays if full — call before writing entry [size]
     directly in an inlined insertion. *)
 
-val length : t -> int
-
 val is_empty : t -> bool
 
 val clear : t -> unit
@@ -43,6 +41,3 @@ val top : t -> int
 val drop : t -> unit
 (** Remove the minimum without returning it (the allocation-free pop).
     Raises [Invalid_argument] when empty. *)
-
-val pop_min : t -> (float * int) option
-(** Convenience [top]+[drop]; allocates the pair. *)

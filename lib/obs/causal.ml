@@ -290,8 +290,7 @@ let of_records ?(dropped = 0) records =
         | None -> ()
       end
       else if code = Flight.net_send then incr messages
-      else if code = Flight.net_drop_send || code = Flight.net_drop_flight
-              || code = Flight.net_drop_loss then incr drops
+      else if code = Flight.net_drop_send || code = Flight.net_drop_flight then incr drops
       else if code = Flight.exec_event then begin
         let kind = exec_event_kind r.Flight.d_a in
         last_exec := Some (kind, exec_event_operand r.Flight.d_a);
@@ -462,49 +461,38 @@ let to_chrome ?(pid = 0) ?process ?(msg_label = fun _ -> "frame") emit records =
     | Some q when not (Queue.is_empty q) -> Some (Queue.pop q)
     | _ -> None
   in
-  let rec go = function
-    | [] -> ()
-    | (r : Flight.decoded) :: rest ->
-        let tick = r.Flight.d_tick and c = r.Flight.d_code and a = r.Flight.d_a and b = r.Flight.d_b in
-        let net ?dur ~tick name =
-          ev ~ph:(if dur = None then "i" else "X") ~tick ?dur ~tid:(Flight.hi b)
-            ~args:[ ("dst", Flight.lo b) ] ~cat:"net" name
-        in
-        let drop prefix = net ~tick (prefix ^ msg_label a) in
-        let args =
-          match List.assoc_opt c b_names with
-          | Some [ x; y ] -> [ (x, Flight.hi b); (y, Flight.lo b) ]
-          | Some [ x ] -> [ (x, b) ]
-          | _ -> []
-        in
-        let name = Flight.code_name c in
-        (match rest with
-        | l :: rest'
-          when c = Flight.net_send && l.Flight.d_code = Flight.net_drop_loss && l.Flight.d_b = b ->
-            (* Bernoulli loss is recorded right after its send. *)
-            drop "drop.loss:";
-            go rest'
-        | _ ->
-            if c = Flight.net_send then begin
-              if not (Hashtbl.mem in_flight b) then Hashtbl.add in_flight b (Queue.create ());
-              Queue.push tick (Hashtbl.find in_flight b)
-            end
-            else if c = Flight.net_deliver then begin
-              let start = Option.value ~default:tick (sent b) in
-              net ~dur:(tick - start) ~tick:start (msg_label a)
-            end
-            else if c = Flight.net_drop_flight then begin
-              ignore (sent b);
-              drop "drop.in_flight:"
-            end
-            else if c = Flight.net_drop_send then drop "drop.down:"
-            else if c = Flight.net_drop_loss then drop "drop.loss:"
-            else if c = Flight.proto_failure then ev ~ph:"i" ~tick ~args:[ ("link", a) ] name
-            else if c > Flight.proto_failure && c < Flight.exec_event then
-              ev ~ph:"i" ~tick ~tid:a ~args name
-            else if c >= Flight.span_dijkstra then
-              ev ~ph:"X" ~tick ~dur:a ~tid:r.Flight.d_domain ~args name
-            else if c >= Flight.exec_event then ev ~ph:"i" ~tick ~args:[ ("a", a); ("b", b) ] name;
-            go rest)
-  in
-  go records
+  List.iter
+    (fun (r : Flight.decoded) ->
+      let tick = r.Flight.d_tick and c = r.Flight.d_code and a = r.Flight.d_a and b = r.Flight.d_b in
+      let net ?dur ~tick name =
+        ev ~ph:(if dur = None then "i" else "X") ~tick ?dur ~tid:(Flight.hi b)
+          ~args:[ ("dst", Flight.lo b) ] ~cat:"net" name
+      in
+      let drop prefix = net ~tick (prefix ^ msg_label a) in
+      let args =
+        match List.assoc_opt c b_names with
+        | Some [ x; y ] -> [ (x, Flight.hi b); (y, Flight.lo b) ]
+        | Some [ x ] -> [ (x, b) ]
+        | _ -> []
+      in
+      let name = Flight.code_name c in
+      if c = Flight.net_send then begin
+        if not (Hashtbl.mem in_flight b) then Hashtbl.add in_flight b (Queue.create ());
+        Queue.push tick (Hashtbl.find in_flight b)
+      end
+      else if c = Flight.net_deliver then begin
+        let start = Option.value ~default:tick (sent b) in
+        net ~dur:(tick - start) ~tick:start (msg_label a)
+      end
+      else if c = Flight.net_drop_flight then begin
+        ignore (sent b);
+        drop "drop.in_flight:"
+      end
+      else if c = Flight.net_drop_send then drop "drop.down:"
+      else if c = Flight.proto_failure then ev ~ph:"i" ~tick ~args:[ ("link", a) ] name
+      else if c > Flight.proto_failure && c < Flight.exec_event then
+        ev ~ph:"i" ~tick ~tid:a ~args name
+      else if c >= Flight.span_dijkstra then
+        ev ~ph:"X" ~tick ~dur:a ~tid:r.Flight.d_domain ~args name
+      else if c >= Flight.exec_event then ev ~ph:"i" ~tick ~args:[ ("a", a); ("b", b) ] name)
+    records

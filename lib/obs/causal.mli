@@ -100,8 +100,8 @@ val to_chrome :
     object per [emit] call (no newline); a [process] name adds a metadata
     event for [pid] (default 0).  A delivered frame is a complete span from
     send to delivery on the sender's track, named by [msg_label] of its
-    packed message (default ["frame"]); drops are ["drop.down:"],
-    ["drop.in_flight:"] or ["drop.loss:"] instants.  Each stitched episode
+    packed message (default ["frame"]); drops are ["drop.down:"] or
+    ["drop.in_flight:"] instants.  Each stitched episode
     is one ["recovery"] span on the member's track, from detection to first
     data (a begin alone if data never resumed).  Protocol and exec records
     are instants and span records complete spans on their domain's track,

@@ -7,8 +7,8 @@
      word1 = operand a (raw int, full width)
      word2 = operand b (raw int, full width)
 
-   Ticks are the engine's scaled-int timestamps (Engine.ticks_per_second =
-   1e7); 54 bits of tick cover ~57 years of simulated time, so the masking
+   Ticks are the engine's scaled-int timestamps (1e7 per simulated
+   second); 54 bits of tick cover ~57 years of simulated time, so the masking
    wrap is documented rather than defended against.  Span records use the
    same scale on the host's wall clock, counted from process start ([now])
    so they stay far below the mask.  The hot path is a mask, three unsafe
@@ -35,8 +35,8 @@ type t = { capacity : int; rings : recorder list Atomic.t }
 let tick_bits = 54
 let tick_mask = (1 lsl tick_bits) - 1
 
-(* The timestamp scale records are written in. Must match
-   Engine.ticks_per_second; pinned by a test. *)
+(* The timestamp scale records are written in. Must match the engine's
+   tick clock; pinned by a test. *)
 let ticks_per_second = 1e7
 
 let default_capacity = 8192
@@ -109,12 +109,10 @@ let dropped t =
 
 let ev_fire = 1
 let ev_schedule = 2
-let ev_cancel = 3
 let net_send = 10
 let net_deliver = 11
 let net_drop_send = 12
 let net_drop_flight = 13
-let net_drop_loss = 14
 let proto_failure = 20
 let proto_detected = 21
 let proto_signal = 22
@@ -134,12 +132,10 @@ let code_table =
   [
     (ev_fire, "engine.fire");
     (ev_schedule, "engine.schedule");
-    (ev_cancel, "engine.cancel");
     (net_send, "net.send");
     (net_deliver, "net.deliver");
     (net_drop_send, "net.drop_send");
     (net_drop_flight, "net.drop_flight");
-    (net_drop_loss, "net.drop_loss");
     (proto_failure, "proto.failure");
     (proto_detected, "proto.detected");
     (proto_signal, "proto.signal");

@@ -66,13 +66,13 @@ val dropped : t -> int
 (** Total records overwritten by ring wrap-around since the last reset. *)
 
 val ticks_per_second : float
-(** The timestamp scale records are written in; equals
-    [Engine.ticks_per_second]. *)
+(** The timestamp scale records are written in: the engine's tick clock
+    ([Engine.tick_of_time 1.0] ticks per simulated second). *)
 
 (** {1 Event codes} *)
 
 (* engine: fire (a = handler code, b = event operand a), schedule (tick =
-   target tick, a = handler code, b = event id), cancel.
+   target tick, a = handler code, b = event id).
    net: a = packed message, b = pack src dst.
    proto: a = member (or failed edge for proto_failure); b = hops/merge.
    exec: tick = event index; exec_event a = (kind lsl 32) lor operand,
@@ -84,12 +84,10 @@ val ticks_per_second : float
 
 val ev_fire : int
 val ev_schedule : int
-val ev_cancel : int
 val net_send : int
 val net_deliver : int
 val net_drop_send : int
 val net_drop_flight : int
-val net_drop_loss : int
 val proto_failure : int
 val proto_detected : int
 val proto_signal : int

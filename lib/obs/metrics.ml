@@ -31,8 +31,6 @@ module Counter = struct
   let add c n =
     if n < 0 then invalid_arg "Metrics.Counter.add: negative increment";
     c.n <- c.n + n
-
-  let value c = c.n
 end
 
 module Gauge = struct
@@ -47,10 +45,6 @@ module Gauge = struct
     g.last <- v;
     g.last_ts <- ts;
     if v > g.max then g.max <- v
-
-  let value g = g.last
-
-  let max_value g = g.max
 end
 
 type instrument =

@@ -42,9 +42,6 @@ module Counter : sig
 
   val add : t -> int -> unit
   (** [add c n] with [n >= 0]. *)
-
-  val value : t -> int
-  (** This shard's count only; use {!snapshot} for the merged total. *)
 end
 
 module Gauge : sig
@@ -56,13 +53,8 @@ module Gauge : sig
       cross-shard merge: the shard with the greatest timestamp supplies the
       merged last value, ties broken towards the larger value.  Stamp sets
       with a monotone clock (e.g. the simulation clock) to make "last"
-      well-defined across domains. *)
-
-  val value : t -> float
-
-  val max_value : t -> float
-  (** High-water mark over the gauge's lifetime ([neg_infinity] before the
-      first [set]). *)
+      well-defined across domains.  The gauge also keeps its high-water
+      mark; {!snapshot} reports both. *)
 end
 
 val counter : t -> string -> Counter.t

@@ -15,7 +15,6 @@ type t = {
   value : float array;
   last_ts : float array; (* last observation time per slot (Last merges) *)
   mutable hi : int; (* highest bucket id seen; -1 while empty *)
-  mutable samples : int;
   mutable dropped : int;
 }
 
@@ -31,7 +30,6 @@ let create ?(kind = Sum) ?(interval = 1.0) ?(capacity = 512) () =
     value = Array.make capacity 0.0;
     last_ts = Array.make capacity neg_infinity;
     hi = -1;
-    samples = 0;
     dropped = 0;
   }
 
@@ -46,7 +44,6 @@ let observe t ~ts v =
   let idx = int_of_float (ts /. t.interval) in
   if t.hi >= 0 && idx <= t.hi - t.cap then t.dropped <- t.dropped + 1
   else begin
-    t.samples <- t.samples + 1;
     if idx > t.hi then t.hi <- idx;
     let slot = idx mod t.cap in
     if t.bucket.(slot) = idx then begin
@@ -63,10 +60,6 @@ let observe t ~ts v =
       t.last_ts.(slot) <- ts
     end
   end
-
-let samples t = t.samples
-
-let dropped t = t.dropped
 
 let points t =
   let acc = ref [] in
@@ -123,7 +116,6 @@ let merge_into ~into src =
     end
   done;
   into.hi <- new_hi;
-  into.samples <- into.samples + src.samples;
   into.dropped <- into.dropped + src.dropped
 
 type view = {

@@ -5,7 +5,7 @@
     Observations at simulation time [ts] land in bucket
     [floor (ts / interval)]; the ring keeps the most recent [capacity]
     buckets and silently drops observations older than the ring's window
-    (counted in {!dropped}).  Two kinds:
+    (counted in {!view}'s [v_dropped]).  Two kinds:
 
     - [Sum]: observations within a bucket add — the counter-rate shape
       (e.g. frame drops per second).  Cross-shard merge adds bucket-wise,
@@ -35,16 +35,6 @@ val observe : t -> ts:float -> float -> unit
 (** Record [v] at simulation time [ts >= 0] (non-finite or negative [ts],
     or a non-finite [v], raises [Invalid_argument]). *)
 
-val samples : t -> int
-(** Observations accepted (including into since-evicted buckets). *)
-
-val dropped : t -> int
-(** Observations discarded because their bucket had already left the
-    ring's window. *)
-
-val points : t -> (float * float) list
-(** Non-empty buckets in time order, as [(bucket start time, value)]. *)
-
 val compatible : t -> t -> bool
 (** Same [kind], [interval] and [capacity]? *)
 
@@ -57,8 +47,11 @@ val merge_into : into:t -> t -> unit
     layouts differ. *)
 
 (** Plain-data snapshot, as stored in merged {!Metrics.snapshot} values.
-    [v_dropped] counts buckets that scrolled out of the ring before the
-    snapshot — non-zero means the points no longer cover the full run. *)
+    [v_points] are the non-empty buckets in time order, as
+    [(bucket start time, value)].  [v_dropped] counts observations
+    discarded because their bucket had already left the ring's window,
+    and buckets a merge pushed out of it — non-zero means the points no
+    longer cover the full run. *)
 type view = {
   v_kind : kind;
   v_interval : float;

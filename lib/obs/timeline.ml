@@ -2,8 +2,7 @@
 
    The milestone bookkeeping (failure → detected → signalled → installed →
    first data) lives in [Causal.tracker]; this module keeps the original
-   paper-phase vocabulary and the fixed-width table renderer on top of the
-   shared episode record. *)
+   paper-phase vocabulary on top of the shared episode record. *)
 
 type episode = Causal.episode = {
   member : int;
@@ -36,22 +35,3 @@ let phase_durations e =
   List.map (fun p -> (p, List.assoc (to_causal p) d)) phases
 
 let total = Causal.total
-
-let render eps =
-  let buf = Buffer.create 256 in
-  let cell = function Some d -> Printf.sprintf "%10.3f" d | None -> "         -" in
-  Buffer.add_string buf
-    (Printf.sprintf "%8s %10s %10s %10s %10s %10s %9s\n" "member" "detect(s)" "signal(s)"
-       "install(s)" "1st-data(s)" "total(s)" "attempts");
-  List.iter
-    (fun e ->
-      let d = phase_durations e in
-      Buffer.add_string buf
-        (Printf.sprintf "%8d %s %s %s %s %s %9d\n" e.member
-           (cell (List.assoc Detection d))
-           (cell (List.assoc Signalling d))
-           (cell (List.assoc Installation d))
-           (cell (List.assoc First_data d))
-           (cell (total e)) e.attempts))
-    eps;
-  Buffer.contents buf

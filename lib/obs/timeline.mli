@@ -38,6 +38,3 @@ val phase_durations : episode -> (phase * float option) list
 
 val total : episode -> float option
 (** Failure → first data, when the episode completed. *)
-
-val render : episode list -> string
-(** Fixed-width per-member phase table (durations in seconds). *)

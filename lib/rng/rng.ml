@@ -30,8 +30,6 @@ let[@inline] next t =
 
 let create seed = of_state (mix64 (Int64.of_int seed))
 
-let copy = Bytes.copy
-
 let bits64 t = next t
 
 let split t = of_state (mix64 (next t))

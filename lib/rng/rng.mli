@@ -13,9 +13,6 @@ type t
 val create : int -> t
 (** [create seed] returns a fresh generator determined by [seed]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of the remainder of [t]'s stream.  Used to give each

@@ -3,13 +3,15 @@
 
     Engine v2 keeps the hot loop nearly allocation-free: sim times quantize
     to integer ticks of 100 ns, pending events live in a pooled
-    struct-of-arrays table keyed by int ids, cancellation is an O(1)
-    generation-stamped lazy delete, and dispatch goes through small int
-    event codes ([register] / [schedule_code]) so layered protocols can
-    schedule without closure allocation.  The clock is the one boxed float
-    on the path: each advance to a new tick allocates a 2-word box, and on
-    packet_restore topologies the loop, protocol handlers included,
-    allocates about 2 minor words per fired event.  Closure scheduling ([schedule] / [schedule_at] / [every]) is still
+    struct-of-arrays table keyed by int ids, and dispatch goes through
+    small int event codes ([register] / [schedule_code]) so layered
+    protocols can schedule without closure allocation.  A scheduled event
+    always fires: the model's failures are persistent and its soft state
+    expires by time (§3.2), so nothing cancels a timer.  The clock is the
+    one boxed float on the path: each advance to a new tick allocates a
+    2-word box, and on packet_restore topologies the loop, protocol
+    handlers included, allocates about 2 minor words per fired event.
+    Closure scheduling ([schedule] / [schedule_at] / [every]) is still
     available for cold paths and keeps the original semantics.
 
     Every time, delay and period must be a finite number the tick clock can
@@ -28,39 +30,27 @@
 
 type t
 
-type handle
-(** A cancellable scheduled event (or periodic series).  Handles are
-    generation-stamped ints: cancelling a handle whose event already fired
-    — even if the underlying slot has been recycled — is a safe no-op. *)
-
 type impl = Wheel | Reference
 
-val ticks_per_second : float
-(** Clock resolution: 1e7 ticks per simulated second (100 ns per tick).
-    Times quantize to the nearest tick on scheduling. *)
-
 val tick_of_time : float -> int
-(** Nearest-tick quantization of a time in seconds. *)
-
-val time_of_tick : int -> float
+(** Nearest-tick quantization of a time in seconds, at 1e7 ticks per
+    simulated second (100 ns per tick, {!Smrp_obs.Flight.ticks_per_second}).
+    Times quantize this way on scheduling. *)
 
 val create :
   ?metrics:Smrp_obs.Metrics.t -> ?flight:Smrp_obs.Flight.recorder -> ?impl:impl -> unit -> t
 (** With [metrics], the engine maintains [engine.events_scheduled] /
-    [engine.events_fired] / [engine.events_cancelled] (popped after
-    cancellation) / [engine.events_cancelled_pending] (cancelled, not yet
-    popped) counters and an [engine.queue_depth] gauge in that registry.
-    The depth gauge counts {e live} events only — lazy-deleted entries
-    still in the queue do not inflate it.
+    [engine.events_fired] counters and an [engine.queue_depth] gauge (the
+    pending events) in that registry.
 
-    [flight] is the always-on flight recorder ring: every schedule, fire
-    and cancel writes one packed record. Defaults to the calling domain's
+    [flight] is the always-on flight recorder ring: every schedule and
+    fire writes one packed record. Defaults to the calling domain's
     ring in [Flight.global]; pass [Flight.null] to disable recording. *)
 
 val metrics : t -> Smrp_obs.Metrics.t option
 (** The registry given at creation: layers built over the engine ([Net],
-    [Protocol]) inherit it by default, so one [create ~metrics] instruments
-    the whole simulation. *)
+    [Protocol]) meter into it, so one [create ~metrics] instruments the
+    whole simulation. *)
 
 val flight : t -> Smrp_obs.Flight.recorder
 (** The flight-recorder ring given at creation; [Net] and [Protocol]
@@ -68,20 +58,17 @@ val flight : t -> Smrp_obs.Flight.recorder
 
 val now : t -> float
 
-val schedule : t -> delay:float -> (unit -> unit) -> handle
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
     finite and [>= 0]. *)
 
-val schedule_at : t -> time:float -> (unit -> unit) -> handle
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant; [time] must be finite and not in the past. *)
 
-val cancel : t -> handle -> unit
-(** O(1) lazy delete.  Idempotent; cancelling a fired event is a no-op. *)
-
-val every : t -> period:float -> ?jitter:(unit -> float) -> (unit -> unit) -> handle
-(** [every t ~period f] runs [f] now + period, then each period (+ optional
-    jitter per firing) until the returned handle is cancelled.  [period]
-    must be finite and positive. *)
+val every : t -> period:float -> (unit -> unit) -> unit
+(** [every t ~period f] runs [f] at now + period and then each period,
+    for as long as the engine runs.  [period] must be finite and
+    positive. *)
 
 val register : t -> (int -> int -> unit) -> int
 (** [register t f] installs [f] as an int-coded event handler and returns
@@ -99,10 +86,10 @@ val run : ?until:float -> t -> unit
     would pass [until] (not NaN; [infinity] runs to the end). *)
 
 val pending : t -> int
-(** Number of live (not cancelled) scheduled events. *)
+(** Number of scheduled events not yet fired. *)
 
 val events_fired : t -> int
-(** Total events dispatched so far (excludes cancelled pops). *)
+(** Total events dispatched so far. *)
 
 val fingerprint : t -> int
 (** Rolling hash over the [(tick, code)] sequence of every fired event.

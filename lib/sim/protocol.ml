@@ -104,9 +104,9 @@ type t = {
   config : config;
   graph : Graph.t;
   source : int;
-  spf : Dijkstra.result;
-      (* source-rooted over the whole graph, which never changes: every
-         join's D_SPF, before and after a failure *)
+  mutable spf : Dijkstra.result;
+      (* source-rooted over the surviving graph, recomputed when a failure
+         is injected: every join's D_SPF *)
   mutable net : msg Net.t option; (* set right after creation *)
   mutable tree : Tree.t;
   mutable failure : Failure.t option;
@@ -497,8 +497,7 @@ let handle t ~at ~from ~eid m =
   | 5 -> handle_query t ~at (m asr 3)
   | _ -> handle_resp t ~at (m asr 3)
 
-let create ?(config = default_config) ?metrics engine graph ~source =
-  let metrics = match metrics with Some _ as m -> m | None -> Engine.metrics engine in
+let create ?(config = default_config) engine graph ~source =
   let meters =
     Option.map
       (fun m ->
@@ -521,7 +520,7 @@ let create ?(config = default_config) ?metrics engine graph ~source =
           q_total = Metrics.sketch m "recovery.total.q";
           s_disrupted = Metrics.series m ~kind:Smrp_obs.Series.Last "proto.members_disrupted";
         })
-      metrics
+      (Engine.metrics engine)
   in
   let n = Graph.node_count graph in
   let pool0 = 16 in
@@ -583,7 +582,7 @@ let create ?(config = default_config) ?metrics engine graph ~source =
     }
   in
   let net =
-    Net.create ?metrics ~msg_int:(fun m -> m) ~on_drop:(reclaim t) engine graph
+    Net.create ~msg_int:(fun m -> m) ~on_drop:(reclaim t) engine graph
       ~handler:(fun _ ~at ~from ~eid m -> handle t ~at ~from ~eid m)
   in
   t.net <- Some net;
@@ -638,12 +637,14 @@ let d_spf t m =
   | None -> invalid_arg "Protocol.join: source unreachable"
 
 (* Full-knowledge path selection (§3.2.2): min-SHR for SMRP, unicast
-   shortest path for the PIM baseline. *)
+   shortest path for the PIM baseline, both over the surviving graph. *)
 let oracle_join t m =
+  let filters = Option.map (Failure.filters t.graph) t.failure in
   let attach_nodes, attach_edges =
     match t.config.strategy with
-    | Local -> Smrp.attach_path ~d_thresh:t.config.d_thresh t.tree m ~spf_dist:(d_spf t m)
-    | Global -> Spf.attach_path t.tree m
+    | Local ->
+        Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters t.tree m ~spf_dist:(d_spf t m)
+    | Global -> Spf.attach_path ?filters t.tree m
   in
   (match (attach_nodes, attach_edges) with
   | [ _ ], [] -> ()
@@ -729,9 +730,8 @@ let join t m =
             t.q_plen.(s) <- 1;
             send t ~src:m ~dst:nb (msg_query s))
           (Graph.neighbors t.graph m);
-        ignore
-          (Engine.schedule t.engine ~delay:t.config.query_timeout (fun () ->
-               finalize_query_join t m))
+        Engine.schedule t.engine ~delay:t.config.query_timeout (fun () ->
+            finalize_query_join t m)
       end
 
 (* Condition-II reshape at a member (§3.2.3): re-run path selection with the
@@ -759,10 +759,9 @@ let reshape_node t r =
                propagated up the new path and data has flowed back down —
                a full round trip at the new path's delay, plus margin. *)
             let round_trip = 2.0 *. Tree.delay_to_source t.tree r in
-            ignore
-              (Engine.schedule t.engine
-                 ~delay:(round_trip +. (2.0 *. t.config.data_period))
-                 (fun () -> send t ~src:r ~dst:old_parent msg_prune))
+            Engine.schedule t.engine
+              ~delay:(round_trip +. (2.0 *. t.config.data_period))
+              (fun () -> send t ~src:r ~dst:old_parent msg_prune)
           end
       | _ -> ()
     end
@@ -815,103 +814,99 @@ let declare_disrupted t m =
     | Local -> recover_member t m
     | Global ->
         (* PIM must wait for the unicast tables to reconverge ([25]). *)
-        ignore (Engine.schedule t.engine ~delay:t.config.ospf_convergence (fun () -> recover_member t m))
+        Engine.schedule t.engine ~delay:t.config.ospf_convergence (fun () -> recover_member t m)
   end
 
 let start t =
   (* Source data stream. *)
-  ignore
-    (Engine.every t.engine ~period:t.config.data_period (fun () ->
-         let seq = t.next_seq in
-         t.next_seq <- seq + 1;
-         t.n_last_forwarded.(t.source) <- seq;
-         let now = Engine.now t.engine in
-         fanout_data t t.source ~except:(-1) ~now ~seq));
+  Engine.every t.engine ~period:t.config.data_period (fun () ->
+      let seq = t.next_seq in
+      t.next_seq <- seq + 1;
+      t.n_last_forwarded.(t.source) <- seq;
+      let now = Engine.now t.engine in
+      fanout_data t t.source ~except:(-1) ~now ~seq);
   (* Hellos on every live link, swept straight off the CSR adjacency. *)
-  ignore
-    (Engine.every t.engine ~period:t.config.hello_period (fun () ->
-         let offsets, neighbor, edge_id, _ = Graph.csr t.graph in
-         for v = 0 to Graph.node_count t.graph - 1 do
-           if Net.node_up (net t) v then
-             for i = offsets.(v) to offsets.(v + 1) - 1 do
-               if Net.link_up (net t) edge_id.(i) then send t ~src:v ~dst:neighbor.(i) msg_hello
-             done
-         done));
+  Engine.every t.engine ~period:t.config.hello_period (fun () ->
+      let offsets, neighbor, edge_id, _ = Graph.csr t.graph in
+      for v = 0 to Graph.node_count t.graph - 1 do
+        for i = offsets.(v) to offsets.(v + 1) - 1 do
+          if Net.link_up (net t) edge_id.(i) then send t ~src:v ~dst:neighbor.(i) msg_hello
+        done
+      done);
   (* Refreshes from every attached node towards its parent, and PIM-style
      periodic join refresh from members along their stored attach paths —
      this re-instantiates any hop whose state was lost (dropped frames,
      expired entries). *)
-  ignore
-    (Engine.every t.engine ~period:t.config.refresh_period (fun () ->
-         for v = 0 to Array.length t.n_parent - 1 do
-           let p = t.n_parent.(v) in
-           if p >= 0 then send t ~src:v ~dst:p msg_refresh;
-           if t.n_member.(v) && t.at_len.(v) > 0 then begin
-             let next = t.at_path.(v).(0) in
-             let s = alloc_join t in
-             let len = t.at_len.(v) - 1 in
-             t.j_req.(s) <- v;
-             ensure t.j_path s len;
-             Array.blit t.at_path.(v) 1 t.j_path.(s) 0 len;
-             t.j_plen.(s) <- len;
-             t.j_idx.(s) <- 0;
-             send t ~src:v ~dst:next (msg_join s)
-           end
-         done));
+  Engine.every t.engine ~period:t.config.refresh_period (fun () ->
+      for v = 0 to Array.length t.n_parent - 1 do
+        let p = t.n_parent.(v) in
+        if p >= 0 then send t ~src:v ~dst:p msg_refresh;
+        if t.n_member.(v) && t.at_len.(v) > 0 then begin
+          let next = t.at_path.(v).(0) in
+          let s = alloc_join t in
+          let len = t.at_len.(v) - 1 in
+          t.j_req.(s) <- v;
+          ensure t.j_path s len;
+          Array.blit t.at_path.(v) 1 t.j_path.(s) 0 len;
+          t.j_plen.(s) <- len;
+          t.j_idx.(s) <- 0;
+          send t ~src:v ~dst:next (msg_join s)
+        end
+      done);
   (* Condition-II reshaping timer (when enabled). *)
   (match t.config.reshape_period with
   | Some period ->
-      ignore
-        (Engine.every t.engine ~period (fun () ->
-             for v = 0 to Array.length t.n_member - 1 do
-               if t.n_member.(v) then reshape_node t v
-             done))
+      Engine.every t.engine ~period (fun () ->
+          for v = 0 to Array.length t.n_member - 1 do
+            if t.n_member.(v) then reshape_node t v
+          done)
   | None -> ());
   (* Starvation detector at members; hello-timeout detector for the node
      right below a failed link. *)
-  ignore
-    (Engine.every t.engine ~period:t.config.data_period (fun () ->
-         let now = Engine.now t.engine in
-         let starve = t.config.starvation_factor *. t.config.data_period in
-         (* A recovery that has not brought data back well past its expected
-            completion is retried (e.g. it raced another member's repair).
-            Global recoveries only complete after the reconvergence wait. *)
-         let retry_after =
-           (2.0 *. starve)
-           +. (match t.config.strategy with Global -> t.config.ospf_convergence | Local -> 0.0)
-         in
-         for v = 0 to Array.length t.n_member - 1 do
-           if t.n_member.(v) && t.failure <> None && now -. t.n_last_data.(v) > starve then begin
-             if not t.n_recovering.(v) then declare_disrupted t v
-             else if
-               Causal.restored_at t.causal v = None && now -. t.n_last_attempt.(v) > retry_after
-             then begin
-               t.n_recovering.(v) <- false;
-               declare_disrupted t v
-             end
-           end
-         done));
-  ignore
-    (Engine.every t.engine ~period:t.config.hello_period (fun () ->
-         let now = Engine.now t.engine in
-         let dead = t.config.hello_dead_factor *. t.config.hello_period in
-         for v = 0 to Array.length t.n_parent - 1 do
-           let p = t.n_parent.(v) in
-           if p >= 0 && t.n_member.(v) && not t.n_recovering.(v) then begin
-             let eid = Graph.find_edge t.graph v p in
-             if eid >= 0 then begin
-               let side = if v = (Graph.edge t.graph eid).Graph.u then 0 else 1 in
-               let seen = t.hello_seen.((2 * eid) + side) in
-               if seen > neg_infinity && now -. seen > dead && t.failure <> None then
-                 declare_disrupted t v
-             end
-           end
-         done))
+  Engine.every t.engine ~period:t.config.data_period (fun () ->
+      let now = Engine.now t.engine in
+      let starve = t.config.starvation_factor *. t.config.data_period in
+      (* A recovery that has not brought data back well past its expected
+         completion is retried (e.g. it raced another member's repair).
+         Global recoveries only complete after the reconvergence wait. *)
+      let retry_after =
+        (2.0 *. starve)
+        +. (match t.config.strategy with Global -> t.config.ospf_convergence | Local -> 0.0)
+      in
+      for v = 0 to Array.length t.n_member - 1 do
+        if t.n_member.(v) && t.failure <> None && now -. t.n_last_data.(v) > starve then begin
+          if not t.n_recovering.(v) then declare_disrupted t v
+          else if
+            Causal.restored_at t.causal v = None && now -. t.n_last_attempt.(v) > retry_after
+          then begin
+            t.n_recovering.(v) <- false;
+            declare_disrupted t v
+          end
+        end
+      done);
+  Engine.every t.engine ~period:t.config.hello_period (fun () ->
+      let now = Engine.now t.engine in
+      let dead = t.config.hello_dead_factor *. t.config.hello_period in
+      for v = 0 to Array.length t.n_parent - 1 do
+        let p = t.n_parent.(v) in
+        if p >= 0 && t.n_member.(v) && not t.n_recovering.(v) then begin
+          let eid = Graph.find_edge t.graph v p in
+          if eid >= 0 then begin
+            let side = if v = (Graph.edge t.graph eid).Graph.u then 0 else 1 in
+            let seen = t.hello_seen.((2 * eid) + side) in
+            if seen > neg_infinity && now -. seen > dead && t.failure <> None then
+              declare_disrupted t v
+          end
+        end
+      done)
 
 let inject_link_failure t eid =
   if t.failure <> None then invalid_arg "Protocol.inject_link_failure: one failure per run";
   Net.fail_link (net t) eid;
   t.failure <- Some (Failure.Link eid);
+  (* Joins from now on read post-failure distances, as [Session] joins do. *)
+  let node_ok, edge_ok = Failure.filters t.graph (Failure.Link eid) in
+  t.spf <- Dijkstra.run ~node_ok ~edge_ok t.graph ~source:t.source;
   t.failure_time <- Engine.now t.engine;
   Flight.record t.flight ~tick:(Engine.tick_of_time t.failure_time) ~code:Flight.proto_failure
     ~a:eid ~b:0;
@@ -937,8 +932,6 @@ let reports t =
 
 let control_messages t = t.control_sent
 
-let data_messages t = t.data_sent
-
 let message_breakdown t =
   [
     ("hello", t.hello_sent);
@@ -950,5 +943,3 @@ let message_breakdown t =
   ]
 
 let timeline t = Causal.episodes t.causal
-
-let phase_table t = Timeline.render (Causal.episodes t.causal)

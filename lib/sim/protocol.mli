@@ -75,13 +75,11 @@ val msg_label : int -> string
     record's [a] operand): hello, refresh, prune, data, join_req, query or
     query_resp. *)
 
-val create :
-  ?config:config -> ?metrics:Smrp_obs.Metrics.t -> Engine.t -> Smrp_graph.Graph.t -> source:int -> t
-(** [metrics] defaults to the engine's registry ({!Engine.metrics}) and is
-    passed on to the {!Net} the protocol creates.  When present, the
-    protocol keeps per-type [proto.sent.*] counters, [recovery.phase.*.q]
-    and [recovery.total.q] sketches and a [proto.members_disrupted]
-    series there.  Failure, detection, detour signalling, merge-node
+val create : ?config:config -> Engine.t -> Smrp_graph.Graph.t -> source:int -> t
+(** When the engine has a registry ({!Engine.metrics}), the protocol and
+    the {!Net} it creates meter into it: per-type [proto.sent.*] counters,
+    [recovery.phase.*.q] and [recovery.total.q] sketches and a
+    [proto.members_disrupted] series.  Failure, detection, detour signalling, merge-node
     installation, first data and reshape switches are always written to
     the engine's flight recorder. *)
 
@@ -93,7 +91,8 @@ val tree : t -> Smrp_core.Tree.t
 
 val join : t -> int -> unit
 (** Schedule a member's join now (selection per the session's protocol,
-    signalling hop-by-hop). *)
+    signalling hop-by-hop).  After {!inject_link_failure}, path selection
+    and its D_SPF use only the surviving links. *)
 
 val leave : t -> int -> unit
 
@@ -110,8 +109,6 @@ val reports : t -> member_report list
 val control_messages : t -> int
 (** Control frames sent so far (everything except [Data]). *)
 
-val data_messages : t -> int
-
 val message_breakdown : t -> (string * int) list
 (** Frames sent so far by type: hello, join_req, refresh, prune, data —
     the §3.3.2 overhead accounting. *)
@@ -120,6 +117,3 @@ val timeline : t -> Smrp_obs.Timeline.episode list
 (** Recovery-episode milestones per disrupted member, always recorded
     (failure → detection → detour signal → installation → first data);
     the per-phase decomposition behind {!reports}'s two scalars. *)
-
-val phase_table : t -> string
-(** {!timeline} rendered as a fixed-width per-member phase table. *)

@@ -123,8 +123,3 @@ let nodes_of_stub t d =
   let acc = ref [] in
   Array.iteri (fun i role -> match role with Stub d' when d' = d -> acc := i :: !acc | _ -> ()) t.roles;
   List.rev !acc
-
-let transit_nodes t =
-  let acc = ref [] in
-  Array.iteri (fun i role -> match role with Transit _ -> acc := i :: !acc | _ -> ()) t.roles;
-  List.rev !acc

@@ -42,5 +42,3 @@ val generate : Smrp_rng.Rng.t -> params -> t
 
 val nodes_of_stub : t -> int -> int list
 (** All graph nodes belonging to a given stub domain. *)
-
-val transit_nodes : t -> int list

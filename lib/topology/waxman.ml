@@ -82,8 +82,8 @@ let generate ?(link_delay = `Euclidean) rng ~n ~alpha ~beta =
   let repaired_edges = repair_connectivity link_delay rng g positions in
   { graph = g; positions; repaired_edges }
 
+(* Empirical average node degree over [samples] independent draws. *)
 let measured_average_degree rng ~n ~alpha ~beta ~samples =
-  if samples <= 0 then invalid_arg "Waxman.measured_average_degree: samples must be positive";
   let total = ref 0.0 in
   for _ = 1 to samples do
     let t = generate rng ~n ~alpha ~beta in

@@ -44,10 +44,6 @@ val generate :
     rejects the pair before its distance is computed; the stream of draws
     is the same as computing [p] first. *)
 
-val measured_average_degree :
-  Smrp_rng.Rng.t -> n:int -> alpha:float -> beta:float -> samples:int -> float
-(** Empirical average node degree over [samples] independent draws. *)
-
 val calibrate_alpha :
   Smrp_rng.Rng.t -> n:int -> beta:float -> target_degree:float -> float
 (** Binary-search the [alpha] whose expected average degree matches

@@ -73,49 +73,59 @@ let churn_sorted_and_well_formed () =
       check (name ^ " join/leave pairing") true !ok)
     models
 
+(* The distributions are read off the schedule: with a node pool that
+   never runs dry a flash crowd joins exactly its geometric burst size, and
+   at a horizon that truncates nothing every member leaves its drawn
+   lifetime after it joined. *)
+let joins events =
+  List.length (List.filter (fun { Churn.op; _ } -> match op with Churn.Join _ -> true | _ -> false) events)
+
+let lifetimes events =
+  let joined = Hashtbl.create 64 in
+  List.fold_left
+    (fun acc { Churn.at; op } ->
+      match op with
+      | Churn.Join v ->
+          Hashtbl.replace joined v at;
+          acc
+      | Churn.Leave v ->
+          let life = at -. Hashtbl.find joined v in
+          Hashtbl.remove joined v;
+          life :: acc)
+    [] events
+
+let mean_burst_size ~seed ~crowds ~mean_size =
+  let model = Churn.Flash_crowd { crowds; mean_size; spread = 0.1; mean_lifetime = 1.0 } in
+  let events = Churn.schedule model (Rng.create seed) ~n:4000 ~source:0 ~horizon:1.0e6 in
+  (joins events, float_of_int (joins events) /. float_of_int crowds)
+
+let pareto_lifetimes ~seed ~arrivals ~alpha ~x_min =
+  let model = Churn.Heavy_tail { arrivals; alpha; x_min } in
+  lifetimes (Churn.schedule model (Rng.create seed) ~n:8000 ~source:0 ~horizon:1.0e9)
+
+let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+
 let flash_burst_sizes_geometric () =
-  (* Mean of the raw geometric draws tracks the configured mean. *)
+  (* Mean of the geometric burst sizes tracks the configured mean. *)
   let mean_size = 6.0 in
-  let model =
-    Churn.Flash_crowd { crowds = 400; mean_size; spread = 0.1; mean_lifetime = 1.0 }
-  in
-  let _, stats =
-    Churn.schedule_with_stats model (Rng.create 23) ~n:4000 ~source:0 ~horizon:10_000.0
-  in
-  check_int "one draw per crowd" 400 (List.length stats.Churn.burst_sizes);
-  let sum = List.fold_left (fun a s -> a + s) 0 stats.Churn.burst_sizes in
-  let mean = float_of_int sum /. 400.0 in
+  let n, mean = mean_burst_size ~seed:23 ~crowds:400 ~mean_size in
   check "geometric mean within 15%" true (abs_float (mean -. mean_size) < 0.15 *. mean_size);
-  check "all draws positive" true (List.for_all (fun s -> s >= 1) stats.Churn.burst_sizes)
+  check "every crowd joins someone" true (n >= 400)
 
 let heavy_tail_lifetimes_pareto () =
   (* Pareto(alpha, x_min) has mean alpha*x_min/(alpha-1) for alpha > 1. *)
   let alpha = 2.5 and x_min = 5.0 in
-  let model = Churn.Heavy_tail { arrivals = 4000; alpha; x_min } in
-  let _, stats =
-    Churn.schedule_with_stats model (Rng.create 31) ~n:8000 ~source:0 ~horizon:1.0e9
-  in
-  check_int "one lifetime per arrival" 4000 (List.length stats.Churn.lifetimes);
-  check "lifetimes >= x_min" true (List.for_all (fun l -> l >= x_min) stats.Churn.lifetimes);
-  let sum = List.fold_left ( +. ) 0.0 stats.Churn.lifetimes in
-  let mean = sum /. 4000.0 in
+  let ls = pareto_lifetimes ~seed:31 ~arrivals:4000 ~alpha ~x_min in
+  check_int "one lifetime per arrival" 4000 (List.length ls);
+  (* Leave minus join time rounds at the join time's scale (< 1e9 s). *)
+  check "lifetimes >= x_min" true (List.for_all (fun l -> l >= x_min -. 1e-6) ls);
   let expected = alpha *. x_min /. (alpha -. 1.0) in
-  check "pareto mean within 15%" true (abs_float (mean -. expected) < 0.15 *. expected)
+  check "pareto mean within 15%" true (abs_float (mean ls -. expected) < 0.15 *. expected)
 
 let sampler_moments () =
-  let rng = Rng.create 5 in
-  let n = 20_000 in
-  let gsum = ref 0 in
-  for _ = 1 to n do
-    gsum := !gsum + Churn.geometric rng ~mean:4.0
-  done;
-  let gmean = float_of_int !gsum /. float_of_int n in
+  let _, gmean = mean_burst_size ~seed:5 ~crowds:20_000 ~mean_size:4.0 in
   check "geometric sampler mean" true (abs_float (gmean -. 4.0) < 0.2);
-  let psum = ref 0.0 in
-  for _ = 1 to n do
-    psum := !psum +. Churn.pareto rng ~alpha:3.0 ~x_min:2.0
-  done;
-  let pmean = !psum /. float_of_int n in
+  let pmean = mean (pareto_lifetimes ~seed:5 ~arrivals:20_000 ~alpha:3.0 ~x_min:2.0) in
   check "pareto sampler mean" true (abs_float (pmean -. 3.0) < 0.25)
 
 let diurnal_balance () =
@@ -124,10 +134,8 @@ let diurnal_balance () =
   List.iter
     (fun seed ->
       let model = Churn.Diurnal { waves = 4; wave_size = 12 } in
-      let events, stats =
-        Churn.schedule_with_stats model (Rng.create seed) ~n:70 ~source:1 ~horizon:200.0
-      in
-      check "joins = leaves" true (stats.Churn.joins = stats.Churn.leaves);
+      let events = Churn.schedule model (Rng.create seed) ~n:70 ~source:1 ~horizon:200.0 in
+      check "joins = leaves" true (2 * joins events = List.length events);
       let net =
         List.fold_left
           (fun acc { Churn.op; _ } ->
@@ -245,16 +253,25 @@ let cells_dedup_and_seed () =
     (List.length (Campaign.cells spec));
   let cells = Campaign.cells Campaign.quick in
   check_int "quick matrix is 3x3x2x3" 54 (List.length cells);
-  (* Cell seeds depend only on the cell's own name, not enumeration order. *)
-  let c0 = List.hd cells and c1 = List.nth cells 1 in
-  check "distinct cells, distinct seeds" true
-    (Campaign.cell_seed Campaign.quick c0 <> Campaign.cell_seed Campaign.quick c1);
-  let reversed = { Campaign.quick with Campaign.protocols = List.rev Campaign.quick.Campaign.protocols } in
-  let find name cs = List.find (fun c -> c.Campaign.c_name = name) cs in
-  let name = c0.Campaign.c_name in
+  (* Cell seeds, as the report's per-cell "seed" attribute, depend only on
+     the cell's own name, not enumeration order. *)
+  let seeds protocols =
+    let matrix =
+      "topo=waxman:20; churn=static; fail=indep; instances=1; horizon=10; seed=9; proto="
+      ^ protocols
+    in
+    match Campaign.spec_of_matrix matrix with
+    | Error e -> Alcotest.fail e
+    | Ok spec ->
+        List.map
+          (fun v -> (v.Report.v_name, List.assoc "seed" v.Report.v_attrs))
+          (Campaign.run ~jobs:1 spec).Report.r_variants
+  in
+  let forward = seeds "smrp:0.3,spf" and reversed = seeds "spf,smrp:0.3" in
+  check_int "distinct cells, distinct seeds" 2
+    (List.length (List.sort_uniq compare (List.map snd forward)));
   check "seed survives axis reordering" true
-    (Campaign.cell_seed Campaign.quick (find name cells)
-    = Campaign.cell_seed reversed (find name (Campaign.cells reversed)))
+    (List.sort compare forward = List.sort compare reversed)
 
 let matrix_parser () =
   (match Campaign.spec_of_matrix "topo=waxman:30; churn=flash,heavy; fail=adversarial:2; proto=smrp:0.2,spf; instances=2; horizon=50; seed=9" with
@@ -354,8 +371,14 @@ let quick_parallel_identity () =
 
 let quick_adversarial_dominates () =
   let report = Lazy.force quick_report in
-  let indep = Campaign.mean_disrupted report ~failure:"indep" in
-  let adv = Campaign.mean_disrupted report ~failure:"adversarial" in
+  let summary = Campaign.render_summary report in
+  let prefix = "mean disrupted/failure:" in
+  let line =
+    List.find (String.starts_with ~prefix) (String.split_on_char '\n' summary)
+  in
+  let indep, adv =
+    Scanf.sscanf line "mean disrupted/failure: indep %f, adversarial %f" (fun i a -> (i, a))
+  in
   check "independent failures disrupt someone" true (indep > 0.0);
   check "adversarial >= 2x independent" true (adv >= 2.0 *. indep)
 
@@ -432,6 +455,86 @@ let shrink_splits_fail_groups () =
   check "link chain split to the one culprit" true
     (List.exists (fun l -> List.length l = 1) link_groups)
 
+(* -- Parser properties ----------------------------------------------------- *)
+
+let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
+
+(* The grammar's words and punctuation, its numbers at and past every
+   bound, and text it has no use for. *)
+let matrix_vocabulary =
+  [| "topo"; "churn"; "fail"; "proto"; "instances"; "horizon"; "seed"; "figs"; "waxman"; "ts";
+     "locality"; "scale"; "static"; "flash"; "diurnal"; "heavy"; "indep"; "correlated";
+     "regional"; "cascade"; "adversarial"; "spf"; "smrp"; "query"; "protected"; "smrp0.3"; "=";
+     ";"; ","; ":"; " "; ""; "0"; "1"; "2"; "-1"; "0.3"; "1e-300"; "nan"; "inf"; "1e999";
+     "1000000"; "1000001"; "4611686018427387903"; "99999999999999999999"; "0x10"; "1_000";
+     "0b11"; "+5"; "x"; "\"" |]
+
+(* Matrix text as tokens: maximal runs of word characters, and single
+   punctuation characters. *)
+let matrix_tokens s =
+  let word c = not (String.contains "=;,: " c) in
+  let n = String.length s in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else begin
+      let rec stop j = if j < n && word s.[j] then stop (j + 1) else j in
+      let j = if word s.[i] then stop i else i + 1 in
+      go j (String.sub s i (j - i) :: acc)
+    end
+  in
+  go 0 []
+
+(* The parser's contract: [Ok] or [Error], never an exception, and an [Ok]
+   spec holds only what its interface allows. *)
+let parses_to_a_sane_result text =
+  match Campaign.spec_of_matrix text with
+  | Error _ -> true
+  | Ok spec ->
+      spec.Campaign.instances > 0
+      && Float.is_finite spec.Campaign.horizon
+      && spec.Campaign.horizon > 0.0
+
+let prop_matrix_random_tokens =
+  QCheck.Test.make ~name:"spec_of_matrix on random token strings is Ok or Error" ~count:3000
+    QCheck.(list_of_size Gen.(int_range 0 24) (int_bound (Array.length matrix_vocabulary - 1)))
+    (fun picks ->
+      parses_to_a_sane_result (String.concat "" (List.map (Array.get matrix_vocabulary) picks)))
+
+let valid_matrices =
+  [
+    "topo=waxman:30; churn=flash,heavy; fail=adversarial:2; proto=smrp:0.2,spf; instances=2; \
+     horizon=50; seed=9";
+    "topo=ts,locality:40,scale:100; churn=static:5,diurnal; fail=indep:3,correlated,regional,cascade; \
+     proto=query:0.3,protected:0.1";
+    "proto=smrp0.3; seed=-7";
+  ]
+
+(* Every single-token mutation of a valid matrix, at each position and with
+   each word of the vocabulary, and one random second mutation on top. *)
+let prop_matrix_token_mutations =
+  QCheck.Test.make ~name:"one- and two-token mutations of a valid matrix are Ok or Error" ~count:20
+    QCheck.(pair (int_bound (List.length valid_matrices - 1)) small_nat)
+    (fun (which, seed) ->
+      let valid = List.nth valid_matrices which in
+      Result.is_ok (Campaign.spec_of_matrix valid)
+      &&
+      let tokens = Array.of_list (matrix_tokens valid) in
+      let rng = Rng.create seed in
+      let mutate edits =
+        let t = Array.copy tokens in
+        List.iter (fun (k, token) -> t.(k) <- token) edits;
+        String.concat "" (Array.to_list t)
+      in
+      Array.for_all
+        (fun token ->
+          Seq.for_all
+            (fun k ->
+              let second = (Rng.int rng (Array.length tokens), Rng.pick rng matrix_vocabulary) in
+              parses_to_a_sane_result (mutate [ (k, token) ])
+              && parses_to_a_sane_result (mutate [ (k, token); second ]))
+            (Seq.init (Array.length tokens) Fun.id))
+        matrix_vocabulary)
+
 let () =
   Alcotest.run "campaign"
     [
@@ -456,6 +559,8 @@ let () =
           Alcotest.test_case "cells dedup and seeding" `Quick cells_dedup_and_seed;
           Alcotest.test_case "spec_of_matrix" `Quick matrix_parser;
           Alcotest.test_case "labels name the base's cells" `Quick matrix_labels_name_base_cells;
+          qcheck_case prop_matrix_random_tokens;
+          qcheck_case prop_matrix_token_mutations;
         ] );
       ( "quick campaign",
         [

@@ -8,27 +8,57 @@ module Transit_stub = Smrp_topology.Transit_stub
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The structure under test, with the test's own record of its graph,
+   source and failed elements: the reference search reads that record,
+   never the structure's own overlay. *)
+module Sut = struct
+  type t = { spf : Dspf.t; g : Graph.t; source : int; edge_dead : bool array; node_dead : bool array }
+
+  let create g ~source =
+    let spf = Dspf.create g ~source in
+    let edge_dead = Array.make (Graph.edge_count g) false in
+    { spf; g; source; edge_dead; node_dead = Array.make (Graph.node_count g) false }
+
+  let fail_edge t eid =
+    Dspf.fail_edge t.spf eid;
+    t.edge_dead.(eid) <- true
+
+  let restore_edge t eid =
+    Dspf.restore_edge t.spf eid;
+    t.edge_dead.(eid) <- false
+
+  let fail_node t v =
+    Dspf.fail_node t.spf v;
+    t.node_dead.(v) <- true
+
+  let restore_node t v =
+    Dspf.restore_node t.spf v;
+    t.node_dead.(v) <- false
+
+  let distance t v = Dspf.distance t.spf v
+  let stats t = Dspf.stats t.spf
+end
+
 (* Exact-equality differential: after every mutation the incremental
    structure must agree with a fresh [run_reference] over the surviving
    elements — bit-identical distances, no epsilon. *)
-let agree_with_reference t =
-  let g = Dspf.graph t in
-  let src = Dspf.source t in
-  if Dspf.node_failed t src then begin
+let agree_with_reference (t : Sut.t) =
+  let g = t.Sut.g in
+  if t.Sut.node_dead.(t.Sut.source) then begin
     for v = 0 to Graph.node_count g - 1 do
-      if Dspf.distance t v <> None then
+      if Sut.distance t v <> None then
         Alcotest.failf "node %d reachable under a dead source" v
     done
   end
   else begin
     let r =
       Dijkstra.run_reference
-        ~node_ok:(fun v -> not (Dspf.node_failed t v))
-        ~edge_ok:(fun eid -> not (Dspf.edge_failed t eid))
-        g ~source:src
+        ~node_ok:(fun v -> not t.Sut.node_dead.(v))
+        ~edge_ok:(fun eid -> not t.Sut.edge_dead.(eid))
+        g ~source:t.Sut.source
     in
     for v = 0 to Graph.node_count g - 1 do
-      match (Dspf.distance t v, Dijkstra.distance r v) with
+      match (Sut.distance t v, Dijkstra.distance r v) with
       | None, None -> ()
       | Some a, Some b when a = b -> ()
       | a, b ->
@@ -37,7 +67,7 @@ let agree_with_reference t =
     done
   end;
   (* Tree pointers must certify the distances they claim. *)
-  check "verify" true (Dspf.verify t)
+  check "verify" true (Dspf.verify t.Sut.spf)
 
 (* -- Hand-pinned cases -------------------------------------------------- *)
 
@@ -51,48 +81,48 @@ let pinned_chain () =
   (* 0 -1- 1 -1- 2 -1- 3, plus a long bypass 0 -5- 3. *)
   let g = path_graph [| 1.0; 1.0; 1.0 |] in
   let bypass = Graph.add_edge g 0 3 5.0 in
-  let t = Dspf.create g ~source:0 in
+  let t = Sut.create g ~source:0 in
   agree_with_reference t;
-  check "d3" true (Dspf.distance t 3 = Some 3.0);
+  check "d3" true (Sut.distance t 3 = Some 3.0);
   (* Cutting 1-2 re-routes 2 and 3 over the bypass. *)
-  Dspf.fail_edge t 1;
+  Sut.fail_edge t 1;
   agree_with_reference t;
-  check "d3 via bypass" true (Dspf.distance t 3 = Some 5.0);
-  check "d2 via bypass" true (Dspf.distance t 2 = Some 6.0);
+  check "d3 via bypass" true (Sut.distance t 3 = Some 5.0);
+  check "d2 via bypass" true (Sut.distance t 2 = Some 6.0);
   (* Cutting the bypass too disconnects the tail. *)
-  Dspf.fail_edge t bypass;
+  Sut.fail_edge t bypass;
   agree_with_reference t;
-  check "2 unreachable" true (Dspf.distance t 2 = None);
-  check "3 unreachable" true (Dspf.distance t 3 = None);
+  check "2 unreachable" true (Sut.distance t 2 = None);
+  check "3 unreachable" true (Sut.distance t 3 = None);
   (* Restoration heals exactly. *)
-  Dspf.restore_edge t 1;
+  Sut.restore_edge t 1;
   agree_with_reference t;
-  check "d3 healed" true (Dspf.distance t 3 = Some 3.0)
+  check "d3 healed" true (Sut.distance t 3 = Some 3.0)
 
 let pinned_source_subtree_disconnect () =
   (* The failure severs the source's only outgoing tree edge: the whole
      tree below the source is the affected subtree. *)
   let g = path_graph [| 1.0; 1.0; 1.0; 1.0 |] in
-  let t = Dspf.create g ~source:0 in
-  Dspf.fail_edge t 0;
+  let t = Sut.create g ~source:0 in
+  Sut.fail_edge t 0;
   agree_with_reference t;
   for v = 1 to 4 do
-    check "cut off" true (Dspf.distance t v = None)
+    check "cut off" true (Sut.distance t v = None)
   done;
-  check "source still zero" true (Dspf.distance t 0 = Some 0.0);
-  Dspf.restore_edge t 0;
+  check "source still zero" true (Sut.distance t 0 = Some 0.0);
+  Sut.restore_edge t 0;
   agree_with_reference t;
-  check "healed" true (Dspf.distance t 4 = Some 4.0)
+  check "healed" true (Sut.distance t 4 = Some 4.0)
 
 let pinned_source_failure () =
   let g = path_graph [| 1.0; 2.0 |] in
-  let t = Dspf.create g ~source:0 in
-  Dspf.fail_node t 0;
+  let t = Sut.create g ~source:0 in
+  Sut.fail_node t 0;
   agree_with_reference t;
-  check "source dead" true (Dspf.distance t 0 = None);
-  Dspf.restore_node t 0;
+  check "source dead" true (Sut.distance t 0 = None);
+  Sut.restore_node t 0;
   agree_with_reference t;
-  check "rebuilt" true (Dspf.distance t 2 = Some 3.0)
+  check "rebuilt" true (Sut.distance t 2 = Some 3.0)
 
 let pinned_interior_node_failure () =
   (* Star-with-ring: killing the hub forces ring detours. *)
@@ -103,39 +133,39 @@ let pinned_interior_node_failure () =
   ignore (Graph.add_edge g 2 4 1.0);
   ignore (Graph.add_edge g 3 4 1.0);
   ignore (Graph.add_edge g 0 2 10.0);
-  let t = Dspf.create g ~source:0 in
+  let t = Sut.create g ~source:0 in
   agree_with_reference t;
-  Dspf.fail_node t 1;
+  Sut.fail_node t 1;
   agree_with_reference t;
-  check "2 via long arc" true (Dspf.distance t 2 = Some 10.0);
-  check "4 via long arc" true (Dspf.distance t 4 = Some 11.0);
-  Dspf.restore_node t 1;
+  check "2 via long arc" true (Sut.distance t 2 = Some 10.0);
+  check "4 via long arc" true (Sut.distance t 4 = Some 11.0);
+  Sut.restore_node t 1;
   agree_with_reference t;
-  check "2 healed" true (Dspf.distance t 2 = Some 2.0)
+  check "2 healed" true (Sut.distance t 2 = Some 2.0)
 
 let pinned_repeated_fail_restore () =
   (* Hammer the same tree edge: state must be idempotent and exact over
      many cycles, including double-fail / double-restore no-ops. *)
   let g = path_graph [| 1.0; 1.0; 1.0 |] in
   ignore (Graph.add_edge g 0 3 9.0);
-  let t = Dspf.create g ~source:0 in
+  let t = Sut.create g ~source:0 in
   for _ = 1 to 20 do
-    Dspf.fail_edge t 1;
-    Dspf.fail_edge t 1;
+    Sut.fail_edge t 1;
+    Sut.fail_edge t 1;
     agree_with_reference t;
-    Dspf.restore_edge t 1;
-    Dspf.restore_edge t 1;
+    Sut.restore_edge t 1;
+    Sut.restore_edge t 1;
     agree_with_reference t
   done;
-  check "back to base" true (Dspf.distance t 3 = Some 3.0)
+  check "back to base" true (Sut.distance t 3 = Some 3.0)
 
 let pinned_locality () =
   (* A leaf-edge failure must not touch the rest of the tree. *)
   let g = path_graph [| 1.0; 1.0; 1.0; 1.0; 1.0 |] in
-  let t = Dspf.create g ~source:0 in
-  let before = (Dspf.stats t).Dspf.touched in
-  Dspf.fail_edge t 4;
-  let after = (Dspf.stats t).Dspf.touched in
+  let t = Sut.create g ~source:0 in
+  let before = (Sut.stats t).Dspf.touched in
+  Sut.fail_edge t 4;
+  let after = (Sut.stats t).Dspf.touched in
   agree_with_reference t;
   check_int "only the leaf touched" 1 (after - before)
 
@@ -146,25 +176,25 @@ type mutation = Fail_edge | Restore_edge | Fail_node | Restore_node
 let mutations = [| Fail_edge; Restore_edge; Fail_node; Restore_node |]
 
 let apply_mutation rng t ~source mu =
-  let g = Dspf.graph t in
+  let g = t.Sut.g in
   let m = Graph.edge_count g in
   let n = Graph.node_count g in
   match mu with
-  | Fail_edge -> Dspf.fail_edge t (Rng.int rng m)
-  | Restore_edge -> Dspf.restore_edge t (Rng.int rng m)
+  | Fail_edge -> Sut.fail_edge t (Rng.int rng m)
+  | Restore_edge -> Sut.restore_edge t (Rng.int rng m)
   | Fail_node ->
       (* Keep the source alive in most steps so the tree stays
          interesting; kill it outright now and then. *)
       let v = Rng.int rng n in
-      Dspf.fail_node t (if v = source && Rng.int rng 4 <> 0 then (v + 1) mod n else v)
-  | Restore_node -> Dspf.restore_node t (Rng.int rng n)
+      Sut.fail_node t (if v = source && Rng.int rng 4 <> 0 then (v + 1) mod n else v)
+  | Restore_node -> Sut.restore_node t (Rng.int rng n)
 
 (* Apply [steps] random fail/restore mutations, checking exact agreement
    with [run_reference] after every single one.  Returns the number of
    mutations performed (no-ops on already-dead/live elements still count
    as checks). *)
 let differential_run rng g ~source ~steps =
-  let t = Dspf.create g ~source in
+  let t = Sut.create g ~source in
   agree_with_reference t;
   for _ = 1 to steps do
     apply_mutation rng t ~source (Rng.pick rng mutations);
@@ -196,11 +226,11 @@ let random_transit_stub_differential () =
 
 let stats_count_ops () =
   let g = path_graph [| 1.0; 1.0 |] in
-  let t = Dspf.create g ~source:0 in
-  Dspf.fail_edge t 0;
-  Dspf.fail_edge t 0 (* no-op *);
-  Dspf.restore_edge t 0;
-  let s = Dspf.stats t in
+  let t = Sut.create g ~source:0 in
+  Sut.fail_edge t 0;
+  Sut.fail_edge t 0 (* no-op *);
+  Sut.restore_edge t 0;
+  let s = Sut.stats t in
   check_int "ops" 2 s.Dspf.ops;
   check "touched bounded" true (s.Dspf.touched <= 3 * Graph.node_count g)
 

@@ -247,7 +247,7 @@ let golden_renders () =
       ("overhead", "4fd8e6666bc545cb7b6964e68c8ac5ee");
       ("related_work", "b33e20c1f41812222cee5f85b9777e22");
       ("latency", "88cf586b9732a7d80fb728af2baf0dc2");
-      ("dashboard.json", "7d678276b7e82a91eebdc86405da3f83");
+      ("dashboard.json", "1bf8d3b4a150661a4fd21c7f710b49db");
     ]
   in
   let actual = List.map (fun (name, out) -> (name, Digest.to_hex (Digest.string out))) outputs in

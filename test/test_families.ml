@@ -12,12 +12,14 @@ module Stats = Smrp_metrics.Stats
 let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
 
 let check = Alcotest.(check bool)
+
+let connected g = snd (Connectivity.components g) <= 1
 let check_int = Alcotest.(check int)
 
 let pure_random_basic () =
   let t = Flat_models.pure_random (Rng.create 2) ~n:60 ~p:0.08 in
   check_int "node count" 60 (Graph.node_count t.Flat_models.graph);
-  check "connected" true (Connectivity.is_connected t.Flat_models.graph);
+  check "connected" true (connected t.Flat_models.graph);
   check "positions drawn" true (Array.length t.Flat_models.positions = 60)
 
 let pure_random_degree () =
@@ -80,8 +82,8 @@ let qcheck_models_connected =
       let n = 10 + Rng.int rng 60 in
       let a = Flat_models.pure_random rng ~n ~p:0.05 in
       let b = Flat_models.locality rng ~n ~radius:0.3 ~p_near:0.2 ~p_far:0.02 in
-      Connectivity.is_connected a.Flat_models.graph
-      && Connectivity.is_connected b.Flat_models.graph)
+      connected a.Flat_models.graph
+      && connected b.Flat_models.graph)
 
 let () =
   Alcotest.run "families"

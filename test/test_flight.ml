@@ -86,8 +86,8 @@ let test_code_names () =
       | Some c' -> check_int "code name round-trips" c c'
       | None -> Alcotest.failf "code %d name does not resolve" c)
     [
-      Flight.ev_fire; Flight.ev_schedule; Flight.ev_cancel; Flight.net_send; Flight.net_deliver;
-      Flight.net_drop_send; Flight.net_drop_flight; Flight.net_drop_loss; Flight.proto_failure;
+      Flight.ev_fire; Flight.ev_schedule; Flight.net_send; Flight.net_deliver;
+      Flight.net_drop_send; Flight.net_drop_flight; Flight.proto_failure;
       Flight.proto_detected; Flight.proto_signal; Flight.proto_installed; Flight.proto_first_data;
       Flight.proto_reshape; Flight.exec_event; Flight.exec_violation; Flight.span_dijkstra;
       Flight.span_candidate_search; Flight.span_reshape_round; Flight.span_reshape_stabilize;

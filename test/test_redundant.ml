@@ -14,19 +14,17 @@ module Redundant = Smrp_core.Redundant
 let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
 let every_node_protected g t =
   let n = Graph.node_count g in
   let ok = ref true in
+  (* The source's own paths are empty, so it passes trivially. *)
   for v = 0 to n - 1 do
-    if v <> Redundant.source t then begin
-      if not (Redundant.paths_disjoint t v) then ok := false;
-      (* Any single link failure leaves v connected through one tree. *)
-      Graph.iter_edges
-        (fun e -> if not (Redundant.survives t (Failure.Link e.Graph.id) ~member:v) then ok := false)
-        g
-    end
+    if not (Redundant.paths_disjoint t v) then ok := false;
+    (* Any single link failure leaves v connected through one tree. *)
+    Graph.iter_edges
+      (fun e -> if not (Redundant.survives t (Failure.Link e.Graph.id) ~member:v) then ok := false)
+      g
   done;
   !ok
 
@@ -34,11 +32,12 @@ let ring_builds () =
   let g = Fixtures.ring 6 in
   let t = Option.get (Redundant.build g ~source:0) in
   check "every node protected" true (every_node_protected g t);
-  (* On a ring the red and blue paths are the two ways around. *)
-  let red_nodes, _ = Redundant.red_path t 3 in
-  let blue_nodes, _ = Redundant.blue_path t 3 in
-  check "paths differ" true (red_nodes <> blue_nodes);
-  check_int "together they cover the ring" 8 (List.length red_nodes + List.length blue_nodes)
+  (* On a ring the red and blue paths are the two ways around: three hops
+     each for the opposite node, and together every link. *)
+  Alcotest.(check (float 1e-9)) "faster path" 3.0 (Redundant.delay t 3);
+  Alcotest.(check (float 1e-9)) "slower path" 3.0 (Redundant.worst_delay t 3);
+  Alcotest.(check (float 1e-9)) "together they cover the ring" 6.0
+    (Redundant.provisioned_cost t ~receivers:[ 3 ])
 
 let diamond_builds () =
   let g = Fixtures.diamond () in
@@ -107,7 +106,8 @@ let delays_and_cost () =
 let singleton_graph () =
   let g = Graph.create 1 in
   let t = Option.get (Redundant.build g ~source:0) in
-  check_int "source" 0 (Redundant.source t)
+  Alcotest.(check (float 0.0)) "the source is its own path" 0.0 (Redundant.delay t 0);
+  Alcotest.(check (float 0.0)) "nothing provisioned" 0.0 (Redundant.provisioned_cost t ~receivers:[ 0 ])
 
 let qcheck_protection_on_2ec_graphs =
   QCheck.Test.make ~name:"MFBG protects every node on 2-edge-connected Waxman graphs" ~count:80

@@ -80,13 +80,14 @@ let monitor_tracks_drift () =
   let t = Tree.create f.Fixtures.graph ~source:f.Fixtures.s in
   Smrp.join ~d_thresh:0.3 t f.Fixtures.e;
   let m = Reshape.monitor t in
-  check "no drift initially" true (Reshape.drifted m t ~threshold:0 = []);
+  let e_path = Tree.path_to_source t f.Fixtures.e in
+  check_int "no drift initially" 0 (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:0 m t);
+  check "nothing moved" true (Tree.path_to_source t f.Fixtures.e = e_path);
   Smrp.join ~d_thresh:0.3 t f.Fixtures.g;
   Smrp.join ~d_thresh:0.3 t f.Fixtures.f;
-  let drifted = Reshape.drifted m t ~threshold:1 in
-  check "drift detected" true (drifted <> []);
-  List.iter (fun v -> Reshape.note_reshaped m t v) drifted;
-  check "snapshots refreshed" true (Reshape.drifted m t ~threshold:1 = [])
+  check_int "drift detected and acted on" 1
+    (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:1 m t);
+  check_int "snapshots refreshed" 0 (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:0 m t)
 
 let condition_i_counts_switches () =
   let f = Fixtures.fig4 () in
@@ -101,31 +102,29 @@ let condition_i_counts_switches () =
 
 let condition_i_threshold_boundary () =
   (* §3.2.3 Condition I fires on drift {e strictly greater} than the
-     threshold: a node whose SHR grew by exactly [k] must stay quiet at
-     [threshold = k] and fire at [threshold = k - 1]. *)
+     threshold: E, whose SHR grows by exactly [k] and which switches once
+     triggered, must stay put at [threshold = k] and move at
+     [threshold = k - 1]. *)
   let f = Fixtures.fig4 () in
-  let t = Tree.create f.Fixtures.graph ~source:f.Fixtures.s in
-  Smrp.join ~d_thresh:0.3 t f.Fixtures.e;
-  let m = Reshape.monitor t in
-  let shr_old = Array.of_list (List.map (Tree.shr t) (Tree.on_tree_nodes t)) in
-  let nodes_old = Array.of_list (Tree.on_tree_nodes t) in
-  Smrp.join ~d_thresh:0.3 t f.Fixtures.g;
-  Smrp.join ~d_thresh:0.3 t f.Fixtures.f;
-  let checked = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if Tree.is_on_tree t v then begin
-        let drift = Tree.shr t v - shr_old.(i) in
-        if drift > 0 then begin
-          incr checked;
-          check "below the drift it fires" true
-            (List.mem v (Reshape.drifted m t ~threshold:(drift - 1)));
-          check "exactly at the drift it stays quiet" false
-            (List.mem v (Reshape.drifted m t ~threshold:drift))
-        end
-      end)
-    nodes_old;
-  check "some node actually drifted" true (!checked > 0)
+  let scene () =
+    let t = Tree.create f.Fixtures.graph ~source:f.Fixtures.s in
+    Smrp.join ~d_thresh:0.3 t f.Fixtures.e;
+    let m = Reshape.monitor t in
+    let shr_old = Tree.shr t f.Fixtures.e in
+    Smrp.join ~d_thresh:0.3 t f.Fixtures.g;
+    Smrp.join ~d_thresh:0.3 t f.Fixtures.f;
+    (t, m, Tree.shr t f.Fixtures.e - shr_old)
+  in
+  let t, m, drift = scene () in
+  check "E actually drifted" true (drift > 0);
+  let e_path = Tree.path_to_source t f.Fixtures.e in
+  check_int "exactly at the drift it stays quiet" 0
+    (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:drift m t);
+  check "E stayed" true (Tree.path_to_source t f.Fixtures.e = e_path);
+  let t, m, _ = scene () in
+  check_int "below the drift it fires" 1
+    (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:(drift - 1) m t);
+  check "E moved" true (Tree.path_to_source t f.Fixtures.e <> e_path)
 
 (* A 4-node scene where reshaping wants the link that just failed: member 2
    hangs off the slow branch 0-3-2 (delay 6) while 0-1-2 (delay 2) exists. *)

@@ -13,12 +13,6 @@ let determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
-let copy_independent () =
-  let a = Rng.create 7 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
-
 let split_diverges () =
   let a = Rng.create 7 in
   let b = Rng.split a in
@@ -205,7 +199,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "same seed, same stream" `Quick determinism;
-          Alcotest.test_case "copy continues identically" `Quick copy_independent;
           Alcotest.test_case "split diverges" `Quick split_diverges;
           Alcotest.test_case "stream pinned for five seeds" `Quick stream_pinned;
         ] );

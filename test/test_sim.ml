@@ -9,6 +9,8 @@ module Protocol = Smrp_sim.Protocol
 module Rng = Smrp_rng.Rng
 module Waxman = Smrp_topology.Waxman
 module Smrp = Smrp_core.Smrp
+module Metrics = Smrp_obs.Metrics
+module Flight = Smrp_obs.Flight
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
@@ -40,14 +42,6 @@ let equal_times_fifo () =
   Engine.run e;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !log)
 
-let cancel_prevents_firing () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~delay:1.0 (fun () -> fired := true) in
-  Engine.cancel e h;
-  Engine.run e;
-  check "cancelled" false !fired
-
 let nested_scheduling () =
   let e = Engine.create () in
   let log = ref [] in
@@ -66,14 +60,6 @@ let run_until_stops () =
   Engine.run ~until:5.5 e;
   check_int "five periods" 5 !count;
   check_float "clock clamped" 5.5 (Engine.now e)
-
-let every_cancellable () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let h = Engine.every e ~period:1.0 (fun () -> incr count) in
-  ignore (Engine.schedule e ~delay:3.5 (fun () -> Engine.cancel e h));
-  Engine.run ~until:10.0 e;
-  check_int "stopped after cancel" 3 !count
 
 let rejects_past_and_negative () =
   let e = Engine.create () in
@@ -119,30 +105,10 @@ let rejects_non_finite_times () =
   Engine.run ~until:10.0 e;
   check "nothing rejected fired" true (!fired = [ `Due ])
 
-let every_with_jitter () =
-  let e = Engine.create () in
-  let times = ref [] in
-  let jitter =
-    let flip = ref true in
-    fun () ->
-      flip := not !flip;
-      if !flip then 0.25 else -0.25
-  in
-  ignore (Engine.every e ~period:1.0 ~jitter (fun () -> times := Engine.now e :: !times));
-  Engine.run ~until:4.0 e;
-  check "fired several times" true (List.length !times >= 3);
-  (* Jittered periods stay within [0.75, 1.25] of each other. *)
-  let rec gaps = function
-    | a :: (b :: _ as tl) -> (a -. b) :: gaps tl
-    | _ -> []
-  in
-  List.iter (fun g -> check "gap within jitter band" true (g >= 0.74 && g <= 1.26)) (gaps !times)
-
 (* Timer-wheel edge cases: the scaled-int clock and hierarchical wheel have
    sharp corners (same-tick rescheduling, the overflow list past the wheel
-   horizon, handle recycling, tick quantization) that a float heap never
-   had.  Each gets pinned against both queue implementations where it
-   matters. *)
+   horizon, tick quantization) that a float heap never had.  Each gets
+   pinned against both queue implementations where it matters. *)
 
 let zero_delay_self_reschedule () =
   let e = Engine.create () in
@@ -183,25 +149,16 @@ let far_future_overflow_cascade () =
       check_float "clock at last event" 9000.0 (Engine.now e))
     [ Engine.Wheel; Engine.Reference ]
 
-let cancel_of_recycled_handle_is_noop () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  let h1 = Engine.schedule e ~delay:1.0 (fun () -> fired := 1 :: !fired) in
-  Engine.run e;
-  (* h1's pool slot is free now; the next schedule recycles it with a new
-     generation stamp. *)
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> fired := 2 :: !fired));
-  Engine.cancel e h1;
-  Engine.cancel e h1;
-  Engine.run e;
-  Alcotest.(check (list int)) "stale cancel left the recycled event alone" [ 1; 2 ]
-    (List.rev !fired)
-
 let tick_rounding_at_bucket_boundaries () =
-  check_float "tick roundtrip" 1.0 (Engine.time_of_tick (Engine.tick_of_time 1.0));
+  (* Flight records carry engine ticks: both count the same ticks per
+     second. *)
+  check_int "flight and engine share the tick" (int_of_float Flight.ticks_per_second)
+    (Engine.tick_of_time 1.0);
+  let time_of_tick tick = float_of_int tick /. Flight.ticks_per_second in
+  check_int "tick roundtrip" 12345 (Engine.tick_of_time (time_of_tick 12345));
   (* A delay within half a tick of another lands on the same tick and fires
      FIFO; one just past the boundary keeps its own slot. *)
-  let half_tick = 0.5 /. Engine.ticks_per_second in
+  let half_tick = 0.5 /. Flight.ticks_per_second in
   let e = Engine.create () in
   let log = ref [] in
   ignore (Engine.schedule e ~delay:(1.0 +. (0.8 *. half_tick)) (fun () -> log := `Same1 :: !log));
@@ -215,29 +172,35 @@ let tick_rounding_at_bucket_boundaries () =
   let e = Engine.create () in
   let order = ref [] in
   for i = 0 to 99 do
-    let d = Engine.time_of_tick (30 + i) in
+    let d = time_of_tick (30 + i) in
     ignore (Engine.schedule e ~delay:d (fun () -> order := i :: !order))
   done;
   Engine.run e;
   Alcotest.(check (list int)) "boundary window in order" (List.init 100 Fun.id) (List.rev !order)
 
 let queue_depth_counts_live_only () =
-  let module Metrics = Smrp_obs.Metrics in
   let m = Metrics.create () in
   let e = Engine.create ~metrics:m () in
-  let hs = List.init 3 (fun _ -> Engine.schedule e ~delay:1.0 (fun () -> ())) in
-  check_int "three live" 3 (Engine.pending e);
-  Engine.cancel e (List.hd hs);
-  check_int "two live after cancel" 2 (Engine.pending e);
-  check_float "depth gauge tracks live events, not queue entries" 2.0
-    (Metrics.Gauge.value (Metrics.gauge m "engine.queue_depth"));
-  check_int "pending-cancel counter" 1
-    (Metrics.Counter.value (Metrics.counter m "engine.events_cancelled_pending"));
+  let depth () =
+    match List.assoc_opt "engine.queue_depth" (Metrics.snapshot m) with
+    | Some (Metrics.Gauge_value { last; max }) -> (last, max)
+    | _ -> Alcotest.fail "no depth gauge"
+  in
+  let counter name =
+    match List.assoc_opt name (Metrics.snapshot m) with
+    | Some (Metrics.Counter_value n) -> n
+    | _ -> Alcotest.fail ("no counter " ^ name)
+  in
+  for _ = 1 to 3 do
+    Engine.schedule e ~delay:1.0 (fun () -> ())
+  done;
+  check_int "three pending" 3 (Engine.pending e);
+  check "depth gauge tracks the pending events" true (depth () = (3.0, 3.0));
   Engine.run e;
-  check_float "drained" 0.0 (Metrics.Gauge.value (Metrics.gauge m "engine.queue_depth"));
-  check_int "lazy delete surfaced on pop" 1
-    (Metrics.Counter.value (Metrics.counter m "engine.events_cancelled"));
-  check_int "fired excludes the cancelled one" 2 (Engine.events_fired e)
+  check "drained, high-water mark kept" true (depth () = (0.0, 3.0));
+  check_int "scheduled" 3 (counter "engine.events_scheduled");
+  check_int "fired" 3 (counter "engine.events_fired");
+  check_int "fired agrees" 3 (Engine.events_fired e)
 
 let wheel_matches_reference_engine () =
   (* Identical pseudo-random workloads on both queue implementations must
@@ -251,17 +214,11 @@ let wheel_matches_reference_engine () =
       seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
       !seed
     in
-    let cancels = ref [] in
     for i = 0 to 199 do
       let d = float_of_int (next () mod 10_000) /. 777.0 in
-      if i mod 3 = 0 then
-        Engine.schedule_code e ~delay:d ~code ~a:i ~b:(next () mod 97)
-      else begin
-        let h = Engine.schedule e ~delay:d (fun () -> log := (Engine.now e, -1, i) :: !log) in
-        if i mod 5 = 1 then cancels := h :: !cancels
-      end
+      if i mod 3 = 0 then Engine.schedule_code e ~delay:d ~code ~a:i ~b:(next () mod 97)
+      else Engine.schedule e ~delay:d (fun () -> log := (Engine.now e, -1, i) :: !log)
     done;
-    List.iter (Engine.cancel e) !cancels;
     Engine.run e;
     (Engine.fingerprint e, Engine.events_fired e, List.rev !log)
   in
@@ -302,8 +259,9 @@ let failed_link_drops () =
   check "rejected at send" false (Net.send n ~src:0 ~dst:1 ());
   Engine.run engine;
   check_int "nothing delivered" 0 !arrivals;
-  Net.restore_link n (edge g 0 1);
-  check "accepted after restore" true (Net.send n ~src:0 ~dst:1 ())
+  check "the other link still carries" true (Net.send n ~src:1 ~dst:2 ());
+  Engine.run engine;
+  check_int "delivered over the live link" 1 !arrivals
 
 let in_flight_frames_die_with_the_link () =
   let engine = Engine.create () in
@@ -317,37 +275,24 @@ let in_flight_frames_die_with_the_link () =
   check_int "dropped at delivery" 0 !arrivals
 
 let failure_drops_counted_separately () =
-  (* Failure drops (send-time and in-flight) are accounted apart from
-     Bernoulli loss. *)
+  (* Failure drops are accounted by where they happen: at send time or in
+     flight. *)
   let engine = Engine.create () in
   let g = Fixtures.line 3 in
   let delivered = ref 0 in
   let n = Net.create engine g ~handler:(fun _ ~at:_ ~from:_ ~eid:_ _ -> incr delivered) in
-  Net.fail_link n (edge g 0 1);
-  check "rejected" false (Net.send n ~src:0 ~dst:1 ());
-  check_int "send-time failure drop" 1 (frames n "dropped_failure_at_send");
-  check_int "not counted as sent" 0 (frames n "sent");
-  Net.restore_link n (edge g 0 1);
   check "accepted" true (Net.send n ~src:0 ~dst:1 ());
-  ignore (Engine.schedule engine ~delay:0.5 (fun () -> Net.fail_link n (edge g 0 1)));
+  Engine.schedule engine ~delay:0.5 (fun () -> Net.fail_link n (edge g 0 1));
   Engine.run engine;
   check_int "in-flight failure drop" 1 (frames n "dropped_failure_in_flight");
+  check "rejected" false (Net.send n ~src:0 ~dst:1 ());
+  check_int "send-time failure drop" 1 (frames n "dropped_failure_at_send");
+  check_int "only the accepted frame counted as sent" 1 (frames n "sent");
   check_int "total failure drops" 2
     (frames n "dropped_failure_at_send" + frames n "dropped_failure_in_flight");
-  check_int "bernoulli loss untouched" 0 (frames n "lost");
+  check_int "nothing lost at random" 0 (frames n "lost");
   check_int "nothing delivered" 0 !delivered;
   check_int "delivered counter agrees" 0 (frames n "delivered")
-
-let failed_node_blocks () =
-  let engine = Engine.create () in
-  let g = Fixtures.line 3 in
-  let n = Net.create engine g ~handler:(fun _ ~at:_ ~from:_ ~eid:_ _ -> ()) in
-  Net.fail_node n 1;
-  check "to dead node" false (Net.send n ~src:0 ~dst:1 ());
-  check "node state" false (Net.node_up n 1);
-  match Net.as_failure n with
-  | Some (Smrp_core.Failure.Node 1) -> ()
-  | _ -> Alcotest.fail "expected node failure"
 
 let non_adjacent_send_rejected () =
   let engine = Engine.create () in
@@ -413,53 +358,37 @@ let control_and_data_counted () =
   ignore (Engine.schedule engine ~delay:0.5 (fun () -> Protocol.join p 2));
   Engine.run ~until:10.0 engine;
   check "control messages flow" true (Protocol.control_messages p > 0);
-  check "data messages flow" true (Protocol.data_messages p > 100)
+  check "data messages flow" true (List.assoc "data" (Protocol.message_breakdown p) > 100)
 
-let lossy_links_counted () =
-  let engine = Engine.create () in
-  let g = Fixtures.line 2 in
-  let received = ref 0 in
-  let n = Net.create engine g ~handler:(fun _ ~at:_ ~from:_ ~eid:_ _ -> incr received) in
-  Net.set_loss n ~rng:(Smrp_rng.Rng.create 5) ~rate:0.3;
-  for _ = 1 to 1000 do
-    ignore (Net.send n ~src:0 ~dst:1 ())
-  done;
-  Engine.run engine;
-  check_int "sent counts all" 1000 (frames n "sent");
-  check_int "lost + received = sent" 1000 (frames n "lost" + !received);
-  check "roughly the configured rate" true (frames n "lost" > 230 && frames n "lost" < 370)
-
-let loss_rate_guard () =
-  (* NaN fails every comparison, so a guard written as "rate < 0 || rate >= 1"
-     lets it through, and a NaN rate then drops nothing. *)
-  let n = Net.create (Engine.create ()) (Fixtures.line 2) ~handler:(fun _ ~at:_ ~from:_ ~eid:_ () -> ()) in
+(* A join made while a link is down selects over the surviving links.  Node
+   2's shortest path to the source runs over the failed 1-2 link: a join
+   grafted over it would starve 2, and the detour its recovery grafts
+   would cross the tree ([Tree.graft] raises out of [Engine.run]). *)
+let join_during_failure () =
   List.iter
-    (fun rate ->
-      Alcotest.check_raises (Printf.sprintf "rate %g" rate)
-        (Invalid_argument "Net.set_loss: rate out of [0, 1)") (fun () ->
-          Net.set_loss n ~rng:(Smrp_rng.Rng.create 1) ~rate))
-    [ Float.nan; -0.1; 1.0; Float.infinity ]
-
-let soft_state_survives_loss () =
-  (* 10% loss on every frame: refreshes and data redundancy keep the member
-     served, and the retry logic completes recovery despite lost Join_reqs. *)
-  let engine = Engine.create () in
-  let g = Fixtures.ring 5 in
-  let p = Protocol.create engine g ~source:0 in
-  Net.set_loss (Protocol.net p) ~rng:(Smrp_rng.Rng.create 11) ~rate:0.1;
-  Protocol.start p;
-  ignore (Engine.schedule engine ~delay:0.5 (fun () -> Protocol.join p 2));
-  Engine.run ~until:30.0 engine;
-  let report = List.find (fun r -> r.Protocol.member = 2) (Protocol.reports p) in
-  (* ~295 packets offered over 29.5s at 10/s through 2 lossy hops (~19%
-     frame loss), plus up to one 5 s dark window if the initial Join_req is
-     lost before a periodic join refresh heals it: at least half must
-     arrive. *)
-  check "most data arrives despite loss" true (report.Protocol.data_received > 120);
-  Protocol.inject_link_failure p (edge g 0 1);
-  Engine.run ~until:90.0 engine;
-  let report = List.find (fun r -> r.Protocol.member = 2) (Protocol.reports p) in
-  check "still recovers under loss" true (report.Protocol.restored <> None)
+    (fun strategy ->
+      let g = Graph.create 4 in
+      ignore (Graph.add_edge g 0 1 1.0);
+      let broken = Graph.add_edge g 1 2 1.0 in
+      ignore (Graph.add_edge g 0 3 5.0);
+      ignore (Graph.add_edge g 3 2 5.0);
+      let engine = Engine.create () in
+      let config = { Protocol.default_config with Protocol.strategy } in
+      let p = Protocol.create ~config engine g ~source:0 in
+      Protocol.start p;
+      Engine.schedule engine ~delay:0.5 (fun () -> Protocol.join p 1);
+      Engine.run ~until:5.0 engine;
+      Protocol.inject_link_failure p broken;
+      Engine.schedule engine ~delay:5.0 (fun () -> Protocol.join p 2);
+      Engine.run ~until:60.0 engine;
+      let tree = Protocol.tree p in
+      Alcotest.(check (list int)) "2 joins around the failure" [ 2; 3; 0 ] (Tree.path_to_source tree 2);
+      let r = List.find (fun r -> r.Protocol.member = 2) (Protocol.reports p) in
+      (* Join_Req 2-3-0 and data back each take 10 s: about 300 packets by
+         60 s. *)
+      check "2 is served" true (r.Protocol.data_received > 250);
+      match Tree.validate tree with Ok () -> () | Error e -> Alcotest.fail e)
+    [ Protocol.Local; Protocol.Global ]
 
 let reshaping_switches_at_protocol_level () =
   (* The Figure 4/5 walkthrough end-to-end in the simulator: E, G, F join;
@@ -594,16 +523,12 @@ let () =
         [
           Alcotest.test_case "time order" `Quick events_fire_in_time_order;
           Alcotest.test_case "fifo on ties" `Quick equal_times_fifo;
-          Alcotest.test_case "cancel" `Quick cancel_prevents_firing;
           Alcotest.test_case "nested scheduling" `Quick nested_scheduling;
           Alcotest.test_case "run until" `Quick run_until_stops;
-          Alcotest.test_case "every cancellable" `Quick every_cancellable;
           Alcotest.test_case "rejects past/negative" `Quick rejects_past_and_negative;
           Alcotest.test_case "rejects non-finite times" `Quick rejects_non_finite_times;
-          Alcotest.test_case "every with jitter" `Quick every_with_jitter;
           Alcotest.test_case "zero-delay self-reschedule" `Quick zero_delay_self_reschedule;
           Alcotest.test_case "far-future overflow cascade" `Quick far_future_overflow_cascade;
-          Alcotest.test_case "recycled handle cancel" `Quick cancel_of_recycled_handle_is_noop;
           Alcotest.test_case "tick rounding at bucket boundaries" `Quick
             tick_rounding_at_bucket_boundaries;
           Alcotest.test_case "queue depth counts live only" `Quick queue_depth_counts_live_only;
@@ -615,7 +540,6 @@ let () =
           Alcotest.test_case "failed link drops" `Quick failed_link_drops;
           Alcotest.test_case "in-flight frames die" `Quick in_flight_frames_die_with_the_link;
           Alcotest.test_case "failure drops counted separately" `Quick failure_drops_counted_separately;
-          Alcotest.test_case "failed node blocks" `Quick failed_node_blocks;
           Alcotest.test_case "non-adjacent rejected" `Quick non_adjacent_send_rejected;
         ] );
       ( "protocol",
@@ -625,9 +549,7 @@ let () =
           Alcotest.test_case "local recovery beats global" `Quick local_recovery_beats_global;
           Alcotest.test_case "messages counted" `Quick control_and_data_counted;
           Alcotest.test_case "join errors" `Quick join_errors;
-          Alcotest.test_case "lossy links counted" `Quick lossy_links_counted;
-          Alcotest.test_case "loss rate outside [0, 1) rejected" `Quick loss_rate_guard;
-          Alcotest.test_case "soft state survives loss" `Quick soft_state_survives_loss;
+          Alcotest.test_case "join during a link failure" `Quick join_during_failure;
           Alcotest.test_case "query-scheme join" `Quick query_scheme_join_flows;
           Alcotest.test_case "query-scheme fallback" `Quick query_scheme_falls_back;
           Alcotest.test_case "protocol-level reshaping" `Quick reshaping_switches_at_protocol_level;

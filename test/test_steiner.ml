@@ -47,8 +47,7 @@ let build_order_is_nearest_first () =
 
 let join_attaches_cheapest () =
   let g = Fixtures.diamond () in
-  let t = Tree.create g ~source:0 in
-  Steiner.join t 3;
+  let t = Steiner.build g ~source:0 ~members:[ 3 ] in
   check "member joined" true (Tree.is_member t 3);
   check_float "two unit links" 2.0 (Tree.total_cost t);
   assert_valid t
@@ -56,12 +55,11 @@ let join_attaches_cheapest () =
 let errors () =
   let g = Graph.create 3 in
   ignore (Graph.add_edge g 0 1 1.0);
-  let t = Tree.create g ~source:0 in
-  Alcotest.check_raises "unreachable" (Invalid_argument "Steiner.join: no connection to the tree")
-    (fun () -> Steiner.join t 2);
-  Steiner.join t 1;
-  Alcotest.check_raises "double join" (Invalid_argument "Steiner.join: already a member")
-    (fun () -> Steiner.join t 1)
+  Alcotest.check_raises "unreachable"
+    (Invalid_argument "Steiner.build: some member cannot reach the tree") (fun () ->
+      ignore (Steiner.build g ~source:0 ~members:[ 1; 2 ]));
+  let t = Steiner.build g ~source:0 ~members:[ 1; 1 ] in
+  Alcotest.(check int) "a repeated member joins once" 1 (Tree.member_count t)
 
 let qcheck_steiner_bounded_by_star_cost =
   (* The provable bound: each greedy connection costs at most the member's

@@ -12,6 +12,21 @@ module Scale = Smrp_topology.Scale
 let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
 
 let check = Alcotest.(check bool)
+
+let connected g = snd (Connectivity.components g) <= 1
+
+(* Empirical average node degree over five draws. *)
+let measured_degree rng ~n ~alpha ~beta =
+  let total = ref 0.0 in
+  for _ = 1 to 5 do
+    total := !total +. Graph.average_degree (Waxman.generate rng ~n ~alpha ~beta).Waxman.graph
+  done;
+  !total /. 5.0
+
+let transit_count t =
+  Array.fold_left
+    (fun n role -> match role with Transit_stub.Transit _ -> n + 1 | Transit_stub.Stub _ -> n)
+    0 t.Transit_stub.roles
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -20,7 +35,7 @@ let check_float = Alcotest.(check (float 1e-9))
 let waxman_connected () =
   for seed = 1 to 10 do
     let t = Waxman.generate (Rng.create seed) ~n:60 ~alpha:0.15 ~beta:0.2 in
-    check "connected" true (Connectivity.is_connected t.Waxman.graph)
+    check "connected" true (connected t.Waxman.graph)
   done
 
 let waxman_deterministic () =
@@ -36,7 +51,7 @@ let waxman_node_count () =
 
 let waxman_alpha_monotone () =
   let degree alpha =
-    Waxman.measured_average_degree (Rng.create 7) ~n:80 ~alpha ~beta:0.2 ~samples:5
+    measured_degree (Rng.create 7) ~n:80 ~alpha ~beta:0.2
   in
   check "denser with larger alpha" true (degree 0.1 < degree 0.4)
 
@@ -97,7 +112,7 @@ let waxman_calibration () =
     Waxman.calibrate_alpha (Rng.create 11) ~n:100 ~beta:0.2 ~target_degree:6.0
   in
   let measured =
-    Waxman.measured_average_degree (Rng.create 13) ~n:100 ~alpha ~beta:0.2 ~samples:5
+    measured_degree (Rng.create 13) ~n:100 ~alpha ~beta:0.2
   in
   check "calibrated within 25%" true (abs_float (measured -. 6.0) < 1.5)
 
@@ -111,8 +126,8 @@ let ts_structure () =
   check_int "stub count" stubs t.Transit_stub.stub_count;
   check_int "node count" (transit_total + (stubs * p.Transit_stub.stub_nodes))
     (Graph.node_count t.Transit_stub.graph);
-  check_int "transit nodes" transit_total (List.length (Transit_stub.transit_nodes t));
-  check "connected" true (Connectivity.is_connected t.Transit_stub.graph)
+  check_int "transit nodes" transit_total (transit_count t);
+  check "connected" true (connected t.Transit_stub.graph)
 
 let ts_gateways_and_agents () =
   let t = Transit_stub.generate (Rng.create 5) Transit_stub.default_params in
@@ -135,7 +150,7 @@ let ts_stub_partition () =
     |> List.fold_left ( + ) 0
   in
   check_int "stubs partition the non-transit nodes"
-    (Graph.node_count t.Transit_stub.graph - List.length (Transit_stub.transit_nodes t))
+    (Graph.node_count t.Transit_stub.graph - transit_count t)
     total
 
 let ts_inter_domain_links () =
@@ -172,7 +187,7 @@ let fig4_shape () =
   let f = Fixtures.fig4 () in
   check_int "nodes" 8 (Graph.node_count f.Fixtures.graph);
   check_int "edges" 10 (Graph.edge_count f.Fixtures.graph);
-  check "connected" true (Connectivity.is_connected f.Fixtures.graph)
+  check "connected" true (connected f.Fixtures.graph)
 
 let deterministic_shapes () =
   check_int "diamond edges" 4 (Graph.edge_count (Fixtures.diamond ()));
@@ -187,13 +202,13 @@ let qcheck_waxman_connected =
     QCheck.(pair small_int (int_range 5 80))
     (fun (seed, n) ->
       let t = Waxman.generate (Rng.create seed) ~n ~alpha:0.1 ~beta:0.15 in
-      Connectivity.is_connected t.Waxman.graph)
+      connected t.Waxman.graph)
 
 let qcheck_ts_connected =
   QCheck.Test.make ~name:"transit-stub graphs are always connected" ~count:25 QCheck.small_int
     (fun seed ->
       let t = Transit_stub.generate (Rng.create seed) Transit_stub.default_params in
-      Connectivity.is_connected t.Transit_stub.graph)
+      connected t.Transit_stub.graph)
 
 (* -- Draw-first generators against the original pair loop ----------------- *)
 
