@@ -57,12 +57,11 @@ let digest impl (case : Case.t) =
     (fun i ev ->
       match ev with
       | Case.Join m ->
-          (* Joins fire only while the network is healthy: the protocol's
-             path selection is failure-unaware (§3.2.2 assumes topology
-             knowledge, not failure knowledge), so a join injected after
-             the failure would attach across the dead link — a scenario
-             outside the paper's join→fail→recover experiment shape and
-             one that both engines would mangle identically anyway. *)
+          (* Joins fire only while the network is healthy: that is the
+             paper's join→fail→recover experiment shape, and the
+             applied/skipped count line of [fuzz --engine-diff], compared
+             across builds, counts each join after the failure as
+             skipped. *)
           at i (fun () ->
               if
                 (not !failed)

@@ -66,6 +66,8 @@ let build ?(d_thresh = Smrp.default_d_thresh) ts ~source ~members =
   let top = { id = -1; sub = sub_top; tree = top_tree; agent = root_agent } in
   { ts; d_thresh; source; top; stubs }
 
+let top_domain t = t.top
+
 let member_domains t = List.map snd t.stubs
 
 (* Translate a failure in original ids into a domain's subgraph ids; [None]

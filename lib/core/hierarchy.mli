@@ -34,6 +34,8 @@ val build :
 (** Build the recovery architecture for a session.  [source] and all
     [members] must be stub nodes. *)
 
+val top_domain : t -> domain
+
 val member_domains : t -> domain list
 (** Stub domains hosting at least one member (the source's included). *)
 

@@ -631,26 +631,27 @@ let signal_join t ~requester ~attach_nodes =
       Causal.note_signalled t.causal ~member:requester ~ts:now;
       send t ~src:requester ~dst:next (msg_join (join_slot_of_list t ~requester rest))
 
-let d_spf t m =
-  match Dijkstra.distance t.spf m with
-  | Some d -> d
-  | None -> invalid_arg "Protocol.join: source unreachable"
-
 (* Full-knowledge path selection (§3.2.2): min-SHR for SMRP, unicast
    shortest path for the PIM baseline, both over the surviving graph. *)
 let oracle_join t m =
-  let filters = Option.map (Failure.filters t.graph) t.failure in
-  let attach_nodes, attach_edges =
-    match t.config.strategy with
-    | Local ->
-        Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters t.tree m ~spf_dist:(d_spf t m)
-    | Global -> Spf.attach_path ?filters t.tree m
-  in
-  (match (attach_nodes, attach_edges) with
-  | [ _ ], [] -> ()
-  | nodes, edges -> Tree.graft t.tree ~nodes ~edges);
-  if not (Tree.is_member t.tree m) then Tree.add_member t.tree m;
-  signal_join t ~requester:m ~attach_nodes
+  match Dijkstra.distance t.spf m with
+  | None when t.failure <> None ->
+      (* Cut off by the failure: the member stays unattached, and the
+         starvation sweep declares it disrupted with no detour to take. *)
+      ()
+  | None -> invalid_arg "Protocol.join: source unreachable"
+  | Some spf_dist ->
+      let filters = Option.map (Failure.filters t.graph) t.failure in
+      let attach_nodes, attach_edges =
+        match t.config.strategy with
+        | Local -> Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters t.tree m ~spf_dist
+        | Global -> Spf.attach_path ?filters t.tree m
+      in
+      (match (attach_nodes, attach_edges) with
+      | [ _ ], [] -> ()
+      | nodes, edges -> Tree.graft t.tree ~nodes ~edges);
+      if not (Tree.is_member t.tree m) then Tree.add_member t.tree m;
+      signal_join t ~requester:m ~attach_nodes
 
 (* Turn a collected query response into a candidate the selection criterion
    understands. *)
@@ -694,18 +695,20 @@ let finalize_query_join t m =
       | [] -> false
     in
     let candidates = List.filter graftable (List.map (candidate_of_response t) responses) in
-    match Dijkstra.distance t.spf m with
-    | None -> ()
-    | Some spf_dist -> (
-        match Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance:spf_dist candidates with
-        | Some c ->
-            Tree.graft t.tree ~nodes:c.Smrp.attach_nodes ~edges:c.Smrp.attach_edges;
-            Tree.add_member t.tree m;
-            signal_join t ~requester:m ~attach_nodes:c.Smrp.attach_nodes
-        | None ->
-            (* No query was answered in time: degrade to the full-knowledge
-               join, as Query.join degrades to SPF in the core library. *)
-            oracle_join t m)
+    let selected =
+      Option.bind (Dijkstra.distance t.spf m) (fun spf_distance ->
+          Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance candidates)
+    in
+    match selected with
+    | Some c ->
+        Tree.graft t.tree ~nodes:c.Smrp.attach_nodes ~edges:c.Smrp.attach_edges;
+        Tree.add_member t.tree m;
+        signal_join t ~requester:m ~attach_nodes:c.Smrp.attach_nodes
+    | None ->
+        (* No query was answered in time, or the source is out of reach:
+           the full-knowledge join decides, as Query.join degrades to SPF
+           in the core library. *)
+        oracle_join t m
   end
 
 let join t m =

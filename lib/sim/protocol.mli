@@ -92,7 +92,11 @@ val tree : t -> Smrp_core.Tree.t
 val join : t -> int -> unit
 (** Schedule a member's join now (selection per the session's protocol,
     signalling hop-by-hop).  After {!inject_link_failure}, path selection
-    and its D_SPF use only the surviving links. *)
+    and its D_SPF use only the surviving links, and a joiner the failure
+    cuts off from the source stays a member without a path, in every join
+    mode: it is reported disrupted and never restored.  A joiner the graph
+    itself leaves unconnected raises [Invalid_argument] (under
+    [Query_scheme], out of [Engine.run] when the query round ends). *)
 
 val leave : t -> int -> unit
 

@@ -1,6 +1,5 @@
 (* Hierarchical recovery architecture (§3.3.3). *)
 
-module Graph = Smrp_graph.Graph
 module Subgraph = Smrp_graph.Subgraph
 module Rng = Smrp_rng.Rng
 module Transit_stub = Smrp_topology.Transit_stub
@@ -52,36 +51,18 @@ let build_structure () =
     domains
 
 let top_domain_connects_agents () =
-  (* The top domain shows through [recover]: a failed link between transit
-     nodes and agents is recovered there (domain [-1]), and the receivers
-     it reconnects are the agents of the other member domains. *)
   let ts, source, members = scene 2 in
   let h = Hierarchy.build ts ~source ~members in
-  let domains = Hierarchy.member_domains h in
-  let agents =
-    List.filter_map
-      (fun (d : Hierarchy.domain) ->
-        if d.Hierarchy.id <> stub_of ts source then Some d.Hierarchy.agent else None)
-      domains
-  in
-  let in_top v =
-    stub_of ts v < 0 || List.exists (fun (d : Hierarchy.domain) -> d.Hierarchy.agent = v) domains
-  in
-  let reconnected = ref 0 in
-  Graph.iter_edges
-    (fun e ->
-      List.iter
-        (fun r ->
-          if r.Hierarchy.domain_id = -1 then begin
-            check "only top-domain links fail in the top domain" true
-              (in_top e.Graph.u && in_top e.Graph.v);
-            check "the receiver is an agent" true (List.mem r.Hierarchy.receiver agents);
-            check "confined" true r.Hierarchy.confined;
-            incr reconnected
-          end)
-        (Hierarchy.recover h (Failure.Link e.Graph.id)))
-    ts.Transit_stub.graph;
-  check "top-domain failures are recovered there" true (!reconnected > 0)
+  let top = Hierarchy.top_domain h in
+  (match Tree.validate top.Hierarchy.tree with Ok () -> () | Error e -> Alcotest.fail e);
+  let source_domain = stub_of ts source in
+  List.iter
+    (fun (d : Hierarchy.domain) ->
+      if d.Hierarchy.id <> source_domain then begin
+        let sub_agent = Option.get (Subgraph.node_to_sub top.Hierarchy.sub d.Hierarchy.agent) in
+        check "agent is a top-tree member" true (Tree.is_member top.Hierarchy.tree sub_agent)
+      end)
+    (Hierarchy.member_domains h)
 
 let source_domain_rooted_at_source () =
   let ts, source, members = scene 3 in
@@ -107,7 +88,7 @@ let recoveries_confined () =
               check "confined" true r.Hierarchy.confined;
               check "non-negative RD" true (r.Hierarchy.recovery_distance >= 0.0))
             recoveries)
-    (Hierarchy.member_domains h)
+    (Hierarchy.top_domain h :: Hierarchy.member_domains h)
 
 let flat_equivalent_members () =
   let ts, source, members = scene 6 in
@@ -125,7 +106,7 @@ let qcheck_hierarchy_builds =
       let h = Hierarchy.build ts ~source ~members in
       List.for_all
         (fun (d : Hierarchy.domain) -> Tree.validate d.Hierarchy.tree = Ok ())
-        (Hierarchy.member_domains h))
+        (Hierarchy.top_domain h :: Hierarchy.member_domains h))
 
 let () =
   Alcotest.run "hierarchy"

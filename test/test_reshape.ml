@@ -86,8 +86,52 @@ let monitor_tracks_drift () =
   Smrp.join ~d_thresh:0.3 t f.Fixtures.g;
   Smrp.join ~d_thresh:0.3 t f.Fixtures.f;
   check_int "drift detected and acted on" 1
+    (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:1 m t)
+
+let condition_i_refreshes_snapshots () =
+  (* A triggered node that does not switch still records its SHR as its new
+     SHR^old.  Member 2 hangs off relay 1 and drifts by 2 when members 3
+     and 4 join there; its other merge point, relay 5, carries three
+     members, so the first run keeps it.  Once two of them leave, 5 is the
+     better merge point while 2's SHR stays put: the refreshed snapshot
+     keeps the second run quiet, where a stale one would trigger 2 again
+     and switch it. *)
+  let g = Graph.create 9 in
+  let link u v = Graph.add_edge g u v 1.0 in
+  let e01 = link 0 1 in
+  let e12 = link 1 2 in
+  let e13 = link 1 3 in
+  let e14 = link 1 4 in
+  let e05 = link 0 5 in
+  let e56 = link 5 6 in
+  let e57 = link 5 7 in
+  let e58 = link 5 8 in
+  ignore (link 5 2);
+  let t = Tree.create g ~source:0 in
+  let subscribe ~nodes ~edges =
+    Tree.graft t ~nodes ~edges;
+    Tree.add_member t (List.nth nodes (List.length nodes - 1))
+  in
+  subscribe ~nodes:[ 0; 1; 2 ] ~edges:[ e01; e12 ];
+  subscribe ~nodes:[ 0; 5; 6 ] ~edges:[ e05; e56 ];
+  subscribe ~nodes:[ 5; 7 ] ~edges:[ e57 ];
+  subscribe ~nodes:[ 5; 8 ] ~edges:[ e58 ];
+  let m = Reshape.monitor t in
+  let shr_old = Tree.shr t 2 in
+  subscribe ~nodes:[ 1; 3 ] ~edges:[ e13 ];
+  subscribe ~nodes:[ 1; 4 ] ~edges:[ e14 ];
+  let shr_now = Tree.shr t 2 in
+  check "2 drifted past the threshold" true (shr_now - shr_old > 1);
+  check_int "triggered, but no better merge point" 0
     (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:1 m t);
-  check_int "snapshots refreshed" 0 (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:0 m t)
+  Tree.remove_member t 7;
+  Tree.remove_member t 8;
+  check_int "the leaves do not move 2's SHR" shr_now (Tree.shr t 2);
+  check_int "refreshed snapshots keep 2 quiet" 0
+    (Reshape.run_condition_i ~d_thresh:0.3 ~threshold:1 m t);
+  check "yet 2 would now switch to 5" true (Reshape.try_reshape ~d_thresh:0.3 t 2);
+  Alcotest.(check (list int)) "via 5" [ 2; 5; 0 ] (Tree.path_to_source t 2);
+  assert_valid t
 
 let condition_i_counts_switches () =
   let f = Fixtures.fig4 () in
@@ -352,6 +396,7 @@ let () =
       ( "condition_i",
         [
           Alcotest.test_case "monitor tracks drift" `Quick monitor_tracks_drift;
+          Alcotest.test_case "snapshots refreshed" `Quick condition_i_refreshes_snapshots;
           Alcotest.test_case "counts switches" `Quick condition_i_counts_switches;
           Alcotest.test_case "threshold boundary is strict" `Quick condition_i_threshold_boundary;
         ] );

@@ -388,7 +388,32 @@ let join_during_failure () =
          60 s. *)
       check "2 is served" true (r.Protocol.data_received > 250);
       match Tree.validate tree with Ok () -> () | Error e -> Alcotest.fail e)
-    [ Protocol.Local; Protocol.Global ]
+    [ Protocol.Local; Protocol.Global ];
+  (* On a line, 1-2 is a bridge: a joiner the failure cuts off stays a
+     member without a path in every join mode, disrupted and never
+     restored, and the run goes on. *)
+  List.iter
+    (fun config ->
+      let g = Fixtures.line 3 in
+      let engine = Engine.create () in
+      let p = Protocol.create ~config engine g ~source:0 in
+      Protocol.start p;
+      Engine.schedule engine ~delay:0.5 (fun () -> Protocol.join p 1);
+      Engine.run ~until:5.0 engine;
+      Protocol.inject_link_failure p (edge g 1 2);
+      Engine.schedule engine ~delay:5.0 (fun () -> Protocol.join p 2);
+      Engine.run ~until:60.0 engine;
+      let report v = List.find (fun r -> r.Protocol.member = v) (Protocol.reports p) in
+      check "2 is off the tree" false (Tree.is_on_tree (Protocol.tree p) 2);
+      check "2 is reported disrupted" true ((report 2).Protocol.detected <> None);
+      check "and never restored" true ((report 2).Protocol.restored = None);
+      check_int "2 got no data" 0 (report 2).Protocol.data_received;
+      check "1 is still served" true ((report 1).Protocol.data_received > 250))
+    [
+      Protocol.default_config;
+      { Protocol.default_config with Protocol.strategy = Protocol.Global };
+      { Protocol.default_config with Protocol.join_mode = Protocol.Query_scheme };
+    ]
 
 let reshaping_switches_at_protocol_level () =
   (* The Figure 4/5 walkthrough end-to-end in the simulator: E, G, F join;

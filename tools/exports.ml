@@ -29,6 +29,10 @@ let test_support =
        so any single link failure leaves it one of the two. *)
     "Redundant.paths_disjoint";
     "Redundant.survives";
+    (* The level-2 domain's tree validates and holds every member domain's
+       agent but the source's; [Hierarchy.recover] only shows the links it
+       repairs. *)
+    "Hierarchy.top_domain";
   ]
 
 let declared file name =
