@@ -301,15 +301,15 @@ let micro () =
         (Staged.stage (fun () -> ignore (Smrp.build ~d_thresh:0.3 ~ws graph ~source ~members)));
       Test.make ~name:"smrp_attach_path"
         (* One join decision on the reference SMRP tree: the lowest-id
-           off-tree node, with its D_SPF computed up front as a session
-           supplies it. *)
+           off-tree node, with the source SPF computed up front as a
+           session supplies it. *)
         (let t = s.Scenario.smrp_tree in
          let joiner =
            let rec first v = if Tree.is_on_tree t v then first (v + 1) else v in
            first 0
          in
-         let spf_dist = Option.get (Smrp.spf_distance t joiner) in
-         Staged.stage (fun () -> ignore (Smrp.attach_path ~ws t joiner ~spf_dist)));
+         let spf = Smrp.source_spf t in
+         Staged.stage (fun () -> ignore (Smrp.attach_path ~ws t joiner ~spf)));
       Test.make ~name:"local_detour"
         (Staged.stage (fun () ->
              ignore (Recovery.local_detour ~ws s.Scenario.smrp_tree worst ~member:victim)));

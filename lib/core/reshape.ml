@@ -20,9 +20,10 @@ type stats = { switches : int; rounds : int }
    - [chain]: the relay chain that detaching would prune (off-tree in the
      detached view: traversable, not a merge point).
 
-   The candidate Dijkstra runs with [dist_bound]: a replacement must meet
-   the delay bound, so candidates beyond it can never cause a switch and
-   need not be settled. *)
+   The candidate Dijkstra is goal-directed, as a join's is: a replacement
+   must meet the delay bound, so the search never goes where the delay so
+   far plus the node's source distance in [lower] exceeds it, and the
+   candidate scan reads only the nodes the search settled. *)
 
 type scratch = {
   sub : int array;
@@ -30,7 +31,8 @@ type scratch = {
   anc_depth : int array;
   chain : int array;
   stack : int array;
-  spf : float array; (* source-rooted SPF distances, hoisted per stabilize *)
+  spf : float array; (* source-rooted SPF distances over the surviving network: D_SPF *)
+  lower : float array; (* source-rooted SPF distances over a graph holding every tree path *)
   depth : int array;
   eval_stamp : int array; (* mutation stamp at last known-clean evaluation *)
   (* Tree facts cached per mutation stamp, so the per-candidate scan reads
@@ -43,14 +45,15 @@ type scratch = {
   mutable mstamp : int; (* bumped on every switch *)
 }
 
-let make_scratch n =
+let make_scratch n ~spf ~lower =
   {
     sub = Array.make n 0;
     anc = Array.make n 0;
     anc_depth = Array.make n 0;
     chain = Array.make n 0;
     stack = Array.make n 0;
-    spf = Array.make n infinity;
+    spf;
+    lower;
     depth = Array.make n 0;
     eval_stamp = Array.make n 0;
     on_tree_c = Array.make n false;
@@ -79,8 +82,8 @@ let bound_epsilon = 1e-9
 let always _ = true
 
 (* Evaluate node [r], mutating the tree only on a switch; returns whether
-   it switched.  [sc.spf.(r)] must hold [r]'s current SPF distance;
-   [filters] is the active failure, compiled once per sweep. *)
+   it switched.  [filters] is the active failure, compiled once per
+   sweep. *)
 let eval_node t sc ~ws ~d_thresh ~filters r =
   let g = Tree.graph t in
   let spf_dist = sc.spf.(r) in
@@ -168,44 +171,42 @@ let eval_node t sc ~ws ~d_thresh ~filters r =
       | None ->
           let node_ok v = sc.sub.(v) <> ep || v = r in
           let absorb v = sc.on_tree_c.(v) && sc.chain.(v) <> ep && sc.sub.(v) <> ep in
-          Dijkstra.run ~node_ok ~absorb ~dist_bound:bound ~workspace:ws g ~source:r
+          Dijkstra.run ~node_ok ~absorb ~bound:(bound, sc.lower) ~workspace:ws g ~source:r
       | Some (node_alive, edge_ok) ->
           let node_ok v = (sc.sub.(v) <> ep || v = r) && node_alive v in
           let absorb v = sc.on_tree_c.(v) && sc.chain.(v) <> ep && node_ok v in
-          Dijkstra.run ~node_ok ~edge_ok ~absorb ~dist_bound:bound ~workspace:ws g ~source:r
+          Dijkstra.run ~node_ok ~edge_ok ~absorb ~bound:(bound, sc.lower) ~workspace:ws g
+            ~source:r
     in
-    (* Best bounded candidate, scanned in ascending merge order with
-       [Smrp.select]'s comparisons on the post-detach SHR. *)
-    let n = Smrp_graph.Graph.node_count g in
+    (* Best bounded candidate among the settled merge points, scanned in
+       ascending merge order with [Smrp.select]'s comparisons on the
+       post-detach SHR. *)
+    let merges =
+      Dijkstra.settled_by_id
+        (fun m -> m <> r && sc.on_tree_c.(m) && sc.chain.(m) <> ep && sc.sub.(m) <> ep && alive m)
+        result
+    in
     let best = ref (-1) and best_delay = ref infinity and best_shr = ref max_int in
-    for m = 0 to n - 1 do
-      if
-        m <> r
-        && sc.on_tree_c.(m)
-        && sc.chain.(m) <> ep
-        && sc.sub.(m) <> ep
-        && alive m
-        && Dijkstra.reachable result m
-      then begin
-        let total = Dijkstra.unsafe_distance result m +. sc.dts_c.(m) in
-        if total <= bound then begin
-          (* Post-detach SHR: subtract [nsub] per ancestor of [r] on [m]'s
-             source path — everything above the first marked ancestor. *)
-          let a = ref m in
-          while sc.anc.(!a) <> ep do
-            a := Tree.parent_id t !a
-          done;
-          let shr = sc.shr_c.(m) - (nsub * sc.anc_depth.(!a)) in
-          let is_better =
-            !best < 0 || shr < !best_shr
-            || (shr = !best_shr && total < !best_delay -. bound_epsilon)
-            || (shr = !best_shr && abs_float (total -. !best_delay) <= bound_epsilon && m < !best)
-          in
-          if is_better then begin
-            best := m;
-            best_delay := total;
-            best_shr := shr
-          end
+    for i = 0 to Array.length merges - 1 do
+      let m = merges.(i) in
+      let total = Dijkstra.unsafe_distance result m +. sc.dts_c.(m) in
+      if total <= bound then begin
+        (* Post-detach SHR: subtract [nsub] per ancestor of [r] on [m]'s
+           source path — everything above the first marked ancestor. *)
+        let a = ref m in
+        while sc.anc.(!a) <> ep do
+          a := Tree.parent_id t !a
+        done;
+        let shr = sc.shr_c.(m) - (nsub * sc.anc_depth.(!a)) in
+        let is_better =
+          !best < 0 || shr < !best_shr
+          || (shr = !best_shr && total < !best_delay -. bound_epsilon)
+          || (shr = !best_shr && abs_float (total -. !best_delay) <= bound_epsilon && m < !best)
+        in
+        if is_better then begin
+          best := m;
+          best_delay := total;
+          best_shr := shr
         end
       end
     done;
@@ -225,19 +226,15 @@ let eval_node t sc ~ws ~d_thresh ~filters r =
     else false
   end
 
-let try_reshape ?d_thresh ?ws t r =
+let try_reshape ?d_thresh ?ws ?spf t r =
   if not (Tree.is_on_tree t r) then invalid_arg "Reshape.try_reshape: off-tree node";
   if r = Tree.source t then invalid_arg "Reshape.try_reshape: cannot reshape the source";
   let n = Smrp_graph.Graph.node_count (Tree.graph t) in
   let ws = match ws with Some ws -> ws | None -> Dijkstra.workspace ~capacity:n () in
-  match Smrp.spf_distance ~ws t r with
-  | None -> false
-  | Some spf_dist ->
-      let sc = make_scratch n in
-      sc.spf.(r) <- spf_dist;
-      eval_node t sc ~ws
-        ~d_thresh:(Option.value d_thresh ~default:Smrp.default_d_thresh)
-        ~filters:None r
+  let spf = match spf with Some spf -> spf | None -> Smrp.source_spf ~ws t in
+  eval_node t (make_scratch n ~spf ~lower:spf) ~ws
+    ~d_thresh:(Option.value d_thresh ~default:Smrp.default_d_thresh)
+    ~filters:None r
 
 let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
   if max_rounds < 1 then invalid_arg "Reshape.stabilize: max_rounds must be positive";
@@ -271,25 +268,17 @@ let stabilize ?d_thresh ?failure ?ws ?(max_rounds = 10) ?metrics t =
   let t_start = clock () in
   let g = Tree.graph t in
   let n = Smrp_graph.Graph.node_count g in
-  let sc = make_scratch n in
-  (* One source-rooted SPF serves every per-node bound check: the graph and
-     failure are fixed for the whole sweep, so [spf_distance] from each node
-     would recompute the same distances n times over.  Extract into the
-     scratch immediately — the result borrows [ws] and the next candidate
-     search invalidates it. *)
+  (* One source-rooted SPF serves every per-node bound: the graph and
+     failure are fixed for the whole sweep, so [spf_distance] from each
+     node would recompute the same distances n times over.  D_SPF is over
+     the surviving network.  The lower bounds are over the failure-free
+     one: a merge point's delay is read off the tree, whose paths may
+     still cross the failure. *)
   let src = Tree.source t in
   let filters = Option.map (Failure.filters g) failure in
-  let src_alive = match filters with None -> true | Some (node_ok, _) -> node_ok src in
-  if src_alive then begin
-    let res =
-      match filters with
-      | None -> Dijkstra.run ~workspace:ws g ~source:src
-      | Some (node_ok, edge_ok) -> Dijkstra.run ~node_ok ~edge_ok ~workspace:ws g ~source:src
-    in
-    for v = 0 to n - 1 do
-      sc.spf.(v) <- (match Dijkstra.distance res v with Some d -> d | None -> infinity)
-    done
-  end;
+  let lower = Smrp.source_spf ~ws t in
+  let spf = match filters with None -> lower | Some _ -> Smrp.source_spf ?filters ~ws t in
+  let sc = make_scratch n ~spf ~lower in
   let finish stats =
     Option.iter
       (fun (_, _, _, _, sweep_q) -> Smrp_obs.Sketch.observe sweep_q (seconds t_start))
@@ -382,10 +371,18 @@ let drifted m t ~threshold =
 
 let run_condition_i ?d_thresh ?(threshold = 1) ?ws m t =
   let triggered = drifted m t ~threshold in
+  let ws =
+    match ws with
+    | Some ws -> ws
+    | None -> Dijkstra.workspace ~capacity:(Smrp_graph.Graph.node_count (Tree.graph t)) ()
+  in
+  (* The failure-free source distances do not change with the tree: one
+     search serves every triggered node. *)
+  let spf = if triggered = [] then [||] else Smrp.source_spf ~ws t in
   List.fold_left
     (fun acc v ->
       if Tree.is_on_tree t v && v <> Tree.source t then begin
-        let switched = try_reshape ?d_thresh ?ws t v in
+        let switched = try_reshape ?d_thresh ~ws ~spf t v in
         Hashtbl.replace m v (Tree.shr t v);
         if switched then acc + 1 else acc
       end

@@ -10,11 +10,22 @@
       path) — see {!monitor};
     - {b Condition II}: a periodic sweep, modelled by {!stabilize}. *)
 
-val try_reshape : ?d_thresh:float -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> bool
+val try_reshape :
+  ?d_thresh:float ->
+  ?ws:Smrp_graph.Dijkstra.workspace ->
+  ?spf:float array ->
+  Tree.t ->
+  int ->
+  bool
 (** [try_reshape t r] re-evaluates node [r]'s upstream path with no failure
-    active, by the single-node evaluation {!stabilize} sweeps with; D_SPF
-    is measured from [r].  Returns whether the node switched; the tree is
-    mutated only then.  [r] must be on-tree and not the source. *)
+    active, by the single-node evaluation {!stabilize} sweeps with.
+    Returns whether the node switched; the tree is mutated only then.  [r]
+    must be on-tree and not the source.
+
+    [spf] holds every node's failure-free unicast delay to the source
+    ([infinity] where unreachable), as {!Smrp.attach_path} reads it: [r]'s
+    entry is its D_SPF and the whole array bounds the candidate search.
+    Without it one source-rooted search computes it. *)
 
 type stats = { switches : int; rounds : int }
 
@@ -29,6 +40,10 @@ val stabilize :
 (** Sweep all non-source on-tree nodes repeatedly (deepest first, so moved
     subtrees settle before their ancestors are reconsidered) until a round
     performs no switch, or [max_rounds] (default 10) is reached.
+
+    With [failure], D_SPF and every candidate search are over the
+    surviving network.  The tree may still cross the failure, so the
+    searches take their lower bounds from the failure-free source SPF.
 
     Instrumentation is off the hot path unless enabled: with [?metrics],
     counters [reshape.rounds] / [reshape.scans] / [reshape.switches] and

@@ -87,22 +87,26 @@ let filters t = match t.active_failures with [] -> None | _ -> Some (Failure.mas
 
 let join t nr =
   let filters = filters t and ws = t.ws in
-  (* The incremental SPF already knows the joiner's unicast distance under
-     every active failure, so an SMRP or query join runs only its candidate
-     search.  [Dspf] returning [None] means the source is unreachable;
-     passing nothing lets the protocol re-derive and raise identically.  An
-     SPF join reads no distance. *)
-  let spf_dist () = if Tree.is_on_tree t.tree nr then None else Dspf.distance (spf t) nr in
+  (* The incremental SPF already knows every unicast distance under every
+     active failure, so an SMRP or query join runs only its candidate
+     search.  A session tree never crosses an active failure, so the
+     post-failure distances also bound an SMRP join's search.  A relay
+     subscription and an SPF join read no distance. *)
+  let on_tree = Tree.is_on_tree t.tree nr in
+  let distances () = if on_tree then None else Some (Dspf.distances (spf t)) in
   (match t.protocol with
   | Spf -> Spf.join ?filters ~ws t.tree nr
-  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?filters ~ws ?spf_dist:(spf_dist ()) t.tree nr
-  | Smrp_query { d_thresh } ->
+  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?filters ~ws ?spf:(distances ()) t.tree nr
+  | Smrp_query { d_thresh } -> (
       (* The query scheme has no failure-aware variant; under active
-         failures fall back to the failure-aware SMRP selection. *)
-      let spf_dist = spf_dist () in
-      (match filters with
-      | None -> Query.join ~d_thresh ~ws ?spf_dist t.tree nr
-      | Some _ -> Smrp.join ~d_thresh ?filters ~ws ?spf_dist t.tree nr));
+         failures fall back to the failure-aware SMRP selection.  [Dspf]
+         returning [None] means the source is unreachable; passing nothing
+         lets the query join re-derive and raise identically. *)
+      match filters with
+      | None ->
+          let spf_dist = if on_tree then None else Dspf.distance (spf t) nr in
+          Query.join ~d_thresh ~ws ?spf_dist t.tree nr
+      | Some _ -> Smrp.join ~d_thresh ?filters ~ws ?spf:(distances ()) t.tree nr));
   invalidate_protection t;
   log t (Joined nr)
 

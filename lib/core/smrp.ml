@@ -17,10 +17,10 @@ let always _ = true
    surviving on-tree nodes as absorbing.  [filters] is the active failure,
    already compiled: the search asks it once per relaxed edge.  Returns the
    settled result plus the survival predicate; callers must consume the
-   result before the next run on the same workspace.  [dist_bound] is
-   [Dijkstra.run]'s: every node within it gets the full search's distance
+   result before the next run on the same workspace.  [bound] is
+   [Dijkstra.run]'s: every node inside it gets the full search's distance
    and path. *)
-let candidate_search ?filters ?dist_bound ?ws t ~joiner =
+let candidate_search ?filters ?bound ?ws t ~joiner =
   let g = Tree.graph t in
   let alive, edge_alive = match filters with None -> (always, always) | Some fl -> fl in
   let absorb v = Tree.is_on_tree t v && alive v in
@@ -34,25 +34,33 @@ let candidate_search ?filters ?dist_bound ?ws t ~joiner =
     (* Only pass per-edge/per-node filters when something actually filters:
        the unconstrained search takes Dijkstra's absorb-only fast path. *)
     match filters with
-    | None -> Dijkstra.run ~absorb ?dist_bound ?workspace:ws g ~source:joiner
+    | None -> Dijkstra.run ~absorb ?bound ?workspace:ws g ~source:joiner
     | Some _ ->
-        Dijkstra.run ~node_ok:alive ~edge_ok:edge_alive ~absorb ?dist_bound ?workspace:ws g
+        Dijkstra.run ~node_ok:alive ~edge_ok:edge_alive ~absorb ?bound ?workspace:ws g
           ~source:joiner
   in
   Smrp_obs.Flight.span flight ~code:Smrp_obs.Flight.span_candidate_search ~start ~b:joiner;
   (result, alive)
 
-let spf_search ?filters ?ws t v =
+let spf_distance ?failure ?ws t v =
   let g = Tree.graph t in
   let r =
-    match filters with
+    match failure with
     | None -> Dijkstra.run ?workspace:ws g ~source:v
-    | Some (node_ok, edge_ok) -> Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source:v
+    | Some f ->
+        let node_ok, edge_ok = Failure.filters g f in
+        Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source:v
   in
   Dijkstra.distance r (Tree.source t)
 
-let spf_distance ?failure ?ws t v =
-  spf_search ?filters:(Option.map (Failure.filters (Tree.graph t)) failure) ?ws t v
+let source_spf ?filters ?ws t =
+  let g = Tree.graph t and source = Tree.source t in
+  match filters with
+  | None -> Dijkstra.distances (Dijkstra.run ?workspace:ws g ~source)
+  | Some (node_ok, edge_ok) ->
+      if node_ok source then
+        Dijkstra.distances (Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source)
+      else Array.make (Smrp_graph.Graph.node_count g) infinity
 
 let bound_epsilon = 1e-9
 
@@ -76,65 +84,77 @@ let select ?(d_thresh = default_d_thresh) ~spf_distance cands =
          connection, i.e. SPF behaviour. *)
       minimum_by (fun a b -> a.total_delay < b.total_delay) cands
 
-(* The Path Selection Criterion read directly off a candidate-search
-   result: no candidate record or path is materialised for losing merge
-   points.  The scan runs in ascending merge id with [select]'s comparisons,
-   so over the merge points it reads it picks what [select] picks over
-   their candidate list, fallback included.  Returns the best merge point
-   inside [bound] and the lowest-delay one, each [-1] when there is none.
-   [final] is how a merge point's distance is known to be the search's last
-   word: reached, after a full search; settled, after a truncated one. *)
-let select_on result alive t nr ~bound ~final =
-  let n = Smrp_graph.Graph.node_count (Tree.graph t) in
+(* The Path Selection Criterion read directly off a bounded
+   candidate-search result: no candidate record or path is materialised
+   for losing merge points.  The settled merge points are scanned in
+   ascending id with [select]'s comparisons (the epsilon tie-break is not
+   transitive, so the order matters): over them it picks what [select]
+   picks over their candidate list.  Returns the best merge point inside
+   [bound], [-1] when there is none. *)
+let select_on result alive t nr ~bound =
+  let merges =
+    Dijkstra.settled_by_id (fun m -> m <> nr && Tree.is_on_tree t m && alive m) result
+  in
   let best = ref (-1) and best_delay = ref infinity and best_shr = ref max_int in
+  for i = 0 to Array.length merges - 1 do
+    let merge = merges.(i) in
+    let total = Dijkstra.unsafe_distance result merge +. Tree.delay_to_source t merge in
+    if total <= bound then begin
+      let shr = Tree.shr t merge in
+      let is_better =
+        !best < 0 || shr < !best_shr
+        || (shr = !best_shr && total < !best_delay -. bound_epsilon)
+        || (shr = !best_shr && abs_float (total -. !best_delay) <= bound_epsilon && merge < !best)
+      in
+      if is_better then begin
+        best := merge;
+        best_delay := total;
+        best_shr := shr
+      end
+    end
+  done;
+  !best
+
+(* [select]'s fallback read off a full search: the reachable merge point
+   of lowest total delay, the lowest id among exact ties; [-1] when the
+   tree is out of reach. *)
+let lowest_delay result alive t nr =
+  let n = Smrp_graph.Graph.node_count (Tree.graph t) in
   let fallback = ref (-1) and fallback_delay = ref infinity in
   for merge = 0 to n - 1 do
-    if merge <> nr && Tree.is_on_tree t merge && alive merge && final result merge then begin
+    if merge <> nr && Tree.is_on_tree t merge && alive merge && Dijkstra.reachable result merge
+    then begin
       let total = Dijkstra.unsafe_distance result merge +. Tree.delay_to_source t merge in
       if !fallback < 0 || total < !fallback_delay then begin
         fallback := merge;
         fallback_delay := total
-      end;
-      if total <= bound then begin
-        let shr = Tree.shr t merge in
-        let is_better =
-          !best < 0 || shr < !best_shr
-          || (shr = !best_shr && total < !best_delay -. bound_epsilon)
-          || (shr = !best_shr && abs_float (total -. !best_delay) <= bound_epsilon && merge < !best)
-        in
-        if is_better then begin
-          best := merge;
-          best_delay := total;
-          best_shr := shr
-        end
       end
     end
   done;
-  (!best, !fallback)
+  !fallback
 
-(* Bounded first.  A merge point that meets the bound has [total <= bound]
-   and a non-negative tree delay, so its attach distance is [<= bound] too
-   (rounded addition is monotone): the search truncated at [bound] settles
-   it with the full search's distance and path, since up to the bound both
-   pop and relax identically.  So the settled merge points inside the
-   bound are exactly the full search's, and when there is one, the full
-   search's winner is the same.  Only when there is none does the full
-   search run, for the lowest-delay fallback.  (A reached but unsettled
-   node reads a tentative distance above the bound; it is left out rather
-   than trusted.) *)
-let attach_path ?(d_thresh = default_d_thresh) ?filters ?ws t nr ~spf_dist =
+(* Bounded first.  A merge point [m] that meets the bound has
+   [d(m) + tree delay <= bound], and its tree delay is at least
+   [spf.(m)], the shortest delay from [m] to the source (the tree path is
+   one path of the graph [spf] was computed on).  So [d(m) + spf.(m)] is
+   within the bound, and the search pruned by [spf] settles [m] with the
+   full search's distance and path (see [Dijkstra.run]).  The settled
+   merge points inside the bound are then exactly the full search's, and
+   when there is one, the full search's winner is the same.  Only when
+   there is none does the full search run, for the lowest-delay
+   fallback. *)
+let attach_path ?(d_thresh = default_d_thresh) ?filters ?ws t nr ~spf =
   if not (d_thresh >= 0.0) then invalid_arg "Smrp.attach_path: d_thresh must be non-negative";
   if Tree.is_on_tree t nr then ([ nr ], [])
   else begin
-    let bound = ((1.0 +. d_thresh) *. spf_dist) +. bound_epsilon in
-    let result, alive = candidate_search ?filters ~dist_bound:bound ?ws t ~joiner:nr in
+    let bound = ((1.0 +. d_thresh) *. spf.(nr)) +. bound_epsilon in
+    let result, alive = candidate_search ?filters ~bound:(bound, spf) ?ws t ~joiner:nr in
     let result, winner =
-      match select_on result alive t nr ~bound ~final:Dijkstra.settled with
-      | best, _ when best >= 0 -> (result, best)
+      match select_on result alive t nr ~bound with
+      | best when best >= 0 -> (result, best)
       | _ ->
           let result, alive = candidate_search ?filters ?ws t ~joiner:nr in
-          let best, fallback = select_on result alive t nr ~bound ~final:Dijkstra.reachable in
-          (result, if best >= 0 then best else fallback)
+          (result, lowest_delay result alive t nr)
     in
     if winner < 0 then invalid_arg "Smrp.attach_path: no connection to the tree";
     (* Dijkstra paths run joiner → merge; grafting wants them merge → joiner. *)
@@ -142,19 +162,17 @@ let attach_path ?(d_thresh = default_d_thresh) ?filters ?ws t nr ~spf_dist =
       List.rev (Option.get (Dijkstra.path_edges result winner)) )
   end
 
-let join ?d_thresh ?filters ?ws ?spf_dist t nr =
+let join ?d_thresh ?filters ?ws ?spf t nr =
   if Tree.is_member t nr then invalid_arg "Smrp.join: already a member";
   if Tree.is_on_tree t nr then Tree.add_member t nr
   else begin
-    (* [spf_dist] lets a caller that already maintains the source-rooted
-       SPF (a session's incremental Dspf) skip the per-join distance
-       search. *)
-    match (match spf_dist with Some _ as d -> d | None -> spf_search ?filters ?ws t nr) with
-    | None -> invalid_arg "Smrp.join: source unreachable"
-    | Some spf_dist ->
-        let nodes, edges = attach_path ?d_thresh ?filters ?ws t nr ~spf_dist in
-        Tree.graft t ~nodes ~edges;
-        Tree.add_member t nr
+    (* [spf] lets a caller that already maintains the source-rooted SPF (a
+       session's incremental Dspf) skip the per-join distance search. *)
+    let spf = match spf with Some spf -> spf | None -> source_spf ?filters ?ws t in
+    if spf.(nr) = infinity then invalid_arg "Smrp.join: source unreachable";
+    let nodes, edges = attach_path ?d_thresh ?filters ?ws t nr ~spf in
+    Tree.graft t ~nodes ~edges;
+    Tree.add_member t nr
   end
 
 let build ?d_thresh ?ws g ~source ~members =
@@ -164,11 +182,9 @@ let build ?d_thresh ?ws g ~source ~members =
     | None -> Dijkstra.workspace ~capacity:(Smrp_graph.Graph.node_count g) ()
   in
   let t = Tree.create g ~source in
-  (* One source-rooted search supplies every member's unicast SPF distance
-     up front (the graph is undirected and never mutates), replacing the
-     per-join distance search.  Distances are extracted before the first
-     join because the joins' searches reuse — and so invalidate — [ws]. *)
-  let from_source = Dijkstra.run ~workspace:ws g ~source in
-  let spf_dists = List.map (fun m -> Dijkstra.distance from_source m) members in
-  List.iter2 (fun nr spf_dist -> join ?d_thresh ~ws ?spf_dist t nr) members spf_dists;
+  (* One source-rooted search supplies every join's D_SPF and lower bounds
+     (the graph is undirected and never mutates), replacing the per-join
+     distance search. *)
+  let spf = source_spf ~ws t in
+  List.iter (fun nr -> join ?d_thresh ~ws ~spf t nr) members;
   t

@@ -31,6 +31,13 @@ val spf_distance :
 (** Unicast shortest-path delay from a node to the source, over the
     surviving network when [failure] is given. *)
 
+val source_spf :
+  ?filters:Failure.filters -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> float array
+(** Every node's unicast delay to the tree's source, over the surviving
+    network when [filters] is given, [infinity] where there is none: one
+    source-rooted search, the [spf] array {!attach_path},
+    {!Reshape.try_reshape} and {!Reshape.stabilize} read. *)
+
 val select : ?d_thresh:float -> spf_distance:float -> candidate list -> candidate option
 (** Apply the Path Selection Criterion to a list of candidates gathered
     elsewhere (the §3.3.1 query scheme's answers); [None] when the list is
@@ -44,19 +51,27 @@ val attach_path :
   ?ws:Smrp_graph.Dijkstra.workspace ->
   Tree.t ->
   int ->
-  spf_dist:float ->
+  spf:float array ->
   int list * int list
-(** The full-knowledge join decision (§3.2.2) for a node whose unicast SPF
-    distance is [spf_dist]: the path [(nodes, edges)] to graft, merge node
-    first and the joiner last, as {!Spf.attach_path} returns it.  An
-    on-tree joiner gets [([nr], [])].  The tree is not touched.
+(** The full-knowledge join decision (§3.2.2): the path [(nodes, edges)] to
+    graft, merge node first and the joiner last, as {!Spf.attach_path}
+    returns it.  An on-tree joiner gets [([nr], [])].  The tree is not
+    touched.
 
-    The candidate search first stops at the delay bound
-    [(1 + d_thresh) * D_SPF]: every merge point that meets the bound lies
-    within it, and gets the full search's distance and path.  Only when no
-    merge point meets the bound does a full search run, to find the
-    lowest-delay fallback.  Over the merge points the search finds, the
-    choice is the one {!select} makes over their candidate list.
+    [spf] holds every node's unicast SPF delay to the source ([infinity]
+    where unreachable), over a graph that contains every link the search
+    may use and every tree path: the surviving network when no tree path
+    crosses a failed component, as in a {!Session}, or else the
+    failure-free one.  The joiner's own entry is its D_SPF.
+
+    The candidate search is goal-directed: it never goes where the delay
+    so far plus the node's [spf] entry exceeds the bound
+    [(1 + d_thresh) * D_SPF], since no connection through such a node can
+    meet the bound.  Every merge point that meets the bound still gets the
+    full search's distance and path.  Only when no merge point meets the
+    bound does a full search run, to find the lowest-delay fallback.  Over
+    the merge points the search finds, the choice is the one {!select}
+    makes over their candidate list.
 
     [filters] removes failed components (joins arriving while failures are
     active): a failure compiled by {!Failure.filters}, or a session's
@@ -67,7 +82,7 @@ val join :
   ?d_thresh:float ->
   ?filters:Failure.filters ->
   ?ws:Smrp_graph.Dijkstra.workspace ->
-  ?spf_dist:float ->
+  ?spf:float array ->
   Tree.t ->
   int ->
   unit
@@ -75,13 +90,15 @@ val join :
     the joiner.  A joiner that is already on-tree (a relay) subscribes in
     place and keeps its existing path — a zero-cost join that may exceed
     the delay bound; a later reshaping pass can move it.  Raises
-    [Invalid_argument] if the node is already a member or no connection to
-    the tree exists.  [filters] is {!attach_path}'s.
+    [Invalid_argument] if the node is already a member, the source is out
+    of its reach, or no connection to the tree exists.  [filters] is
+    {!attach_path}'s.
 
-    [spf_dist] supplies the joiner's unicast SPF distance when the caller
-    already maintains it (every {!Session} keeps the source-rooted tree
-    incrementally via {!Smrp_graph.Dspf}), skipping the per-join distance
-    search. *)
+    [spf] is {!attach_path}'s, when the caller already maintains it (every
+    {!Session} keeps the source-rooted tree incrementally via
+    {!Smrp_graph.Dspf}).  Without it the join runs one source-rooted
+    search over the surviving network, so the tree must then not cross a
+    failed component. *)
 
 val build :
   ?d_thresh:float ->

@@ -410,10 +410,31 @@ let split_token t =
   | None -> (t, None)
   | Some i -> (String.sub t 0 i, Some (String.sub t (i + 1) (String.length t - i - 1)))
 
+(* Numbers are written in decimal.  OCaml's own literal syntax would also
+   read [0x10], [0b11], [+5], [1_000] and [0x1p4], and a cell written so
+   would mean the same value as the plain one under another label, and so
+   another seed. *)
+let is_digit c = c >= '0' && c <= '9'
+
+let decimal_int s = if s <> "" && String.for_all is_digit s then int_of_string_opt s else None
+
+(* Digits, a point and an exponent whose sign follows its [e]: none of
+   OCaml's other literal forms gets past this, and [float_of_string] then
+   checks the structure. *)
+let decimal_float s =
+  let exponent_sign i = i > 0 && (s.[i - 1] = 'e' || s.[i - 1] = 'E') in
+  let decimal = ref (s <> "") in
+  String.iteri
+    (fun i c ->
+      if not (is_digit c || c = '.' || c = 'e' || c = 'E' || ((c = '+' || c = '-') && exponent_sign i))
+      then decimal := false)
+    s;
+  if !decimal then float_of_string_opt s else None
+
 let int_param ~what ~default = function
   | None -> default
   | Some s -> (
-      match int_of_string_opt s with
+      match decimal_int s with
       | Some v when v > 0 -> v
       | _ -> failwith (Printf.sprintf "%s: expected a positive integer, got %S" what s))
 
@@ -435,7 +456,7 @@ let no_param ~what param v =
 let float_param ~what ~default = function
   | None -> default
   | Some s -> (
-      match float_of_string_opt s with
+      match decimal_float s with
       | Some v when v > 0.0 && Float.is_finite v -> v
       | _ -> failwith (Printf.sprintf "%s: expected a positive finite number, got %S" what s))
 
@@ -557,9 +578,14 @@ let spec_of_matrix ?(base = default) s =
                 spec :=
                   { !spec with horizon = float_param ~what:axis ~default:0.0 (Some (single ~axis values)) }
             | "seed" -> (
-                match int_of_string_opt (single ~axis values) with
-                | Some v -> spec := { !spec with seed = v }
-                | None -> failwith "seed: expected an integer")
+                let v = single ~axis values in
+                let digits =
+                  if String.length v > 1 && v.[0] = '-' then String.sub v 1 (String.length v - 1)
+                  else v
+                in
+                match decimal_int digits with
+                | Some _ -> spec := { !spec with seed = int_of_string v }
+                | None -> failwith (Printf.sprintf "seed: expected a decimal integer, got %S" v))
             | _ ->
                 failwith
                   (Printf.sprintf

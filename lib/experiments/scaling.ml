@@ -5,6 +5,7 @@ module Dspf = Smrp_graph.Dspf
 module Scale = Smrp_topology.Scale
 module Transit_stub = Smrp_topology.Transit_stub
 module Tree = Smrp_core.Tree
+module Smrp = Smrp_core.Smrp
 module Protect = Smrp_core.Protect
 
 let now = Unix.gettimeofday
@@ -22,6 +23,9 @@ type row = {
       (** Mean branch-detour precompute per table entry, over a bounded
           sample of tree edges (full [prepare] = entries x this). *)
   protect_lookup_ns : float;  (** Mean per-lookup cost on the warm tables. *)
+  join_us : float;
+      (** Mean {!Smrp.join} over a fixed sample of joiners on a copy of the
+          sample tree, D_SPF and search bounds read off the Dspf. *)
 }
 
 (* Transit–stub shape scaled to ~[n] total nodes: domain count grows with
@@ -139,6 +143,27 @@ let measure_instance rng ~model g =
       (now () -. t0) *. 1e9 /. float_of_int lookups
     end
   in
+  (* The join stage: SMRP joins of a fixed sample of off-tree nodes, one
+     after another on a copy of the sample tree, each reading the Dspf's
+     distances as a session's join does. *)
+  let n = Graph.node_count g in
+  let joiners =
+    List.sort_uniq compare
+      (List.filter
+         (fun v -> (not (Tree.is_on_tree tree v)) && Dspf.reachable sp v)
+         (List.init (min 32 n) (fun _ -> Rng.int rng n)))
+  in
+  let join_tree = Tree.copy tree and ws = Dijkstra.workspace ~capacity:n () in
+  let spf = Dspf.distances sp in
+  let t0 = now () in
+  List.iter
+    (fun m -> if not (Tree.is_member join_tree m) then Smrp.join ~ws ~spf join_tree m)
+    joiners;
+  let join_us =
+    match joiners with
+    | [] -> 0.0
+    | js -> (now () -. t0) *. 1e6 /. float_of_int (List.length js)
+  in
   {
     model;
     n = Graph.node_count g;
@@ -150,6 +175,7 @@ let measure_instance rng ~model g =
     tree_edges = List.length tree_edges;
     protect_entry_ms;
     protect_lookup_ns;
+    join_us;
   }
 
 let run_one rng ~model ~n =
@@ -177,14 +203,15 @@ let run ?(ns = [ 10_000; 100_000 ]) ~seed () =
 let render rows =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    "scaling sweep: generation + incremental SPF + protection tables\n";
-  Printf.bprintf buf "%-14s %9s %9s %7s %9s %10s %12s %10s %12s %12s\n" "model" "nodes" "edges"
-    "degree" "gen(s)" "dspf(s)" "repair(us)" "tree-edges" "entry(ms)" "lookup(ns)";
+    "scaling sweep: generation + incremental SPF + protection tables + SMRP joins\n";
+  Printf.bprintf buf "%-14s %9s %9s %7s %9s %10s %12s %10s %12s %12s %10s\n" "model" "nodes"
+    "edges" "degree" "gen(s)" "dspf(s)" "repair(us)" "tree-edges" "entry(ms)" "lookup(ns)"
+    "join(us)";
   List.iter
     (fun r ->
-      Printf.bprintf buf "%-14s %9d %9d %7.2f %9.2f %10.3f %12.1f %10d %12.2f %12.1f\n" r.model
-        r.n r.edges r.avg_degree r.gen_s r.spf_build_s r.spf_repair_us r.tree_edges
-        r.protect_entry_ms r.protect_lookup_ns)
+      Printf.bprintf buf "%-14s %9d %9d %7.2f %9.2f %10.3f %12.1f %10d %12.2f %12.1f %10.1f\n"
+        r.model r.n r.edges r.avg_degree r.gen_s r.spf_build_s r.spf_repair_us r.tree_edges
+        r.protect_entry_ms r.protect_lookup_ns r.join_us)
     rows;
   Buffer.contents buf
 
@@ -196,9 +223,9 @@ let to_json rows =
       Printf.bprintf buf
         "    {\"model\": %S, \"n\": %d, \"edges\": %d, \"avg_degree\": %.3f, \"gen_s\": %.4f, \
          \"spf_build_s\": %.4f, \"spf_repair_us\": %.2f, \"tree_edges\": %d, \
-         \"protect_entry_ms\": %.3f, \"protect_lookup_ns\": %.1f}%s\n"
+         \"protect_entry_ms\": %.3f, \"protect_lookup_ns\": %.1f, \"join_us\": %.1f}%s\n"
         r.model r.n r.edges r.avg_degree r.gen_s r.spf_build_s r.spf_repair_us r.tree_edges
-        r.protect_entry_ms r.protect_lookup_ns
+        r.protect_entry_ms r.protect_lookup_ns r.join_us
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Buffer.add_string buf "  ]\n}\n";

@@ -1,5 +1,6 @@
-(** Large-n scaling sweep: how generation, the incremental SPF and the
-    protection tables behave as the topology grows to 10⁵–10⁶ nodes.
+(** Large-n scaling sweep: how generation, the incremental SPF, the
+    protection tables and SMRP joins behave as the topology grows to
+    10⁵–10⁶ nodes.
 
     Each row draws one topology with {!Smrp_topology.Scale} (degree held at
     ~8 via {!Smrp_topology.Scale.degree_params}), then measures on it:
@@ -13,7 +14,11 @@
       table entry (one nearest-target search), over a bounded sample of the
       sample tree's edges; a full [Protect.prepare] costs entries x this,
       while a session computes only the entries its first failure reads;
-    - [protect_lookup_ns]: the O(1) table read answering a recovery query.
+    - [protect_lookup_ns]: the O(1) table read answering a recovery query;
+    - [join_us]: mean {!Smrp_core.Smrp.join} (d_thresh 0.3) over a fixed
+      sample of up to 32 off-tree joiners, joined one after another on a
+      copy of the sample tree with the Dspf's distances as D_SPF and
+      search bounds, as a session's join reads them.
 
     The member and entry samples are deliberately small: table precompute
     is per tree edge, and the sweep bounds wall-clock so CI can run it;
@@ -31,6 +36,7 @@ type row = {
   tree_edges : int;
   protect_entry_ms : float;
   protect_lookup_ns : float;
+  join_us : float;
 }
 
 val run : ?ns:int list -> seed:int -> unit -> row list

@@ -14,6 +14,8 @@ type workspace = {
   mutable parent_edge : int array;
   mutable visited : int array; (* epoch stamp: dist/parent valid this run *)
   mutable settled : int array; (* epoch stamp: node popped and relaxed *)
+  mutable order : int array; (* a bounded run's settled nodes, in settle order *)
+  mutable order_len : int; (* entries of [order] the last run wrote; -1 after an unbounded run *)
   mutable epoch : int;
   heap : Int_heap.t;
   mutable flight : Smrp_obs.Flight.recorder;
@@ -27,6 +29,8 @@ let workspace ?(capacity = 0) () =
     parent_edge = Array.make capacity (-1);
     visited = Array.make capacity 0;
     settled = Array.make capacity 0;
+    order = Array.make capacity 0;
+    order_len = -1;
     epoch = 0;
     heap = Int_heap.create ~capacity:(max 16 capacity) ();
     flight = Smrp_obs.Flight.null;
@@ -50,7 +54,8 @@ let reserve ws n =
     ws.parent <- grow_i (-1) ws.parent;
     ws.parent_edge <- grow_i (-1) ws.parent_edge;
     ws.visited <- grow_i 0 ws.visited;
-    ws.settled <- grow_i 0 ws.settled
+    ws.settled <- grow_i 0 ws.settled;
+    ws.order <- grow_i 0 ws.order
   end
 
 type result = {
@@ -68,12 +73,20 @@ let check_fresh r =
   if r.epoch <> r.ws.epoch then
     invalid_arg "Dijkstra: result invalidated by a later run on the same workspace"
 
-let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
-  let dist_bound = match dist_bound with Some b -> b | None -> infinity in
+(* Relative slack on a bounded run's pruning test: the lower bounds and the
+   distances are float sums along different paths, so a node inside the
+   bound may compute a few ulps outside it. *)
+let prune_slack = 1e-9
+
+let run ?node_ok ?edge_ok ?absorb ?bound ?workspace:ws g ~source =
   let n = Graph.node_count g in
   if source < 0 || source >= n then invalid_arg "Dijkstra.run: source out of range";
   (match node_ok with
   | Some ok when not (ok source) -> invalid_arg "Dijkstra.run: source is filtered out"
+  | _ -> ());
+  (match bound with
+  | Some (_, lower) when Array.length lower < n ->
+      invalid_arg "Dijkstra.run: bound array shorter than the graph"
   | _ -> ());
   let offsets, nbr, eids, delays = Graph.csr g in
   let ws = match ws with Some ws -> ws | None -> workspace ~capacity:n () in
@@ -93,6 +106,7 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
   parent_edge.(source) <- -1;
   visited.(source) <- epoch;
   Int_heap.add heap 0.0 source;
+  ws.order_len <- -1;
   (* Relax every incident edge of the settled node [u].  Indices are in
      range by CSR construction ([reserve] sized the workspace to [n], CSR
      entries point at nodes/edges of [g]).  [u]'s distance is read back
@@ -142,100 +156,36 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
       end
     done
   in
-  (match (node_ok, edge_ok, absorb) with
-  | None, None, None ->
+  (match (bound, node_ok, edge_ok, absorb) with
+  | None, None, None, None ->
       (* Unfiltered fast path: no closure calls per edge. *)
       while not (Int_heap.is_empty heap) do
         let u = Int_heap.top heap in
         Int_heap.drop heap;
         if Array.unsafe_get settled u <> epoch then begin
-          (* Pops come in nondecreasing distance order: once one exceeds
-             [dist_bound], no unsettled node can be within it. *)
-          if Array.unsafe_get dist u > dist_bound then Int_heap.clear heap
-          else begin
-            Array.unsafe_set settled u epoch;
-            relax u
-          end
+          Array.unsafe_set settled u epoch;
+          relax u
         end
       done
-  | None, None, Some absorb ->
-      (* Absorb-only path (SMRP candidate searches): one absorb check per
-         settled node, still no per-edge filter calls. *)
+  | None, None, None, Some absorb ->
+      (* Absorb-only path: one absorb check per settled node, still no
+         per-edge filter calls. *)
       while not (Int_heap.is_empty heap) do
         let u = Int_heap.top heap in
         Int_heap.drop heap;
         if Array.unsafe_get settled u <> epoch then begin
-          if Array.unsafe_get dist u > dist_bound then Int_heap.clear heap
-          else begin
-            Array.unsafe_set settled u epoch;
-            if u = source || not (absorb u) then relax u
-          end
+          Array.unsafe_set settled u epoch;
+          if u = source || not (absorb u) then relax u
         end
       done
-  | Some node_ok, None, Some absorb ->
-      (* Node-filtered absorbing search with no edge filter — the reshape
-         candidate evaluation.  One [node_ok] call per edge target; heap
-         pushes stay inlined as in [relax] so no float is boxed. *)
-      let relax_ok u =
-        let d = Array.unsafe_get dist u in
-        let stop = Array.unsafe_get offsets (u + 1) in
-        for i = Array.unsafe_get offsets u to stop - 1 do
-          let v = Array.unsafe_get nbr i in
-          if Array.unsafe_get settled v <> epoch && node_ok v then begin
-            let d' = d +. Array.unsafe_get delays i in
-            if Array.unsafe_get visited v <> epoch || d' < Array.unsafe_get dist v then begin
-              Array.unsafe_set dist v d';
-              Array.unsafe_set parent v u;
-              Array.unsafe_set parent_edge v (Array.unsafe_get eids i);
-              Array.unsafe_set visited v epoch;
-              Int_heap.grow heap;
-              let pa = heap.Int_heap.prio
-              and sa = heap.Int_heap.seq
-              and va = heap.Int_heap.value in
-              let seq = heap.Int_heap.next_seq in
-              heap.Int_heap.next_seq <- seq + 1;
-              let j = ref heap.Int_heap.size in
-              heap.Int_heap.size <- !j + 1;
-              let continue = ref (!j > 0) in
-              while !continue do
-                let p = (!j - 1) / 2 in
-                let pp = Array.unsafe_get pa p in
-                if d' < pp || (d' = pp && seq < Array.unsafe_get sa p) then begin
-                  Array.unsafe_set pa !j pp;
-                  Array.unsafe_set sa !j (Array.unsafe_get sa p);
-                  Array.unsafe_set va !j (Array.unsafe_get va p);
-                  j := p;
-                  continue := p > 0
-                end
-                else continue := false
-              done;
-              Array.unsafe_set pa !j d';
-              Array.unsafe_set sa !j seq;
-              Array.unsafe_set va !j v
-            end
-          end
-        done
-      in
-      while not (Int_heap.is_empty heap) do
-        let u = Int_heap.top heap in
-        Int_heap.drop heap;
-        if Array.unsafe_get settled u <> epoch then begin
-          if Array.unsafe_get dist u > dist_bound then Int_heap.clear heap
-          else begin
-            Array.unsafe_set settled u epoch;
-            if u = source || not (absorb u) then relax_ok u
-          end
-        end
-      done
-  | _ ->
+  | None, _, _, _ ->
       let node_ok = match node_ok with Some f -> f | None -> always in
       let edge_ok = match edge_ok with Some f -> f | None -> always in
       let absorb = match absorb with Some f -> f | None -> never in
       while not (Int_heap.is_empty heap) do
         let u = Int_heap.top heap in
         Int_heap.drop heap;
-        if settled.(u) <> epoch && dist.(u) > dist_bound then Int_heap.clear heap
-        else if settled.(u) <> epoch then begin
+        if settled.(u) <> epoch then begin
           settled.(u) <- epoch;
           (* An absorbing node terminates the search along its branch: it
              can be a shortest-path target but contributes no further
@@ -258,7 +208,115 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
             done
           end
         end
-      done);
+      done
+  | Some (limit, lower), _, _, _ ->
+      (* The goal-directed search: [relax]'s loops with one more test per
+         push, and a record of every settled node.  A push whose distance
+         plus [lower] leaves the bound is dropped; by the triangle
+         inequality on [lower] every node on a shortest path to an
+         in-bound node, and every tight predecessor, passes the test, so
+         the kept entries keep their relative (distance, insertion) order
+         and the in-bound nodes settle exactly as without the test. *)
+      let limit = limit +. (prune_slack *. (1.0 +. abs_float limit)) in
+      let order = ws.order in
+      let settled_n = ref 0 in
+      let absorb = match absorb with Some f -> f | None -> never in
+      (* Offer [v] the distance through CSR slot [i] of the settled [u]:
+         [relax]'s update and inlined sift, behind the bound test.  Only
+         ints cross the call. *)
+      let reach u i v =
+        let d' = Array.unsafe_get dist u +. Array.unsafe_get delays i in
+        if
+          (Array.unsafe_get visited v <> epoch || d' < Array.unsafe_get dist v)
+          && d' +. Array.unsafe_get lower v <= limit
+        then begin
+          Array.unsafe_set dist v d';
+          Array.unsafe_set parent v u;
+          Array.unsafe_set parent_edge v (Array.unsafe_get eids i);
+          Array.unsafe_set visited v epoch;
+          Int_heap.grow heap;
+          let pa = heap.Int_heap.prio
+          and sa = heap.Int_heap.seq
+          and va = heap.Int_heap.value in
+          let seq = heap.Int_heap.next_seq in
+          heap.Int_heap.next_seq <- seq + 1;
+          let j = ref heap.Int_heap.size in
+          heap.Int_heap.size <- !j + 1;
+          let continue = ref (!j > 0) in
+          while !continue do
+            let p = (!j - 1) / 2 in
+            let pp = Array.unsafe_get pa p in
+            if d' < pp || (d' = pp && seq < Array.unsafe_get sa p) then begin
+              Array.unsafe_set pa !j pp;
+              Array.unsafe_set sa !j (Array.unsafe_get sa p);
+              Array.unsafe_set va !j (Array.unsafe_get va p);
+              j := p;
+              continue := p > 0
+            end
+            else continue := false
+          done;
+          Array.unsafe_set pa !j d';
+          Array.unsafe_set sa !j seq;
+          Array.unsafe_set va !j v
+        end
+      in
+      (* Each loop below pops, records and settles as [relax]'s loops do;
+         they differ only in the filters a relaxation asks. *)
+      (match (node_ok, edge_ok) with
+      | None, None ->
+          (* SMRP join searches with no failure active. *)
+          while not (Int_heap.is_empty heap) do
+            let u = Int_heap.top heap in
+            Int_heap.drop heap;
+            if Array.unsafe_get settled u <> epoch then begin
+              Array.unsafe_set settled u epoch;
+              Array.unsafe_set order !settled_n u;
+              incr settled_n;
+              if u = source || not (absorb u) then
+                for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+                  let v = Array.unsafe_get nbr i in
+                  if Array.unsafe_get settled v <> epoch then reach u i v
+                done
+            end
+          done
+      | Some node_ok, None ->
+          (* Reshape evaluations with no failure active. *)
+          while not (Int_heap.is_empty heap) do
+            let u = Int_heap.top heap in
+            Int_heap.drop heap;
+            if Array.unsafe_get settled u <> epoch then begin
+              Array.unsafe_set settled u epoch;
+              Array.unsafe_set order !settled_n u;
+              incr settled_n;
+              if u = source || not (absorb u) then
+                for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+                  let v = Array.unsafe_get nbr i in
+                  if Array.unsafe_get settled v <> epoch && node_ok v then reach u i v
+                done
+            end
+          done
+      | _ ->
+          let node_ok = match node_ok with Some f -> f | None -> always in
+          let edge_ok = match edge_ok with Some f -> f | None -> always in
+          while not (Int_heap.is_empty heap) do
+            let u = Int_heap.top heap in
+            Int_heap.drop heap;
+            if Array.unsafe_get settled u <> epoch then begin
+              Array.unsafe_set settled u epoch;
+              Array.unsafe_set order !settled_n u;
+              incr settled_n;
+              if u = source || not (absorb u) then
+                for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+                  let v = Array.unsafe_get nbr i in
+                  if
+                    Array.unsafe_get settled v <> epoch
+                    && node_ok v
+                    && edge_ok (Array.unsafe_get eids i)
+                  then reach u i v
+                done
+            end
+          done);
+      ws.order_len <- !settled_n);
   Smrp_obs.Flight.span ws.flight ~code:Smrp_obs.Flight.span_dijkstra ~start
     ~b:(Smrp_obs.Flight.pack source n);
   { graph = g; src = source; ws; epoch }
@@ -308,6 +366,8 @@ let run_reference ?(node_ok = always) ?(edge_ok = always) ?(absorb = never) g ~s
       parent_edge;
       visited;
       settled = Array.map (fun s -> if s then 1 else 0) settled;
+      order = [||];
+      order_len = -1;
       epoch = 1;
       heap = Int_heap.create ~capacity:1 ();
       flight = Smrp_obs.Flight.null;
@@ -323,9 +383,27 @@ let reachable r v =
   check_fresh r;
   r.ws.visited.(v) = r.epoch
 
-let settled r v =
+let settled_by_id keep r =
   check_fresh r;
-  r.ws.settled.(v) = r.epoch
+  let ws = r.ws in
+  if ws.order_len < 0 then invalid_arg "Dijkstra.settled_by_id: not a bounded run";
+  let found = ref [] in
+  for i = 0 to ws.order_len - 1 do
+    let v = Array.unsafe_get ws.order i in
+    if keep v then found := v :: !found
+  done;
+  let ids = Array.of_list !found in
+  Array.sort (fun (a : int) b -> compare a b) ids;
+  ids
+
+let distances r =
+  check_fresh r;
+  let ws = r.ws in
+  let d = Array.make (Graph.node_count r.graph) infinity in
+  for v = 0 to Array.length d - 1 do
+    if ws.visited.(v) = r.epoch then d.(v) <- ws.dist.(v)
+  done;
+  d
 
 let unsafe_distance r v = Array.unsafe_get r.ws.dist v
 

@@ -38,7 +38,7 @@ val run :
   ?node_ok:(int -> bool) ->
   ?edge_ok:(int -> bool) ->
   ?absorb:(int -> bool) ->
-  ?dist_bound:float ->
+  ?bound:float * float array ->
   ?workspace:workspace ->
   Graph.t ->
   source:int ->
@@ -48,12 +48,22 @@ val run :
     [Invalid_argument] on a stale result.  Without it, a private workspace is
     allocated and the result stays valid indefinitely.
 
-    [dist_bound] truncates the search: settling stops at the first node
-    whose distance exceeds the bound.  Every node whose true distance is
-    [<= dist_bound] is still settled with its exact distance and path;
-    beyond the bound a node may read as unreachable or report a tentative
-    (over-estimated) distance, so callers must ignore results past the
-    bound. *)
+    [bound = (limit, lower)] makes the search goal-directed.  [lower.(v)]
+    bounds from below what remains from [v] to the search's goal; it must
+    be the shortest-path distances from one root (the goal, [infinity]
+    where unreachable) over an undirected graph that contains every edge
+    this search may relax.  The search never pushes a node whose tentative
+    distance plus [lower.(v)] exceeds [limit] (up to a relative rounding
+    slack of 1e-9).  Every node [v] whose distance [d] satisfies
+    [d +. lower.(v) <= limit] is still settled, with the distance and
+    parent the search without [bound] gives it: a node on a shortest path
+    to it, and every tight predecessor, passes the test by the triangle
+    inequality, and dropping the other pushes keeps the order in which the
+    kept entries pop.  Beyond the bound a node may read as unreachable or
+    with a longer distance, so callers must ignore results there.  Such a
+    run records the nodes it settles, for {!settled_by_id}; the loops
+    without [bound] record nothing.  Raises [Invalid_argument] when
+    [lower] is shorter than the node count. *)
 
 type nearest = {
   target : int;
@@ -98,10 +108,15 @@ val distance : result -> int -> float option
 
 val reachable : result -> int -> bool
 
-val settled : result -> int -> bool
-(** Whether the search popped the node, which fixes its distance and path.
-    After a [dist_bound] run, a node that is reachable but not settled has
-    only a tentative distance above the bound. *)
+val settled_by_id : (int -> bool) -> result -> int array
+(** [settled_by_id keep r] is the nodes a [~bound] run settled that satisfy
+    [keep], in ascending id order; [keep] must not run a search on the
+    same workspace.  Raises [Invalid_argument] on a run without
+    [bound]. *)
+
+val distances : result -> float array
+(** A fresh array of every node's distance, [infinity] where unreachable:
+    the [lower] array of a bounded run rooted at this run's source. *)
 
 val unsafe_distance : result -> int -> float
 (** The raw distance cell of a node, with no freshness or reachability

@@ -193,6 +193,8 @@ let distance t v =
   check_node t v "distance";
   if t.dist.(v) = infinity then None else Some t.dist.(v)
 
+let distances t = t.dist
+
 let reachable t v =
   check_node t v "reachable";
   t.dist.(v) < infinity

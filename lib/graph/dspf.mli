@@ -52,6 +52,11 @@ val restore_node : t -> int -> unit
 val distance : t -> int -> float option
 (** [None] when unreachable (or dead) under the current overlay. *)
 
+val distances : t -> float array
+(** Every node's distance, [infinity] when unreachable or dead: the
+    structure's own array, borrowed.  It changes with the next mutation,
+    and callers must not write it. *)
+
 val reachable : t -> int -> bool
 
 val parent : t -> int -> int

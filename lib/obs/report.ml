@@ -156,15 +156,28 @@ let get name j =
   | Some v -> v
   | None -> fail "Report.of_json: missing member %S" name
 
+(* Numbers are finite: [Json.parse] reads an overflowing literal such as
+   [1e999] as an infinity, which [to_string] could not write back. *)
 let num name j =
   match Json.to_num (get name j) with
-  | Some f -> f
-  | None -> fail "Report.of_json: member %S is not a number" name
+  | Some f when Float.is_finite f -> f
+  | _ -> fail "Report.of_json: member %S is not a finite number" name
+
+(* An integral number an [int] holds: [int_of_float] of anything larger is
+   unspecified (it read [1e300] as 0). *)
+let to_int f = if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then Some (int_of_float f) else None
 
 let int_mem name j =
-  let f = num name j in
-  if Float.is_integer f then int_of_float f
-  else fail "Report.of_json: member %S is not an integer" name
+  match to_int (num name j) with
+  | Some n -> n
+  | None -> fail "Report.of_json: member %S is not an integer" name
+
+(* An object member's own members: any other value is ill-typed, never an
+   empty object. *)
+let obj name j =
+  match get name j with
+  | Json.Obj members -> members
+  | _ -> fail "Report.of_json: member %S is not an object" name
 
 let str name j =
   match Json.to_str (get name j) with
@@ -177,7 +190,7 @@ let str_assoc name j =
       match Json.to_str v with
       | Some s -> (k, s)
       | None -> fail "Report.of_json: %S entry %S is not a string" name k)
-    (Json.obj_members (get name j))
+    (obj name j)
 
 let dist_of_json j =
   {
@@ -204,14 +217,18 @@ let series_of_json j =
     | Json.List l ->
         List.map
           (function
-            | Json.List [ Json.Num t; Json.Num v ] -> (t, v)
-            | _ -> fail "Report.of_json: series point is not a [t, v] pair")
+            | Json.List [ Json.Num t; Json.Num v ] when Float.is_finite t && Float.is_finite v ->
+                (t, v)
+            | _ -> fail "Report.of_json: series point is not a finite [t, v] pair")
           l
     | _ -> fail "Report.of_json: member \"points\" is not a list"
   in
-  (* [dropped] is absent from pre-v4 reports; default 0. *)
-  let dropped = match Json.member "dropped" j with Some _ -> int_mem "dropped" j | None -> 0 in
-  { Series.v_kind = kind; v_interval = num "interval" j; v_points = points; v_dropped = dropped }
+  {
+    Series.v_kind = kind;
+    v_interval = num "interval" j;
+    v_points = points;
+    v_dropped = int_mem "dropped" j;
+  }
 
 let variant_of_json j =
   {
@@ -220,19 +237,19 @@ let variant_of_json j =
     v_counts =
       List.map
         (fun (k, v) ->
-          match Json.to_num v with
-          | Some f when Float.is_integer f -> (k, int_of_float f)
-          | _ -> fail "Report.of_json: count %S is not an integer" k)
-        (Json.obj_members (get "counts" j));
+          match Option.bind (Json.to_num v) to_int with
+          | Some n -> (k, n)
+          | None -> fail "Report.of_json: count %S is not an integer" k)
+        (obj "counts" j);
     v_values =
       List.map
         (fun (k, v) ->
           match Json.to_num v with
-          | Some f -> (k, f)
-          | None -> fail "Report.of_json: value %S is not a number" k)
-        (Json.obj_members (get "values" j));
-    v_dists = List.map (fun (k, v) -> (k, dist_of_json v)) (Json.obj_members (get "dists" j));
-    v_series = List.map (fun (k, v) -> (k, series_of_json v)) (Json.obj_members (get "series" j));
+          | Some f when Float.is_finite f -> (k, f)
+          | _ -> fail "Report.of_json: value %S is not a finite number" k)
+        (obj "values" j);
+    v_dists = List.map (fun (k, v) -> (k, dist_of_json v)) (obj "dists" j);
+    v_series = List.map (fun (k, v) -> (k, series_of_json v)) (obj "series" j);
   }
 
 let of_json j =

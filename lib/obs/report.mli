@@ -71,8 +71,12 @@ val to_string : ?minify:bool -> t -> string
 
 val of_string : string -> t
 (** Inverse of {!to_string}.  Raises [Json.Parse_error] on malformed JSON,
-    [Invalid_argument] on a missing or ill-typed member or an unsupported
-    [schema_version]. *)
+    [Invalid_argument] on a missing or ill-typed member (an object member
+    that is not an object, a number that is not finite, a count or
+    integer member that is not an integer an [int] holds) or an
+    unsupported [schema_version].  Every member is read; none takes a
+    default.  A report it returns writes back ({!to_string}) to JSON that
+    parses to the value it was read from. *)
 
 (** {2 Renderers} *)
 

@@ -5,8 +5,8 @@
    The 64-bit state lives unboxed in 8 bytes: an [int64] record field would
    box a fresh state on every draw.  [next] and [mix64] are inlined into
    every draw in this unit, so the state update and the mixing stay in
-   registers and [int] allocates nothing; [float] and [bits64] box only the
-   value they return. *)
+   registers and [int] and [bits53] allocate nothing; [float] and [bits64]
+   box only the value they return. *)
 
 type t = Bytes.t
 
@@ -49,6 +49,8 @@ let float t bound =
   (* 53 uniform mantissa bits. *)
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0)
+
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
 let bool t = Int64.logand (next t) 1L = 1L
 

@@ -28,6 +28,13 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val bits53 : t -> int
+(** The next draw's 53 uniform bits, in [\[0, 2{^53})]: on the same draw,
+    [float t 1.0] is [float_of_int (bits53 t) /. 0x1p53].  A caller that
+    compares the draw with a probability in its own code allocates
+    nothing, where {!float} boxes its result across the module
+    boundary. *)
+
 val bool : t -> bool
 (** Fair coin flip. *)
 

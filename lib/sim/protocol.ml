@@ -104,9 +104,10 @@ type t = {
   config : config;
   graph : Graph.t;
   source : int;
-  mutable spf : Dijkstra.result;
-      (* source-rooted over the surviving graph, recomputed when a failure
-         is injected: every join's D_SPF *)
+  mutable spf : float array;
+      (* source-rooted distances over the surviving graph, recomputed when
+         a failure is injected: every join's D_SPF and search bounds, and
+         (before any failure) every reshape's *)
   mutable net : msg Net.t option; (* set right after creation *)
   mutable tree : Tree.t;
   mutable failure : Failure.t option;
@@ -524,15 +525,16 @@ let create ?(config = default_config) engine graph ~source =
   in
   let n = Graph.node_count graph in
   let pool0 = 16 in
+  let tree = Tree.create graph ~source in
   let t =
     {
       engine;
       config;
       graph;
       source;
-      spf = Dijkstra.run graph ~source;
+      spf = Smrp.source_spf tree;
       net = None;
-      tree = Tree.create graph ~source;
+      tree;
       failure = None;
       failure_time = nan;
       control_sent = 0;
@@ -634,24 +636,27 @@ let signal_join t ~requester ~attach_nodes =
 (* Full-knowledge path selection (§3.2.2): min-SHR for SMRP, unicast
    shortest path for the PIM baseline, both over the surviving graph. *)
 let oracle_join t m =
-  match Dijkstra.distance t.spf m with
-  | None when t.failure <> None ->
-      (* Cut off by the failure: the member stays unattached, and the
-         starvation sweep declares it disrupted with no detour to take. *)
-      ()
-  | None -> invalid_arg "Protocol.join: source unreachable"
-  | Some spf_dist ->
-      let filters = Option.map (Failure.filters t.graph) t.failure in
-      let attach_nodes, attach_edges =
-        match t.config.strategy with
-        | Local -> Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters t.tree m ~spf_dist
-        | Global -> Spf.attach_path ?filters t.tree m
-      in
-      (match (attach_nodes, attach_edges) with
-      | [ _ ], [] -> ()
-      | nodes, edges -> Tree.graft t.tree ~nodes ~edges);
-      if not (Tree.is_member t.tree m) then Tree.add_member t.tree m;
-      signal_join t ~requester:m ~attach_nodes
+  if t.spf.(m) = infinity then begin
+    (* Cut off by the failure: the member stays unattached, and the
+       starvation sweep declares it disrupted with no detour to take. *)
+    if t.failure = None then invalid_arg "Protocol.join: source unreachable"
+  end
+  else begin
+    (* The tree never crosses the failure ([inject_link_failure] cuts it
+       back to what still receives data), so the post-failure distances
+       bound the search. *)
+    let filters = Option.map (Failure.filters t.graph) t.failure in
+    let attach_nodes, attach_edges =
+      match t.config.strategy with
+      | Local -> Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters t.tree m ~spf:t.spf
+      | Global -> Spf.attach_path ?filters t.tree m
+    in
+    (match (attach_nodes, attach_edges) with
+    | [ _ ], [] -> ()
+    | nodes, edges -> Tree.graft t.tree ~nodes ~edges);
+    if not (Tree.is_member t.tree m) then Tree.add_member t.tree m;
+    signal_join t ~requester:m ~attach_nodes
+  end
 
 (* Turn a collected query response into a candidate the selection criterion
    understands. *)
@@ -696,8 +701,8 @@ let finalize_query_join t m =
     in
     let candidates = List.filter graftable (List.map (candidate_of_response t) responses) in
     let selected =
-      Option.bind (Dijkstra.distance t.spf m) (fun spf_distance ->
-          Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance candidates)
+      if t.spf.(m) = infinity then None
+      else Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance:t.spf.(m) candidates
     in
     match selected with
     | Some c ->
@@ -748,7 +753,7 @@ let reshape_node t r =
     && Tree.is_on_tree t.tree r
   then begin
     let old_parent = t.n_parent.(r) in
-    if Reshape.try_reshape ~d_thresh:t.config.d_thresh t.tree r then begin
+    if Reshape.try_reshape ~d_thresh:t.config.d_thresh ~spf:t.spf t.tree r then begin
       Flight.record t.flight
         ~tick:(Engine.tick_of_time (Engine.now t.engine))
         ~code:Flight.proto_reshape ~a:r ~b:old_parent;
@@ -908,8 +913,7 @@ let inject_link_failure t eid =
   Net.fail_link (net t) eid;
   t.failure <- Some (Failure.Link eid);
   (* Joins from now on read post-failure distances, as [Session] joins do. *)
-  let node_ok, edge_ok = Failure.filters t.graph (Failure.Link eid) in
-  t.spf <- Dijkstra.run ~node_ok ~edge_ok t.graph ~source:t.source;
+  t.spf <- Smrp.source_spf ~filters:(Failure.filters t.graph (Failure.Link eid)) t.tree;
   t.failure_time <- Engine.now t.engine;
   Flight.record t.flight ~tick:(Engine.tick_of_time t.failure_time) ~code:Flight.proto_failure
     ~a:eid ~b:0;

@@ -47,7 +47,8 @@ let repair link_delay rng g positions =
    pair's probability is positive, so that every pair draws: then the draw
    comes first, and one at or above the bound rejects the pair without
    computing its probability.  With [None] a zero-probability pair draws
-   nothing, as it always has. *)
+   nothing, as it always has.  Each draw is [Rng.float rng 1.0] built here
+   from its bits, so no float is boxed. *)
 let generate_with ?(link_delay = `Euclidean) rng ~n ~p_max ~edge_probability =
   if n <= 0 then invalid_arg "Flat_models: n must be positive";
   let positions = Array.init n (fun _ ->
@@ -61,7 +62,7 @@ let generate_with ?(link_delay = `Euclidean) rng ~n ~p_max ~edge_probability =
   | Some p_max ->
       for u = 0 to n - 1 do
         for v = u + 1 to n - 1 do
-          let r = Rng.float rng 1.0 in
+          let r = float_of_int (Rng.bits53 rng) /. 0x1p53 in
           if r < p_max && r < edge_probability positions u v then add u v
         done
       done
@@ -69,7 +70,7 @@ let generate_with ?(link_delay = `Euclidean) rng ~n ~p_max ~edge_probability =
       for u = 0 to n - 1 do
         for v = u + 1 to n - 1 do
           let p = edge_probability positions u v in
-          if p > 0.0 && Rng.float rng 1.0 < p then add u v
+          if p > 0.0 && float_of_int (Rng.bits53 rng) /. 0x1p53 < p then add u v
         done
       done);
   let repaired_edges = repair link_delay rng g positions in

@@ -220,7 +220,8 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
     if d2 <= cutoff2 then begin
       let d = sqrt d2 in
       let p = alpha *. exp (-.d /. s) in
-      if Rng.float rng 1.0 < p then begin
+      (* [Rng.float rng 1.0], built here from its bits so nothing boxes. *)
+      if float_of_int (Rng.bits53 rng) /. 0x1p53 < p then begin
         ignore (Graph.add_edge g u v (make_delay link_delay rng d));
         ignore (union parent u v)
       end
@@ -342,7 +343,7 @@ let transit_stub rng (p : Transit_stub.params) =
           let dx = sxs.{i} -. sxs.{j} and dy = sys.{i} -. sys.{j} in
           let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
           let prob = p.Transit_stub.stub_alpha *. exp (-.dist /. s) in
-          if Rng.float rng 1.0 < prob then begin
+          if float_of_int (Rng.bits53 rng) /. 0x1p53 < prob then begin
             ignore (Graph.add_edge g (base + i) (base + j) (Float.max min_delay dist));
             ignore (union sparent i j)
           end

@@ -68,10 +68,11 @@ let generate ?(link_delay = `Euclidean) rng ~n ~alpha ~beta =
      rounding and rounded multiplication is monotone.  A draw at or above
      alpha therefore rejects the pair without computing its distance; below
      alpha the draw is compared with p.  Either way the pair takes one draw
-     and becomes an edge exactly when the draw is below p. *)
+     and becomes an edge exactly when the draw is below p.  The draw is
+     [Rng.float rng 1.0] built here from its bits, so no float is boxed. *)
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      let r = Rng.float rng 1.0 in
+      let r = float_of_int (Rng.bits53 rng) /. 0x1p53 in
       if r < alpha then begin
         let d = distance positions.(u) positions.(v) in
         let p = alpha *. exp (-.d /. (beta *. l)) in

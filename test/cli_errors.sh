@@ -36,4 +36,9 @@ expect 2 campaign --matrix "topo=scale:1"
 expect 2 campaign --matrix "topo=ts:5"
 expect 2 campaign --matrix "fail=regional:nan"
 expect 2 campaign --matrix "topo=waxman:5000000"
+expect 2 campaign --matrix "topo=waxman:0x10"
+expect 2 campaign --matrix "seed=0b11"
+expect 2 campaign --matrix "instances=+5"
+expect 2 campaign --matrix "churn=static:1_000"
+expect 2 campaign --matrix "horizon=0x1p4"
 exit $status

@@ -311,6 +311,48 @@ let matrix_parser () =
       "churn=heavy:1";
       "proto=spf:0.3";
     ];
+  (* Numbers are decimal: OCaml literal syntax once built [waxman:0x10] as
+     a second, differently seeded 16-node cell. *)
+  List.iter
+    (fun s ->
+      match Campaign.spec_of_matrix s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error msg ->
+          (* The number as written: what follows the last '=' or ':'. *)
+          let last sep str = List.hd (List.rev (String.split_on_char sep str)) in
+          let number = last ':' (last '=' s) in
+          let k = String.length number in
+          let named =
+            List.exists
+              (fun i -> String.sub msg i k = number)
+              (List.init (max 0 (String.length msg - k + 1)) Fun.id)
+          in
+          if not named then Alcotest.failf "%S: the error %S does not name %S" s msg number)
+    [
+      "topo=waxman:0x10";
+      "topo=locality:1_000";
+      "seed=0b11";
+      "seed=+5";
+      "seed=0x7";
+      "instances=+5";
+      "instances=0o7";
+      "churn=static:1_000";
+      "fail=indep:0x2";
+      "fail=adversarial:+3";
+      "horizon=0x1p4";
+      "horizon=1_0.5";
+      "horizon=+10";
+      "proto=smrp:0x1p-2";
+      "proto=query:.";
+      "proto=protected:1e";
+    ];
+  (* Plain decimals, fractions and exponents stay accepted. *)
+  List.iter
+    (fun s ->
+      match Campaign.spec_of_matrix s with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "rejected %S: %s" s msg)
+    [ "horizon=50"; "horizon=12.5"; "horizon=1e2"; "horizon=.5"; "proto=smrp:0.25"; "seed=-3"; "seed=0" ];
   (* Node counts share the case files' limit: a dense generator is O(N²). *)
   List.iter bad
     [ "topo=scale:999999999"; "topo=waxman:5000000"; "topo=locality:1000001"; "topo=scale:1000001" ];

@@ -260,7 +260,7 @@ let naive_candidates_match_production () =
     (fun (d_thresh, expect) ->
       let o = Option.get (Oracle.naive_select ~d_thresh ~spf_distance naive) in
       check_int "expected merge" expect o.Oracle.merge;
-      let nodes, edges = Smrp.attach_path ~d_thresh t f.Fixtures.f ~spf_dist:spf_distance in
+      let nodes, edges = Smrp.attach_path ~d_thresh t f.Fixtures.f ~spf:(Smrp.source_spf t) in
       Alcotest.(check (list int)) "same path nodes" o.Oracle.attach_nodes nodes;
       Alcotest.(check (list int)) "same path edges" o.Oracle.attach_edges edges)
     [ (0.3, f.Fixtures.d); (1.0, f.Fixtures.b) ]

@@ -140,11 +140,10 @@ let fig4_f_candidates_pinned () =
       pin "G" cg ~merge:f.Fixtures.g ~other:f.Fixtures.f ~attach_delay:1.0 ~total_delay:5.5
         ~shr:2
   | _ -> Alcotest.fail "expected exactly three candidates");
-  let spf_dist = Option.get (Smrp.spf_distance t f.Fixtures.f) in
   Alcotest.(check (pair (list int) (list int)))
     "F's join decision"
     ([ f.Fixtures.d; f.Fixtures.f ], [ edge_id g f.Fixtures.d f.Fixtures.f ])
-    (Smrp.attach_path ~d_thresh:0.3 t f.Fixtures.f ~spf_dist)
+    (Smrp.attach_path ~d_thresh:0.3 t f.Fixtures.f ~spf:(Smrp.source_spf t))
 
 let fig4_f_would_take_b_with_larger_threshold () =
   (* Sanity check of the bound's role: with a permissive D_thresh, F prefers

@@ -588,6 +588,73 @@ let bounded_join_fallback_share () =
     !fallbacks !checked (100.0 *. share);
   Alcotest.(check bool) "at least 5% of joins fall back" true (share >= 0.05)
 
+(* The goal-directed search against the same search without [bound], on
+   delays in {1, 2, 3} so distances tie often.  [lower] is the goal's SPF
+   over the whole graph, or over the graph the search itself sees; the
+   limit is (1 + d_thresh) times the searcher's own distance to the goal,
+   as an SMRP join sets it, with d_thresh 0 (where the goal's shortest
+   path is the only way in) drawn most often.  Every node inside the
+   bound — its full-search distance plus [lower] at most the limit — must
+   be settled with the full search's distance and path and listed once,
+   and the list must hold nothing outside the bound but the searcher. *)
+let pruned_search_equals_full =
+  QCheck.Test.make ~name:"goal-directed search settles every in-bound node as the full search"
+    ~count:500 QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let g = int_delay_graph rng ~connected:(Rng.int rng 4 > 0) in
+      let n = Graph.node_count g in
+      let goal = Rng.int rng n and source = Rng.int rng n in
+      let blocked = Array.init n (fun v -> v <> source && Rng.int rng 8 = 0) in
+      let eblocked = Array.init (Graph.edge_count g) (fun _ -> Rng.int rng 8 = 0) in
+      let absorbed = Array.init n (fun v -> v = goal || Rng.int rng 5 = 0) in
+      let node_ok v = not blocked.(v)
+      and edge_ok e = not eblocked.(e)
+      and absorb v = absorbed.(v) in
+      (* mode 0: absorb only; 1: node filter; 2: node and edge filters. *)
+      let mode = Rng.int rng 3 in
+      let search ?bound ?workspace () =
+        match mode with
+        | 0 -> Dijkstra.run ~absorb ?bound ?workspace g ~source
+        | 1 -> Dijkstra.run ~node_ok ~absorb ?bound ?workspace g ~source
+        | _ -> Dijkstra.run ~node_ok ~edge_ok ~absorb ?bound ?workspace g ~source
+      in
+      let lower =
+        if mode = 0 || Rng.bool rng || not (node_ok goal) then
+          Dijkstra.distances (Dijkstra.run g ~source:goal)
+        else
+          let edge_ok = if mode = 2 then edge_ok else fun _ -> true in
+          Dijkstra.distances (Dijkstra.run ~node_ok ~edge_ok g ~source:goal)
+      in
+      let d_thresh = Rng.pick rng [| 0.0; 0.0; 0.0; 0.3; 1.0 |] in
+      let limit =
+        if lower.(source) = infinity then float_of_int (Rng.int rng 8)
+        else ((1.0 +. d_thresh) *. lower.(source)) +. 1e-9
+      in
+      let full = search () in
+      let ws = Dijkstra.workspace () in
+      let pruned = search ~bound:(limit, lower) ~workspace:ws () in
+      let listed = Array.make n 0 in
+      Array.iter (fun v -> listed.(v) <- listed.(v) + 1) (Dijkstra.settled_by_id (fun _ -> true) pruned);
+      let slack = 1e-9 *. (1.0 +. abs_float limit) in
+      List.for_all
+        (fun v ->
+          let inside =
+            match Dijkstra.distance full v with
+            | Some d -> d +. lower.(v) <= limit
+            | None -> false
+          in
+          listed.(v) <= 1
+          && (listed.(v) = 0 || v = source
+             ||
+             match Dijkstra.distance pruned v with
+             | Some d -> d +. lower.(v) <= limit +. slack
+             | None -> false)
+          && ((not inside)
+             || listed.(v) = 1
+                && Dijkstra.distance pruned v = Dijkstra.distance full v
+                && Dijkstra.path_edges pruned v = Dijkstra.path_edges full v))
+        (List.init n Fun.id))
+
 (* After every step of a random join/leave/fail schedule, the session's
    incremental answer against a fresh reference search from the source.
    Failures come in bursts, so a read finds several of them queued. *)
@@ -788,6 +855,7 @@ let () =
           qcheck_case bounded_join_equals_oracle;
           Alcotest.test_case "bounded joins exercise the fallback" `Quick
             bounded_join_fallback_share;
+          qcheck_case pruned_search_equals_full;
           qcheck_case session_reachable_equals_reference;
           qcheck_case run_many_jobs_immaterial;
           qcheck_case wheel_equals_reference_heap;

@@ -91,7 +91,7 @@ let candidates_on_fig1 () =
       Alcotest.(check (pair (list int) (list int)))
         (Printf.sprintf "attach path at D_thresh %g" d_thresh)
         (o.Oracle.attach_nodes, o.Oracle.attach_edges)
-        (Smrp.attach_path ~d_thresh t f.Fixtures.d ~spf_dist:spf_distance))
+        (Smrp.attach_path ~d_thresh t f.Fixtures.d ~spf:(Smrp.source_spf t)))
     [ 0.0; 0.3; 1.0 ]
 
 let candidate_interiors_avoid_tree () =
@@ -103,8 +103,7 @@ let candidate_interiors_avoid_tree () =
   check "some joiner is off-tree" true (joiners <> []);
   List.iter
     (fun joiner ->
-      let spf_dist = Option.get (Smrp.spf_distance t joiner) in
-      match Smrp.attach_path t joiner ~spf_dist with
+      match Smrp.attach_path t joiner ~spf:(Smrp.source_spf t) with
       | (merge :: interior_and_joiner as nodes), edges ->
           check "merge on-tree" true (Tree.is_on_tree t merge);
           check_int "ends at the joiner" joiner (List.nth nodes (List.length nodes - 1));
@@ -186,7 +185,8 @@ let select_rejects_nan_threshold () =
   let g = Fixtures.line 3 in
   rejects "select" (fun () -> ignore (Smrp.select ~d_thresh:nan ~spf_distance:1.0 []));
   rejects "attach_path" (fun () ->
-      ignore (Smrp.attach_path ~d_thresh:nan (Tree.create g ~source:0) 2 ~spf_dist:2.0));
+      let t = Tree.create g ~source:0 in
+      ignore (Smrp.attach_path ~d_thresh:nan t 2 ~spf:(Smrp.source_spf t)));
   rejects "build" (fun () -> ignore (Smrp.build ~d_thresh:nan g ~source:0 ~members:[ 2 ]))
 
 (* -- SMRP joins -------------------------------------------------------- *)

@@ -89,6 +89,122 @@ let malformed_rejected () =
         {"name": "v", "attrs": {}, "counts": {"runs": 1.5}, "values": {},
          "dists": {}, "series": {}}]}|}
 
+(* The members a probe found decoded as empty or as 0, and a number the
+   writer cannot write back, each now the documented [Invalid_argument]. *)
+let ill_typed_members_rejected () =
+  let report ?(meta = "{}") ?(attrs = "{}") ?(counts = "{}") ?(interval = "1")
+      ?(dropped = {|, "dropped": 0|}) () =
+    Printf.sprintf
+      {|{"schema_version": 1, "title": "t", "meta": %s, "variants": [
+          {"name": "v", "attrs": %s, "counts": %s, "values": {}, "dists": {},
+           "series": {"s": {"kind": "sum", "interval": %s, "points": []%s}}}]}|}
+      meta attrs counts interval dropped
+  in
+  check_int "the template decodes" 1 (List.length (Report.of_string (report ())).Report.r_variants);
+  List.iter
+    (fun (what, text) ->
+      match Report.of_string text with
+      | _ -> Alcotest.failf "accepted %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("counts 5", report ~counts:"5" ());
+      ("attrs []", report ~attrs:"[]" ());
+      ("meta 7", report ~meta:"7" ());
+      ("a count of 1e300", report ~counts:{|{"runs": 1e300}|} ());
+      ("a count of -1e19", report ~counts:{|{"runs": -1e19}|} ());
+      ("dropped 1e300", report ~dropped:{|, "dropped": 1e300|} ());
+      ("no dropped member", report ~dropped:"" ());
+      (* The parser reads an overflowing literal as an infinity, which the
+         writer cannot write back. *)
+      ("an interval of 1e999", report ~interval:"1e999" ());
+    ]
+
+(* -- Decoder robustness ------------------------------------------------- *)
+
+module Json = Smrp_obs.Json
+module Rng = Smrp_rng.Rng
+
+let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
+
+(* A decode either raises one of the two documented exceptions or loses
+   nothing: re-encoding the report gives back the JSON it was read from,
+   so no member was dropped or replaced by a default.  Any other
+   exception fails the property. *)
+let decodes_or_rejects text =
+  match Report.of_string text with
+  | r -> Json.parse (Report.to_string r) = Json.parse text
+  | exception (Json.Parse_error _ | Invalid_argument _) -> true
+
+(* A report of random instruments over a few variants. *)
+let random_report seed =
+  let rng = Rng.create seed in
+  let variant i =
+    let m = Metrics.create () in
+    for c = 0 to Rng.int rng 3 do
+      Metrics.Counter.add (Metrics.counter m (Printf.sprintf "c%d" c)) (Rng.int rng 1000)
+    done;
+    if Rng.bool rng then Metrics.Gauge.set (Metrics.gauge m "g") (Rng.float rng 100.0);
+    if Rng.bool rng then begin
+      let q = Metrics.sketch m "q" in
+      for _ = 0 to Rng.int rng 4 do
+        Sketch.observe q (Rng.float rng 10.0)
+      done
+    end;
+    if Rng.bool rng then begin
+      let sr = Metrics.series m "s" in
+      for k = 0 to Rng.int rng 3 do
+        Series.observe sr ~ts:(float_of_int k) (Rng.float rng 5.0)
+      done
+    end;
+    Report.of_metrics ~name:(Printf.sprintf "v%d" i) ~attrs:[ ("k", string_of_int i) ] m
+  in
+  Report.make ~title:"t" ~meta:[ ("seed", string_of_int seed) ] (List.init (1 + Rng.int rng 2) variant)
+
+(* JSON's punctuation and literals, the report's member names, and the
+   values the probe found decoded as defaults. *)
+let report_vocabulary =
+  [| "{"; "}"; "["; "]"; ","; ":"; " "; "\""; "{}"; "[]"; "0"; "-0"; "1"; "1.5"; "5"; "7"; "1e300";
+     "-1e19"; "4611686018427387904"; "true"; "null"; "\"sum\""; "\"last\""; "\"x\"";
+     "\"schema_version\""; "\"title\""; "\"meta\""; "\"variants\""; "\"name\"";
+     "\"attrs\""; "\"counts\""; "\"values\""; "\"dists\""; "\"series\""; "\"count\"";
+     "\"kind\""; "\"interval\""; "\"points\""; "\"dropped\"" |]
+
+let prop_report_random_tokens =
+  QCheck.Test.make ~name:"Report.of_string on random token strings decodes or rejects" ~count:3000
+    QCheck.(list_of_size Gen.(int_range 0 40) (int_bound (Array.length report_vocabulary - 1)))
+    (fun picks ->
+      decodes_or_rejects (String.concat "" (List.map (Array.get report_vocabulary) picks)))
+
+(* Every single-token mutation of a random report, split at punctuation
+   and whitespace. *)
+let prop_report_token_mutations =
+  QCheck.Test.make ~name:"single-token mutations of a report decode or reject" ~count:12
+    QCheck.small_nat (fun seed ->
+      let text = Report.to_string ~minify:(seed mod 2 = 0) (random_report seed) in
+      let delim c = String.contains " \n{}[],:" c in
+      let tokens =
+        let n = String.length text in
+        let rec go i acc =
+          if i >= n then List.rev acc
+          else begin
+            let rec stop j = if j < n && not (delim text.[j]) then stop (j + 1) else j in
+            let j = if delim text.[i] then i + 1 else stop i in
+            go j (String.sub text i (j - i) :: acc)
+          end
+        in
+        Array.of_list (go 0 [])
+      in
+      decodes_or_rejects text
+      && Array.for_all
+           (fun token ->
+             Seq.for_all
+               (fun k ->
+                 decodes_or_rejects
+                   (String.concat ""
+                      (Array.to_list (Array.mapi (fun i x -> if i = k then token else x) tokens))))
+               (Seq.init (Array.length tokens) Fun.id))
+           report_vocabulary)
+
 let renderers_smoke () =
   let r =
     Report.make ~title:"smoke" ~meta:[ ("seed", "1") ]
@@ -165,6 +281,9 @@ let () =
           Alcotest.test_case "metrics projection" `Quick projection;
           Alcotest.test_case "json round-trip" `Quick json_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick malformed_rejected;
+          Alcotest.test_case "ill-typed members rejected" `Quick ill_typed_members_rejected;
+          qcheck_case prop_report_random_tokens;
+          qcheck_case prop_report_token_mutations;
           Alcotest.test_case "renderers" `Quick renderers_smoke;
         ] );
       ( "campaigns",

@@ -349,6 +349,29 @@ let qcheck_stabilize_matches_reference_under_failure =
       let s_new = Reshape.stabilize ~d_thresh:0.3 ~failure t_new in
       s_ref = s_new && edge_sets_equal t_ref t_new && Tree.validate t_new = Ok ())
 
+(* The sweep as a timer finds it right after a tree link fails, before any
+   repair: the tree still crosses the failure, so a merge point's tree
+   delay may run over the failed link while every search avoids it.  Unit
+   and Euclidean delays. *)
+let qcheck_stabilize_matches_reference_failed_tree_link =
+  QCheck.Test.make ~name:"stabilize matches the reference sweep with a failed tree link"
+    ~count:150 QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 31) in
+      let n = 20 + Rng.int rng 60 in
+      let link_delay = if Rng.bool rng then `Unit else `Euclidean in
+      let g = (Waxman.generate ~link_delay rng ~n ~alpha:0.2 ~beta:0.2).Waxman.graph in
+      let k = 2 + Rng.int rng (min 15 (n - 2)) in
+      let sample = Smrp_rng.Rng.sample_without_replacement rng (k + 1) n in
+      let t = Smrp.build ~d_thresh:0.3 g ~source:(List.hd sample) ~members:(List.tl sample) in
+      match Tree.tree_edges t with
+      | [] -> true
+      | links ->
+          let failure = Failure.Link (Rng.pick rng (Array.of_list links)) in
+          let t_ref = Tree.copy t and t_new = Tree.copy t in
+          let s_ref = reference_stabilize ~failure t_ref in
+          let s_new = Reshape.stabilize ~d_thresh:0.3 ~failure t_new in
+          s_ref = s_new && edge_sets_equal t_ref t_new && Tree.validate t_new = Ok ())
+
 (* Node by node: every [try_reshape] call against one oracle step on a
    copy, on the switch decision and the resulting edge set.  Nodes are
    visited deepest first, as a sweep visits them, twice over. *)
@@ -411,6 +434,7 @@ let () =
           qcheck_case qcheck_try_reshape_valid;
           qcheck_case qcheck_stabilize_matches_reference;
           qcheck_case qcheck_stabilize_matches_reference_under_failure;
+          qcheck_case qcheck_stabilize_matches_reference_failed_tree_link;
           qcheck_case qcheck_try_reshape_matches_oracle;
         ] );
     ]

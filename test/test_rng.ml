@@ -86,6 +86,29 @@ let int_draws_allocate_nothing () =
   check "some draws" true (!acc > 0);
   check (Printf.sprintf "10k draws allocated %.0f words" words) true (words = 0.0)
 
+(* [bits53] is [float]'s draw before the division: the generators' pair
+   loops compare it with a probability locally, allocation-free, and must
+   see the same draws. *)
+let bits53_is_the_float_draw () =
+  List.iter
+    (fun seed ->
+      let a = Rng.create seed and b = Rng.create seed in
+      for _ = 1 to 1000 do
+        let f = Rng.float a 1.0 and bits = Rng.bits53 b in
+        check "same draw" true (f = float_of_int bits /. 0x1p53);
+        check "53 bits" true (bits >= 0 && bits < 1 lsl 53)
+      done)
+    [ 1; 2; 3; 42; 1000 ];
+  let r = Rng.create 3 in
+  let below = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if float_of_int (Rng.bits53 r) /. 0x1p53 < 0.5 then incr below
+  done;
+  let words = Gc.minor_words () -. before in
+  check "some draws below" true (!below > 0);
+  check (Printf.sprintf "10k comparisons allocated %.0f words" words) true (words = 0.0)
+
 let int_bounds () =
   let r = Rng.create 1 in
   for _ = 1 to 10_000 do
@@ -206,6 +229,7 @@ let () =
         [
           Alcotest.test_case "int bounds" `Quick int_bounds;
           Alcotest.test_case "int draws allocate nothing" `Quick int_draws_allocate_nothing;
+          Alcotest.test_case "bits53 is the float draw, unboxed" `Quick bits53_is_the_float_draw;
           Alcotest.test_case "int covers range" `Quick int_covers_range;
           Alcotest.test_case "int rejects bad bound" `Quick int_rejects_bad_bound;
           Alcotest.test_case "float bounds" `Quick float_bounds;
