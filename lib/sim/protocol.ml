@@ -108,6 +108,9 @@ type t = {
       (* source-rooted distances over the surviving graph, recomputed when
          a failure is injected: every join's D_SPF and search bounds, and
          (before any failure) every reshape's *)
+  ws : Dijkstra.workspace;
+      (* every search borrows it, so a join allocates no arrays of its own;
+         it carries no flight recorder, so searches write no records *)
   mutable net : msg Net.t option; (* set right after creation *)
   mutable tree : Tree.t;
   mutable failure : Failure.t option;
@@ -456,7 +459,7 @@ let handle_query t ~at slot =
   end
   else begin
     (* Forward along our unicast next hop towards the source. *)
-    match Dijkstra.shortest_path t.graph ~src:at ~dst:t.source with
+    match Dijkstra.shortest_path ~workspace:t.ws t.graph ~src:at ~dst:t.source with
     | Some (_, _ :: next :: _, _) when (not (on_path next)) && next <> requester ->
         ensure_keep t.q_path slot (plen + 1);
         t.q_path.(slot).(plen) <- at;
@@ -526,13 +529,15 @@ let create ?(config = default_config) engine graph ~source =
   let n = Graph.node_count graph in
   let pool0 = 16 in
   let tree = Tree.create graph ~source in
+  let ws = Dijkstra.workspace ~capacity:n () in
   let t =
     {
       engine;
       config;
       graph;
       source;
-      spf = Smrp.source_spf tree;
+      spf = Smrp.source_spf ~ws tree;
+      ws;
       net = None;
       tree;
       failure = None;
@@ -648,8 +653,9 @@ let oracle_join t m =
     let filters = Option.map (Failure.filters t.graph) t.failure in
     let attach_nodes, attach_edges =
       match t.config.strategy with
-      | Local -> Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters t.tree m ~spf:t.spf
-      | Global -> Spf.attach_path ?filters t.tree m
+      | Local ->
+          Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters ~ws:t.ws t.tree m ~spf:t.spf
+      | Global -> Spf.attach_path ?filters ~ws:t.ws t.tree m
     in
     (match (attach_nodes, attach_edges) with
     | [ _ ], [] -> ()
@@ -753,7 +759,7 @@ let reshape_node t r =
     && Tree.is_on_tree t.tree r
   then begin
     let old_parent = t.n_parent.(r) in
-    if Reshape.try_reshape ~d_thresh:t.config.d_thresh ~spf:t.spf t.tree r then begin
+    if Reshape.try_reshape ~d_thresh:t.config.d_thresh ~ws:t.ws ~spf:t.spf t.tree r then begin
       Flight.record t.flight
         ~tick:(Engine.tick_of_time (Engine.now t.engine))
         ~code:Flight.proto_reshape ~a:r ~b:old_parent;
@@ -913,7 +919,7 @@ let inject_link_failure t eid =
   Net.fail_link (net t) eid;
   t.failure <- Some (Failure.Link eid);
   (* Joins from now on read post-failure distances, as [Session] joins do. *)
-  t.spf <- Smrp.source_spf ~filters:(Failure.filters t.graph (Failure.Link eid)) t.tree;
+  t.spf <- Smrp.source_spf ~filters:(Failure.filters t.graph (Failure.Link eid)) ~ws:t.ws t.tree;
   t.failure_time <- Engine.now t.engine;
   Flight.record t.flight ~tick:(Engine.tick_of_time t.failure_time) ~code:Flight.proto_failure
     ~a:eid ~b:0;
