@@ -35,6 +35,7 @@ module Tree = Smrp_core.Tree
 module Protect = Smrp_core.Protect
 module Spf = Smrp_core.Spf
 module Smrp = Smrp_core.Smrp
+module Query = Smrp_core.Query
 module Reshape = Smrp_core.Reshape
 module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
@@ -310,12 +311,26 @@ let micro () =
          in
          let spf = Smrp.source_spf t in
          Staged.stage (fun () -> ignore (Smrp.attach_path ~ws t joiner ~spf)));
+      Test.make ~name:"query_candidates"
+        (* The query scheme's answer set for the same joiner: one
+           goal-directed unicast search per off-tree neighbour, with the
+           source SPF computed up front as a session supplies it. *)
+        (let t = s.Scenario.smrp_tree in
+         let joiner =
+           let rec first v = if Tree.is_on_tree t v then first (v + 1) else v in
+           first 0
+         in
+         let spf = Smrp.source_spf t in
+         Staged.stage (fun () -> ignore (Query.candidates ~ws t ~joiner ~spf)));
       Test.make ~name:"local_detour"
         (Staged.stage (fun () ->
              ignore (Recovery.local_detour ~ws s.Scenario.smrp_tree worst ~member:victim)));
       Test.make ~name:"global_detour"
-        (Staged.stage (fun () ->
-             ignore (Recovery.global_detour ~ws s.Scenario.smrp_tree worst ~member:victim)));
+        (* The source SPF over the surviving network is computed up front,
+           as a session's incremental SPF supplies it. *)
+        (let t = s.Scenario.smrp_tree in
+         let spf = Smrp.source_spf ~filters:(Failure.filters graph worst) t in
+         Staged.stage (fun () -> ignore (Recovery.global_detour ~ws t worst ~member:victim ~spf)));
       Test.make ~name:"reshape_stabilize"
         (let base = Smrp.build ~d_thresh:0.3 ~ws graph ~source ~members in
          Staged.stage (fun () ->

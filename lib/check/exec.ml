@@ -108,23 +108,45 @@ let smrp_join_checks s ~d_thresh ~spf ~pre_on_tree ~expected ~bounded_exists m (
     end
   end
 
-(* §3.3.1 differential: every query-discovered candidate must be a (possibly
-   longer) connection to a merge point the full-topology scan also knows,
-   and when the query's choice meets the delay bound, the full-topology
-   selection can only be at least as good on SHR. *)
-let query_join_checks s ~d_thresh ~spf ~pre_on_tree ~qcands ~full m () =
+(* §3.3.1 differential.  [qcands] are the query answers the reference
+   search gives; the session's own answer set must equal them path for
+   path.  Every one must be a (possibly longer) connection to a merge point
+   the full-topology scan also knows, the session must have grafted what
+   selection over them picks, and when that choice meets the delay bound,
+   the full-topology selection can only be at least as good on SHR. *)
+let query_join_checks s ~d_thresh ~spf ~pre_on_tree ~answers ~qcands ~full m () =
   let tree = Session.tree s in
+  let answer_paths =
+    List.map (fun (c : Smrp.candidate) -> (c.Smrp.merge, c.Smrp.attach_nodes, c.Smrp.attach_edges))
+  and reference_paths =
+    List.map (fun (c : Oracle.naive_candidate) ->
+        (c.Oracle.merge, c.Oracle.attach_nodes, c.Oracle.attach_edges))
+  in
+  let show paths =
+    String.concat "; "
+      (List.map (fun (_, nodes, _) -> String.concat "-" (List.map string_of_int nodes)) paths)
+  in
   let unsound =
     List.find_opt
-      (fun (q : Smrp.candidate) ->
+      (fun (q : Oracle.naive_candidate) ->
         not
           (List.exists
              (fun (f : Oracle.naive_candidate) ->
-               f.Oracle.merge = q.Smrp.merge
-               && f.Oracle.attach_delay <= q.Smrp.attach_delay +. eps)
+               f.Oracle.merge = q.Oracle.merge
+               && f.Oracle.attach_delay <= q.Oracle.attach_delay +. eps)
              full))
       qcands
   in
+  if answer_paths answers <> reference_paths qcands then
+    Some
+      {
+        Oracle.oracle = "query-differential";
+        message =
+          Printf.sprintf "query answers of %d follow [%s]; the reference paths are [%s]" m
+            (show (answer_paths answers))
+            (show (reference_paths qcands));
+      }
+  else
   match unsound with
   | Some q ->
       Some
@@ -134,15 +156,15 @@ let query_join_checks s ~d_thresh ~spf ~pre_on_tree ~qcands ~full m () =
             Printf.sprintf
               "query candidate at merge %d (delay %g) beats the exhaustive scan or names an \
                unknown merge point"
-              q.Smrp.merge q.Smrp.attach_delay;
+              q.Oracle.merge q.Oracle.attach_delay;
         }
   | None -> (
-      match Smrp.select ~d_thresh ~spf_distance:spf qcands with
+      match Oracle.naive_select ~d_thresh ~spf_distance:spf qcands with
       | None -> None (* the session fell back to the SPF join *)
       | Some chosen ->
           let delay = Tree.delay_to_source tree m in
           let got = List.find_opt (fun v -> pre_on_tree.(v)) (Tree.path_to_source tree m) in
-          if got <> Some chosen.Smrp.merge then
+          if got <> Some chosen.Oracle.merge then
             Some
               {
                 Oracle.oracle = "query-differential";
@@ -150,24 +172,24 @@ let query_join_checks s ~d_thresh ~spf ~pre_on_tree ~qcands ~full m () =
                   Printf.sprintf
                     "query join of %d merged at %s; selection over the query answers picks %d" m
                     (match got with Some v -> string_of_int v | None -> "?")
-                    chosen.Smrp.merge;
+                    chosen.Oracle.merge;
               }
-          else if abs_float (delay -. chosen.Smrp.total_delay) > eps then
+          else if abs_float (delay -. chosen.Oracle.total_delay) > eps then
             Some
               {
                 Oracle.oracle = "query-differential";
                 message =
                   Printf.sprintf "query join of %d landed at delay %g, selection computes %g" m
-                    delay chosen.Smrp.total_delay;
+                    delay chosen.Oracle.total_delay;
               }
           else begin
             let bound = ((1.0 +. d_thresh) *. spf) +. 1e-9 in
             let full_best = Oracle.naive_select ~d_thresh ~spf_distance:spf full in
             match full_best with
             | Some fb
-              when chosen.Smrp.total_delay <= bound
+              when chosen.Oracle.total_delay <= bound
                    && fb.Oracle.total_delay <= bound
-                   && fb.Oracle.shr > chosen.Smrp.shr ->
+                   && fb.Oracle.shr > chosen.Oracle.shr ->
                 Some
                   {
                     Oracle.oracle = "query-differential";
@@ -175,10 +197,32 @@ let query_join_checks s ~d_thresh ~spf ~pre_on_tree ~qcands ~full m () =
                       Printf.sprintf
                         "full-topology selection (SHR %d) is worse than the partial-topology one \
                          (SHR %d) — the query set cannot beat the exhaustive scan"
-                        fb.Oracle.shr chosen.Smrp.shr;
+                        fb.Oracle.shr chosen.Oracle.shr;
                   }
             | _ -> None
           end)
+
+(* An SPF join grafts the reference search's unicast path up to its first
+   on-tree node: [expected] is the member's whole tree path that gives,
+   and the edges of its new part. *)
+let spf_join_check s ~expected m () =
+  let tree = Session.tree s in
+  let got = Tree.path_to_source tree m in
+  let grafted edges =
+    List.map (Tree.parent_edge_id tree) (List.filteri (fun i _ -> i < List.length edges) got)
+  in
+  let show nodes = String.concat ";" (List.map string_of_int nodes) in
+  match expected with
+  | Some (nodes, edges) when got = nodes && grafted edges = edges -> None
+  | _ ->
+      Some
+        {
+          Oracle.oracle = "spf-join";
+          message =
+            Printf.sprintf "SPF join of %d grafted the path [%s]; the reference path gives %s" m
+              (show got)
+              (match expected with Some (nodes, _) -> "[" ^ show nodes ^ "]" | None -> "none");
+        }
 
 (* The session answers reachability from its incremental source SPF; the
    reference is a fresh filtered search from the joiner. *)
@@ -232,8 +276,16 @@ let apply_join s (case : Case.t) ~bug m =
           let d_thresh = case.Case.d_thresh in
           match (case.Case.protocol, failure) with
           | Case.Spf, _ ->
+              let expected =
+                Option.map
+                  (fun (nodes, edges) ->
+                    let merge = List.nth nodes (List.length nodes - 1) in
+                    (nodes @ List.tl (Tree.path_to_source tree merge), edges))
+                  (Oracle.naive_unicast_prefix ?failure tree ~from:m ~stop:(fun v ->
+                       pre_on_tree.(v)))
+              in
               Session.join s m;
-              applied
+              check [ spf_join_check s ~expected m ]
           | Case.Smrp, _ | Case.Smrp_query, Some _ ->
               let cands = Oracle.naive_candidates ?failure tree ~joiner:m in
               if cands = [] then Skipped
@@ -249,13 +301,14 @@ let apply_join s (case : Case.t) ~bug m =
                   [ smrp_join_checks s ~d_thresh ~spf ~pre_on_tree ~expected ~bounded_exists m ]
               end
           | Case.Smrp_query, None ->
-              let qcands = Query.candidates tree ~joiner:m in
+              let answers = Query.candidates tree ~joiner:m ~spf:(Smrp.source_spf tree) in
+              let qcands = Oracle.naive_query_candidates tree ~joiner:m in
               let full = Oracle.naive_candidates tree ~joiner:m in
               if full = [] then Skipped
               else begin
                 Session.join s m;
                 inject_bug ();
-                check [ query_join_checks s ~d_thresh ~spf ~pre_on_tree ~qcands ~full m ]
+                check [ query_join_checks s ~d_thresh ~spf ~pre_on_tree ~answers ~qcands ~full m ]
               end
         end
 

@@ -149,6 +149,60 @@ let naive_select ~d_thresh ~spf_distance cands =
     cands;
   match !best with Some _ as b -> b | None -> !fallback
 
+(* -- Unicast-path oracles ------------------------------------------------ *)
+
+let naive_unicast_prefix ?failure t ~from ~stop =
+  let g = Tree.graph t in
+  let node_ok v = match failure with None -> true | Some f -> Failure.node_ok f v in
+  let edge_ok e = match failure with None -> true | Some f -> Failure.edge_ok g f e in
+  if not (node_ok from) then None
+  else begin
+    let result = Dijkstra.run_reference ~node_ok ~edge_ok g ~source:from in
+    let source = Tree.source t in
+    match (Dijkstra.path_nodes result source, Dijkstra.path_edges result source) with
+    | Some nodes, Some edges ->
+        let rec walk nodes edges acc_nodes acc_edges =
+          match (nodes, edges) with
+          | v :: _, _ when stop v -> Some (List.rev (v :: acc_nodes), List.rev acc_edges)
+          | v :: rest, e :: es -> walk rest es (v :: acc_nodes) (e :: acc_edges)
+          | _ -> None
+        in
+        walk nodes edges [] []
+    | _ -> None
+  end
+
+(* Every neighbour's answer, in adjacency order; an on-tree neighbour's
+   walk stops where it starts, so it answers itself.  A walk through the
+   joiner is no answer. *)
+let naive_query_candidates t ~joiner =
+  let g = Tree.graph t in
+  let shr = recompute_shr t in
+  let answer (nb, joining_edge) =
+    match naive_unicast_prefix t ~from:nb ~stop:(Tree.is_on_tree t) with
+    | Some (nodes, edges) when not (List.mem joiner nodes) ->
+        let merge = List.nth nodes (List.length nodes - 1) in
+        let attach_edges = List.rev (joining_edge :: edges) in
+        let attach_delay = Graph.delay_of_edges g attach_edges in
+        Some
+          {
+            merge;
+            attach_nodes = List.rev (joiner :: nodes);
+            attach_edges;
+            attach_delay;
+            total_delay = attach_delay +. Tree.delay_to_source t merge;
+            shr = shr.(merge);
+          }
+    | _ -> None
+  in
+  let best = Hashtbl.create 8 in
+  List.iter
+    (fun c ->
+      match Hashtbl.find_opt best c.merge with
+      | Some b when b.attach_delay < c.attach_delay -> ()
+      | _ -> Hashtbl.replace best c.merge c)
+    (List.filter_map answer (Graph.neighbors g joiner));
+  List.sort (fun a b -> compare a.merge b.merge) (Hashtbl.fold (fun _ c acc -> c :: acc) best [])
+
 (* -- Repair oracle ------------------------------------------------------ *)
 
 let sorted_edges t = List.sort compare (Tree.tree_edges t)

@@ -67,6 +67,31 @@ val naive_select :
     order, mirroring [Smrp.select] and [Smrp.attach_path] tie-break for
     tie-break. *)
 
+(** {2 Unicast-path oracles} *)
+
+val naive_unicast_prefix :
+  ?failure:Smrp_core.Failure.t ->
+  Smrp_core.Tree.t ->
+  from:int ->
+  stop:(int -> bool) ->
+  (int list * int list) option
+(** The reference search's shortest path from [from] to the tree's source,
+    over the surviving network under [failure], cut at its first node that
+    [stop] marks: [(nodes, edges)], [from] first and that node last.  This
+    is the path an SPF join grafts ([stop] = on-tree, reversed), and the
+    one a global detour takes ([stop] = still receiving data).  [None] when
+    [from] is dead, the source is out of reach or no node stops the
+    walk. *)
+
+val naive_query_candidates : Smrp_core.Tree.t -> joiner:int -> naive_candidate list
+(** The §3.3.1 query answers, recomputed with {!naive_unicast_prefix} and
+    the recomputed SHR: for each neighbour of [joiner], its unicast path
+    walked to the first on-tree node (an on-tree neighbour answers
+    itself), behind the joining link; walks through the joiner are
+    dropped.  One answer per merge node, the lowest [attach_delay], ties
+    to the later neighbour in adjacency order as the scheme keeps them;
+    ordered by merge id.  The queries know no failure. *)
+
 (** {2 Detour differential oracle} *)
 
 val naive_nearest :

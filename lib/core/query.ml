@@ -1,7 +1,7 @@
 module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
 
-let candidates ?ws t ~joiner =
+let candidates ?ws t ~joiner ~spf =
   let g = Tree.graph t in
   let collect acc (nb, joining_edge) =
     if Tree.is_on_tree t nb then
@@ -18,7 +18,7 @@ let candidates ?ws t ~joiner =
       }
       :: acc
     else begin
-      match Dijkstra.shortest_path ?workspace:ws g ~src:nb ~dst:(Tree.source t) with
+      match Dijkstra.shortest_path ?workspace:ws g ~src:nb ~dst:(Tree.source t) ~lower:spf with
       | None -> acc
       | Some (_, nodes, edges) ->
           (* Forward along nb's unicast path until the first on-tree node. *)
@@ -58,19 +58,17 @@ let candidates ?ws t ~joiner =
   Hashtbl.fold (fun _ c acc -> c :: acc) best []
   |> List.sort (fun a b -> compare a.Smrp.merge b.Smrp.merge)
 
-let join ?d_thresh ?ws ?spf_dist t nr =
+let join ?d_thresh ?ws ?spf t nr =
   if Tree.is_member t nr then invalid_arg "Query.join: already a member";
   if Tree.is_on_tree t nr then Tree.add_member t nr
   else begin
-    match (match spf_dist with Some _ as d -> d | None -> Smrp.spf_distance ?ws t nr) with
-    | None -> invalid_arg "Query.join: source unreachable"
-    | Some spf_dist -> begin
-        match Smrp.select ?d_thresh ~spf_distance:spf_dist (candidates ?ws t ~joiner:nr) with
-        | Some c ->
-            Tree.graft t ~nodes:c.Smrp.attach_nodes ~edges:c.Smrp.attach_edges;
-            Tree.add_member t nr
-        | None -> Spf.join ?ws t nr
-      end
+    let spf = match spf with Some spf -> spf | None -> Smrp.source_spf ?ws t in
+    if spf.(nr) = infinity then invalid_arg "Query.join: source unreachable";
+    match Smrp.select ?d_thresh ~spf_distance:spf.(nr) (candidates ?ws t ~joiner:nr ~spf) with
+    | Some c ->
+        Tree.graft t ~nodes:c.Smrp.attach_nodes ~edges:c.Smrp.attach_edges;
+        Tree.add_member t nr
+    | None -> Spf.join ?ws ~spf t nr
   end
 
 let build ?d_thresh ?ws g ~source ~members =
@@ -80,5 +78,8 @@ let build ?d_thresh ?ws g ~source ~members =
     | None -> Dijkstra.workspace ~capacity:(Graph.node_count g) ()
   in
   let t = Tree.create g ~source in
-  List.iter (join ?d_thresh ~ws t) members;
+  (* One source-rooted search supplies every join's D_SPF and bounds every
+     query's path search. *)
+  let spf = Smrp.source_spf ~ws t in
+  List.iter (join ?d_thresh ~ws ~spf t) members;
   t

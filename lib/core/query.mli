@@ -9,20 +9,27 @@
     benchmark. *)
 
 val candidates :
-  ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> joiner:int -> Smrp.candidate list
+  ?ws:Smrp_graph.Dijkstra.workspace ->
+  Tree.t ->
+  joiner:int ->
+  spf:float array ->
+  Smrp.candidate list
 (** One candidate per answering on-tree node (deduplicated, keeping the
-    lowest-delay connection), ordered by merge-node id. *)
+    lowest-delay connection), ordered by merge-node id.  [spf] holds every
+    node's unicast delay to the source over the whole graph (the queries
+    know no failure): the [lower] array of each neighbour's
+    {!Smrp_graph.Dijkstra.shortest_path}. *)
 
 val join :
-  ?d_thresh:float -> ?ws:Smrp_graph.Dijkstra.workspace -> ?spf_dist:float -> Tree.t -> int -> unit
+  ?d_thresh:float -> ?ws:Smrp_graph.Dijkstra.workspace -> ?spf:float array -> Tree.t -> int -> unit
 (** SMRP join restricted to query-discovered candidates.  Falls back to the
     SPF join when no query is answered.  Raises [Invalid_argument] if the
     node is already a member or cannot reach the source.
 
-    [spf_dist] supplies the joiner's unicast SPF distance, as in
-    {!Smrp.join}: a {!Session} reads it from its incremental source SPF, so
-    the join runs only the per-neighbour queries.  Without it the join runs
-    one distance search from the joiner first. *)
+    [spf] is {!candidates}'s, and the joiner's own entry is its D_SPF, as
+    in {!Smrp.join}: a {!Session} reads it from its incremental source
+    SPF.  Without it an off-tree joiner runs one source-rooted search
+    first. *)
 
 val build :
   ?d_thresh:float ->

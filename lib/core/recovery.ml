@@ -106,7 +106,7 @@ let surviving_tree old f =
     (Tree.members old);
   fresh
 
-let global_detour ?ws ?filters ?surviving t f ~member =
+let global_detour ?ws ?filters ?surviving t f ~member ~spf =
   if not (alive ?filters f member) then None
   else begin
     let g = Tree.graph t in
@@ -116,6 +116,7 @@ let global_detour ?ws ?filters ?surviving t f ~member =
       let node_ok, edge_ok = compiled ?filters g f in
       match
         Dijkstra.shortest_path ~node_ok ~edge_ok ?workspace:ws g ~src:member ~dst:(Tree.source t)
+          ~lower:spf
       with
       | None -> None
       | Some (_, nodes, edges) ->

@@ -14,9 +14,11 @@
     The local and branch detours run {!Smrp_graph.Dijkstra.nearest}: the
     search stops at the nearest merge target, so it costs the ball around
     the answer rather than the whole graph.  The global detour's
-    {!Smrp_graph.Dijkstra.shortest_path} likewise stops once the source
-    settles.  A one-off search compiles the failure once
-    ({!Failure.filters}) and computes the tree's surviving set itself.
+    {!Smrp_graph.Dijkstra.shortest_path} is goal-directed by the source SPF
+    over the surviving network, so it settles only the corridor of
+    shortest paths from the member to the source.  A one-off search
+    compiles the failure once ({!Failure.filters}) and computes the tree's
+    surviving set itself.
     Staged repair ({!Session.fail}) searches for every pending member of
     one tree, so it passes [~filters] (its session's {!Failure.mask}) and
     [~surviving] (computed once per graft) instead. *)
@@ -55,9 +57,17 @@ val global_detour :
   Tree.t ->
   Failure.t ->
   member:int ->
+  spf:float array ->
   detour option
 (** SPF re-join over the surviving network.  [filters] and [surviving] as
-    in {!local_detour}. *)
+    in {!local_detour}.
+
+    [spf] holds every node's unicast delay to the source over the surviving
+    network, the failure [f] applied ([infinity] where there is none):
+    {!Smrp.source_spf} with [f]'s filters, or a session's
+    {!Smrp_graph.Dspf} distances once every active failure reached them.
+    A pre-failure array breaks the contract of
+    {!Smrp_graph.Dijkstra.shortest_path} and can lose the path. *)
 
 val branch_detour :
   ?ws:Smrp_graph.Dijkstra.workspace ->

@@ -88,25 +88,23 @@ let filters t = match t.active_failures with [] -> None | _ -> Some (Failure.mas
 let join t nr =
   let filters = filters t and ws = t.ws in
   (* The incremental SPF already knows every unicast distance under every
-     active failure, so an SMRP or query join runs only its candidate
-     search.  A session tree never crosses an active failure, so the
-     post-failure distances also bound an SMRP join's search.  A relay
-     subscription and an SPF join read no distance. *)
-  let on_tree = Tree.is_on_tree t.tree nr in
-  let distances () = if on_tree then None else Some (Dspf.distances (spf t)) in
+     active failure, so a join runs only its path or candidate search.  The
+     distances are over the graph [filters] leaves, which every join
+     searches, and a session tree never crosses an active failure, so they
+     also bound an SMRP join's search.  A relay subscription reads no
+     distance. *)
+  let spf = if Tree.is_on_tree t.tree nr then None else Some (Dspf.distances (spf t)) in
   (match t.protocol with
-  | Spf -> Spf.join ?filters ~ws t.tree nr
-  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?filters ~ws ?spf:(distances ()) t.tree nr
+  | Spf -> Spf.join ?filters ~ws ?spf t.tree nr
+  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?filters ~ws ?spf t.tree nr
   | Smrp_query { d_thresh } -> (
       (* The query scheme has no failure-aware variant; under active
-         failures fall back to the failure-aware SMRP selection.  [Dspf]
-         returning [None] means the source is unreachable; passing nothing
-         lets the query join re-derive and raise identically. *)
+         failures fall back to the failure-aware SMRP selection.  With no
+         failure the distances are over the whole graph, the one its
+         queries search. *)
       match filters with
-      | None ->
-          let spf_dist = if on_tree then None else Dspf.distance (spf t) nr in
-          Query.join ~d_thresh ~ws ?spf_dist t.tree nr
-      | Some _ -> Smrp.join ~d_thresh ?filters ~ws ?spf:(distances ()) t.tree nr));
+      | None -> Query.join ~d_thresh ~ws ?spf t.tree nr
+      | Some _ -> Smrp.join ~d_thresh ?filters ~ws ?spf t.tree nr));
   invalidate_protection t;
   log t (Joined nr)
 
@@ -285,17 +283,26 @@ let fail t f =
       let dead = List.filter (fun m -> not (Failure.node_ok f m)) (Tree.members t.tree) in
       let fresh = Recovery.surviving_tree t.tree f in
       let filters = Failure.mask_filters t.dead and ws = t.ws in
+      let detour_of =
+        match strategy with
+        | `Local ->
+            fun ~surviving m -> Recovery.local_detour ~ws ~filters ~surviving fresh f ~member:m
+        | `Global ->
+            (* A global detour is bounded by the source SPF over the
+               surviving network, so the queued failures reach it first.
+               A local repair reads no distance: the sync waits for the
+               next join. *)
+            let spf = Dspf.distances (spf t) in
+            fun ~surviving m ->
+              Recovery.global_detour ~ws ~filters ~surviving ~spf fresh f ~member:m
+      in
       (* Closest-detour-first repair: each re-attachment can serve as a merge
          point for the next member (Fig. 2(b)), so detours are recomputed after
          every graft.  The surviving set changes only with a graft, so every
          pending member's search in one round shares it. *)
       let rec repair pending repairs =
         let surviving = if pending = [] then [||] else Failure.tree_connected fresh f in
-        let detour_of m =
-          match strategy with
-          | `Local -> Recovery.local_detour ~ws ~filters ~surviving fresh f ~member:m
-          | `Global -> Recovery.global_detour ~ws ~filters ~surviving fresh f ~member:m
-        in
+        let detour_of = detour_of ~surviving in
         let options =
           List.filter_map (fun m -> Option.map (fun d -> (m, d)) (detour_of m)) pending
         in

@@ -28,11 +28,12 @@ type t
 
 val create : ?protection:bool -> Smrp_graph.Graph.t -> source:int -> protocol:protocol -> t
 (** Every session keeps an incremental source SPF ({!Smrp_graph.Dspf}).  It
-    supplies each SMRP or query join's unicast distance D_SPF, so a join
-    runs only its candidate search, and it answers {!reachable}.  {!fail}
-    only queues a failure for it; the next read (a join or {!reachable})
-    applies the queue, so a session that never joins after a failure pays
-    no SPF update.
+    supplies each join's unicast distance D_SPF and the bounds of its path
+    or candidate search, so a join runs no distance search of its own, and
+    it answers {!reachable}.  {!fail} only queues a failure for it; the
+    next read (a join, {!reachable}, or an SPF session's global repair)
+    applies the queue, so an SMRP session that never joins after a failure
+    pays no SPF update.
 
     A session also owns one {!Smrp_graph.Dijkstra.workspace}, which every
     join, detour and re-join search borrows, and a {!Failure.mask} of its

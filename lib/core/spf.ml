@@ -1,16 +1,17 @@
 module Dijkstra = Smrp_graph.Dijkstra
 
-let attach_path ?filters ?ws t nr =
+let attach_path ?filters ?ws t nr ~spf =
   if Tree.is_on_tree t nr then ([ nr ], [])
   else begin
     let g = Tree.graph t in
     (* No filters when there is no failure: the search then takes
-       Dijkstra's unfiltered fast path. *)
+       Dijkstra's unfiltered bounded loop. *)
     let path =
       match filters with
-      | None -> Dijkstra.shortest_path ?workspace:ws g ~src:nr ~dst:(Tree.source t)
+      | None -> Dijkstra.shortest_path ?workspace:ws g ~src:nr ~dst:(Tree.source t) ~lower:spf
       | Some (node_ok, edge_ok) ->
           Dijkstra.shortest_path ~node_ok ~edge_ok ?workspace:ws g ~src:nr ~dst:(Tree.source t)
+            ~lower:spf
     in
     match path with
     | None -> invalid_arg "Spf.attach_path: source unreachable"
@@ -27,11 +28,13 @@ let attach_path ?filters ?ws t nr =
         walk nodes edges [] []
   end
 
-let join ?filters ?ws t nr =
+let join ?filters ?ws ?spf t nr =
   if Tree.is_member t nr then invalid_arg "Spf.join: already a member";
-  (match attach_path ?filters ?ws t nr with
-  | [ _ ], [] -> ()
-  | nodes, edges -> Tree.graft t ~nodes ~edges);
+  if not (Tree.is_on_tree t nr) then begin
+    let spf = match spf with Some spf -> spf | None -> Smrp.source_spf ?filters ?ws t in
+    let nodes, edges = attach_path ?filters ?ws t nr ~spf in
+    Tree.graft t ~nodes ~edges
+  end;
   Tree.add_member t nr
 
 let build ?ws g ~source ~members =
@@ -41,5 +44,8 @@ let build ?ws g ~source ~members =
     | None -> Dijkstra.workspace ~capacity:(Smrp_graph.Graph.node_count g) ()
   in
   let t = Tree.create g ~source in
-  List.iter (join ~ws t) members;
+  (* One source-rooted search bounds every join's path search, as in
+     [Smrp.build]. *)
+  let spf = Smrp.source_spf ~ws t in
+  List.iter (join ~ws ~spf t) members;
   t

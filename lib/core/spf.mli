@@ -14,17 +14,34 @@ val attach_path :
   ?ws:Smrp_graph.Dijkstra.workspace ->
   Tree.t ->
   int ->
+  spf:float array ->
   int list * int list
-(** [attach_path t nr] is the graft [(nodes, edges)] a PIM-style join would
-    install: the suffix of [nr]'s unicast shortest path to the source from
-    the first on-tree node encountered, returned merge-node first.  Returns
-    [([nr], [])] when [nr] is already on-tree.  Raises [Invalid_argument]
-    when the source is unreachable.  [filters] is the active failure,
-    compiled ({!Failure.filters}, or a session's {!Failure.mask}). *)
+(** [attach_path t nr ~spf] is the graft [(nodes, edges)] a PIM-style join
+    would install: the suffix of [nr]'s unicast shortest path to the source
+    from the first on-tree node encountered, returned merge-node first.
+    Returns [([nr], [])] when [nr] is already on-tree.  Raises
+    [Invalid_argument] when the source is unreachable.  [filters] is the
+    active failure, compiled ({!Failure.filters}, or a session's
+    {!Failure.mask}).
 
-val join : ?filters:Failure.filters -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> unit
+    [spf] holds every node's unicast delay to the source over exactly the
+    graph the join searches: the surviving network under [filters], or the
+    whole graph without them ({!Smrp.source_spf} with the same [filters],
+    or a session's {!Smrp_graph.Dspf} distances).  It is the [lower] array
+    of {!Smrp_graph.Dijkstra.shortest_path}, so the search settles only the
+    corridor of shortest paths from [nr] to the source. *)
+
+val join :
+  ?filters:Failure.filters ->
+  ?ws:Smrp_graph.Dijkstra.workspace ->
+  ?spf:float array ->
+  Tree.t ->
+  int ->
+  unit
 (** [join t nr] subscribes [nr].  Raises [Invalid_argument] if [nr] is
-    already a member or cannot reach the source. *)
+    already a member or cannot reach the source.  [spf] is
+    {!attach_path}'s; without it an off-tree joiner runs one source-rooted
+    search under [filters] first. *)
 
 val build :
   ?ws:Smrp_graph.Dijkstra.workspace ->
@@ -33,4 +50,5 @@ val build :
   members:int list ->
   Tree.t
 (** Fresh tree with the given members joined in list order.  One workspace
-    (supplied or private) is reused across every join. *)
+    (supplied or private) is reused across every join, and one
+    source-rooted search supplies every join's [spf]. *)

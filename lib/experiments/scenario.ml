@@ -58,18 +58,23 @@ type t = {
 }
 
 (* Worst-case failure for a member in a given tree (§4.3.1), then the
-   recovery distance under the given strategy. *)
-let recovery_distance ?ws tree member strategy =
+   recovery distance under the given strategy.  [spf_after f] is the
+   source SPF over the network [f] leaves, which bounds a global detour. *)
+let worst_case_distance ?ws ~spf_after tree member strategy =
   match Failure.worst_case_for_member tree member with
   | None -> None
   | Some f -> begin
       let detour =
         match strategy with
         | `Local -> Recovery.local_detour ?ws tree f ~member
-        | `Global -> Recovery.global_detour ?ws tree f ~member
+        | `Global -> Recovery.global_detour ?ws tree f ~member ~spf:(spf_after f)
       in
       Option.map (fun d -> d.Recovery.recovery_distance) detour
     end
+
+let recovery_distance ?ws tree member strategy =
+  let spf_after f = Smrp.source_spf ~filters:(Failure.filters (Tree.graph tree) f) ?ws tree in
+  worst_case_distance ?ws ~spf_after tree member strategy
 
 let evaluate ?ws graph ~source ~members ~d_thresh =
   (* One Dijkstra workspace serves every search of the scenario: both tree
@@ -81,13 +86,25 @@ let evaluate ?ws graph ~source ~members ~d_thresh =
   in
   let spf_tree = Spf.build ~ws graph ~source ~members in
   let smrp_tree = Smrp.build ~d_thresh ~ws graph ~source ~members in
+  (* Every worst case is one link of the graph, and the SPF over what it
+     leaves depends on nothing else: one search per distinct link serves
+     both trees and every member behind that link. *)
+  let spfs = Hashtbl.create 8 in
+  let spf_after f =
+    match Hashtbl.find_opt spfs f with
+    | Some spf -> spf
+    | None ->
+        let spf = Smrp.source_spf ~filters:(Failure.filters graph f) ~ws spf_tree in
+        Hashtbl.add spfs f spf;
+        spf
+  in
   let outcome m =
     {
       member = m;
-      rd_local_spf = recovery_distance ~ws spf_tree m `Local;
-      rd_local_smrp = recovery_distance ~ws smrp_tree m `Local;
-      rd_global_spf = recovery_distance ~ws spf_tree m `Global;
-      rd_global_smrp = recovery_distance ~ws smrp_tree m `Global;
+      rd_local_spf = worst_case_distance ~ws ~spf_after spf_tree m `Local;
+      rd_local_smrp = worst_case_distance ~ws ~spf_after smrp_tree m `Local;
+      rd_global_spf = worst_case_distance ~ws ~spf_after spf_tree m `Global;
+      rd_global_smrp = worst_case_distance ~ws ~spf_after smrp_tree m `Global;
       delay_spf = Tree.delay_to_source spf_tree m;
       delay_smrp = Tree.delay_to_source smrp_tree m;
     }

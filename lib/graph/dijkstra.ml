@@ -493,18 +493,21 @@ let nearest ?(node_ok = always) ?(edge_ok = always) ?workspace:ws g ~source ~tar
     Some { target = !best; dist = dist.(!best); nodes; edges }
   end
 
-(* [nearest] with the single target [dst]: up to [dst]'s settle it pops and
-   relaxes exactly as [run] does, so the distance and path are [run]'s, and
-   nothing beyond [dst]'s distance is searched.  The source is never a
-   target of [nearest], so [src = dst] is answered here. *)
-let shortest_path ?(node_ok = always) ?edge_ok ?workspace g ~src ~dst =
-  if src = dst then begin
-    if src < 0 || src >= Graph.node_count g then
-      invalid_arg "Dijkstra.shortest_path: source out of range";
-    if not (node_ok src) then invalid_arg "Dijkstra.shortest_path: source is filtered out";
-    Some (0.0, [ src ], [])
+(* The goal-directed search with the limit at [src]'s own distance: only
+   nodes on a shortest [src]→[dst] path are in bound, [dst] among them, and
+   each settles with [run]'s distance and parent, so the path read back from
+   [dst] is [run]'s.  A [lower.(src)] of [infinity] means [dst] is out of
+   reach in the searched graph. *)
+let shortest_path ?node_ok ?edge_ok ?workspace g ~src ~dst ~lower =
+  let n = Graph.node_count g in
+  if src < 0 || src >= n then invalid_arg "Dijkstra.shortest_path: source out of range";
+  if dst < 0 || dst >= n then invalid_arg "Dijkstra.shortest_path: target out of range";
+  if Array.length lower < n then invalid_arg "Dijkstra.shortest_path: lower shorter than the graph";
+  (match node_ok with
+  | Some ok when not (ok src) -> invalid_arg "Dijkstra.shortest_path: source is filtered out"
+  | _ -> ());
+  if lower.(src) = infinity then None
+  else begin
+    let r = run ?node_ok ?edge_ok ~bound:(lower.(src), lower) ?workspace g ~source:src in
+    Option.map (fun (nodes, edges) -> (r.ws.dist.(dst), nodes, edges)) (path_rev r dst)
   end
-  else
-    Option.map
-      (fun h -> (h.dist, h.nodes, h.edges))
-      (nearest ~node_ok ?edge_ok ?workspace g ~source:src ~target:(fun v -> v = dst))

@@ -137,8 +137,19 @@ val shortest_path :
   Graph.t ->
   src:int ->
   dst:int ->
+  lower:float array ->
   (float * int list * int list) option
 (** [(delay, nodes, edge ids)] of one shortest [src]→[dst] path: the one
-    {!run} from [src] would give, found by {!nearest} with the single target
-    [dst], so the search stops once [dst] settles.  [src = dst] is the
-    trivial path. *)
+    {!run} from [src] would give, or [None] when [dst] is out of reach.
+    [src = dst] is the trivial path.
+
+    [lower] must hold the shortest-path distances from [dst] ([infinity]
+    where unreachable) over exactly the graph this search relaxes: the same
+    graph under the same [node_ok] and [edge_ok].  The search is {!run}
+    with [~bound:(lower.(src), lower)], which settles only the nodes on
+    shortest [src]→[dst] paths, and the path is read back from [dst].  A
+    wrong array silently changes the answer: distances over a larger graph
+    (a stale pre-failure SPF) can put the limit below [src]'s real
+    distance, and distances over a smaller one are no lower bounds at all.
+    Raises [Invalid_argument] when [src] or [dst] is out of range, [src]
+    is filtered out or [lower] is shorter than the node count. *)

@@ -189,10 +189,6 @@ let check_edge t eid name =
   if eid < 0 || eid >= Array.length t.delay then
     invalid_arg (Printf.sprintf "Dspf.%s: bad edge id %d" name eid)
 
-let distance t v =
-  check_node t v "distance";
-  if t.dist.(v) = infinity then None else Some t.dist.(v)
-
 let distances t = t.dist
 
 let reachable t v =

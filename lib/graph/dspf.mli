@@ -49,9 +49,6 @@ val restore_node : t -> int -> unit
 
 (** {1 Queries} *)
 
-val distance : t -> int -> float option
-(** [None] when unreachable (or dead) under the current overlay. *)
-
 val distances : t -> float array
 (** Every node's distance, [infinity] when unreachable or dead: the
     structure's own array, borrowed.  It changes with the next mutation,

@@ -155,6 +155,7 @@ let oracle_names =
     "recovery-replay";
     "recovery-accounting";
     "join-reachable";
+    "spf-join";
   |]
 
 let oracle_id name =

@@ -95,19 +95,33 @@ let parse_string st =
   loop ();
   Buffer.contents b
 
+(* JSON's number grammar: [-]? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+   A literal too large for a float is an error, not an infinity. *)
 let parse_number st =
   let start = st.pos in
-  let number_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let digits () =
+    let first = st.pos in
+    while (match peek st with Some '0' .. '9' -> true | _ -> false) do
+      advance st
+    done;
+    st.pos > first
   in
-  while (match peek st with Some c when number_char c -> true | _ -> false) do
-    advance st
-  done;
-  let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> error st (Printf.sprintf "bad number %S" s)
+  let text () = String.sub st.src start (st.pos - start) in
+  let bad () = error st (Printf.sprintf "bad number %S" (text ())) in
+  if peek st = Some '-' then advance st;
+  (match peek st with Some '0' -> advance st | _ -> if not (digits ()) then bad ());
+  if peek st = Some '.' then begin
+    advance st;
+    if not (digits ()) then bad ()
+  end;
+  (match peek st with
+  | Some ('e' | 'E') ->
+      advance st;
+      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
+      if not (digits ()) then bad ()
+  | _ -> ());
+  let f = float_of_string (text ()) in
+  if Float.is_finite f then Num f else error st (Printf.sprintf "number %S overflows" (text ()))
 
 let rec parse_value st =
   skip_ws st;

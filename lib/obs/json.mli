@@ -15,7 +15,10 @@ type t =
 exception Parse_error of string  (** Message includes the byte offset. *)
 
 val parse : string -> t
-(** Raises {!Parse_error} on malformed input or trailing content. *)
+(** Raises {!Parse_error} on malformed input or trailing content.  Numbers
+    follow JSON's grammar (no leading zero, no bare [.] or exponent), and
+    one too large for a float is malformed: no number parses to an
+    infinity. *)
 
 val to_string : ?minify:bool -> t -> string
 (** Two-space-indented by default; [~minify:true] yields one line (for

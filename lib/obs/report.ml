@@ -156,12 +156,10 @@ let get name j =
   | Some v -> v
   | None -> fail "Report.of_json: missing member %S" name
 
-(* Numbers are finite: [Json.parse] reads an overflowing literal such as
-   [1e999] as an infinity, which [to_string] could not write back. *)
 let num name j =
   match Json.to_num (get name j) with
-  | Some f when Float.is_finite f -> f
-  | _ -> fail "Report.of_json: member %S is not a finite number" name
+  | Some f -> f
+  | None -> fail "Report.of_json: member %S is not a number" name
 
 (* An integral number an [int] holds: [int_of_float] of anything larger is
    unspecified (it read [1e300] as 0). *)
@@ -217,9 +215,8 @@ let series_of_json j =
     | Json.List l ->
         List.map
           (function
-            | Json.List [ Json.Num t; Json.Num v ] when Float.is_finite t && Float.is_finite v ->
-                (t, v)
-            | _ -> fail "Report.of_json: series point is not a finite [t, v] pair")
+            | Json.List [ Json.Num t; Json.Num v ] -> (t, v)
+            | _ -> fail "Report.of_json: series point is not a [t, v] pair")
           l
     | _ -> fail "Report.of_json: member \"points\" is not a list"
   in
@@ -245,8 +242,8 @@ let variant_of_json j =
       List.map
         (fun (k, v) ->
           match Json.to_num v with
-          | Some f when Float.is_finite f -> (k, f)
-          | _ -> fail "Report.of_json: value %S is not a finite number" k)
+          | Some f -> (k, f)
+          | None -> fail "Report.of_json: value %S is not a number" k)
         (obj "values" j);
     v_dists = List.map (fun (k, v) -> (k, dist_of_json v)) (obj "dists" j);
     v_series = List.map (fun (k, v) -> (k, series_of_json v)) (obj "series" j);

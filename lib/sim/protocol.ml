@@ -106,8 +106,12 @@ type t = {
   source : int;
   mutable spf : float array;
       (* source-rooted distances over the surviving graph, recomputed when
-         a failure is injected: every join's D_SPF and search bounds, and
-         (before any failure) every reshape's *)
+         a failure is injected: every join's D_SPF and search bounds, every
+         global recovery's, and (before any failure) every reshape's *)
+  routes : float array;
+      (* source-rooted distances over the whole graph, from [create]: the
+         bounds of query forwarding, which searches the whole graph even
+         during a failure *)
   ws : Dijkstra.workspace;
       (* every search borrows it, so a join allocates no arrays of its own;
          it carries no flight recorder, so searches write no records *)
@@ -459,7 +463,7 @@ let handle_query t ~at slot =
   end
   else begin
     (* Forward along our unicast next hop towards the source. *)
-    match Dijkstra.shortest_path ~workspace:t.ws t.graph ~src:at ~dst:t.source with
+    match Dijkstra.shortest_path ~workspace:t.ws t.graph ~src:at ~dst:t.source ~lower:t.routes with
     | Some (_, _ :: next :: _, _) when (not (on_path next)) && next <> requester ->
         ensure_keep t.q_path slot (plen + 1);
         t.q_path.(slot).(plen) <- at;
@@ -530,13 +534,15 @@ let create ?(config = default_config) engine graph ~source =
   let pool0 = 16 in
   let tree = Tree.create graph ~source in
   let ws = Dijkstra.workspace ~capacity:n () in
+  let routes = Smrp.source_spf ~ws tree in
   let t =
     {
       engine;
       config;
       graph;
       source;
-      spf = Smrp.source_spf ~ws tree;
+      spf = routes;
+      routes;
       ws;
       net = None;
       tree;
@@ -655,7 +661,7 @@ let oracle_join t m =
       match t.config.strategy with
       | Local ->
           Smrp.attach_path ~d_thresh:t.config.d_thresh ?filters ~ws:t.ws t.tree m ~spf:t.spf
-      | Global -> Spf.attach_path ?filters ~ws:t.ws t.tree m
+      | Global -> Spf.attach_path ?filters ~ws:t.ws t.tree m ~spf:t.spf
     in
     (match (attach_nodes, attach_edges) with
     | [ _ ], [] -> ()
@@ -792,8 +798,8 @@ let recover_member t m =
   let f = Option.get t.failure in
   let detour =
     match t.config.strategy with
-    | Local -> Recovery.local_detour t.tree f ~member:m
-    | Global -> Recovery.global_detour t.tree f ~member:m
+    | Local -> Recovery.local_detour ~ws:t.ws t.tree f ~member:m
+    | Global -> Recovery.global_detour ~ws:t.ws t.tree f ~member:m ~spf:t.spf
   in
   match detour with
   | None -> () (* isolated: stays disrupted *)

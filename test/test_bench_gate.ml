@@ -35,7 +35,17 @@ let json_rejects_malformed () =
   in
   List.iter
     (fun s -> check (Printf.sprintf "rejects %S" s) true (rejects s))
-    [ "{"; "[1,]"; "{\"a\":}"; "tru"; "1.2.3"; "\"unterminated"; "{} trailing" ]
+    [ "{"; "[1,]"; "{\"a\":}"; "tru"; "1.2.3"; "\"unterminated"; "{} trailing" ];
+  (* Numbers follow JSON's grammar, and none overflows to an infinity. *)
+  List.iter
+    (fun s -> check (Printf.sprintf "rejects %S" s) true (rejects s))
+    [ "01"; "[-01]"; "5."; "[5.]"; ".5"; "+5"; "-"; "1e"; "1e+"; "0x10"; "1e999"; "-1e999" ];
+  List.iter
+    (fun (s, f) -> check (Printf.sprintf "reads %S" s) true (J.parse s = J.Num f))
+    [
+      ("0", 0.0); ("-0.5", -0.5); ("1e+20", 1e20); ("1E-3", 1e-3); ("12.5e3", 12500.0);
+      ("1e-999", 0.0);
+    ]
 
 let json_accessors () =
   let v = J.parse {|{"a": {"b": 7}, "s": "x", "t": true}|} in

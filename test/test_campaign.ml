@@ -405,6 +405,23 @@ let quick_digest_pin = "ae2cb304a9780ba9256acbc9022bd641"
 let quick_digest_pinned () =
   check_string "pinned digest" quick_digest_pin (Campaign.digest (Lazy.force quick_report))
 
+(* The default matrix's digests at seeds 1 and 2: its 300 cells make SPF,
+   SMRP and query-scheme joins, repairs and reshapes the quick matrix never
+   reaches, the transit-stub cells' tied integer delays among them.  If an
+   intentional change moves one, regenerate with:
+     dune exec bin/smrp_cli.exe -- campaign --summary --seed S   *)
+let default_digest_pins =
+  [ (1, "2c06a5ab5d3749dc9bec405a59a76013"); (2, "30e2cf01d4340dcfad2ee7d5b03c646b") ]
+
+let default_digests_pinned () =
+  List.iter
+    (fun (seed, pin) ->
+      check_string
+        (Printf.sprintf "seed %d" seed)
+        pin
+        (Campaign.digest (Campaign.run ~jobs:1 { Campaign.default with Campaign.seed })))
+    default_digest_pins
+
 let quick_parallel_identity () =
   let r4 = Campaign.run ~jobs:4 Campaign.quick in
   check_string "jobs=1 and jobs=4 byte-identical"
@@ -611,6 +628,8 @@ let () =
           Alcotest.test_case "adversarial dominates" `Quick quick_adversarial_dominates;
           Alcotest.test_case "report shape" `Quick quick_report_shape;
         ] );
+      ( "default campaign",
+        [ Alcotest.test_case "digests pinned at seeds 1 and 2" `Quick default_digests_pinned ] );
       ( "check harness",
         [
           Alcotest.test_case "gen covers new shapes" `Quick gen_covers_new_shapes;

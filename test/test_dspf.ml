@@ -35,7 +35,9 @@ module Sut = struct
     Dspf.restore_node t.spf v;
     t.node_dead.(v) <- false
 
-  let distance t v = Dspf.distance t.spf v
+  let distance t v =
+    let d = (Dspf.distances t.spf).(v) in
+    if d = infinity then None else Some d
   let stats t = Dspf.stats t.spf
 end
 

@@ -213,7 +213,7 @@ let absorbing_picks_off_tree_interior () =
 
 let shortest_path_convenience () =
   let g = Fixtures.diamond () in
-  match Dijkstra.shortest_path g ~src:0 ~dst:3 with
+  match Dijkstra.shortest_path g ~src:0 ~dst:3 ~lower:(Dijkstra.distances (Dijkstra.run g ~source:3)) with
   | Some (d, nodes, edges) ->
       check_float "delay" 2.0 d;
       check_int "nodes" 3 (List.length nodes);

@@ -16,6 +16,11 @@ module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
 module Oracle = Smrp_check.Oracle
 
+(* A global detour bounded by the source SPF over the network [f] leaves. *)
+let global_detour t f ~member =
+  Recovery.global_detour t f ~member
+    ~spf:(Smrp.source_spf ~filters:(Failure.filters (Tree.graph t) f) t)
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -57,7 +62,7 @@ let fig1_detours () =
   check_float "local e2e delay" 4.0 local.Recovery.new_total_delay;
   (* Global detour: the new SPF path D-B-S is entirely new links, RD = 3,
      but the end-to-end delay is the smaller 3. *)
-  let global = Option.get (Recovery.global_detour t fail ~member:f.Fixtures.d) in
+  let global = Option.get (global_detour t fail ~member:f.Fixtures.d) in
   check_int "global merge is S" f.Fixtures.s global.Recovery.merge;
   check_list "global path" [ f.Fixtures.d; f.Fixtures.b; f.Fixtures.s ] global.Recovery.path_nodes;
   check_float "global RD = 3" 3.0 global.Recovery.recovery_distance;

@@ -13,12 +13,18 @@ module Reshape = Smrp_core.Reshape
 module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
 module Session = Smrp_core.Session
+module Query = Smrp_core.Query
 module Scenario = Smrp_experiments.Scenario
 module Oracle = Smrp_check.Oracle
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
 let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
+
+(* A global detour bounded by the source SPF over the network [f] leaves. *)
+let global_detour t f ~member =
+  Recovery.global_detour t f ~member
+    ~spf:(Smrp.source_spf ~filters:(Failure.filters (Tree.graph t) f) t)
 
 let scene seed =
   let rng = Rng.create seed in
@@ -105,7 +111,7 @@ let local_le_global_any_link =
           let f = Failure.Link eid in
           List.for_all
             (fun m ->
-              match (Recovery.local_detour t f ~member:m, Recovery.global_detour t f ~member:m) with
+              match (Recovery.local_detour t f ~member:m, global_detour t f ~member:m) with
               | Some l, Some gl -> l.Recovery.recovery_distance <= gl.Recovery.recovery_distance +. 1e-9
               | None, Some _ -> false
               | _ -> true)
@@ -321,7 +327,8 @@ let detours_equal_reference_scan =
       List.for_all local_ok (List.init n Fun.id)
       && Array.for_all branch_ok on_tree)
 
-(* [shortest_path] stops once [dst] settles; the reference runs the whole
+(* [shortest_path] settles only the shortest paths to [dst], bounded by
+   [dst]'s own SPF over the same graph; the reference runs the whole
    search.  Every [dst] is asked, so [src = dst] is always covered, and
    filtered-out or disconnected targets whenever the draw has them. *)
 let shortest_path_equals_reference =
@@ -342,9 +349,16 @@ let shortest_path_equals_reference =
       in
       List.for_all
         (fun dst ->
+          let lower =
+            if not filtered then Dijkstra.distances (Dijkstra.run_reference g ~source:dst)
+            else if node_ok dst then
+              Dijkstra.distances (Dijkstra.run_reference ~node_ok ~edge_ok g ~source:dst)
+            else Array.make n infinity
+          in
           let got =
-            if filtered then Dijkstra.shortest_path ~node_ok ~edge_ok ~workspace:ws g ~src ~dst
-            else Dijkstra.shortest_path ~workspace:ws g ~src ~dst
+            if filtered then
+              Dijkstra.shortest_path ~node_ok ~edge_ok ~workspace:ws g ~src ~dst ~lower
+            else Dijkstra.shortest_path ~workspace:ws g ~src ~dst ~lower
           in
           let expect =
             match
@@ -587,6 +601,150 @@ let bounded_join_fallback_share () =
   Printf.printf "bounded joins: %d of %d checked joins (%.1f%%) had no candidate inside the bound\n"
     !fallbacks !checked (100.0 *. share);
   Alcotest.(check bool) "at least 5% of joins fall back" true (share >= 0.05)
+
+(* SPF and query-scheme sessions on delays in {1, 2, 3}, so shortest paths
+   tie often, against unicast paths read off the reference search.  Before
+   each off-tree join the expected tree path is computed: an SPF join
+   grafts the reference path up to its first on-tree node; a query join,
+   with no failure active, takes what selection over the reference answers
+   picks (and [Query.candidates] must give those answers path for path),
+   or the SPF graft when none answers.  After each failure of an SPF
+   session, the staged repair is replayed from the surviving tree: every
+   global detour must be the reference path to the first node still
+   receiving data, and a member is lost only when the source is out of its
+   reach.  Returns the joins and the non-trivial detours checked, and the
+   verdict. *)
+let unicast_session seed =
+  let rng = Rng.create seed in
+  let g = int_delay_graph rng ~connected:(Rng.int rng 4 > 0) in
+  let n = Graph.node_count g and m = Graph.edge_count g in
+  let source = Rng.int rng n in
+  let d_thresh = Rng.pick rng [| 0.0; 0.3; 1.0 |] in
+  let query = Rng.bool rng in
+  let protocol = if query then Session.Smrp_query { d_thresh } else Session.Spf in
+  let s = Session.create g ~source ~protocol in
+  let joins = ref 0 and detours = ref 0 and ok = ref true in
+  let expect_ok b = if not b then ok := false in
+  let on_source t (nodes, _) =
+    let merge = List.nth nodes (List.length nodes - 1) in
+    nodes @ List.tl (Tree.path_to_source t merge)
+  in
+  let join v =
+    let t = Session.tree s in
+    let failure = Session.active_failure s in
+    if Tree.is_member t v || not (Session.reachable s v) then ()
+    else if Tree.is_on_tree t v || (query && failure <> None) then Session.join s v
+    else begin
+      let spf_graft () =
+        Option.map (on_source t)
+          (Oracle.naive_unicast_prefix ?failure t ~from:v ~stop:(Tree.is_on_tree t))
+      in
+      let expect =
+        if not query then spf_graft ()
+        else begin
+          let qcands = Oracle.naive_query_candidates t ~joiner:v in
+          let path (c : Oracle.naive_candidate) =
+            (c.Oracle.merge, c.Oracle.attach_nodes, c.Oracle.attach_edges)
+          in
+          let answers = Query.candidates t ~joiner:v ~spf:(Smrp.source_spf t) in
+          expect_ok
+            (List.map
+               (fun (c : Smrp.candidate) ->
+                 (c.Smrp.merge, c.Smrp.attach_nodes, c.Smrp.attach_edges))
+               answers
+            = List.map path qcands);
+          let spf_distance =
+            Option.get (Dijkstra.distance (Dijkstra.run_reference g ~source) v)
+          in
+          match Oracle.naive_select ~d_thresh ~spf_distance qcands with
+          | Some c ->
+              Some (List.rev c.Oracle.attach_nodes @ List.tl (Tree.path_to_source t c.Oracle.merge))
+          | None -> spf_graft ()
+        end
+      in
+      Session.join s v;
+      incr joins;
+      expect_ok (expect = Some (Tree.path_to_source (Session.tree s) v))
+    end
+  in
+  let repairs_ok pre f_all repairs lost =
+    let replay = Recovery.surviving_tree pre f_all in
+    List.iter
+      (fun (r : Session.repair) ->
+        let d = r.Session.detour in
+        expect_ok
+          (Oracle.naive_unicast_prefix ~failure:f_all replay ~from:d.Recovery.member
+             ~stop:(Tree.is_on_tree replay)
+          = Some (d.Recovery.path_nodes, d.Recovery.path_edges));
+        if d.Recovery.path_edges <> [] then begin
+          incr detours;
+          Tree.graft replay
+            ~nodes:(List.rev d.Recovery.path_nodes)
+            ~edges:(List.rev d.Recovery.path_edges)
+        end;
+        Tree.add_member replay d.Recovery.member)
+      repairs;
+    List.iter
+      (fun v ->
+        expect_ok
+          (Oracle.naive_unicast_prefix ~failure:f_all replay ~from:v ~stop:(fun _ -> true) = None))
+      lost
+  in
+  let churn () =
+    let v = Rng.int rng n in
+    if Tree.is_member (Session.tree s) v then begin
+      if Rng.int rng 3 = 0 then Session.leave s v
+    end
+    else join v
+  in
+  for _ = 1 to n do
+    churn ()
+  done;
+  for _ = 1 to Rng.int rng 4 do
+    let f =
+      let t = Session.tree s in
+      match Tree.members t with
+      | _ :: _ as ms when Rng.bool rng -> (
+          match Failure.worst_case_for_member t (Rng.pick rng (Array.of_list ms)) with
+          | Some f -> f
+          | None -> Failure.Node (Rng.int rng n))
+      | _ ->
+          if m > 0 && Rng.int rng 3 > 0 then Failure.Link (Rng.int rng m)
+          else Failure.Node (Rng.int rng n)
+    in
+    if f <> Failure.Node source then begin
+      let pre = Tree.copy (Session.tree s) and events = List.length (Session.events s) in
+      let repairs = Session.fail s f in
+      let lost =
+        List.filteri (fun i _ -> i >= events) (Session.events s)
+        |> List.filter_map (function Session.Lost v -> Some v | _ -> None)
+      in
+      if not query then repairs_ok pre (Option.get (Session.active_failure s)) repairs lost
+    end;
+    for _ = 1 to n / 2 do
+      churn ()
+    done
+  done;
+  (!joins, !detours, !ok)
+
+let unicast_paths_equal_reference =
+  QCheck.Test.make ~name:"SPF grafts, query answers and global detours follow the reference paths"
+    ~count:400 QCheck.small_int (fun seed ->
+      let _, _, ok = unicast_session seed in
+      ok)
+
+(* The property above must see joins and global detours, not only trivial
+   repairs. *)
+let unicast_session_coverage () =
+  let joins = ref 0 and detours = ref 0 in
+  for seed = 0 to 399 do
+    let j, d, _ = unicast_session seed in
+    joins := !joins + j;
+    detours := !detours + d
+  done;
+  Printf.printf "unicast sessions: %d joins and %d global detours checked\n" !joins !detours;
+  Alcotest.(check bool) "joins checked" true (!joins >= 1000);
+  Alcotest.(check bool) "global detours checked" true (!detours >= 100)
 
 (* The goal-directed search against the same search without [bound], on
    delays in {1, 2, 3} so distances tie often.  [lower] is the goal's SPF
@@ -856,6 +1014,9 @@ let () =
           Alcotest.test_case "bounded joins exercise the fallback" `Quick
             bounded_join_fallback_share;
           qcheck_case pruned_search_equals_full;
+          qcheck_case unicast_paths_equal_reference;
+          Alcotest.test_case "unicast sessions check joins and detours" `Quick
+            unicast_session_coverage;
           qcheck_case session_reachable_equals_reference;
           qcheck_case run_many_jobs_immaterial;
           qcheck_case wheel_equals_reference_heap;

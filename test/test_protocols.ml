@@ -46,7 +46,7 @@ let spf_attach_path_on_tree () =
   let g = Fixtures.line 3 in
   let t = Tree.create g ~source:0 in
   Spf.join t 2;
-  Alcotest.(check (pair (list int) (list int))) "trivial attach" ([ 1 ], []) (Spf.attach_path t 1)
+  Alcotest.(check (pair (list int) (list int))) "trivial attach" ([ 1 ], []) (Spf.attach_path t 1 ~spf:(Smrp.source_spf t))
 
 let spf_errors () =
   let g = Graph.create 3 in

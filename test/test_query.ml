@@ -23,7 +23,7 @@ let query_candidates_subset_of_full () =
   let f = Fixtures.fig1 () in
   let t = Spf.build f.Fixtures.graph ~source:f.Fixtures.s ~members:[ f.Fixtures.c ] in
   let full = List.map (fun c -> c.Oracle.merge) (Oracle.naive_candidates t ~joiner:f.Fixtures.d) in
-  let q = List.map (fun c -> c.Smrp.merge) (Query.candidates t ~joiner:f.Fixtures.d) in
+  let q = List.map (fun c -> c.Smrp.merge) (Query.candidates t ~joiner:f.Fixtures.d ~spf:(Smrp.source_spf t)) in
   check "subset" true (List.for_all (fun m -> List.mem m full) q);
   check "non-empty" true (q <> [])
 
@@ -31,7 +31,7 @@ let query_neighbor_on_tree_answers_directly () =
   let g = Fixtures.line 4 in
   let t = Spf.build g ~source:0 ~members:[ 2 ] in
   (* Joiner 3's only neighbour is 2, which is on-tree. *)
-  let cands = Query.candidates t ~joiner:3 in
+  let cands = Query.candidates t ~joiner:3 ~spf:(Smrp.source_spf t) in
   check_int "one candidate" 1 (List.length cands);
   check_int "merge at the neighbour" 2 (List.hd cands).Smrp.merge
 
@@ -41,7 +41,7 @@ let query_forwards_along_neighbor_spf () =
   (* Joiner 8: neighbours 5 and 7, both off-tree; their SPF paths towards 0
      hit the tree at 1 or 0 (grid paths).  All candidate merges must be
      on-tree nodes. *)
-  let cands = Query.candidates t ~joiner:8 in
+  let cands = Query.candidates t ~joiner:8 ~spf:(Smrp.source_spf t) in
   check "answers exist" true (cands <> []);
   List.iter (fun c -> check "merge on tree" true (Tree.is_on_tree t c.Smrp.merge)) cands
 
@@ -59,7 +59,7 @@ let query_dedupes_by_merge () =
   let t = Spf.build g ~source:0 ~members:[] in
   (* Joiner 3 has neighbours 1 and 2; both SPF paths end at the source, so
      both answers share merge node 0 and only the cheaper connection stays. *)
-  let cands = Query.candidates t ~joiner:3 in
+  let cands = Query.candidates t ~joiner:3 ~spf:(Smrp.source_spf t) in
   check_int "single deduped candidate" 1 (List.length cands);
   check_int "merge at source" 0 (List.hd cands).Smrp.merge
 
@@ -101,7 +101,7 @@ let qcheck_query_no_better_than_full =
       else begin
         let best shrs = List.fold_left min max_int shrs in
         let full = List.map (fun c -> c.Oracle.shr) (Oracle.naive_candidates t ~joiner) in
-        let q = List.map (fun c -> c.Smrp.shr) (Query.candidates t ~joiner) in
+        let q = List.map (fun c -> c.Smrp.shr) (Query.candidates t ~joiner ~spf:(Smrp.source_spf t)) in
         q = [] || best q >= best full
       end)
 

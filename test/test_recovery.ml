@@ -21,6 +21,11 @@ let check_ilist = Alcotest.(check (list int))
 
 let edge g u v = (Option.get (Graph.edge_between g u v)).Graph.id
 
+(* A global detour bounded by the source SPF over the network [f] leaves. *)
+let global_detour t f ~member =
+  Recovery.global_detour t f ~member
+    ~spf:(Smrp.source_spf ~filters:(Failure.filters (Tree.graph t) f) t)
+
 (* -- Failure scenarios ------------------------------------------------- *)
 
 let filters () =
@@ -97,7 +102,7 @@ let isolated_member_gets_none () =
   let t = Spf.build g ~source:0 ~members:[ 2 ] in
   let fail = Failure.Link (edge g 1 2) in
   check "no detour" true (Recovery.local_detour t fail ~member:2 = None);
-  check "no global either" true (Recovery.global_detour t fail ~member:2 = None)
+  check "no global either" true (global_detour t fail ~member:2 = None)
 
 let dead_member_gets_none () =
   let g = Fixtures.diamond () in
@@ -109,7 +114,7 @@ let global_counts_only_new_links () =
   let g = f.Fixtures.graph in
   let t = Spf.build g ~source:f.Fixtures.s ~members:[ f.Fixtures.c; f.Fixtures.d ] in
   let fail = Failure.Link (edge g f.Fixtures.a f.Fixtures.d) in
-  let d = Option.get (Recovery.global_detour t fail ~member:f.Fixtures.d) in
+  let d = Option.get (global_detour t fail ~member:f.Fixtures.d) in
   (* The new unicast path is D-B-S; both links are new, RD = 3. *)
   check_float "RD counts the full new segment" 3.0 d.Recovery.recovery_distance
 
@@ -124,7 +129,7 @@ let global_merges_on_surviving_structure () =
   Tree.graft t ~nodes:[ 0; 3; 6; 7; 8 ] ~edges:[ edge g 0 3; edge g 3 6; edge g 6 7; edge g 7 8 ];
   Tree.add_member t 8;
   let fail = Failure.Link (edge g 0 3) in
-  let d = Option.get (Recovery.global_detour t fail ~member:8) in
+  let d = Option.get (global_detour t fail ~member:8) in
   check_int "merges at 2" 2 d.Recovery.merge;
   check_float "RD 2" 2.0 d.Recovery.recovery_distance;
   let l = Option.get (Recovery.local_detour t fail ~member:8) in
@@ -230,7 +235,7 @@ let qcheck_local_never_longer_than_global =
           match Failure.worst_case_for_member t m with
           | None -> true
           | Some f -> (
-              match (Recovery.local_detour t f ~member:m, Recovery.global_detour t f ~member:m) with
+              match (Recovery.local_detour t f ~member:m, global_detour t f ~member:m) with
               | Some l, Some gl ->
                   l.Recovery.recovery_distance <= gl.Recovery.recovery_distance +. 1e-9
               | None, Some _ -> false (* global path implies a local one *)

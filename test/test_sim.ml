@@ -470,6 +470,33 @@ let query_scheme_join_flows () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+let query_forwarding_ignores_failure () =
+  (* Queries follow the unicast routes of the whole graph, failure or not.
+     3's only neighbour is 1, whose route to the source is 1-2-0 (delay 2,
+     against 2.5 on the direct link); with 2-0 failed, 2 forwards the query
+     onto the dead link and nobody answers, so three queries are sent and
+     3 joins by the full-knowledge fallback.  Routed by the post-failure
+     distances, 1 would send it straight to the source and get an
+     answer. *)
+  let g = Graph.create 4 in
+  ignore (Graph.add_edge g 3 1 1.0);
+  ignore (Graph.add_edge g 1 2 1.0);
+  let broken = Graph.add_edge g 2 0 1.0 in
+  ignore (Graph.add_edge g 1 0 2.5);
+  let engine = Engine.create () in
+  let config = { Protocol.default_config with Protocol.join_mode = Protocol.Query_scheme } in
+  let p = Protocol.create ~config engine g ~source:0 in
+  Protocol.start p;
+  Engine.run ~until:5.0 engine;
+  Protocol.inject_link_failure p broken;
+  ignore (Engine.schedule engine ~delay:1.0 (fun () -> Protocol.join p 3));
+  Engine.run ~until:30.0 engine;
+  check_int "queries sent, none answered" 3 (List.assoc "query" (Protocol.message_breakdown p));
+  Alcotest.(check (list int)) "3 joins around the failure" [ 3; 1; 0 ]
+    (Tree.path_to_source (Protocol.tree p) 3);
+  let r = List.find (fun r -> r.Protocol.member = 3) (Protocol.reports p) in
+  check "3 is served" true (r.Protocol.data_received > 100)
+
 let query_scheme_falls_back () =
   (* A joiner whose queries die (lossless here, but the only neighbour IS
      the source, which answers immediately) still ends up attached. *)
@@ -576,6 +603,8 @@ let () =
           Alcotest.test_case "join errors" `Quick join_errors;
           Alcotest.test_case "join during a link failure" `Quick join_during_failure;
           Alcotest.test_case "query-scheme join" `Quick query_scheme_join_flows;
+          Alcotest.test_case "query forwarding ignores the failure" `Quick
+            query_forwarding_ignores_failure;
           Alcotest.test_case "query-scheme fallback" `Quick query_scheme_falls_back;
           Alcotest.test_case "protocol-level reshaping" `Quick reshaping_switches_at_protocol_level;
           Alcotest.test_case "simulation deterministic" `Quick simulation_deterministic;
