@@ -628,7 +628,10 @@ let () =
           Alcotest.test_case "adversarial dominates" `Quick quick_adversarial_dominates;
           Alcotest.test_case "report shape" `Quick quick_report_shape;
         ] );
-      ( "default campaign",
+      (* Group names stay within 14 characters: Alcotest sizes its name
+         column by the longest, and a wider column truncates the QCheck
+         names above to different prefixes in the test listing. *)
+      ( "default matrix",
         [ Alcotest.test_case "digests pinned at seeds 1 and 2" `Quick default_digests_pinned ] );
       ( "check harness",
         [
