@@ -10,6 +10,7 @@ module Latency = Smrp_experiments.Latency
 module Ablation = Smrp_experiments.Ablation
 module Related_work = Smrp_experiments.Related_work
 module Scaling = Smrp_experiments.Scaling
+module Pool = Smrp_experiments.Pool
 module Dot = Smrp_core.Dot
 module Flight = Smrp_obs.Flight
 module Causal = Smrp_obs.Causal
@@ -46,15 +47,18 @@ let write_file cmd file contents =
   output_string oc contents;
   close_out oc
 
-(* Counts below [lo] are rejected by cmdliner (exit 124) before any work
-   starts, instead of failing deep inside an experiment. *)
-let int_at_least lo =
+(* Counts outside their range are rejected by cmdliner (exit 124) before
+   any work starts, instead of failing deep inside an experiment: [ok]
+   states the range. *)
+let int_where what ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let int_at_least lo = int_where (Printf.sprintf "an integer >= %d" lo) (fun n -> n >= lo)
 
 let positive = int_at_least 1
 
@@ -77,13 +81,20 @@ let scenarios_arg =
     & info [ "scenarios" ] ~docv:"N" ~doc:"Scenarios per data point (paper: 100).")
 
 let jobs_arg =
+  let jobs =
+    int_where
+      (Printf.sprintf "an integer in 1..%d" Pool.max_jobs)
+      (fun n -> n >= 1 && n <= Pool.max_jobs)
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains (default: SMRP_BENCH_JOBS or the recommended domain count). Results \
-           are byte-identical whatever the count.")
+          (Printf.sprintf
+             "Worker domains, 1 to %d (default: SMRP_BENCH_JOBS or the recommended domain \
+              count). Results are byte-identical whatever the count."
+             Pool.max_jobs))
 
 let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV instead of a table.")
 
@@ -257,7 +268,6 @@ let latency_cmd =
 let profile_cmd =
   let module Metrics = Smrp_obs.Metrics in
   let module Profile = Smrp_obs.Profile in
-  let module Pool = Smrp_experiments.Pool in
   let module Dijkstra = Smrp_graph.Dijkstra in
   let module Reshape = Smrp_core.Reshape in
   let run seed scenarios jobs trace_file =

@@ -22,7 +22,7 @@ type event =
 type t = {
   n : int;  (** Node count; nodes are [0 .. n-1]. *)
   edges : (int * int * float) list;
-      (** [(u, v, delay)] with cost = delay; list position is the edge id. *)
+      (** [(u, v, delay)]; list position is the edge id. *)
   source : int;
   protocol : protocol;
   d_thresh : float;

@@ -256,4 +256,4 @@ let provisioned_cost t ~receivers =
         S.union acc (S.union (S.of_list red) (S.of_list blue)))
       S.empty receivers
   in
-  S.fold (fun e acc -> acc +. (Graph.edge t.graph e).Graph.cost) edges 0.0
+  S.fold (fun e acc -> acc +. (Graph.edge t.graph e).Graph.delay) edges 0.0

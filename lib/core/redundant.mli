@@ -38,5 +38,6 @@ val worst_delay : t -> int -> float
     failure hits its primary. *)
 
 val provisioned_cost : t -> receivers:int list -> float
-(** Total cost of the links provisioned for the given receivers: the union
-    of all their red and blue path edges. *)
+(** Total cost (delay, as §4.2 defines link cost) of the links provisioned
+    for the given receivers: the union of all their red and blue path
+    edges. *)

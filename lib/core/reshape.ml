@@ -369,13 +369,9 @@ let drifted m t ~threshold =
       Tree.shr t v - old_shr > threshold)
     (Tree.on_tree_nodes t)
 
-let run_condition_i ?d_thresh ?(threshold = 1) ?ws m t =
+let run_condition_i ?d_thresh ?(threshold = 1) m t =
   let triggered = drifted m t ~threshold in
-  let ws =
-    match ws with
-    | Some ws -> ws
-    | None -> Dijkstra.workspace ~capacity:(Smrp_graph.Graph.node_count (Tree.graph t)) ()
-  in
+  let ws = Dijkstra.workspace ~capacity:(Smrp_graph.Graph.node_count (Tree.graph t)) () in
   (* The failure-free source distances do not change with the tree: one
      search serves every triggered node. *)
   let spf = if triggered = [] then [||] else Smrp.source_spf ~ws t in

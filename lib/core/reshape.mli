@@ -59,8 +59,7 @@ type monitor
 
 val monitor : Tree.t -> monitor
 
-val run_condition_i :
-  ?d_thresh:float -> ?threshold:int -> ?ws:Smrp_graph.Dijkstra.workspace -> monitor -> Tree.t -> int
+val run_condition_i : ?d_thresh:float -> ?threshold:int -> monitor -> Tree.t -> int
 (** Trigger {!try_reshape} at every drifted node: every on-tree node but
     the source whose current SHR exceeds its recorded [SHR^old] by more
     than [threshold] (default 1).  A triggered node still on the tree

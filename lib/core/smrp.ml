@@ -22,7 +22,8 @@ let always _ = true
    and path. *)
 let candidate_search ?filters ?bound ?ws t ~joiner =
   let g = Tree.graph t in
-  let alive, edge_alive = match filters with None -> (always, always) | Some fl -> fl in
+  let node_ok = Option.map fst filters and edge_ok = Option.map snd filters in
+  let alive = Option.value node_ok ~default:always in
   let absorb v = Tree.is_on_tree t v && alive v in
   (* Spans ride the workspace recorder (see Dijkstra.set_flight): the search
      span nests the inner "dijkstra.run" span in the rendered trace. *)
@@ -30,37 +31,27 @@ let candidate_search ?filters ?bound ?ws t ~joiner =
     match ws with Some ws -> Dijkstra.workspace_flight ws | None -> Smrp_obs.Flight.null
   in
   let start = Smrp_obs.Flight.span_start flight in
-  let result =
-    (* Only pass per-edge/per-node filters when something actually filters:
-       the unconstrained search takes Dijkstra's absorb-only fast path. *)
-    match filters with
-    | None -> Dijkstra.run ~absorb ?bound ?workspace:ws g ~source:joiner
-    | Some _ ->
-        Dijkstra.run ~node_ok:alive ~edge_ok:edge_alive ~absorb ?bound ?workspace:ws g
-          ~source:joiner
-  in
+  let result = Dijkstra.run ?node_ok ?edge_ok ~absorb ?bound ?workspace:ws g ~source:joiner in
   Smrp_obs.Flight.span flight ~code:Smrp_obs.Flight.span_candidate_search ~start ~b:joiner;
   (result, alive)
 
-let spf_distance ?failure ?ws t v =
+let spf_distance ?failure t v =
   let g = Tree.graph t in
+  let filters = Option.map (Failure.filters g) failure in
   let r =
-    match failure with
-    | None -> Dijkstra.run ?workspace:ws g ~source:v
-    | Some f ->
-        let node_ok, edge_ok = Failure.filters g f in
-        Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source:v
+    Dijkstra.run ?node_ok:(Option.map fst filters) ?edge_ok:(Option.map snd filters) g ~source:v
   in
   Dijkstra.distance r (Tree.source t)
 
 let source_spf ?filters ?ws t =
   let g = Tree.graph t and source = Tree.source t in
   match filters with
-  | None -> Dijkstra.distances (Dijkstra.run ?workspace:ws g ~source)
-  | Some (node_ok, edge_ok) ->
-      if node_ok source then
-        Dijkstra.distances (Dijkstra.run ~node_ok ~edge_ok ?workspace:ws g ~source)
-      else Array.make (Smrp_graph.Graph.node_count g) infinity
+  | Some (node_ok, _) when not (node_ok source) ->
+      Array.make (Smrp_graph.Graph.node_count g) infinity
+  | _ ->
+      Dijkstra.distances
+        (Dijkstra.run ?node_ok:(Option.map fst filters) ?edge_ok:(Option.map snd filters)
+           ?workspace:ws g ~source)
 
 let bound_epsilon = 1e-9
 

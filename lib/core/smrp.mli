@@ -26,8 +26,7 @@ type candidate = {
 val default_d_thresh : float
 (** 0.3, the paper's reference setting. *)
 
-val spf_distance :
-  ?failure:Failure.t -> ?ws:Smrp_graph.Dijkstra.workspace -> Tree.t -> int -> float option
+val spf_distance : ?failure:Failure.t -> Tree.t -> int -> float option
 (** Unicast shortest-path delay from a node to the source, over the
     surviving network when [failure] is given. *)
 

@@ -4,14 +4,9 @@ let attach_path ?filters ?ws t nr ~spf =
   if Tree.is_on_tree t nr then ([ nr ], [])
   else begin
     let g = Tree.graph t in
-    (* No filters when there is no failure: the search then takes
-       Dijkstra's unfiltered bounded loop. *)
     let path =
-      match filters with
-      | None -> Dijkstra.shortest_path ?workspace:ws g ~src:nr ~dst:(Tree.source t) ~lower:spf
-      | Some (node_ok, edge_ok) ->
-          Dijkstra.shortest_path ~node_ok ~edge_ok ?workspace:ws g ~src:nr ~dst:(Tree.source t)
-            ~lower:spf
+      Dijkstra.shortest_path ?node_ok:(Option.map fst filters) ?edge_ok:(Option.map snd filters)
+        ?workspace:ws g ~src:nr ~dst:(Tree.source t) ~lower:spf
     in
     match path with
     | None -> invalid_arg "Spf.attach_path: source unreachable"

@@ -2,9 +2,9 @@ module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
 
 (* The cheapest connection from [joiner] to the current tree: a search for
-   the nearest on-tree node over link costs, returned merge-first.  Delay and
-   cost coincide on the graphs used here, so the delay-weighted search
-   doubles as the cost-weighted one. *)
+   the nearest on-tree node over link costs, returned merge-first.  A link's
+   cost is its delay (§4.2), so the delay-weighted search is the
+   cost-weighted one. *)
 let cheapest_connection ?ws t ~joiner =
   Option.map
     (fun h -> (h.Dijkstra.dist, List.rev h.Dijkstra.nodes, List.rev h.Dijkstra.edges))

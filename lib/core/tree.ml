@@ -150,7 +150,7 @@ let tree_edges t =
   collect t (fun v -> t.parent_edge.(v) >= 0) |> List.map (fun v -> t.parent_edge.(v))
 
 let total_cost t =
-  List.fold_left (fun acc eid -> acc +. (Graph.edge t.graph eid).Graph.cost) 0.0 (tree_edges t)
+  List.fold_left (fun acc eid -> acc +. (Graph.edge t.graph eid).Graph.delay) 0.0 (tree_edges t)
 
 (* The subtree rooted at [v]: [v] first, then preorder. *)
 let descendants t v =

@@ -76,7 +76,8 @@ val tree_edges : t -> int list
 (** Edge ids currently in the tree. *)
 
 val total_cost : t -> float
-(** Sum of tree-edge costs (§4.2's [Cost_T]). *)
+(** Sum of tree-edge delays: §4.2's [Cost_T], whose link cost is the
+    link's delay. *)
 
 val graft : t -> nodes:int list -> edges:int list -> unit
 (** [graft t ~nodes ~edges] splices a path into the tree.  [nodes] runs from

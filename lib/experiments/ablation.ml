@@ -63,8 +63,8 @@ module Reshaping = struct
     let rd_after, delay_after = tree_vs_spf ~spf_tree ~tree:smrp ~members in
     (float_of_int stats.Reshape.switches, rd_before, rd_after, delay_before, delay_after)
 
-  let run ?jobs ?(seed = 11) ?(scenarios = 50) () =
-    let results = Pool.map ?jobs run_one (Scenario.seeds ~seed ~count:scenarios) in
+  let run ?(seed = 11) ?(scenarios = 50) () =
+    let results = Pool.map run_one (Scenario.seeds ~seed ~count:scenarios) in
     let pick f = List.map f results in
     {
       scenarios;
@@ -104,8 +104,8 @@ module Query = struct
     let rd_query, delay_query = tree_vs_spf ~spf_tree ~tree:query ~members in
     (rd_full, rd_query, delay_full, delay_query)
 
-  let run ?jobs ?(seed = 12) ?(scenarios = 50) () =
-    let results = Pool.map ?jobs run_one (Scenario.seeds ~seed ~count:scenarios) in
+  let run ?(seed = 12) ?(scenarios = 50) () =
+    let results = Pool.map run_one (Scenario.seeds ~seed ~count:scenarios) in
     let pick f = List.map f results in
     {
       scenarios;
@@ -194,8 +194,8 @@ module Hierarchical = struct
       (Hierarchy.member_domains hier);
     !results
 
-  let run ?jobs ?(seed = 13) ?(scenarios = 20) () =
-    let all = List.concat (Pool.map ?jobs run_one (Scenario.seeds ~seed ~count:scenarios)) in
+  let run ?(seed = 13) ?(scenarios = 20) () =
+    let all = List.concat (Pool.map run_one (Scenario.seeds ~seed ~count:scenarios)) in
     let hier_rds = List.concat_map (fun (h, _, _, _, _) -> h) all in
     let flat_rds = List.concat_map (fun (_, _, f, _, _) -> f) all in
     let confined = List.length (List.filter (fun (_, c, _, _, _) -> c) all) in

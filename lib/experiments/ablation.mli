@@ -16,7 +16,7 @@ module Reshaping : sig
     delay_after : Smrp_metrics.Stats.summary;
   }
 
-  val run : ?jobs:int -> ?seed:int -> ?scenarios:int -> unit -> row
+  val run : ?seed:int -> ?scenarios:int -> unit -> row
 
   val render : row -> string
 end
@@ -32,7 +32,7 @@ module Query : sig
     delay_query : Smrp_metrics.Stats.summary;
   }
 
-  val run : ?jobs:int -> ?seed:int -> ?scenarios:int -> unit -> row
+  val run : ?seed:int -> ?scenarios:int -> unit -> row
 
   val render : row -> string
 end
@@ -53,7 +53,7 @@ module Hierarchical : sig
     rd_flat : Smrp_metrics.Stats.summary;
   }
 
-  val run : ?jobs:int -> ?seed:int -> ?scenarios:int -> unit -> row
+  val run : ?seed:int -> ?scenarios:int -> unit -> row
 
   val render : row -> string
 end

@@ -48,7 +48,7 @@ let run_one (topo_rng, member_rng) =
   let rd_st = List.filter_map (rd_reduction ~ws ~baseline_tree:steiner ~smrp_tree:smrp) members in
   (cost_spf, cost_smrp, delay_st, rd_spf, rd_st)
 
-let run ?jobs ?(seed = 21) ?(scenarios = 50) () =
+let run ?(seed = 21) ?(scenarios = 50) () =
   let rng = Rng.create seed in
   let draws =
     List.init scenarios (fun _ ->
@@ -56,7 +56,7 @@ let run ?jobs ?(seed = 21) ?(scenarios = 50) () =
         let member_rng = Rng.split rng in
         (topo_rng, member_rng))
   in
-  let results = Pool.map ?jobs run_one draws in
+  let results = Pool.map run_one draws in
   (* Merge so each list ends up exactly as the sequential prepend loop left
      it (scenario N's items first, each scenario's items reversed) — the
      float-summation order inside Stats is unchanged. *)

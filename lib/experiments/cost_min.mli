@@ -21,8 +21,8 @@ type row = {
           delay away). *)
 }
 
-val run : ?jobs:int -> ?seed:int -> ?scenarios:int -> unit -> row
+val run : ?seed:int -> ?scenarios:int -> unit -> row
 (** Scenarios fan out over {!Pool.map}; the result is byte-identical
-    whatever [jobs]. *)
+    whatever the job count. *)
 
 val render : row -> string

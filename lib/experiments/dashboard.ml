@@ -83,24 +83,30 @@ let run ?jobs config =
   if config.scenarios < 1 then invalid_arg "Dashboard.run: scenarios must be positive";
   let seeds = Scenario.seeds ~seed:config.seed ~count:config.scenarios in
   let per_seed = Pool.map ?jobs (measure_seed config) seeds in
-  let collector = Report.collector () in
+  (* One registry per variant, in variant order, even for a variant that
+     ends up empty. *)
   let names = variant_names config in
-  (* Register variants up front so the report keeps variant order even if a
-     variant ends up empty. *)
-  let registries = List.map (Report.variant_metrics collector) names in
+  let registries = List.map (fun _ -> Metrics.create ()) names in
   List.iter
     (fun rows_per_variant -> List.iter2 record_rows registries rows_per_variant)
     per_seed;
+  let topology_variants = List.map2 (fun name m -> Report.of_metrics ~name m) names registries in
   (* Packet-level restoration latency (§4.4), sequential, each side
      recording into its own variant's registry. *)
-  if config.latency_runs > 0 then begin
-    let smrp_metrics = Report.variant_metrics collector "smrp (packet sim)" in
-    let pim_metrics = Report.variant_metrics collector "pim (packet sim)" in
-    ignore
-      (Latency.run_many ~smrp_metrics ~pim_metrics ~seed:(config.seed + 1)
-         ~runs:config.latency_runs config.latency
-        : Latency.result list)
-  end;
+  let packet_variants =
+    if config.latency_runs > 0 then begin
+      let smrp_metrics = Metrics.create () and pim_metrics = Metrics.create () in
+      ignore
+        (Latency.run_many ~smrp_metrics ~pim_metrics ~seed:(config.seed + 1)
+           ~runs:config.latency_runs config.latency
+          : Latency.result list);
+      [
+        Report.of_metrics ~name:"smrp (packet sim)" smrp_metrics;
+        Report.of_metrics ~name:"pim (packet sim)" pim_metrics;
+      ]
+    end
+    else []
+  in
   let meta =
     [
       ("seed", string_of_int config.seed);
@@ -109,4 +115,4 @@ let run ?jobs config =
       ("latency_runs", string_of_int config.latency_runs);
     ]
   in
-  Report.of_collector ~title:"SMRP run report" ~meta collector
+  Report.make ~title:"SMRP run report" ~meta (topology_variants @ packet_variants)

@@ -22,7 +22,10 @@ let waxman_draw rng =
   let topo = Waxman.generate ~link_delay:`Unit rng ~n:100 ~alpha:0.2 ~beta:0.2 in
   { graph = topo.Waxman.graph; pool = List.init 100 Fun.id }
 
-let pure_random_draw target_degree rng =
+(* The reference Waxman density, matched by the flat families. *)
+let target_degree = 4.5
+
+let pure_random_draw rng =
   let p = Flat_models.probability_for_degree ~n:100 ~target_degree in
   let topo = Flat_models.pure_random ~link_delay:`Unit rng ~n:100 ~p in
   { graph = topo.Flat_models.graph; pool = List.init 100 Fun.id }
@@ -30,7 +33,7 @@ let pure_random_draw target_degree rng =
 (* Locality parameters chosen so the expected degree matches the target:
    with radius 0.25 roughly 17% of pairs are "near"; p_near : p_far = 6 : 1
    mimics Zegura's locality skew. *)
-let locality_draw target_degree rng =
+let locality_draw rng =
   let near_fraction = 0.17 in
   let ratio = 6.0 in
   let base =
@@ -80,7 +83,7 @@ let measure_one ~generate (topo_rng, member_rng) =
   in
   (degree, rd, delay, cost)
 
-let measure_family ?jobs ~seed ~scenarios ~generate name =
+let measure_family ~seed ~scenarios ~generate name =
   (* The per-scenario RNG pairs are split off sequentially so the stream
      consumed is identical to the historical sequential loop; only the
      (pure) per-scenario measurement fans out. *)
@@ -91,7 +94,7 @@ let measure_family ?jobs ~seed ~scenarios ~generate name =
         let member_rng = Rng.split rng in
         (topo_rng, member_rng))
   in
-  let results = Pool.map ?jobs (measure_one ~generate) draws in
+  let results = Pool.map (measure_one ~generate) draws in
   (* Prepend in scenario order, exactly as the old accumulator loop did, so
      the float-summation order (and thus every mean) is unchanged. *)
   let rd = ref [] and delay = ref [] and cost = ref [] and degree = ref [] in
@@ -110,12 +113,12 @@ let measure_family ?jobs ~seed ~scenarios ~generate name =
     cost = Stats.summarize !cost;
   }
 
-let run ?jobs ?(seed = 31) ?(scenarios = 50) ?(target_degree = 4.5) () =
+let run ?(seed = 31) ?(scenarios = 50) () =
   [
-    measure_family ?jobs ~seed ~scenarios ~generate:waxman_draw "waxman";
-    measure_family ?jobs ~seed ~scenarios ~generate:(pure_random_draw target_degree) "pure-random";
-    measure_family ?jobs ~seed ~scenarios ~generate:(locality_draw target_degree) "locality";
-    measure_family ?jobs ~seed ~scenarios ~generate:transit_stub_draw "transit-stub";
+    measure_family ~seed ~scenarios ~generate:waxman_draw "waxman";
+    measure_family ~seed ~scenarios ~generate:pure_random_draw "pure-random";
+    measure_family ~seed ~scenarios ~generate:locality_draw "locality";
+    measure_family ~seed ~scenarios ~generate:transit_stub_draw "transit-stub";
   ]
 
 let render rows =

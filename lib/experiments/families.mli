@@ -11,9 +11,10 @@ type row = {
   cost : Smrp_metrics.Stats.summary;
 }
 
-val run : ?jobs:int -> ?seed:int -> ?scenarios:int -> ?target_degree:float -> unit -> row list
-(** Families: waxman, pure-random, locality, transit-stub; [target_degree]
-    defaults to 4.5 (the reference Waxman density).  Scenarios fan out over
-    {!Pool.map}; the result is byte-identical whatever [jobs]. *)
+val run : ?seed:int -> ?scenarios:int -> unit -> row list
+(** Families: waxman, pure-random, locality, transit-stub, the flat ones at
+    average degree 4.5 (the reference Waxman density).  Scenarios fan out
+    over {!Pool.map}; the result is byte-identical whatever the job
+    count. *)
 
 val render : row list -> string

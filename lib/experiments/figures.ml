@@ -53,9 +53,9 @@ module Fig7 = struct
     on_diagonal_fraction : float;
   }
 
-  let run ?jobs ?metrics ?(seed = 7) ?(topologies = 5) () =
+  let run ?jobs ?(seed = 7) ?(topologies = 5) () =
     let scenarios =
-      Scenario.run_many ?jobs ?metrics
+      Scenario.run_many ?jobs
         (List.map
            (fun s -> { Scenario.default with seed = s; link_delay = `Euclidean })
            (Scenario.seeds ~seed ~count:topologies))
@@ -110,7 +110,7 @@ module Fig8 = struct
     cost : Stats.summary;
   }
 
-  let run ?jobs ?metrics ?(seed = 8) ?(values = [ 0.1; 0.2; 0.3; 0.4 ]) ?(scenarios = 100) () =
+  let run ?jobs ?(seed = 8) ?(values = [ 0.1; 0.2; 0.3; 0.4 ]) ?(scenarios = 100) () =
     let configs =
       List.map (fun dt s -> { Scenario.default with d_thresh = dt; seed = s }) values
     in
@@ -119,7 +119,7 @@ module Fig8 = struct
         let s = summaries runs in
         { d_thresh = dt; rd = s.rd; rd_tree = s.rd_tree; delay = s.delay; cost = s.cost })
       values
-      (sweep ?jobs ?metrics ~seed ~scenarios ~configs ())
+      (sweep ?jobs ~seed ~scenarios ~configs ())
 
   let render rows =
     let t =
@@ -237,14 +237,14 @@ module Fig10 = struct
     cost : Stats.summary;
   }
 
-  let run ?jobs ?metrics ?(seed = 10) ?(values = [ 20; 30; 40; 50 ]) ?(scenarios = 100) () =
+  let run ?jobs ?(seed = 10) ?(values = [ 20; 30; 40; 50 ]) ?(scenarios = 100) () =
     let configs = List.map (fun ng s -> { Scenario.default with group_size = ng; seed = s }) values in
     List.map2
       (fun ng runs ->
         let s = summaries runs in
         { group_size = ng; rd = s.rd; delay = s.delay; cost = s.cost })
       values
-      (sweep ?jobs ?metrics ~seed ~scenarios ~configs ())
+      (sweep ?jobs ~seed ~scenarios ~configs ())
 
   let render rows =
     let t =

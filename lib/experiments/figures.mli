@@ -5,9 +5,9 @@
     {!Scenario.seeds} of [seed], changing only the swept parameter.
     Scenario fan-outs run domain-parallel through {!Pool}
     ([jobs] to override; results are byte-identical whatever the count).
-    Every [run] accepts [?metrics]: a {!Smrp_obs.Metrics.t} registry that
-    each scenario records into (see {!Scenario.run}) — shared across the
-    parallel fan-out, it merges to exactly the sequential totals.
+    {!Fig9.run} accepts [?metrics]: a {!Smrp_obs.Metrics.t} registry that
+    each scenario records into (see {!Scenario.run_many}) — shared across
+    the parallel fan-out, it merges to exactly the sequential totals.
 
     Sampling note: the paper reuses each random topology for several member
     sets (e.g. 10 × 10 in Fig. 8); we draw an independent topology per
@@ -27,7 +27,6 @@ module Fig7 : sig
 
   val run :
     ?jobs:int ->
-    ?metrics:Smrp_obs.Metrics.t ->
     ?seed:int ->
     ?topologies:int ->
     unit ->
@@ -58,7 +57,6 @@ module Fig8 : sig
 
   val run :
     ?jobs:int ->
-    ?metrics:Smrp_obs.Metrics.t ->
     ?seed:int ->
     ?values:float list ->
     ?scenarios:int ->
@@ -115,7 +113,6 @@ module Fig10 : sig
 
   val run :
     ?jobs:int ->
-    ?metrics:Smrp_obs.Metrics.t ->
     ?seed:int ->
     ?values:int list ->
     ?scenarios:int ->

@@ -12,7 +12,6 @@ module Timeline = Smrp_obs.Timeline
 
 type config = {
   scenario : Scenario.config;
-  ospf_convergence : float;
   settle_time : float;
   run_time : float;
 }
@@ -22,7 +21,6 @@ let default =
     (* Euclidean propagation delays: the packet-level experiment is about
        wall-clock latency, so physical per-link delays are the right model. *)
     scenario = { Scenario.default with Scenario.link_delay = `Euclidean };
-    ospf_convergence = 5.0;
     settle_time = 60.0;
     run_time = 60.0;
   }
@@ -52,7 +50,6 @@ let run_side ?metrics ~flight config ~graph ~source ~members ~victim strategy =
     {
       Protocol.default_config with
       Protocol.strategy;
-      ospf_convergence = config.ospf_convergence;
       d_thresh = config.scenario.Scenario.d_thresh;
     }
   in

@@ -14,7 +14,6 @@
 
 type config = {
   scenario : Scenario.config;
-  ospf_convergence : float;
   settle_time : float;  (** Sim time for joins and soft state to settle. *)
   run_time : float;  (** Sim time after failure injection. *)
 }
@@ -68,8 +67,8 @@ val run_many :
 (** Up to [runs] (default 10) results, at the {!Scenario.next_seed} draws
     from [seed] (default 25), skipping draws without a recoverable victim
     and giving up after [5 * runs] draws.  [smrp_metrics] / [pim_metrics]
-    are the respective side's registries (e.g. a report collector's
-    per-variant registries): the side records its counters,
+    are the respective side's registries (e.g. one per report
+    variant): the side records its counters,
     recovery-latency sketches ([recovery.total.q] and friends) and
     sim-time series ([net.frame_drops], [proto.members_disrupted]) into
     its registry, accumulating over all the draws. *)

@@ -28,6 +28,8 @@ type result = {
   smrp_reshaped : side;  (** SMRP with the Condition-II timer running. *)
 }
 
-val run : ?seed:int -> ?members:int -> ?sim_time:float -> unit -> result
+val run : ?members:int -> ?sim_time:float -> unit -> result
+(** One instance, drawn from scenario seed 41 with [members] group
+    members, simulated for [sim_time] seconds under each protocol. *)
 
 val render : result -> string

@@ -11,32 +11,37 @@
    Workers share nothing: each scenario builds its own graph, trees, RNG and
    Dijkstra workspace inside the worker that claimed it.
 
-   Observability: an optional [Smrp_obs.Profile.t] records one utilisation
-   entry per worker domain (tasks claimed, busy vs. idle wall time), and an
-   optional [Smrp_obs.Flight.t] gets one "pool.task" span record per
-   claimed task plus one "pool.worker" span record per worker, each in its
-   worker domain's own ring.  Neither hook affects results; with both
-   absent the per-task cost is one [None] check and a disabled-recorder
-   branch. *)
+   Observability: the ambient [Smrp_obs.Profile.t] of
+   [with_instrumentation] records one utilisation entry per worker domain
+   (tasks claimed, busy vs. idle wall time), and the ambient
+   [Smrp_obs.Flight.t] gets one "pool.task" span record per claimed task
+   plus one "pool.worker" span record per worker, each in its worker
+   domain's own ring.  Neither hook affects results; with both absent the
+   per-task cost is one [None] check and a disabled-recorder branch. *)
 
 module Profile = Smrp_obs.Profile
 module Flight = Smrp_obs.Flight
+
+(* The OCaml 5.1 runtime's [Max_domains]: at most 128 domains run at once,
+   the calling one included, and [Domain.spawn] fails beyond it. *)
+let max_jobs = 128
 
 let default_jobs () =
   match Sys.getenv_opt "SMRP_BENCH_JOBS" with
   | Some v -> (
       match int_of_string_opt (String.trim v) with
-      | Some n when n >= 1 -> n
+      | Some n when n >= 1 && n <= max_jobs -> n
       | _ ->
           Printf.eprintf
-            "warning: SMRP_BENCH_JOBS=%S is not a positive integer; using the domain count\n%!" v;
+            "warning: SMRP_BENCH_JOBS=%S is not an integer in 1..%d; using the domain count\n%!"
+            v max_jobs;
           Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-(* Ambient instrumentation, consulted when [map] is not given explicit
-   hooks.  Installed and read by the orchestrating domain only (the ref
-   holds an immutable pair, so a racy read from a nested call would still
-   be memory-safe — it is simply unsupported). *)
+(* Ambient instrumentation, the hooks [map] records into.  Installed and
+   read by the orchestrating domain only (the ref holds an immutable pair,
+   so a racy read from a nested call would still be memory-safe — it is
+   simply unsupported). *)
 let ambient : (Profile.t option * Flight.t option) ref = ref (None, None)
 
 let with_instrumentation ?profile ?flight f =
@@ -49,13 +54,11 @@ let with_instrumentation ?profile ?flight f =
    the installed value visible to every worker. *)
 let ambient_flight () = snd !ambient
 
-let map ?jobs ?profile ?flight f xs =
-  let profile, flight =
-    let amb_p, amb_f = !ambient in
-    ( (match profile with Some _ -> profile | None -> amb_p),
-      match flight with Some _ -> flight | None -> amb_f )
-  in
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+let map ?jobs f xs =
+  let profile, flight = !ambient in
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  if jobs < 1 || jobs > max_jobs then
+    invalid_arg (Printf.sprintf "Pool.map: %d jobs, outside 1..%d" jobs max_jobs);
   let tasks = Array.of_list xs in
   let n = Array.length tasks in
   let jobs = max 1 (min jobs n) in

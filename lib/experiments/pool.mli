@@ -12,23 +12,28 @@
     {!Smrp_obs.Metrics.t} registry is fine — the registry shards per domain
     and merges at snapshot.
 
-    {b Observability}: [map] optionally records per-worker utilisation into
-    a {!Smrp_obs.Profile.t} (tasks claimed, busy vs. idle wall time, one
-    record per worker domain) and wall-clock task/worker span records into
-    a {!Smrp_obs.Flight.t}, each worker writing its own domain's ring.
-    Neither hook affects results. *)
+    {b Observability}: under {!with_instrumentation}, [map] records
+    per-worker utilisation into a {!Smrp_obs.Profile.t} (tasks claimed,
+    busy vs. idle wall time, one record per worker domain) and wall-clock
+    task/worker span records into a {!Smrp_obs.Flight.t}, each worker
+    writing its own domain's ring.  Neither hook affects results. *)
+
+val max_jobs : int
+(** 128, the most domains the OCaml 5.1 runtime runs at once (its
+    [Max_domains]), the calling domain included. *)
 
 val default_jobs : unit -> int
-(** [SMRP_BENCH_JOBS] if set to a positive integer, otherwise
-    [Domain.recommended_domain_count ()]. *)
+(** [SMRP_BENCH_JOBS] if set to an integer in [1 .. max_jobs], otherwise
+    [Domain.recommended_domain_count ()] (with a warning on stderr when
+    the variable is set to anything else). *)
 
 val with_instrumentation :
   ?profile:Smrp_obs.Profile.t -> ?flight:Smrp_obs.Flight.t -> (unit -> 'a) -> 'a
-(** Installs ambient defaults for {!map}'s [?profile]/[?flight] for the
-    duration of the callback, so instrumentation reaches [Pool.map] calls
-    buried inside figure runners without threading parameters through.
-    Install and run from the orchestrating domain only; nesting restores
-    the previous defaults on exit. *)
+(** Installs the hooks {!map} records into for the duration of the
+    callback, so instrumentation reaches [Pool.map] calls buried inside
+    figure runners without threading parameters through.  Install and run
+    from the orchestrating domain only; nesting restores the previous
+    hooks on exit. *)
 
 val ambient_flight : unit -> Smrp_obs.Flight.t option
 (** The recorder installed by the innermost enclosing
@@ -38,19 +43,14 @@ val ambient_flight : unit -> Smrp_obs.Flight.t option
     domain's ring on its Dijkstra workspace — read the hook here instead of
     requiring an extra parameter. *)
 
-val map :
-  ?jobs:int ->
-  ?profile:Smrp_obs.Profile.t ->
-  ?flight:Smrp_obs.Flight.t ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f xs] is [List.map f xs] computed on [min jobs (length xs)]
     domains (the calling domain included).  [jobs] defaults to
-    {!default_jobs}; [jobs <= 1] runs sequentially in the calling domain
+    {!default_jobs}; [jobs = 1] runs sequentially in the calling domain
     with no domain spawned (still recording one worker entry when
     instrumented).  If [f] raises, the exception of the lowest failing
     input index is re-raised after all workers join — the one [List.map]
     would raise, whatever the job count or scheduling.  An input is
-    skipped only once a lower index has failed.  [profile]/[flight]
-    default to the ambient hooks of {!with_instrumentation}. *)
+    skipped only once a lower index has failed.  Raises
+    [Invalid_argument] before any work when [jobs] is outside
+    [1 .. max_jobs]. *)

@@ -40,7 +40,9 @@ let feasibility ?(seed = 16) ?(samples = 100) ?(alphas = [ 0.2; 0.3; 0.5; 0.8 ])
       })
     alphas
 
-let compare_schemes ?(seed = 16) ?(scenarios = 50) ?(alpha = 0.5) () =
+let compare_schemes ?(seed = 16) ?(scenarios = 50) () =
+  (* Dense enough that redundant trees are often feasible. *)
+  let alpha = 0.5 in
   let rng = Rng.create seed in
   let rd = ref [] in
   let delay_smrp = ref [] in

@@ -35,9 +35,9 @@ type comparison = {
 val feasibility :
   ?seed:int -> ?samples:int -> ?alphas:float list -> unit -> feasibility_row list
 
-val compare_schemes : ?seed:int -> ?scenarios:int -> ?alpha:float -> unit -> comparison
-(** Draws topologies at [alpha] (default 0.5, dense enough that feasible
-    draws are common) and compares the schemes on those admitting redundant
+val compare_schemes : ?seed:int -> ?scenarios:int -> unit -> comparison
+(** Draws topologies at alpha 0.5 (dense enough that feasible draws are
+    common) and compares the schemes on those admitting redundant
     trees. *)
 
 val render : feasibility_row list -> comparison -> string

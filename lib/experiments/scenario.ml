@@ -76,14 +76,9 @@ let recovery_distance ?ws tree member strategy =
   let spf_after f = Smrp.source_spf ~filters:(Failure.filters (Tree.graph tree) f) ?ws tree in
   worst_case_distance ?ws ~spf_after tree member strategy
 
-let evaluate ?ws graph ~source ~members ~d_thresh =
-  (* One Dijkstra workspace serves every search of the scenario: both tree
-     builds and all four recovery measurements per member. *)
-  let ws =
-    match ws with
-    | Some ws -> ws
-    | None -> Dijkstra.workspace ~capacity:(Graph.node_count graph) ()
-  in
+(* One Dijkstra workspace serves every search of the scenario: both tree
+   builds and all four recovery measurements per member. *)
+let evaluate_on ws graph ~source ~members ~d_thresh =
   let spf_tree = Spf.build ~ws graph ~source ~members in
   let smrp_tree = Smrp.build ~d_thresh ~ws graph ~source ~members in
   (* Every worst case is one link of the graph, and the SPF over what it
@@ -110,6 +105,9 @@ let evaluate ?ws graph ~source ~members ~d_thresh =
     }
   in
   (spf_tree, smrp_tree, List.map outcome members)
+
+let evaluate graph =
+  evaluate_on (Dijkstra.workspace ~capacity:(Graph.node_count graph) ()) graph
 
 let draw config ~topo_rng ~member_rng =
   let topo =
@@ -166,7 +164,7 @@ let record m t =
       Smrp_obs.Sketch.observe delay_spf_q o.delay_spf)
     t.outcomes
 
-let run ?metrics config =
+let run config =
   if config.group_size + 1 > config.n then invalid_arg "Scenario.run: group larger than network";
   let graph, source, members = instance config in
   (* When run under [Pool.with_instrumentation ~flight], the scenario's
@@ -179,24 +177,20 @@ let run ?metrics config =
     (fun fl -> Dijkstra.set_flight ws (Smrp_obs.Flight.recorder fl))
     (Pool.ambient_flight ());
   let spf_tree, smrp_tree, outcomes =
-    evaluate ~ws graph ~source ~members ~d_thresh:config.d_thresh
+    evaluate_on ws graph ~source ~members ~d_thresh:config.d_thresh
   in
-  let t =
-    {
-      config;
-      graph;
-      source;
-      members;
-      spf_tree;
-      smrp_tree;
-      average_degree = Graph.average_degree graph;
-      cost_spf = Tree.total_cost spf_tree;
-      cost_smrp = Tree.total_cost smrp_tree;
-      outcomes;
-    }
-  in
-  Option.iter (fun m -> record m t) metrics;
-  t
+  {
+    config;
+    graph;
+    source;
+    members;
+    spf_tree;
+    smrp_tree;
+    average_degree = Graph.average_degree graph;
+    cost_spf = Tree.total_cost spf_tree;
+    cost_smrp = Tree.total_cost smrp_tree;
+    outcomes;
+  }
 
 (* Deduplicate before the fan-out: sweeps routinely repeat a config (a
    collapsed axis), and [run] is deterministic in it, so each distinct config

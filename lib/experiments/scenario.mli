@@ -46,29 +46,29 @@ type t = {
   outcomes : member_outcome list;
 }
 
-val run : ?metrics:Smrp_obs.Metrics.t -> config -> t
+val run : config -> t
 (** Deterministic in [config] (including [seed]): safe to fan out across
-    domains with {!Pool.map}.  With [?metrics], the run records into the
-    registry: counters [scenario.runs], [scenario.members],
-    [scenario.recovered] / [scenario.isolated] (members with / without a
-    defined worst-case local-SMRP recovery), and quantile sketches
-    [scenario.rd_local_smrp.q], [scenario.rd_global_spf.q],
-    [scenario.delay_smrp.q], [scenario.delay_spf.q].  All counted
-    quantities are integers (and under the default [`Unit] link metric
-    the sketch observations are hop counts), so a registry shared across
-    a parallel fan-out merges to exactly the sequential totals. *)
+    domains with {!Pool.map}. *)
 
 val run_many : ?jobs:int -> ?metrics:Smrp_obs.Metrics.t -> config list -> t list
 (** [run_many configs] is [List.map run configs] fanned out over
     {!Pool.map}; byte-identical to the sequential map whatever [jobs].
     Duplicate configs (a collapsed sweep axis) are evaluated once and the
     result shared — [run] is deterministic in its config, so the output
-    list is unchanged.  [metrics] is recorded once per {e occurrence}
-    (not per unique config), on the orchestrating domain after the
-    fan-out joins: the same totals as recording inside every run. *)
+    list is unchanged.
+
+    With [?metrics], each {e occurrence} (not each unique config) records
+    into the registry, on the orchestrating domain after the fan-out
+    joins: counters [scenario.runs], [scenario.members],
+    [scenario.recovered] / [scenario.isolated] (members with / without a
+    defined worst-case local-SMRP recovery), and quantile sketches
+    [scenario.rd_local_smrp.q], [scenario.rd_global_spf.q],
+    [scenario.delay_smrp.q], [scenario.delay_spf.q].  All counted
+    quantities are integers (and under the default [`Unit] link metric
+    the sketch observations are hop counts), so the totals do not depend
+    on the job count. *)
 
 val evaluate :
-  ?ws:Smrp_graph.Dijkstra.workspace ->
   Smrp_graph.Graph.t ->
   source:int ->
   members:int list ->

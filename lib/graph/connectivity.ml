@@ -20,12 +20,12 @@ let reachable_from ?(node_ok = always) ?(edge_ok = always) g start =
   end;
   seen
 
-let components ?(node_ok = always) ?(edge_ok = always) g =
+let components ?(edge_ok = always) g =
   let n = Graph.node_count g in
   let comp = Array.make n (-1) in
   let count = ref 0 in
   for start = 0 to n - 1 do
-    if node_ok start && comp.(start) < 0 then begin
+    if comp.(start) < 0 then begin
       let id = !count in
       incr count;
       let queue = Queue.create () in
@@ -34,7 +34,7 @@ let components ?(node_ok = always) ?(edge_ok = always) g =
       while not (Queue.is_empty queue) do
         let u = Queue.pop queue in
         let visit (v, eid) =
-          if node_ok v && edge_ok eid && comp.(v) < 0 then begin
+          if edge_ok eid && comp.(v) < 0 then begin
             comp.(v) <- id;
             Queue.add v queue
           end

@@ -4,9 +4,9 @@
 val reachable_from : ?node_ok:(int -> bool) -> ?edge_ok:(int -> bool) -> Graph.t -> int -> bool array
 (** BFS reachability from a node in the (filtered) graph. *)
 
-val components : ?node_ok:(int -> bool) -> ?edge_ok:(int -> bool) -> Graph.t -> int array * int
+val components : ?edge_ok:(int -> bool) -> Graph.t -> int array * int
 (** [(comp, count)] where [comp.(v)] is the component index of node [v]
-    (or [-1] for filtered-out nodes) and [count] the number of components. *)
+    and [count] the number of components. *)
 
 val bridges : Graph.t -> int list
 (** Edge ids whose removal disconnects their component (Tarjan low-link). *)

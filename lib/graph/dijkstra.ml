@@ -14,8 +14,8 @@ type workspace = {
   mutable parent_edge : int array;
   mutable visited : int array; (* epoch stamp: dist/parent valid this run *)
   mutable settled : int array; (* epoch stamp: node popped and relaxed *)
-  mutable order : int array; (* a bounded run's settled nodes, in settle order *)
-  mutable order_len : int; (* entries of [order] the last run wrote; -1 after an unbounded run *)
+  mutable order : int array; (* the last run's settled nodes, in settle order *)
+  mutable order_len : int; (* entries of [order] the last run wrote; -1 for [run_reference] *)
   mutable epoch : int;
   heap : Int_heap.t;
   mutable flight : Smrp_obs.Flight.recorder;
@@ -106,217 +106,123 @@ let run ?node_ok ?edge_ok ?absorb ?bound ?workspace:ws g ~source =
   parent_edge.(source) <- -1;
   visited.(source) <- epoch;
   Int_heap.add heap 0.0 source;
-  ws.order_len <- -1;
-  (* Relax every incident edge of the settled node [u].  Indices are in
-     range by CSR construction ([reserve] sized the workspace to [n], CSR
-     entries point at nodes/edges of [g]).  [u]'s distance is read back
-     from [dist] (equal to the minimal heap entry's priority for an
-     unsettled node) and the insertion sift is inlined, so no float crosses
-     a call boundary — without flambda each such crossing would box.  The
-     function itself takes only an int, so the specialised search loops
-     below share it without allocation. *)
-  let relax u =
-    let d = Array.unsafe_get dist u in
-    let stop = Array.unsafe_get offsets (u + 1) in
-    for i = Array.unsafe_get offsets u to stop - 1 do
-      let v = Array.unsafe_get nbr i in
-      if Array.unsafe_get settled v <> epoch then begin
-        let d' = d +. Array.unsafe_get delays i in
-        if Array.unsafe_get visited v <> epoch || d' < Array.unsafe_get dist v then begin
-          Array.unsafe_set dist v d';
-          Array.unsafe_set parent v u;
-          Array.unsafe_set parent_edge v (Array.unsafe_get eids i);
-          Array.unsafe_set visited v epoch;
-          (* Inlined Int_heap.add: hole-based sift-up of (d', v). *)
-          Int_heap.grow heap;
-          let pa = heap.Int_heap.prio
-          and sa = heap.Int_heap.seq
-          and va = heap.Int_heap.value in
-          let seq = heap.Int_heap.next_seq in
-          heap.Int_heap.next_seq <- seq + 1;
-          let j = ref heap.Int_heap.size in
-          heap.Int_heap.size <- !j + 1;
-          let continue = ref (!j > 0) in
-          while !continue do
-            let p = (!j - 1) / 2 in
-            let pp = Array.unsafe_get pa p in
-            if d' < pp || (d' = pp && seq < Array.unsafe_get sa p) then begin
-              Array.unsafe_set pa !j pp;
-              Array.unsafe_set sa !j (Array.unsafe_get sa p);
-              Array.unsafe_set va !j (Array.unsafe_get va p);
-              j := p;
-              continue := p > 0
-            end
-            else continue := false
-          done;
-          Array.unsafe_set pa !j d';
-          Array.unsafe_set sa !j seq;
-          Array.unsafe_set va !j v
-        end
-      end
-    done
+  (* The goal-directed search.  A push whose distance plus [lower] leaves
+     the bound is dropped; by the triangle inequality on [lower] every node
+     on a shortest path to an in-bound node, and every tight predecessor,
+     passes the test, so the kept entries keep their relative (distance,
+     insertion) order and the in-bound nodes settle exactly as without the
+     test.  Without [bound] the limit is infinite: delays are positive and
+     finite, so every sum passes [<= infinity] whatever [lower] holds, and
+     [dist] itself serves. *)
+  let limit, lower =
+    match bound with
+    | Some (limit, lower) -> (limit +. (prune_slack *. (1.0 +. abs_float limit)), lower)
+    | None -> (infinity, dist)
   in
-  (match (bound, node_ok, edge_ok, absorb) with
-  | None, None, None, None ->
-      (* Unfiltered fast path: no closure calls per edge. *)
+  let order = ws.order in
+  let settled_n = ref 0 in
+  let absorb = match absorb with Some f -> f | None -> never in
+  (* Offer [v] the distance through CSR slot [i] of the settled [u]: update
+     and inlined sift, behind the bound test.  Indices are in range by CSR
+     construction ([reserve] sized the workspace to [n], CSR entries point
+     at nodes/edges of [g]).  [u]'s distance is read back from [dist] and
+     the insertion sift is inlined, so only ints cross the call — without
+     flambda a float crossing it would box. *)
+  let reach u i v =
+    let d' = Array.unsafe_get dist u +. Array.unsafe_get delays i in
+    if
+      (Array.unsafe_get visited v <> epoch || d' < Array.unsafe_get dist v)
+      && d' +. Array.unsafe_get lower v <= limit
+    then begin
+      Array.unsafe_set dist v d';
+      Array.unsafe_set parent v u;
+      Array.unsafe_set parent_edge v (Array.unsafe_get eids i);
+      Array.unsafe_set visited v epoch;
+      Int_heap.grow heap;
+      let pa = heap.Int_heap.prio
+      and sa = heap.Int_heap.seq
+      and va = heap.Int_heap.value in
+      let seq = heap.Int_heap.next_seq in
+      heap.Int_heap.next_seq <- seq + 1;
+      let j = ref heap.Int_heap.size in
+      heap.Int_heap.size <- !j + 1;
+      let continue = ref (!j > 0) in
+      while !continue do
+        let p = (!j - 1) / 2 in
+        let pp = Array.unsafe_get pa p in
+        if d' < pp || (d' = pp && seq < Array.unsafe_get sa p) then begin
+          Array.unsafe_set pa !j pp;
+          Array.unsafe_set sa !j (Array.unsafe_get sa p);
+          Array.unsafe_set va !j (Array.unsafe_get va p);
+          j := p;
+          continue := p > 0
+        end
+        else continue := false
+      done;
+      Array.unsafe_set pa !j d';
+      Array.unsafe_set sa !j seq;
+      Array.unsafe_set va !j v
+    end
+  in
+  (* Each loop below pops, records and settles; they differ only in the
+     filters a relaxation asks.  An absorbing node terminates the search
+     along its branch: it can be a shortest-path target but contributes no
+     further relaxation. *)
+  (match (node_ok, edge_ok) with
+  | None, None ->
+      (* SMRP join searches and source SPFs with no failure active. *)
       while not (Int_heap.is_empty heap) do
         let u = Int_heap.top heap in
         Int_heap.drop heap;
         if Array.unsafe_get settled u <> epoch then begin
           Array.unsafe_set settled u epoch;
-          relax u
+          Array.unsafe_set order !settled_n u;
+          incr settled_n;
+          if u = source || not (absorb u) then
+            for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+              let v = Array.unsafe_get nbr i in
+              if Array.unsafe_get settled v <> epoch then reach u i v
+            done
         end
       done
-  | None, None, None, Some absorb ->
-      (* Absorb-only path: one absorb check per settled node, still no
-         per-edge filter calls. *)
+  | Some node_ok, None ->
+      (* Reshape evaluations with no failure active. *)
       while not (Int_heap.is_empty heap) do
         let u = Int_heap.top heap in
         Int_heap.drop heap;
         if Array.unsafe_get settled u <> epoch then begin
           Array.unsafe_set settled u epoch;
-          if u = source || not (absorb u) then relax u
+          Array.unsafe_set order !settled_n u;
+          incr settled_n;
+          if u = source || not (absorb u) then
+            for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+              let v = Array.unsafe_get nbr i in
+              if Array.unsafe_get settled v <> epoch && node_ok v then reach u i v
+            done
         end
       done
-  | None, _, _, _ ->
+  | _ ->
       let node_ok = match node_ok with Some f -> f | None -> always in
       let edge_ok = match edge_ok with Some f -> f | None -> always in
-      let absorb = match absorb with Some f -> f | None -> never in
       while not (Int_heap.is_empty heap) do
         let u = Int_heap.top heap in
         Int_heap.drop heap;
-        if settled.(u) <> epoch then begin
-          settled.(u) <- epoch;
-          (* An absorbing node terminates the search along its branch: it
-             can be a shortest-path target but contributes no further
-             relaxation. *)
-          if u = source || not (absorb u) then begin
-            let d = dist.(u) in
-            let stop = offsets.(u + 1) in
-            for i = offsets.(u) to stop - 1 do
-              let v = nbr.(i) in
-              if settled.(v) <> epoch && node_ok v && edge_ok eids.(i) then begin
-                let d' = d +. delays.(i) in
-                if visited.(v) <> epoch || d' < dist.(v) then begin
-                  dist.(v) <- d';
-                  parent.(v) <- u;
-                  parent_edge.(v) <- eids.(i);
-                  visited.(v) <- epoch;
-                  Int_heap.add heap d' v
-                end
-              end
+        if Array.unsafe_get settled u <> epoch then begin
+          Array.unsafe_set settled u epoch;
+          Array.unsafe_set order !settled_n u;
+          incr settled_n;
+          if u = source || not (absorb u) then
+            for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
+              let v = Array.unsafe_get nbr i in
+              if
+                Array.unsafe_get settled v <> epoch
+                && node_ok v
+                && edge_ok (Array.unsafe_get eids i)
+              then reach u i v
             done
-          end
         end
-      done
-  | Some (limit, lower), _, _, _ ->
-      (* The goal-directed search: [relax]'s loops with one more test per
-         push, and a record of every settled node.  A push whose distance
-         plus [lower] leaves the bound is dropped; by the triangle
-         inequality on [lower] every node on a shortest path to an
-         in-bound node, and every tight predecessor, passes the test, so
-         the kept entries keep their relative (distance, insertion) order
-         and the in-bound nodes settle exactly as without the test. *)
-      let limit = limit +. (prune_slack *. (1.0 +. abs_float limit)) in
-      let order = ws.order in
-      let settled_n = ref 0 in
-      let absorb = match absorb with Some f -> f | None -> never in
-      (* Offer [v] the distance through CSR slot [i] of the settled [u]:
-         [relax]'s update and inlined sift, behind the bound test.  Only
-         ints cross the call. *)
-      let reach u i v =
-        let d' = Array.unsafe_get dist u +. Array.unsafe_get delays i in
-        if
-          (Array.unsafe_get visited v <> epoch || d' < Array.unsafe_get dist v)
-          && d' +. Array.unsafe_get lower v <= limit
-        then begin
-          Array.unsafe_set dist v d';
-          Array.unsafe_set parent v u;
-          Array.unsafe_set parent_edge v (Array.unsafe_get eids i);
-          Array.unsafe_set visited v epoch;
-          Int_heap.grow heap;
-          let pa = heap.Int_heap.prio
-          and sa = heap.Int_heap.seq
-          and va = heap.Int_heap.value in
-          let seq = heap.Int_heap.next_seq in
-          heap.Int_heap.next_seq <- seq + 1;
-          let j = ref heap.Int_heap.size in
-          heap.Int_heap.size <- !j + 1;
-          let continue = ref (!j > 0) in
-          while !continue do
-            let p = (!j - 1) / 2 in
-            let pp = Array.unsafe_get pa p in
-            if d' < pp || (d' = pp && seq < Array.unsafe_get sa p) then begin
-              Array.unsafe_set pa !j pp;
-              Array.unsafe_set sa !j (Array.unsafe_get sa p);
-              Array.unsafe_set va !j (Array.unsafe_get va p);
-              j := p;
-              continue := p > 0
-            end
-            else continue := false
-          done;
-          Array.unsafe_set pa !j d';
-          Array.unsafe_set sa !j seq;
-          Array.unsafe_set va !j v
-        end
-      in
-      (* Each loop below pops, records and settles as [relax]'s loops do;
-         they differ only in the filters a relaxation asks. *)
-      (match (node_ok, edge_ok) with
-      | None, None ->
-          (* SMRP join searches with no failure active. *)
-          while not (Int_heap.is_empty heap) do
-            let u = Int_heap.top heap in
-            Int_heap.drop heap;
-            if Array.unsafe_get settled u <> epoch then begin
-              Array.unsafe_set settled u epoch;
-              Array.unsafe_set order !settled_n u;
-              incr settled_n;
-              if u = source || not (absorb u) then
-                for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
-                  let v = Array.unsafe_get nbr i in
-                  if Array.unsafe_get settled v <> epoch then reach u i v
-                done
-            end
-          done
-      | Some node_ok, None ->
-          (* Reshape evaluations with no failure active. *)
-          while not (Int_heap.is_empty heap) do
-            let u = Int_heap.top heap in
-            Int_heap.drop heap;
-            if Array.unsafe_get settled u <> epoch then begin
-              Array.unsafe_set settled u epoch;
-              Array.unsafe_set order !settled_n u;
-              incr settled_n;
-              if u = source || not (absorb u) then
-                for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
-                  let v = Array.unsafe_get nbr i in
-                  if Array.unsafe_get settled v <> epoch && node_ok v then reach u i v
-                done
-            end
-          done
-      | _ ->
-          let node_ok = match node_ok with Some f -> f | None -> always in
-          let edge_ok = match edge_ok with Some f -> f | None -> always in
-          while not (Int_heap.is_empty heap) do
-            let u = Int_heap.top heap in
-            Int_heap.drop heap;
-            if Array.unsafe_get settled u <> epoch then begin
-              Array.unsafe_set settled u epoch;
-              Array.unsafe_set order !settled_n u;
-              incr settled_n;
-              if u = source || not (absorb u) then
-                for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
-                  let v = Array.unsafe_get nbr i in
-                  if
-                    Array.unsafe_get settled v <> epoch
-                    && node_ok v
-                    && edge_ok (Array.unsafe_get eids i)
-                  then reach u i v
-                done
-            end
-          done);
-      ws.order_len <- !settled_n);
+      done);
+  ws.order_len <- !settled_n;
   Smrp_obs.Flight.span ws.flight ~code:Smrp_obs.Flight.span_dijkstra ~start
     ~b:(Smrp_obs.Flight.pack source n);
   { graph = g; src = source; ws; epoch }
@@ -386,7 +292,7 @@ let reachable r v =
 let settled_by_id keep r =
   check_fresh r;
   let ws = r.ws in
-  if ws.order_len < 0 then invalid_arg "Dijkstra.settled_by_id: not a bounded run";
+  if ws.order_len < 0 then invalid_arg "Dijkstra.settled_by_id: a run_reference result";
   let found = ref [] in
   for i = 0 to ws.order_len - 1 do
     let v = Array.unsafe_get ws.order i in

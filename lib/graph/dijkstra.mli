@@ -60,10 +60,11 @@ val run :
     to it, and every tight predecessor, passes the test by the triangle
     inequality, and dropping the other pushes keeps the order in which the
     kept entries pop.  Beyond the bound a node may read as unreachable or
-    with a longer distance, so callers must ignore results there.  Such a
-    run records the nodes it settles, for {!settled_by_id}; the loops
-    without [bound] record nothing.  Raises [Invalid_argument] when
-    [lower] is shorter than the node count. *)
+    with a longer distance, so callers must ignore results there.  A run
+    without [bound] is the same search with an infinite limit, which
+    every node passes.  Every run records the nodes it settles, for
+    {!settled_by_id}.  Raises [Invalid_argument] when [lower] is shorter
+    than the node count. *)
 
 type nearest = {
   target : int;
@@ -109,10 +110,10 @@ val distance : result -> int -> float option
 val reachable : result -> int -> bool
 
 val settled_by_id : (int -> bool) -> result -> int array
-(** [settled_by_id keep r] is the nodes a [~bound] run settled that satisfy
+(** [settled_by_id keep r] is the nodes a {!run} settled that satisfy
     [keep], in ascending id order; [keep] must not run a search on the
-    same workspace.  Raises [Invalid_argument] on a run without
-    [bound]. *)
+    same workspace.  Raises [Invalid_argument] on a {!run_reference}
+    result. *)
 
 val distances : result -> float array
 (** A fresh array of every node's distance, [infinity] where unreachable:

@@ -93,8 +93,7 @@ let link t p c =
 (* -- Full (re)computation ------------------------------------------------ *)
 
 (* From-scratch Dijkstra over the overlay into the maintained arrays; used
-   at creation and as the [verify] oracle's subject is the incremental
-   path, never called on the mutation path afterwards. *)
+   at creation only, never on the mutation path afterwards. *)
 let recompute t =
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
@@ -451,37 +450,21 @@ let restore_node t v =
 
 (* -- Self-check ---------------------------------------------------------- *)
 
-(* Compare the maintained state against a from-scratch Dijkstra over the
-   same overlay.  Distances must be bit-identical; parents must certify
-   their node's distance over a live edge.  Test/debug only: allocates its
-   own scratch arrays so the live workspace stays untouched. *)
+(* Compare the maintained state against the oracle search,
+   {!Dijkstra.run_reference}, over the same overlay.  Distances must be
+   bit-identical; parents must certify their node's distance over a live
+   edge.  Test/debug only: the oracle allocates its own arrays, so the live
+   workspace stays untouched. *)
 let verify t =
-  let dist = Array.make t.n infinity in
-  let heap = Int_heap.create ~capacity:(max 16 t.n) () in
-  let settled = Array.make t.n false in
-  if not t.node_dead.(t.src) then begin
-    dist.(t.src) <- 0.0;
-    Int_heap.add heap 0.0 t.src;
-    while not (Int_heap.is_empty heap) do
-      let u = Int_heap.top heap in
-      Int_heap.drop heap;
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        let stop = t.offsets.(u + 1) in
-        for i = t.offsets.(u) to stop - 1 do
-          let v = t.nbr.(i) in
-          let eid = t.eids.(i) in
-          if (not t.edge_dead.(eid)) && (not t.node_dead.(v)) && not settled.(v) then begin
-            let d' = dist.(u) +. t.delay.(eid) in
-            if d' < dist.(v) then begin
-              dist.(v) <- d';
-              Int_heap.add heap d' v
-            end
-          end
-        done
-      end
-    done
-  end;
+  let dist =
+    if t.node_dead.(t.src) then Array.make t.n infinity
+    else
+      Dijkstra.distances
+        (Dijkstra.run_reference
+           ~node_ok:(fun v -> not t.node_dead.(v))
+           ~edge_ok:(fun eid -> not t.edge_dead.(eid))
+           t.g ~source:t.src)
+  in
   let ok = ref true in
   for v = 0 to t.n - 1 do
     if t.dist.(v) <> dist.(v) then ok := false

@@ -1,4 +1,4 @@
-type edge = { id : int; u : int; v : int; delay : float; cost : float }
+type edge = { id : int; u : int; v : int; delay : float }
 
 (* The adjacency lives in two forms.  [adj] is the mutable build-side
    structure ((neighbor, edge id) lists in reverse insertion order), cheap to
@@ -60,16 +60,14 @@ let edge_between g u v =
   let id = find_edge_id g u v "edge_between" in
   if id < 0 then None else Some g.edges.(id)
 
-let add_edge ?cost g u v delay =
+let add_edge g u v delay =
   (* The duplicate lookup already bounds-checks both endpoints. *)
   if find_edge_id g u v "add_edge" >= 0 then invalid_arg "Graph.add_edge: duplicate edge";
   if u = v then invalid_arg "Graph.add_edge: self-loop";
   if Float.is_nan delay || delay = infinity then invalid_arg "Graph.add_edge: non-finite delay";
   if delay <= 0.0 then invalid_arg "Graph.add_edge: delay must be positive";
-  let cost = match cost with Some c -> c | None -> delay in
-  if Float.is_nan cost || Float.abs cost = infinity then invalid_arg "Graph.add_edge: non-finite cost";
   let id = g.edge_count in
-  let e = { id; u; v; delay; cost } in
+  let e = { id; u; v; delay } in
   let capacity = Array.length g.edges in
   if id = capacity then begin
     let edges' = Array.make (max 16 (2 * capacity)) e in

@@ -1,10 +1,9 @@
 (** Undirected weighted graphs.
 
     Nodes are the integers [0 .. node_count - 1].  Each edge carries a
-    propagation [delay] (the paper's link metric, used both for shortest paths
-    and end-to-end delay) and a [cost] (used for the tree-cost metric; equal to
-    [delay] unless set otherwise, matching §4.2 of the paper where link cost
-    and delay coincide).
+    propagation [delay]: the paper's link metric, used for shortest paths,
+    end-to-end delay and tree cost alike (§4.2 defines a link's cost as its
+    delay).
 
     Edges are identified by a dense integer id, which lets failure scenarios
     and path computations use O(1) bitset membership tests. *)
@@ -14,7 +13,6 @@ type edge = private {
   u : int;
   v : int;
   delay : float;
-  cost : float;
 }
 
 type t
@@ -31,11 +29,10 @@ val node_count : t -> int
 
 val edge_count : t -> int
 
-val add_edge : ?cost:float -> t -> int -> int -> float -> int
+val add_edge : t -> int -> int -> float -> int
 (** [add_edge g u v delay] inserts the undirected edge [(u, v)] and returns its
-    id.  [cost] defaults to [delay].  Self-loops, duplicate edges, a delay
-    that is not a positive finite number and a non-finite cost are rejected
-    with [Invalid_argument]. *)
+    id.  Self-loops, duplicate edges and a delay that is not a positive
+    finite number are rejected with [Invalid_argument]. *)
 
 val edge : t -> int -> edge
 (** Edge by id. *)

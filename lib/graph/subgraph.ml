@@ -20,7 +20,7 @@ let extract g ~keep =
     (fun e ->
       let u = to_sub.(e.Graph.u) and v = to_sub.(e.Graph.v) in
       if u >= 0 && v >= 0 then begin
-        let id = Graph.add_edge ~cost:e.Graph.cost sub u v e.Graph.delay in
+        let id = Graph.add_edge sub u v e.Graph.delay in
         edge_map := (id, e.Graph.id) :: !edge_map
       end)
     g;

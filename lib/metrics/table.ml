@@ -41,8 +41,12 @@ let to_csv t =
   let line cells = String.concat "," (List.map csv_cell cells) in
   String.concat "\n" (line t.columns :: List.map line (List.rev t.rows)) ^ "\n"
 
-let scatter ?(width = 60) ?(height = 24) ~xlabel ~ylabel points =
-  if width < 8 || height < 4 then invalid_arg "Table.scatter: too small";
+(* The plot area, in characters. *)
+let width = 60
+
+let height = 24
+
+let scatter ~xlabel ~ylabel points =
   match points with
   | [] -> "(no points)"
   | _ ->

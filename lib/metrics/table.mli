@@ -15,13 +15,7 @@ val to_csv : t -> string
 (** RFC-4180-style CSV of the same rows (quotes doubled, cells containing
     commas/quotes/newlines quoted). *)
 
-val scatter :
-  ?width:int ->
-  ?height:int ->
-  xlabel:string ->
-  ylabel:string ->
-  (float * float) list ->
-  string
-(** ASCII scatter plot with the [y = x] diagonal marked ([.]), points ([*]),
+val scatter : xlabel:string -> ylabel:string -> (float * float) list -> string
+(** 60×24 ASCII scatter plot with the [y = x] diagonal marked ([.]), points ([*]),
     points on the diagonal ([o]).  Mirrors Fig. 7's presentation: points
     below the diagonal mean the local detour beat the global one. *)

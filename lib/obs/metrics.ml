@@ -115,8 +115,8 @@ let sketch t ?base ?lowest ?count name =
   | S s -> s
   | _ -> assert false
 
-let series t ?kind ?interval ?capacity name =
-  match register t name (fun () -> Ts (Series.create ?kind ?interval ?capacity ())) "series" with
+let series t ?kind ?interval name =
+  match register t name (fun () -> Ts (Series.create ?kind ?interval ())) "series" with
   | Ts s -> s
   | _ -> assert false
 

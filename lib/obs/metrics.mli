@@ -67,11 +67,11 @@ val sketch : t -> ?base:float -> ?lowest:float -> ?count:int -> string -> Sketch
     bucket-wise addition; layout mismatches (base/lowest/bucket count)
     raise [Invalid_argument] at merge time. *)
 
-val series : t -> ?kind:Series.kind -> ?interval:float -> ?capacity:int -> string -> Series.t
+val series : t -> ?kind:Series.kind -> ?interval:float -> string -> Series.t
 (** A {!Series.t} instrument (fixed-interval sim-time ring); defaults as
     {!Series.create}.  Series merge across shards bucket-wise per their
     kind ([Sum] adds, [Last] follows gauge timestamp rules); layout
-    mismatches (kind/interval/capacity) raise [Invalid_argument] at merge
+    mismatches (kind/interval) raise [Invalid_argument] at merge
     time. *)
 
 type value =

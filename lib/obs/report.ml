@@ -69,36 +69,6 @@ let of_metrics ~name ?(attrs = []) m =
 
 let make ~title ?(meta = []) variants = { r_title = title; r_meta = meta; r_variants = variants }
 
-(* -- Collectors --------------------------------------------------------- *)
-
-type collector = {
-  c_lock : Mutex.t;
-  mutable c_variants : (string * Metrics.t) list; (* reverse registration order *)
-}
-
-let collector () = { c_lock = Mutex.create (); c_variants = [] }
-
-let variant_metrics c name =
-  Mutex.lock c.c_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.c_lock)
-    (fun () ->
-      match List.assoc_opt name c.c_variants with
-      | Some m -> m
-      | None ->
-          let m = Metrics.create () in
-          c.c_variants <- (name, m) :: c.c_variants;
-          m)
-
-let collected c =
-  Mutex.lock c.c_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock c.c_lock)
-    (fun () -> List.rev c.c_variants)
-
-let of_collector ~title ?meta c =
-  make ~title ?meta (List.map (fun (name, m) -> of_metrics ~name m) (collected c))
-
 (* -- JSON --------------------------------------------------------------- *)
 
 let schema_version = 1.0

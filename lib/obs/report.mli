@@ -47,22 +47,6 @@ val of_metrics : name:string -> ?attrs:(string * string) list -> Metrics.t -> va
 
 val make : title:string -> ?meta:(string * string) list -> variant list -> t
 
-(** {2 Collectors}
-
-    A collector hands out one registry per variant name, thread-safely, so
-    an experiment ([Dashboard]) can record each variant into its own
-    registry and then project them all into one report. *)
-
-type collector
-
-val collector : unit -> collector
-
-val variant_metrics : collector -> string -> Metrics.t
-(** Get-or-create the registry for a variant name. *)
-
-val of_collector : title:string -> ?meta:(string * string) list -> collector -> t
-(** The report of every variant, in first-registration order. *)
-
 (** {2 Serialization} *)
 
 val to_string : ?minify:bool -> t -> string

@@ -15,17 +15,26 @@ type recovery_strategy = Local | Global
 
 type join_mode = Oracle | Query_scheme
 
+(* Timers, in simulated seconds, and the multipliers that turn silence
+   into a verdict. *)
+let hello_period = 1.0
+
+let hello_dead_factor = 3.5 (* missed hellos before a link is dead *)
+
+let refresh_period = 5.0
+
+let hold_time = 3.0 *. refresh_period (* soft-state lifetime *)
+
+let data_period = 0.1
+
+let starvation_factor = 5.0 (* silent data periods before a member is disrupted *)
+
+let query_timeout = 2.0 (* how long a query-scheme joiner collects answers *)
+
 type config = {
-  hello_period : float;
-  hello_dead_factor : float;
-  refresh_period : float;
-  hold_factor : float;
-  data_period : float;
-  starvation_factor : float;
   ospf_convergence : float;
   strategy : recovery_strategy;
   join_mode : join_mode;
-  query_timeout : float;
   reshape_period : float option;
       (* Condition-II timer (§3.2.3); [None] disables reshaping. *)
   d_thresh : float;
@@ -33,16 +42,9 @@ type config = {
 
 let default_config =
   {
-    hello_period = 1.0;
-    hello_dead_factor = 3.5;
-    refresh_period = 5.0;
-    hold_factor = 3.0;
-    data_period = 0.1;
-    starvation_factor = 5.0;
     ospf_convergence = 5.0;
     strategy = Local;
     join_mode = Oracle;
-    query_timeout = 2.0;
     reshape_period = None;
     d_thresh = 0.3;
   }
@@ -298,8 +300,6 @@ let send t ~src ~dst m =
   | None -> ());
   ignore (Net.send (net t) ~src ~dst m : bool)
 
-let hold_time t = t.config.hold_factor *. t.config.refresh_period
-
 (* Distributed on-tree test: the node believes it has an upstream. *)
 let[@inline] dist_on_tree t v = v = t.source || t.n_parent.(v) >= 0
 
@@ -408,7 +408,7 @@ let handle_data t ~at ~from seq =
 
 let handle_join t ~at ~from slot =
   let now = Engine.now t.engine in
-  child_refresh t at from (now +. hold_time t);
+  child_refresh t at from (now +. hold_time);
   let idx = t.j_idx.(slot) in
   if idx >= t.j_plen.(slot) then begin
     (* We are the merge node: the requester's forwarding state is now
@@ -424,7 +424,7 @@ let handle_join t ~at ~from slot =
        data for a starvation window): a disconnected relay must adopt the
        detour rather than black-hole the re-join. *)
     let starving =
-      now -. t.n_last_data.(at) > t.config.starvation_factor *. t.config.data_period
+      now -. t.n_last_data.(at) > starvation_factor *. data_period
     in
     if (not (dist_on_tree t at)) || (at <> t.source && starving) then begin
       let next = t.j_path.(slot).(idx) in
@@ -497,7 +497,7 @@ let handle t ~at ~from ~eid m =
       let e = Graph.edge t.graph eid in
       let side = if at = e.Graph.u then 0 else 1 in
       t.hello_seen.((2 * eid) + side) <- Engine.now t.engine
-  | 1 -> child_refresh t at from (Engine.now t.engine +. hold_time t)
+  | 1 -> child_refresh t at from (Engine.now t.engine +. hold_time)
   | 2 ->
       child_remove t at from;
       maybe_prune t at
@@ -750,7 +750,7 @@ let join t m =
             t.q_plen.(s) <- 1;
             send t ~src:m ~dst:nb (msg_query s))
           (Graph.neighbors t.graph m);
-        Engine.schedule t.engine ~delay:t.config.query_timeout (fun () ->
+        Engine.schedule t.engine ~delay:query_timeout (fun () ->
             finalize_query_join t m)
       end
 
@@ -780,7 +780,7 @@ let reshape_node t r =
                a full round trip at the new path's delay, plus margin. *)
             let round_trip = 2.0 *. Tree.delay_to_source t.tree r in
             Engine.schedule t.engine
-              ~delay:(round_trip +. (2.0 *. t.config.data_period))
+              ~delay:(round_trip +. (2.0 *. data_period))
               (fun () -> send t ~src:r ~dst:old_parent msg_prune)
           end
       | _ -> ()
@@ -839,14 +839,14 @@ let declare_disrupted t m =
 
 let start t =
   (* Source data stream. *)
-  Engine.every t.engine ~period:t.config.data_period (fun () ->
+  Engine.every t.engine ~period:data_period (fun () ->
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
       t.n_last_forwarded.(t.source) <- seq;
       let now = Engine.now t.engine in
       fanout_data t t.source ~except:(-1) ~now ~seq);
   (* Hellos on every live link, swept straight off the CSR adjacency. *)
-  Engine.every t.engine ~period:t.config.hello_period (fun () ->
+  Engine.every t.engine ~period:hello_period (fun () ->
       let offsets, neighbor, edge_id, _ = Graph.csr t.graph in
       for v = 0 to Graph.node_count t.graph - 1 do
         for i = offsets.(v) to offsets.(v + 1) - 1 do
@@ -857,7 +857,7 @@ let start t =
      periodic join refresh from members along their stored attach paths —
      this re-instantiates any hop whose state was lost (dropped frames,
      expired entries). *)
-  Engine.every t.engine ~period:t.config.refresh_period (fun () ->
+  Engine.every t.engine ~period:refresh_period (fun () ->
       for v = 0 to Array.length t.n_parent - 1 do
         let p = t.n_parent.(v) in
         if p >= 0 then send t ~src:v ~dst:p msg_refresh;
@@ -883,9 +883,9 @@ let start t =
   | None -> ());
   (* Starvation detector at members; hello-timeout detector for the node
      right below a failed link. *)
-  Engine.every t.engine ~period:t.config.data_period (fun () ->
+  Engine.every t.engine ~period:data_period (fun () ->
       let now = Engine.now t.engine in
-      let starve = t.config.starvation_factor *. t.config.data_period in
+      let starve = starvation_factor *. data_period in
       (* A recovery that has not brought data back well past its expected
          completion is retried (e.g. it raced another member's repair).
          Global recoveries only complete after the reconvergence wait. *)
@@ -904,9 +904,9 @@ let start t =
           end
         end
       done);
-  Engine.every t.engine ~period:t.config.hello_period (fun () ->
+  Engine.every t.engine ~period:hello_period (fun () ->
       let now = Engine.now t.engine in
-      let dead = t.config.hello_dead_factor *. t.config.hello_period in
+      let dead = hello_dead_factor *. hello_period in
       for v = 0 to Array.length t.n_parent - 1 do
         let p = t.n_parent.(v) in
         if p >= 0 && t.n_member.(v) && not t.n_recovering.(v) then begin

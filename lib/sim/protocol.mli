@@ -23,21 +23,18 @@ type join_mode =
       (** The §3.3.1 message exchange: the joiner queries through its
           neighbours, each query travels the neighbour's unicast path until
           the first on-tree node, which answers with its SHR; after
-          [query_timeout] the joiner selects among the answers (degrading to
+          2.0 simulated seconds the joiner selects among the answers (degrading to
           the full-knowledge join when none arrived). *)
 
+(** The timers are fixed, in simulated seconds: hello every 1.0, a link
+    dead after 3.5 hello periods without one; refresh every 5.0, soft
+    state held for 3 refresh periods; data every 0.1, a member disrupted
+    after 5 data periods of silence; a query-scheme joiner collects
+    answers for 2.0. *)
 type config = {
-  hello_period : float;
-  hello_dead_factor : float;  (** Missed-hello multiplier declaring a link dead. *)
-  refresh_period : float;
-  hold_factor : float;  (** Soft-state lifetime in refresh periods. *)
-  data_period : float;
-  starvation_factor : float;  (** Data silence (in data periods) before a member
-                                  declares disruption. *)
   ospf_convergence : float;  (** Unicast reconvergence time gating global re-joins. *)
   strategy : recovery_strategy;
   join_mode : join_mode;
-  query_timeout : float;  (** How long a query-scheme joiner collects answers. *)
   reshape_period : float option;
       (** Condition-II timer (§3.2.3): when set, every member periodically
           re-runs path selection and switches make-before-break (join the
@@ -47,9 +44,8 @@ type config = {
 }
 
 val default_config : config
-(** Periods in simulated seconds: hello 1.0 (dead at 3.5), refresh 5.0 (hold
-    3×), data 0.1 (starvation at 5×), OSPF convergence 5.0, local recovery,
-    oracle joins (query timeout 2.0 when enabled), [D_thresh] 0.3. *)
+(** OSPF convergence 5.0 simulated seconds, local recovery, oracle joins,
+    no reshaping, [D_thresh] 0.3. *)
 
 type msg
 (** Wire message, packed into one int: a 3-bit type tag plus either an

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Bad counts, out-of-range floats and unwritable output files are input
 # errors, never an uncaught exception (exit 125): cmdliner rejects a bad
-# count or float before any work starts (exit 124), a subcommand rejects
-# the rest (exit 1, or 2 for a bad campaign matrix).
+# count, domain count or float before any work starts (exit 124), a
+# subcommand rejects the rest (exit 1, or 2 for a bad campaign matrix).
 # Usage: cli_errors.sh PATH-TO-SMRP-CLI
 smrp=$1
 status=0
@@ -21,6 +21,8 @@ for cmd in fig8 fig9 fig10 all ablations related-work profile report; do
   expect 124 "$cmd" --scenarios 0
 done
 expect 124 latency --runs 0
+expect 124 campaign --quick --jobs 0
+expect 124 campaign --quick --jobs 129
 expect 124 scale -n 0
 expect 124 scale -n 1000,1
 expect 124 scenario --group 0

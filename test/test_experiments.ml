@@ -159,6 +159,17 @@ let pool_raises_lowest_failure () =
       | exception Bad k -> check_int (Printf.sprintf "jobs=%d raises Bad 0" jobs) 0 k)
     [ 1; 2; 4 ]
 
+(* A job count the runtime cannot honour is refused before any domain
+   starts, rather than run sequentially (0) or failing mid-spawn (129). *)
+let pool_rejects_job_counts () =
+  List.iter
+    (fun jobs ->
+      let ran = ref false in
+      match Pool.map ~jobs (fun x -> ran := true; x) [ 1; 2; 3 ] with
+      | _ -> Alcotest.failf "jobs=%d: no exception" jobs
+      | exception Invalid_argument _ -> check (Printf.sprintf "jobs=%d runs nothing" jobs) false !ran)
+    [ 0; -1; Pool.max_jobs + 1 ]
+
 let latency_smoke () =
   let cfg = { Latency.default with Latency.settle_time = 40.0; run_time = 30.0 } in
   let results = Latency.run_many ~seed:3 ~runs:2 cfg in
@@ -276,6 +287,7 @@ let () =
           Alcotest.test_case "pool profile and trace hooks" `Quick pool_profile_and_trace_hooks;
           Alcotest.test_case "pool raises the lowest failing index" `Quick
             pool_raises_lowest_failure;
+          Alcotest.test_case "pool rejects job counts outside 1..128" `Quick pool_rejects_job_counts;
         ] );
       ( "extensions",
         [

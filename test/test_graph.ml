@@ -20,14 +20,12 @@ let connected ?edge_ok g = snd (Connectivity.components ?edge_ok g) <= 1
 let build_basics () =
   let g = Graph.create 3 in
   let e01 = Graph.add_edge g 0 1 1.5 in
-  let e12 = Graph.add_edge ~cost:7.0 g 1 2 2.5 in
+  let e12 = Graph.add_edge g 1 2 2.5 in
   check_int "node count" 3 (Graph.node_count g);
   check_int "edge count" 2 (Graph.edge_count g);
   check_int "ids dense" 1 e12;
   check_float "delay" 1.5 (Graph.edge g e01).Graph.delay;
-  check_float "cost defaults to delay" 1.5 (Graph.edge g e01).Graph.cost;
-  check_float "explicit cost" 7.0 (Graph.edge g e12).Graph.cost;
-  check_float "total cost" 8.5 (Graph.fold_edges (fun acc e -> acc +. e.Graph.cost) 0.0 g);
+  check_float "total delay" 4.0 (Graph.fold_edges (fun acc e -> acc +. e.Graph.delay) 0.0 g);
   check_float "average degree" (4.0 /. 3.0) (Graph.average_degree g)
 
 let rejects_bad_edges () =
@@ -43,7 +41,7 @@ let rejects_bad_edges () =
       ignore (Graph.add_edge g' 0 1 0.0))
 
 (* NaN passes a [<= 0.0] test and infinity is positive: both used to be
-   accepted as link delays, and any cost at all. *)
+   accepted as link delays. *)
 let rejects_non_finite_weights () =
   let fresh () = Graph.create 2 in
   List.iter
@@ -51,11 +49,6 @@ let rejects_non_finite_weights () =
       Alcotest.check_raises (Printf.sprintf "delay %h" d) (Invalid_argument "Graph.add_edge: non-finite delay")
         (fun () -> ignore (Graph.add_edge (fresh ()) 0 1 d)))
     [ nan; infinity ];
-  List.iter
-    (fun c ->
-      Alcotest.check_raises (Printf.sprintf "cost %h" c) (Invalid_argument "Graph.add_edge: non-finite cost")
-        (fun () -> ignore (Graph.add_edge ~cost:c (fresh ()) 0 1 1.0)))
-    [ nan; infinity; neg_infinity ];
   let g = fresh () in
   Alcotest.check_raises "rejected edge leaves no trace" (Invalid_argument "Graph.add_edge: non-finite delay")
     (fun () -> ignore (Graph.add_edge g 0 1 nan));
@@ -283,13 +276,6 @@ let subgraph_extract () =
       check_float "delay preserved" oe.Graph.delay se.Graph.delay)
     sub.Subgraph.edge_from_sub
 
-let subgraph_preserves_costs () =
-  let g = Graph.create 3 in
-  ignore (Graph.add_edge ~cost:9.0 g 0 1 2.0);
-  ignore (Graph.add_edge g 1 2 3.0);
-  let sub = Subgraph.extract g ~keep:(fun _ -> true) in
-  check_float "cost preserved" 9.0 (Graph.edge sub.Subgraph.graph 0).Graph.cost
-
 (* -- Properties -------------------------------------------------------- *)
 
 let random_graph seed n extra_edges =
@@ -375,7 +361,6 @@ let () =
       ( "subgraph",
         [
           Alcotest.test_case "extract" `Quick subgraph_extract;
-          Alcotest.test_case "costs preserved" `Quick subgraph_preserves_costs;
         ] );
       ( "properties",
         [

@@ -183,7 +183,7 @@ let filters_equal_rebuilt_graph =
         Graph.iter_edges
           (fun e ->
             if e.Graph.id <> eid then
-              ignore (Graph.add_edge ~cost:e.Graph.cost rebuilt e.Graph.u e.Graph.v e.Graph.delay))
+              ignore (Graph.add_edge rebuilt e.Graph.u e.Graph.v e.Graph.delay))
           g;
         let r1 = Dijkstra.run ~edge_ok:(Failure.edge_ok g f) g ~source in
         let r2 = Dijkstra.run rebuilt ~source in
@@ -746,15 +746,17 @@ let unicast_session_coverage () =
   Alcotest.(check bool) "joins checked" true (!joins >= 1000);
   Alcotest.(check bool) "global detours checked" true (!detours >= 100)
 
-(* The goal-directed search against the same search without [bound], on
-   delays in {1, 2, 3} so distances tie often.  [lower] is the goal's SPF
-   over the whole graph, or over the graph the search itself sees; the
-   limit is (1 + d_thresh) times the searcher's own distance to the goal,
-   as an SMRP join sets it, with d_thresh 0 (where the goal's shortest
-   path is the only way in) drawn most often.  Every node inside the
-   bound — its full-search distance plus [lower] at most the limit — must
-   be settled with the full search's distance and path and listed once,
-   and the list must hold nothing outside the bound but the searcher. *)
+(* The goal-directed search against the reference search with the same
+   filters and absorb, on delays in {1, 2, 3} so distances tie often.
+   [lower] is the goal's SPF over the whole graph, or over the graph the
+   search itself sees; the limit is (1 + d_thresh) times the searcher's
+   own distance to the goal, as an SMRP join sets it, with d_thresh 0
+   (where the goal's shortest path is the only way in) drawn most often,
+   and one run in four has no bound at all.  Every node inside the bound —
+   its reference distance plus [lower] at most the limit — must be settled
+   with the reference's distance and path and listed once, and the list
+   must hold nothing outside the bound but the searcher.  Without a bound
+   the list is exactly the nodes the reference reaches. *)
 let pruned_search_equals_full =
   QCheck.Test.make ~name:"goal-directed search settles every in-bound node as the full search"
     ~count:500 QCheck.small_int (fun seed ->
@@ -765,32 +767,27 @@ let pruned_search_equals_full =
       let blocked = Array.init n (fun v -> v <> source && Rng.int rng 8 = 0) in
       let eblocked = Array.init (Graph.edge_count g) (fun _ -> Rng.int rng 8 = 0) in
       let absorbed = Array.init n (fun v -> v = goal || Rng.int rng 5 = 0) in
-      let node_ok v = not blocked.(v)
-      and edge_ok e = not eblocked.(e)
-      and absorb v = absorbed.(v) in
+      let absorb v = absorbed.(v) in
       (* mode 0: absorb only; 1: node filter; 2: node and edge filters. *)
       let mode = Rng.int rng 3 in
-      let search ?bound ?workspace () =
-        match mode with
-        | 0 -> Dijkstra.run ~absorb ?bound ?workspace g ~source
-        | 1 -> Dijkstra.run ~node_ok ~absorb ?bound ?workspace g ~source
-        | _ -> Dijkstra.run ~node_ok ~edge_ok ~absorb ?bound ?workspace g ~source
-      in
+      let node_ok = if mode = 0 then None else Some (fun v -> not blocked.(v)) in
+      let edge_ok = if mode = 2 then Some (fun e -> not eblocked.(e)) else None in
       let lower =
-        if mode = 0 || Rng.bool rng || not (node_ok goal) then
-          Dijkstra.distances (Dijkstra.run g ~source:goal)
-        else
-          let edge_ok = if mode = 2 then edge_ok else fun _ -> true in
-          Dijkstra.distances (Dijkstra.run ~node_ok ~edge_ok g ~source:goal)
+        if mode = 0 || Rng.bool rng || blocked.(goal) then
+          Dijkstra.distances (Dijkstra.run_reference g ~source:goal)
+        else Dijkstra.distances (Dijkstra.run_reference ?node_ok ?edge_ok g ~source:goal)
       in
       let d_thresh = Rng.pick rng [| 0.0; 0.0; 0.0; 0.3; 1.0 |] in
       let limit =
         if lower.(source) = infinity then float_of_int (Rng.int rng 8)
         else ((1.0 +. d_thresh) *. lower.(source)) +. 1e-9
       in
-      let full = search () in
+      let bounded = Rng.int rng 4 > 0 in
+      let limit = if bounded then limit else infinity in
+      let bound = if bounded then Some (limit, lower) else None in
+      let full = Dijkstra.run_reference ?node_ok ?edge_ok ~absorb g ~source in
       let ws = Dijkstra.workspace () in
-      let pruned = search ~bound:(limit, lower) ~workspace:ws () in
+      let pruned = Dijkstra.run ?node_ok ?edge_ok ~absorb ?bound ~workspace:ws g ~source in
       let listed = Array.make n 0 in
       Array.iter (fun v -> listed.(v) <- listed.(v) + 1) (Dijkstra.settled_by_id (fun _ -> true) pruned);
       let slack = 1e-9 *. (1.0 +. abs_float limit) in
@@ -807,6 +804,7 @@ let pruned_search_equals_full =
              match Dijkstra.distance pruned v with
              | Some d -> d +. lower.(v) <= limit +. slack
              | None -> false)
+          && (bounded || listed.(v) = Bool.to_int (Dijkstra.reachable full v))
           && ((not inside)
              || listed.(v) = 1
                 && Dijkstra.distance pruned v = Dijkstra.distance full v

@@ -1,6 +1,5 @@
 (* Run reports: metrics-to-variant projection, JSON round-trips, renderer
-   output, the Dashboard collector, and the parallel identity of collected
-   reports. *)
+   output, the Dashboard report, and its parallel identity. *)
 
 module Metrics = Smrp_obs.Metrics
 module Sketch = Smrp_obs.Sketch

@@ -502,9 +502,7 @@ let query_scheme_falls_back () =
      the source, which answers immediately) still ends up attached. *)
   let g = Fixtures.line 3 in
   let engine = Engine.create () in
-  let config =
-    { Protocol.default_config with Protocol.join_mode = Protocol.Query_scheme; query_timeout = 0.5 }
-  in
+  let config = { Protocol.default_config with Protocol.join_mode = Protocol.Query_scheme } in
   let p = Protocol.create ~config engine g ~source:0 in
   Protocol.start p;
   ignore (Engine.schedule engine ~delay:0.5 (fun () -> Protocol.join p 2));

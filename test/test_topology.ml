@@ -280,7 +280,7 @@ module Pair_loop = struct
 end
 
 let edge_list g =
-  List.rev (Graph.fold_edges (fun acc e -> (e.Graph.id, e.Graph.u, e.Graph.v, e.Graph.delay, e.Graph.cost) :: acc) [] g)
+  List.rev (Graph.fold_edges (fun acc e -> (e.Graph.id, e.Graph.u, e.Graph.v, e.Graph.delay) :: acc) [] g)
 
 (* A probability in [0, 1] with both ends, 0 (the no-draw path) and 1,
    drawn often. *)
