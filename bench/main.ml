@@ -13,7 +13,7 @@
 
    A fixed-scale deterministic workload section (a small seeded Fig. 9
    sweep, independent of SMRP_BENCH_SCENARIOS) anchors the regression gate:
-   its rendering digest and merged metrics totals are exact across machines,
+   its rendering digest and metric totals are exact across machines,
    so bench/check.ml compares them against bench/BASELINE.json with zero
    tolerance, while the machine-dependent micro numbers get relative
    tolerances.  The harness also appends one line per run to
@@ -96,14 +96,15 @@ let figures () =
 
 (* A fixed-scale seeded Fig. 9 sweep (4 alpha values x 4 scenarios, 480
    member measurements), independent of SMRP_BENCH_SCENARIOS: small enough
-   for CI, deterministic enough that its rendering digest and merged
-   metrics totals are exact across machines (the default [`Unit] link
-   metric makes every observed value an integer, so even the sketch sums
-   are schedule-independent).  The parallel leg runs with the whole
-   instrumentation stack live — sharded metrics, per-domain flight rings
-   for the spans, pool/GC profiling — and must agree with the
-   uninstrumented sequential leg exactly; this is the property the
-   regression gate pins. *)
+   for CI, deterministic enough that its rendering digest and metric totals
+   are exact across machines (the default [`Unit] link metric makes every
+   observed value an integer, so even the sketch sums are exact).  The
+   parallel leg runs with the whole instrumentation stack live — the
+   metrics registry, per-domain flight rings for the spans, pool/GC
+   profiling — and must agree with the uninstrumented sequential leg
+   exactly: its workers return rows and the orchestrator records them
+   after the join, so the two snapshots are equal by construction.  This
+   is the property the regression gate pins. *)
 
 type workload_result = {
   digest : string;
@@ -126,21 +127,20 @@ let workload () =
   let profile = Profile.create () in
   let flight = Flight.create ~capacity:65536 () in
   (* Four explicit domains, not the pool default: the gate must exercise
-     multi-domain merge and stitching even on single-core runners. *)
+     the multi-domain fan-out and stitching even on single-core runners. *)
   let par = run ~jobs:4 ~metrics:m_par ~profile ~flight () in
   let renders_equal = String.equal seq par in
   let snapshots_equal = Metrics.snapshot m_seq = Metrics.snapshot m_par in
   if not (renders_equal && snapshots_equal) then begin
     Printf.eprintf
-      "FATAL: workload: parallel run differs from sequential (renderings equal: %b, merged \
+      "FATAL: workload: parallel run differs from sequential (renderings equal: %b, metric \
        snapshots equal: %b)\n\
        %!"
       renders_equal snapshots_equal;
     exit 1
   end;
   print_string par;
-  Printf.printf "merged metrics (%d shard(s)):\n%s\n" (Metrics.shard_count m_par)
-    (Metrics.render m_par);
+  Printf.printf "metrics:\n%s\n" (Metrics.render m_par);
   Printf.printf "pool/GC profile:\n%s\n" (Profile.render profile);
   let oc = open_out "BENCH_TRACE.jsonl" in
   let events = ref 0 in

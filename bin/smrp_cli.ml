@@ -281,7 +281,7 @@ let profile_cmd =
     in
     let rendered = Profile.phase prof "fig9.render" (fun () -> Figures.Fig9.render rows) in
     (* Condition-II reshape sweeps on a few freshly built trees: the
-       per-round counters and wall-time sketches land in the shared
+       per-round counters and wall-time sketches land in the sweep's
        registry, the per-round/per-sweep spans in the trace. *)
     let reshape_stats =
       Profile.phase prof "reshape.stabilize" (fun () ->
@@ -303,8 +303,7 @@ let profile_cmd =
       (List.length reshape_stats)
       (List.fold_left (fun a (s : Reshape.stats) -> a + s.Reshape.rounds) 0 reshape_stats)
       (List.fold_left (fun a (s : Reshape.stats) -> a + s.Reshape.switches) 0 reshape_stats);
-    Printf.printf "\n-- metrics (merged across %d shard(s)) --\n%s"
-      (Metrics.shard_count metrics) (Metrics.render metrics);
+    Printf.printf "\n-- metrics --\n%s" (Metrics.render metrics);
     Printf.printf "\n-- phases and pool workers --\n%s" (Profile.render prof);
     match (trace_file, flight) with
     | Some file, Some fl ->
@@ -335,8 +334,8 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Profile a Fig. 9 sweep: merged sharded metrics, per-domain pool utilisation, per-phase \
-          GC deltas, and optionally the stitched multi-domain trace.")
+         "Profile a Fig. 9 sweep: its metrics, per-domain pool utilisation, per-phase GC \
+          deltas, and optionally the stitched multi-domain trace.")
     Term.(const run $ seed_arg 9 $ scenarios_arg $ jobs_arg $ trace)
 
 let report_cmd =
@@ -538,7 +537,7 @@ let fuzz_cmd =
         | None -> campaign ~seed ~runs ~bug ~engine_diff ~protection ~max_nodes ~out)
   in
   let runs =
-    Arg.(value & opt int 500 & info [ "runs" ] ~docv:"N" ~doc:"Random cases to execute.")
+    Arg.(value & opt positive 500 & info [ "runs" ] ~docv:"N" ~doc:"Random cases to execute.")
   in
   let inject =
     Arg.(
@@ -574,10 +573,15 @@ let fuzz_cmd =
       & info [ "replay" ] ~docv:"FILE" ~doc:"Replay one repro file instead of fuzzing.")
   in
   let max_nodes =
+    let { Smrp_check.Gen.min_nodes; max_nodes; _ } = Smrp_check.Gen.default in
     Arg.(
       value
-      & opt int Smrp_check.Gen.default.Smrp_check.Gen.max_nodes
-      & info [ "max-nodes" ] ~docv:"N" ~doc:"Topology size ceiling for generated cases.")
+      & opt (int_at_least min_nodes) max_nodes
+      & info [ "max-nodes" ] ~docv:"N"
+          ~doc:
+            (Printf.sprintf
+               "Topology size ceiling for generated cases, at least the generator's floor of %d."
+               min_nodes))
   in
   let out =
     Arg.(

@@ -6,8 +6,9 @@
     Scenario fan-outs run domain-parallel through {!Pool}
     ([jobs] to override; results are byte-identical whatever the count).
     {!Fig9.run} accepts [?metrics]: a {!Smrp_obs.Metrics.t} registry that
-    each scenario records into (see {!Scenario.run_many}) — shared across
-    the parallel fan-out, it merges to exactly the sequential totals.
+    every scenario is recorded into on the calling domain once the fan-out
+    has joined (see {!Scenario.run_many}), so its totals do not depend on
+    [jobs].
 
     Sampling note: the paper reuses each random topology for several member
     sets (e.g. 10 × 10 in Fig. 8); we draw an independent topology per

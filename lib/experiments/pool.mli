@@ -8,9 +8,10 @@
     result is byte-identical whatever the job count or scheduling.
 
     [f] must not share mutable state across calls: each invocation runs in
-    whichever worker domain claimed it.  State [f] records into a shared
-    {!Smrp_obs.Metrics.t} registry is fine — the registry shards per domain
-    and merges at snapshot.
+    whichever worker domain claimed it.  That includes a
+    {!Smrp_obs.Metrics.t} registry, which raises when a domain other than
+    its creator registers into it: [f] returns plain rows, and the caller
+    records them after [map] returns, in input order.
 
     {b Observability}: under {!with_instrumentation}, [map] records
     per-worker utilisation into a {!Smrp_obs.Profile.t} (tasks claimed,

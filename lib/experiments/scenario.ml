@@ -58,23 +58,26 @@ type t = {
 }
 
 (* Worst-case failure for a member in a given tree (§4.3.1), then the
-   recovery distance under the given strategy.  [spf_after f] is the
-   source SPF over the network [f] leaves, which bounds a global detour. *)
-let worst_case_distance ?ws ~spf_after tree member strategy =
+   recovery distance under the given strategy.  [surviving_after f] is the
+   tree's surviving set under [f], and [spf_after f] the source SPF over
+   the network [f] leaves, which bounds a global detour. *)
+let worst_case_distance ?ws ~surviving_after ~spf_after tree member strategy =
   match Failure.worst_case_for_member tree member with
   | None -> None
   | Some f -> begin
+      let surviving = surviving_after f in
       let detour =
         match strategy with
-        | `Local -> Recovery.local_detour ?ws tree f ~member
-        | `Global -> Recovery.global_detour ?ws tree f ~member ~spf:(spf_after f)
+        | `Local -> Recovery.local_detour ?ws ~surviving tree f ~member
+        | `Global -> Recovery.global_detour ?ws ~surviving tree f ~member ~spf:(spf_after f)
       in
       Option.map (fun d -> d.Recovery.recovery_distance) detour
     end
 
 let recovery_distance ?ws tree member strategy =
   let spf_after f = Smrp.source_spf ~filters:(Failure.filters (Tree.graph tree) f) ?ws tree in
-  worst_case_distance ?ws ~spf_after tree member strategy
+  worst_case_distance ?ws ~surviving_after:(Failure.tree_connected tree) ~spf_after tree member
+    strategy
 
 (* One Dijkstra workspace serves every search of the scenario: both tree
    builds and all four recovery measurements per member. *)
@@ -83,23 +86,33 @@ let evaluate_on ws graph ~source ~members ~d_thresh =
   let smrp_tree = Smrp.build ~d_thresh ~ws graph ~source ~members in
   (* Every worst case is one link of the graph, and the SPF over what it
      leaves depends on nothing else: one search per distinct link serves
-     both trees and every member behind that link. *)
-  let spfs = Hashtbl.create 8 in
-  let spf_after f =
-    match Hashtbl.find_opt spfs f with
-    | Some spf -> spf
-    | None ->
-        let spf = Smrp.source_spf ~filters:(Failure.filters graph f) ~ws spf_tree in
-        Hashtbl.add spfs f spf;
-        spf
+     both trees and every member behind that link.  So does one walk of
+     each tree for its surviving set. *)
+  let per_link make =
+    let known = Hashtbl.create 8 in
+    fun f ->
+      match Hashtbl.find_opt known f with
+      | Some v -> v
+      | None ->
+          let v = make f in
+          Hashtbl.add known f v;
+          v
+  in
+  let spf_after =
+    per_link (fun f -> Smrp.source_spf ~filters:(Failure.filters graph f) ~ws spf_tree)
+  in
+  let on_spf = per_link (Failure.tree_connected spf_tree)
+  and on_smrp = per_link (Failure.tree_connected smrp_tree) in
+  let distance tree surviving_after m strategy =
+    worst_case_distance ~ws ~surviving_after ~spf_after tree m strategy
   in
   let outcome m =
     {
       member = m;
-      rd_local_spf = worst_case_distance ~ws ~spf_after spf_tree m `Local;
-      rd_local_smrp = worst_case_distance ~ws ~spf_after smrp_tree m `Local;
-      rd_global_spf = worst_case_distance ~ws ~spf_after spf_tree m `Global;
-      rd_global_smrp = worst_case_distance ~ws ~spf_after smrp_tree m `Global;
+      rd_local_spf = distance spf_tree on_spf m `Local;
+      rd_local_smrp = distance smrp_tree on_smrp m `Local;
+      rd_global_spf = distance spf_tree on_spf m `Global;
+      rd_global_smrp = distance smrp_tree on_smrp m `Global;
       delay_spf = Tree.delay_to_source spf_tree m;
       delay_smrp = Tree.delay_to_source smrp_tree m;
     }
@@ -133,21 +146,18 @@ let seeds ~seed ~count =
   let rng = Rng.create seed in
   List.init count (fun _ -> next_seed rng)
 
-(* Per-scenario instrumentation.  Instruments resolve through the registry
-   lock once per scenario (not per event), then mutate the calling domain's
-   shard; a registry shared across a [Pool.map] fan-out therefore merges to
-   the same totals as a sequential run.  All counted quantities are
-   integers, and the recovery-distance sketch sums hop counts, so under
-   the default [`Unit] link metric even its float [sum] is exact. *)
+(* Per-scenario instrumentation, run on the orchestrating domain (the
+   registry's owner) after the fan-out joins: instruments resolve by name
+   once per scenario, not per member.  All counted quantities are integers,
+   and the recovery-distance sketch sums hop counts, so under the default
+   [`Unit] link metric even its float [sum] is exact. *)
 let record m t =
   Metrics.Counter.incr (Metrics.counter m "scenario.runs");
   Metrics.Counter.add (Metrics.counter m "scenario.members") (List.length t.members);
   let recovered = Metrics.counter m "scenario.recovered"
   and isolated = Metrics.counter m "scenario.isolated" in
   (* Quantile sketches: recovery distances per strategy/tree and per-member
-     tree delays.  Under the default [`Unit] link metric every observation
-     is an integer hop count, so the sketch sums merge exactly across
-     domains. *)
+     tree delays. *)
   let rd_smrp_q = Metrics.sketch m "scenario.rd_local_smrp.q"
   and rd_spf_q = Metrics.sketch m "scenario.rd_global_spf.q"
   and delay_smrp_q = Metrics.sketch m "scenario.delay_smrp.q"

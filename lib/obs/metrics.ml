@@ -1,27 +1,11 @@
-(* Domain-sharded metrics registry.
+(* Metrics registry: one name -> instrument table, owned by the domain that
+   created it.
 
-   Each domain that touches a registry gets a private shard (a name ->
-   instrument table of its own); instrument mutation is therefore a plain
-   unsynchronized field update — the hot path an instrumented simulator pays
-   per event is one increment, exactly as in the single-domain design.  The
-   registry mutex guards only the rare operations: shard creation,
-   instrument registration, and the merge performed by [snapshot].
-
-   Merge semantics (applied shard-by-shard in increasing domain-id order):
-   - counters add;
-   - gauges keep the value with the greatest user-supplied timestamp
-     (ties broken towards the larger value), and the max of the maxima;
-   - sketches and series require identical layouts and add bucket-wise.
-
-   Exactness: counter and bucket totals are integers, so parallel and
-   sequential runs of the same work merge to identical snapshots whatever
-   the scheduling.  Sketch sums are float accumulations — exact (hence
-   schedule-independent) when the observed values are integers (e.g. hop
-   counts), and subject to the usual non-associativity of float addition
-   otherwise.  Snapshots taken while other domains are still mutating
-   instruments are safe (word-sized reads cannot tear) but only quiescent
-   snapshots — e.g. after [Pool.map] has joined its workers — are
-   guaranteed exact. *)
+   Every driver that fans out through [Pool.map] has its workers return
+   plain rows and records them on the orchestrating domain after the join,
+   so no registry is written from two domains.  Registration checks the
+   owner and raises otherwise; instrument mutation is a plain field update,
+   the one increment an instrumented simulator pays per event. *)
 
 module Counter = struct
   type t = { mutable n : int }
@@ -34,16 +18,10 @@ module Counter = struct
 end
 
 module Gauge = struct
-  type t = { mutable last : float; mutable last_ts : float; mutable max : float }
+  type t = { mutable last : float; mutable max : float }
 
-  (* Within a shard, program order wins: [set] overwrites [last]
-     unconditionally.  [ts] (default [neg_infinity]) only matters when
-     shards are merged: the shard with the greatest timestamp supplies the
-     merged [last].  Stamp sets with a monotone clock (e.g. the simulation
-     clock) to make cross-domain "last" well-defined. *)
-  let set g ?(ts = neg_infinity) v =
+  let set g v =
     g.last <- v;
-    g.last_ts <- ts;
     if v > g.max then g.max <- v
 end
 
@@ -53,28 +31,11 @@ type instrument =
   | S of Sketch.t
   | Ts of Series.t
 
-type shard = { domain : int; tbl : (string, instrument) Hashtbl.t }
+type t = { owner : int; tbl : (string, instrument) Hashtbl.t }
 
-type t = { lock : Mutex.t; mutable shards : shard list (* unordered *) }
+let self () = (Domain.self () :> int)
 
-let create () = { lock = Mutex.create (); shards = [] }
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* The calling domain's shard, created on first touch.  Must be called with
-   the lock held. *)
-let shard_locked t =
-  let id = (Domain.self () :> int) in
-  match List.find_opt (fun s -> s.domain = id) t.shards with
-  | Some s -> s
-  | None ->
-      let s = { domain = id; tbl = Hashtbl.create 16 } in
-      t.shards <- s :: t.shards;
-      s
-
-let shard_count t = with_lock t (fun () -> List.length t.shards)
+let create () = { owner = self (); tbl = Hashtbl.create 16 }
 
 let kind = function
   | C _ -> "counter"
@@ -83,18 +44,21 @@ let kind = function
   | Ts _ -> "series"
 
 let register t name make wanted =
-  with_lock t (fun () ->
-      let shard = shard_locked t in
-      match Hashtbl.find_opt shard.tbl name with
-      | Some existing ->
-          if kind existing <> wanted then
-            invalid_arg
-              (Printf.sprintf "Metrics: %S already registered as a %s" name (kind existing));
-          existing
-      | None ->
-          let inst = make () in
-          Hashtbl.add shard.tbl name inst;
-          inst)
+  let caller = self () in
+  if caller <> t.owner then
+    invalid_arg
+      (Printf.sprintf "Metrics: %S registered from domain %d; the registry belongs to domain %d"
+         name caller t.owner);
+  match Hashtbl.find_opt t.tbl name with
+  | Some existing ->
+      if kind existing <> wanted then
+        invalid_arg
+          (Printf.sprintf "Metrics: %S already registered as a %s" name (kind existing));
+      existing
+  | None ->
+      let inst = make () in
+      Hashtbl.add t.tbl name inst;
+      inst
 
 let counter t name =
   match register t name (fun () -> C { Counter.n = 0 }) "counter" with
@@ -102,16 +66,12 @@ let counter t name =
   | _ -> assert false
 
 let gauge t name =
-  match
-    register t name
-      (fun () -> G { Gauge.last = 0.0; last_ts = neg_infinity; max = neg_infinity })
-      "gauge"
-  with
+  match register t name (fun () -> G { Gauge.last = 0.0; max = neg_infinity }) "gauge" with
   | G g -> g
   | _ -> assert false
 
-let sketch t ?base ?lowest ?count name =
-  match register t name (fun () -> S (Sketch.create ?base ?lowest ?count ())) "sketch" with
+let sketch t name =
+  match register t name (fun () -> S (Sketch.create ())) "sketch" with
   | S s -> s
   | _ -> assert false
 
@@ -120,89 +80,22 @@ let series t ?kind ?interval name =
   | Ts s -> s
   | _ -> assert false
 
-(* -- Merge -------------------------------------------------------------- *)
-
-(* A merged instrument: a value-level copy of one shard's instrument that
-   later shards fold into.  Gauges keep their merge timestamp here (the
-   public [value] type below does not expose it). *)
-type minst =
-  | MC of int
-  | MG of { last : float; last_ts : float; max : float }
-  | MS of Sketch.t (* private copy, mutated only by the merge fold *)
-  | MT of Series.t (* likewise *)
-
-let minst_of_instrument = function
-  | C c -> MC c.Counter.n
-  | G g -> MG { last = g.Gauge.last; last_ts = g.Gauge.last_ts; max = g.Gauge.max }
-  | S s -> MS (Sketch.copy s)
-  | Ts s -> MT (Series.copy s)
-
-let minst_kind = function
-  | MC _ -> "counter"
-  | MG _ -> "gauge"
-  | MS _ -> "sketch"
-  | MT _ -> "series"
-
-let merge_minst name a b =
-  match (a, b) with
-  | MC x, MC y -> MC (x + y)
-  | MG x, MG y ->
-      let last, last_ts =
-        if x.last_ts > y.last_ts then (x.last, x.last_ts)
-        else if y.last_ts > x.last_ts then (y.last, y.last_ts)
-        else (Float.max x.last y.last, x.last_ts)
-      in
-      MG { last; last_ts; max = Float.max x.max y.max }
-  | MS x, MS y ->
-      if not (Sketch.compatible x y) then
-        invalid_arg
-          (Printf.sprintf "Metrics: sketch %S layouts differ across shards" name);
-      Sketch.merge_into ~into:x y;
-      MS x
-  | MT x, MT y ->
-      if not (Series.compatible x y) then
-        invalid_arg
-          (Printf.sprintf "Metrics: series %S layouts differ across shards" name);
-      Series.merge_into ~into:x y;
-      MT x
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Metrics: %S registered as a %s in one domain and a %s in another" name
-           (minst_kind a) (minst_kind b))
-
-(* All instruments merged across shards, sorted by name.  Shards are folded
-   in increasing domain-id order so the (already order-insensitive) merge is
-   also procedurally deterministic. *)
-let merged t =
-  with_lock t (fun () ->
-      let acc = Hashtbl.create 32 in
-      let shards = List.sort (fun a b -> compare a.domain b.domain) t.shards in
-      List.iter
-        (fun s ->
-          Hashtbl.iter
-            (fun name inst ->
-              let m = minst_of_instrument inst in
-              match Hashtbl.find_opt acc name with
-              | None -> Hashtbl.add acc name m
-              | Some prev -> Hashtbl.replace acc name (merge_minst name prev m))
-            s.tbl)
-        shards;
-      Hashtbl.fold (fun name m l -> (name, m) :: l) acc []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
 type value =
   | Counter_value of int
   | Gauge_value of { last : float; max : float }
   | Sketch_value of Sketch.summary
   | Series_value of Series.view
 
-let value_of_minst = function
-  | MC n -> Counter_value n
-  | MG { last; max; _ } -> Gauge_value { last; max }
-  | MS s -> Sketch_value (Sketch.summarize s)
-  | MT s -> Series_value (Series.view s)
+let value = function
+  | C c -> Counter_value c.Counter.n
+  | G g -> Gauge_value { last = g.Gauge.last; max = g.Gauge.max }
+  | S s -> Sketch_value (Sketch.summarize s)
+  | Ts s -> Series_value (Series.view s)
 
-let snapshot t = List.map (fun (name, m) -> (name, value_of_minst m)) (merged t)
+let snapshot t =
+  Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) t.tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, inst) -> (name, value inst))
 
 let render t =
   let buf = Buffer.create 256 in

@@ -1,5 +1,5 @@
 (* Structured run reports.  See the interface for the model; this file is
-   the projection from merged Metrics snapshots plus three encoders (JSON,
+   the projection from Metrics snapshots plus three encoders (JSON,
    ASCII tables, HTML dashboard).  Everything is deterministic: association
    lists keep Metrics.snapshot's sorted-name order, JSON member order is
    fixed, and the renderers iterate those lists in order — equal reports

@@ -1,9 +1,8 @@
-(* Fixed-interval ring-buffered time series over the simulation clock.  See
-   the interface for the merge contract.  The ring is an array indexed by
-   [bucket mod capacity]; each slot remembers which bucket it holds, so
-   writing a newer bucket into a slot evicts the older one in O(1) and
-   stale slots (left behind when the window jumps forward) are filtered at
-   read/merge time rather than eagerly scrubbed. *)
+(* Fixed-interval ring-buffered time series over the simulation clock.  The
+   ring is an array indexed by [bucket mod capacity]; each slot remembers
+   which bucket it holds, so writing a newer bucket into a slot evicts the
+   older one in O(1) and stale slots (left behind when the window jumps
+   forward) are filtered at read time rather than eagerly scrubbed. *)
 
 type kind = Sum | Last
 
@@ -13,7 +12,6 @@ type t = {
   cap : int;
   bucket : int array; (* bucket id per slot; -1 = empty *)
   value : float array;
-  last_ts : float array; (* last observation time per slot (Last merges) *)
   mutable hi : int; (* highest bucket id seen; -1 while empty *)
   mutable dropped : int;
 }
@@ -28,7 +26,6 @@ let create ?(kind = Sum) ?(interval = 1.0) ?(capacity = 512) () =
     cap = capacity;
     bucket = Array.make capacity (-1);
     value = Array.make capacity 0.0;
-    last_ts = Array.make capacity neg_infinity;
     hi = -1;
     dropped = 0;
   }
@@ -46,19 +43,16 @@ let observe t ~ts v =
   else begin
     if idx > t.hi then t.hi <- idx;
     let slot = idx mod t.cap in
-    if t.bucket.(slot) = idx then begin
-      (match t.kind with
+    if t.bucket.(slot) <> idx then begin
+      t.bucket.(slot) <- idx;
+      t.value.(slot) <- v
+    end
+    else
+      match t.kind with
       | Sum -> t.value.(slot) <- t.value.(slot) +. v
       | Last ->
           (* Program order wins within a series, as Gauge.set does. *)
-          t.value.(slot) <- v);
-      if ts > t.last_ts.(slot) then t.last_ts.(slot) <- ts
-    end
-    else begin
-      t.bucket.(slot) <- idx;
-      t.value.(slot) <- v;
-      t.last_ts.(slot) <- ts
-    end
+          t.value.(slot) <- v
   end
 
 let points t =
@@ -69,54 +63,6 @@ let points t =
   done;
   List.sort (fun (a, _) (b, _) -> compare a b) !acc
   |> List.map (fun (idx, v) -> (float_of_int idx *. t.interval, v))
-
-let compatible a b = a.kind = b.kind && a.interval = b.interval && a.cap = b.cap
-
-let copy t =
-  {
-    t with
-    bucket = Array.copy t.bucket;
-    value = Array.copy t.value;
-    last_ts = Array.copy t.last_ts;
-  }
-
-let merge_into ~into src =
-  if not (compatible into src) then
-    invalid_arg "Series.merge_into: series layouts differ (kind/interval/capacity)";
-  let new_hi = max into.hi src.hi in
-  for slot = 0 to src.cap - 1 do
-    let idx = src.bucket.(slot) in
-    if live src idx then begin
-      if idx <= new_hi - into.cap then into.dropped <- into.dropped + 1
-      else begin
-        let dslot = idx mod into.cap in
-        if into.bucket.(dslot) = idx then begin
-          (match into.kind with
-          | Sum -> into.value.(dslot) <- into.value.(dslot) +. src.value.(slot)
-          | Last ->
-              (* Gauge merge per bucket: the greater observation timestamp
-                 wins, ties towards the larger value. *)
-              let keep_ours =
-                into.last_ts.(dslot) > src.last_ts.(slot)
-                || (into.last_ts.(dslot) = src.last_ts.(slot)
-                   && into.value.(dslot) >= src.value.(slot))
-              in
-              if not keep_ours then into.value.(dslot) <- src.value.(slot));
-          if src.last_ts.(slot) > into.last_ts.(dslot) then
-            into.last_ts.(dslot) <- src.last_ts.(slot)
-        end
-        else begin
-          (* Either empty, or a bucket now outside the merged window: two
-             live buckets within one window cannot share a slot. *)
-          into.bucket.(dslot) <- idx;
-          into.value.(dslot) <- src.value.(slot);
-          into.last_ts.(dslot) <- src.last_ts.(slot)
-        end
-      end
-    end
-  done;
-  into.hi <- new_hi;
-  into.dropped <- into.dropped + src.dropped
 
 type view = {
   v_kind : kind;

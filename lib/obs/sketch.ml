@@ -1,7 +1,6 @@
-(* Mergeable log-bucket quantile sketch.  See the interface for the merge
-   and error-bound contract.  Bucket edges are built by repeated
-   multiplication and searched linearly, so bucketing never depends on
-   platform [log]/[exp] rounding. *)
+(* Log-bucket quantile sketch.  See the interface for the error-bound
+   contract.  Bucket edges are built by repeated multiplication and searched
+   linearly, so bucketing never depends on platform [log]/[exp] rounding. *)
 
 type t = {
   base : float;
@@ -89,25 +88,6 @@ let estimate ~bounds ~min_v ~max_v i =
     else 2.0 *. lo *. hi /. (lo +. hi)
   in
   clamp ~lo:min_v ~hi:max_v raw
-
-let compatible a b =
-  a.base = b.base && a.lowest = b.lowest && Array.length a.bounds = Array.length b.bounds
-
-let copy t =
-  {
-    t with
-    bounds = Array.copy t.bounds;
-    counts = Array.copy t.counts;
-  }
-
-let merge_into ~into src =
-  if not (compatible into src) then
-    invalid_arg "Sketch.merge_into: sketch layouts differ (base/lowest/bucket count)";
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-  into.count <- into.count + src.count;
-  into.sum <- into.sum +. src.sum;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
 
 type summary = {
   base : float;

@@ -1,5 +1,5 @@
-(** Mergeable log-bucket quantile sketch: fixed geometric buckets (edges
-    built by repeated multiplication, so bucketing is deterministic across
+(** Log-bucket quantile sketch: fixed geometric buckets (edges built by
+    repeated multiplication, so bucketing is deterministic across
     platforms), integer bucket counts, and rank-based quantile estimates
     with a known relative error bound.
 
@@ -7,18 +7,8 @@
     of [(base - 1) / (base + 1)] (each estimate is the harmonic midpoint
     [2*lo*hi / (lo+hi)] of its bucket — the point with the smallest
     worst-case relative error over it — clamped to the observed
-    [min]/[max]).
-
-    {b Merge semantics} mirror the sharded-registry counter rules exactly:
-    two sketches with identical layout (same [base], [lowest], bucket
-    count) merge by bucket-wise integer addition ([count] adds, [sum] adds,
-    [min]/[max] combine); merging sketches with different layouts raises
-    [Invalid_argument].  Because bucket counts are integers, a parallel
-    fan-out recording into per-domain sketches merges to exactly the
-    sequential sketch whatever the scheduling — and when the observed
-    values are themselves integers (hop counts), the float [sum] is exact
-    too.  A sketch value is single-writer (one domain) like every registry
-    instrument; cross-domain aggregation happens at merge time. *)
+    [min]/[max]).  A sketch has one writer, the domain that owns its
+    {!Metrics} registry. *)
 
 type t
 
@@ -31,19 +21,9 @@ val observe : t -> float -> unit
 (** Record one value.  Non-finite values raise [Invalid_argument] (they
     would poison [sum] and serialization). *)
 
-val compatible : t -> t -> bool
-(** Same layout ([base], [lowest], bucket count)? *)
-
-val copy : t -> t
-
-val merge_into : into:t -> t -> unit
-(** Bucket-wise accumulation of [src] into [into]; an accumulation, not a
-    union (merging the same sketch twice double-counts).  Raises
-    [Invalid_argument] when the layouts differ. *)
-
-(** A plain-data snapshot of a sketch, as stored in merged
-    {!Metrics.snapshot} values: order-insensitive structural equality, no
-    mutable state shared with the live sketch. *)
+(** A plain-data snapshot of a sketch, as stored in {!Metrics.snapshot}
+    values: structural equality, no mutable state shared with the live
+    sketch. *)
 type summary = {
   base : float;
   lowest : float;

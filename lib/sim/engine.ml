@@ -167,9 +167,7 @@ let[@inline] release_closure t c =
 
 (* -- Metering helpers ---------------------------------------------------- *)
 
-(* Depth is the pending count, stamped with sim time so merged gauges
-   resolve by the simulation's own clock, not wall-clock or shard order. *)
-let[@inline] note_depth t m = Metrics.Gauge.set m.depth ~ts:t.clock (float_of_int t.n_pending)
+let[@inline] note_depth t m = Metrics.Gauge.set m.depth (float_of_int t.n_pending)
 
 (* -- Scheduling ---------------------------------------------------------- *)
 

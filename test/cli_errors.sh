@@ -21,6 +21,8 @@ for cmd in fig8 fig9 fig10 all ablations related-work profile report; do
   expect 124 "$cmd" --scenarios 0
 done
 expect 124 latency --runs 0
+expect 124 fuzz --runs 0
+expect 124 fuzz --max-nodes 7
 expect 124 campaign --quick --jobs 0
 expect 124 campaign --quick --jobs 129
 expect 124 scale -n 0

@@ -65,10 +65,10 @@ let fig10_smoke () =
   check "renders" true (String.length (Figures.Fig10.render rows) > 100)
 
 let fig9_parallel_identical_snapshot () =
-  (* The satellite-2 determinism check: a figure run on 1 domain and on 4
-     must agree on the rendering AND on the merged metrics snapshot — not
-     just on what is printed.  Fig. 9 uses the default [`Unit] link metric,
-     so every observed value is an integer and the equality is exact. *)
+  (* The determinism check: a figure run on 1 domain and on 4 must agree
+     on the rendering AND on the metrics snapshot — not just on what is
+     printed.  Fig. 9 uses the default [`Unit] link metric, so every
+     observed value is an integer and the equality is exact. *)
   let leg jobs =
     let metrics = Metrics.create () in
     let rows =

@@ -58,93 +58,28 @@ let snapshot_sorted_and_rendered () =
     (let r = Metrics.render m in
      List.for_all (fun n -> contains ~affix:n r) [ "aa"; "mm"; "zz" ])
 
-(* -- Sharded metrics across domains ------------------------------------- *)
-
-(* Run [body k] on 4 domains (k = 0..3) against a shared registry and
-   return the registry once all have joined (a quiescent snapshot). *)
-let on_four_domains body =
+let registration_from_another_domain_rejected () =
+  (* A registry belongs to the domain that created it: a worker domain that
+     registers into it fails loudly instead of racing the owner. *)
   let m = Metrics.create () in
-  let domains = Array.init 4 (fun k -> Domain.spawn (fun () -> body m k)) in
-  Array.iter Domain.join domains;
-  m
-
-let find_value m name =
-  match List.assoc_opt name (Metrics.snapshot m) with
-  | Some v -> v
-  | None -> Alcotest.failf "instrument %S missing from snapshot" name
-
-let sharded_hammer_exact_totals () =
-  (* The satellite-1 hammer: every domain mutates its private shard through
-     the plain unsynchronized hot path; the merged totals must be exact. *)
-  (* Divisible by 3 so each domain's 1/2/3 rotation is exactly balanced. *)
-  let per_domain = 60_000 in
-  let m =
-    on_four_domains (fun m k ->
-        let c = Metrics.counter m "hammer.count" in
-        let q = Metrics.sketch m ~base:2.0 ~lowest:1.0 ~count:4 "hammer.q" in
-        for i = 1 to per_domain do
-          Metrics.Counter.incr c;
-          Sketch.observe q (float_of_int (1 + ((i + k) mod 3)))
-        done;
-        Metrics.Gauge.set (Metrics.gauge m "hammer.gauge") ~ts:(float_of_int k)
-          (float_of_int (10 * k)))
+  Metrics.Counter.incr (Metrics.counter m "c");
+  let attempt register =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match register () with
+           | () -> "registered"
+           | exception Invalid_argument msg -> msg))
   in
-  check_int "one shard per domain" 4 (Metrics.shard_count m);
-  (match find_value m "hammer.count" with
-  | Metrics.Counter_value n -> check_int "counter total" (4 * per_domain) n
-  | _ -> Alcotest.fail "hammer.count is not a counter");
-  (match find_value m "hammer.q" with
-  | Metrics.Sketch_value s ->
-      check_int "sketch count" (4 * per_domain) s.Sketch.s_count;
-      (* Each domain observes 1, 2 and 3 in a rotation over [per_domain]
-         observations; summed over the 4 offsets the multiset is exactly
-         balanced, so the total is 4 * per_domain * 2. *)
-      Alcotest.(check (float 0.0)) "sketch sum exact" (float_of_int (8 * per_domain)) s.Sketch.s_sum;
-      check_int "bucket mass conserved" (4 * per_domain)
-        (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Sketch.s_buckets)
-  | _ -> Alcotest.fail "hammer.q is not a sketch");
-  match find_value m "hammer.gauge" with
-  | Metrics.Gauge_value { last; max } ->
-      Alcotest.(check (float 0.0)) "last writer by timestamp" 30.0 last;
-      Alcotest.(check (float 0.0)) "max of maxima" 30.0 max
-  | _ -> Alcotest.fail "hammer.gauge is not a gauge"
-
-let gauge_merge_semantics () =
-  let m =
-    on_four_domains (fun m k ->
-        (* Older timestamp carries the larger value: "last" must follow the
-           timestamp, not program order across domains. *)
-        Metrics.Gauge.set (Metrics.gauge m "g.ts") ~ts:(float_of_int (10 - k))
-          (float_of_int (100 * k));
-        (* Equal timestamps: the tie breaks towards the larger value. *)
-        Metrics.Gauge.set (Metrics.gauge m "g.tie") ~ts:1.0 (float_of_int k);
-        (* Unstamped sets all carry ts = -inf; max still merges. *)
-        Metrics.Gauge.set (Metrics.gauge m "g.unstamped") (float_of_int (k * k)))
-  in
-  (match find_value m "g.ts" with
-  | Metrics.Gauge_value { last; max } ->
-      Alcotest.(check (float 0.0)) "greatest ts wins (k=0)" 0.0 last;
-      Alcotest.(check (float 0.0)) "max over shards" 300.0 max
-  | _ -> Alcotest.fail "g.ts is not a gauge");
-  (match find_value m "g.tie" with
-  | Metrics.Gauge_value { last; _ } ->
-      Alcotest.(check (float 0.0)) "tie breaks to larger value" 3.0 last
-  | _ -> Alcotest.fail "g.tie is not a gauge");
-  match find_value m "g.unstamped" with
-  | Metrics.Gauge_value { last; max } ->
-      Alcotest.(check (float 0.0)) "all-tied merge is the max" 9.0 last;
-      Alcotest.(check (float 0.0)) "max" 9.0 max
-  | _ -> Alcotest.fail "g.unstamped is not a gauge"
-
-let kind_clash_across_domains_rejected () =
-  let m =
-    on_four_domains (fun m k ->
-        if k = 0 then Metrics.Counter.incr (Metrics.counter m "x")
-        else if k = 1 then Metrics.Gauge.set (Metrics.gauge m "x") 1.0)
-  in
-  Alcotest.check_raises "merge rejects kind clash"
-    (Invalid_argument "Metrics: \"x\" registered as a counter in one domain and a gauge in another")
-    (fun () -> ignore (Metrics.snapshot m))
+  List.iter
+    (fun (what, register) ->
+      let msg = attempt register in
+      check (what ^ " from a spawned domain raises") true
+        (contains ~affix:"registered from domain" msg))
+    [
+      ("existing counter", fun () -> ignore (Metrics.counter m "c"));
+      ("new sketch", fun () -> ignore (Metrics.sketch m "q"));
+    ];
+  check "owner's registry unchanged" true (Metrics.snapshot m = [ ("c", Metrics.Counter_value 1) ])
 
 (* -- Sketches ------------------------------------------------------------ *)
 
@@ -206,25 +141,7 @@ let sketch_guards () =
     (Invalid_argument "Sketch.summary_quantile: q outside [0, 1]") (fun () ->
       ignore (Sketch.summary_quantile (Sketch.summarize s) 1.5));
   Alcotest.check_raises "non-finite observation"
-    (Invalid_argument "Sketch.observe: non-finite value") (fun () -> Sketch.observe s nan);
-  Alcotest.check_raises "layout mismatch"
-    (Invalid_argument "Sketch.merge_into: sketch layouts differ (base/lowest/bucket count)")
-    (fun () -> Sketch.merge_into ~into:s (Sketch.create ~base:2.0 ()))
-
-let sketch_merge_matches_sequential () =
-  (* Split one observation stream across two sketches; the merge must equal
-     the sketch that saw everything (plain-data summaries compare with =). *)
-  let all = List.init 500 (fun i -> Float.of_int (1 + (i * i mod 97))) in
-  let whole = Sketch.create () in
-  List.iter (Sketch.observe whole) all;
-  let a = Sketch.create () and b = Sketch.create () in
-  List.iteri (fun i v -> Sketch.observe (if i mod 2 = 0 then a else b) v) all;
-  Sketch.merge_into ~into:a b;
-  check "merged summary equals sequential" true (Sketch.summarize a = Sketch.summarize whole);
-  Alcotest.(check (float 0.0))
-    "merged p99 equals sequential"
-    (Sketch.summary_quantile (Sketch.summarize whole) 0.99)
-    (Sketch.summary_quantile (Sketch.summarize a) 0.99)
+    (Invalid_argument "Sketch.observe: non-finite value") (fun () -> Sketch.observe s nan)
 
 (* -- Series -------------------------------------------------------------- *)
 
@@ -257,79 +174,6 @@ let series_ring_eviction () =
   Alcotest.check_raises "negative ts"
     (Invalid_argument "Series.observe: ts must be finite and non-negative") (fun () ->
       Series.observe s ~ts:(-1.0) 0.0)
-
-let series_merge_semantics () =
-  (* Sum: bucket-wise addition. *)
-  let a = Series.create ~capacity:16 () and b = Series.create ~capacity:16 () in
-  Series.observe a ~ts:1.0 2.0;
-  Series.observe a ~ts:5.0 1.0;
-  Series.observe b ~ts:1.5 3.0;
-  Series.observe b ~ts:9.0 4.0;
-  Series.merge_into ~into:a b;
-  check "sum merge adds per bucket" true (points a = [ (1.0, 5.0); (5.0, 1.0); (9.0, 4.0) ]);
-  (* Last: per bucket the greater observation ts supplies the value, ties
-     break towards the larger value — the gauge rule. *)
-  let x = Series.create ~kind:Series.Last ~capacity:16 ()
-  and y = Series.create ~kind:Series.Last ~capacity:16 () in
-  Series.observe x ~ts:1.2 10.0;
-  Series.observe y ~ts:1.7 20.0 (* newer wins bucket 1 *);
-  Series.observe x ~ts:2.5 9.0;
-  Series.observe y ~ts:2.5 3.0 (* tie: larger value wins bucket 2 *);
-  Series.merge_into ~into:x y;
-  check "last merge follows gauge rule" true (points x = [ (1.0, 20.0); (2.0, 9.0) ]);
-  Alcotest.check_raises "layout mismatch"
-    (Invalid_argument "Series.merge_into: series layouts differ (kind/interval/capacity)")
-    (fun () -> Series.merge_into ~into:a (Series.create ~capacity:8 ()))
-
-(* -- Sketches and series across domains ---------------------------------- *)
-
-let sharded_sketch_series_equal_sequential () =
-  (* The tentpole identity: a 4-domain fan-out recording into registry
-     sketches and series merges to exactly the snapshot of a sequential run
-     making the same observations.  Snapshot values are plain data, so the
-     whole comparison is structural equality. *)
-  let body m k =
-    let q = Metrics.sketch m "hammer.q" in
-    let drops = Metrics.series m "hammer.drops" in
-    for i = 1 to 5_000 do
-      Sketch.observe q (float_of_int (1 + ((i * (k + 1)) mod 113)));
-      Series.observe drops ~ts:(float_of_int ((i + k) mod 400)) 1.0
-    done
-  in
-  let par = on_four_domains body in
-  let seq = Metrics.create () in
-  for k = 0 to 3 do
-    body seq k
-  done;
-  check_int "four shards" 4 (Metrics.shard_count par);
-  check_int "one shard sequentially" 1 (Metrics.shard_count seq);
-  check "merged snapshot equals sequential" true (Metrics.snapshot par = Metrics.snapshot seq);
-  match find_value par "hammer.q" with
-  | Metrics.Sketch_value s ->
-      check_int "sketch count" 20_000 s.Sketch.s_count;
-      check "sum exact on integer observations" true
-        (Float.is_integer s.Sketch.s_sum && s.Sketch.s_sum > 0.0)
-  | _ -> Alcotest.fail "hammer.q is not a sketch"
-
-let sketch_layout_mismatch_across_shards_rejected () =
-  let m =
-    on_four_domains (fun m k ->
-        let base = if k mod 2 = 0 then 1.25 else 2.0 in
-        Sketch.observe (Metrics.sketch m ~base "q.clash") 5.0)
-  in
-  Alcotest.check_raises "merge rejects differing sketch layouts"
-    (Invalid_argument "Metrics: sketch \"q.clash\" layouts differ across shards") (fun () ->
-      ignore (Metrics.snapshot m))
-
-let series_layout_mismatch_across_shards_rejected () =
-  let m =
-    on_four_domains (fun m k ->
-        let interval = if k mod 2 = 0 then 1.0 else 2.0 in
-        Series.observe (Metrics.series m ~interval "s.clash") ~ts:1.0 1.0)
-  in
-  Alcotest.check_raises "merge rejects differing series layouts"
-    (Invalid_argument "Metrics: series \"s.clash\" layouts differ across shards") (fun () ->
-      ignore (Metrics.snapshot m))
 
 (* -- Chrome trace projection --------------------------------------------- *)
 
@@ -733,34 +577,23 @@ let () =
           Alcotest.test_case "counter and gauge" `Quick counter_and_gauge;
           Alcotest.test_case "snapshot sorted" `Quick snapshot_sorted_and_rendered;
         ] );
-      ( "sharding",
+      (* The widest group name sets Alcotest's name column, and so where the
+         listing truncates every test name of this suite. *)
+      ( "domain-owned registry",
         [
-          Alcotest.test_case "4-domain hammer exact totals" `Quick sharded_hammer_exact_totals;
-          Alcotest.test_case "gauge merge semantics" `Quick gauge_merge_semantics;
-          Alcotest.test_case "kind clash across domains rejected" `Quick
-            kind_clash_across_domains_rejected;
+          Alcotest.test_case "spawned domain rejected" `Quick
+            registration_from_another_domain_rejected;
         ] );
       ( "sketch",
         [
           Alcotest.test_case "quantile error bounds" `Quick sketch_quantile_error_bounds;
           Alcotest.test_case "estimates clamp to extrema" `Quick sketch_estimates_clamped_to_extrema;
           Alcotest.test_case "guards" `Quick sketch_guards;
-          Alcotest.test_case "merge matches sequential" `Quick sketch_merge_matches_sequential;
         ] );
       ( "series",
         [
           Alcotest.test_case "bucketing and kinds" `Quick series_bucketing_kinds;
           Alcotest.test_case "ring eviction" `Quick series_ring_eviction;
-          Alcotest.test_case "merge semantics" `Quick series_merge_semantics;
-        ] );
-      ( "sharded sketch/series",
-        [
-          Alcotest.test_case "4-domain hammer equals sequential" `Quick
-            sharded_sketch_series_equal_sequential;
-          Alcotest.test_case "sketch layout mismatch rejected" `Quick
-            sketch_layout_mismatch_across_shards_rejected;
-          Alcotest.test_case "series layout mismatch rejected" `Quick
-            series_layout_mismatch_across_shards_rejected;
         ] );
       ( "trace",
         [
