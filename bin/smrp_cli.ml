@@ -744,13 +744,19 @@ let scale_cmd =
       out
   in
   let ns =
+    let limit = Smrp_graph.Graph.node_limit in
+    let size =
+      int_where (Printf.sprintf "an integer in 2..%d" limit) (fun n -> n >= 2 && n <= limit)
+    in
     Arg.(
       value
-      & opt (list (int_at_least 2)) [ 10_000; 100_000 ]
+      & opt (list size) [ 10_000; 100_000 ]
       & info [ "n" ] ~docv:"N,N,..."
           ~doc:
-            "Topology sizes to sweep (comma-separated node counts; pass 1000000 for the \
-             million-node run).")
+            (Printf.sprintf
+               "Topology sizes to sweep: comma-separated node counts from 2 to %d (pass %d for \
+                the million-node run)."
+               limit limit))
   in
   let json =
     Arg.(
@@ -761,8 +767,8 @@ let scale_cmd =
   Cmd.v
     (Cmd.info "scale"
        ~doc:
-         "Large-n scaling sweep: grid-bucketed Waxman and transit-stub generation, incremental \
-          SPF build/repair and protection-table precompute/lookup, per size.")
+         "Large-n scaling sweep, per size: grid-bucketed Waxman and transit-stub generation, \
+          incremental SPF build/repair, protection-table precompute/lookup and SMRP joins.")
     Term.(const run $ seed_arg 17 $ ns $ json)
 
 let dot_cmd =

@@ -169,7 +169,7 @@ let build_topology topo rng =
       (Waxman.generate ~link_delay rng ~n ~alpha ~beta).Waxman.graph
   | Transit_stub params -> (Transit_stub.generate rng params).Transit_stub.graph
   | Locality { n; radius; p_near; p_far } ->
-      (Flat_models.locality rng ~n ~radius ~p_near ~p_far).Flat_models.graph
+      (Flat_models.locality rng ~n ~radius ~p_near ~p_far).Waxman.graph
   | Scale_waxman { n; target_degree } ->
       let alpha, beta = Scale.degree_params ~n ~target_degree in
       (Scale.waxman rng ~n ~alpha ~beta).Scale.graph

@@ -28,7 +28,7 @@ let target_degree = 4.5
 let pure_random_draw rng =
   let p = Flat_models.probability_for_degree ~n:100 ~target_degree in
   let topo = Flat_models.pure_random ~link_delay:`Unit rng ~n:100 ~p in
-  { graph = topo.Flat_models.graph; pool = List.init 100 Fun.id }
+  { graph = topo.Waxman.graph; pool = List.init 100 Fun.id }
 
 (* Locality parameters chosen so the expected degree matches the target:
    with radius 0.25 roughly 17% of pairs are "near"; p_near : p_far = 6 : 1
@@ -44,7 +44,7 @@ let locality_draw rng =
       ~p_near:(Float.min 1.0 (ratio *. base))
       ~p_far:base
   in
-  { graph = topo.Flat_models.graph; pool = List.init 100 Fun.id }
+  { graph = topo.Waxman.graph; pool = List.init 100 Fun.id }
 
 let transit_stub_draw rng =
   let topo = Transit_stub.generate rng Transit_stub.default_params in

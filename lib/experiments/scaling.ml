@@ -70,7 +70,6 @@ let sample_tree sp g ~source ~members =
   t
 
 let measure_instance rng ~model g =
-  Graph.freeze g;
   let source = 0 in
   let t0 = now () in
   let sp = Dspf.create g ~source in
@@ -189,9 +188,10 @@ let run_one rng ~model ~n =
   | `Transit_stub ->
       let p = ts_params ~n in
       let t0 = now () in
-      let ts = Scale.transit_stub rng p in
+      let g = (Transit_stub.generate rng p).Transit_stub.graph in
+      Graph.freeze g;
       let gen_s = now () -. t0 in
-      { (measure_instance rng ~model:"transit-stub" ts.Scale.ts_graph) with gen_s }
+      { (measure_instance rng ~model:"transit-stub" g) with gen_s }
 
 let run ?(ns = [ 10_000; 100_000 ]) ~seed () =
   let rng = Rng.create seed in

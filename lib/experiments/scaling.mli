@@ -2,8 +2,10 @@
     protection tables and SMRP joins behave as the topology grows to
     10⁵–10⁶ nodes.
 
-    Each row draws one topology with {!Smrp_topology.Scale} (degree held at
-    ~8 via {!Smrp_topology.Scale.degree_params}), then measures on it:
+    Each row draws one topology, a Waxman graph with
+    {!Smrp_topology.Scale.waxman} (degree held at ~8 via
+    {!Smrp_topology.Scale.degree_params}) or a transit–stub graph with
+    {!Smrp_topology.Transit_stub.generate}, then measures on it:
 
     - [gen_s]: the draw, connectivity repair and CSR freeze;
     - [spf_build_s]: {!Smrp_graph.Dspf.create}, the one full Dijkstra a

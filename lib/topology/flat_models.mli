@@ -2,21 +2,20 @@
     (IEEE/ACM ToN 1997 — the paper's reference [7], which it cites to argue
     that a target node degree can be reached under different models).  Used
     by the topology-family experiment to check that SMRP's advantage is not
-    an artefact of the Waxman model. *)
+    an artefact of the Waxman model.
 
-type t = {
-  graph : Smrp_graph.Graph.t;
-  positions : (float * float) array;
-  repaired_edges : int list;
-}
+    Zegura et al. treat Waxman, pure-random and locality graphs as one flat
+    family that differs only in the edge probability, and so does this
+    module: each model is {!Waxman.draw} with its own probability, so
+    positions, draw order, link delays and the connectivity stitching are
+    those of {!Waxman.generate}. *)
+
+type t = Waxman.t
 
 val pure_random : ?link_delay:Waxman.link_delay -> Smrp_rng.Rng.t -> n:int -> p:float -> t
 (** G(n, p): every pair connected with probability [p], independent of
     distance.  Nodes still carry plane positions so Euclidean delays remain
-    meaningful.  Connectivity is repaired as in {!Waxman.generate}, and the
-    draws come in the same order: positions, then one draw per pair [u < v]
-    (plus a [`Uniform] delay per added edge), then the stitching.  A pair
-    whose probability is 0 draws nothing. *)
+    meaningful.  With [p = 0] no pair draws. *)
 
 val locality :
   ?link_delay:Waxman.link_delay ->
@@ -27,11 +26,10 @@ val locality :
   p_far:float ->
   t
 (** Zegura's locality model: pairs closer than [radius] connect with
-    probability [p_near], the rest with [p_far].  Draw order as in
-    {!pure_random}.  When both probabilities are positive every pair draws,
-    so the draw comes first and one at or above [max p_near p_far] rejects
-    the pair without its distance; when one is 0 its pairs draw nothing, so
-    the distance is computed first. *)
+    probability [p_near], the rest with [p_far].  When both probabilities
+    are positive every pair draws, and one at or above [max p_near p_far]
+    rejects the pair without its distance; when one is 0 its pairs draw
+    nothing, so the distance is computed first. *)
 
 val probability_for_degree : n:int -> target_degree:float -> float
 (** The [p] giving the target expected average degree in G(n, p). *)

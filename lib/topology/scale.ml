@@ -78,21 +78,11 @@ let union parent a b =
 
 (* -- Waxman --------------------------------------------------------------- *)
 
-let min_delay = Waxman.min_delay
-
-let make_delay link_delay rng d =
-  match link_delay with
-  | `Euclidean -> Float.max min_delay d
-  | `Unit -> 1.0
-  | `Uniform (lo, hi) ->
-      if not (lo > 0.0 && hi >= lo) then invalid_arg "Scale.waxman: bad uniform delay range";
-      lo +. Rng.float rng (hi -. lo)
-
 (* Stitch the raw draw into one component.  Minor components (smallest
    first) each connect to the geometrically nearest node outside their own
    component, found by an expanding ring scan over the grid — the O(n²)
-   closest-pair scan of {!Waxman.generate} replaced by local search. *)
-let repair link_delay rng g grid parent xs ys =
+   closest-pair scan of {!Waxman.draw} replaced by local search. *)
+let repair delay rng g grid parent xs ys =
   let n = Graph.node_count g in
   let comp_size = Array.make n 0 in
   for i = 0 to n - 1 do
@@ -177,7 +167,7 @@ let repair link_delay rng g grid parent xs ys =
         members.(root);
       match !best with
       | Some (u, v, d) ->
-          let id = Graph.add_edge g u v (make_delay link_delay rng d) in
+          let id = Graph.add_edge g u v (delay rng d) in
           ignore (union parent u v);
           added := id :: !added
       | None -> ())
@@ -189,6 +179,7 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
   if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Scale.waxman: alpha out of (0, 1]";
   if not (beta > 0.0 && beta <= 1.0) then invalid_arg "Scale.waxman: beta out of (0, 1]";
   if not (p_floor > 0.0) then invalid_arg "Scale.waxman: p_floor must be positive";
+  let delay = Waxman.delay link_delay in
   let xs = Bigarray.(Array1.create float64 c_layout n) in
   let ys = Bigarray.(Array1.create float64 c_layout n) in
   for i = 0 to n - 1 do
@@ -222,7 +213,7 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
       let p = alpha *. exp (-.d /. s) in
       (* [Rng.float rng 1.0], built here from its bits so nothing boxes. *)
       if float_of_int (Rng.bits53 rng) /. 0x1p53 < p then begin
-        ignore (Graph.add_edge g u v (make_delay link_delay rng d));
+        ignore (Graph.add_edge g u v (delay rng d));
         ignore (union parent u v)
       end
     end
@@ -256,126 +247,6 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
       done
     done
   done;
-  let repaired_edges = repair link_delay rng g grid parent xs ys in
+  let repaired_edges = repair delay rng g grid parent xs ys in
   Graph.freeze g;
   { graph = g; xs; ys; repaired_edges; cutoff; missed_edge_bound }
-
-(* -- Transit–stub --------------------------------------------------------- *)
-
-type ts = {
-  ts_graph : Graph.t;
-  transit_total : int;
-  stub_count : int;
-  stub_of : int array;
-  stub_gateway : int array;
-  stub_attach : int array;
-}
-
-let transit_link_delay = 1.0
-
-let access_link_delay = 0.5
-
-let transit_stub rng (p : Transit_stub.params) =
-  if
-    p.Transit_stub.transit_domains < 1
-    || p.Transit_stub.transit_nodes_per_domain < 1
-    || p.Transit_stub.stub_nodes < 1
-    || p.Transit_stub.stubs_per_transit_node < 0
-  then invalid_arg "Scale.transit_stub: bad parameters";
-  let tpd = p.Transit_stub.transit_nodes_per_domain in
-  let sn = p.Transit_stub.stub_nodes in
-  let transit_total = p.Transit_stub.transit_domains * tpd in
-  let stub_count = transit_total * p.Transit_stub.stubs_per_transit_node in
-  let n = transit_total + (stub_count * sn) in
-  let g = Graph.create n in
-  let stub_of = Array.make n (-1) in
-  (* Transit level: a ring per domain plus one random chord, and one link
-     between consecutive domains — the same wiring as
-     {!Transit_stub.generate}. *)
-  for dom = 0 to p.Transit_stub.transit_domains - 1 do
-    let base = dom * tpd in
-    if tpd > 1 then
-      for i = 0 to tpd - 1 do
-        let next = base + ((i + 1) mod tpd) in
-        if not (Graph.mem_edge g (base + i) next) then
-          ignore (Graph.add_edge g (base + i) next transit_link_delay)
-      done;
-    if tpd >= 4 then begin
-      let a = base + Rng.int rng tpd in
-      let b = base + Rng.int rng tpd in
-      if a <> b && not (Graph.mem_edge g a b) then
-        ignore (Graph.add_edge g a b transit_link_delay)
-    end
-  done;
-  for dom = 0 to p.Transit_stub.transit_domains - 2 do
-    let a = (dom * tpd) + Rng.int rng tpd in
-    let b = ((dom + 1) * tpd) + Rng.int rng tpd in
-    if not (Graph.mem_edge g a b) then ignore (Graph.add_edge g a b (2.0 *. transit_link_delay))
-  done;
-  (* Stub level, streamed: every stub domain draws its Waxman directly into
-     [g] over scratch coordinate buffers reused across stubs — no
-     per-stub graph, no per-node allocation. *)
-  let sxs = Bigarray.(Array1.create float64 c_layout sn) in
-  let sys = Bigarray.(Array1.create float64 c_layout sn) in
-  let sparent = Array.make sn 0 in
-  let s = p.Transit_stub.stub_beta *. diag in
-  let stub_gateway = Array.make (max 1 stub_count) 0 in
-  let stub_attach = Array.make (max 1 stub_count) 0 in
-  let next_node = ref transit_total in
-  let stub_id = ref 0 in
-  for transit = 0 to transit_total - 1 do
-    for _ = 1 to p.Transit_stub.stubs_per_transit_node do
-      let d = !stub_id in
-      incr stub_id;
-      stub_gateway.(d) <- transit;
-      let base = !next_node in
-      next_node := base + sn;
-      for i = 0 to sn - 1 do
-        stub_of.(base + i) <- d;
-        sxs.{i} <- Rng.float rng 1.0;
-        sys.{i} <- Rng.float rng 1.0;
-        sparent.(i) <- i
-      done;
-      (* Stubs are small: the all-pairs scan is O(stub_nodes²) with
-         stub_nodes a (tiny) constant — still linear in total size. *)
-      for i = 0 to sn - 1 do
-        for j = i + 1 to sn - 1 do
-          let dx = sxs.{i} -. sxs.{j} and dy = sys.{i} -. sys.{j} in
-          let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
-          let prob = p.Transit_stub.stub_alpha *. exp (-.dist /. s) in
-          if float_of_int (Rng.bits53 rng) /. 0x1p53 < prob then begin
-            ignore (Graph.add_edge g (base + i) (base + j) (Float.max min_delay dist));
-            ignore (union sparent i j)
-          end
-        done
-      done;
-      (* Intra-stub connectivity: stitch the closest cross-component pair
-         until one component remains. *)
-      let rec stitch () =
-        let best = ref None in
-        for i = 0 to sn - 1 do
-          for j = i + 1 to sn - 1 do
-            if find sparent i <> find sparent j then begin
-              let dx = sxs.{i} -. sxs.{j} and dy = sys.{i} -. sys.{j} in
-              let d2 = (dx *. dx) +. (dy *. dy) in
-              match !best with
-              | Some (bd, _, _) when bd <= d2 -> ()
-              | _ -> best := Some (d2, i, j)
-            end
-          done
-        done;
-        match !best with
-        | None -> ()
-        | Some (d2, i, j) ->
-            ignore (Graph.add_edge g (base + i) (base + j) (Float.max min_delay (sqrt d2)));
-            ignore (union sparent i j);
-            stitch ()
-      in
-      stitch ();
-      let attach = base + Rng.int rng sn in
-      stub_attach.(d) <- attach;
-      ignore (Graph.add_edge g attach transit access_link_delay)
-    done
-  done;
-  Graph.freeze g;
-  { ts_graph = g; transit_total; stub_count; stub_of; stub_gateway; stub_attach }

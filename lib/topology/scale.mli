@@ -1,18 +1,20 @@
-(** Streaming topology generation for large [n] (10⁵–10⁶ nodes).
+(** Streaming Waxman generation for large [n] (10⁵–10⁶ nodes).
 
-    {!Waxman.generate} scans every node pair — O(n²) probability draws and a
+    {!Waxman.draw} scans every node pair — O(n²) probability draws and a
     tuple-per-node position array — which caps it at a few thousand nodes.
-    This module regenerates the same topology families CSR-natively:
+    This module draws the same family CSR-natively:
 
     - node coordinates live in two flat float64 bigarrays;
-    - the Waxman pair scan is bucketed on a uniform grid sized to the
-      probability cutoff, so only geometrically plausible pairs are
-      examined;
+    - the pair scan is bucketed on a uniform grid sized to the probability
+      cutoff, so only geometrically plausible pairs are examined;
     - connectivity repair unions components along locally-nearest links
       found by expanding ring search instead of the O(n²·components)
       closest-pair scan;
-    - transit–stub domains stream straight into one graph over reused
-      scratch buffers (no per-stub graph allocation).
+    - link delays come from {!Waxman.delay}, as in the dense draw.
+
+    Transit–stub graphs need no streaming twin: {!Transit_stub.generate}
+    is already linear in the node count, because each stub is a dense draw
+    over a constant number of nodes.
 
     The price of the grid cutoff is a truncated tail: pairs whose edge
     probability falls below [p_floor] are never sampled.  The expected
@@ -58,23 +60,3 @@ val waxman :
     [repaired_edges]).  Work is O(n + sampled pairs): with degree held
     constant via {!degree_params}, generation at n = 10⁵–10⁶ runs in
     seconds where the dense scan would take hours. *)
-
-(** {2 Transit–stub} *)
-
-type ts = {
-  ts_graph : Smrp_graph.Graph.t;  (** Frozen (CSR built) before return. *)
-  transit_total : int;  (** Transit routers are nodes [0 .. transit_total-1]. *)
-  stub_count : int;
-  stub_of : int array;
-      (** Per node: its stub domain id, or -1 for transit routers. *)
-  stub_gateway : int array;  (** Per stub: the sponsoring transit router. *)
-  stub_attach : int array;  (** Per stub: the stub router holding the access link. *)
-}
-
-val transit_stub : Smrp_rng.Rng.t -> Transit_stub.params -> ts
-(** The {!Transit_stub.generate} wiring (per-domain transit rings with a
-    chord, inter-domain links, one connected Waxman stub per sponsorship)
-    streamed into a single graph: every stub draws over two reused scratch
-    coordinate buffers, so total work and allocation are linear in the node
-    count.  Role/gateway bookkeeping uses flat int arrays in place of the
-    per-node variant array. *)

@@ -12,21 +12,19 @@ type link_delay = [ `Euclidean | `Unit | `Uniform of float * float ]
 
 let min_delay = 0.01
 
-let distance (x1, y1) (x2, y2) = sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0))
-
-let euclidean_delay positions u v = Float.max min_delay (distance positions.(u) positions.(v))
-
-let make_delay link_delay rng positions u v =
-  match link_delay with
-  | `Euclidean -> euclidean_delay positions u v
-  | `Unit -> 1.0
+let delay = function
+  | `Euclidean -> fun _ d -> Float.max min_delay d
+  | `Unit -> fun _ _ -> 1.0
   | `Uniform (lo, hi) ->
-      if not (lo > 0.0 && hi >= lo) then invalid_arg "Waxman: bad uniform delay range";
-      lo +. Rng.float rng (hi -. lo)
+      if not (lo > 0.0 && hi >= lo && Float.is_finite hi) then
+        invalid_arg "Waxman.delay: bad uniform delay range";
+      fun rng _ -> lo +. Rng.float rng (hi -. lo)
+
+let distance (x1, y1) (x2, y2) = sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0))
 
 (* Stitch components together with the geometrically shortest inter-component
    edge until one component remains. *)
-let repair_connectivity link_delay rng g positions =
+let repair delay rng g positions =
   let rec step added =
     let comp, count = Connectivity.components g in
     if count <= 1 then List.rev added
@@ -45,43 +43,50 @@ let repair_connectivity link_delay rng g positions =
       done;
       match !best with
       | None -> List.rev added (* unreachable: count > 1 implies a pair exists *)
-      | Some (_, u, v) ->
-          let id = Graph.add_edge g u v (make_delay link_delay rng positions u v) in
-          step (id :: added)
+      | Some (d, u, v) -> step (Graph.add_edge g u v (delay rng d) :: added)
     end
   in
   step []
 
-let generate ?(link_delay = `Euclidean) rng ~n ~alpha ~beta =
-  if n <= 0 then invalid_arg "Waxman.generate: n must be positive";
-  if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Waxman.generate: alpha out of (0, 1]";
-  if not (beta > 0.0 && beta <= 1.0) then invalid_arg "Waxman.generate: beta out of (0, 1]";
+let draw ~link_delay rng ~n ~bound ~edge_probability =
+  if n <= 0 then invalid_arg "Waxman.draw: n must be positive";
+  let delay = delay link_delay in
   let positions = Array.init n (fun _ ->
       let x = Rng.float rng 1.0 in
       let y = Rng.float rng 1.0 in
       (x, y))
   in
-  let l = sqrt 2.0 in
   let g = Graph.create n in
-  (* Draw first: p = alpha * exp (-d / (beta * l)) never exceeds alpha,
-     because exp of a non-positive number is at most 1 under faithful
-     rounding and rounded multiplication is monotone.  A draw at or above
-     alpha therefore rejects the pair without computing its distance; below
-     alpha the draw is compared with p.  Either way the pair takes one draw
-     and becomes an edge exactly when the draw is below p.  The draw is
-     [Rng.float rng 1.0] built here from its bits, so no float is boxed. *)
+  let add u v d = ignore (Graph.add_edge g u v (delay rng d)) in
+  (* Each draw is [Rng.float rng 1.0] built here from its bits, so no float
+     is boxed. *)
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      let r = float_of_int (Rng.bits53 rng) /. 0x1p53 in
-      if r < alpha then begin
-        let d = distance positions.(u) positions.(v) in
-        let p = alpha *. exp (-.d /. (beta *. l)) in
-        if r < p then ignore (Graph.add_edge g u v (make_delay link_delay rng positions u v))
-      end
+      match bound with
+      | Some bound ->
+          let r = float_of_int (Rng.bits53 rng) /. 0x1p53 in
+          if r < bound then begin
+            let d = distance positions.(u) positions.(v) in
+            if r < edge_probability d then add u v d
+          end
+      | None ->
+          let d = distance positions.(u) positions.(v) in
+          let p = edge_probability d in
+          if p > 0.0 && float_of_int (Rng.bits53 rng) /. 0x1p53 < p then add u v d
     done
   done;
-  let repaired_edges = repair_connectivity link_delay rng g positions in
+  let repaired_edges = repair delay rng g positions in
   { graph = g; positions; repaired_edges }
+
+let generate ?(link_delay = `Euclidean) rng ~n ~alpha ~beta =
+  if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Waxman.generate: alpha out of (0, 1]";
+  if not (beta > 0.0 && beta <= 1.0) then invalid_arg "Waxman.generate: beta out of (0, 1]";
+  let l = sqrt 2.0 in
+  (* p = alpha * exp (-d / (beta * l)) never exceeds alpha, because exp of a
+     non-positive number is at most 1 under faithful rounding and rounded
+     multiplication is monotone. *)
+  draw ~link_delay rng ~n ~bound:(Some alpha) ~edge_probability:(fun d ->
+      alpha *. exp (-.d /. (beta *. l)))
 
 (* Empirical average node degree over [samples] independent draws. *)
 let measured_average_degree rng ~n ~alpha ~beta ~samples =

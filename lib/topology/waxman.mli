@@ -1,5 +1,6 @@
 (** Waxman random topologies (Waxman 1988), as generated by GT-ITM and used in
-    §4.1 of the paper.
+    §4.1 of the paper, and the dense flat draw they share with the other
+    flat models of {!Flat_models}.
 
     Nodes are placed uniformly at random in the unit square; the edge between
     [u] and [v] exists with probability [alpha * exp (-d(u,v) / (beta * l))]
@@ -8,8 +9,8 @@
     parameter); [beta] the reach of long edges (fixed in the paper).
 
     Link delay is the Euclidean distance between the endpoints, floored at
-    {!min_delay} so that no link is free; link cost equals delay (§4.2 treats
-    the same link metric as both delay and cost). *)
+    0.01 so that no link is free; link cost equals delay (§4.2 treats the
+    same link metric as both delay and cost). *)
 
 type t = {
   graph : Smrp_graph.Graph.t;
@@ -26,23 +27,44 @@ type link_delay = [ `Euclidean | `Unit | `Uniform of float * float ]
     - [`Unit]: hop-count metric;
     - [`Uniform (lo, hi)]: GT-ITM-style random link weights. *)
 
-val min_delay : float
+val delay : link_delay -> Smrp_rng.Rng.t -> float -> float
+(** [delay m] checks [m]'s range ([`Uniform (lo, hi)] needs
+    [0 < lo <= hi < infinity]) and returns the delay of a new link of
+    geometric length [d]: [delay m rng d] is [max 0.01 d] under
+    [`Euclidean], 1 under [`Unit], and one draw from [rng] in [[lo, hi)]
+    under [`Uniform].  Every generator applies it to [m] before its first
+    draw, so a bad range fails even when no link is added. *)
 
-val generate :
-  ?link_delay:link_delay -> Smrp_rng.Rng.t -> n:int -> alpha:float -> beta:float -> t
-(** Draw one topology; [link_delay] defaults to [`Euclidean].  The result is
-    always connected: components of the raw draw are stitched together by
-    adding the shortest possible edge between the two closest components,
-    repeatedly.  (GT-ITM simply discards disconnected draws; stitching keeps
-    generation O(n²) and deterministic in the number of RNG draws.)
+val draw :
+  link_delay:link_delay ->
+  Smrp_rng.Rng.t ->
+  n:int ->
+  bound:float option ->
+  edge_probability:(float -> float) ->
+  t
+(** The dense flat draw: {!generate} and the {!Flat_models} families differ
+    only in the [edge_probability d] they pass, the probability that a pair
+    at Euclidean distance [d] is an edge.  The result is always connected:
+    components of the raw draw are stitched together by adding the shortest
+    possible edge between the two closest components, repeatedly.  (GT-ITM
+    simply discards disconnected draws; stitching keeps generation O(n²) and
+    deterministic in the number of RNG draws.)
 
     Draw order: [2n] draws place the nodes (x then y, node by node); then
     each pair [u < v], in lexicographic order, takes one draw [r], plus one
     more for its delay under [`Uniform] when the edge is added; then the
     stitching pass draws once per added edge under [`Uniform].  A pair is
-    an edge when [r < p].  Since [p <= alpha], a draw at or above [alpha]
-    rejects the pair before its distance is computed; the stream of draws
-    is the same as computing [p] first. *)
+    an edge when [r < p].  [bound = Some b] bounds every pair's probability
+    by [b]: every pair draws, and a draw at or above [b] rejects the pair
+    before its distance and probability are computed.  With [None] the
+    probability comes first, and a pair whose probability is 0 draws
+    nothing.  The two take the same draws when no pair's probability is
+    0. *)
+
+val generate :
+  ?link_delay:link_delay -> Smrp_rng.Rng.t -> n:int -> alpha:float -> beta:float -> t
+(** Draw one Waxman topology with {!draw} and [bound = Some alpha];
+    [link_delay] defaults to [`Euclidean]. *)
 
 val calibrate_alpha :
   Smrp_rng.Rng.t -> n:int -> beta:float -> target_degree:float -> float

@@ -27,6 +27,8 @@ expect 124 campaign --quick --jobs 0
 expect 124 campaign --quick --jobs 129
 expect 124 scale -n 0
 expect 124 scale -n 1000,1
+expect 124 scale -n 1000001
+expect 124 scale -n 1000,1000001
 expect 124 scenario --group 0
 expect 124 scenario --alpha 2
 expect 124 scenario --alpha nan

@@ -3,6 +3,7 @@
 module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
 module Connectivity = Smrp_graph.Connectivity
+module Waxman = Smrp_topology.Waxman
 module Flat_models = Smrp_topology.Flat_models
 module Families = Smrp_experiments.Families
 module Stats = Smrp_metrics.Stats
@@ -18,16 +19,16 @@ let check_int = Alcotest.(check int)
 
 let pure_random_basic () =
   let t = Flat_models.pure_random (Rng.create 2) ~n:60 ~p:0.08 in
-  check_int "node count" 60 (Graph.node_count t.Flat_models.graph);
-  check "connected" true (connected t.Flat_models.graph);
-  check "positions drawn" true (Array.length t.Flat_models.positions = 60)
+  check_int "node count" 60 (Graph.node_count t.Waxman.graph);
+  check "connected" true (connected t.Waxman.graph);
+  check "positions drawn" true (Array.length t.Waxman.positions = 60)
 
 let pure_random_degree () =
   let p = Flat_models.probability_for_degree ~n:100 ~target_degree:6.0 in
   let total = ref 0.0 in
   for seed = 1 to 10 do
     let t = Flat_models.pure_random (Rng.create seed) ~n:100 ~p in
-    total := !total +. Graph.average_degree t.Flat_models.graph
+    total := !total +. Graph.average_degree t.Waxman.graph
   done;
   let mean = !total /. 10.0 in
   check "degree near target" true (abs_float (mean -. 6.0) < 1.0)
@@ -37,11 +38,11 @@ let pure_random_distance_independent () =
      edge length with the mean pairwise distance. *)
   let t = Flat_models.pure_random (Rng.create 7) ~n:120 ~p:0.1 in
   let dist (x1, y1) (x2, y2) = sqrt (((x1 -. x2) ** 2.) +. ((y1 -. y2) ** 2.)) in
-  let pos = t.Flat_models.positions in
+  let pos = t.Waxman.positions in
   let edge_lengths = ref [] in
   Graph.iter_edges
     (fun e -> edge_lengths := dist pos.(e.Graph.u) pos.(e.Graph.v) :: !edge_lengths)
-    t.Flat_models.graph;
+    t.Waxman.graph;
   check "edges are long on average (> 0.4)" true (Stats.mean !edge_lengths > 0.4)
 
 let locality_prefers_near () =
@@ -49,12 +50,12 @@ let locality_prefers_near () =
     Flat_models.locality (Rng.create 9) ~n:120 ~radius:0.25 ~p_near:0.5 ~p_far:0.01
   in
   let dist (x1, y1) (x2, y2) = sqrt (((x1 -. x2) ** 2.) +. ((y1 -. y2) ** 2.)) in
-  let pos = t.Flat_models.positions in
+  let pos = t.Waxman.positions in
   let near = ref 0 and far = ref 0 in
   Graph.iter_edges
     (fun e ->
       if dist pos.(e.Graph.u) pos.(e.Graph.v) < 0.25 then incr near else incr far)
-    t.Flat_models.graph;
+    t.Waxman.graph;
   (* Repair edges can be long; the raw draw is dominated by near edges. *)
   check "mostly near edges" true (!near > 2 * !far)
 
@@ -82,8 +83,8 @@ let qcheck_models_connected =
       let n = 10 + Rng.int rng 60 in
       let a = Flat_models.pure_random rng ~n ~p:0.05 in
       let b = Flat_models.locality rng ~n ~radius:0.3 ~p_near:0.2 ~p_far:0.02 in
-      connected a.Flat_models.graph
-      && connected b.Flat_models.graph)
+      connected a.Waxman.graph
+      && connected b.Waxman.graph)
 
 let () =
   Alcotest.run "families"

@@ -1,14 +1,13 @@
-(* Streaming large-n generators (Topology.Scale) and the session-level
-   protection fast path.  The generators are exercised at reduced n — the
-   10^5/10^6 draws run in the CLI sweep and CI smoke — but through exactly
-   the same grid-bucketed code paths; the protection test pins the
-   table-lookup repairs to the candidate search they precompute. *)
+(* The streaming large-n Waxman generator (Topology.Scale) and the
+   session-level protection fast path.  The generator is exercised at
+   reduced n — the 10^5/10^6 draws run in the CLI sweep and CI smoke — but
+   through exactly the same grid-bucketed code paths; the protection test
+   pins the table-lookup repairs to the candidate search they precompute. *)
 
 module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
 module Connectivity = Smrp_graph.Connectivity
 module Scale = Smrp_topology.Scale
-module Transit_stub = Smrp_topology.Transit_stub
 module Tree = Smrp_core.Tree
 module Session = Smrp_core.Session
 module Failure = Smrp_core.Failure
@@ -43,14 +42,6 @@ let waxman_deterministic () =
     check_int "same u" ea.Graph.u eb.Graph.u;
     check_int "same v" ea.Graph.v eb.Graph.v
   done
-
-let transit_stub_connected () =
-  let rng = Rng.create 13 in
-  let ts = Scale.transit_stub rng Transit_stub.default_params in
-  let g = ts.Scale.ts_graph in
-  check "has nodes" true (Graph.node_count g > 0);
-  let _, count = Connectivity.components g in
-  check_int "single component" 1 count
 
 (* Two sessions on the same topology with the same join order build the
    same tree; failing the same tree edge must then save exactly the same
@@ -123,7 +114,6 @@ let () =
         [
           Alcotest.test_case "waxman connected at 5k" `Quick waxman_connected;
           Alcotest.test_case "waxman deterministic" `Quick waxman_deterministic;
-          Alcotest.test_case "transit-stub connected" `Quick transit_stub_connected;
         ] );
       ( "protection",
         [

@@ -58,7 +58,7 @@ let waxman_alpha_monotone () =
 let waxman_min_delay () =
   let t = Waxman.generate (Rng.create 2) ~n:50 ~alpha:0.3 ~beta:0.3 in
   Graph.iter_edges
-    (fun e -> check "delay floored" true (e.Graph.delay >= Waxman.min_delay))
+    (fun e -> check "delay floored" true (e.Graph.delay >= 0.01))
     t.Waxman.graph
 
 let waxman_unit_delays () =
@@ -77,7 +77,8 @@ let waxman_rejects_bad_params () =
 
 (* Every parameter guard rejects NaN: a NaN probability or radius draws no
    edge at all, so without the guard the result is only the connectivity
-   stitching, with no error. *)
+   stitching, with no error.  A bad delay range is rejected before the
+   draw, so also by a one-node draw that adds no link. *)
 let nan_parameters_rejected () =
   let rejects name f =
     match f (Rng.create 1) with
@@ -105,7 +106,18 @@ let nan_parameters_rejected () =
   rejects "locality p_near" (fun r ->
       Flat_models.locality r ~n ~radius:0.2 ~p_near:nan ~p_far:0.05);
   rejects "locality p_far" (fun r ->
-      Flat_models.locality r ~n ~radius:0.2 ~p_near:0.5 ~p_far:nan)
+      Flat_models.locality r ~n ~radius:0.2 ~p_near:0.5 ~p_far:nan);
+  let n = 1 in
+  rejects "Waxman uniform lo, no link" (fun r ->
+      Waxman.generate ~link_delay:(`Uniform (nan, 2.0)) r ~n ~alpha:0.2 ~beta:0.2);
+  rejects "Waxman uniform lo > hi, no link" (fun r ->
+      Waxman.generate ~link_delay:(`Uniform (3.0, 2.0)) r ~n ~alpha:0.2 ~beta:0.2);
+  rejects "Waxman uniform hi infinite, no link" (fun r ->
+      Waxman.generate ~link_delay:(`Uniform (1.0, infinity)) r ~n ~alpha:0.2 ~beta:0.2);
+  rejects "pure_random uniform lo negative, no link" (fun r ->
+      Flat_models.pure_random ~link_delay:(`Uniform (-1.0, 2.0)) r ~n ~p:0.2);
+  rejects "Scale uniform lo, no link" (fun r ->
+      Scale.waxman ~link_delay:(`Uniform (nan, 2.0)) r ~n ~alpha:0.2 ~beta:0.2)
 
 let waxman_calibration () =
   let alpha =
@@ -204,10 +216,22 @@ let qcheck_waxman_connected =
       let t = Waxman.generate (Rng.create seed) ~n ~alpha:0.1 ~beta:0.15 in
       connected t.Waxman.graph)
 
+(* Drawn shapes cover the ones [smrp scale] sends through the generator:
+   8-node stubs and at least 4 routers per domain, where the chord draws. *)
 let qcheck_ts_connected =
   QCheck.Test.make ~name:"transit-stub graphs are always connected" ~count:25 QCheck.small_int
     (fun seed ->
-      let t = Transit_stub.generate (Rng.create seed) Transit_stub.default_params in
+      let rng = Rng.create seed in
+      let p =
+        {
+          Transit_stub.default_params with
+          Transit_stub.transit_domains = 1 + Rng.int rng 4;
+          transit_nodes_per_domain = 1 + Rng.int rng 12;
+          stubs_per_transit_node = Rng.int rng 4;
+          stub_nodes = 1 + Rng.int rng 10;
+        }
+      in
+      let t = Transit_stub.generate rng p in
       connected t.Transit_stub.graph)
 
 (* -- Draw-first generators against the original pair loop ----------------- *)
@@ -222,7 +246,7 @@ module Pair_loop = struct
 
   let make_delay link_delay rng positions u v =
     match link_delay with
-    | `Euclidean -> Float.max Waxman.min_delay (distance positions.(u) positions.(v))
+    | `Euclidean -> Float.max 0.01 (distance positions.(u) positions.(v))
     | `Unit -> 1.0
     | `Uniform (lo, hi) -> lo +. Rng.float rng (hi -. lo)
 
@@ -315,10 +339,10 @@ let qcheck_draw_first_generators =
         (fun r -> (Waxman.generate ~link_delay r ~n ~alpha ~beta).Waxman.graph)
         (fun r -> Pair_loop.waxman link_delay r ~n ~alpha ~beta)
       && same
-           (fun r -> (Flat_models.locality ~link_delay r ~n ~radius ~p_near ~p_far).Flat_models.graph)
+           (fun r -> (Flat_models.locality ~link_delay r ~n ~radius ~p_near ~p_far).Waxman.graph)
            (fun r -> Pair_loop.locality link_delay r ~n ~radius ~p_near ~p_far)
       && same
-           (fun r -> (Flat_models.pure_random ~link_delay r ~n ~p).Flat_models.graph)
+           (fun r -> (Flat_models.pure_random ~link_delay r ~n ~p).Waxman.graph)
            (fun r -> Pair_loop.pure_random link_delay r ~n ~p))
 
 let () =
