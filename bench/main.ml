@@ -24,6 +24,7 @@ module Figures = Smrp_experiments.Figures
 module Latency = Smrp_experiments.Latency
 module Ablation = Smrp_experiments.Ablation
 module Scenario = Smrp_experiments.Scenario
+module Failure_model = Smrp_experiments.Failure_model
 module Pool = Smrp_experiments.Pool
 module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
@@ -331,6 +332,14 @@ let micro () =
         (let t = s.Scenario.smrp_tree in
          let spf = Smrp.source_spf ~filters:(Failure.filters graph worst) t in
          Staged.stage (fun () -> ignore (Recovery.global_detour ~ws t worst ~member:victim ~spf)));
+      Test.make ~name:"adversarial_draw"
+        (* One adversarial failure draw on the reference SMRP tree, as a
+           default campaign cell makes it: budget 3, one swap pass. *)
+        (let t = s.Scenario.smrp_tree in
+         let fws = Failure_model.create_ws () in
+         let model = Failure_model.Adversarial { events = 1; budget = 3; passes = 1 } in
+         let rng = Rng.create 4247 in
+         Staged.stage (fun () -> ignore (Failure_model.draw fws model rng graph ~tree:t)));
       Test.make ~name:"reshape_stabilize"
         (let base = Smrp.build ~d_thresh:0.3 ~ws graph ~source ~members in
          Staged.stage (fun () ->

@@ -460,16 +460,28 @@ let float_param ~what ~default = function
       | Some v when v > 0.0 && Float.is_finite v -> v
       | _ -> failwith (Printf.sprintf "%s: expected a positive finite number, got %S" what s))
 
+(* A dense model's node count.  Its draw takes O(N²) pairs at a fixed edge
+   probability, so the degree grows with N: at 4,000 nodes a Waxman cell
+   already has ~360k edges and a locality cell ~750k. *)
+let dense_nodes_param ~what param =
+  let n = nodes_param ~what ~default:100 param in
+  if n > 5_000 then
+    failwith
+      (Printf.sprintf
+         "%s: %d nodes exceeds the dense draw's limit of 5000 (scale:N keeps the degree fixed)"
+         what n);
+  n
+
 let topo_of_token t =
   let base, param = split_token t in
   let topo =
     match base with
     | "waxman" ->
-        let n = nodes_param ~what:t ~default:100 param in
+        let n = dense_nodes_param ~what:t param in
         Waxman { n; alpha = 0.2; beta = 0.2; link_delay = `Euclidean }
     | "ts" -> no_param ~what:t param (Transit_stub Transit_stub.default_params)
     | "locality" ->
-        let n = nodes_param ~what:t ~default:100 param in
+        let n = dense_nodes_param ~what:t param in
         Locality { n; radius = 0.3; p_near = 0.4; p_far = 0.01 }
     | "scale" ->
         (* [Scale.degree_params] needs two nodes, the floor [smrp scale -n]

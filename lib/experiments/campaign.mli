@@ -77,7 +77,9 @@ val spec_of_matrix : ?base:spec -> string -> (spec, string) result
     Numbers must be positive and finite, except the seed, which is any
     integer.  A token the grammar shows without [\[:…\]] takes no
     parameter ([ts:5] is an error, not [ts]), and a node count may not
-    exceed {!Smrp_graph.Graph.node_limit}.  Every rejection is an [Error]
+    exceed {!Smrp_graph.Graph.node_limit}, nor 5,000 for the dense
+    [waxman] and [locality] draws, whose degree grows with N ([scale:N]
+    keeps it fixed).  Every rejection is an [Error]
     naming the offending token; nothing raises. *)
 
 val run : ?jobs:int -> spec -> Smrp_obs.Report.t

@@ -18,11 +18,11 @@ let events = function
   | Cascading { events; _ }
   | Adversarial { events; _ } -> events
 
-(* One incremental-SPF structure per (graph, source), failure overlays
-   applied and rolled back around each evaluation.  The cache key is
+(* One incremental-SPF structure per (graph, source) for cascade rounds,
+   failures applied and rolled back around each draw.  The cache key is
    physical: campaign cells build a fresh graph per instance, so the reuse
-   this buys is exactly the within-instance one — cascade rounds and
-   adversarial candidates share one structure instead of rebuilding it. *)
+   this buys is exactly the within-instance one: every cascade draw of an
+   instance shares one structure instead of rebuilding it. *)
 type ws = { mutable cached : (Graph.t * int * Dspf.t) option }
 
 let create_ws () = { cached = None }
@@ -35,28 +35,9 @@ let dspf ws g ~source =
       ws.cached <- Some (g, source, d);
       d
 
-let rec flatten f (links, nodes) =
-  match f with
-  | Failure.Link e -> (e :: links, nodes)
-  | Failure.Node v -> (links, v :: nodes)
-  | Failure.Multi fs -> List.fold_left (fun acc f -> flatten f acc) (links, nodes) fs
-
-let with_overlay d f k =
-  let links, nodes = flatten f ([], []) in
-  List.iter (Dspf.fail_edge d) links;
-  List.iter (Dspf.fail_node d) nodes;
-  let r = k d in
-  List.iter (Dspf.restore_edge d) links;
-  List.iter (Dspf.restore_node d) nodes;
-  r
-
 let disrupted tree f =
   let connected = Failure.tree_connected tree f in
   List.fold_left (fun acc m -> if connected.(m) then acc else acc + 1) 0 (Tree.members tree)
-
-let isolated ws g ~source ~members f =
-  with_overlay (dspf ws g ~source) f (fun d ->
-      List.fold_left (fun acc m -> if Dspf.reachable d m then acc else acc + 1) 0 members)
 
 (* -- Independent -------------------------------------------------------- *)
 
@@ -167,20 +148,80 @@ let cascading ws rng g ~tree ~depth =
 
 (* -- Adversarial (greedy + local-search swap) --------------------------- *)
 
-let adversarial ws _rng g ~tree ~budget ~passes =
+(* Per-draw scratch for scoring candidate link sets.  Every evaluation takes
+   a fresh [stamp], so no array is ever cleared. *)
+type scratch = {
+  low : int array; (* tree link -> its lower endpoint, the child it feeds *)
+  mark : int array; (* node: lower endpoint of a link in the set *)
+  dead : int array; (* edge: a link in the set *)
+  seen : int array; (* node: reached by the residual-graph search *)
+  queue : int array;
+  mutable stamp : int;
+}
+
+(* Members cut off from the source over the tree when the tree links
+   [links] fail: a member is cut off exactly when one of them lies on its
+   tree path, so the count is the sum of N_R (Eq. 1) over the links with no
+   other failed link above them. *)
+let tree_disrupted sc tree links =
+  sc.stamp <- sc.stamp + 1;
+  let stamp = sc.stamp in
+  List.iter (fun e -> sc.mark.(sc.low.(e)) <- stamp) links;
+  let rec covered v = v >= 0 && (sc.mark.(v) = stamp || covered (Tree.parent_id tree v)) in
+  List.fold_left
+    (fun acc e ->
+      let c = sc.low.(e) in
+      if covered (Tree.parent_id tree c) then acc else acc + Tree.subtree_members tree c)
+    0 links
+
+(* Members with no path at all from the source once [links] fail: one
+   breadth-first search over the CSR. *)
+let isolated sc g ~source ~members links =
+  sc.stamp <- sc.stamp + 1;
+  let stamp = sc.stamp in
+  List.iter (fun e -> sc.dead.(e) <- stamp) links;
+  let offsets, nbr, eids, _ = Graph.csr g in
+  sc.seen.(source) <- stamp;
+  sc.queue.(0) <- source;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = sc.queue.(!head) in
+    incr head;
+    for i = offsets.(u) to offsets.(u + 1) - 1 do
+      let v = nbr.(i) in
+      if sc.dead.(eids.(i)) <> stamp && sc.seen.(v) <> stamp then begin
+        sc.seen.(v) <- stamp;
+        sc.queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  List.fold_left (fun acc m -> if sc.seen.(m) = stamp then acc else acc + 1) 0 members
+
+let adversarial g ~tree ~budget ~passes =
   match List.sort compare (Tree.tree_edges tree) with
   | [] -> None
   | candidates ->
       let budget = min budget (List.length candidates) in
-      let disrupted_of links =
-        disrupted tree (Failure.compose (List.map (fun e -> Failure.Link e) links))
+      let n = Graph.node_count g and m = Graph.edge_count g in
+      let sc =
+        {
+          low = Array.make m (-1);
+          mark = Array.make n 0;
+          dead = Array.make m 0;
+          seen = Array.make n 0;
+          queue = Array.make n 0;
+          stamp = 0;
+        }
       in
-      let source = Tree.source tree in
-      let members = Tree.members tree in
-      let isolated_of links =
-        isolated ws g ~source ~members
-          (Failure.compose (List.map (fun e -> Failure.Link e) links))
-      in
+      List.iter
+        (fun e ->
+          let edge = Graph.edge g e in
+          sc.low.(e) <-
+            (if Tree.parent_edge_id tree edge.Graph.u = e then edge.Graph.u else edge.Graph.v))
+        candidates;
+      let disrupted_of = tree_disrupted sc tree in
+      let isolated_of = isolated sc g ~source:(Tree.source tree) ~members:(Tree.members tree) in
       (* Greedy: ascending candidate scan with strict improvement keeps the
          smallest-id argmax — deterministic whatever the RNG. *)
       let chosen = ref [] in
@@ -200,8 +241,7 @@ let adversarial ws _rng g ~tree ~budget ~passes =
       done;
       (* Local-search refinement: first-improvement swaps; ties on members
          disrupted break towards placements isolating more members, judged
-         on the shared incremental-SPF overlay (one structure for every
-         candidate, fail/restore around each evaluation). *)
+         on the residual graph. *)
       let cur_d = ref (disrupted_of !chosen) in
       let cur_iso = ref (isolated_of !chosen) in
       for _ = 1 to passes do
@@ -240,4 +280,4 @@ let draw ws model rng g ~tree =
   | Correlated { burst; _ } -> correlated rng g ~burst
   | Regional { radius; _ } -> regional rng g ~source ~radius
   | Cascading { depth; _ } -> cascading ws rng g ~tree ~depth
-  | Adversarial { budget; passes; _ } -> adversarial ws rng g ~tree ~budget ~passes
+  | Adversarial { budget; passes; _ } -> adversarial g ~tree ~budget ~passes

@@ -18,13 +18,15 @@
     - {b Adversarial}: greedy worst-case placement of a budget of tree-link
       failures maximizing members disrupted, refined by local-search swap
       passes (ties broken towards placements isolating more members, judged
-      on the residual graph).
+      on the residual graph).  A candidate set's members disrupted is the
+      sum of the tree's N_R (Eq. 1) over its links with no other chosen
+      link above them, and its members isolated come from one
+      breadth-first search over the graph without the set's links.
 
-    All draws are pure functions of the supplied RNG, tree and graph.  The
-    models needing residual-graph reachability (cascading, adversarial)
-    evaluate it on one {!Smrp_graph.Dspf.t} held in a {!ws} and reused
-    across candidates via fail/restore overlays — never rebuilt per
-    candidate. *)
+    All draws are pure functions of the supplied RNG, tree and graph.
+    Cascading draws follow the incremental-SPF detour on one
+    {!Smrp_graph.Dspf.t} held in a {!ws}, failed and restored around each
+    draw and never rebuilt within an instance. *)
 
 type model =
   | Independent of { events : int; elements : int }
@@ -37,9 +39,9 @@ val events : model -> int
 (** How many failure events the model injects per scenario instance. *)
 
 type ws
-(** Per-worker scratch: caches one incremental-SPF structure per (graph,
-    source) pair, with failure overlays applied and rolled back around each
-    candidate evaluation. *)
+(** Per-worker scratch: caches the incremental-SPF structure of the last
+    (graph, source) pair a cascading draw met, with its failures applied
+    and rolled back around each draw. *)
 
 val create_ws : unit -> ws
 

@@ -15,8 +15,8 @@
    written, so a leaf-edge failure costs O(degree) while a full recompute
    costs O(E log V).
 
-   Restorations run the dual "grow" phase: seed the
-   heap with the improvements the revived element enables and cascade
+   An edge restoration runs the dual "grow" phase: seed the
+   heap with the improvements the revived edge enables and cascade
    strictly decreasing distances outward; the cascade dies out at the
    frontier where the old tree is already as short.
 
@@ -416,36 +416,6 @@ let fail_node t v =
       (* The dead node's child list drains as each subtree is unlinked. *)
       repair_subtrees t !roots
     end
-  end
-
-let restore_node t v =
-  check_node t v "restore_node";
-  if t.node_dead.(v) then begin
-    t.ops <- t.ops + 1;
-    t.node_dead.(v) <- false;
-    t.stamp <- t.stamp + 1;
-    Int_heap.clear t.heap;
-    if v = t.src then seed t v 0.0 (-1) (-1)
-    else begin
-      (* Best re-entry for [v] itself; anything shorter through [v]
-         cascades from there. *)
-      let best = ref infinity and best_p = ref (-1) and best_e = ref (-1) in
-      let stop = t.offsets.(v + 1) in
-      for i = t.offsets.(v) to stop - 1 do
-        let y = t.nbr.(i) in
-        let eid = t.eids.(i) in
-        if (not t.edge_dead.(eid)) && (not t.node_dead.(y)) && t.dist.(y) < infinity then begin
-          let d = t.dist.(y) +. t.delay.(eid) in
-          if d < !best then begin
-            best := d;
-            best_p := y;
-            best_e := eid
-          end
-        end
-      done;
-      if !best < infinity then seed t v !best !best_p !best_e
-    end;
-    grow t
   end
 
 (* -- Self-check ---------------------------------------------------------- *)

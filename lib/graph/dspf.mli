@@ -1,11 +1,12 @@
 (** Incremental single-source shortest paths (dynamic SPF).
 
     Maintains the source-rooted shortest-path tree of a frozen {!Graph.t}
-    under edge/node failures and restorations, using the
+    under edge and node failures and edge restorations, using the
     classic affected-subtree approach: a failure orphans exactly the
     subtree below the failed element, which is re-attached by boundary-edge
     relaxation from a workspace heap without touching the unaffected
-    region.  Restorations run the dual grow-cascade.
+    region.  An edge restoration runs the dual grow-cascade.  A failed node
+    stays failed: no caller restores one.
 
     Distances are bit-identical to a fresh {!Dijkstra.run_reference} over
     the surviving elements after every mutation — the differential suite in
@@ -31,7 +32,7 @@ val create : Graph.t -> source:int -> t
 (** {1 Mutations}
 
     All mutations are idempotent: failing a dead element or restoring a
-    live one is a no-op. *)
+    live edge is a no-op. *)
 
 val fail_edge : t -> int -> unit
 (** Remove edge [eid] from the overlay.  A non-tree edge only flips the
@@ -43,9 +44,6 @@ val restore_edge : t -> int -> unit
 val fail_node : t -> int -> unit
 (** Remove a node and all its incident paths.  Failing the source empties
     the tree. *)
-
-val restore_node : t -> int -> unit
-(** Revive a node; its best re-entry seeds the improvement cascade. *)
 
 (** {1 Queries} *)
 

@@ -9,7 +9,9 @@ let locality ?(link_delay = `Euclidean) rng ~n ~radius ~p_near ~p_far =
   if not (radius > 0.0) then invalid_arg "Flat_models.locality: radius must be positive";
   if not (p_near >= 0.0 && p_near <= 1.0 && p_far >= 0.0 && p_far <= 1.0) then
     invalid_arg "Flat_models.locality: probabilities out of [0, 1]";
-  let bound = if p_near > 0.0 && p_far > 0.0 then Some (Float.max p_near p_far) else None in
+  (* [Waxman.draw]'s bound needs a probability non-increasing in the
+     distance, which holds only with [p_near >= p_far]. *)
+  let bound = if p_far > 0.0 && p_near >= p_far then Some p_near else None in
   Waxman.draw ~link_delay rng ~n ~bound ~edge_probability:(fun d ->
       if d < radius then p_near else p_far)
 

@@ -26,10 +26,13 @@ val locality :
   p_far:float ->
   t
 (** Zegura's locality model: pairs closer than [radius] connect with
-    probability [p_near], the rest with [p_far].  When both probabilities
-    are positive every pair draws, and one at or above [max p_near p_far]
-    rejects the pair without its distance; when one is 0 its pairs draw
-    nothing, so the distance is computed first. *)
+    probability [p_near], the rest with [p_far].  With [p_near >= p_far >
+    0] every pair draws, and one at or above [p_near] rejects the pair
+    without its distance: the probability is non-increasing in the
+    distance, as {!Waxman.draw}'s bound requires.  Otherwise the distance
+    is computed first: when one probability is 0 its pairs draw nothing,
+    and with [0 < p_near < p_far] every pair draws, as it would with a
+    bound. *)
 
 val probability_for_degree : n:int -> target_degree:float -> float
 (** The [p] giving the target expected average degree in G(n, p). *)

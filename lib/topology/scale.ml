@@ -1,16 +1,7 @@
 module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
 
-type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type t = {
-  graph : Graph.t;
-  xs : vec;
-  ys : vec;
-  repaired_edges : int list;
-  cutoff : float;
-  missed_edge_bound : float;
-}
+type t = { graph : Graph.t; missed_edge_bound : float }
 
 let diag = sqrt 2.0
 
@@ -150,7 +141,6 @@ let repair delay rng g grid parent xs ys =
     done;
     if !best < 0 then None else Some (!best, sqrt !best_d2)
   in
-  let added = ref [] in
   List.iter
     (fun root ->
       (* The component may already have been merged into a previous one;
@@ -167,12 +157,10 @@ let repair delay rng g grid parent xs ys =
         members.(root);
       match !best with
       | Some (u, v, d) ->
-          let id = Graph.add_edge g u v (delay rng d) in
-          ignore (union parent u v);
-          added := id :: !added
+          ignore (Graph.add_edge g u v (delay rng d));
+          ignore (union parent u v)
       | None -> ())
-    minors;
-  List.rev !added
+    minors
 
 let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha ~beta =
   if n <= 0 then invalid_arg "Scale.waxman: n must be positive";
@@ -247,6 +235,6 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
       done
     done
   done;
-  let repaired_edges = repair delay rng g grid parent xs ys in
+  repair delay rng g grid parent xs ys;
   Graph.freeze g;
-  { graph = g; xs; ys; repaired_edges; cutoff; missed_edge_bound }
+  { graph = g; missed_edge_bound }

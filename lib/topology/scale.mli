@@ -25,16 +25,8 @@
     generator.  Draw order differs from {!Waxman.generate}, so the two
     produce different (equally distributed) topologies from equal seeds. *)
 
-type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type t = {
   graph : Smrp_graph.Graph.t;  (** Frozen (CSR built) before return. *)
-  xs : vec;
-  ys : vec;  (** Unit-square coordinates, indexed by node. *)
-  repaired_edges : int list;
-      (** Edge ids added by the connectivity repair pass. *)
-  cutoff : float;
-      (** Geometric distance beyond which pairs were not sampled. *)
   missed_edge_bound : float;
       (** Upper bound on the expected number of edges lost to the cutoff
           (0 when the cutoff covers the whole square). *)
@@ -56,7 +48,7 @@ val waxman :
   beta:float ->
   t
 (** Grid-bucketed Waxman draw; [link_delay] defaults to [`Euclidean],
-    [p_floor] to 1e-9.  The result is always connected (see
-    [repaired_edges]).  Work is O(n + sampled pairs): with degree held
-    constant via {!degree_params}, generation at n = 10⁵–10⁶ runs in
-    seconds where the dense scan would take hours. *)
+    [p_floor] to 1e-9.  The result is always connected.  Work is O(n +
+    sampled pairs): with degree held constant via {!degree_params},
+    generation at n = 10⁵–10⁶ runs in seconds where the dense scan would
+    take hours. *)

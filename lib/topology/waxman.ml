@@ -2,11 +2,7 @@ module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
 module Connectivity = Smrp_graph.Connectivity
 
-type t = {
-  graph : Graph.t;
-  positions : (float * float) array;
-  repaired_edges : int list;
-}
+type t = { graph : Graph.t; positions : (float * float) array }
 
 type link_delay = [ `Euclidean | `Unit | `Uniform of float * float ]
 
@@ -25,10 +21,9 @@ let distance (x1, y1) (x2, y2) = sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0
 (* Stitch components together with the geometrically shortest inter-component
    edge until one component remains. *)
 let repair delay rng g positions =
-  let rec step added =
+  let rec step () =
     let comp, count = Connectivity.components g in
-    if count <= 1 then List.rev added
-    else begin
+    if count > 1 then begin
       let n = Graph.node_count g in
       let best = ref None in
       for u = 0 to n - 1 do
@@ -42,11 +37,13 @@ let repair delay rng g positions =
         done
       done;
       match !best with
-      | None -> List.rev added (* unreachable: count > 1 implies a pair exists *)
-      | Some (d, u, v) -> step (Graph.add_edge g u v (delay rng d) :: added)
+      | None -> () (* unreachable: count > 1 implies a pair exists *)
+      | Some (d, u, v) ->
+          ignore (Graph.add_edge g u v (delay rng d));
+          step ()
     end
   in
-  step []
+  step ()
 
 let draw ~link_delay rng ~n ~bound ~edge_probability =
   if n <= 0 then invalid_arg "Waxman.draw: n must be positive";
@@ -66,8 +63,18 @@ let draw ~link_delay rng ~n ~bound ~edge_probability =
       | Some bound ->
           let r = float_of_int (Rng.bits53 rng) /. 0x1p53 in
           if r < bound then begin
-            let d = distance positions.(u) positions.(v) in
-            if r < edge_probability d then add u v d
+            (* [df] from plain products is within a few ulps of the [**]
+               distance, so with the probability non-increasing in the
+               distance this slack bounds the probability of the pair from
+               above: a draw at or over it rejects the pair without the
+               two [**] calls.  The [**] distance alone decides an edge. *)
+            let x1, y1 = positions.(u) and x2, y2 = positions.(v) in
+            let dx = x1 -. x2 and dy = y1 -. y2 in
+            let df = sqrt ((dx *. dx) +. (dy *. dy)) in
+            if r < edge_probability (df *. (1.0 -. 1e-12)) *. (1.0 +. 1e-12) then begin
+              let d = distance positions.(u) positions.(v) in
+              if r < edge_probability d then add u v d
+            end
           end
       | None ->
           let d = distance positions.(u) positions.(v) in
@@ -75,8 +82,8 @@ let draw ~link_delay rng ~n ~bound ~edge_probability =
           if p > 0.0 && float_of_int (Rng.bits53 rng) /. 0x1p53 < p then add u v d
     done
   done;
-  let repaired_edges = repair delay rng g positions in
-  { graph = g; positions; repaired_edges }
+  repair delay rng g positions;
+  { graph = g; positions }
 
 let generate ?(link_delay = `Euclidean) rng ~n ~alpha ~beta =
   if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Waxman.generate: alpha out of (0, 1]";

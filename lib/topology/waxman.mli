@@ -12,13 +12,7 @@
     0.01 so that no link is free; link cost equals delay (§4.2 treats the
     same link metric as both delay and cost). *)
 
-type t = {
-  graph : Smrp_graph.Graph.t;
-  positions : (float * float) array;
-  repaired_edges : int list;
-      (** Edge ids added by the connectivity repair pass (empty when the raw
-          draw was already connected). *)
-}
+type t = { graph : Smrp_graph.Graph.t; positions : (float * float) array }
 
 type link_delay = [ `Euclidean | `Unit | `Uniform of float * float ]
 (** How link delays (= link costs, §4.2) are assigned:
@@ -54,12 +48,21 @@ val draw :
     each pair [u < v], in lexicographic order, takes one draw [r], plus one
     more for its delay under [`Uniform] when the edge is added; then the
     stitching pass draws once per added edge under [`Uniform].  A pair is
-    an edge when [r < p].  [bound = Some b] bounds every pair's probability
-    by [b]: every pair draws, and a draw at or above [b] rejects the pair
-    before its distance and probability are computed.  With [None] the
-    probability comes first, and a pair whose probability is 0 draws
-    nothing.  The two take the same draws when no pair's probability is
-    0. *)
+    an edge when [r < p], where [p] is [edge_probability] at the pair's
+    distance [sqrt ((dx ** 2.) +. (dy ** 2.))], which is also an added
+    edge's Euclidean delay.  [bound = Some b] bounds every pair's
+    probability by [b]: every pair draws, and a draw at or above [b]
+    rejects the pair before its distance and probability are computed.
+    [Some b] also promises that [edge_probability] is non-increasing in the
+    distance.  A draw that passes [b] is then first compared with the
+    probability at the distance from plain products ([dx *. dx]), taken
+    1e-12 closer and raised by 1e-12, and a draw at or above it rejects the
+    pair without the two [**] calls.  The two distances differ by a few
+    ulps, so the slack makes that probability at least the one at the [**]
+    distance: the reject drops only pairs the [**] distance rejects.  With
+    [None] the probability comes first, and a pair whose probability is 0
+    draws nothing.  The two take the same draws when no pair's probability
+    is 0. *)
 
 val generate :
   ?link_delay:link_delay -> Smrp_rng.Rng.t -> n:int -> alpha:float -> beta:float -> t

@@ -42,6 +42,7 @@ expect 2 campaign --matrix "topo=scale:1"
 expect 2 campaign --matrix "topo=ts:5"
 expect 2 campaign --matrix "fail=regional:nan"
 expect 2 campaign --matrix "topo=waxman:5000000"
+expect 2 campaign --matrix "topo=waxman:5001"
 expect 2 campaign --matrix "topo=waxman:0x10"
 expect 2 campaign --matrix "seed=0b11"
 expect 2 campaign --matrix "instances=+5"

@@ -9,8 +9,12 @@ module Campaign = Smrp_experiments.Campaign
 module Scenario = Smrp_experiments.Scenario
 module Metrics = Smrp_obs.Metrics
 module Report = Smrp_obs.Report
+module Graph = Smrp_graph.Graph
+module Dijkstra = Smrp_graph.Dijkstra
 module Waxman = Smrp_topology.Waxman
+module Transit_stub = Smrp_topology.Transit_stub
 module Tree = Smrp_core.Tree
+module Session = Smrp_core.Session
 module Failure = Smrp_core.Failure
 module Spf = Smrp_core.Spf
 module Case = Smrp_check.Case
@@ -20,6 +24,7 @@ module Shrink = Smrp_check.Shrink
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
 
 (* -- Churn models -------------------------------------------------------- *)
 
@@ -210,6 +215,110 @@ let adversarial_beats_random () =
       check "adversarial disrupts someone" true (adv >= 1))
     [ 3; 4; 5; 6 ]
 
+(* The adversary scored as it was before it read N_R: members disrupted
+   from [Failure.tree_connected] of the composed links, members isolated
+   from a reference search with the chosen links filtered out.  The scan
+   order, strict improvements and tie-breaks are the library's. *)
+let reference_adversarial g ~tree ~budget ~passes =
+  match List.sort compare (Tree.tree_edges tree) with
+  | [] -> None
+  | candidates ->
+      let budget = min budget (List.length candidates) in
+      let members = Tree.members tree in
+      let disrupted_of links =
+        let connected =
+          Failure.tree_connected tree (Failure.compose (List.map (fun e -> Failure.Link e) links))
+        in
+        List.length (List.filter (fun m -> not connected.(m)) members)
+      in
+      let isolated_of links =
+        let r =
+          Dijkstra.run_reference
+            ~edge_ok:(fun e -> not (List.mem e links))
+            g ~source:(Tree.source tree)
+        in
+        List.length (List.filter (fun m -> not (Dijkstra.reachable r m)) members)
+      in
+      let chosen = ref [] in
+      for _ = 1 to budget do
+        let best = ref (-1) and best_d = ref (-1) in
+        List.iter
+          (fun e ->
+            if not (List.mem e !chosen) then begin
+              let d = disrupted_of (e :: !chosen) in
+              if d > !best_d then begin
+                best := e;
+                best_d := d
+              end
+            end)
+          candidates;
+        if !best >= 0 then chosen := !chosen @ [ !best ]
+      done;
+      let cur_d = ref (disrupted_of !chosen) and cur_iso = ref (isolated_of !chosen) in
+      for _ = 1 to passes do
+        List.iteri
+          (fun j _ ->
+            List.iter
+              (fun e ->
+                if not (List.mem e !chosen) then begin
+                  let alt = List.mapi (fun k x -> if k = j then e else x) !chosen in
+                  let d = disrupted_of alt in
+                  if d > !cur_d then begin
+                    chosen := alt;
+                    cur_d := d;
+                    cur_iso := isolated_of alt
+                  end
+                  else if d = !cur_d then begin
+                    let iso = isolated_of alt in
+                    if iso > !cur_iso then begin
+                      chosen := alt;
+                      cur_iso := iso
+                    end
+                  end
+                end)
+              candidates)
+          !chosen
+      done;
+      Some (Failure.compose (List.map (fun e -> Failure.Link e) (List.sort compare !chosen)))
+
+(* Sessions on random Waxman and transit-stub graphs, with one to twelve
+   members (a handful of members leaves whole chains of tree links behind
+   one member, so chosen links nest) and, every other case, a repaired
+   tree-link failure. *)
+let prop_adversarial_matches_reference =
+  QCheck.Test.make ~name:"adversarial draws pick what the reference scoring picks" ~count:150
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        if Rng.int rng 3 = 0 then (Transit_stub.generate rng Transit_stub.default_params).Transit_stub.graph
+        else
+          (Waxman.generate rng ~n:(20 + Rng.int rng 41) ~alpha:(0.15 +. Rng.float rng 0.35)
+             ~beta:0.3)
+            .Waxman.graph
+      in
+      let n = Graph.node_count g in
+      let source = Rng.int rng n in
+      let protocol = if Rng.int rng 2 = 0 then Session.Spf else Session.Smrp { d_thresh = 0.3 } in
+      let s = Session.create g ~source ~protocol in
+      for _ = 1 to 1 + Rng.int rng 12 do
+        let m = Rng.int rng n in
+        if m <> source && not (Tree.is_member (Session.tree s) m) then Session.join s m
+      done;
+      (if Rng.int rng 2 = 0 then
+         match Tree.tree_edges (Session.tree s) with
+         | [] -> ()
+         | edges ->
+             let e = List.nth edges (Rng.int rng (List.length edges)) in
+             ignore (Session.fail s (Failure.Link e) : Session.repair list));
+      let tree = Session.tree s in
+      let budget = 1 + Rng.int rng 5 and passes = Rng.int rng 4 in
+      let got =
+        Failure_model.draw (Failure_model.create_ws ())
+          (Failure_model.Adversarial { events = 1; budget; passes })
+          rng g ~tree
+      in
+      got = reference_adversarial g ~tree ~budget ~passes)
+
 (* -- Scenario.run_many dedup --------------------------------------------- *)
 
 let run_many_dedup () =
@@ -356,9 +465,27 @@ let matrix_parser () =
   (* Node counts share the case files' limit: a dense generator is O(N²). *)
   List.iter bad
     [ "topo=scale:999999999"; "topo=waxman:5000000"; "topo=locality:1000001"; "topo=scale:1000001" ];
-  match Campaign.spec_of_matrix "topo=scale:1000000" with
+  (match Campaign.spec_of_matrix "topo=scale:1000000" with
   | Ok _ -> ()
-  | Error msg -> Alcotest.failf "the node limit itself rejected: %s" msg
+  | Error msg -> Alcotest.failf "the node limit itself rejected: %s" msg);
+  (* The dense draws' degree grows with N, so they stop at 5,000 nodes and
+     the error points at the fixed-degree token. *)
+  List.iter
+    (fun s ->
+      match Campaign.spec_of_matrix s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error msg ->
+          check (s ^ " names scale:N") true
+            (List.exists
+               (fun i -> String.sub msg i 7 = "scale:N")
+               (List.init (max 0 (String.length msg - 6)) Fun.id)))
+    [ "topo=waxman:5001"; "topo=locality:5001" ];
+  List.iter
+    (fun s ->
+      match Campaign.spec_of_matrix s with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "the dense limit itself rejected: %s" msg)
+    [ "topo=waxman:5000"; "topo=locality:5000" ]
 
 let matrix_labels_name_base_cells () =
   (* Every label of a base spec's axis, written as a bare token, names the
@@ -516,8 +643,6 @@ let shrink_splits_fail_groups () =
 
 (* -- Parser properties ----------------------------------------------------- *)
 
-let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 424242 |]) t
-
 (* The grammar's words and punctuation, its numbers at and past every
    bound, and text it has no use for. *)
 let matrix_vocabulary =
@@ -610,6 +735,7 @@ let () =
         [
           Alcotest.test_case "deterministic and sane" `Quick failure_models_deterministic_and_sane;
           Alcotest.test_case "adversarial beats random" `Quick adversarial_beats_random;
+          qcheck_case prop_adversarial_matches_reference;
         ] );
       ( "scenario",
         [ Alcotest.test_case "run_many dedups" `Quick run_many_dedup ] );

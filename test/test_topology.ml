@@ -273,13 +273,14 @@ module Pair_loop = struct
     in
     step ()
 
+  let positions rng ~n =
+    Array.init n (fun _ ->
+        let x = Rng.float rng 1.0 in
+        let y = Rng.float rng 1.0 in
+        (x, y))
+
   let generate link_delay rng ~n ~edge_probability =
-    let positions =
-      Array.init n (fun _ ->
-          let x = Rng.float rng 1.0 in
-          let y = Rng.float rng 1.0 in
-          (x, y))
-    in
+    let positions = positions rng ~n in
     let g = Graph.create n in
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
@@ -345,6 +346,47 @@ let qcheck_draw_first_generators =
            (fun r -> (Flat_models.pure_random ~link_delay r ~n ~p).Waxman.graph)
            (fun r -> Pair_loop.pure_random link_delay r ~n ~p))
 
+(* The dense draw rejects a pair from a distance computed with plain
+   products, a few ulps from the [**] distance that decides the edge.  Two
+   locality radii sit exactly on a pair's distance, where those ulps
+   decide the side:
+   - the radius at a pair's plain-product distance, which exceeds its [**]
+     distance, with p_near = 1: the pair is near, so it is an edge, though
+     a reject at the plain-product distance without slack reads it far;
+   - the radius at a pair's [**] distance with p_near < p_far: the pair is
+     far, so an edge with p_far = 1, though the plain-product distance may
+     read it near; such a model has no bound, since its probability grows
+     with the distance. *)
+let locality_radius_on_a_pair () =
+  let n = 60 in
+  let rec witness seed =
+    if seed > 1000 then Alcotest.fail "no pair whose plain-product distance exceeds its ** distance"
+    else begin
+      let pos = Pair_loop.positions (Rng.create seed) ~n in
+      let found = ref None in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          let x1, y1 = pos.(u) and x2, y2 = pos.(v) in
+          let dx = x1 -. x2 and dy = y1 -. y2 in
+          let df = sqrt ((dx *. dx) +. (dy *. dy)) in
+          if !found = None && df > Pair_loop.distance pos.(u) pos.(v) then found := Some (u, v, df)
+        done
+      done;
+      match !found with Some w -> (seed, pos, w) | None -> witness (seed + 1)
+    end
+  in
+  let seed, pos, (u, v, df) = witness 1 in
+  let same ~radius ~p_near ~p_far =
+    let got = Flat_models.locality (Rng.create seed) ~n ~radius ~p_near ~p_far in
+    let expect = Pair_loop.locality `Euclidean (Rng.create seed) ~n ~radius ~p_near ~p_far in
+    check "same edges as the pair loop" true (edge_list got.Waxman.graph = edge_list expect);
+    expect
+  in
+  check "near at the plain-product distance" true
+    (Graph.mem_edge (same ~radius:df ~p_near:1.0 ~p_far:1e-9) u v);
+  check "far at the ** distance" true
+    (Graph.mem_edge (same ~radius:(Pair_loop.distance pos.(u) pos.(v)) ~p_near:1e-9 ~p_far:1.0) u v)
+
 let () =
   Alcotest.run "topology"
     [
@@ -369,6 +411,8 @@ let () =
           Alcotest.test_case "rejects bad params" `Quick ts_rejects_bad_params;
         ] );
       ("guards", [ Alcotest.test_case "NaN parameters rejected" `Quick nan_parameters_rejected ]);
+      ( "flat models",
+        [ Alcotest.test_case "locality radius on a pair's distance" `Quick locality_radius_on_a_pair ] );
       ( "fixtures",
         [
           Alcotest.test_case "fig1 shape" `Quick fig1_shape;
