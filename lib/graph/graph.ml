@@ -1,17 +1,25 @@
 type edge = { id : int; u : int; v : int; delay : float }
 
-(* The adjacency lives in two forms.  [adj] is the mutable build-side
-   structure ((neighbor, edge id) lists in reverse insertion order), cheap to
-   extend one edge at a time.  The read path uses a CSR (compressed sparse
-   row) view — flat int/float arrays indexed by [adj_offsets] — rebuilt
-   lazily whenever an edge has been added since the last freeze, so settled
-   traversals (Dijkstra, DFS) touch only contiguous unboxed arrays and
-   allocate nothing. *)
+(* The adjacency lives in two forms.  The build side chains each node's
+   incidence slots: edge [id] owns slot [2 id] at its [u] end and slot
+   [2 id + 1] at its [v] end, [head.(u)] is [u]'s newest slot (-1 for none),
+   so a chain runs in reverse insertion order, and a slot's neighbour is the
+   other end of its edge record.  [link.(id)] packs the successors of both
+   of edge [id]'s slots, each plus one so that 0 ends a chain, in 31 bits:
+   the [u] slot's above, the [v] slot's below.  The link array thus has the
+   edge array's length and doubles with it, so adding an edge allocates
+   nothing but its record, and the link array leaves the minor heap (past
+   256 words) no sooner than the edge array.  The read path uses a CSR
+   (compressed sparse row) view — flat int/float arrays indexed by
+   [adj_offsets] — rebuilt lazily whenever an edge has been added since the
+   last freeze, so settled traversals (Dijkstra, DFS) touch only contiguous
+   unboxed arrays and allocate nothing. *)
 type t = {
   n : int;
   mutable edges : edge array;
   mutable edge_count : int;
-  adj : (int * int) list array; (* node -> (neighbor, edge id), reversed order *)
+  head : int array; (* node -> newest incidence slot, -1 = none *)
+  mutable link : int array; (* edge -> successors of its two slots, packed *)
   mutable csr_edge_count : int; (* edges included in the CSR view; -1 = never built *)
   mutable adj_offsets : int array; (* n + 1 entries; slice of node u is
                                       [adj_offsets.(u), adj_offsets.(u+1)) *)
@@ -26,7 +34,8 @@ let create n =
     n;
     edges = [||];
     edge_count = 0;
-    adj = Array.make n [];
+    head = Array.make n (-1);
+    link = [||];
     csr_edge_count = -1;
     adj_offsets = [||];
     adj_neighbor = [||];
@@ -43,16 +52,28 @@ let edge_count g = g.edge_count
 let check_node g u name =
   if u < 0 || u >= g.n then invalid_arg (Printf.sprintf "Graph.%s: node %d out of range" name u)
 
+let slot_mask = (1 lsl 31) - 1
+
+(* Edge ids stay below [max_edges], so a stored slot, at most
+   [2 (max_edges - 1) + 1] plus one, fits in [slot_mask]. *)
+let max_edges = (1 lsl 30) - 1
+
 (* Both endpoint checks hoisted here: every binary edge query funnels through
-   this single lookup, which scans the (short) build-side list once. *)
+   this single lookup, which walks [u]'s (short) slot chain once, newest
+   first.  Nothing in the walk branches on which end of its edge a slot is,
+   since that alternates unpredictably along a chain: every edge on the
+   chain has [u] at one end, so its other end is [v] exactly when its ends
+   sum to [u + v], and the shift [31 (1 - s land 1)] brings either slot's
+   successor field down. *)
 let find_edge_id g u v name =
   check_node g u name;
   check_node g v name;
-  let rec scan = function
-    | [] -> -1
-    | (w, id) :: rest -> if w = v then id else scan rest
-  in
-  scan g.adj.(u)
+  let edges = g.edges and link = g.link and uv = u + v in
+  let s = ref g.head.(u) in
+  while !s >= 0 && (let e = edges.(!s lsr 1) in e.u + e.v <> uv) do
+    s := ((link.(!s lsr 1) lsr (31 * (1 - (!s land 1)))) land slot_mask) - 1
+  done;
+  if !s < 0 then -1 else !s lsr 1
 
 let mem_edge g u v = find_edge_id g u v "mem_edge" >= 0
 
@@ -70,14 +91,25 @@ let add_edge g u v delay =
   let e = { id; u; v; delay } in
   let capacity = Array.length g.edges in
   if id = capacity then begin
-    let edges' = Array.make (max 16 (2 * capacity)) e in
-    Array.blit g.edges 0 edges' 0 id;
-    g.edges <- edges'
+    if capacity = max_edges then invalid_arg "Graph.add_edge: too many edges";
+    let capacity' = min max_edges (max 16 (2 * capacity)) in
+    let edges' = Array.make capacity' e in
+    if id > 0 then Array.blit g.edges 0 edges' 0 id;
+    g.edges <- edges';
+    (* A loop, not [Array.blit]: the blit stores through the write barrier
+       once the copy is in the major heap, the loop stores plain ints.
+       [link] has [capacity] = [id] entries and [link'] more. *)
+    let link = g.link and link' = Array.make capacity' 0 in
+    for i = 0 to id - 1 do
+      Array.unsafe_set link' i (Array.unsafe_get link i)
+    done;
+    g.link <- link'
   end;
   g.edges.(id) <- e;
   g.edge_count <- id + 1;
-  g.adj.(u) <- (v, id) :: g.adj.(u);
-  g.adj.(v) <- (u, id) :: g.adj.(v);
+  g.link.(id) <- ((g.head.(u) + 1) lsl 31) lor (g.head.(v) + 1);
+  g.head.(u) <- 2 * id;
+  g.head.(v) <- (2 * id) + 1;
   id
 
 let edge g id =
@@ -130,7 +162,7 @@ let csr g =
   (g.adj_offsets, g.adj_neighbor, g.adj_edge, g.adj_delay)
 
 (* The frozen twin of [find_edge_id]: a scan of [u]'s contiguous CSR slice,
-   for per-frame lookups.  Building code keeps to the list scan, which never
+   for per-frame lookups.  Building code keeps to the chain walk, which never
    triggers a freeze. *)
 let find_edge g u v =
   check_node g u "find_edge";

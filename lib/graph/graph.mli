@@ -6,7 +6,14 @@
     delay).
 
     Edges are identified by a dense integer id, which lets failure scenarios
-    and path computations use O(1) bitset membership tests. *)
+    and path computations use O(1) bitset membership tests.
+
+    The adjacency lives in two forms.  While a graph is built, each node's
+    incident edges form a chain of incidence slots, newest first, linked
+    through one flat int array of the edge array's length, so {!add_edge}
+    allocates nothing per edge but the edge record.  Traversals read a CSR
+    (compressed sparse row) view built from the edge array on first use
+    after a mutation ({!freeze}). *)
 
 type edge = private {
   id : int;
@@ -31,8 +38,9 @@ val edge_count : t -> int
 
 val add_edge : t -> int -> int -> float -> int
 (** [add_edge g u v delay] inserts the undirected edge [(u, v)] and returns its
-    id.  Self-loops, duplicate edges and a delay that is not a positive
-    finite number are rejected with [Invalid_argument]. *)
+    id.  Self-loops, duplicate edges, a delay that is not a positive
+    finite number and a graph's 2{^30}th edge are rejected with
+    [Invalid_argument]. *)
 
 val edge : t -> int -> edge
 (** Edge by id. *)
@@ -47,7 +55,7 @@ val find_edge : t -> int -> int -> int
     when they are not adjacent.  It scans [u]'s slice of the CSR view
     (freezing [g] first if an edge was added since) and allocates nothing:
     the per-frame form of {!edge_between}.  {!edge_between}, {!mem_edge} and
-    {!add_edge}'s duplicate check read the build-side lists instead, so
+    {!add_edge}'s duplicate check walk [u]'s build-side chain instead, so
     building a graph edge by edge never rebuilds the CSR. *)
 
 val freeze : t -> unit

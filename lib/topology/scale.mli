@@ -7,6 +7,11 @@
     - node coordinates live in two flat float64 bigarrays;
     - the pair scan is bucketed on a uniform grid sized to the probability
       cutoff, so only geometrically plausible pairs are examined;
+    - a pair inside the cutoff draws first and is rejected against a table
+      of upper bounds on its edge probability, indexed by its squared
+      distance, before its [sqrt] and [exp]; the draw and the probability
+      still decide every edge, so the table changes no edge, delay or
+      draw;
     - connectivity repair unions components along locally-nearest links
       found by expanding ring search instead of the O(n²·components)
       closest-pair scan;

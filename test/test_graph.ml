@@ -134,7 +134,7 @@ let csr_rebuilds_after_mutation () =
   check "absent edge" false (Graph.mem_edge g 1 2);
   check_int "new edge visible to find_edge" 1 (Graph.find_edge g 2 0)
 
-(* The CSR lookup agrees with the build-side list scan on every ordered
+(* The CSR lookup agrees with the build-side chain walk on every ordered
    pair, adjacent or not. *)
 let find_edge_matches_edge_between () =
   let g = Fixtures.diamond () in
@@ -322,6 +322,118 @@ let qcheck_bridge_removal_disconnects =
           if List.mem e.Graph.id bridges then not still else still)
         true g)
 
+(* Every build-side lookup against a [Hashtbl] model of the edge set, on
+   random insert sequences: duplicates in both orientations, self-loops,
+   nodes out of range and freezes between the inserts.  Each insert's id
+   or [Invalid_argument] message must be the model's; at each freeze,
+   every ordered pair's [mem_edge] and [edge_between] must be the model's
+   both before and after the freeze, and after it [find_edge] and each
+   node's [neighbors] order too. *)
+type op = Add of int * int | Again of int * bool | Freeze
+
+let qcheck_build_side_matches_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 30 >>= fun n ->
+      let node = int_bound n in
+      list_size (int_range 0 150)
+        (frequency
+           [
+             (6, map2 (fun u v -> Add (u, v)) node node);
+             (3, map2 (fun k flip -> Again (k, flip)) nat bool);
+             (1, map (fun u -> Add (u, u)) node);
+             (1, return Freeze);
+           ])
+      >|= fun ops -> (n, ops))
+  in
+  let print (n, ops) =
+    Printf.sprintf "n = %d: %s" n
+      (String.concat " "
+         (List.map
+            (function
+              | Add (u, v) -> Printf.sprintf "+%d-%d" u v
+              | Again (k, flip) -> Printf.sprintf "again%d%s" k (if flip then "'" else "")
+              | Freeze -> "freeze")
+            ops))
+  in
+  QCheck.Test.make ~name:"build-side lookups match a Hashtbl model" ~count:300 (QCheck.make ~print gen)
+    (fun (n, ops) ->
+      let g = Graph.create n in
+      let ids = Hashtbl.create 64 in
+      let ends = ref [||] and tried = ref [] in
+      let key u v = (min u v, max u v) in
+      let expect_add u v =
+        let out w = w < 0 || w >= n in
+        if out u then Error (Printf.sprintf "Graph.add_edge: node %d out of range" u)
+        else if out v then Error (Printf.sprintf "Graph.add_edge: node %d out of range" v)
+        else if Hashtbl.mem ids (key u v) then Error "Graph.add_edge: duplicate edge"
+        else if u = v then Error "Graph.add_edge: self-loop"
+        else Ok (Array.length !ends)
+      in
+      let add u v =
+        tried := (u, v) :: !tried;
+        let expect = expect_add u v in
+        let got =
+          match Graph.add_edge g u v (1.0 +. float_of_int (List.length !tried)) with
+          | id -> Ok id
+          | exception Invalid_argument m -> Error m
+        in
+        (match expect with
+        | Ok id ->
+            Hashtbl.replace ids (key u v) id;
+            ends := Array.append !ends [| (u, v) |]
+        | Error _ -> ());
+        got = expect
+      in
+      let lookups_agree () =
+        let ok = ref true in
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            let expect = Hashtbl.find_opt ids (key u v) in
+            let ends_of id = (id, fst !ends.(id), snd !ends.(id)) in
+            ok :=
+              !ok
+              && Graph.mem_edge g u v = (expect <> None)
+              && Option.map (fun e -> (e.Graph.id, e.Graph.u, e.Graph.v)) (Graph.edge_between g u v)
+                 = Option.map ends_of expect
+          done
+        done;
+        !ok
+      in
+      let frozen_agree () =
+        let ok = ref true in
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            let expect = Option.value ~default:(-1) (Hashtbl.find_opt ids (key u v)) in
+            ok := !ok && Graph.find_edge g u v = expect
+          done;
+          let expect =
+            List.filter_map
+              (fun (id, (a, b)) -> if a = u then Some (b, id) else if b = u then Some (a, id) else None)
+              (List.mapi (fun id e -> (id, e)) (Array.to_list !ends))
+          in
+          ok := !ok && Graph.neighbors g u = expect
+        done;
+        !ok
+      in
+      let checkpoint () =
+        let before = lookups_agree () in
+        Graph.freeze g;
+        before && lookups_agree () && frozen_agree ()
+      in
+      List.for_all
+        (function
+          | Add (u, v) -> add u v
+          | Again (k, flip) -> (
+              match !tried with
+              | [] -> true
+              | l ->
+                  let u, v = List.nth l (k mod List.length l) in
+                  if flip then add v u else add u v)
+          | Freeze -> checkpoint ())
+        ops
+      && checkpoint ())
+
 let () =
   Alcotest.run "graph"
     [
@@ -366,5 +478,6 @@ let () =
         [
           qcheck_case qcheck_triangle_inequality;
           qcheck_case qcheck_bridge_removal_disconnects;
+          qcheck_case qcheck_build_side_matches_model;
         ] );
     ]
