@@ -185,16 +185,14 @@ let compute_entry t f ~root ~cut ~merge_a ~rd_a ~off_a ~len_a ~ver_a ~eid =
       len_a.(eid) <- len);
   ver_a.(eid) <- t.version
 
-(* The downstream endpoint of a tree edge, [-1] when the edge is not on
-   the tree. *)
-let child_of t eid =
-  let e = Graph.edge (Tree.graph t.tree) eid in
-  if Tree.parent_edge_id t.tree e.Graph.u = eid then e.Graph.u
-  else if Tree.parent_edge_id t.tree e.Graph.v = eid then e.Graph.v
+let downstream tree eid =
+  let e = Graph.edge (Tree.graph tree) eid in
+  if Tree.parent_edge_id tree e.Graph.u = eid then e.Graph.u
+  else if Tree.parent_edge_id tree e.Graph.v = eid then e.Graph.v
   else -1
 
 let refresh_link t eid =
-  let c = child_of t eid in
+  let c = downstream t.tree eid in
   if c < 0 then begin
     t.link_merge.(eid) <- -2;
     t.link_version.(eid) <- t.version
@@ -204,7 +202,7 @@ let refresh_link t eid =
       ~off_a:t.link_off ~len_a:t.link_len ~ver_a:t.link_version ~eid
 
 let refresh_node t eid =
-  let c = child_of t eid in
+  let c = downstream t.tree eid in
   let p = if c < 0 then -1 else Tree.parent_id t.tree c in
   if c < 0 || p < 0 || p = Tree.source t.tree then begin
     t.node_merge.(eid) <- -2;

@@ -31,6 +31,11 @@ type entry = {
   path_edges : int list;
 }
 
+val downstream : Tree.t -> int -> int
+(** [downstream tree eid] is the downstream endpoint of tree edge [eid]:
+    the node whose parent edge it is, the root of the branch its failure
+    orphans.  [-1] when [eid] is not on the tree. *)
+
 val create : Tree.t -> t
 (** No entries are built until first use ({!prepare} or a lookup). *)
 

@@ -20,23 +20,17 @@ let candidates ?ws t ~joiner ~spf =
     else begin
       match Dijkstra.shortest_path ?workspace:ws g ~src:nb ~dst:(Tree.source t) ~lower:spf with
       | None -> acc
-      | Some (_, nodes, edges) ->
-          (* Forward along nb's unicast path until the first on-tree node. *)
-          let rec walk nodes edges acc_nodes acc_edges =
-            match (nodes, edges) with
-            | v :: _, _ when Tree.is_on_tree t v -> Some (v, v :: acc_nodes, acc_edges)
-            | v :: rest, e :: es -> walk rest es (v :: acc_nodes) (e :: acc_edges)
-            | _ -> None
-          in
-          (match walk nodes edges [ joiner ] [ joining_edge ] with
-          | Some (merge, attach_nodes, attach_edges)
-            when not (List.mem joiner (List.tl (List.rev attach_nodes))) ->
-              (* Reject answers whose relay path loops back through the
-                 joiner itself. *)
+      | Some (_, nodes, edges) -> (
+          (* Forward along nb's unicast path until the first on-tree node;
+             reject answers whose relay path loops back through the joiner
+             itself. *)
+          match Spf.graft_path ~accept:(Tree.is_on_tree t) nodes edges with
+          | Some ((merge :: _ as relay), relay_edges) when not (List.mem joiner relay) ->
+              let attach_edges = relay_edges @ [ joining_edge ] in
               let attach_delay = Graph.delay_of_edges g attach_edges in
               {
                 Smrp.merge;
-                attach_nodes;
+                attach_nodes = relay @ [ joiner ];
                 attach_edges;
                 attach_delay;
                 total_delay = attach_delay +. Tree.delay_to_source t merge;

@@ -123,13 +123,12 @@ let global_detour ?ws ?filters ?surviving t f ~member ~spf =
           (* The re-issued join grafts at the first on-tree node along the
              new unicast path that still receives data; only the prefix up to
              it counts as recovery effort. *)
-          let rec prefix nodes edges acc_nodes acc_edges =
-            match (nodes, edges) with
-            | v :: _, _ when surviving.(v) -> (v, List.rev (v :: acc_nodes), List.rev acc_edges)
-            | v :: rest, e :: es -> prefix rest es (v :: acc_nodes) (e :: acc_edges)
+          let merge, path_nodes, path_edges =
+            match Spf.graft_path ~accept:(fun v -> surviving.(v)) nodes edges with
+            | Some ((merge :: _ as graft), graft_edges) ->
+                (merge, List.rev graft, List.rev graft_edges)
             | _ -> invalid_arg "Recovery.global_detour: path misses the source"
           in
-          let merge, path_nodes, path_edges = prefix nodes edges [] [] in
           let rd = Graph.delay_of_edges g path_edges in
           Some
             {

@@ -77,8 +77,6 @@ let refresh_caches t sc =
     sc.cache_stamp <- sc.mstamp
   end
 
-let bound_epsilon = 1e-9
-
 let always _ = true
 
 (* Evaluate node [r], mutating the tree only on a switch; returns whether
@@ -161,7 +159,7 @@ let eval_node t sc ~ws ~d_thresh ~filters r =
     done;
     let current_total = !current_delay +. sc.dts_c.(m0) in
     let current_shr = sc.shr_c.(m0) - (nsub * sc.anc_depth.(m0)) in
-    let bound = ((1.0 +. d_thresh) *. spf_dist) +. bound_epsilon in
+    let bound = Smrp.delay_bound ~d_thresh spf_dist in
     (* Candidate search on the virtual detached tree.  The filters close
        over the scratch marks and caches only — every test is an array
        read, plus the compiled failure filters when a failure is active. *)
@@ -178,47 +176,31 @@ let eval_node t sc ~ws ~d_thresh ~filters r =
           Dijkstra.run ~node_ok ~edge_ok ~absorb ~bound:(bound, sc.lower) ~workspace:ws g
             ~source:r
     in
-    (* Best bounded candidate among the settled merge points, scanned in
-       ascending merge order with [Smrp.select]'s comparisons on the
-       post-detach SHR. *)
-    let merges =
-      Dijkstra.settled_by_id
-        (fun m -> m <> r && sc.on_tree_c.(m) && sc.chain.(m) <> ep && sc.sub.(m) <> ep && alive m)
-        result
+    (* The join's criterion on the detached view.  Post-detach SHR:
+       subtract [nsub] per ancestor of [r] on [m]'s source path —
+       everything above the first marked ancestor. *)
+    let discount m =
+      let a = ref m in
+      while sc.anc.(!a) <> ep do
+        a := Tree.parent_id t !a
+      done;
+      nsub * sc.anc_depth.(!a)
     in
-    let best = ref (-1) and best_delay = ref infinity and best_shr = ref max_int in
-    for i = 0 to Array.length merges - 1 do
-      let m = merges.(i) in
-      let total = Dijkstra.unsafe_distance result m +. sc.dts_c.(m) in
-      if total <= bound then begin
-        (* Post-detach SHR: subtract [nsub] per ancestor of [r] on [m]'s
-           source path — everything above the first marked ancestor. *)
-        let a = ref m in
-        while sc.anc.(!a) <> ep do
-          a := Tree.parent_id t !a
-        done;
-        let shr = sc.shr_c.(m) - (nsub * sc.anc_depth.(!a)) in
-        let is_better =
-          !best < 0 || shr < !best_shr
-          || (shr = !best_shr && total < !best_delay -. bound_epsilon)
-          || (shr = !best_shr && abs_float (total -. !best_delay) <= bound_epsilon && m < !best)
-        in
-        if is_better then begin
-          best := m;
-          best_delay := total;
-          best_shr := shr
-        end
-      end
-    done;
+    let merge_ok m =
+      m <> r && sc.on_tree_c.(m) && sc.chain.(m) <> ep && sc.sub.(m) <> ep && alive m
+    in
+    let best = Smrp.select_settled t result ~merge_ok ~discount ~bound in
     if
-      !best >= 0
-      && (!best_shr < current_shr
-         || (!best_shr = current_shr && !best_delay < current_total -. bound_epsilon))
+      best >= 0
+      && Smrp.improves
+           ~shr:(sc.shr_c.(best) - discount best)
+           ~delay:(Dijkstra.unsafe_distance result best +. sc.dts_c.(best))
+           ~than_shr:current_shr ~than_delay:current_total
     then begin
       (* A strictly better bounded candidate exists: do the real detach /
          attach.  Extract the path before anything else touches [ws]. *)
-      let nodes = List.rev (Option.get (Dijkstra.path_nodes result !best)) in
-      let edges = List.rev (Option.get (Dijkstra.path_edges result !best)) in
+      let nodes = List.rev (Option.get (Dijkstra.path_nodes result best)) in
+      let edges = List.rev (Option.get (Dijkstra.path_edges result best)) in
       let branch, _previous = Tree.detach_branch t ~node:r in
       Tree.attach_branch t branch ~nodes ~edges;
       true

@@ -213,13 +213,8 @@ let try_protected t p f =
       let tree = t.tree in
       match f with
       | Failure.Link eid ->
-          let e = Graph.edge t.graph eid in
-          let c =
-            if Tree.parent_edge_id tree e.Graph.u = eid then e.Graph.u
-            else if Tree.parent_edge_id tree e.Graph.v = eid then e.Graph.v
-            else -1
-          in
-          if c < 0 then Some ([], [], t.tree) (* off-tree link: nothing to repair *)
+          if Protect.downstream tree eid < 0 then
+            Some ([], [], t.tree) (* off-tree link: nothing to repair *)
           else
             Option.map
               (fun (repairs, fresh) -> (repairs, [], fresh))

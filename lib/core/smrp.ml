@@ -53,12 +53,20 @@ let source_spf ?filters ?ws t =
         (Dijkstra.run ?node_ok:(Option.map fst filters) ?edge_ok:(Option.map snd filters)
            ?workspace:ws g ~source)
 
-let bound_epsilon = 1e-9
+(* The criterion's slack: a delay within it of the bound meets the bound,
+   and two delays within it of each other tie. *)
+let epsilon = 1e-9
 
-let better a b =
-  a.shr < b.shr
-  || (a.shr = b.shr && a.total_delay < b.total_delay -. bound_epsilon)
-  || (a.shr = b.shr && abs_float (a.total_delay -. b.total_delay) <= bound_epsilon && a.merge < b.merge)
+let delay_bound ~d_thresh d_spf = ((1.0 +. d_thresh) *. d_spf) +. epsilon
+
+let[@inline] improves ~shr ~delay ~than_shr ~than_delay =
+  shr < than_shr || (shr = than_shr && delay < than_delay -. epsilon)
+
+(* The criterion's order: [improves], then the lower merge id among delays
+   that tie.  The tie is not transitive, so a scan's order matters. *)
+let[@inline] precedes ~shr ~delay ~merge ~than_shr ~than_delay ~than_merge =
+  improves ~shr ~delay ~than_shr ~than_delay
+  || (shr = than_shr && abs_float (delay -. than_delay) <= epsilon && merge < than_merge)
 
 let minimum_by le = function
   | [] -> None
@@ -66,38 +74,37 @@ let minimum_by le = function
 
 let select ?(d_thresh = default_d_thresh) ~spf_distance cands =
   if not (d_thresh >= 0.0) then invalid_arg "Smrp.select: d_thresh must be non-negative";
-  let bound = ((1.0 +. d_thresh) *. spf_distance) +. bound_epsilon in
+  let bound = delay_bound ~d_thresh spf_distance in
   let bounded = List.filter (fun c -> c.total_delay <= bound) cands in
   match bounded with
-  | _ :: _ -> minimum_by better bounded
+  | _ :: _ ->
+      minimum_by
+        (fun a b ->
+          precedes ~shr:a.shr ~delay:a.total_delay ~merge:a.merge ~than_shr:b.shr
+            ~than_delay:b.total_delay ~than_merge:b.merge)
+        bounded
   | [] ->
       (* No candidate meets the bound: degrade to the lowest-delay
          connection, i.e. SPF behaviour. *)
       minimum_by (fun a b -> a.total_delay < b.total_delay) cands
 
-(* The Path Selection Criterion read directly off a bounded
-   candidate-search result: no candidate record or path is materialised
-   for losing merge points.  The settled merge points are scanned in
-   ascending id with [select]'s comparisons (the epsilon tie-break is not
-   transitive, so the order matters): over them it picks what [select]
-   picks over their candidate list.  Returns the best merge point inside
-   [bound], [-1] when there is none. *)
-let select_on result alive t nr ~bound =
-  let merges =
-    Dijkstra.settled_by_id (fun m -> m <> nr && Tree.is_on_tree t m && alive m) result
-  in
+(* The settled merge points are scanned in ascending id with [select]'s
+   comparisons: over them the scan picks what [select] picks over their
+   candidate list.  No candidate record or path is materialised for losing
+   merge points. *)
+let select_settled t result ~merge_ok ~discount ~bound =
+  let merges = Dijkstra.settled_by_id merge_ok result in
   let best = ref (-1) and best_delay = ref infinity and best_shr = ref max_int in
   for i = 0 to Array.length merges - 1 do
     let merge = merges.(i) in
     let total = Dijkstra.unsafe_distance result merge +. Tree.delay_to_source t merge in
     if total <= bound then begin
-      let shr = Tree.shr t merge in
-      let is_better =
-        !best < 0 || shr < !best_shr
-        || (shr = !best_shr && total < !best_delay -. bound_epsilon)
-        || (shr = !best_shr && abs_float (total -. !best_delay) <= bound_epsilon && merge < !best)
-      in
-      if is_better then begin
+      let shr = Tree.shr t merge - discount merge in
+      if
+        !best < 0
+        || precedes ~shr ~delay:total ~merge ~than_shr:!best_shr ~than_delay:!best_delay
+             ~than_merge:!best
+      then begin
         best := merge;
         best_delay := total;
         best_shr := shr
@@ -138,10 +145,11 @@ let attach_path ?(d_thresh = default_d_thresh) ?filters ?ws t nr ~spf =
   if not (d_thresh >= 0.0) then invalid_arg "Smrp.attach_path: d_thresh must be non-negative";
   if Tree.is_on_tree t nr then ([ nr ], [])
   else begin
-    let bound = ((1.0 +. d_thresh) *. spf.(nr)) +. bound_epsilon in
+    let bound = delay_bound ~d_thresh spf.(nr) in
     let result, alive = candidate_search ?filters ~bound:(bound, spf) ?ws t ~joiner:nr in
+    let merge_ok m = m <> nr && Tree.is_on_tree t m && alive m in
     let result, winner =
-      match select_on result alive t nr ~bound with
+      match select_settled t result ~merge_ok ~discount:(fun _ -> 0) ~bound with
       | best when best >= 0 -> (result, best)
       | _ ->
           let result, alive = candidate_search ?filters ?ws t ~joiner:nr in

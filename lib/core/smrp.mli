@@ -37,12 +37,42 @@ val source_spf :
     source-rooted search, the [spf] array {!attach_path},
     {!Reshape.try_reshape} and {!Reshape.stabilize} read. *)
 
+val delay_bound : d_thresh:float -> float -> float
+(** [delay_bound ~d_thresh d_spf] is the criterion's delay bound on a
+    joiner whose unicast delay to the source is [d_spf]:
+    [(1 + d_thresh) * d_spf] plus a 1e-9 slack.  A connection meets the
+    bound when its total delay is at most this. *)
+
+val improves : shr:int -> delay:float -> than_shr:int -> than_delay:float -> bool
+(** The criterion's order without its id tie-break: a lower SHR, or the
+    same SHR and a total delay lower by more than 1e-9.  A reshape
+    switches only to a candidate that improves on its current
+    attachment. *)
+
 val select : ?d_thresh:float -> spf_distance:float -> candidate list -> candidate option
 (** Apply the Path Selection Criterion to a list of candidates gathered
     elsewhere (the §3.3.1 query scheme's answers); [None] when the list is
     empty.  Falls back to the lowest-delay candidate when none meets the
     bound.  Ties on SHR and on delay (within 1e-9) go to the lower merge
     id. *)
+
+val select_settled :
+  Tree.t ->
+  Smrp_graph.Dijkstra.result ->
+  merge_ok:(int -> bool) ->
+  discount:(int -> int) ->
+  bound:float ->
+  int
+(** The criterion read off a candidate search: among the nodes the search
+    settled that [merge_ok] accepts, and whose total delay (the search's
+    distance plus the tree delay to the source) is at most [bound], the
+    merge point {!select} would pick from their candidate list, with each
+    one's SHR lowered by [discount].  The search must not have touched the
+    tree's delays or SHR values since.  [-1] when none is inside the
+    bound.  Every join decision ({!attach_path}) and every reshape
+    decision ({!Reshape.try_reshape}, {!Reshape.stabilize}: [merge_ok]
+    the detached view, [discount] the detached subtree's members on the
+    merge point's source path) is this scan. *)
 
 val attach_path :
   ?d_thresh:float ->

@@ -1,5 +1,16 @@
 module Dijkstra = Smrp_graph.Dijkstra
 
+(* [nodes] runs from the path's start with [edges] aligned pairwise; the
+   graft is built merge-first as the walk goes. *)
+let graft_path ~accept nodes edges =
+  let rec walk nodes edges acc_nodes acc_edges =
+    match (nodes, edges) with
+    | v :: _, _ when accept v -> Some (v :: acc_nodes, acc_edges)
+    | v :: rest, e :: es -> walk rest es (v :: acc_nodes) (e :: acc_edges)
+    | _ -> None
+  in
+  walk nodes edges [] []
+
 let attach_path ?filters ?ws t nr ~spf =
   if Tree.is_on_tree t nr then ([ nr ], [])
   else begin
@@ -10,17 +21,12 @@ let attach_path ?filters ?ws t nr ~spf =
     in
     match path with
     | None -> invalid_arg "Spf.attach_path: source unreachable"
-    | Some (_, nodes, edges) ->
-        (* The join travels nr → source and grafts at the first on-tree node
-           it meets; the graft path runs from that merge node back to nr.
-           [nodes] is nr..S with [edges] aligned pairwise. *)
-        let rec walk nodes edges acc_nodes acc_edges =
-          match (nodes, edges) with
-          | v :: _, _ when Tree.is_on_tree t v -> (v :: acc_nodes, acc_edges)
-          | v :: rest, e :: es -> walk rest es (v :: acc_nodes) (e :: acc_edges)
-          | _ -> invalid_arg "Spf.attach_path: no on-tree node on the path"
-        in
-        walk nodes edges [] []
+    | Some (_, nodes, edges) -> (
+        (* The join travels nr → source and grafts at the first on-tree
+           node it meets. *)
+        match graft_path ~accept:(Tree.is_on_tree t) nodes edges with
+        | Some graft -> graft
+        | None -> invalid_arg "Spf.attach_path: no on-tree node on the path")
   end
 
 let join ?filters ?ws ?spf t nr =

@@ -9,6 +9,16 @@
     makes the underlying searches allocation-free (see {!Smrp_graph.Dijkstra}).
     Omitting it allocates a private workspace per search. *)
 
+val graft_path : accept:(int -> bool) -> int list -> int list -> (int list * int list) option
+(** [graft_path ~accept nodes edges] is where a join travelling the path
+    [nodes] (with [edges] aligned pairwise, as
+    {!Smrp_graph.Dijkstra.shortest_path} returns them) grafts: at the
+    first node [accept] takes.  The graft [(nodes, edges)] runs from that
+    node back to the path's first node, merge node first; [None] when no
+    node of the path is accepted.  The one graft walk: PIM-style joins
+    ({!attach_path}), query answers ({!Query.candidates}) and global
+    detours ({!Recovery.global_detour}) all take it. *)
+
 val attach_path :
   ?filters:Failure.filters ->
   ?ws:Smrp_graph.Dijkstra.workspace ->

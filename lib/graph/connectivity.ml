@@ -20,30 +20,26 @@ let reachable_from ?(node_ok = always) ?(edge_ok = always) g start =
   end;
   seen
 
-let components ?(edge_ok = always) g =
-  let n = Graph.node_count g in
-  let comp = Array.make n (-1) in
-  let count = ref 0 in
-  for start = 0 to n - 1 do
-    if comp.(start) < 0 then begin
-      let id = !count in
-      incr count;
-      let queue = Queue.create () in
-      comp.(start) <- id;
-      Queue.add start queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        let visit (v, eid) =
-          if edge_ok eid && comp.(v) < 0 then begin
-            comp.(v) <- id;
-            Queue.add v queue
-          end
-        in
-        List.iter visit (Graph.neighbors g u)
-      done
-    end
-  done;
-  (comp, !count)
+type union_find = int array
+
+let union_find n = Array.init n (fun i -> i)
+
+let rec find parent i =
+  let p = parent.(i) in
+  if p = i then i
+  else begin
+    let r = find parent p in
+    parent.(i) <- r;
+    r
+  end
+
+let union parent a b =
+  let ra = find parent a and rb = find parent b in
+  if ra = rb then false
+  else begin
+    parent.(ra) <- rb;
+    true
+  end
 
 (* Tarjan's bridge finding, iterative: an explicit stack avoids overflow
    on large topologies.  Tree edge (parent, child) is a bridge iff

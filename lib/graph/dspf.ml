@@ -90,56 +90,51 @@ let link t p c =
   if h >= 0 then t.prev_sib.(h) <- c;
   t.first_child.(p) <- c
 
-(* -- Full (re)computation ------------------------------------------------ *)
+(* -- Settling ------------------------------------------------------------ *)
 
-(* From-scratch Dijkstra over the overlay into the maintained arrays; used
-   at creation only, never on the mutation path afterwards. *)
-let recompute t =
-  t.stamp <- t.stamp + 1;
+let[@inline] seed t v d p e =
+  t.cand_d.(v) <- d;
+  t.cand_p.(v) <- p;
+  t.cand_e.(v) <- e;
+  t.cand_stamp.(v) <- t.stamp;
+  Int_heap.add t.heap d v
+
+(* Settle the marked set [queue.(0 .. count-1)] from the seeds on the
+   heap, relaxing only into marked nodes; a node no seed reaches falls off
+   the tree.  The one settle loop: creation seeds the source with every
+   node marked, a repair seeds each orphan through its boundary edges. *)
+let settle t count =
   let stamp = t.stamp in
-  for v = 0 to t.n - 1 do
-    t.dist.(v) <- infinity;
-    t.parent.(v) <- -1;
-    t.parent_edge.(v) <- -1;
-    t.first_child.(v) <- -1;
-    t.next_sib.(v) <- -1;
-    t.prev_sib.(v) <- -1
+  while not (Int_heap.is_empty t.heap) do
+    let d = Int_heap.top_prio t.heap in
+    let x = Int_heap.top t.heap in
+    Int_heap.drop t.heap;
+    if t.settled.(x) <> stamp && d <= t.cand_d.(x) then begin
+      t.settled.(x) <- stamp;
+      t.dist.(x) <- t.cand_d.(x);
+      t.parent.(x) <- t.cand_p.(x);
+      t.parent_edge.(x) <- t.cand_e.(x);
+      if t.parent.(x) >= 0 then link t t.parent.(x) x;
+      let stop = t.offsets.(x + 1) in
+      for i = t.offsets.(x) to stop - 1 do
+        let y = t.nbr.(i) in
+        let eid = t.eids.(i) in
+        if
+          (not t.edge_dead.(eid))
+          && (not t.node_dead.(y))
+          && t.mark.(y) = stamp
+          && t.settled.(y) <> stamp
+        then begin
+          let d' = t.dist.(x) +. t.delay.(eid) in
+          if t.cand_stamp.(y) <> stamp || d' < t.cand_d.(y) then seed t y d' x eid
+        end
+      done
+    end
   done;
-  Int_heap.clear t.heap;
-  if not t.node_dead.(t.src) then begin
-    t.cand_d.(t.src) <- 0.0;
-    t.cand_p.(t.src) <- -1;
-    t.cand_e.(t.src) <- -1;
-    t.cand_stamp.(t.src) <- stamp;
-    Int_heap.add t.heap 0.0 t.src;
-    while not (Int_heap.is_empty t.heap) do
-      let d = Int_heap.top_prio t.heap in
-      let u = Int_heap.top t.heap in
-      Int_heap.drop t.heap;
-      if t.settled.(u) <> stamp && d <= t.cand_d.(u) then begin
-        t.settled.(u) <- stamp;
-        t.dist.(u) <- t.cand_d.(u);
-        t.parent.(u) <- t.cand_p.(u);
-        t.parent_edge.(u) <- t.cand_e.(u);
-        if t.parent.(u) >= 0 then link t t.parent.(u) u;
-        let stop = t.offsets.(u + 1) in
-        for i = t.offsets.(u) to stop - 1 do
-          let v = t.nbr.(i) in
-          let eid = t.eids.(i) in
-          if (not t.edge_dead.(eid)) && (not t.node_dead.(v)) && t.settled.(v) <> stamp then begin
-            let d' = t.dist.(u) +. t.delay.(eid) in
-            if t.cand_stamp.(v) <> stamp || d' < t.cand_d.(v) then begin
-              t.cand_d.(v) <- d';
-              t.cand_p.(v) <- u;
-              t.cand_e.(v) <- eid;
-              t.cand_stamp.(v) <- stamp;
-              Int_heap.add t.heap d' v
-            end
-          end
-        done
-      end
-    done
-  end
+  for qi = 0 to count - 1 do
+    let x = t.queue.(qi) in
+    if t.settled.(x) <> stamp then t.dist.(x) <- infinity
+  done
 
 let create g ~source =
   let n = Graph.node_count g in
@@ -176,7 +171,15 @@ let create g ~source =
       touched = 0;
     }
   in
-  recompute t;
+  (* Creation is a repair of the whole graph from the source: every node
+     is orphaned and the source is the one seed. *)
+  t.stamp <- 1;
+  for v = 0 to n - 1 do
+    t.mark.(v) <- 1;
+    t.queue.(v) <- v
+  done;
+  seed t source 0.0 (-1) (-1);
+  settle t n;
   t
 
 (* -- Queries ------------------------------------------------------------- *)
@@ -232,51 +235,9 @@ let resettle t count =
         end
       end
     done;
-    if !best < infinity then begin
-      t.cand_d.(x) <- !best;
-      t.cand_p.(x) <- !best_p;
-      t.cand_e.(x) <- !best_e;
-      t.cand_stamp.(x) <- stamp;
-      Int_heap.add t.heap !best x
-    end
+    if !best < infinity then seed t x !best !best_p !best_e
   done;
-  while not (Int_heap.is_empty t.heap) do
-    let d = Int_heap.top_prio t.heap in
-    let x = Int_heap.top t.heap in
-    Int_heap.drop t.heap;
-    if t.settled.(x) <> stamp && d <= t.cand_d.(x) then begin
-      t.settled.(x) <- stamp;
-      t.dist.(x) <- t.cand_d.(x);
-      t.parent.(x) <- t.cand_p.(x);
-      t.parent_edge.(x) <- t.cand_e.(x);
-      link t t.parent.(x) x;
-      let stop = t.offsets.(x + 1) in
-      for i = t.offsets.(x) to stop - 1 do
-        let y = t.nbr.(i) in
-        let eid = t.eids.(i) in
-        if
-          (not t.edge_dead.(eid))
-          && (not t.node_dead.(y))
-          && t.mark.(y) = stamp
-          && t.settled.(y) <> stamp
-        then begin
-          let d' = t.dist.(x) +. t.delay.(eid) in
-          if t.cand_stamp.(y) <> stamp || d' < t.cand_d.(y) then begin
-            t.cand_d.(y) <- d';
-            t.cand_p.(y) <- x;
-            t.cand_e.(y) <- eid;
-            t.cand_stamp.(y) <- stamp;
-            Int_heap.add t.heap d' y
-          end
-        end
-      done
-    end
-  done;
-  (* Orphans no boundary path could reach fall off the tree. *)
-  for qi = 0 to count - 1 do
-    let x = t.queue.(qi) in
-    if t.settled.(x) <> stamp then t.dist.(x) <- infinity
-  done
+  settle t count
 
 (* Orphan the subtrees rooted at [roots] and repair them.  Each root is
    unlinked from its (dead or surviving) parent; the whole affected set has
@@ -351,13 +312,6 @@ let grow t =
       done
     end
   done
-
-let seed t v d p e =
-  t.cand_d.(v) <- d;
-  t.cand_p.(v) <- p;
-  t.cand_e.(v) <- e;
-  t.cand_stamp.(v) <- t.stamp;
-  Int_heap.add t.heap d v
 
 let grow_through_edge t eid =
   let e = Graph.edge t.g eid in

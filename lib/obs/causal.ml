@@ -1,18 +1,21 @@
 (* Causal recovery-episode analyzer.
 
-   Three parts:
+   Four parts:
 
-   - [tracker]: live milestone bookkeeping for one protocol run (failure →
-     detected → signalled → installed → first data), moved here from
-     Timeline so the timeline module is a pure projection of these
-     episodes. Guards are load-bearing: first detection wins, milestones
-     only move on an open episode, a re-install only counts after a newer
-     signalling attempt.
+   - the milestone rules ([advance]), one copy for the tracker and the stitcher:
+     a detection under a failure root opens an episode, signalling
+     attempts are counted, the first installation of the latest attempt
+     is kept, and first data is recorded.
+
+   - [tracker]: live episode bookkeeping for one protocol run, fed by
+     {!milestone} as the protocol writes each milestone to its flight
+     ring.  It keeps one episode per member per run: the first detection
+     after the run's failure opens it, and nothing re-opens it.
 
    - [of_records]: post-mortem stitching of decoded {!Flight} records into
-     failure-rooted causal chains. Unlike the live tracker it supports
-     multiple failure roots (a member restored under root N can open a new
-     episode under root N+1) and folds `lib/check` violation records into
+     failure-rooted causal chains.  It closes an episode at first data, so
+     any later detection of the member opens a fresh one (under the
+     latest failure root), and it folds `lib/check` violation records into
      the episode stream, attributing each to a recovery phase.
 
    - [to_chrome]: the one Chrome trace_event export, a projection of a
@@ -50,83 +53,93 @@ let phase_durations e =
 
 let total e = delta (Some e.failure_at) e.first_data_at
 
-(* -- Live tracker (formerly Timeline.recorder) --------------------------- *)
+(* -- Milestone rules ------------------------------------------------------ *)
 
+(* One member's episode under construction. *)
 type cell = {
-  mutable detected : float option;
+  failure : float;
+  detected : float;
   mutable signalled : float option;
   mutable installed : float option;
   mutable first_data : float option;
   mutable attempts : int;
 }
 
-type tracker = { mutable failure_at : float option; tbl : (int, cell) Hashtbl.t }
+(* The milestone rules over the episodes [cells] holds, by member.  A
+   detection under a failure [root] opens an episode for a member [cells]
+   has none for.  On an episode without first data, a signalling attempt
+   counts, an installation is kept when it is the first of the latest
+   attempt (periodic join refreshes re-confirm state at the merge node and
+   must not push the milestone forward), and first data is recorded.  What
+   becomes of an episode after first data is the caller's lifecycle. *)
+let advance cells ~root ~code ~member ~ts =
+  if code = Flight.proto_detected then begin
+    match root with
+    | Some failure when not (Hashtbl.mem cells member) ->
+        Hashtbl.add cells member
+          {
+            failure;
+            detected = ts;
+            signalled = None;
+            installed = None;
+            first_data = None;
+            attempts = 0;
+          }
+    | _ -> ()
+  end
+  else
+    match Hashtbl.find_opt cells member with
+    | Some c when c.first_data = None ->
+        if code = Flight.proto_signal then begin
+          c.signalled <- Some ts;
+          c.attempts <- c.attempts + 1
+        end
+        else if code = Flight.proto_installed then begin
+          match (c.installed, c.signalled) with
+          | None, _ -> c.installed <- Some ts
+          | Some inst, Some s when s > inst -> c.installed <- Some ts
+          | _ -> ()
+        end
+        else if code = Flight.proto_first_data then c.first_data <- Some ts
+    | _ -> ()
 
-let create () = { failure_at = None; tbl = Hashtbl.create 8 }
-
-let note_failure r ~ts = if r.failure_at = None then r.failure_at <- Some ts
-
-let open_cell r member =
-  match Hashtbl.find_opt r.tbl member with
-  | Some c when c.first_data = None -> Some c
-  | _ -> None
-
-let note_detected r ~member ~ts =
-  if r.failure_at <> None && not (Hashtbl.mem r.tbl member) then
-    Hashtbl.add r.tbl member
-      { detected = Some ts; signalled = None; installed = None; first_data = None; attempts = 0 }
-
-let note_signalled r ~member ~ts =
-  match open_cell r member with
-  | Some c ->
-      c.signalled <- Some ts;
-      c.attempts <- c.attempts + 1
-  | None -> ()
-
-let note_installed r ~member ~ts =
-  match open_cell r member with
-  | Some c -> begin
-      (* Keep the first installation of the latest signalling attempt:
-         periodic join refreshes re-confirm state at the merge node and
-         must not push the milestone forward. *)
-      match (c.installed, c.signalled) with
-      | None, _ -> c.installed <- Some ts
-      | Some inst, Some s when s > inst -> c.installed <- Some ts
-      | _ -> ()
-    end
-  | None -> ()
-
-let note_first_data r ~member ~ts =
-  match open_cell r member with Some c -> c.first_data <- Some ts | None -> ()
-
-let freeze failure_at member (c : cell) =
+let freeze member c =
   {
     member;
-    failure_at;
-    detected_at = c.detected;
+    failure_at = c.failure;
+    detected_at = Some c.detected;
     signalled_at = c.signalled;
     installed_at = c.installed;
     first_data_at = c.first_data;
     attempts = c.attempts;
   }
 
-let episode r member =
-  match r.failure_at with
-  | None -> None
-  | Some failure_at -> Option.map (freeze failure_at member) (Hashtbl.find_opt r.tbl member)
+(* -- Live tracker --------------------------------------------------------- *)
+
+(* The run's first failure roots every episode; a member's episode stays
+   in [cells] after first data, so it is never re-opened. *)
+type tracker = { mutable root : float option; cells : (int, cell) Hashtbl.t }
+
+let create () = { root = None; cells = Hashtbl.create 8 }
+
+let milestone r flight ~tick ~ts ~code ~a ~b =
+  Flight.record flight ~tick ~code ~a ~b;
+  if code = Flight.proto_failure then (if r.root = None then r.root <- Some ts)
+  else advance r.cells ~root:r.root ~code ~member:a ~ts
+
+let episode r member = Option.map (freeze member) (Hashtbl.find_opt r.cells member)
 
 let episodes r =
-  match r.failure_at with
-  | None -> []
-  | Some failure_at ->
-      Hashtbl.fold (fun member c acc -> freeze failure_at member c :: acc) r.tbl []
-      |> List.sort (fun a b -> compare a.member b.member)
+  Hashtbl.fold (fun member c acc -> freeze member c :: acc) r.cells []
+  |> List.sort (fun a b -> compare a.member b.member)
 
 (* Queries used by Protocol in place of its former per-member float arrays. *)
 
-let disrupted r member = open_cell r member <> None
-let detected_at r member = Option.bind (Hashtbl.find_opt r.tbl member) (fun c -> c.detected)
-let restored_at r member = Option.bind (Hashtbl.find_opt r.tbl member) (fun c -> c.first_data)
+let disrupted r member =
+  match Hashtbl.find_opt r.cells member with Some c -> c.first_data = None | None -> false
+
+let detected_at r member = Option.map (fun c -> c.detected) (Hashtbl.find_opt r.cells member)
+let restored_at r member = Option.bind (Hashtbl.find_opt r.cells member) (fun c -> c.first_data)
 
 (* -- Oracle table -------------------------------------------------------- *)
 
@@ -201,33 +214,11 @@ type analysis = {
   a_span : (int * int) option; (* min/max tick seen *)
 }
 
-(* Chain under construction during stitching. *)
-type chain = {
-  ch_member : int;
-  ch_failure : float;
-  mutable ch_detected : float option;
-  mutable ch_signalled : float option;
-  mutable ch_installed : float option;
-  mutable ch_first_data : float option;
-  mutable ch_attempts : int;
-}
-
-let freeze_chain ch =
-  {
-    member = ch.ch_member;
-    failure_at = ch.ch_failure;
-    detected_at = ch.ch_detected;
-    signalled_at = ch.ch_signalled;
-    installed_at = ch.ch_installed;
-    first_data_at = ch.ch_first_data;
-    attempts = ch.ch_attempts;
-  }
-
 let of_records ?(dropped = 0) records =
   let records = List.sort Flight.order records in
   let seconds tick = float_of_int tick /. ticks_per_second in
   let root = ref None in
-  let open_chains : (int, chain) Hashtbl.t = Hashtbl.create 8 in
+  let open_cells : (int, cell) Hashtbl.t = Hashtbl.create 8 in
   let closed = ref [] in
   let violations = ref [] in
   let counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -248,47 +239,19 @@ let of_records ?(dropped = 0) records =
           | Some (lo, hi) -> (min lo tick, max hi tick));
       let ts = seconds tick in
       if code = Flight.proto_failure then root := Some ts
-      else if code = Flight.proto_detected then begin
-        match !root with
-        | Some failure when not (Hashtbl.mem open_chains r.Flight.d_a) ->
-            Hashtbl.add open_chains r.Flight.d_a
-              {
-                ch_member = r.Flight.d_a;
-                ch_failure = failure;
-                ch_detected = Some ts;
-                ch_signalled = None;
-                ch_installed = None;
-                ch_first_data = None;
-                ch_attempts = 0;
-              }
+      else if
+        code = Flight.proto_detected || code = Flight.proto_signal
+        || code = Flight.proto_installed || code = Flight.proto_first_data
+      then begin
+        let member = r.Flight.d_a in
+        advance open_cells ~root:!root ~code ~member ~ts;
+        (* Close the episode at first data: a later detection re-opens the
+           member with a fresh one. *)
+        match Hashtbl.find_opt open_cells member with
+        | Some c when c.first_data <> None ->
+            Hashtbl.remove open_cells member;
+            closed := freeze member c :: !closed
         | _ -> ()
-      end
-      else if code = Flight.proto_signal then begin
-        match Hashtbl.find_opt open_chains r.Flight.d_a with
-        | Some ch ->
-            ch.ch_signalled <- Some ts;
-            ch.ch_attempts <- ch.ch_attempts + 1
-        | None -> ()
-      end
-      else if code = Flight.proto_installed then begin
-        match Hashtbl.find_opt open_chains r.Flight.d_a with
-        | Some ch -> begin
-            match (ch.ch_installed, ch.ch_signalled) with
-            | None, _ -> ch.ch_installed <- Some ts
-            | Some inst, Some s when s > inst -> ch.ch_installed <- Some ts
-            | _ -> ()
-          end
-        | None -> ()
-      end
-      else if code = Flight.proto_first_data then begin
-        match Hashtbl.find_opt open_chains r.Flight.d_a with
-        | Some ch ->
-            ch.ch_first_data <- Some ts;
-            (* Close the episode: a later failure root may re-open this
-               member with a fresh chain. *)
-            Hashtbl.remove open_chains r.Flight.d_a;
-            closed := freeze_chain ch :: !closed
-        | None -> ()
       end
       else if code = Flight.net_send then incr messages
       else if code = Flight.net_drop_send || code = Flight.net_drop_flight then incr drops
@@ -309,7 +272,7 @@ let of_records ?(dropped = 0) records =
       end)
     records;
   let episodes =
-    Hashtbl.fold (fun _ ch acc -> freeze_chain ch :: acc) open_chains !closed
+    Hashtbl.fold (fun member c acc -> freeze member c :: acc) open_cells !closed
     |> List.sort (fun (a : episode) (b : episode) ->
            let c = compare a.failure_at b.failure_at in
            if c <> 0 then c else compare a.member b.member)

@@ -1,10 +1,19 @@
 (** Causal recovery-episode analyzer.
 
-    Owns the recovery-episode record and the live milestone tracker
-    (formerly [Timeline.recorder] — {!Timeline} is now a projection of
-    these episodes), a post-mortem stitcher that rebuilds failure-rooted
-    causal chains from decoded {!Flight} records, and the Chrome trace
-    export of those records. *)
+    Owns the recovery-episode record ({!Timeline} is a projection of these
+    episodes), the milestone rules, and the two episode views that apply them:
+    the live tracker a protocol run feeds through {!milestone}, and a
+    post-mortem stitcher that rebuilds failure-rooted causal chains from
+    decoded {!Flight} records.  Also the Chrome trace export of those
+    records.
+
+    The rules: a detection after a failure opens an episode, each
+    signalling attempt counts, the first installation of the latest
+    attempt is kept, and first data is recorded.  The two differ
+    only in an episode's lifecycle: the tracker keeps one episode per
+    member per run and never re-opens it, while the stitcher closes an
+    episode at first data, so a later detection of the member opens a
+    fresh one. *)
 
 type episode = {
   member : int;
@@ -29,11 +38,18 @@ val total : episode -> float option
 type tracker
 
 val create : unit -> tracker
-val note_failure : tracker -> ts:float -> unit
-val note_detected : tracker -> member:int -> ts:float -> unit
-val note_signalled : tracker -> member:int -> ts:float -> unit
-val note_installed : tracker -> member:int -> ts:float -> unit
-val note_first_data : tracker -> member:int -> ts:float -> unit
+
+val milestone :
+  tracker -> Flight.recorder -> tick:int -> ts:float -> code:int -> a:int -> b:int -> unit
+(** Write one recovery milestone: the record [(tick, code, a, b)] to the
+    flight ring, and the milestone, at simulated time [ts], to the
+    tracker.  [code] is {!Flight.proto_failure} ([a] the failed link; the
+    run's first failure roots every episode), or one of
+    {!Flight.proto_detected}, {!Flight.proto_signal},
+    {!Flight.proto_installed} and {!Flight.proto_first_data} ([a] the
+    member).  A milestone before the failure, or on a member whose
+    episode saw first data, is recorded but changes no episode. *)
+
 val episode : tracker -> int -> episode option
 val episodes : tracker -> episode list
 
@@ -76,10 +92,11 @@ type analysis = {
 }
 
 val of_records : ?dropped:int -> Flight.decoded list -> analysis
-(** Stitch a decoded record stream into failure-rooted episodes. Supports
-    multiple failure roots: a member restored under one root can open a
-    fresh episode under the next. Exec-level records (event-index ticks)
-    root episodes and attribute violations to phases. *)
+(** Stitch a decoded record stream into failure-rooted episodes under the
+    tracker's milestone rules.  An episode closes at first data: any later
+    detection of the member opens a fresh one, rooted at the latest
+    failure record.  Exec-level records (event-index ticks) root episodes
+    and attribute violations to phases. *)
 
 val render : analysis -> string
 (** Human-readable summary: record counts, per-episode critical-path

@@ -51,9 +51,9 @@ let default_config =
 
 (* Wire messages are packed ints: the low 3 bits are the type tag, the rest
    is either an immediate payload (data sequence number) or a slot index
-   into a side pool holding the variable-length part (join / query paths).
-   Hot-path messages (hello, refresh, prune, data) carry no pool slot, so
-   sending them allocates nothing at all. *)
+   into the payload pool holding the variable-length part (join / query /
+   response paths).  Hot-path messages (hello, refresh, prune, data) carry
+   no pool slot, so sending them allocates nothing at all. *)
 type msg = int
 
 let tag_hello = 0
@@ -63,6 +63,8 @@ let tag_data = 3
 let tag_join = 4
 let tag_query = 5
 let tag_resp = 6
+
+let n_tags = 7
 
 let msg_hello = tag_hello
 let msg_refresh = tag_refresh
@@ -79,15 +81,10 @@ type member_report = {
   data_received : int;
 }
 
-(* Pre-resolved instruments (message counters by type, recovery-phase
+(* Pre-resolved instruments (message counters by tag, recovery-phase
    sketches) so the hot send path pays one increment when metrics are on. *)
 type meters = {
-  p_hello : Metrics.Counter.t;
-  p_query : Metrics.Counter.t;
-  p_join : Metrics.Counter.t;
-  p_refresh : Metrics.Counter.t;
-  p_prune : Metrics.Counter.t;
-  p_data : Metrics.Counter.t;
+  p_sent : Metrics.Counter.t array; (* by tag; a response counts as a query *)
   (* Per-episode recovery latency (detection -> first data) and its
      per-phase breakdown. *)
   q_phase : (Timeline.phase * Smrp_obs.Sketch.t) list;
@@ -121,13 +118,7 @@ type t = {
   mutable tree : Tree.t;
   mutable failure : Failure.t option;
   mutable failure_time : float;
-  mutable control_sent : int;
-  mutable data_sent : int;
-  mutable hello_sent : int;
-  mutable query_sent : int;
-  mutable join_sent : int;
-  mutable refresh_sent : int;
-  mutable prune_sent : int;
+  sent : int array; (* messages sent, by tag *)
   mutable next_seq : int;
   mutable disrupted_now : int; (* members detected-but-not-yet-restored *)
   (* node columns *)
@@ -154,25 +145,20 @@ type t = {
   (* last hello arrival per directed edge endpoint: index 2*eid + side,
      side 0 = the edge's [u] endpoint heard it *)
   hello_seen : float array;
-  (* side pools for variable-length message payloads *)
-  mutable j_req : int array;
-  mutable j_path : int array array;
-  mutable j_plen : int array;
-  mutable j_idx : int array;
-  mutable j_next : int array;
-  mutable j_free : int;
-  mutable q_req : int array;
-  mutable q_path : int array array;
-  mutable q_plen : int array;
-  mutable q_next : int array;
-  mutable q_free : int;
-  mutable r_shr : int array;
-  mutable r_delay : float array;
-  mutable r_path : int array array;
-  mutable r_plen : int array;
-  mutable r_back : int array;
-  mutable r_next : int array;
-  mutable r_free : int;
+  (* The payload pool: one slot per in-flight join, query or response.
+     A join walks its path (the hops after the first) forward, [p_idx] the
+     next hop; a query extends its path (the nodes it traversed) as it is
+     forwarded; a response walks its path (requester .. merge) back,
+     [p_idx] the next hop down, and carries the merge node's SHR and tree
+     delay. *)
+  mutable p_req : int array; (* requester *)
+  mutable p_path : int array array;
+  mutable p_plen : int array;
+  mutable p_idx : int array;
+  mutable p_shr : int array;
+  mutable p_delay : float array;
+  mutable p_next : int array; (* free chain *)
+  mutable p_free : int;
   causal : Causal.tracker;
   flight : Flight.recorder; (* the engine's ring; milestone records *)
   meters : meters option;
@@ -194,7 +180,7 @@ let msg_label (m : msg) =
   | 5 -> "query"
   | _ -> "query_resp"
 
-(* -- Payload pools ------------------------------------------------------- *)
+(* -- Payload pool -------------------------------------------------------- *)
 
 (* Each pool slot owns a reusable path buffer; [ensure] grows it without
    preserving contents (callers overwrite), [ensure_keep] preserves for
@@ -209,96 +195,42 @@ let ensure_keep paths s n =
     paths.(s) <- na
   end
 
-let alloc_join t =
-  if t.j_free = -1 then begin
-    let cap = Array.length t.j_req in
-    t.j_req <- Array.append t.j_req (Array.make cap 0);
-    t.j_path <- Array.append t.j_path (Array.make cap [||]);
-    t.j_plen <- Array.append t.j_plen (Array.make cap 0);
-    t.j_idx <- Array.append t.j_idx (Array.make cap 0);
-    t.j_next <- Array.append t.j_next (free_chain cap cap);
-    t.j_free <- cap
+let alloc t =
+  if t.p_free = -1 then begin
+    let cap = Array.length t.p_req in
+    t.p_req <- Array.append t.p_req (Array.make cap 0);
+    t.p_path <- Array.append t.p_path (Array.make cap [||]);
+    t.p_plen <- Array.append t.p_plen (Array.make cap 0);
+    t.p_idx <- Array.append t.p_idx (Array.make cap 0);
+    t.p_shr <- Array.append t.p_shr (Array.make cap 0);
+    t.p_delay <- Array.append t.p_delay (Array.make cap 0.0);
+    t.p_next <- Array.append t.p_next (free_chain cap cap);
+    t.p_free <- cap
   end;
-  let s = t.j_free in
-  t.j_free <- t.j_next.(s);
+  let s = t.p_free in
+  t.p_free <- t.p_next.(s);
   s
 
-let[@inline] free_join t s =
-  t.j_next.(s) <- t.j_free;
-  t.j_free <- s
-
-let alloc_query t =
-  if t.q_free = -1 then begin
-    let cap = Array.length t.q_req in
-    t.q_req <- Array.append t.q_req (Array.make cap 0);
-    t.q_path <- Array.append t.q_path (Array.make cap [||]);
-    t.q_plen <- Array.append t.q_plen (Array.make cap 0);
-    t.q_next <- Array.append t.q_next (free_chain cap cap);
-    t.q_free <- cap
-  end;
-  let s = t.q_free in
-  t.q_free <- t.q_next.(s);
-  s
-
-let[@inline] free_query t s =
-  t.q_next.(s) <- t.q_free;
-  t.q_free <- s
-
-let alloc_resp t =
-  if t.r_free = -1 then begin
-    let cap = Array.length t.r_shr in
-    t.r_shr <- Array.append t.r_shr (Array.make cap 0);
-    t.r_delay <- Array.append t.r_delay (Array.make cap 0.0);
-    t.r_path <- Array.append t.r_path (Array.make cap [||]);
-    t.r_plen <- Array.append t.r_plen (Array.make cap 0);
-    t.r_back <- Array.append t.r_back (Array.make cap 0);
-    t.r_next <- Array.append t.r_next (free_chain cap cap);
-    t.r_free <- cap
-  end;
-  let s = t.r_free in
-  t.r_free <- t.r_next.(s);
-  s
-
-let[@inline] free_resp t s =
-  t.r_next.(s) <- t.r_free;
-  t.r_free <- s
+let[@inline] free t s =
+  t.p_next.(s) <- t.p_free;
+  t.p_free <- s
 
 (* A slot-carrying frame that will never be delivered must still return its
    pool slot; Net calls this for every dropped frame. *)
-let reclaim t m =
-  let slot = m asr 3 in
-  match m land 7 with
-  | 4 -> free_join t slot
-  | 5 -> free_query t slot
-  | 6 -> free_resp t slot
-  | _ -> ()
+let reclaim t m = if m land 7 >= tag_join then free t (m asr 3)
 
 (* -- Sending ------------------------------------------------------------- *)
 
 let send t ~src ~dst m =
   let tag = m land 7 in
-  if tag = tag_data then t.data_sent <- t.data_sent + 1
-  else begin
-    t.control_sent <- t.control_sent + 1;
-    match tag with
-    | 0 -> t.hello_sent <- t.hello_sent + 1
-    | 5 | 6 -> t.query_sent <- t.query_sent + 1
-    | 4 -> t.join_sent <- t.join_sent + 1
-    | 1 -> t.refresh_sent <- t.refresh_sent + 1
-    | _ -> t.prune_sent <- t.prune_sent + 1
-  end;
-  (match t.meters with
-  | Some mt ->
-      Metrics.Counter.incr
-        (match tag with
-        | 3 -> mt.p_data
-        | 0 -> mt.p_hello
-        | 5 | 6 -> mt.p_query
-        | 4 -> mt.p_join
-        | 1 -> mt.p_refresh
-        | _ -> mt.p_prune)
-  | None -> ());
+  t.sent.(tag) <- t.sent.(tag) + 1;
+  (match t.meters with Some mt -> Metrics.Counter.incr mt.p_sent.(tag) | None -> ());
   ignore (Net.send (net t) ~src ~dst m : bool)
+
+(* Write a recovery milestone to the flight ring and the episode tracker. *)
+let milestone t ~code ~a ~b =
+  let now = Engine.now t.engine in
+  Causal.milestone t.causal t.flight ~tick:(Engine.tick_of_time now) ~ts:now ~code ~a ~b
 
 (* Distributed on-tree test: the node believes it has an upstream. *)
 let[@inline] dist_on_tree t v = v = t.source || t.n_parent.(v) >= 0
@@ -377,9 +309,7 @@ let handle_data t ~at ~from seq =
     if Causal.disrupted t.causal at then begin
       t.n_recovering.(at) <- false;
       t.disrupted_now <- t.disrupted_now - 1;
-      Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_first_data
-        ~a:at ~b:0;
-      Causal.note_first_data t.causal ~member:at ~ts:now;
+      milestone t ~code:Flight.proto_first_data ~a:at ~b:0;
       (match t.meters with
       | Some m -> Smrp_obs.Series.observe m.s_disrupted ~ts:now (float_of_int t.disrupted_now)
       | None -> ());
@@ -409,15 +339,13 @@ let handle_data t ~at ~from seq =
 let handle_join t ~at ~from slot =
   let now = Engine.now t.engine in
   child_refresh t at from (now +. hold_time);
-  let idx = t.j_idx.(slot) in
-  if idx >= t.j_plen.(slot) then begin
+  let idx = t.p_idx.(slot) in
+  if idx >= t.p_plen.(slot) then begin
     (* We are the merge node: the requester's forwarding state is now
        installed along the whole attach path. *)
-    let requester = t.j_req.(slot) in
-    free_join t slot;
-    Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_installed
-      ~a:requester ~b:at;
-    Causal.note_installed t.causal ~member:requester ~ts:now
+    let requester = t.p_req.(slot) in
+    free t slot;
+    milestone t ~code:Flight.proto_installed ~a:requester ~b:at
   end
   else begin
     (* Forward when we have no upstream — or when our upstream is stale (no
@@ -427,67 +355,67 @@ let handle_join t ~at ~from slot =
       now -. t.n_last_data.(at) > starvation_factor *. data_period
     in
     if (not (dist_on_tree t at)) || (at <> t.source && starving) then begin
-      let next = t.j_path.(slot).(idx) in
+      let next = t.p_path.(slot).(idx) in
       t.n_parent.(at) <- next;
-      t.j_idx.(slot) <- idx + 1;
+      t.p_idx.(slot) <- idx + 1;
       send t ~src:at ~dst:next (msg_join slot)
     end
-    else free_join t slot
+    else free t slot
   end
 
 let handle_query t ~at slot =
-  let requester = t.q_req.(slot) in
-  let path = t.q_path.(slot) in
-  let plen = t.q_plen.(slot) in
+  let requester = t.p_req.(slot) in
+  let path = t.p_path.(slot) in
+  let plen = t.p_plen.(slot) in
   let on_path v =
     let rec go i = i < plen && (path.(i) = v || go (i + 1)) in
     go 0
   in
-  if at = requester || on_path at then free_query t slot
+  if at = requester || on_path at then free t slot
   else if dist_on_tree t at && Tree.is_on_tree t.tree at then begin
     (* First on-tree node met: answer with the (deferred, 3.3.2) SHR and
        route the response back along the traversed path. *)
-    let r = alloc_resp t in
-    t.r_shr.(r) <- Tree.shr t.tree at;
-    t.r_delay.(r) <- Tree.delay_to_source t.tree at;
-    ensure t.r_path r (plen + 1);
-    Array.blit path 0 t.r_path.(r) 0 plen;
-    t.r_path.(r).(plen) <- at;
-    t.r_plen.(r) <- plen + 1;
+    let r = alloc t in
+    t.p_shr.(r) <- Tree.shr t.tree at;
+    t.p_delay.(r) <- Tree.delay_to_source t.tree at;
+    ensure t.p_path r (plen + 1);
+    Array.blit path 0 t.p_path.(r) 0 plen;
+    t.p_path.(r).(plen) <- at;
+    t.p_plen.(r) <- plen + 1;
     (* Walk back down the recorded path: first hop is the last traversed
        node, then indices plen-2 .. 0 (the requester records). *)
-    t.r_back.(r) <- plen - 2;
+    t.p_idx.(r) <- plen - 2;
     let back_first = path.(plen - 1) in
-    free_query t slot;
+    free t slot;
     send t ~src:at ~dst:back_first (msg_resp r)
   end
   else begin
     (* Forward along our unicast next hop towards the source. *)
     match Dijkstra.shortest_path ~workspace:t.ws t.graph ~src:at ~dst:t.source ~lower:t.routes with
     | Some (_, _ :: next :: _, _) when (not (on_path next)) && next <> requester ->
-        ensure_keep t.q_path slot (plen + 1);
-        t.q_path.(slot).(plen) <- at;
-        t.q_plen.(slot) <- plen + 1;
+        ensure_keep t.p_path slot (plen + 1);
+        t.p_path.(slot).(plen) <- at;
+        t.p_plen.(slot) <- plen + 1;
         send t ~src:at ~dst:next (msg_query slot)
-    | _ -> free_query t slot
+    | _ -> free t slot
   end
 
 let handle_resp t ~at slot =
-  let back = t.r_back.(slot) in
+  let back = t.p_idx.(slot) in
   if back >= 0 then begin
-    let next = t.r_path.(slot).(back) in
-    t.r_back.(slot) <- back - 1;
+    let next = t.p_path.(slot).(back) in
+    t.p_idx.(slot) <- back - 1;
     send t ~src:at ~dst:next (msg_resp slot)
   end
   else begin
     (* We are the requester: record the answer for the pending selection.
        Cold path — materializing a list here is fine. *)
     let path = ref [] in
-    for i = t.r_plen.(slot) - 1 downto 0 do
-      path := t.r_path.(slot).(i) :: !path
+    for i = t.p_plen.(slot) - 1 downto 0 do
+      path := t.p_path.(slot).(i) :: !path
     done;
-    t.n_responses.(at) <- (t.r_shr.(slot), t.r_delay.(slot), !path) :: t.n_responses.(at);
-    free_resp t slot
+    t.n_responses.(at) <- (t.p_shr.(slot), t.p_delay.(slot), !path) :: t.n_responses.(at);
+    free t slot
   end
 
 let handle t ~at ~from ~eid m =
@@ -510,12 +438,10 @@ let create ?(config = default_config) engine graph ~source =
     Option.map
       (fun m ->
         {
-          p_hello = Metrics.counter m "proto.sent.hello";
-          p_query = Metrics.counter m "proto.sent.query";
-          p_join = Metrics.counter m "proto.sent.join_req";
-          p_refresh = Metrics.counter m "proto.sent.refresh";
-          p_prune = Metrics.counter m "proto.sent.prune";
-          p_data = Metrics.counter m "proto.sent.data";
+          p_sent =
+            Array.map
+              (fun name -> Metrics.counter m ("proto.sent." ^ name))
+              [| "hello"; "refresh"; "prune"; "data"; "join_req"; "query"; "query" |];
           q_phase =
             List.map
               (fun p ->
@@ -548,13 +474,7 @@ let create ?(config = default_config) engine graph ~source =
       tree;
       failure = None;
       failure_time = nan;
-      control_sent = 0;
-      data_sent = 0;
-      hello_sent = 0;
-      query_sent = 0;
-      join_sent = 0;
-      refresh_sent = 0;
-      prune_sent = 0;
+      sent = Array.make n_tags 0;
       next_seq = 0;
       disrupted_now = 0;
       n_member = Array.make n false;
@@ -571,24 +491,14 @@ let create ?(config = default_config) engine graph ~source =
       at_path = Array.make n [||];
       at_len = Array.make n 0;
       hello_seen = Array.make (2 * Graph.edge_count graph) neg_infinity;
-      j_req = Array.make pool0 0;
-      j_path = Array.make pool0 [||];
-      j_plen = Array.make pool0 0;
-      j_idx = Array.make pool0 0;
-      j_next = free_chain pool0 0;
-      j_free = 0;
-      q_req = Array.make pool0 0;
-      q_path = Array.make pool0 [||];
-      q_plen = Array.make pool0 0;
-      q_next = free_chain pool0 0;
-      q_free = 0;
-      r_shr = Array.make pool0 0;
-      r_delay = Array.make pool0 0.0;
-      r_path = Array.make pool0 [||];
-      r_plen = Array.make pool0 0;
-      r_back = Array.make pool0 0;
-      r_next = free_chain pool0 0;
-      r_free = 0;
+      p_req = Array.make pool0 0;
+      p_path = Array.make pool0 [||];
+      p_plen = Array.make pool0 0;
+      p_idx = Array.make pool0 0;
+      p_shr = Array.make pool0 0;
+      p_delay = Array.make pool0 0.0;
+      p_next = free_chain pool0 0;
+      p_free = 0;
       causal = Causal.create ();
       flight = Engine.flight engine;
       meters;
@@ -611,37 +521,30 @@ let set_attach t v hops =
 (* Allocate a join slot carrying [remaining] (the hops after the first
    destination). *)
 let join_slot_of_list t ~requester remaining =
-  let s = alloc_join t in
+  let s = alloc t in
   let len = List.length remaining in
-  t.j_req.(s) <- requester;
-  ensure t.j_path s len;
-  List.iteri (fun i h -> t.j_path.(s).(i) <- h) remaining;
-  t.j_plen.(s) <- len;
-  t.j_idx.(s) <- 0;
+  t.p_req.(s) <- requester;
+  ensure t.p_path s len;
+  List.iteri (fun i h -> t.p_path.(s).(i) <- h) remaining;
+  t.p_plen.(s) <- len;
+  t.p_idx.(s) <- 0;
   s
 
 (* Issue a Join_req along an attach path given merge-node-first (as the core
    library produces them). *)
 let signal_join t ~requester ~attach_nodes =
-  let now = Engine.now t.engine in
   match List.rev attach_nodes with
   | [] | [ _ ] ->
       (* Already attached: nothing to signal, the "installation" is
          instantaneous for the recovery timeline. *)
-      Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_signal
-        ~a:requester ~b:0;
-      Causal.note_signalled t.causal ~member:requester ~ts:now;
-      Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_installed
-        ~a:requester ~b:requester;
-      Causal.note_installed t.causal ~member:requester ~ts:now
+      milestone t ~code:Flight.proto_signal ~a:requester ~b:0;
+      milestone t ~code:Flight.proto_installed ~a:requester ~b:requester
   | me :: next :: rest ->
       assert (me = requester);
       if t.n_parent.(requester) < 0 && requester <> t.source then
         t.n_parent.(requester) <- next;
       set_attach t requester (next :: rest);
-      Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_signal
-        ~a:requester ~b:(List.length rest + 1);
-      Causal.note_signalled t.causal ~member:requester ~ts:now;
+      milestone t ~code:Flight.proto_signal ~a:requester ~b:(List.length rest + 1);
       send t ~src:requester ~dst:next (msg_join (join_slot_of_list t ~requester rest))
 
 (* Full-knowledge path selection (§3.2.2): min-SHR for SMRP, unicast
@@ -743,11 +646,11 @@ let join t m =
         t.n_responses.(m) <- [];
         List.iter
           (fun (nb, _) ->
-            let s = alloc_query t in
-            t.q_req.(s) <- m;
-            ensure t.q_path s 1;
-            t.q_path.(s).(0) <- m;
-            t.q_plen.(s) <- 1;
+            let s = alloc t in
+            t.p_req.(s) <- m;
+            ensure t.p_path s 1;
+            t.p_path.(s).(0) <- m;
+            t.p_plen.(s) <- 1;
             send t ~src:m ~dst:nb (msg_query s))
           (Graph.neighbors t.graph m);
         Engine.schedule t.engine ~delay:query_timeout (fun () ->
@@ -827,9 +730,7 @@ let declare_disrupted t m =
       | Some mt -> Smrp_obs.Series.observe mt.s_disrupted ~ts:now (float_of_int t.disrupted_now)
       | None -> ()
     end;
-    Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_detected ~a:m
-      ~b:0;
-    Causal.note_detected t.causal ~member:m ~ts:now;
+    milestone t ~code:Flight.proto_detected ~a:m ~b:0;
     match t.config.strategy with
     | Local -> recover_member t m
     | Global ->
@@ -863,13 +764,13 @@ let start t =
         if p >= 0 then send t ~src:v ~dst:p msg_refresh;
         if t.n_member.(v) && t.at_len.(v) > 0 then begin
           let next = t.at_path.(v).(0) in
-          let s = alloc_join t in
+          let s = alloc t in
           let len = t.at_len.(v) - 1 in
-          t.j_req.(s) <- v;
-          ensure t.j_path s len;
-          Array.blit t.at_path.(v) 1 t.j_path.(s) 0 len;
-          t.j_plen.(s) <- len;
-          t.j_idx.(s) <- 0;
+          t.p_req.(s) <- v;
+          ensure t.p_path s len;
+          Array.blit t.at_path.(v) 1 t.p_path.(s) 0 len;
+          t.p_plen.(s) <- len;
+          t.p_idx.(s) <- 0;
           send t ~src:v ~dst:next (msg_join s)
         end
       done);
@@ -927,9 +828,7 @@ let inject_link_failure t eid =
   (* Joins from now on read post-failure distances, as [Session] joins do. *)
   t.spf <- Smrp.source_spf ~filters:(Failure.filters t.graph (Failure.Link eid)) ~ws:t.ws t.tree;
   t.failure_time <- Engine.now t.engine;
-  Flight.record t.flight ~tick:(Engine.tick_of_time t.failure_time) ~code:Flight.proto_failure
-    ~a:eid ~b:0;
-  Causal.note_failure t.causal ~ts:t.failure_time;
+  milestone t ~code:Flight.proto_failure ~a:eid ~b:0;
   (* Control-plane view: keep only the structure that still receives data;
      disconnected members re-enter through their recoveries. *)
   t.tree <- Recovery.surviving_tree t.tree (Failure.Link eid)
@@ -949,16 +848,16 @@ let reports t =
   done;
   !acc
 
-let control_messages t = t.control_sent
+let control_messages t = Array.fold_left ( + ) 0 t.sent - t.sent.(tag_data)
 
 let message_breakdown t =
   [
-    ("hello", t.hello_sent);
-    ("query", t.query_sent);
-    ("join_req", t.join_sent);
-    ("refresh", t.refresh_sent);
-    ("prune", t.prune_sent);
-    ("data", t.data_sent);
+    ("hello", t.sent.(tag_hello));
+    ("query", t.sent.(tag_query) + t.sent.(tag_resp));
+    ("join_req", t.sent.(tag_join));
+    ("refresh", t.sent.(tag_refresh));
+    ("prune", t.sent.(tag_prune));
+    ("data", t.sent.(tag_data));
   ]
 
 let timeline t = Causal.episodes t.causal

@@ -1,5 +1,6 @@
 module Rng = Smrp_rng.Rng
 module Graph = Smrp_graph.Graph
+module Connectivity = Smrp_graph.Connectivity
 
 type t = { graph : Graph.t; missed_edge_bound : float }
 
@@ -53,36 +54,17 @@ let build_grid ~side ~n xs ys =
   done;
   g
 
-(* -- Union-find ----------------------------------------------------------- *)
-
-let rec find parent i =
-  let p = parent.(i) in
-  if p = i then i
-  else begin
-    let r = find parent p in
-    parent.(i) <- r;
-    r
-  end
-
-let union parent a b =
-  let ra = find parent a and rb = find parent b in
-  if ra = rb then false
-  else begin
-    parent.(ra) <- rb;
-    true
-  end
-
 (* -- Waxman --------------------------------------------------------------- *)
 
 (* Stitch the raw draw into one component.  Minor components (smallest
    first) each connect to the geometrically nearest node outside their own
    component, found by an expanding ring scan over the grid — the O(n²)
    closest-pair scan of {!Waxman.draw} replaced by local search. *)
-let repair delay rng g grid parent xs ys =
+let repair delay rng g grid uf xs ys =
   let n = Graph.node_count g in
   let comp_size = Array.make n 0 in
   for i = 0 to n - 1 do
-    let r = find parent i in
+    let r = Connectivity.find uf i in
     comp_size.(r) <- comp_size.(r) + 1
   done;
   let main_root = ref 0 in
@@ -91,7 +73,7 @@ let repair delay rng g grid parent xs ys =
   done;
   let minors = ref [] in
   for i = 0 to n - 1 do
-    if find parent i = i && i <> !main_root then minors := i :: !minors
+    if Connectivity.find uf i = i && i <> !main_root then minors := i :: !minors
   done;
   let minors =
     List.sort (fun a b -> compare comp_size.(a) comp_size.(b)) !minors
@@ -100,7 +82,7 @@ let repair delay rng g grid parent xs ys =
      component, a handful of strays) allocates next to nothing. *)
   let members = Array.make n [] in
   for i = n - 1 downto 0 do
-    let r = find parent i in
+    let r = Connectivity.find uf i in
     if r <> !main_root then members.(r) <- i :: members.(r)
   done;
   let side = grid.side in
@@ -108,7 +90,7 @@ let repair delay rng g grid parent xs ys =
      around [u] outward; once a ring yields a candidate, scan one more ring
      (a nearer point can sit just across a cell boundary) and stop. *)
   let nearest_outside u =
-    let root = find parent u in
+    let root = Connectivity.find uf u in
     let cx = cell_of grid xs.{u} and cy = cell_of grid ys.{u} in
     let best = ref (-1) and best_d2 = ref infinity in
     let scan_cell gx gy =
@@ -116,7 +98,7 @@ let repair delay rng g grid parent xs ys =
         let c = (gy * side) + gx in
         for k = grid.start.(c) to grid.start.(c + 1) - 1 do
           let v = grid.order.(k) in
-          if find parent v <> root then begin
+          if Connectivity.find uf v <> root then begin
             let dx = xs.{u} -. xs.{v} and dy = ys.{u} -. ys.{v} in
             let d2 = (dx *. dx) +. (dy *. dy) in
             if d2 < !best_d2 then begin
@@ -163,7 +145,7 @@ let repair delay rng g grid parent xs ys =
       match !best with
       | Some (u, v, d) ->
           ignore (Graph.add_edge g u v (delay rng d));
-          ignore (union parent u v)
+          ignore (Connectivity.union uf u v)
       | None -> ())
     minors
 
@@ -196,7 +178,7 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
   in
   let grid = build_grid ~side ~n xs ys in
   let g = Graph.create n in
-  let parent = Array.init n (fun i -> i) in
+  let uf = Connectivity.union_find n in
   let cutoff2 = cutoff *. cutoff in
   (* An envelope of the edge probability over [envelope_buckets] equal
      buckets of d²: [env.(k)] bounds p from above for every d² in bucket
@@ -234,7 +216,7 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
           let d = sqrt d2 in
           if r < alpha *. exp (-.d /. s) then begin
             ignore (Graph.add_edge g u v (delay rng d));
-            ignore (union parent u v)
+            ignore (Connectivity.union uf u v)
           end
         end
       end
@@ -265,6 +247,6 @@ let waxman ?(link_delay = `Euclidean) ?(p_floor = default_p_floor) rng ~n ~alpha
       done
     done
   done;
-  repair delay rng g grid parent xs ys;
+  repair delay rng g grid uf xs ys;
   Graph.freeze g;
   { graph = g; missed_edge_bound }

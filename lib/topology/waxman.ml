@@ -19,31 +19,36 @@ let delay = function
 let distance (x1, y1) (x2, y2) = sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0))
 
 (* Stitch components together with the geometrically shortest inter-component
-   edge until one component remains. *)
+   edge until one component remains.  The draw's edges are unioned once;
+   each stitching edge then takes every node's root once, and the pair scan
+   compares roots. *)
 let repair delay rng g positions =
-  let rec step () =
-    let comp, count = Connectivity.components g in
-    if count > 1 then begin
-      let n = Graph.node_count g in
-      let best = ref None in
-      for u = 0 to n - 1 do
-        for v = u + 1 to n - 1 do
-          if comp.(u) <> comp.(v) then begin
-            let d = distance positions.(u) positions.(v) in
-            match !best with
-            | Some (bd, _, _) when bd <= d -> ()
-            | _ -> best := Some (d, u, v)
+  let n = Graph.node_count g in
+  let uf = Connectivity.union_find n in
+  let components = ref n in
+  let join u v = if Connectivity.union uf u v then decr components in
+  Graph.iter_edges (fun e -> join e.Graph.u e.Graph.v) g;
+  let root = Array.make n 0 in
+  while !components > 1 do
+    for v = 0 to n - 1 do
+      root.(v) <- Connectivity.find uf v
+    done;
+    let best_u = ref (-1) and best_v = ref (-1) and best_d = ref infinity in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if root.(u) <> root.(v) then begin
+          let d = distance positions.(u) positions.(v) in
+          if !best_u < 0 || d < !best_d then begin
+            best_u := u;
+            best_v := v;
+            best_d := d
           end
-        done
-      done;
-      match !best with
-      | None -> () (* unreachable: count > 1 implies a pair exists *)
-      | Some (d, u, v) ->
-          ignore (Graph.add_edge g u v (delay rng d));
-          step ()
-    end
-  in
-  step ()
+        end
+      done
+    done;
+    ignore (Graph.add_edge g !best_u !best_v (delay rng !best_d));
+    join !best_u !best_v
+  done
 
 let draw ~link_delay rng ~n ~bound ~edge_probability =
   if n <= 0 then invalid_arg "Waxman.draw: n must be positive";

@@ -14,7 +14,7 @@ let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4242
 
 let check = Alcotest.(check bool)
 
-let connected g = snd (Connectivity.components g) <= 1
+let connected g = Array.for_all Fun.id (Connectivity.reachable_from g 0)
 let check_int = Alcotest.(check int)
 
 let pure_random_basic () =

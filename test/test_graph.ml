@@ -13,7 +13,7 @@ let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 let check_ilist = Alcotest.(check (list int))
 
-let connected ?edge_ok g = snd (Connectivity.components ?edge_ok g) <= 1
+let connected ?edge_ok g = Array.for_all Fun.id (Connectivity.reachable_from ?edge_ok g 0)
 
 (* -- Graph basics ------------------------------------------------------ *)
 
@@ -214,16 +214,6 @@ let shortest_path_convenience () =
   | None -> Alcotest.fail "expected path"
 
 (* -- Connectivity ------------------------------------------------------ *)
-
-let components_basic () =
-  let g = Graph.create 5 in
-  ignore (Graph.add_edge g 0 1 1.0);
-  ignore (Graph.add_edge g 2 3 1.0);
-  let comp, count = Connectivity.components g in
-  check_int "three components" 3 count;
-  check "0 and 1 together" true (comp.(0) = comp.(1));
-  check "2 and 3 together" true (comp.(2) = comp.(3));
-  check "4 alone" true (comp.(4) <> comp.(0) && comp.(4) <> comp.(2))
 
 let filtered_connectivity () =
   let g = Fixtures.ring 5 in
@@ -463,7 +453,6 @@ let () =
         ] );
       ( "connectivity",
         [
-          Alcotest.test_case "components" `Quick components_basic;
           Alcotest.test_case "filtered connectivity" `Quick filtered_connectivity;
           Alcotest.test_case "reachable_from" `Quick reachable_from;
           Alcotest.test_case "bridges on a line" `Quick bridges_line;

@@ -414,17 +414,18 @@ let timeline_recorder_guards () =
   (* The milestone tracker now lives in Causal; Timeline is a projection of
      its episodes, so the guard semantics are pinned through both modules. *)
   let r = Causal.create () in
+  let note code ~member ts = Causal.milestone r Flight.null ~tick:0 ~ts ~code ~a:member ~b:0 in
   (* Milestones before the failure are ignored. *)
-  Causal.note_detected r ~member:1 ~ts:0.5;
+  note Flight.proto_detected ~member:1 0.5;
   check "no episode before failure" true (Causal.episodes r = []);
-  Causal.note_failure r ~ts:1.0;
-  Causal.note_detected r ~member:1 ~ts:1.5;
-  Causal.note_detected r ~member:1 ~ts:9.9 (* first detection wins *);
-  Causal.note_signalled r ~member:1 ~ts:1.6;
-  Causal.note_installed r ~member:1 ~ts:1.8;
-  Causal.note_installed r ~member:1 ~ts:1.9 (* refresh re-confirmation: ignored *);
-  Causal.note_first_data r ~member:1 ~ts:2.0;
-  Causal.note_signalled r ~member:1 ~ts:5.0 (* closed: ignored *);
+  note Flight.proto_failure ~member:0 1.0;
+  note Flight.proto_detected ~member:1 1.5;
+  note Flight.proto_detected ~member:1 9.9 (* first detection wins *);
+  note Flight.proto_signal ~member:1 1.6;
+  note Flight.proto_installed ~member:1 1.8;
+  note Flight.proto_installed ~member:1 1.9 (* refresh re-confirmation: ignored *);
+  note Flight.proto_first_data ~member:1 2.0;
+  note Flight.proto_signal ~member:1 5.0 (* closed: ignored *);
   match Causal.episodes r with
   | [ e ] ->
       check_int "member" 1 e.Timeline.member;
@@ -437,6 +438,28 @@ let timeline_recorder_guards () =
       Alcotest.(check (float 1e-9)) "first data" 0.2 (get Timeline.First_data);
       Alcotest.(check (float 1e-9)) "total" 1.0 (Option.get (Timeline.total e))
   | eps -> Alcotest.failf "expected one episode, got %d" (List.length eps)
+
+(* The live tracker and the post-mortem stitcher apply one set of
+   milestone rules, so every episode [Protocol.timeline] reports is also
+   stitched, field for field, from the same run's flight ring.  The
+   stitcher may hold more: it re-opens a member detected again after first
+   data, which the tracker never does (seeds 4 and 5 have such members,
+   seed 25 none). *)
+let tracker_episodes_are_stitched () =
+  List.iter
+    (fun seed ->
+      let r = Option.get (Latency.run_one ~flight:true ~seed Latency.default) in
+      List.iter
+        (fun (side : Latency.side_result) ->
+          let fl = Option.get side.Latency.flight in
+          check_int "no record dropped" 0 (Flight.dropped fl);
+          let stitched = (Causal.of_records (Flight.snapshot fl)).Causal.a_episodes in
+          check "episodes recorded" true (side.Latency.episodes <> []);
+          List.iter
+            (fun e -> check "tracker episode stitched" true (List.mem e stitched))
+            side.Latency.episodes)
+        [ r.Latency.smrp; r.Latency.pim ])
+    [ 4; 5; 25 ]
 
 let protocol_emits_well_formed_timeline () =
   (* Smoke test: a recovery run produces a complete, ordered episode whose
@@ -610,6 +633,7 @@ let () =
         [
           Alcotest.test_case "recorder guards" `Quick timeline_recorder_guards;
           Alcotest.test_case "protocol timeline well-formed" `Quick protocol_emits_well_formed_timeline;
+          Alcotest.test_case "tracker episodes are stitched" `Quick tracker_episodes_are_stitched;
           Alcotest.test_case "no-op path" `Quick noop_sink_costs_nothing_extra;
         ] );
     ]

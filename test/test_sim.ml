@@ -9,6 +9,7 @@ module Protocol = Smrp_sim.Protocol
 module Rng = Smrp_rng.Rng
 module Waxman = Smrp_topology.Waxman
 module Smrp = Smrp_core.Smrp
+module Failure = Smrp_core.Failure
 module Metrics = Smrp_obs.Metrics
 module Flight = Smrp_obs.Flight
 
@@ -529,6 +530,62 @@ let simulation_deterministic () =
   in
   check "identical runs" true (run () = run ())
 
+(* Everything observable about one query-scheme run with reshaping and a
+   failure, as [Engine_diff.config_of] configures it: 24 of a fixed
+   80-node Waxman draw's nodes join a second apart, the worst-case link of
+   the first member fails at 30 s while the last five are still to join
+   (their queries ignore the failure), and the run ends at 90 s: seven
+   reshape switches before the failure, fifteen recovery episodes after
+   it, some of them retried.  The digest covers the member reports, the message breakdown, the frame
+   counters and the recovery episodes; it was computed before the join,
+   query and response payload pools became one pool, which renumbered
+   this run's slots and must change nothing else. *)
+let query_scheme_run_digest () =
+  let rng = Rng.create 33 in
+  let g = (Waxman.generate rng ~n:80 ~alpha:0.25 ~beta:0.2).Waxman.graph in
+  let sample = Rng.sample_without_replacement rng 25 80 in
+  let source = List.hd sample and members = List.tl sample in
+  let engine = Engine.create () in
+  let config =
+    {
+      Protocol.default_config with
+      Protocol.join_mode = Protocol.Query_scheme;
+      reshape_period = Some 6.0;
+    }
+  in
+  let p = Protocol.create ~config engine g ~source in
+  Protocol.start p;
+  List.iteri
+    (fun i m -> ignore (Engine.schedule engine ~delay:(1.0 +. float_of_int i) (fun () -> Protocol.join p m)))
+    members;
+  Engine.run ~until:30.0 engine;
+  (match Failure.worst_case_for_member (Protocol.tree p) (List.hd members) with
+  | Some (Failure.Link eid) -> Protocol.inject_link_failure p eid
+  | _ -> Alcotest.fail "no failable link");
+  Engine.run ~until:90.0 engine;
+  let b = Buffer.create 4096 in
+  let opt = function Some f -> Printf.sprintf "%h" f | None -> "-" in
+  List.iter
+    (fun (r : Protocol.member_report) ->
+      Printf.bprintf b "report %d %s %s %d\n" r.Protocol.member (opt r.Protocol.detected)
+        (opt r.Protocol.restored) r.Protocol.data_received)
+    (Protocol.reports p);
+  List.iter (fun (k, v) -> Printf.bprintf b "msgs %s %d\n" k v) (Protocol.message_breakdown p);
+  List.iter (fun (k, v) -> Printf.bprintf b "net %s %d\n" k v) (Net.counters (Protocol.net p));
+  List.iter
+    (fun (e : Smrp_obs.Timeline.episode) ->
+      Printf.bprintf b "episode %d %h %s %s %s %s %d\n" e.Smrp_obs.Timeline.member
+        e.Smrp_obs.Timeline.failure_at (opt e.Smrp_obs.Timeline.detected_at)
+        (opt e.Smrp_obs.Timeline.signalled_at) (opt e.Smrp_obs.Timeline.installed_at)
+        (opt e.Smrp_obs.Timeline.first_data_at) e.Smrp_obs.Timeline.attempts)
+    (Protocol.timeline p);
+  Buffer.contents b
+
+let query_scheme_run_pinned () =
+  Alcotest.(check string)
+    "digest" "00d038194b8e3216f72bd9a29ed045b8"
+    (Digest.to_hex (Digest.string (query_scheme_run_digest ())))
+
 let join_errors () =
   let engine = Engine.create () in
   let g = Fixtures.line 3 in
@@ -606,6 +663,8 @@ let () =
           Alcotest.test_case "query-scheme fallback" `Quick query_scheme_falls_back;
           Alcotest.test_case "protocol-level reshaping" `Quick reshaping_switches_at_protocol_level;
           Alcotest.test_case "simulation deterministic" `Quick simulation_deterministic;
+          Alcotest.test_case "query-scheme run with a failure pinned" `Quick
+            query_scheme_run_pinned;
           qcheck_case qcheck_oracle_joins_match_build;
         ] );
     ]

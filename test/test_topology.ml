@@ -13,7 +13,7 @@ let qcheck_case t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4242
 
 let check = Alcotest.(check bool)
 
-let connected g = snd (Connectivity.components g) <= 1
+let connected g = Array.for_all Fun.id (Connectivity.reachable_from g 0)
 
 (* Empirical average node degree over five draws. *)
 let measured_degree rng ~n ~alpha ~beta =
@@ -250,9 +250,22 @@ module Pair_loop = struct
     | `Unit -> 1.0
     | `Uniform (lo, hi) -> lo +. Rng.float rng (hi -. lo)
 
+  (* Component labels from one reachability sweep per component,
+     independent of the union-find the draw stitches with. *)
+  let components g =
+    let n = Graph.node_count g in
+    let comp = Array.make n (-1) and count = ref 0 in
+    for s = 0 to n - 1 do
+      if comp.(s) < 0 then begin
+        Array.iteri (fun v r -> if r then comp.(v) <- !count) (Connectivity.reachable_from g s);
+        incr count
+      end
+    done;
+    (comp, !count)
+
   let repair link_delay rng g positions =
     let rec step () =
-      let comp, count = Connectivity.components g in
+      let comp, count = components g in
       if count > 1 then begin
         let n = Graph.node_count g in
         let best = ref None in
